@@ -23,6 +23,13 @@ pub struct Transition {
 
 /// A sparse CTMC generator under construction.
 ///
+/// The generator is held flat: one insertion-ordered edge list with `u32`
+/// state indices, plus the running outflow rate of every state. Before a
+/// solve it is turned into compressed rows of incoming transitions by a
+/// stable counting sort, so every row keeps insertion order and every sum
+/// the solvers form (inflows, outflow rates) adds its terms in the order
+/// the transitions were added — results do not depend on the layout.
+///
 /// # Examples
 ///
 /// A two-state flip-flop with rates 1 and 2 has stationary distribution
@@ -41,12 +48,38 @@ pub struct Transition {
 #[derive(Clone, Debug)]
 pub struct Ctmc {
     n: usize,
-    /// Outgoing transitions per state.
-    out: Vec<Vec<(usize, f64)>>,
-    /// Incoming transitions per state (mirror of `out`).
-    inc: Vec<Vec<(usize, f64)>>,
+    /// Every transition, in insertion order.
+    edges: Vec<Edge>,
     /// Total outflow rate per state.
     out_rate: Vec<f64>,
+}
+
+/// One stored transition.
+#[derive(Clone, Copy, Debug)]
+struct Edge {
+    from: u32,
+    to: u32,
+    rate: f64,
+}
+
+/// Incoming transitions in compressed rows: row `j` is
+/// `from[start[j]..start[j + 1]]` with matching `rate`s, in insertion order.
+struct Incoming {
+    start: Vec<usize>,
+    from: Vec<u32>,
+    rate: Vec<f64>,
+}
+
+impl Incoming {
+    /// `Σ π_i q_ij` over the transitions into `j`, in insertion order.
+    fn inflow(&self, j: usize, pi: &[f64]) -> f64 {
+        let (lo, hi) = (self.start[j], self.start[j + 1]);
+        self.from[lo..hi]
+            .iter()
+            .zip(&self.rate[lo..hi])
+            .map(|(&i, &q)| pi[i as usize] * q)
+            .sum()
+    }
 }
 
 impl Ctmc {
@@ -54,14 +87,19 @@ impl Ctmc {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0`, or if `n` exceeds `u32::MAX` (state indices are
+    /// stored as `u32`).
     #[must_use]
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "chain needs at least one state");
+        assert!(
+            u32::try_from(n).is_ok(),
+            "chain has {n} states, but state indices are stored as u32 (at most {} states)",
+            u32::MAX
+        );
         Ctmc {
             n,
-            out: vec![Vec::new(); n],
-            inc: vec![Vec::new(); n],
+            edges: Vec::new(),
             out_rate: vec![0.0; n],
         }
     }
@@ -85,17 +123,44 @@ impl Ctmc {
             rate.is_finite() && rate > 0.0,
             "rate must be positive, got {rate}"
         );
-        self.out[from].push((to, rate));
-        self.inc[to].push((from, rate));
+        // Both indices are below `n`, which `new` bounds by `u32::MAX`.
+        self.edges.push(Edge {
+            from: from as u32,
+            to: to as u32,
+            rate,
+        });
         self.out_rate[from] += rate;
     }
 
-    /// Iterates over all transitions.
+    /// Iterates over all transitions, in insertion order.
     pub fn transitions(&self) -> impl Iterator<Item = Transition> + '_ {
-        self.out.iter().enumerate().flat_map(|(from, outs)| {
-            outs.iter()
-                .map(move |&(to, rate)| Transition { from, to, rate })
+        self.edges.iter().map(|e| Transition {
+            from: e.from as usize,
+            to: e.to as usize,
+            rate: e.rate,
         })
+    }
+
+    /// The incoming rows, by a stable counting sort of the edge list on
+    /// the destination state.
+    fn incoming(&self) -> Incoming {
+        let mut start = vec![0usize; self.n + 1];
+        for e in &self.edges {
+            start[e.to as usize + 1] += 1;
+        }
+        for j in 0..self.n {
+            start[j + 1] += start[j];
+        }
+        let mut next = start[..self.n].to_vec();
+        let mut from = vec![0u32; self.edges.len()];
+        let mut rate = vec![0.0_f64; self.edges.len()];
+        for e in &self.edges {
+            let k = &mut next[e.to as usize];
+            from[*k] = e.from;
+            rate[*k] = e.rate;
+            *k += 1;
+        }
+        Incoming { start, from, rate }
     }
 
     /// Solves for the stationary distribution with Gauss–Seidel on the
@@ -151,6 +216,7 @@ impl Ctmc {
             }
             _ => vec![1.0 / n as f64; n],
         };
+        let inc = self.incoming();
         // Damped Gauss–Seidel: the undamped sweep can oscillate on chains
         // with strong same-level cycles (e.g. the shared-bus chain's
         // N_{1,r-1} → N_{0,r} transitions); under-relaxation restores
@@ -158,6 +224,9 @@ impl Ctmc {
         let omega = 0.9;
         for sweep in 0..max_sweeps {
             let mut max_delta = 0.0_f64;
+            // Σπ after the sweep, added in index order from `-0.0`: term for
+            // term the sum `pi.iter().sum()` would form.
+            let mut total = -0.0_f64;
             for j in 0..n {
                 if self.out_rate[j] == 0.0 {
                     // A zero-outflow state cannot carry stationary mass in an
@@ -165,14 +234,14 @@ impl Ctmc {
                     // parking probability on disconnected artifacts.
                     max_delta = max_delta.max(pi[j]);
                     pi[j] = 0.0;
-                    continue;
+                } else {
+                    let inflow = inc.inflow(j, &pi);
+                    let next = (1.0 - omega) * pi[j] + omega * inflow / self.out_rate[j];
+                    max_delta = max_delta.max((next - pi[j]).abs());
+                    pi[j] = next;
                 }
-                let inflow: f64 = self.inc[j].iter().map(|&(i, q)| pi[i] * q).sum();
-                let next = (1.0 - omega) * pi[j] + omega * inflow / self.out_rate[j];
-                max_delta = max_delta.max((next - pi[j]).abs());
-                pi[j] = next;
+                total += pi[j];
             }
-            let total: f64 = pi.iter().sum();
             if total <= 0.0 {
                 return Err(SolveError::NoConvergence {
                     iterations: sweep,
@@ -188,7 +257,7 @@ impl Ctmc {
         }
         Err(SolveError::NoConvergence {
             iterations: max_sweeps,
-            residual: self.balance_residual(&pi),
+            residual: residual_of(&inc, &self.out_rate, &pi),
         })
     }
 
@@ -203,63 +272,12 @@ impl Ctmc {
     /// [`SolveError::NoConvergence`] if the system is singular beyond the
     /// normalization deficiency (reducible chain).
     pub fn solve_dense(&self) -> Result<Vec<f64>, SolveError> {
-        let n = self.n;
-        // Build A = Q^T with the last row replaced by all-ones (normalization),
-        // solving A x = e_last.
-        let mut a = vec![vec![0.0_f64; n]; n];
+        let mut q_t = vec![vec![0.0_f64; self.n]; self.n];
         for t in self.transitions() {
-            a[t.to][t.from] += t.rate;
-            a[t.from][t.from] -= t.rate;
+            q_t[t.to][t.from] += t.rate;
+            q_t[t.from][t.from] -= t.rate;
         }
-        a[n - 1].fill(1.0);
-        let mut b = vec![0.0_f64; n];
-        b[n - 1] = 1.0;
-
-        // Gaussian elimination with partial pivoting.
-        for col in 0..n {
-            let pivot = (col..n)
-                .max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))
-                .expect("nonempty range");
-            if a[pivot][col].abs() < 1e-300 {
-                return Err(SolveError::NoConvergence {
-                    iterations: 0,
-                    residual: f64::INFINITY,
-                });
-            }
-            a.swap(col, pivot);
-            b.swap(col, pivot);
-            for row in (col + 1)..n {
-                let factor = a[row][col] / a[col][col];
-                if factor == 0.0 {
-                    continue;
-                }
-                let (upper, lower) = a.split_at_mut(row);
-                let pivot_row = &upper[col];
-                for (v, p) in lower[0][col..].iter_mut().zip(&pivot_row[col..]) {
-                    *v -= factor * p;
-                }
-                b[row] -= factor * b[col];
-            }
-        }
-        let mut x = vec![0.0_f64; n];
-        for row in (0..n).rev() {
-            let mut acc = b[row];
-            for k in (row + 1)..n {
-                acc -= a[row][k] * x[k];
-            }
-            x[row] = acc / a[row][row];
-        }
-        // Numerical noise can make tiny entries slightly negative.
-        for v in &mut x {
-            if *v < 0.0 && *v > -1e-9 {
-                *v = 0.0;
-            }
-        }
-        let total: f64 = x.iter().sum();
-        for v in &mut x {
-            *v /= total;
-        }
-        Ok(x)
+        solve_dense_transposed(q_t)
     }
 
     /// Maximum absolute balance-equation residual of a candidate
@@ -267,12 +285,7 @@ impl Ctmc {
     #[must_use]
     pub fn balance_residual(&self, pi: &[f64]) -> f64 {
         assert_eq!(pi.len(), self.n, "distribution length mismatch");
-        (0..self.n)
-            .map(|j| {
-                let inflow: f64 = self.inc[j].iter().map(|&(i, q)| pi[i] * q).sum();
-                (inflow - pi[j] * self.out_rate[j]).abs()
-            })
-            .fold(0.0, f64::max)
+        residual_of(&self.incoming(), &self.out_rate, pi)
     }
 
     /// Expected value of `f` under a stationary distribution.
@@ -283,9 +296,258 @@ impl Ctmc {
     }
 }
 
+/// Solves `πQ = 0` by dense Gaussian elimination, given `Qᵀ`: the last row
+/// is replaced by the normalization constraint, solving `A x = e_last`.
+fn solve_dense_transposed(mut a: Vec<Vec<f64>>) -> Result<Vec<f64>, SolveError> {
+    let n = a.len();
+    a[n - 1].fill(1.0);
+    let mut b = vec![0.0_f64; n];
+    b[n - 1] = 1.0;
+
+    // Gaussian elimination with partial pivoting.
+    for col in 0..n {
+        let pivot = (col..n)
+            .max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))
+            .expect("nonempty range");
+        if a[pivot][col].abs() < 1e-300 {
+            return Err(SolveError::NoConvergence {
+                iterations: 0,
+                residual: f64::INFINITY,
+            });
+        }
+        a.swap(col, pivot);
+        b.swap(col, pivot);
+        for row in (col + 1)..n {
+            let factor = a[row][col] / a[col][col];
+            if factor == 0.0 {
+                continue;
+            }
+            let (upper, lower) = a.split_at_mut(row);
+            let pivot_row = &upper[col];
+            for (v, p) in lower[0][col..].iter_mut().zip(&pivot_row[col..]) {
+                *v -= factor * p;
+            }
+            b[row] -= factor * b[col];
+        }
+    }
+    let mut x = vec![0.0_f64; n];
+    for row in (0..n).rev() {
+        let mut acc = b[row];
+        for k in (row + 1)..n {
+            acc -= a[row][k] * x[k];
+        }
+        x[row] = acc / a[row][row];
+    }
+    // Numerical noise can make tiny entries slightly negative.
+    for v in &mut x {
+        if *v < 0.0 && *v > -1e-9 {
+            *v = 0.0;
+        }
+    }
+    let total: f64 = x.iter().sum();
+    for v in &mut x {
+        *v /= total;
+    }
+    Ok(x)
+}
+
+/// Maximum absolute balance residual of `pi` over the rows of `inc`.
+fn residual_of(inc: &Incoming, out_rate: &[f64], pi: &[f64]) -> f64 {
+    (0..out_rate.len())
+        .map(|j| (inc.inflow(j, pi) - pi[j] * out_rate[j]).abs())
+        .fold(0.0, f64::max)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsin_minicheck::{check, Gen};
+
+    /// The nested-vector generator `Ctmc` replaced, with its Gauss–Seidel
+    /// and residual verbatim: the reference the flat layout must match bit
+    /// for bit.
+    struct NestedCtmc {
+        out: Vec<Vec<(usize, f64)>>,
+        inc: Vec<Vec<(usize, f64)>>,
+        out_rate: Vec<f64>,
+    }
+
+    impl NestedCtmc {
+        fn new(n: usize) -> Self {
+            NestedCtmc {
+                out: vec![Vec::new(); n],
+                inc: vec![Vec::new(); n],
+                out_rate: vec![0.0; n],
+            }
+        }
+
+        fn add(&mut self, from: usize, to: usize, rate: f64) {
+            self.out[from].push((to, rate));
+            self.inc[to].push((from, rate));
+            self.out_rate[from] += rate;
+        }
+
+        fn solve_with_guess(
+            &self,
+            guess: Option<&[f64]>,
+            tol: f64,
+            max_sweeps: usize,
+        ) -> Result<Vec<f64>, SolveError> {
+            let n = self.out.len();
+            if n == 1 {
+                return Ok(vec![1.0]);
+            }
+            let mut pi = match guess {
+                Some(g)
+                    if g.len() == n
+                        && g.iter().all(|v| v.is_finite() && *v >= 0.0)
+                        && g.iter().sum::<f64>() > 0.0 =>
+                {
+                    let total: f64 = g.iter().sum();
+                    g.iter().map(|v| v / total).collect()
+                }
+                _ => vec![1.0 / n as f64; n],
+            };
+            let omega = 0.9;
+            for sweep in 0..max_sweeps {
+                let mut max_delta = 0.0_f64;
+                for j in 0..n {
+                    if self.out_rate[j] == 0.0 {
+                        max_delta = max_delta.max(pi[j]);
+                        pi[j] = 0.0;
+                        continue;
+                    }
+                    let inflow: f64 = self.inc[j].iter().map(|&(i, q)| pi[i] * q).sum();
+                    let next = (1.0 - omega) * pi[j] + omega * inflow / self.out_rate[j];
+                    max_delta = max_delta.max((next - pi[j]).abs());
+                    pi[j] = next;
+                }
+                let total: f64 = pi.iter().sum();
+                if total <= 0.0 {
+                    return Err(SolveError::NoConvergence {
+                        iterations: sweep,
+                        residual: f64::INFINITY,
+                    });
+                }
+                for p in &mut pi {
+                    *p /= total;
+                }
+                if max_delta / total < tol {
+                    return Ok(pi);
+                }
+            }
+            Err(SolveError::NoConvergence {
+                iterations: max_sweeps,
+                residual: self.balance_residual(&pi),
+            })
+        }
+
+        fn balance_residual(&self, pi: &[f64]) -> f64 {
+            (0..self.out.len())
+                .map(|j| {
+                    let inflow: f64 = self.inc[j].iter().map(|&(i, q)| pi[i] * q).sum();
+                    (inflow - pi[j] * self.out_rate[j]).abs()
+                })
+                .fold(0.0, f64::max)
+        }
+
+        /// `Qᵀ` assembled source state by source state.
+        fn dense_transposed(&self) -> Vec<Vec<f64>> {
+            let n = self.out.len();
+            let mut a = vec![vec![0.0_f64; n]; n];
+            for (from, outs) in self.out.iter().enumerate() {
+                for &(to, rate) in outs {
+                    a[to][from] += rate;
+                    a[from][from] -= rate;
+                }
+            }
+            a
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Solver outcomes compared bit for bit (errors by their fields' bits).
+    fn same_outcome(a: &Result<Vec<f64>, SolveError>, b: &Result<Vec<f64>, SolveError>) -> bool {
+        match (a, b) {
+            (Ok(x), Ok(y)) => bits(x) == bits(y),
+            (
+                Err(SolveError::NoConvergence {
+                    iterations: i,
+                    residual: r,
+                }),
+                Err(SolveError::NoConvergence {
+                    iterations: j,
+                    residual: s,
+                }),
+            ) => i == j && r.to_bits() == s.to_bits(),
+            _ => false,
+        }
+    }
+
+    /// A random chain built into both layouts: interleaved source states,
+    /// parallel transitions, and sometimes one state with no outflow.
+    fn random_pair(g: &mut Gen) -> (Ctmc, NestedCtmc) {
+        let n = g.usize_in(2, 12);
+        let sink = g.bool().then(|| g.usize_in(0, n));
+        let mut flat = Ctmc::new(n);
+        let mut nested = NestedCtmc::new(n);
+        let mut added: Vec<(usize, usize)> = Vec::new();
+        for _ in 0..g.usize_in(n, 4 * n) {
+            let (from, to) = if !added.is_empty() && g.usize_in(0, 4) == 0 {
+                // A parallel transition with its own rate.
+                added[g.usize_in(0, added.len())]
+            } else {
+                let from = g.usize_in(0, n);
+                (from, (from + g.usize_in(1, n)) % n)
+            };
+            if Some(from) == sink {
+                continue;
+            }
+            let rate = g.f64_in(0.05, 5.0);
+            flat.add(from, to, rate);
+            nested.add(from, to, rate);
+            added.push((from, to));
+        }
+        (flat, nested)
+    }
+
+    #[test]
+    fn flat_generator_matches_nested_reference_bit_for_bit() {
+        check(256, |g| {
+            let (flat, nested) = random_pair(g);
+            let n = flat.num_states();
+            let guess = match g.usize_in(0, 3) {
+                0 => None,
+                1 => Some(g.vec_f64(0.0, 1.0, n, n + 1)),
+                // Wrong length: both fall back to the uniform start.
+                _ => Some(vec![1.0; n + 1]),
+            };
+            let max_sweeps = g.usize_in(1, 3000);
+            let got = flat.solve_with_guess(guess.as_deref(), 1e-12, max_sweeps);
+            let want = nested.solve_with_guess(guess.as_deref(), 1e-12, max_sweeps);
+            assert!(same_outcome(&got, &want), "{got:?} vs {want:?}");
+
+            let probe = g.vec_f64(0.0, 1.0, n, n + 1);
+            assert_eq!(
+                flat.balance_residual(&probe).to_bits(),
+                nested.balance_residual(&probe).to_bits()
+            );
+
+            let got = flat.solve_dense();
+            let want = solve_dense_transposed(nested.dense_transposed());
+            assert!(same_outcome(&got, &want), "{got:?} vs {want:?}");
+        });
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "stored as u32")]
+    fn state_count_beyond_u32_rejected() {
+        let _ = Ctmc::new(u32::MAX as usize + 1);
+    }
 
     /// Birth-death chain helper: M/M/1/K with K+1 states.
     fn mm1k(lambda: f64, mu: f64, k: usize) -> Ctmc {

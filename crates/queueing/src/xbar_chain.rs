@@ -25,6 +25,9 @@
 use crate::error::SolveError;
 use crate::markov::Ctmc;
 
+/// Largest bus count the exact chain accepts.
+const MAX_BUSES: usize = 3;
+
 /// Parameters of the small-`m` crossbar chain.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SmallCrossbarParams {
@@ -94,7 +97,7 @@ impl SmallCrossbarChain {
                 what: "counts must be positive",
             });
         }
-        if params.buses > 3 {
+        if params.buses as usize > MAX_BUSES {
             return Err(SolveError::BadParameter {
                 what: "the exact chain is only practical for m <= 3 (the paper's point)",
             });
@@ -233,14 +236,15 @@ impl SmallCrossbarChain {
         // only with "no bus dispatchable" (dispatch opportunities are
         // consumed the instant they appear). Without this pruning the
         // truncated chain acquires disconnected zero-outflow states and the
-        // balance system turns singular.
-        let mut subs: Vec<(Vec<bool>, Vec<usize>)> = Vec::new();
+        // balance system turns singular. A sub-state is a fixed-size array
+        // pair; buses at index ≥ m stay idle and empty.
+        let mut subs: Vec<([bool; MAX_BUSES], [usize; MAX_BUSES])> = Vec::new();
         {
-            let mut t = vec![false; m];
-            let mut s_vec = vec![0usize; m];
+            let mut t = [false; MAX_BUSES];
+            let mut s_vec = [0usize; MAX_BUSES];
             loop {
                 if (0..m).all(|j| !t[j] || s_vec[j] < r) {
-                    subs.push((t.clone(), s_vec.clone()));
+                    subs.push((t, s_vec));
                 }
                 // Mixed-radix increment over (t_j, s_j).
                 let mut j = 0;
@@ -270,90 +274,112 @@ impl SmallCrossbarChain {
         let dispatch =
             |t: &[bool], s: &[usize]| -> Option<usize> { (0..m).find(|&j| !t[j] && s[j] < r) };
         let queue_ok: Vec<bool> = subs.iter().map(|(t, s)| dispatch(t, s).is_none()).collect();
-        let key = |t: &[bool], s: &[usize]| -> u64 {
-            let mut k = 0u64;
+        let key = |t: &[bool], s: &[usize]| -> usize {
+            let mut k = 0;
             for j in 0..m {
-                k = k * 2 * (r as u64 + 1) + (s[j] as u64 * 2 + u64::from(t[j]));
+                k = k * 2 * (r + 1) + (s[j] * 2 + usize::from(t[j]));
             }
             k
         };
-        let sub_index: std::collections::HashMap<u64, usize> = subs
-            .iter()
-            .enumerate()
-            .map(|(i, (t, s))| (key(t, s), i))
-            .collect();
+        // Dense key table over the full (2(r+1))^m product; unreachable
+        // keys hold `usize::MAX`.
+        let keys = (2 * (r + 1))
+            .checked_pow(m as u32)
+            .expect("the (2(r+1))^m key space overflows usize");
+        let mut sub_of_key = vec![usize::MAX; keys];
+        for (i, (t, s)) in subs.iter().enumerate() {
+            sub_of_key[key(t, s)] = i;
+        }
+        let sub_index = |t: &[bool], s: &[usize]| -> usize { sub_of_key[key(t, s)] };
         // Dense state numbering: level-0 states first (all subs), then for
         // each level ≥ 1 only the queue-compatible subs.
         let l0_count = subs.len();
-        let queued_subs: Vec<usize> = (0..subs.len()).filter(|&i| queue_ok[i]).collect();
-        let queued_pos: std::collections::HashMap<usize, usize> = queued_subs
-            .iter()
-            .enumerate()
-            .map(|(pos, &i)| (i, pos))
-            .collect();
-        let per_level = queued_subs.len();
+        let mut queued_pos = vec![usize::MAX; subs.len()];
+        let mut per_level = 0;
+        for (sub, _) in queue_ok.iter().enumerate().filter(|(_, &ok)| ok) {
+            queued_pos[sub] = per_level;
+            per_level += 1;
+        }
         let n_states = l0_count + levels * per_level;
         let idx = |l: usize, sub: usize| -> usize {
             if l == 0 {
                 sub
             } else {
-                l0_count + (l - 1) * per_level + queued_pos[&sub]
+                assert!(queue_ok[sub], "queued level holds a dispatchable sub-state");
+                l0_count + (l - 1) * per_level + queued_pos[sub]
             }
         };
 
-        let mut c = Ctmc::new(n_states);
-        for l in 0..=levels {
-            for (sub, (t, s)) in subs.iter().enumerate() {
-                if l > 0 && !queue_ok[sub] {
-                    continue;
+        // The moves out of a sub-state as (level step, target sub-state,
+        // rate), in the order they enter the generator: the arrival, then
+        // per bus a transmission completion and a service completion. They
+        // depend on the level only through whether the queue is empty.
+        let moves = |t: [bool; MAX_BUSES], s: [usize; MAX_BUSES], queued: bool| {
+            let mut out: Vec<(isize, usize, f64)> = Vec::with_capacity(2 * m + 1);
+            // Arrival.
+            match dispatch(&t, &s) {
+                Some(j) if !queued => {
+                    let mut t2 = t;
+                    t2[j] = true;
+                    out.push((0, sub_index(&t2, &s), lam));
                 }
-                // Arrival.
-                if l == 0 {
-                    if let Some(j) = dispatch(t, s) {
-                        let mut t2 = t.clone();
+                _ => out.push((1, sub_index(&t, &s), lam)),
+            }
+            for j in 0..m {
+                // Transmission completion on bus j.
+                if t[j] {
+                    let mut t2 = t;
+                    let mut s2 = s;
+                    t2[j] = false;
+                    s2[j] += 1;
+                    out.push(match dispatch(&t2, &s2) {
+                        Some(k) if queued => {
+                            let mut t3 = t2;
+                            t3[k] = true;
+                            (-1, sub_index(&t3, &s2), mu_n)
+                        }
+                        _ => (0, sub_index(&t2, &s2), mu_n),
+                    });
+                }
+                // Service completion on bus j.
+                if s[j] > 0 {
+                    let mut s2 = s;
+                    s2[j] -= 1;
+                    out.push(if queued && !t[j] {
+                        // The freed resource makes bus j dispatchable.
+                        let mut t2 = t;
                         t2[j] = true;
-                        c.add(idx(0, sub), idx(0, sub_index[&key(&t2, s)]), lam);
+                        (-1, sub_index(&t2, &s2), s[j] as f64 * mu_s)
                     } else {
-                        c.add(idx(0, sub), idx(1, sub), lam);
-                    }
-                } else if l < levels {
-                    c.add(idx(l, sub), idx(l + 1, sub), lam);
+                        (0, sub_index(&t, &s2), s[j] as f64 * mu_s)
+                    });
                 }
-                for j in 0..m {
-                    // Transmission completion on bus j.
-                    if t[j] {
-                        let mut t2 = t.clone();
-                        let mut s2 = s.clone();
-                        t2[j] = false;
-                        s2[j] += 1;
-                        let (l2, sub2) = if l > 0 {
-                            match dispatch(&t2, &s2) {
-                                Some(k) => {
-                                    let mut t3 = t2.clone();
-                                    t3[k] = true;
-                                    (l - 1, sub_index[&key(&t3, &s2)])
-                                }
-                                None => (l, sub_index[&key(&t2, &s2)]),
-                            }
-                        } else {
-                            (0, sub_index[&key(&t2, &s2)])
-                        };
-                        c.add(idx(l, sub), idx(l2, sub2), mu_n);
-                    }
-                    // Service completion on bus j.
-                    if s[j] > 0 {
-                        let mut s2 = s.clone();
-                        s2[j] -= 1;
-                        let (l2, sub2) = if l > 0 && !t[j] {
-                            // The freed resource makes bus j dispatchable.
-                            let mut t2 = t.clone();
-                            t2[j] = true;
-                            (l - 1, sub_index[&key(&t2, &s2)])
-                        } else {
-                            (l, sub_index[&key(t, &s2)])
-                        };
-                        c.add(idx(l, sub), idx(l2, sub2), s[j] as f64 * mu_s);
-                    }
+            }
+            out
+        };
+
+        let mut c = Ctmc::new(n_states);
+        for (sub, &(t, s)) in subs.iter().enumerate() {
+            for (step, sub2, rate) in moves(t, s, false) {
+                c.add(idx(0, sub), idx(step as usize, sub2), rate);
+            }
+        }
+        // Every level ≥ 1 is stamped from one template; the top level
+        // drops the arrival.
+        let template: Vec<(usize, isize, usize, f64)> = subs
+            .iter()
+            .enumerate()
+            .filter(|&(sub, _)| queue_ok[sub])
+            .flat_map(|(sub, &(t, s))| {
+                moves(t, s, true)
+                    .into_iter()
+                    .map(move |(step, sub2, rate)| (sub, step, sub2, rate))
+            })
+            .collect();
+        for l in 1..=levels {
+            for &(sub, step, sub2, rate) in &template {
+                if l < levels || step != 1 {
+                    c.add(idx(l, sub), idx(l.wrapping_add_signed(step), sub2), rate);
                 }
             }
         }
