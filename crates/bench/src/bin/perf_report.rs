@@ -35,8 +35,8 @@ use rsin_bench::RunQuality;
 use rsin_bitslice::{or_pairs_compress, rotating_grant, set_bit, swap_or, tile_double};
 use rsin_broker::net::{run_net_load, NetLoadConfig, NetServer, NetServerConfig};
 use rsin_broker::{
-    run_saturated, run_saturated_chaos, Broker, ChaosOptions, ChaosPlan, ClientChaos, ClientEvent,
-    OmegaBroker, RunControl, SbusBroker, ShardedBroker, XbarBroker, XbarPolicy,
+    run, Arrival, Broker, ChaosOptions, ChaosPlan, ClientChaos, ClientEvent, OmegaBroker,
+    RunControl, SbusBroker, ShardedBroker, XbarBroker, XbarPolicy,
 };
 use rsin_core::{simulate, SimOptions, SystemConfig};
 use rsin_des::{Calendar, SimRng, SimTime};
@@ -277,6 +277,10 @@ fn kernels() -> Vec<(&'static str, f64)> {
 fn broker_saturated_throughput() -> Vec<(&'static str, f64)> {
     let window = std::time::Duration::from_millis(120);
     let secs = window.as_secs_f64();
+    let saturated = Arrival::Saturated {
+        hold: std::time::Duration::ZERO,
+        run_for: window,
+    };
     let disciplines: Vec<(&'static str, Box<dyn Broker>)> = vec![
         ("sbus", Box::new(SbusBroker::new(4, 2))),
         (
@@ -288,7 +292,7 @@ fn broker_saturated_throughput() -> Vec<(&'static str, f64)> {
     disciplines
         .into_iter()
         .map(|(name, broker)| {
-            let report = run_saturated(broker.as_ref(), std::time::Duration::ZERO, window);
+            let report = run(broker.as_ref(), &saturated, None);
             assert_eq!(report.violations, 0, "{name}: exclusivity violated");
             (name, report.total_grants() as f64 / secs)
         })
@@ -305,6 +309,10 @@ fn broker_saturated_throughput() -> Vec<(&'static str, f64)> {
 fn broker_scaling(cpu_cores: usize) -> Vec<ScalingPoint> {
     let window = std::time::Duration::from_millis(120);
     let secs = window.as_secs_f64();
+    let saturated = Arrival::Saturated {
+        hold: std::time::Duration::ZERO,
+        run_for: window,
+    };
     const WORKERS: usize = 8;
     const RESOURCES: usize = 4;
     [1usize, 2, 4]
@@ -332,7 +340,7 @@ fn broker_scaling(cpu_cores: usize) -> Vec<ScalingPoint> {
             let rates = disciplines
                 .into_iter()
                 .map(|(name, broker)| {
-                    let report = run_saturated(broker.as_ref(), std::time::Duration::ZERO, window);
+                    let report = run(broker.as_ref(), &saturated, None);
                     assert_eq!(
                         report.violations, 0,
                         "{name} at {shards} shard(s): exclusivity violated"
@@ -366,7 +374,10 @@ fn broker_scaling(cpu_cores: usize) -> Vec<ScalingPoint> {
 /// under zero service time; the paper's transmissions always take time.
 fn sharding_overhead_check() -> Vec<String> {
     let window = std::time::Duration::from_millis(120);
-    let hold = std::time::Duration::from_micros(50);
+    let saturated = Arrival::Saturated {
+        hold: std::time::Duration::from_micros(50),
+        run_for: window,
+    };
     type Pair = (&'static str, BrokerFactory, BrokerFactory);
     let disciplines: Vec<Pair> = vec![
         (
@@ -387,7 +398,7 @@ fn sharding_overhead_check() -> Vec<String> {
     ];
     let rate = |make: &BrokerFactory| {
         let broker = make();
-        let report = run_saturated(broker.as_ref(), hold, window);
+        let report = run(broker.as_ref(), &saturated, None);
         assert_eq!(report.violations, 0, "exclusivity violated");
         report.total_grants() as f64 / window.as_secs_f64()
     };
@@ -438,6 +449,10 @@ type BrokerFactory = Box<dyn Fn() -> Box<dyn Broker>>;
 
 fn broker_resilience() -> Vec<(&'static str, f64, f64)> {
     let window = std::time::Duration::from_millis(120);
+    let saturated = Arrival::Saturated {
+        hold: std::time::Duration::ZERO,
+        run_for: window,
+    };
     // The lease must dominate the worst-case scheduler stall of a *live*
     // holder — on a loaded single-core runner a spinning holder can sit
     // off-CPU for several milliseconds, and evicting it would double-grant.
@@ -471,7 +486,7 @@ fn broker_resilience() -> Vec<(&'static str, f64, f64)> {
         .map(|(name, make)| {
             let healthy = {
                 let broker = make();
-                let report = run_saturated(broker.as_ref(), std::time::Duration::ZERO, window);
+                let report = run(broker.as_ref(), &saturated, None);
                 assert_eq!(report.violations, 0, "{name}: exclusivity violated");
                 report.total_grants() as f64 / secs
             };
@@ -483,15 +498,12 @@ fn broker_resilience() -> Vec<(&'static str, f64, f64)> {
                     kind: ClientChaos::Crash,
                 });
                 let opts = ChaosOptions::new(plan, lease);
-                let report =
-                    run_saturated_chaos(broker.as_ref(), std::time::Duration::ZERO, window, &opts);
-                assert_eq!(report.sat.violations, 0, "{name}: exclusivity violated");
-                assert_eq!(report.crashed, 1, "{name}: the kill must fire");
-                assert!(
-                    report.post_chaos_grants > 0,
-                    "{name}: wedged after the kill"
-                );
-                report.sat.total_grants() as f64 / secs
+                let report = run(broker.as_ref(), &saturated, Some(&opts));
+                let chaos = report.chaos.as_ref().expect("chaos accounting");
+                assert_eq!(report.violations, 0, "{name}: exclusivity violated");
+                assert_eq!(chaos.crashed, 1, "{name}: the kill must fire");
+                assert!(chaos.post_chaos_grants > 0, "{name}: wedged after the kill");
+                report.total_grants() as f64 / secs
             };
             (name, healthy, degraded)
         })

@@ -33,8 +33,7 @@ use crate::manifest::{fnv1a64, EntryStatus, Manifest, ManifestEntry};
 use crate::output;
 use crate::RunQuality;
 use rsin_broker::{
-    run_load, run_load_chaos, ChaosOptions, ChaosPlan, ChaosSpec, LoadConfig, SbusBroker,
-    ShardedBroker,
+    loadgen, Arrival, ChaosOptions, ChaosPlan, ChaosSpec, LoadConfig, SbusBroker, ShardedBroker,
 };
 use rsin_core::experiment::{Experiment, Series};
 use rsin_core::{simulate, ConfigError, HarnessError, SimOptions, Workload};
@@ -536,45 +535,42 @@ pub fn measure(cfg: &BrokerBenchConfig, quality: &RunQuality) -> Vec<MeasuredPoi
             lc.duration = duration_units;
             lc.drain = 50.0;
             lc.seed = quality.seed ^ 0xB70B ^ ((rho * 1_000.0) as u64);
+            let arrival = Arrival::Poisson(lc);
+            let opts = cfg
+                .chaos
+                .as_ref()
+                .map(|spec| chaos_options(spec, cfg.threads, &lc));
             let start = Instant::now();
-            let chaos_leg = |broker: &dyn rsin_broker::Broker, spec: &ChaosSpec| {
-                let opts = chaos_options(spec, cfg.threads, &lc);
-                let r = run_load_chaos(broker, &lc, &opts);
-                let leaked =
-                    (pool.saturating_sub(r.available_at_end) + r.ledger_held_at_end) as u64;
-                let acct = ChaosAccounting {
-                    crashed: r.crashed,
-                    stalled: r.stalled,
-                    reclaimed: r.reclaimed + r.forced_reclaims,
-                    post_chaos_grants: r.post_chaos_grants,
-                    leaked,
-                };
-                (r.load, Some(acct))
-            };
-            let (report, chaos) = match (&cfg.chaos, cfg.shards) {
-                (None, 1) => {
-                    let broker = SbusBroker::new(cfg.threads, pool);
-                    (run_load(&broker, &lc), None)
-                }
-                (None, shards) => {
-                    let broker = ShardedBroker::sbus(cfg.threads, pool, shards);
-                    (run_load(&broker, &lc), None)
-                }
-                (Some(spec), 1) => {
-                    let broker = SbusBroker::with_lease(cfg.threads, pool, CHAOS_LEASE);
-                    chaos_leg(&broker, spec)
-                }
-                (Some(spec), shards) => {
-                    let broker =
-                        ShardedBroker::sbus_with_lease(cfg.threads, pool, shards, CHAOS_LEASE);
-                    chaos_leg(&broker, spec)
-                }
+            let report = match (&opts, cfg.shards) {
+                (None, 1) => loadgen::run(&SbusBroker::new(cfg.threads, pool), &arrival, None),
+                (None, shards) => loadgen::run(
+                    &ShardedBroker::sbus(cfg.threads, pool, shards),
+                    &arrival,
+                    None,
+                ),
+                (Some(opts), 1) => loadgen::run(
+                    &SbusBroker::with_lease(cfg.threads, pool, CHAOS_LEASE),
+                    &arrival,
+                    Some(opts),
+                ),
+                (Some(opts), shards) => loadgen::run(
+                    &ShardedBroker::sbus_with_lease(cfg.threads, pool, shards, CHAOS_LEASE),
+                    &arrival,
+                    Some(opts),
+                ),
             };
             let wall = start.elapsed().as_secs_f64();
+            let chaos = report.chaos.as_ref().map(|c| ChaosAccounting {
+                crashed: c.crashed,
+                stalled: c.stalled,
+                reclaimed: c.reclaimed + c.forced_reclaims,
+                post_chaos_grants: c.post_chaos_grants,
+                leaked: (pool.saturating_sub(c.available_at_end) + c.ledger_held_at_end) as u64,
+            });
             MeasuredPoint {
                 rho,
                 mean_delay: report.mean_delay(),
-                std_error: report.delay.std_error(),
+                std_error: report.delay().std_error(),
                 measured: report.measured(),
                 throughput: report.measured() as f64 / wall.max(1e-9),
                 violations: report.violations,

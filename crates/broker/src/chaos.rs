@@ -5,8 +5,7 @@
 //! A [`ChaosPlan`] is the runtime twin of the DES's
 //! [`FaultPlan`](rsin_des::FaultPlan): inert, seed-deterministic
 //! data describing *which client threads misbehave and when*, in model
-//! time. The chaos-aware load generators
-//! ([`run_load_chaos`](crate::loadgen::run_load_chaos)) execute it — a
+//! time. The load driver ([`run`](crate::loadgen::run)) executes it — a
 //! `Crash` makes the victim thread leak its grant (the guard is
 //! deliberately forgotten, simulating fail-stop death mid-protocol) and
 //! genuinely unwind via `panic!`; a `Stall` makes the victim sit on its

@@ -22,10 +22,12 @@
 //!   resolution (no worker ever waits while holding a partial path, so the
 //!   protocol cannot deadlock).
 //!
-//! On top of the disciplines sits a closed-loop [`loadgen`]: worker threads
-//! replay per-thread Poisson arrival schedules (independent
-//! [`rsin_des::SimRng`] streams), acquire → hold → release against a broker
-//! in real time, and record grant latency into per-thread
+//! On top of the disciplines sits one closed-loop load driver,
+//! [`loadgen::run`]: worker threads replay per-thread Poisson arrival
+//! schedules (independent [`rsin_des::SimRng`] streams) or re-request at
+//! saturation, acquire → hold → release against a broker in real time,
+//! optionally under client chaos and resource faults, and record grant
+//! latency into per-thread
 //! [`rsin_des::stats::Welford`]/[`rsin_des::stats::Histogram`] shards that
 //! merge losslessly after the run. An independent [`loadgen::Ledger`]
 //! audits every grant so a broken claim protocol is detected, not assumed
@@ -63,8 +65,7 @@ mod xbar;
 pub use central::CentralBroker;
 pub use chaos::{ChaosOptions, ChaosPlan, ChaosSpec, ClientChaos, ClientEvent};
 pub use loadgen::{
-    run_load, run_load_chaos, run_saturated, run_saturated_chaos, ChaosReport, GrantGuard, Ledger,
-    LoadConfig, LoadReport, SaturatedChaosReport, SaturatedReport, WorkerShard,
+    run, Arrival, ChaosSummary, GrantGuard, Ledger, LoadConfig, LoadReport, WorkerShard,
 };
 pub use omega::OmegaBroker;
 pub use sbus::SbusBroker;

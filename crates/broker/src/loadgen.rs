@@ -2,33 +2,45 @@
 //! statistics, an independent grant audit, and a chaos mode that injects
 //! client crashes, stalls, and resource faults under supervision.
 //!
-//! [`run_load`] replays the paper's task lifecycle in real time: each of
-//! the broker's workers is an OS thread playing one processor. The thread
-//! draws a Poisson arrival schedule from its own deterministic
-//! [`SimRng`] stream and, for every arrival, blocks in
-//! [`Broker::acquire`], holds the circuit for an exponential transmission,
-//! then hands the grant to a **reaper** thread that releases it after the
-//! exponential service interval. Offloading the release is what makes the
-//! semantics match the DES in `rsin-core`: there a processor is occupied
-//! only while queueing and transmitting — service overlaps with the
-//! processor's next request — so the worker thread must be free to start
-//! its next acquire while earlier grants are still in service.
+//! One driver, [`run`], covers every load shape. Each of the broker's
+//! workers is an OS thread playing one processor; the [`Arrival`] says
+//! when it asks:
+//!
+//! - [`Arrival::Poisson`] replays the paper's task lifecycle in real time.
+//!   The thread draws a Poisson arrival schedule from its own
+//!   deterministic [`SimRng`] stream and, for every arrival, blocks in
+//!   [`Broker::acquire`], holds the circuit for an exponential
+//!   transmission, then hands the grant to a **reaper** thread that
+//!   releases it after the exponential service interval. Offloading the
+//!   release is what makes the semantics match the DES in `rsin-core`:
+//!   there a processor is occupied only while queueing and transmitting —
+//!   service overlaps with the processor's next request — so the worker
+//!   thread must be free to start its next acquire while earlier grants
+//!   are still in service.
+//! - [`Arrival::Saturated`] is the closed loop for fairness and safety
+//!   work: every worker re-requests as fast as it can, holds each grant
+//!   for a fixed time and releases it itself, with no reaper hop; the
+//!   report's per-worker grant counts and worst-case waits are what the
+//!   fairness regressions assert on.
 //!
 //! Every held grant lives inside a [`GrantGuard`]: if the holding thread
 //! unwinds for any reason, the guard's `Drop` ends the transmission and
 //! releases the resource with the ledger kept honest, so a panic can no
 //! longer leak a grant. The only way to leak is to *ask* for it
-//! ([`GrantGuard::forget`]) — which is exactly what the chaos driver does
+//! ([`GrantGuard::forget`]) — which is exactly what the chaos mode does
 //! to simulate fail-stop client death.
 //!
-//! [`run_load_chaos`] is the hardened twin: it additionally executes a
-//! [`ChaosPlan`](crate::ChaosPlan) (seeded client crashes and stalls), a
-//! [`rsin_des::FaultPlan`] of resource outages, and promotes the
-//! reaper into a **supervisor** that periodically reclaims expired leases
-//! ([`Broker::reclaim_expired`]) and applies due fault events. Crashed
-//! worker threads genuinely unwind; their statistics shards ride out in
-//! the unwind payload and are recovered at join, so crashed workers still
-//! count in the merged report.
+//! Passing [`ChaosOptions`] hardens either shape: the run additionally
+//! executes a [`ChaosPlan`] (seeded client crashes and
+//! stalls) and a [`rsin_des::FaultPlan`] of resource outages, and the
+//! reaper doubles as a **supervisor** that periodically reclaims expired
+//! leases ([`Broker::reclaim_expired`]) and applies due fault events.
+//! Crashed worker threads genuinely unwind; their statistics shards ride
+//! out in the unwind payload and are recovered at join, so crashed
+//! workers still count in the report. Chaos and fault times are in model
+//! units: [`LoadConfig::scale_us`] apart for a Poisson run, and one
+//! millisecond of wall time since the run's start for a saturated run,
+//! which has no model clock.
 //!
 //! Grant delay is measured from the *scheduled* arrival instant (so a
 //! backlogged processor correctly charges head-of-line waiting to the
@@ -43,22 +55,15 @@
 //! the residual measurement floor — a blocked acquire re-polls at worst
 //! every [`Waiter::MAX_SLEEP`](crate::Waiter::MAX_SLEEP) — is budgeted
 //! explicitly by the cross-validation tolerances (DESIGN.md §8).
-//!
-//! [`run_saturated`] is the companion closed-loop driver for fairness and
-//! safety work: every worker re-requests as fast as it can, and the report
-//! exposes per-worker grant counts and worst-case waits.
-//! [`run_saturated_chaos`] adds the same supervision; there, chaos and
-//! fault times are in **milliseconds of wall time** (a saturated run has
-//! no model clock).
 
-use crate::chaos::ChaosOptions;
+use crate::chaos::{ChaosOptions, ChaosPlan};
 use crate::{Broker, BrokerGrant, RunControl, WorkerId, VACANT};
 use rsin_des::stats::{Histogram, Welford};
 use rsin_des::{FaultAction, FaultPlan, FaultTarget, SimRng, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -82,8 +87,8 @@ fn sleep_until(target: Instant) {
     }
 }
 
-/// Offered load and run-length parameters for [`run_load`], in the
-/// paper's model units.
+/// Offered load and run-length parameters of an [`Arrival::Poisson`] run,
+/// in the paper's model units.
 #[derive(Clone, Copy, Debug)]
 pub struct LoadConfig {
     /// Poisson arrival rate per worker.
@@ -138,75 +143,160 @@ impl LoadConfig {
     }
 }
 
+/// Wall seconds per model unit of a saturated run: its chaos and fault
+/// times are milliseconds since the run's start.
+const SATURATED_SCALE_SECS: f64 = 1e-3;
+
+/// When each worker of a [`run`] asks for a resource.
+#[derive(Clone, Copy, Debug)]
+pub enum Arrival {
+    /// Open-loop Poisson arrivals with exponential transmission and
+    /// service, in model time — the DES's task lifecycle.
+    Poisson(LoadConfig),
+    /// Closed loop at saturation: every worker loops acquire → hold →
+    /// release with zero think time until `run_for` has passed.
+    Saturated {
+        /// How long each grant is held before its release.
+        hold: Duration,
+        /// Wall time the run lasts.
+        run_for: Duration,
+    },
+}
+
+impl Arrival {
+    /// Wall seconds per model unit.
+    fn scale_secs(&self) -> f64 {
+        match self {
+            Arrival::Poisson(cfg) => cfg.scale_secs(),
+            Arrival::Saturated { .. } => SATURATED_SCALE_SECS,
+        }
+    }
+}
+
 /// One worker thread's statistics, recorded without any cross-thread
 /// sharing and merged after the run.
 #[derive(Clone, Debug)]
 pub struct WorkerShard {
-    /// Grant delays (model units) of tasks arriving in the measured window.
+    /// Grant delays (model units) of tasks arriving in the measured window;
+    /// empty for a saturated run.
     pub delay: Welford,
     /// The same delays, binned.
     pub hist: Histogram,
     /// Grants won over the whole run, warm-up included.
     pub grants: u64,
-    /// Tasks scheduled inside the measured window.
+    /// Longest single wait for a grant, from the scheduled arrival (or, in
+    /// a saturated run, the acquire call).
+    pub max_wait: Duration,
+    /// Tasks scheduled inside the measured window; 0 for a saturated run.
     pub offered: u64,
-    /// Acquires aborted by the drain deadline.
+    /// Acquires cut short when the run stopped.
     pub abandoned: u64,
 }
 
 impl WorkerShard {
-    fn new(cfg: &LoadConfig) -> Self {
+    fn new(arrival: &Arrival) -> Self {
+        // A saturated run records no delays; its histogram stays empty.
+        let (bins, upper) = match arrival {
+            Arrival::Poisson(cfg) => (cfg.hist_bins, cfg.hist_upper),
+            Arrival::Saturated { .. } => (1, 1.0),
+        };
         WorkerShard {
             delay: Welford::new(),
-            hist: Histogram::new(cfg.hist_bins, cfg.hist_upper),
+            hist: Histogram::new(bins, upper),
             grants: 0,
+            max_wait: Duration::ZERO,
             offered: 0,
             abandoned: 0,
         }
     }
 }
 
-/// Merged output of one [`run_load`] run.
+/// Output of one [`run`]: the per-worker shards, the ledger's verdict, and
+/// the fault-tolerance accounting of a chaos run.
 #[derive(Clone, Debug)]
 pub struct LoadReport {
-    /// All measured grant delays, in model units.
-    pub delay: Welford,
-    /// The same delays, binned.
-    pub hist: Histogram,
-    /// Grants won over the whole run, warm-up included.
-    pub grants: u64,
-    /// Tasks scheduled inside the measured window.
-    pub offered: u64,
-    /// Acquires aborted by the drain deadline.
-    pub abandoned: u64,
+    /// Per-worker statistics, indexed by worker id. Crashed workers'
+    /// shards are included — they are recovered from the unwind payload.
+    pub shards: Vec<WorkerShard>,
     /// Exclusivity violations detected by the [`Ledger`]; zero for a
     /// correct broker.
     pub violations: u64,
-    /// The per-worker shards the totals were merged from.
-    pub shards: Vec<WorkerShard>,
+    /// What the chaos mode did and left behind; `None` without chaos.
+    pub chaos: Option<ChaosSummary>,
 }
 
 impl LoadReport {
+    /// All measured grant delays, in model units.
+    #[must_use]
+    pub fn delay(&self) -> Welford {
+        self.shards.iter().fold(Welford::new(), |mut all, s| {
+            all.merge(&s.delay);
+            all
+        })
+    }
+
+    /// The same delays, binned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the report has no shards.
+    #[must_use]
+    pub fn hist(&self) -> Histogram {
+        let mut shards = self.shards.iter();
+        let mut all = shards.next().expect("at least one worker").hist.clone();
+        for s in shards {
+            all.merge(&s.hist);
+        }
+        all
+    }
+
     /// Mean grant delay in model units — the paper's `d`.
     #[must_use]
     pub fn mean_delay(&self) -> f64 {
-        self.delay.mean()
+        self.delay().mean()
     }
 
     /// Measured tasks whose delay was recorded.
     #[must_use]
     pub fn measured(&self) -> u64 {
-        self.delay.count()
+        self.delay().count()
+    }
+
+    /// Grants won by each worker.
+    #[must_use]
+    pub fn grants(&self) -> Vec<u64> {
+        self.shards.iter().map(|s| s.grants).collect()
+    }
+
+    /// Total grants across all workers.
+    #[must_use]
+    pub fn total_grants(&self) -> u64 {
+        self.shards.iter().map(|s| s.grants).sum()
+    }
+
+    /// Longest single acquire wait each worker observed.
+    #[must_use]
+    pub fn max_wait(&self) -> Vec<Duration> {
+        self.shards.iter().map(|s| s.max_wait).collect()
+    }
+
+    /// Tasks scheduled inside the measured window.
+    #[must_use]
+    pub fn offered(&self) -> u64 {
+        self.shards.iter().map(|s| s.offered).sum()
+    }
+
+    /// Acquires cut short when the run stopped.
+    #[must_use]
+    pub fn abandoned(&self) -> u64 {
+        self.shards.iter().map(|s| s.abandoned).sum()
     }
 }
 
-/// Output of one [`run_load_chaos`] run: the ordinary load report plus
-/// the fault-tolerance accounting the chaos acceptance criteria assert on.
+/// The fault-tolerance accounting of a chaos [`run`], which the chaos
+/// acceptance criteria assert on.
 #[derive(Clone, Debug)]
-pub struct ChaosReport {
-    /// The merged load statistics (crashed workers' shards included —
-    /// they are recovered from the unwind payload).
-    pub load: LoadReport,
+pub struct ChaosSummary {
     /// Worker threads that genuinely crashed (unwound) mid-protocol.
     pub crashed: usize,
     /// Stalls executed (grants held past their lease by live stragglers).
@@ -216,8 +306,8 @@ pub struct ChaosReport {
     /// Leases force-reclaimed at shutdown (leaked grants whose lease had
     /// not yet expired when the run ended).
     pub forced_reclaims: u64,
-    /// Grants won by arrivals after the last scheduled chaos event — the
-    /// "system keeps granting" liveness witness.
+    /// Grants won after the last scheduled chaos event — the "system keeps
+    /// granting" liveness witness.
     pub post_chaos_grants: u64,
     /// [`Broker::available_resources`] after shutdown reclamation and
     /// fault repair; equals the resource count iff nothing leaked.
@@ -225,43 +315,6 @@ pub struct ChaosReport {
     /// [`Ledger::held`] after shutdown — zero iff the audit saw every
     /// grant matched by a release or a reclaim.
     pub ledger_held_at_end: usize,
-}
-
-/// Output of one [`run_saturated`] run.
-#[derive(Clone, Debug)]
-pub struct SaturatedReport {
-    /// Grants won by each worker.
-    pub grants: Vec<u64>,
-    /// Longest single acquire wait each worker observed.
-    pub max_wait: Vec<Duration>,
-    /// Exclusivity violations detected by the [`Ledger`].
-    pub violations: u64,
-}
-
-impl SaturatedReport {
-    /// Total grants across all workers.
-    #[must_use]
-    pub fn total_grants(&self) -> u64 {
-        self.grants.iter().sum()
-    }
-}
-
-/// Output of one [`run_saturated_chaos`] run.
-#[derive(Clone, Debug)]
-pub struct SaturatedChaosReport {
-    /// The per-worker saturation statistics (crashed workers included).
-    pub sat: SaturatedReport,
-    /// Worker threads that genuinely crashed mid-protocol.
-    pub crashed: usize,
-    /// Leases the supervisor reclaimed from dead or stalled holders.
-    pub reclaimed: u64,
-    /// Leases force-reclaimed at shutdown.
-    pub forced_reclaims: u64,
-    /// Grants won after the last scheduled chaos event.
-    pub post_chaos_grants: u64,
-    /// [`Broker::available_resources`] after shutdown reclamation and
-    /// fault repair.
-    pub available_at_end: usize,
 }
 
 /// Independent audit of grant exclusivity.
@@ -372,7 +425,7 @@ impl Ledger {
 /// The pre-guard load generator had exactly that bug: a panic between
 /// `acquire` and `release` left the resource held forever. Now the only
 /// way to leak is deliberate — [`GrantGuard::forget`] — which is the
-/// chaos driver's fail-stop crash simulation, and whose leak the lease
+/// chaos mode's fail-stop crash simulation, and whose leak the lease
 /// supervisor is designed to reclaim.
 pub struct GrantGuard<'a, B: Broker + ?Sized> {
     broker: &'a B,
@@ -668,9 +721,9 @@ struct Supervisor {
     faults: FaultSchedule,
 }
 
-/// What a chaos worker thread hands back — normally by return, after a
-/// crash by unwind payload.
-struct ChaosOut {
+/// What a worker thread hands back — normally by return, after a
+/// scheduled crash by unwind payload.
+struct WorkerOut {
     shard: WorkerShard,
     post_grants: u64,
     stalls: usize,
@@ -679,111 +732,133 @@ struct ChaosOut {
 /// Unwind payload of a simulated fail-stop crash. Carried via
 /// [`std::panic::resume_unwind`] so the default panic hook stays silent —
 /// these deaths are scheduled, not bugs.
-struct CrashPayload(ChaosOut);
+struct CrashPayload(WorkerOut);
 
-/// Client-side chaos context for one run.
-struct ChaosCtx {
-    plan: crate::ChaosPlan,
-    /// Model time after which every scheduled misbehavior has begun.
-    horizon: f64,
+/// What every thread of one run shares.
+struct Shared<'a, B: ?Sized> {
+    broker: &'a B,
+    arrival: &'a Arrival,
+    ledger: Ledger,
+    reaper: Reaper,
+    ctl: RunControl,
+    epoch: Instant,
+    /// The client chaos schedule and the model time by which every
+    /// scheduled misbehavior has begun.
+    chaos: Option<(&'a ChaosPlan, f64)>,
 }
 
-/// One worker thread: replays its arrival schedule against the broker,
-/// misbehaving on cue when a chaos context is attached.
-#[allow(clippy::too_many_arguments)]
-fn drive_worker<B: Broker + ?Sized>(
-    broker: &B,
-    ledger: &Ledger,
-    reaper: &Reaper,
-    ctl: &RunControl,
-    cfg: &LoadConfig,
-    epoch: Instant,
-    who: WorkerId,
-    chaos: Option<&ChaosCtx>,
-) -> ChaosOut {
-    let mut rng = SimRng::new(cfg.seed).derive(who as u64);
-    let mut shard = WorkerShard::new(cfg);
-    let my_events = chaos.map(|cx| cx.plan.for_worker(who)).unwrap_or_default();
+/// One worker thread: asks for a resource on the arrival's schedule,
+/// misbehaving on cue when chaos is on.
+fn drive_worker<B: Broker + ?Sized>(run: &Shared<'_, B>, who: WorkerId) -> WorkerOut {
+    let scale = run.arrival.scale_secs();
+    let mut shard = WorkerShard::new(run.arrival);
+    let (mut post_grants, mut stalls) = (0u64, 0usize);
+    let events = run
+        .chaos
+        .map(|(plan, _)| plan.for_worker(who))
+        .unwrap_or_default();
     let mut next_event = 0usize;
-    let mut post_grants = 0u64;
-    let mut stalls = 0usize;
-    let horizon = cfg.warmup + cfg.duration;
+    // A saturated run draws nothing from its stream.
+    let seed = match run.arrival {
+        Arrival::Poisson(cfg) => cfg.seed,
+        Arrival::Saturated { .. } => 0,
+    };
+    let mut rng = SimRng::new(seed).derive(who as u64);
+    // Model time of the current arrival (Poisson only).
     let mut t = 0.0_f64;
     loop {
-        t += rng.exponential(cfg.lambda);
-        if t >= horizon {
-            break;
-        }
-        let measured = t >= cfg.warmup;
-        if measured {
-            shard.offered += 1;
-        }
-        let scheduled = epoch + cfg.wall_after(t);
-        sleep_until(scheduled);
-        let Some(grant) = broker.acquire(who, ctl) else {
+        let (scheduled, measured) = match run.arrival {
+            Arrival::Poisson(cfg) => {
+                t += rng.exponential(cfg.lambda);
+                if t >= cfg.warmup + cfg.duration {
+                    break;
+                }
+                let measured = t >= cfg.warmup;
+                if measured {
+                    shard.offered += 1;
+                }
+                let scheduled = run.epoch + cfg.wall_after(t);
+                sleep_until(scheduled);
+                (scheduled, measured)
+            }
+            Arrival::Saturated { .. } => (Instant::now(), false),
+        };
+        let Some(grant) = run.broker.acquire(who, &run.ctl) else {
             shard.abandoned += 1;
             break;
         };
         let waited = Instant::now().saturating_duration_since(scheduled);
-        let mut guard = GrantGuard::audited(broker, ledger, who, grant);
+        shard.max_wait = shard.max_wait.max(waited);
+        let mut guard = GrantGuard::audited(run.broker, &run.ledger, who, grant);
         shard.grants += 1;
         if measured {
-            let d = waited.as_secs_f64() / cfg.scale_secs();
+            let d = waited.as_secs_f64() / scale;
             shard.delay.push(d);
             shard.hist.record(d);
         }
-        if let Some(cx) = chaos {
-            if t >= cx.horizon {
+        if let Some((_, horizon)) = run.chaos {
+            let now = match run.arrival {
+                Arrival::Poisson(_) => t,
+                Arrival::Saturated { .. } => run.epoch.elapsed().as_secs_f64() / scale,
+            };
+            if now >= horizon {
                 post_grants += 1;
             }
-            if let Some(e) = my_events.get(next_event) {
-                if e.at <= t {
-                    next_event += 1;
-                    match e.kind {
-                        crate::ClientChaos::Crash => {
-                            // Fail-stop death while holding the grant: leak
-                            // it (the lease supervisor's problem now) and
-                            // genuinely unwind, smuggling the statistics
-                            // out through the panic payload.
-                            let _ = guard.forget();
-                            std::panic::resume_unwind(Box::new(CrashPayload(ChaosOut {
-                                shard,
-                                post_grants,
-                                stalls,
-                            })));
-                        }
-                        crate::ClientChaos::StallFor(s) => {
-                            // Sit on the grant far past the lease: the
-                            // supervisor evicts us mid-sleep and our own
-                            // late protocol calls must land as stale no-ops.
-                            stalls += 1;
-                            std::thread::sleep(cfg.wall_after(s));
-                        }
+            if let Some(e) = events.get(next_event).filter(|e| e.at <= now) {
+                next_event += 1;
+                match e.kind {
+                    crate::ClientChaos::Crash => {
+                        // Fail-stop death while holding the grant: leak it
+                        // (the lease supervisor's problem now) and
+                        // genuinely unwind, smuggling the statistics out
+                        // through the panic payload.
+                        let _ = guard.forget();
+                        std::panic::resume_unwind(Box::new(CrashPayload(WorkerOut {
+                            shard,
+                            post_grants,
+                            stalls,
+                        })));
+                    }
+                    crate::ClientChaos::StallFor(s) => {
+                        // Sit on the grant far past the lease: the
+                        // supervisor evicts us mid-sleep and our own late
+                        // protocol calls must land as stale no-ops.
+                        stalls += 1;
+                        std::thread::sleep(Duration::from_secs_f64(s * scale));
                     }
                 }
             }
         }
-        if let Some(mu_n) = cfg.mu_n {
-            let tx = rng.exponential(mu_n);
-            sleep_until(Instant::now() + cfg.wall_after(tx));
+        match *run.arrival {
+            Arrival::Poisson(cfg) => {
+                if let Some(mu_n) = cfg.mu_n {
+                    let tx = rng.exponential(mu_n);
+                    sleep_until(Instant::now() + cfg.wall_after(tx));
+                }
+                guard.end_transmission();
+                let svc = rng.exponential(cfg.mu_s);
+                guard.defer(&run.reaper, Instant::now() + cfg.wall_after(svc));
+            }
+            Arrival::Saturated { hold, .. } => {
+                std::thread::sleep(hold);
+                guard.end_transmission();
+                guard.release();
+            }
         }
-        guard.end_transmission();
-        let svc = rng.exponential(cfg.mu_s);
-        guard.defer(reaper, Instant::now() + cfg.wall_after(svc));
     }
-    ChaosOut {
+    WorkerOut {
         shard,
         post_grants,
         stalls,
     }
 }
 
-/// Joins a chaos worker, recovering the statistics of a scheduled crash
-/// from the unwind payload; real (unscheduled) panics propagate.
-fn join_chaos_worker(
-    handle: std::thread::ScopedJoinHandle<'_, ChaosOut>,
+/// Joins a worker, recovering the statistics of a scheduled crash from the
+/// unwind payload; real (unscheduled) panics propagate.
+fn join_worker(
+    handle: std::thread::ScopedJoinHandle<'_, WorkerOut>,
     crashed: &mut usize,
-) -> ChaosOut {
+) -> WorkerOut {
     match handle.join() {
         Ok(out) => out,
         Err(payload) => match payload.downcast::<CrashPayload>() {
@@ -796,362 +871,117 @@ fn join_chaos_worker(
     }
 }
 
-/// Drives `broker` with open-loop Poisson traffic from one thread per
-/// worker, returning merged delay statistics.
+/// Drives `broker` from one thread per worker on the `arrival` schedule,
+/// returning per-worker statistics and the ledger's verdict.
 ///
-/// The run is self-limiting: once the schedule horizon plus
-/// [`LoadConfig::drain`] has elapsed on the wall clock, the shared
-/// [`RunControl`] is stopped and any still-blocked acquire unwinds as an
-/// abandonment — a hung broker fails the run's assertions instead of
-/// hanging the process.
+/// The run is self-limiting: a Poisson run stops once its schedule
+/// horizon plus [`LoadConfig::drain`] has elapsed on the wall clock, a
+/// saturated run after `run_for`. The shared [`RunControl`] is then
+/// stopped and any still-blocked acquire unwinds as an abandonment — a
+/// hung broker fails the run's assertions instead of hanging the process.
 ///
-/// # Panics
-///
-/// Panics if a worker thread panics (e.g. a broker protocol assertion
-/// fires) or if the config's rates are not positive.
-pub fn run_load<B: Broker + ?Sized>(broker: &B, cfg: &LoadConfig) -> LoadReport {
-    assert!(cfg.lambda > 0.0, "arrival rate must be positive");
-    assert!(cfg.mu_s > 0.0, "service rate must be positive");
-    assert!(cfg.scale_us > 0.0, "time scale must be positive");
-    let workers = broker.workers();
-    let ledger = Ledger::new(broker.resources());
-    let reaper = Reaper::default();
-    let ctl = RunControl::new();
-    let epoch = Instant::now() + Duration::from_millis(10);
-    let deadline = epoch + cfg.wall_after(cfg.warmup + cfg.duration + cfg.drain);
-
-    let mut shards: Vec<Option<WorkerShard>> = (0..workers).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let reaper_handle = s.spawn(|| reaper.run(broker, &ledger, None));
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (ledger, reaper, ctl, cfg) = (&ledger, &reaper, &ctl, &cfg);
-                s.spawn(move || drive_worker(broker, ledger, reaper, ctl, cfg, epoch, w, None))
-            })
-            .collect();
-        sleep_until(deadline);
-        ctl.stop();
-        for (w, h) in handles.into_iter().enumerate() {
-            shards[w] = Some(h.join().expect("worker panicked").shard);
-        }
-        reaper.close();
-        reaper_handle.join().expect("reaper panicked");
-    });
-
-    let shards: Vec<WorkerShard> = shards.into_iter().map(|s| s.expect("joined")).collect();
-    merge_report(cfg, shards, &ledger)
-}
-
-/// Merges per-worker shards and the ledger verdict into a [`LoadReport`].
-fn merge_report(cfg: &LoadConfig, shards: Vec<WorkerShard>, ledger: &Ledger) -> LoadReport {
-    let mut delay = Welford::new();
-    let mut hist = Histogram::new(cfg.hist_bins, cfg.hist_upper);
-    let (mut grants, mut offered, mut abandoned) = (0, 0, 0);
-    for s in &shards {
-        delay.merge(&s.delay);
-        hist.merge(&s.hist);
-        grants += s.grants;
-        offered += s.offered;
-        abandoned += s.abandoned;
-    }
-    LoadReport {
-        delay,
-        hist,
-        grants,
-        offered,
-        abandoned,
-        violations: ledger.violations(),
-        shards,
-    }
-}
-
-/// [`run_load`] under fire: executes `opts.plan`'s client crashes and
-/// stalls, applies `opts.faults` resource outages, and supervises the
+/// With `chaos`, the run executes `chaos.plan`'s client crashes and
+/// stalls, applies `chaos.faults` resource outages, and supervises the
 /// broker's leases throughout. The broker should be built `with_lease`
-/// (roughly `opts.lease`), or leaked grants survive until the shutdown
-/// force-reclaim.
-///
-/// Shutdown sequence: workers joined (crash payloads recovered) → reaper
-/// drained → [`Broker::reclaim_all`] (catches leaks whose lease had not
-/// yet expired) → outstanding faults repaired → capacity audited. A
-/// chaos-correct broker ends with `available_at_end == resources()`,
-/// `ledger_held_at_end == 0`, and zero violations.
+/// (roughly `chaos.lease`), or leaked grants survive until the shutdown
+/// force-reclaim. Shutdown sequence: workers joined (crash payloads
+/// recovered) → reaper drained → [`Broker::reclaim_all`] (catches leaks
+/// whose lease had not yet expired) → outstanding faults repaired →
+/// capacity audited. A chaos-correct broker ends with
+/// `available_at_end == resources()`, `ledger_held_at_end == 0`, and zero
+/// violations.
 ///
 /// # Panics
 ///
-/// Panics on an *unscheduled* worker panic (broker protocol assertion) or
-/// non-positive rates.
-pub fn run_load_chaos<B: Broker + ?Sized>(
+/// Panics on an unscheduled worker panic (e.g. a broker protocol
+/// assertion fires) or if a Poisson config's rates are not positive.
+pub fn run<B: Broker + ?Sized>(
     broker: &B,
-    cfg: &LoadConfig,
-    opts: &ChaosOptions,
-) -> ChaosReport {
-    assert!(cfg.lambda > 0.0, "arrival rate must be positive");
-    assert!(cfg.mu_s > 0.0, "service rate must be positive");
-    assert!(cfg.scale_us > 0.0, "time scale must be positive");
-    let workers = broker.workers();
+    arrival: &Arrival,
+    chaos: Option<&ChaosOptions>,
+) -> LoadReport {
     let resources = broker.resources();
-    let ledger = Ledger::new(resources);
-    let reaper = Reaper::default();
-    let ctl = RunControl::new();
-    let epoch = Instant::now() + Duration::from_millis(10);
-    let horizon = cfg.warmup + cfg.duration + cfg.drain;
-    let deadline = epoch + cfg.wall_after(horizon);
-    let chaos_ctx = ChaosCtx {
-        plan: opts.plan.clone(),
-        horizon: opts.plan.horizon(),
+    // The epoch anchors the arrival schedule and the chaos and fault
+    // clocks; a Poisson run leaves its workers 10 ms to start.
+    let (epoch, horizon) = match arrival {
+        Arrival::Poisson(cfg) => {
+            assert!(cfg.lambda > 0.0, "arrival rate must be positive");
+            assert!(cfg.mu_s > 0.0, "service rate must be positive");
+            assert!(cfg.scale_us > 0.0, "time scale must be positive");
+            (
+                Instant::now() + Duration::from_millis(10),
+                cfg.warmup + cfg.duration + cfg.drain,
+            )
+        }
+        Arrival::Saturated { run_for, .. } => {
+            (Instant::now(), run_for.as_secs_f64() / SATURATED_SCALE_SECS)
+        }
     };
-    let mut supervisor = Supervisor {
+    let mut supervisor = chaos.map(|opts| Supervisor {
         poll: opts.supervisor_poll(),
         faults: FaultSchedule::materialize(
             &opts.faults,
             opts.fault_seed,
             resources,
             epoch,
-            cfg.scale_secs(),
+            arrival.scale_secs(),
             horizon,
         ),
-    };
-
-    let mut outs: Vec<Option<ChaosOut>> = (0..workers).map(|_| None).collect();
-    let mut crashed = 0usize;
-    let reclaimed = std::thread::scope(|s| {
-        let sup = &mut supervisor;
-        let reaper_handle = s.spawn(|| reaper.run(broker, &ledger, Some(sup)));
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (ledger, reaper, ctl, cfg, cx) = (&ledger, &reaper, &ctl, &cfg, &chaos_ctx);
-                s.spawn(move || drive_worker(broker, ledger, reaper, ctl, cfg, epoch, w, Some(cx)))
-            })
-            .collect();
-        sleep_until(deadline);
-        ctl.stop();
-        for (w, h) in handles.into_iter().enumerate() {
-            outs[w] = Some(join_chaos_worker(h, &mut crashed));
-        }
-        reaper.close();
-        reaper_handle.join().expect("reaper panicked")
     });
-
-    let forced_reclaims = broker.reclaim_all(&mut |r, w| ledger.vacate(r, w)) as u64;
-    supervisor.faults.repair_all(broker);
-
-    let outs: Vec<ChaosOut> = outs.into_iter().map(|o| o.expect("joined")).collect();
-    let post_chaos_grants = outs.iter().map(|o| o.post_grants).sum();
-    let stalled = outs.iter().map(|o| o.stalls).sum();
-    let shards = outs.into_iter().map(|o| o.shard).collect();
-    ChaosReport {
-        load: merge_report(cfg, shards, &ledger),
-        crashed,
-        stalled,
-        reclaimed,
-        forced_reclaims,
-        post_chaos_grants,
-        available_at_end: broker.available_resources(),
-        ledger_held_at_end: ledger.held(),
-    }
-}
-
-/// Drives `broker` at saturation: every worker loops acquire → hold →
-/// release with zero think time for `run_for`, then the run is stopped.
-///
-/// The per-worker grant counts and worst-case waits are what the fairness
-/// regression asserts on: fixed-priority arbitration starves the
-/// highest-index worker here, token rotation does not.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-pub fn run_saturated<B: Broker + ?Sized>(
-    broker: &B,
-    hold: Duration,
-    run_for: Duration,
-) -> SaturatedReport {
-    let workers = broker.workers();
-    let ledger = Ledger::new(broker.resources());
-    let ctl = RunControl::new();
-    let mut grants = vec![0u64; workers];
-    let mut max_wait = vec![Duration::ZERO; workers];
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (ledger, ctl) = (&ledger, &ctl);
-                s.spawn(move || {
-                    let mut won = 0u64;
-                    let mut worst = Duration::ZERO;
-                    loop {
-                        let started = Instant::now();
-                        let Some(grant) = broker.acquire(w, ctl) else {
-                            break;
-                        };
-                        worst = worst.max(started.elapsed());
-                        let mut guard = GrantGuard::audited(broker, ledger, w, grant);
-                        won += 1;
-                        std::thread::sleep(hold);
-                        guard.end_transmission();
-                        guard.release();
-                    }
-                    (won, worst)
-                })
-            })
-            .collect();
-        std::thread::sleep(run_for);
-        ctl.stop();
-        for (w, h) in handles.into_iter().enumerate() {
-            let (won, worst) = h.join().expect("worker panicked");
-            grants[w] = won;
-            max_wait[w] = worst;
-        }
-    });
-
-    SaturatedReport {
-        grants,
-        max_wait,
-        violations: ledger.violations(),
-    }
-}
-
-/// Unwind payload of a crashed saturated worker.
-struct SatCrashPayload {
-    won: u64,
-    worst: Duration,
-    post_grants: u64,
-}
-
-/// [`run_saturated`] under fire. Because a saturated run has no model
-/// clock, `opts.plan` event times, stall durations, and `opts.faults`
-/// times are interpreted as **milliseconds of wall time** from the run's
-/// start.
-///
-/// # Panics
-///
-/// Panics on an unscheduled worker panic.
-pub fn run_saturated_chaos<B: Broker + ?Sized>(
-    broker: &B,
-    hold: Duration,
-    run_for: Duration,
-    opts: &ChaosOptions,
-) -> SaturatedChaosReport {
-    const MS_PER_UNIT: f64 = 1e-3;
-    let workers = broker.workers();
-    let resources = broker.resources();
-    let ledger = Ledger::new(resources);
-    let ctl = RunControl::new();
-    let epoch = Instant::now();
-    let chaos_over = epoch + Duration::from_secs_f64(opts.plan.horizon() * MS_PER_UNIT);
-    let mut faults = FaultSchedule::materialize(
-        &opts.faults,
-        opts.fault_seed,
-        resources,
+    let shared = Shared {
+        broker,
+        arrival,
+        ledger: Ledger::new(resources),
+        reaper: Reaper::default(),
+        ctl: RunControl::new(),
         epoch,
-        MS_PER_UNIT,
-        run_for.as_secs_f64() / MS_PER_UNIT,
-    );
-    let poll = opts.supervisor_poll();
-    let supervisor_done = AtomicBool::new(false);
+        chaos: chaos.map(|opts| (&opts.plan, opts.plan.horizon())),
+    };
+    // Saturated workers release their own grants, so only a Poisson run
+    // or a supervised one needs the reaper thread.
+    let reap = matches!(arrival, Arrival::Poisson(_)) || supervisor.is_some();
 
-    let mut grants = vec![0u64; workers];
-    let mut max_wait = vec![Duration::ZERO; workers];
     let mut crashed = 0usize;
-    let mut post_chaos_grants = 0u64;
-    let reclaimed = std::thread::scope(|s| {
-        let (faults_ref, done, sup_ledger) = (&mut faults, &supervisor_done, &ledger);
-        let sup_handle = s.spawn(move || {
-            let mut reclaimed = 0u64;
-            loop {
-                faults_ref.apply_due(broker);
-                reclaimed += broker.reclaim_expired(&mut |r, w| sup_ledger.vacate(r, w)) as u64;
-                if done.load(Ordering::Acquire) {
-                    return reclaimed;
-                }
-                std::thread::sleep(poll);
-            }
-        });
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (ledger, ctl, opts) = (&ledger, &ctl, &opts);
-                s.spawn(move || {
-                    let my_events = opts.plan.for_worker(w);
-                    let mut next_event = 0usize;
-                    let mut won = 0u64;
-                    let mut worst = Duration::ZERO;
-                    let mut post = 0u64;
-                    loop {
-                        let started = Instant::now();
-                        let Some(grant) = broker.acquire(w, ctl) else {
-                            break;
-                        };
-                        worst = worst.max(started.elapsed());
-                        let mut guard = GrantGuard::audited(broker, ledger, w, grant);
-                        won += 1;
-                        if Instant::now() >= chaos_over {
-                            post += 1;
-                        }
-                        if let Some(e) = my_events.get(next_event) {
-                            let due = epoch + Duration::from_secs_f64(e.at * MS_PER_UNIT);
-                            if Instant::now() >= due {
-                                next_event += 1;
-                                match e.kind {
-                                    crate::ClientChaos::Crash => {
-                                        let _ = guard.forget();
-                                        std::panic::resume_unwind(Box::new(SatCrashPayload {
-                                            won,
-                                            worst,
-                                            post_grants: post,
-                                        }));
-                                    }
-                                    crate::ClientChaos::StallFor(ms) => {
-                                        std::thread::sleep(Duration::from_secs_f64(
-                                            ms * MS_PER_UNIT,
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                        std::thread::sleep(hold);
-                        guard.end_transmission();
-                        guard.release();
-                    }
-                    (won, worst, post)
-                })
-            })
+    let (outs, reclaimed) = std::thread::scope(|s| {
+        let shared = &shared;
+        let sup = supervisor.as_mut();
+        let reaper = reap.then(|| s.spawn(move || shared.reaper.run(broker, &shared.ledger, sup)));
+        let handles: Vec<_> = (0..broker.workers())
+            .map(|w| s.spawn(move || drive_worker(shared, w)))
             .collect();
-        std::thread::sleep(run_for);
-        ctl.stop();
-        for (w, h) in handles.into_iter().enumerate() {
-            let (won, worst, post) = match h.join() {
-                Ok(out) => out,
-                Err(payload) => match payload.downcast::<SatCrashPayload>() {
-                    Ok(crash) => {
-                        crashed += 1;
-                        (crash.won, crash.worst, crash.post_grants)
-                    }
-                    Err(other) => std::panic::resume_unwind(other),
-                },
-            };
-            grants[w] = won;
-            max_wait[w] = worst;
-            post_chaos_grants += post;
-        }
-        supervisor_done.store(true, Ordering::Release);
-        sup_handle.join().expect("supervisor panicked")
+        let stop_at = match arrival {
+            Arrival::Poisson(cfg) => epoch + cfg.wall_after(horizon),
+            Arrival::Saturated { run_for, .. } => Instant::now() + *run_for,
+        };
+        sleep_until(stop_at);
+        shared.ctl.stop();
+        let outs: Vec<WorkerOut> = handles
+            .into_iter()
+            .map(|h| join_worker(h, &mut crashed))
+            .collect();
+        shared.reaper.close();
+        let reclaimed = reaper.map_or(0, |h| h.join().expect("reaper panicked"));
+        (outs, reclaimed)
     });
 
-    let forced_reclaims = broker.reclaim_all(&mut |r, w| ledger.vacate(r, w)) as u64;
-    faults.repair_all(broker);
-
-    SaturatedChaosReport {
-        sat: SaturatedReport {
-            grants,
-            max_wait,
-            violations: ledger.violations(),
-        },
-        crashed,
-        reclaimed,
-        forced_reclaims,
-        post_chaos_grants,
-        available_at_end: broker.available_resources(),
+    let ledger = &shared.ledger;
+    let chaos = supervisor.map(|mut sup| {
+        let forced_reclaims = broker.reclaim_all(&mut |r, w| ledger.vacate(r, w)) as u64;
+        sup.faults.repair_all(broker);
+        ChaosSummary {
+            crashed,
+            stalled: outs.iter().map(|o| o.stalls).sum(),
+            reclaimed,
+            forced_reclaims,
+            post_chaos_grants: outs.iter().map(|o| o.post_grants).sum(),
+            available_at_end: broker.available_resources(),
+            ledger_held_at_end: ledger.held(),
+        }
+    });
+    LoadReport {
+        shards: outs.into_iter().map(|o| o.shard).collect(),
+        violations: ledger.violations(),
+        chaos,
     }
 }
 
@@ -1224,24 +1054,25 @@ mod tests {
         cfg.scale_us = 500.0;
         cfg.warmup = 10.0;
         cfg.duration = 60.0;
-        let report = run_load(&broker, &cfg);
+        let report = run(&broker, &Arrival::Poisson(cfg), None);
         assert_eq!(report.violations, 0);
-        assert_eq!(report.abandoned, 0, "light load must drain fully");
-        assert_eq!(report.measured(), report.offered);
+        assert_eq!(report.abandoned(), 0, "light load must drain fully");
+        assert_eq!(report.measured(), report.offered());
         assert!(report.measured() > 0, "some tasks must be measured");
         assert!(report.mean_delay() >= 0.0);
-        assert_eq!(report.hist.count(), report.measured());
+        assert_eq!(report.hist().count(), report.measured());
         assert_eq!(report.shards.len(), 2);
+        assert!(report.chaos.is_none());
     }
 
     #[test]
     fn saturated_run_counts_every_worker() {
         let broker = XbarBroker::new(3, 1, XbarPolicy::TokenRotation);
-        let report = run_saturated(
-            &broker,
-            Duration::from_micros(300),
-            Duration::from_millis(120),
-        );
+        let saturated = Arrival::Saturated {
+            hold: Duration::from_micros(300),
+            run_for: Duration::from_millis(120),
+        };
+        let report = run(&broker, &saturated, None);
         assert_eq!(report.violations, 0);
         assert!(report.total_grants() > 10, "saturation must make progress");
     }
@@ -1260,19 +1091,20 @@ mod tests {
             kind: ClientChaos::Crash,
         });
         let opts = ChaosOptions::new(plan, lease);
-        let report = run_load_chaos(&broker, &cfg, &opts);
-        assert_eq!(report.crashed, 1, "the scheduled crash must fire");
-        assert_eq!(report.load.violations, 0);
+        let report = run(&broker, &Arrival::Poisson(cfg), Some(&opts));
+        let chaos = report.chaos.as_ref().expect("chaos accounting");
+        assert_eq!(chaos.crashed, 1, "the scheduled crash must fire");
+        assert_eq!(report.violations, 0);
         assert!(
-            report.reclaimed + report.forced_reclaims >= 1,
+            chaos.reclaimed + chaos.forced_reclaims >= 1,
             "the leak is reclaimed"
         );
         assert!(
-            report.post_chaos_grants > 0,
+            chaos.post_chaos_grants > 0,
             "granting continues after the crash"
         );
-        assert_eq!(report.available_at_end, 2, "no leaked resources");
-        assert_eq!(report.ledger_held_at_end, 0);
-        assert_eq!(report.load.shards.len(), 4, "crashed shard recovered");
+        assert_eq!(chaos.available_at_end, 2, "no leaked resources");
+        assert_eq!(chaos.ledger_held_at_end, 0);
+        assert_eq!(report.shards.len(), 4, "crashed shard recovered");
     }
 }

@@ -527,20 +527,23 @@ fn reactor_main<B: Broker + Send + Sync + 'static>(s: &Shared<B>, my_gen: u64) {
             if conn.dead {
                 continue;
             }
-            let mut kept = VecDeque::with_capacity(conn.pending.len());
-            while let Some(p) = conn.pending.pop_front() {
-                if p.deadline.is_some_and(|d| d <= now) {
+            // Shed in place: the queue is moved out only so the rejects can
+            // be written to the connection while it is filtered, and keeps
+            // its buffer (no per-pass allocation) and its order.
+            let mut pending = std::mem::take(&mut conn.pending);
+            pending.retain(|p| {
+                let expired = p.deadline.is_some_and(|d| d <= now);
+                if expired {
                     bump(&s.counters.rejected_expired);
                     conn.push_frame(&Frame::Reject {
                         req_id: p.req_id,
                         reason: RejectReason::Expired,
                     });
                     progress = true;
-                } else {
-                    kept.push_back(p);
                 }
-            }
-            conn.pending = kept;
+                !expired
+            });
+            conn.pending = pending;
         }
 
         // Arbitration: one bounded try_acquire per idle connection with a

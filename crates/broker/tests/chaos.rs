@@ -9,9 +9,8 @@
 //! static mutex, single-core friendly.
 
 use rsin_broker::{
-    run_load_chaos, run_saturated_chaos, Broker, CentralBroker, ChaosOptions, ChaosPlan,
-    ClientChaos, ClientEvent, LoadConfig, OmegaBroker, RunControl, SbusBroker, XbarBroker,
-    XbarPolicy,
+    run, Arrival, Broker, CentralBroker, ChaosOptions, ChaosPlan, ClientChaos, ClientEvent,
+    LoadConfig, OmegaBroker, RunControl, SbusBroker, XbarBroker, XbarPolicy,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -56,38 +55,39 @@ fn assert_survives_chaos<B: Broker + ?Sized>(broker: &B, name: &str) {
     let plan = chaos_plan(broker.workers());
     let cfg = chaos_cfg();
     let opts = ChaosOptions::new(plan.clone(), LEASE);
-    let report = run_load_chaos(broker, &cfg, &opts);
+    let report = run(broker, &Arrival::Poisson(cfg), Some(&opts));
+    let chaos = report.chaos.as_ref().expect("chaos accounting");
     assert_eq!(
-        report.load.violations, 0,
+        report.violations, 0,
         "{name}: exclusivity violated under chaos"
     );
     assert_eq!(
-        report.crashed,
+        chaos.crashed,
         plan.crashes(),
         "{name}: every scheduled crash must fire"
     );
     assert_eq!(
-        report.stalled,
+        chaos.stalled,
         plan.stalls(),
         "{name}: every scheduled stall must fire"
     );
     assert!(
-        report.reclaimed + report.forced_reclaims >= plan.crashes() as u64,
+        chaos.reclaimed + chaos.forced_reclaims >= plan.crashes() as u64,
         "{name}: {} reclaims cannot cover {} leaked grants",
-        report.reclaimed + report.forced_reclaims,
+        chaos.reclaimed + chaos.forced_reclaims,
         plan.crashes()
     );
     assert!(
-        report.post_chaos_grants > 0,
+        chaos.post_chaos_grants > 0,
         "{name}: no grants after the last chaos event — the system wedged"
     );
     assert_eq!(
-        report.available_at_end,
+        chaos.available_at_end,
         broker.resources(),
         "{name}: resources leaked through shutdown"
     );
     assert_eq!(
-        report.ledger_held_at_end, 0,
+        chaos.ledger_held_at_end, 0,
         "{name}: audit ledger still records held grants"
     );
 }
@@ -133,10 +133,11 @@ fn token_rotation_has_exactly_one_live_token_after_chaos() {
     assert!(plan.crashes() >= 2, "want multiple token-relevant deaths");
     let cfg = chaos_cfg();
     let opts = ChaosOptions::new(plan.clone(), LEASE);
-    let report = run_load_chaos(&broker, &cfg, &opts);
-    assert_eq!(report.load.violations, 0, "duplicated token double-grants");
-    assert_eq!(report.crashed, plan.crashes());
-    assert_eq!(report.available_at_end, 1);
+    let report = run(&broker, &Arrival::Poisson(cfg), Some(&opts));
+    let chaos = report.chaos.as_ref().expect("chaos accounting");
+    assert_eq!(report.violations, 0, "duplicated token double-grants");
+    assert_eq!(chaos.crashed, plan.crashes());
+    assert_eq!(chaos.available_at_end, 1);
 
     // The liveness sweep, under a watchdog so a lost token fails loudly
     // instead of hanging the suite.
@@ -168,16 +169,17 @@ fn stalled_stragglers_are_evicted_and_release_stale() {
     assert!(plan.stalls() >= 2);
     let cfg = chaos_cfg();
     let opts = ChaosOptions::new(plan.clone(), LEASE);
-    let report = run_load_chaos(&broker, &cfg, &opts);
-    assert_eq!(report.crashed, 0, "nobody dies in a stall-only schedule");
-    assert_eq!(report.stalled, plan.stalls());
-    assert_eq!(report.load.violations, 0);
+    let report = run(&broker, &Arrival::Poisson(cfg), Some(&opts));
+    let chaos = report.chaos.as_ref().expect("chaos accounting");
+    assert_eq!(chaos.crashed, 0, "nobody dies in a stall-only schedule");
+    assert_eq!(chaos.stalled, plan.stalls());
+    assert_eq!(report.violations, 0);
     assert!(
-        report.reclaimed >= plan.stalls() as u64,
+        chaos.reclaimed >= plan.stalls() as u64,
         "each 12.5 ms stall must outlive the 4 ms lease and be evicted"
     );
-    assert_eq!(report.available_at_end, 2);
-    assert_eq!(report.ledger_held_at_end, 0);
+    assert_eq!(chaos.available_at_end, 2);
+    assert_eq!(chaos.ledger_held_at_end, 0);
 }
 
 /// The saturated driver under a kill: the survivors keep the grant rate
@@ -192,23 +194,23 @@ fn saturated_chaos_keeps_granting_through_a_kill() {
         kind: ClientChaos::Crash,
     });
     let opts = ChaosOptions::new(plan, LEASE);
-    let report = run_saturated_chaos(
-        &broker,
-        Duration::from_micros(300),
-        Duration::from_millis(150),
-        &opts,
-    );
-    assert_eq!(report.sat.violations, 0);
-    assert_eq!(report.crashed, 1, "the kill must fire");
+    let saturated = Arrival::Saturated {
+        hold: Duration::from_micros(300),
+        run_for: Duration::from_millis(150),
+    };
+    let report = run(&broker, &saturated, Some(&opts));
+    let chaos = report.chaos.as_ref().expect("chaos accounting");
+    assert_eq!(report.violations, 0);
+    assert_eq!(chaos.crashed, 1, "the kill must fire");
     assert!(
-        report.reclaimed + report.forced_reclaims >= 1,
+        chaos.reclaimed + chaos.forced_reclaims >= 1,
         "the dead worker's grant must be reclaimed"
     );
     assert!(
-        report.post_chaos_grants > 0,
+        chaos.post_chaos_grants > 0,
         "survivors must keep granting after the kill"
     );
-    assert_eq!(report.available_at_end, 2);
+    assert_eq!(chaos.available_at_end, 2);
 }
 
 /// The paper's resilience claim, head to head: kill the central arbiter
@@ -257,21 +259,21 @@ fn central_spof_stops_granting_while_distributed_continues() {
         kind: ClientChaos::Crash,
     });
     let opts = ChaosOptions::new(plan, LEASE);
-    let report = run_saturated_chaos(
-        &broker,
-        Duration::from_micros(200),
-        Duration::from_millis(80),
-        &opts,
-    );
-    assert_eq!(report.crashed, 1);
+    let saturated = Arrival::Saturated {
+        hold: Duration::from_micros(200),
+        run_for: Duration::from_millis(80),
+    };
+    let report = run(&broker, &saturated, Some(&opts));
+    let chaos = report.chaos.as_ref().expect("chaos accounting");
+    assert_eq!(chaos.crashed, 1);
     assert!(
-        report.post_chaos_grants > 10,
+        chaos.post_chaos_grants > 10,
         "distributed discipline must keep granting after a death \
          (got {} post-chaos grants)",
-        report.post_chaos_grants
+        chaos.post_chaos_grants
     );
-    assert_eq!(report.sat.violations, 0);
-    assert_eq!(report.available_at_end, 2);
+    assert_eq!(report.violations, 0);
+    assert_eq!(chaos.available_at_end, 2);
 }
 
 /// A client dies mid-steal: its home shard is exhausted, so its last grant
@@ -336,23 +338,23 @@ fn sharded_saturated_chaos_survives_a_mid_steal_kill() {
         kind: ClientChaos::Crash,
     });
     let opts = ChaosOptions::new(plan, LEASE);
-    let report = run_saturated_chaos(
-        &broker,
-        Duration::from_micros(300),
-        Duration::from_millis(150),
-        &opts,
-    );
-    assert_eq!(report.sat.violations, 0, "stealing must never double-grant");
-    assert_eq!(report.crashed, 1, "the kill must fire");
+    let saturated = Arrival::Saturated {
+        hold: Duration::from_micros(300),
+        run_for: Duration::from_millis(150),
+    };
+    let report = run(&broker, &saturated, Some(&opts));
+    let chaos = report.chaos.as_ref().expect("chaos accounting");
+    assert_eq!(report.violations, 0, "stealing must never double-grant");
+    assert_eq!(chaos.crashed, 1, "the kill must fire");
     assert!(
-        report.reclaimed + report.forced_reclaims >= 1,
+        chaos.reclaimed + chaos.forced_reclaims >= 1,
         "the dead worker's lease must be reclaimed"
     );
     assert!(
-        report.post_chaos_grants > 0,
+        chaos.post_chaos_grants > 0,
         "survivors must keep granting after the kill"
     );
-    assert_eq!(report.available_at_end, 2, "full pool back at shutdown");
+    assert_eq!(chaos.available_at_end, 2, "full pool back at shutdown");
     // Under symmetric saturation the camp gates route each shard's
     // capacity to its own campers, so completed steals are load-dependent;
     // the steal path must still be probed throughout (completed-steal

@@ -20,7 +20,7 @@
 //!
 //! Timing-sensitive: serialized on a static mutex, single-core friendly.
 
-use rsin_broker::{run_load, LoadConfig, SbusBroker};
+use rsin_broker::{run, Arrival, LoadConfig, SbusBroker};
 use rsin_core::{simulate, SimOptions, Workload};
 use rsin_des::{replicate, SimRng};
 use rsin_queueing::{Mmr, SharedBusChain, SharedBusParams};
@@ -115,16 +115,16 @@ fn sbus_broker_matches_des_and_chain_across_rho() {
             cfg.drain = 80.0;
             cfg.seed = 0x5B05 + (rho * 10.0) as u64 + rep * 0x1000;
             let broker = SbusBroker::new(P, R);
-            let report = run_load(&broker, &cfg);
+            let report = run(&broker, &Arrival::Poisson(cfg), None);
             assert_eq!(report.violations, 0, "rho {rho}: exclusivity violated");
             assert!(
-                report.abandoned <= report.offered / 100,
+                report.abandoned() <= report.offered() / 100,
                 "rho {rho}: {} of {} acquires abandoned",
-                report.abandoned,
-                report.offered
+                report.abandoned(),
+                report.offered()
             );
             means.push(report.mean_delay());
-            iid_se = report.delay.std_error();
+            iid_se = report.delay().std_error();
             measured += report.measured();
         }
         let k = means.len() as f64;
@@ -175,17 +175,17 @@ fn mmr_degenerate_limit_within_five_percent() {
     cfg.drain = 120.0;
     cfg.seed = 0x3A11;
     let broker = SbusBroker::new(P, R);
-    let report = run_load(&broker, &cfg);
+    let report = run(&broker, &Arrival::Poisson(cfg), None);
     assert_eq!(report.violations, 0, "exclusivity violated");
     assert!(
-        report.abandoned <= report.offered / 100,
+        report.abandoned() <= report.offered() / 100,
         "{} of {} acquires abandoned",
-        report.abandoned,
-        report.offered
+        report.abandoned(),
+        report.offered()
     );
 
     let d = report.mean_delay();
-    let se = report.delay.std_error();
+    let se = report.delay().std_error();
     let tol = 0.05 * predicted + 2.0 * se;
     eprintln!(
         "M/M/{R}: broker d = {d:.4} (n = {}, se = {se:.4}) vs Wq = {predicted:.4}, tol = {tol:.4}",

@@ -38,8 +38,8 @@
 //! Timing-sensitive: serialized on a static mutex, single-core friendly.
 
 use rsin_broker::{
-    run_load_chaos, Broker, ChaosOptions, ChaosPlan, LoadConfig, OmegaBroker, SbusBroker,
-    XbarBroker, XbarPolicy,
+    run, Arrival, Broker, ChaosOptions, ChaosPlan, LoadConfig, OmegaBroker, SbusBroker, XbarBroker,
+    XbarPolicy,
 };
 use rsin_core::{simulate_faulty, FaultOptions, SimOptions, Workload};
 use rsin_des::{
@@ -170,28 +170,29 @@ fn degraded_broker_runs<B: Broker, F: Fn() -> B>(
         let mut cfg = *cfg0;
         cfg.seed = cfg0.seed + rep * 0x1000;
         let broker = make();
-        let report = run_load_chaos(&broker, &cfg, opts);
+        let report = run(&broker, &Arrival::Poisson(cfg), Some(opts));
+        let chaos = report.chaos.as_ref().expect("chaos accounting");
         assert_eq!(
-            report.load.violations, 0,
+            report.violations, 0,
             "{name} rep {rep}: exclusivity violated"
         );
         assert!(
-            report.load.abandoned <= report.load.offered / 50,
+            report.abandoned() <= report.offered() / 50,
             "{name} rep {rep}: {} of {} acquires abandoned",
-            report.load.abandoned,
-            report.load.offered
+            report.abandoned(),
+            report.offered()
         );
         assert_eq!(
-            report.available_at_end, resources,
+            chaos.available_at_end, resources,
             "{name} rep {rep}: resources leaked"
         );
         assert_eq!(
-            report.ledger_held_at_end, 0,
+            chaos.ledger_held_at_end, 0,
             "{name} rep {rep}: ledger still holds grants"
         );
-        means.push(report.load.mean_delay());
-        iid_se = report.load.delay.std_error();
-        measured += report.load.measured();
+        means.push(report.mean_delay());
+        iid_se = report.delay().std_error();
+        measured += report.measured();
     }
     let k = means.len() as f64;
     let mean = means.iter().sum::<f64>() / k;

@@ -5,7 +5,7 @@
 //! (`rsin-broker`), so the model and the artifact can never silently
 //! diverge on the paper's fairness claim (Section IV's POLYP discussion).
 
-use rsin_broker::{run_saturated, XbarBroker, XbarPolicy};
+use rsin_broker::{run, Arrival, XbarBroker, XbarPolicy};
 use rsin_core::ResourceNetwork;
 use rsin_des::SimRng;
 use rsin_xbar::{CrossbarFabric, CrossbarNetwork, CrossbarPolicy};
@@ -21,6 +21,10 @@ fn serial() -> MutexGuard<'static, ()> {
 const WORKERS: usize = 4;
 const HOLD: Duration = Duration::from_micros(300);
 const RUN: Duration = Duration::from_millis(400);
+const SATURATED: Arrival = Arrival::Saturated {
+    hold: HOLD,
+    run_for: RUN,
+};
 
 /// Broker side, baseline: with one column and every row hammering it, the
 /// fixed-priority wave never ranks row 3 first while a lower row requests,
@@ -30,9 +34,9 @@ const RUN: Duration = Duration::from_millis(400);
 fn broker_fixed_priority_starves_the_highest_row() {
     let _guard = serial();
     let broker = XbarBroker::new(WORKERS, 1, XbarPolicy::FixedPriority);
-    let report = run_saturated(&broker, HOLD, RUN);
+    let report = run(&broker, &SATURATED, None);
     assert_eq!(report.violations, 0);
-    let g = &report.grants;
+    let g = &report.grants();
     assert!(g[0] > 50, "low rows must monopolize, got {g:?}");
     assert!(
         g[WORKERS - 1] <= 2,
@@ -50,9 +54,9 @@ fn broker_fixed_priority_starves_the_highest_row() {
 fn broker_token_rotation_bounds_every_rows_wait() {
     let _guard = serial();
     let broker = XbarBroker::new(WORKERS, 1, XbarPolicy::TokenRotation);
-    let report = run_saturated(&broker, HOLD, RUN);
+    let report = run(&broker, &SATURATED, None);
     assert_eq!(report.violations, 0);
-    let g = &report.grants;
+    let g = &report.grants();
     let total = report.total_grants();
     for (w, &won) in g.iter().enumerate() {
         assert!(won > 0, "worker {w} starved under token rotation: {g:?}");
@@ -65,7 +69,7 @@ fn broker_token_rotation_bounds_every_rows_wait() {
     // single-core host, but far below the starvation regime (where the
     // wait would be the whole run).
     let bound = RUN / 4;
-    for (w, &worst) in report.max_wait.iter().enumerate() {
+    for (w, &worst) in report.max_wait().iter().enumerate() {
         assert!(
             worst < bound,
             "worker {w} waited {worst:?} (> {bound:?}): rotation is not bounding waits"
@@ -145,13 +149,13 @@ fn simulated_crossbar_policies_split_on_starvation() {
 fn sharded_token_rotation_bounds_waits_across_shards() {
     let _guard = serial();
     let broker = rsin_broker::ShardedBroker::xbar(WORKERS, 2, 2, XbarPolicy::TokenRotation);
-    let report = run_saturated(&broker, HOLD, RUN);
+    let report = run(&broker, &SATURATED, None);
     assert_eq!(report.violations, 0, "stealing must never double-grant");
     assert!(
         broker.steal_probes() > 0,
         "saturating two one-slot shards must keep the steal path probing"
     );
-    let g = &report.grants;
+    let g = &report.grants();
     let total = report.total_grants();
     for (w, &won) in g.iter().enumerate() {
         assert!(won > 0, "worker {w} starved across shards: {g:?}");
@@ -163,7 +167,7 @@ fn sharded_token_rotation_bounds_waits_across_shards() {
     // Same slack as the flat token-rotation bound: a full home-shard
     // rotation plus one steal-token rotation is still far below RUN/4.
     let bound = RUN / 4;
-    for (w, &worst) in report.max_wait.iter().enumerate() {
+    for (w, &worst) in report.max_wait().iter().enumerate() {
         assert!(
             worst < bound,
             "worker {w} waited {worst:?} (> {bound:?}): cross-shard rotation \

@@ -16,7 +16,8 @@ use rsin_broker::net::{
 use rsin_broker::{Ledger, ShardedBroker};
 use rsin_des::RetryPolicy;
 use rsin_minicheck::check;
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 fn loopback() -> SocketAddr {
@@ -235,6 +236,94 @@ fn deadlines_shed_exhausted_pool_requests() {
     assert!(holder.release(held).expect("release"));
     let report = server.stop();
     assert_eq!(report.counters.rejected_expired, 1);
+    assert_eq!(report.violations, 0);
+    assert_eq!(report.leaked, 0);
+}
+
+/// Reads the next whole frame from a raw connection.
+fn next_frame(stream: &mut TcpStream, dec: &mut Decoder) -> Frame {
+    let mut buf = [0u8; 256];
+    loop {
+        if let Some(f) = dec.next_frame().expect("well-formed reply") {
+            return f;
+        }
+        let n = stream.read(&mut buf).expect("reply before the timeout");
+        assert!(n > 0, "server closed the connection");
+        dec.feed(&buf[..n]);
+    }
+}
+
+/// The deadline sweep sheds only what has expired and leaves the rest of a
+/// connection's queue in order: of three pipelined requests, only the
+/// middle one has a deadline that passes while the pool is exhausted.
+#[test]
+fn deadline_sweep_sheds_only_the_expired_request_in_order() {
+    let broker = ShardedBroker::sbus_with_lease(4, 1, 1, Duration::from_secs(2));
+    let server = NetServer::bind(loopback(), broker, NetServerConfig::default()).expect("bind");
+    let addr = server.local_addr();
+
+    let mut holder = NetClient::connect(addr, 0).expect("connect");
+    let held = holder
+        .acquire(Some(Duration::from_millis(500)))
+        .expect("holder wins the only slot");
+
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut out = Vec::new();
+    for (req_id, deadline_us) in [(1, 0), (2, 30_000), (3, 0)] {
+        let request = Frame::Request {
+            req_id,
+            tenant: 0,
+            deadline_us,
+        };
+        encode(&request, &mut out);
+    }
+    raw.write_all(&out).expect("pipeline three requests");
+    let mut dec = Decoder::new();
+
+    assert_eq!(
+        next_frame(&mut raw, &mut dec),
+        Frame::Reject {
+            req_id: 2,
+            reason: RejectReason::Expired
+        }
+    );
+    assert!(holder.release(held).expect("release"));
+    let mut granted = Vec::new();
+    for release_id in [4, 5] {
+        let Frame::Grant {
+            req_id,
+            resource,
+            generation,
+        } = next_frame(&mut raw, &mut dec)
+        else {
+            panic!("want a grant, got another frame");
+        };
+        granted.push(req_id);
+        out.clear();
+        let release = Frame::Release {
+            req_id: release_id,
+            resource,
+            generation,
+        };
+        encode(&release, &mut out);
+        raw.write_all(&out).expect("release");
+        assert_eq!(
+            next_frame(&mut raw, &mut dec),
+            Frame::Released {
+                req_id: release_id,
+                live: true
+            }
+        );
+    }
+    assert_eq!(granted, [1, 3], "survivors are granted in queue order");
+    drop(raw);
+    drop(holder);
+
+    let report = server.stop();
+    assert_eq!(report.counters.rejected_expired, 1);
+    assert_eq!(report.counters.grants, 3);
     assert_eq!(report.violations, 0);
     assert_eq!(report.leaked, 0);
 }

@@ -7,7 +7,7 @@
 //! host never runs two multi-threaded runs at once.
 
 use rsin_broker::{
-    run_load, run_saturated, Broker, LoadConfig, OmegaBroker, SbusBroker, XbarBroker, XbarPolicy,
+    run, Arrival, Broker, LoadConfig, OmegaBroker, SbusBroker, XbarBroker, XbarPolicy,
 };
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -47,11 +47,11 @@ fn disciplines(workers: usize, resources: usize) -> Vec<(&'static str, Box<dyn B
 fn saturation_preserves_exclusivity_and_makes_progress() {
     let _guard = serial();
     for (name, broker) in disciplines(8, 3) {
-        let report = run_saturated(
-            broker.as_ref(),
-            Duration::from_micros(200),
-            Duration::from_millis(350),
-        );
+        let saturated = Arrival::Saturated {
+            hold: Duration::from_micros(200),
+            run_for: Duration::from_millis(350),
+        };
+        let report = run(broker.as_ref(), &saturated, None);
         assert_eq!(report.violations, 0, "{name}: exclusivity violated");
         assert!(
             report.total_grants() > 100,
@@ -75,14 +75,15 @@ fn fair_disciplines_serve_every_worker_under_saturation() {
         if name == "XBAR/fixed" || name == "OMEGA" {
             continue;
         }
-        let report = run_saturated(
-            broker.as_ref(),
-            Duration::from_micros(200),
-            Duration::from_millis(400),
-        );
+        let saturated = Arrival::Saturated {
+            hold: Duration::from_micros(200),
+            run_for: Duration::from_millis(400),
+        };
+        let report = run(broker.as_ref(), &saturated, None);
         assert_eq!(report.violations, 0, "{name}: exclusivity violated");
-        for (w, &g) in report.grants.iter().enumerate() {
-            assert!(g > 0, "{name}: worker {w} starved ({:?})", report.grants);
+        let grants = report.grants();
+        for (w, &g) in grants.iter().enumerate() {
+            assert!(g > 0, "{name}: worker {w} starved ({grants:?})");
         }
     }
 }
@@ -99,16 +100,20 @@ fn open_loop_runs_drain_cleanly() {
         cfg.duration = 120.0;
         cfg.drain = 60.0;
         cfg.seed = 0xBEEF;
-        let report = run_load(broker.as_ref(), &cfg);
+        let report = run(broker.as_ref(), &Arrival::Poisson(cfg), None);
         assert_eq!(report.violations, 0, "{name}: exclusivity violated");
-        assert_eq!(report.abandoned, 0, "{name}: acquires left hanging");
+        assert_eq!(report.abandoned(), 0, "{name}: acquires left hanging");
         assert_eq!(
             report.measured(),
-            report.offered,
+            report.offered(),
             "{name}: measured tasks lost"
         );
         assert!(report.measured() > 50, "{name}: run too small to trust");
-        assert_eq!(report.hist.count(), report.measured(), "{name}: shard skew");
+        assert_eq!(
+            report.hist().count(),
+            report.measured(),
+            "{name}: shard skew"
+        );
         assert!(report.mean_delay() >= 0.0, "{name}: negative delay");
     }
 }
@@ -127,9 +132,13 @@ fn sbus_transmission_phase_audits_clean() {
         cfg.duration = 100.0;
         cfg.drain = 60.0;
         cfg.seed = 7;
-        let report = run_load(&broker, &cfg);
+        let report = run(&broker, &Arrival::Poisson(cfg), None);
         assert_eq!(report.violations, 0, "mu_n {mu_n:?}: exclusivity violated");
-        assert_eq!(report.abandoned, 0, "mu_n {mu_n:?}: acquires left hanging");
+        assert_eq!(
+            report.abandoned(),
+            0,
+            "mu_n {mu_n:?}: acquires left hanging"
+        );
         assert!(report.measured() > 40, "mu_n {mu_n:?}: run too small");
     }
 }

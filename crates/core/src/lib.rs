@@ -23,6 +23,8 @@
 //! - [`estimate_delay`]: replicated runs with confidence intervals.
 //! - [`experiment`]: text/CSV rendering for the figure regenerators.
 //! - [`advisor`]: the Table-II network-selection decision rule.
+//! - [`equivalence`]: bit-exact fingerprints of fixed DES runs, which the
+//!   network crates use to check their resolvers against test oracles.
 //!
 //! # Example
 //!
@@ -42,10 +44,10 @@
 
 pub mod advisor;
 mod config;
+pub mod equivalence;
 mod error;
 pub mod experiment;
 mod network;
-pub mod resolvers;
 pub mod roundtrip;
 mod runner;
 mod sim;
@@ -55,7 +57,6 @@ mod workload;
 pub use config::{NetworkKind, SystemConfig};
 pub use error::{ConfigError, HarnessError};
 pub use network::{Grant, NetworkCounters, PendingSet, ResourceNetwork};
-pub use resolvers::{default_resolver_engine, ResolverEngine};
 pub use runner::{estimate_delay, estimate_delay_jobs, DelayEstimate};
 pub use sim::{
     simulate, simulate_faulty, simulate_general, simulate_general_faulty, FaultOptions, SimError,

@@ -147,19 +147,14 @@ impl OmegaNetwork {
         }
     }
 
-    /// Selects the reachability evaluator on every partition (the bit-sliced
-    /// stage compilation or the per-wire reference oracle). Both engines
-    /// resolve identically; this knob exists for cross-validation.
-    pub fn set_resolver_engine(&mut self, engine: rsin_core::ResolverEngine) {
+    /// The same network with every partition's status phase run by the
+    /// per-wire reference oracle.
+    #[cfg(test)]
+    fn reference_oracle(mut self) -> Self {
         for part in &mut self.partitions {
-            part.set_resolver_engine(engine);
+            part.use_reference_oracle();
         }
-    }
-
-    /// The reachability evaluator in force.
-    #[must_use]
-    pub fn resolver_engine(&self) -> rsin_core::ResolverEngine {
-        self.partitions[0].resolver_engine()
+        self
     }
 
     /// The admission discipline in force.
@@ -467,5 +462,28 @@ mod tests {
             c.boxes_traversed >= 12,
             "each served request crosses ≥3 boxes"
         );
+    }
+
+    /// The whole-DES check: both wirings and both admissions, healthy and
+    /// under faults, must yield a bit-identical run with the bit-sliced
+    /// status phase and with the reference oracle.
+    #[test]
+    fn des_runs_match_reference_oracle() {
+        use rsin_core::equivalence::{faulted_fingerprint, healthy_fingerprint};
+        for wiring in [Wiring::Omega, Wiring::Cube] {
+            for admission in [Admission::Simultaneous, Admission::Staggered] {
+                let net = || OmegaNetwork::with_wiring(1, 8, 2, admission, wiring);
+                assert_eq!(
+                    healthy_fingerprint(&mut net()),
+                    healthy_fingerprint(&mut net().reference_oracle()),
+                    "{wiring:?}/{admission:?} healthy"
+                );
+                assert_eq!(
+                    faulted_fingerprint(&mut net()),
+                    faulted_fingerprint(&mut net().reference_oracle()),
+                    "{wiring:?}/{admission:?} faulted"
+                );
+            }
+        }
     }
 }

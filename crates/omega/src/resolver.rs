@@ -36,7 +36,6 @@
 use rsin_bitslice::{
     clear_bit, or_pairs_compress, set_bit, swap_or, tail_mask, tile_double, words_for,
 };
-use rsin_core::{default_resolver_engine, ResolverEngine};
 use rsin_topology::{bit, shuffle, with_bit, Link};
 
 /// A granted circuit: the processor, the output port reached, and the links
@@ -166,11 +165,10 @@ pub struct MultistageState {
     resources_per_port: u32,
     wiring: Wiring,
     freshness: StatusFreshness,
-    /// Which reachability evaluator the status phase runs: the bit-sliced
-    /// stage compilation (default) or the per-wire reference sweep. Both
-    /// compute identical availability tables, so resolution is identical —
-    /// property tests enforce it.
-    engine: ResolverEngine,
+    /// Test oracle switch: run the status phase as the per-wire reference
+    /// sweep instead of the bit-sliced stage compilation.
+    #[cfg(test)]
+    reference_oracle: bool,
     /// Words per packed wire row (`ceil(size / 64)`).
     words_per_row: usize,
     /// Link occupancy packed as `bits` rows of `words_per_row` lanes: bit
@@ -402,7 +400,8 @@ impl MultistageState {
             resources_per_port,
             wiring,
             freshness: StatusFreshness::Continuous,
-            engine: default_resolver_engine(),
+            #[cfg(test)]
+            reference_oracle: false,
             words_per_row,
             link_busy: vec![0; bits as usize * words_per_row],
             busy_resources: vec![0; size],
@@ -417,17 +416,12 @@ impl MultistageState {
         })
     }
 
-    /// Selects the reachability evaluator (bit-sliced compilation or the
-    /// per-wire reference oracle). Safe to flip at any time: both engines
-    /// compute identical availability tables.
-    pub fn set_resolver_engine(&mut self, engine: ResolverEngine) {
-        self.engine = engine;
-    }
-
-    /// The reachability evaluator in force.
-    #[must_use]
-    pub fn resolver_engine(&self) -> ResolverEngine {
-        self.engine
+    /// Switches the status phase to the per-wire reference sweep, which
+    /// re-derives port availability from the scalar fields instead of the
+    /// packed `port_free` row.
+    #[cfg(test)]
+    pub(crate) fn use_reference_oracle(&mut self) {
+        self.reference_oracle = true;
     }
 
     /// Refreshes `port`'s lane in the packed status-source row.
@@ -784,8 +778,7 @@ impl MultistageState {
     /// Recomputes the availability of every boundary wire given current
     /// links plus `claimed` into `down`: bit `(k, w)` is set when ≥ 1 free
     /// resource **of type `ty`** is reachable from input wire `w` of stage
-    /// `k` through free, unclaimed links. Dispatches on the configured
-    /// [`ResolverEngine`]; both implementations produce identical tables.
+    /// `k` through free, unclaimed links.
     fn reachability_into(
         &self,
         claimed: &BitMatrix,
@@ -794,17 +787,18 @@ impl MultistageState {
         t_in: &mut Vec<u64>,
         t_box: &mut Vec<u64>,
     ) {
-        match self.engine {
-            ResolverEngine::Bitslice => {
-                self.reachability_bitslice_into(claimed, ty, down, t_in, t_box);
-            }
-            ResolverEngine::Reference => self.reachability_reference_into(claimed, ty, down),
+        #[cfg(test)]
+        if self.reference_oracle {
+            self.reachability_reference_into(claimed, ty, down);
+            return;
         }
+        self.reachability_bitslice_into(claimed, ty, down, t_in, t_box);
     }
 
     /// The reference oracle: one traversal per wire per stage, reading box
-    /// topology on the fly. Kept verbatim as the semantic definition that
-    /// the bit-sliced compilation is property-tested against.
+    /// topology on the fly. Kept as the semantic definition that the
+    /// bit-sliced compilation is tested against.
+    #[cfg(test)]
     fn reachability_reference_into(&self, claimed: &BitMatrix, ty: usize, down: &mut BitMatrix) {
         let n = self.bits as usize;
         down.reset(n + 1, self.size);
@@ -1455,7 +1449,7 @@ mod tests {
         }
     }
 
-    // ---- bit-sliced engine equivalence ------------------------------------
+    // ---- bit-sliced status phase vs the reference oracle --------------------
 
     /// Deterministic SplitMix-style generator so the fuzz corpus is stable.
     struct Lcg(u64);
@@ -1503,8 +1497,8 @@ mod tests {
                     net.fail_box(stage, b);
                 }
             }
-            // Held links straight into the packed rows: reachability reads
-            // them identically through both engines.
+            // Held links straight into the packed rows: the bit-sliced
+            // phase and the oracle read them identically.
             let base = stage as usize * net.words_per_row;
             for w in 0..size {
                 if rng.chance(15) {
@@ -1553,20 +1547,19 @@ mod tests {
     }
 
     /// Whole-resolution equivalence: identical `Resolution`s (grants in the
-    /// same order, same rejects, same box-visit counts) from both engines on
-    /// scrambled networks, for both admission disciplines and both
-    /// freshness regimes, untyped and typed.
+    /// same order, same rejects, same box-visit counts) from the production
+    /// resolver and the oracle on scrambled networks, for both admission
+    /// disciplines and both freshness regimes, untyped and typed.
     #[test]
-    fn engines_resolve_identically() {
+    fn resolver_matches_reference_oracle() {
         let mut rng = Lcg(0xfacade);
         for wiring in [Wiring::Omega, Wiring::Cube] {
             for size in [4usize, 8, 128] {
                 for round in 0..4 {
                     let mut fast = MultistageState::with_wiring(size, 2, wiring).expect("pow2");
-                    fast.set_resolver_engine(ResolverEngine::Bitslice);
                     scramble(&mut fast, &mut rng, 2);
                     let mut slow = fast.clone();
-                    slow.set_resolver_engine(ResolverEngine::Reference);
+                    slow.use_reference_oracle();
                     let freshness = if round % 2 == 0 {
                         StatusFreshness::Continuous
                     } else {
@@ -1596,15 +1589,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn engine_knob_round_trips() {
-        let mut net = OmegaState::new(4, 1).expect("4x4");
-        net.set_resolver_engine(ResolverEngine::Reference);
-        assert_eq!(net.resolver_engine(), ResolverEngine::Reference);
-        net.set_resolver_engine(ResolverEngine::Bitslice);
-        assert_eq!(net.resolver_engine(), ResolverEngine::Bitslice);
     }
 
     #[test]

@@ -9,9 +9,7 @@
 
 use crate::arbiter::{Arbiter, Arbitration};
 use rsin_bitslice::{count_ones, pack_bools};
-use rsin_core::{
-    default_resolver_engine, Grant, NetworkCounters, ResolverEngine, ResourceNetwork, SystemConfig,
-};
+use rsin_core::{Grant, NetworkCounters, ResourceNetwork, SystemConfig};
 use rsin_des::SimRng;
 
 /// State of one bus partition.
@@ -46,11 +44,11 @@ pub struct SharedBusNetwork {
     resources_per_bus: u32,
     buses: Vec<Bus>,
     counters: NetworkCounters,
-    /// Whether arbitration runs on packed candidate lanes (default) or the
-    /// candidate-list reference path; both elect identical winners.
-    engine: ResolverEngine,
     /// Packed per-bus candidate mask, reused across cycles.
     scratch: Vec<u64>,
+    /// Test oracle switch: arbitrate from candidate lists instead.
+    #[cfg(test)]
+    list_oracle: bool,
 }
 
 /// Error building a [`SharedBusNetwork`] from a config of the wrong kind.
@@ -120,22 +118,10 @@ impl SharedBusNetwork {
                 })
                 .collect(),
             counters: NetworkCounters::default(),
-            engine: default_resolver_engine(),
             scratch: Vec::new(),
+            #[cfg(test)]
+            list_oracle: false,
         }
-    }
-
-    /// Selects the arbitration evaluator (packed lanes or the
-    /// candidate-list reference). Both pick identical winners; the knob
-    /// exists for cross-validation.
-    pub fn set_resolver_engine(&mut self, engine: ResolverEngine) {
-        self.engine = engine;
-    }
-
-    /// The arbitration evaluator in force.
-    #[must_use]
-    pub fn resolver_engine(&self) -> ResolverEngine {
-        self.engine
     }
 
     /// Number of independent bus partitions.
@@ -173,68 +159,42 @@ impl ResourceNetwork for SharedBusNetwork {
     fn request_cycle_into(&mut self, pending: &[bool], rng: &mut SimRng, out: &mut Vec<Grant>) {
         assert_eq!(pending.len(), self.processors(), "pending vector size");
         out.clear();
-        if self.engine == ResolverEngine::Bitslice {
-            // Packed path: candidates live in u64 lanes; arbitration is a
-            // parallel-prefix select instead of a candidate-list scan.
-            let mut mask = std::mem::take(&mut self.scratch);
-            for (b, bus) in self.buses.iter_mut().enumerate() {
-                let base = b * self.procs_per_bus;
-                pack_bools(&pending[base..base + self.procs_per_bus], &mut mask);
-                let count = count_ones(&mask);
-                if count == 0 {
-                    continue;
-                }
-                self.counters.attempts += count as u64;
-                if !bus.bus_up
-                    || !bus.pool_up
-                    || bus.transmitting
-                    || bus.busy_resources >= self.resources_per_bus
-                {
-                    self.counters.rejections += count as u64;
-                    continue;
-                }
-                let winner = bus
-                    .arbiter
-                    .pick_packed(&mask, count, rng)
-                    .expect("count > 0");
-                self.counters.rejections += count as u64 - 1;
-                bus.transmitting = true;
-                out.push(Grant {
-                    processor: base + winner,
-                    port: b,
-                });
-            }
-            self.scratch = mask;
+        #[cfg(test)]
+        if self.list_oracle {
+            self.request_cycle_by_lists(pending, rng, out);
             return;
         }
+        // Candidates live in u64 lanes; arbitration is a parallel-prefix
+        // select instead of a candidate-list scan.
+        let mut mask = std::mem::take(&mut self.scratch);
         for (b, bus) in self.buses.iter_mut().enumerate() {
             let base = b * self.procs_per_bus;
-            let candidates: Vec<usize> = (0..self.procs_per_bus)
-                .filter(|&local| pending[base + local])
-                .collect();
-            if candidates.is_empty() {
+            pack_bools(&pending[base..base + self.procs_per_bus], &mut mask);
+            let count = count_ones(&mask);
+            if count == 0 {
                 continue;
             }
-            self.counters.attempts += candidates.len() as u64;
+            self.counters.attempts += count as u64;
             if !bus.bus_up
                 || !bus.pool_up
                 || bus.transmitting
                 || bus.busy_resources >= self.resources_per_bus
             {
-                self.counters.rejections += candidates.len() as u64;
+                self.counters.rejections += count as u64;
                 continue;
             }
             let winner = bus
                 .arbiter
-                .pick(&candidates, rng)
-                .expect("candidates nonempty");
-            self.counters.rejections += candidates.len() as u64 - 1;
+                .pick_packed(&mask, count, rng)
+                .expect("count > 0");
+            self.counters.rejections += count as u64 - 1;
             bus.transmitting = true;
             out.push(Grant {
                 processor: base + winner,
                 port: b,
             });
         }
+        self.scratch = mask;
     }
 
     fn end_transmission(&mut self, grant: Grant) {
@@ -321,6 +281,48 @@ impl ResourceNetwork for SharedBusNetwork {
 
     fn label(&self) -> &'static str {
         "SBUS"
+    }
+}
+
+/// Test oracle: the candidate-list arbitration the packed path replaces.
+#[cfg(test)]
+impl SharedBusNetwork {
+    /// The same network arbitrating through [`Arbiter::pick`] on explicit
+    /// candidate lists.
+    fn list_oracle(mut self) -> Self {
+        self.list_oracle = true;
+        self
+    }
+
+    fn request_cycle_by_lists(&mut self, pending: &[bool], rng: &mut SimRng, out: &mut Vec<Grant>) {
+        for (b, bus) in self.buses.iter_mut().enumerate() {
+            let base = b * self.procs_per_bus;
+            let candidates: Vec<usize> = (0..self.procs_per_bus)
+                .filter(|&local| pending[base + local])
+                .collect();
+            if candidates.is_empty() {
+                continue;
+            }
+            self.counters.attempts += candidates.len() as u64;
+            if !bus.bus_up
+                || !bus.pool_up
+                || bus.transmitting
+                || bus.busy_resources >= self.resources_per_bus
+            {
+                self.counters.rejections += candidates.len() as u64;
+                continue;
+            }
+            let winner = bus
+                .arbiter
+                .pick(&candidates, rng)
+                .expect("candidates nonempty");
+            self.counters.rejections += candidates.len() as u64 - 1;
+            bus.transmitting = true;
+            out.push(Grant {
+                processor: base + winner,
+                port: b,
+            });
+        }
     }
 }
 
@@ -420,11 +422,11 @@ mod tests {
         assert_eq!(net.total_resources(), 32);
     }
 
-    /// Packed and reference arbitration must stay byte-identical through
-    /// the whole network surface — grants, counters, and rng consumption —
+    /// Packed arbitration must match the candidate-list oracle through the
+    /// whole network surface — grants, counters, and rng consumption —
     /// under a chaotic mix of requests, completions, and faults.
     #[test]
-    fn engines_agree_through_the_network_surface() {
+    fn packed_arbitration_matches_list_oracle_through_the_network_surface() {
         for policy in [
             Arbitration::FixedPriority,
             Arbitration::Random,
@@ -432,9 +434,7 @@ mod tests {
         ] {
             // 2 buses × 70 processors: multi-word candidate masks.
             let mut fast = SharedBusNetwork::new(2, 70, 3, policy);
-            fast.set_resolver_engine(ResolverEngine::Bitslice);
-            let mut slow = SharedBusNetwork::new(2, 70, 3, policy);
-            slow.set_resolver_engine(ResolverEngine::Reference);
+            let mut slow = SharedBusNetwork::new(2, 70, 3, policy).list_oracle();
             let mut rng_a = SimRng::new(97);
             let mut rng_b = SimRng::new(97);
             let mut lcg = 0xb0b0u64;
@@ -483,6 +483,30 @@ mod tests {
                 }
             }
             assert_eq!(fast.take_counters(), slow.take_counters(), "{policy:?}");
+        }
+    }
+
+    /// The whole-DES check: every arbitration, healthy and under faults,
+    /// must yield a bit-identical run on the packed path and the oracle.
+    #[test]
+    fn des_runs_match_list_oracle() {
+        use rsin_core::equivalence::{faulted_fingerprint, healthy_fingerprint};
+        for arb in [
+            Arbitration::FixedPriority,
+            Arbitration::Random,
+            Arbitration::RoundRobin,
+        ] {
+            let net = || SharedBusNetwork::new(2, 3, 2, arb);
+            assert_eq!(
+                healthy_fingerprint(&mut net()),
+                healthy_fingerprint(&mut net().list_oracle()),
+                "{arb:?} healthy"
+            );
+            assert_eq!(
+                faulted_fingerprint(&mut net()),
+                faulted_fingerprint(&mut net().list_oracle()),
+                "{arb:?} faulted"
+            );
         }
     }
 

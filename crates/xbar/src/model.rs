@@ -3,14 +3,11 @@
 //! `i` independent `j × k` crossbars; every output column is a bus carrying
 //! `r` resources. A column advertises availability (`Y_{0,j} = 1`) exactly
 //! when its bus is idle **and** at least one of its resources is free; the
-//! gate-level fabric of [`CrossbarFabric`] resolves each request cycle.
+//! bit-sliced compilation ([`BitFabric`]) of the gate-level
+//! [`CrossbarFabric`](crate::CrossbarFabric) resolves each request cycle.
 
 use crate::bitslice::BitFabric;
-use crate::fabric::CrossbarFabric;
-use rsin_core::{
-    default_resolver_engine, Grant, NetworkCounters, PendingSet, ResolverEngine, ResourceNetwork,
-    SystemConfig,
-};
+use rsin_core::{Grant, NetworkCounters, PendingSet, ResourceNetwork, SystemConfig};
 use rsin_des::SimRng;
 
 /// How winners are chosen when several processors contend.
@@ -25,70 +22,9 @@ pub enum CrossbarPolicy {
     RandomToken,
 }
 
-/// The fabric evaluator behind a partition: the bit-sliced compilation
-/// (default) or the original cell-by-cell sweep kept as the reference
-/// oracle. Both produce identical grants in identical order — the
-/// `bitslice` property tests and the DES equivalence suite enforce it.
-#[derive(Debug)]
-enum Fabric {
-    Bit(BitFabric),
-    Cells(CrossbarFabric),
-}
-
-impl Fabric {
-    fn new(engine: ResolverEngine, p: usize, m: usize) -> Self {
-        match engine {
-            ResolverEngine::Bitslice => Fabric::Bit(BitFabric::new(p, m)),
-            ResolverEngine::Reference => Fabric::Cells(CrossbarFabric::new(p, m)),
-        }
-    }
-
-    fn engine(&self) -> ResolverEngine {
-        match self {
-            Fabric::Bit(_) => ResolverEngine::Bitslice,
-            Fabric::Cells(_) => ResolverEngine::Reference,
-        }
-    }
-
-    fn reset_row(&mut self, i: usize) {
-        match self {
-            Fabric::Bit(f) => f.reset_row(i),
-            Fabric::Cells(f) => f.reset_row(i),
-        }
-    }
-
-    fn is_failed(&self, i: usize, j: usize) -> bool {
-        match self {
-            Fabric::Bit(f) => f.is_failed(i, j),
-            Fabric::Cells(f) => f.is_failed(i, j),
-        }
-    }
-
-    fn fail_cell(&mut self, i: usize, j: usize) -> bool {
-        match self {
-            Fabric::Bit(f) => f.fail_cell(i, j),
-            Fabric::Cells(f) => f.fail_cell(i, j),
-        }
-    }
-
-    fn repair_cell(&mut self, i: usize, j: usize) -> bool {
-        match self {
-            Fabric::Bit(f) => f.repair_cell(i, j),
-            Fabric::Cells(f) => f.repair_cell(i, j),
-        }
-    }
-
-    fn request_cycle_gate_delay(&self) -> u32 {
-        match self {
-            Fabric::Bit(f) => f.request_cycle_gate_delay(),
-            Fabric::Cells(f) => f.request_cycle_gate_delay(),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Partition {
-    fabric: Fabric,
+    fabric: BitFabric,
     /// Which local processor holds each bus during transmission.
     held_by: Vec<Option<usize>>,
     busy_resources: Vec<u32>,
@@ -98,9 +34,9 @@ struct Partition {
     /// bit `j` set iff `pool_up[j] && held_by[j].is_none() &&
     /// busy_resources[j] < r`. Lets the bit-sliced wave start from a
     /// one-word copy instead of re-deriving and re-packing the predicate
-    /// every cycle. The cell-by-cell reference path deliberately keeps
-    /// re-deriving it from the scalar fields, so an incremental-update bug
-    /// here shows up as an engine divergence in the equivalence tests.
+    /// every cycle. The cell-by-cell test oracle deliberately re-derives it
+    /// from the scalar fields, so an incremental-update bug here shows up
+    /// as a divergence in the equivalence tests.
     avail: Vec<u64>,
 }
 
@@ -148,8 +84,6 @@ pub struct CrossbarNetwork {
 /// cycles in steady state allocate only the returned grant vector.
 #[derive(Debug, Default)]
 struct CycleScratch {
-    requests: Vec<bool>,
-    available: Vec<bool>,
     req_words: Vec<u64>,
     avail_words: Vec<u64>,
     procs: Vec<usize>,
@@ -198,8 +132,7 @@ impl CrossbarNetwork {
     }
 
     /// Builds `partitions` independent `inputs × outputs` crossbars with
-    /// `resources_per_bus` resources on every output column, using the
-    /// process-default resolver engine.
+    /// `resources_per_bus` resources on every output column.
     ///
     /// # Panics
     ///
@@ -211,31 +144,6 @@ impl CrossbarNetwork {
         outputs: usize,
         resources_per_bus: u32,
         policy: CrossbarPolicy,
-    ) -> Self {
-        CrossbarNetwork::new_with_engine(
-            partitions,
-            inputs,
-            outputs,
-            resources_per_bus,
-            policy,
-            default_resolver_engine(),
-        )
-    }
-
-    /// [`CrossbarNetwork::new`] with an explicit fabric evaluator — the
-    /// bit-sliced compilation or the cell-by-cell reference oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any count is zero.
-    #[must_use]
-    pub fn new_with_engine(
-        partitions: usize,
-        inputs: usize,
-        outputs: usize,
-        resources_per_bus: u32,
-        policy: CrossbarPolicy,
-        engine: ResolverEngine,
     ) -> Self {
         assert!(
             partitions > 0 && inputs > 0 && outputs > 0,
@@ -254,7 +162,7 @@ impl CrossbarNetwork {
                         *last &= rsin_bitslice::tail_mask(outputs);
                     }
                     Partition {
-                        fabric: Fabric::new(engine, inputs, outputs),
+                        fabric: BitFabric::new(inputs, outputs),
                         held_by: vec![None; outputs],
                         busy_resources: vec![0; outputs],
                         pool_up: vec![true; outputs],
@@ -271,12 +179,6 @@ impl CrossbarNetwork {
     #[must_use]
     pub fn policy(&self) -> CrossbarPolicy {
         self.policy
-    }
-
-    /// The fabric evaluator in force.
-    #[must_use]
-    pub fn resolver_engine(&self) -> ResolverEngine {
-        self.partitions[0].fabric.engine()
     }
 
     /// Worst-case request-cycle cost of one partition in gate delays,
@@ -306,8 +208,6 @@ impl CrossbarNetwork {
         let base = pi * self.inputs;
         let resources_per_bus = self.resources_per_bus;
         let CycleScratch {
-            requests,
-            available,
             avail_words,
             procs,
             buses,
@@ -315,57 +215,41 @@ impl CrossbarNetwork {
             ..
         } = &mut self.scratch;
         let part = &mut self.partitions[pi];
+        let f = &mut part.fabric;
         match self.policy {
-            CrossbarPolicy::FixedPriority => match &mut part.fabric {
-                Fabric::Bit(f) => {
-                    // Fast path: the packed availability image is kept
-                    // current by `refresh_avail`, so the wave starts
-                    // from a word copy instead of a predicate sweep —
-                    // and since a held bus is never advertised as
-                    // available, the wave may skip idle latched rows.
-                    if n_pending == 1 {
-                        // Lone requester: no later row observes the
-                        // availability wave, so `avail` is read in
-                        // place — no copy, no masking pass.
-                        let (rw, word) = req_words
-                            .iter()
-                            .enumerate()
-                            .find(|&(_, &w)| w != 0)
-                            .expect("n_pending > 0");
-                        let li = rw * 64 + word.trailing_zeros() as usize;
-                        local.clear();
-                        local.extend(
-                            f.request_single_assuming_held(li, &part.avail)
-                                .map(|lj| (li, lj)),
-                        );
-                    } else {
-                        avail_words.clear();
-                        avail_words.extend_from_slice(&part.avail);
-                        f.request_cycle_packed_assuming_held(req_words, avail_words, local);
-                    }
+            CrossbarPolicy::FixedPriority => {
+                // The packed availability image is kept current by
+                // `refresh_avail`, so the wave starts from a word copy
+                // instead of a predicate sweep — and since a held bus is
+                // never advertised as available, the wave may skip idle
+                // latched rows.
+                if n_pending == 1 {
+                    // Lone requester: no later row observes the
+                    // availability wave, so `avail` is read in place — no
+                    // copy, no masking pass.
+                    let (rw, word) = req_words
+                        .iter()
+                        .enumerate()
+                        .find(|&(_, &w)| w != 0)
+                        .expect("n_pending > 0");
+                    let li = rw * 64 + word.trailing_zeros() as usize;
+                    local.clear();
+                    local.extend(
+                        f.request_single_assuming_held(li, &part.avail)
+                            .map(|lj| (li, lj)),
+                    );
+                } else {
+                    avail_words.clear();
+                    avail_words.extend_from_slice(&part.avail);
+                    f.request_cycle_packed_assuming_held(req_words, avail_words, local);
                 }
-                Fabric::Cells(f) => {
-                    // Reference oracle: re-derive the predicate from
-                    // the scalar fields so an incremental-update bug in
-                    // `avail` diverges from this path and is caught.
-                    requests.clear();
-                    requests.extend_from_slice(pslice);
-                    available.clear();
-                    available.extend((0..self.outputs).map(|j| {
-                        part.pool_up[j]
-                            && part.held_by[j].is_none()
-                            && part.busy_resources[j] < resources_per_bus
-                    }));
-                    f.request_cycle_into(requests, available, local);
-                }
-            },
+            }
             CrossbarPolicy::RandomToken => {
                 // Token scheme: each free bus captures a random pending
                 // processor; equivalently match shuffled lists. A pair
                 // that lands on a failed crosspoint cannot connect and
                 // is rejected for this cycle. Candidate lists are built
-                // in ascending order from the scalar predicate, so RNG
-                // consumption is identical under both engines.
+                // in ascending order from the scalar predicate.
                 procs.clear();
                 procs.extend((0..self.inputs).filter(|&l| pslice[l]));
                 buses.clear();
@@ -382,7 +266,7 @@ impl CrossbarNetwork {
                         .iter()
                         .zip(buses.iter())
                         .map(|(&li, &lj)| (li, lj))
-                        .filter(|&(li, lj)| !part.fabric.is_failed(li, lj)),
+                        .filter(|&(li, lj)| !f.is_failed(li, lj)),
                 );
             }
         }
@@ -566,6 +450,152 @@ impl ResourceNetwork for CrossbarNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::CrossbarFabric;
+
+    /// Test oracle: the production bookkeeping (held buses, busy counts,
+    /// pool state, counters) with every wave run cell by cell on Table-I
+    /// [`CrossbarFabric`]s and availability re-derived from `pool_up`,
+    /// `held_by` and `busy_resources` each cycle — never read from
+    /// `Partition::avail`, so a missed `refresh_avail` diverges.
+    #[derive(Debug)]
+    struct CellOracle {
+        net: CrossbarNetwork,
+        cells: Vec<CrossbarFabric>,
+    }
+
+    impl CellOracle {
+        fn new(parts: usize, p: usize, m: usize, r: u32, policy: CrossbarPolicy) -> Self {
+            CellOracle {
+                net: CrossbarNetwork::new(parts, p, m, r, policy),
+                cells: (0..parts).map(|_| CrossbarFabric::new(p, m)).collect(),
+            }
+        }
+
+        /// Partition and local cell of fault element `element`.
+        fn cell_of(&self, element: usize) -> (usize, usize, usize) {
+            let (p, m) = (self.net.inputs, self.net.outputs);
+            (element / (p * m), element % (p * m) / m, element % m)
+        }
+
+        /// Resets `processor`'s row in its partition's cells, as the
+        /// production fabric does when that circuit breaks.
+        fn reset_cells(&mut self, processor: usize) {
+            if self.net.policy == CrossbarPolicy::FixedPriority {
+                let p = self.net.inputs;
+                self.cells[processor / p].reset_row(processor % p);
+            }
+        }
+    }
+
+    impl ResourceNetwork for CellOracle {
+        fn processors(&self) -> usize {
+            self.net.processors()
+        }
+
+        fn total_resources(&self) -> usize {
+            self.net.total_resources()
+        }
+
+        fn request_cycle(&mut self, pending: &[bool], rng: &mut SimRng) -> Vec<Grant> {
+            assert_eq!(pending.len(), self.processors(), "pending vector size");
+            let mut grants = Vec::new();
+            let net = &mut self.net;
+            let (p, m, r) = (net.inputs, net.outputs, net.resources_per_bus);
+            for (pi, (part, cells)) in net.partitions.iter_mut().zip(&mut self.cells).enumerate() {
+                let requests = &pending[pi * p..(pi + 1) * p];
+                let n_pending = requests.iter().filter(|&&q| q).count();
+                if n_pending == 0 {
+                    continue;
+                }
+                net.counters.attempts += n_pending as u64;
+                let available: Vec<bool> = (0..m)
+                    .map(|j| {
+                        part.pool_up[j] && part.held_by[j].is_none() && part.busy_resources[j] < r
+                    })
+                    .collect();
+                let mut local = Vec::new();
+                match net.policy {
+                    CrossbarPolicy::FixedPriority => {
+                        cells.request_cycle_into(requests, &available, &mut local);
+                    }
+                    CrossbarPolicy::RandomToken => {
+                        let mut procs: Vec<usize> = (0..p).filter(|&l| requests[l]).collect();
+                        let mut buses: Vec<usize> = (0..m).filter(|&j| available[j]).collect();
+                        rng.shuffle(&mut procs);
+                        rng.shuffle(&mut buses);
+                        local.extend(
+                            procs
+                                .into_iter()
+                                .zip(buses)
+                                .filter(|&(li, lj)| !cells.is_failed(li, lj)),
+                        );
+                    }
+                }
+                net.counters.rejections += (n_pending - local.len()) as u64;
+                for (li, lj) in local {
+                    part.held_by[lj] = Some(li);
+                    grants.push(Grant {
+                        processor: pi * p + li,
+                        port: pi * m + lj,
+                    });
+                }
+            }
+            grants
+        }
+
+        fn end_transmission(&mut self, grant: Grant) {
+            self.net.end_transmission(grant);
+            self.reset_cells(grant.processor);
+        }
+
+        fn end_service(&mut self, grant: Grant) {
+            self.net.end_service(grant);
+        }
+
+        fn fail_resource(&mut self, port: usize) -> bool {
+            let (p, m) = (self.net.inputs, self.net.outputs);
+            let holder = self
+                .net
+                .partitions
+                .get(port / m)
+                .and_then(|part| part.held_by[port % m].map(|li| port / m * p + li));
+            let accepted = self.net.fail_resource(port);
+            if let (true, Some(processor)) = (accepted, holder) {
+                self.reset_cells(processor);
+            }
+            accepted
+        }
+
+        fn repair_resource(&mut self, port: usize) -> bool {
+            self.net.repair_resource(port)
+        }
+
+        fn fail_element(&mut self, element: usize) -> bool {
+            let (pi, i, j) = self.cell_of(element);
+            let accepted = self.cells.get_mut(pi).is_some_and(|c| c.fail_cell(i, j));
+            self.net.counters.element_failures += u64::from(accepted);
+            accepted
+        }
+
+        fn repair_element(&mut self, element: usize) -> bool {
+            let (pi, i, j) = self.cell_of(element);
+            let accepted = self.cells.get_mut(pi).is_some_and(|c| c.repair_cell(i, j));
+            self.net.counters.element_repairs += u64::from(accepted);
+            accepted
+        }
+
+        fn fault_elements(&self) -> usize {
+            self.net.fault_elements()
+        }
+
+        fn take_counters(&mut self) -> NetworkCounters {
+            self.net.take_counters()
+        }
+
+        fn label(&self) -> &'static str {
+            "XBAR cell oracle"
+        }
+    }
 
     fn pending(n: usize, set: &[usize]) -> Vec<bool> {
         let mut v = vec![false; n];
@@ -766,21 +796,17 @@ mod tests {
         assert!(!net.fail_element(24), "out of range is rejected");
     }
 
-    /// Bit-sliced vs reference network, driven through the full
+    /// Production network vs the cell oracle, driven through the full
     /// `ResourceNetwork` surface with identical RNG streams: grants,
     /// counters, and fault bookkeeping must match exactly under both
     /// policies, including degraded cell masks and pool failures.
     #[test]
-    fn engines_agree_through_the_network_surface() {
+    fn network_matches_cell_oracle_through_the_network_surface() {
         for policy in [CrossbarPolicy::FixedPriority, CrossbarPolicy::RandomToken] {
             let (parts, p, m, r) = (2usize, 3usize, 5usize, 2u32);
             let procs = parts * p;
-            let mut bit =
-                CrossbarNetwork::new_with_engine(parts, p, m, r, policy, ResolverEngine::Bitslice);
-            let mut cells =
-                CrossbarNetwork::new_with_engine(parts, p, m, r, policy, ResolverEngine::Reference);
-            assert_eq!(bit.resolver_engine(), ResolverEngine::Bitslice);
-            assert_eq!(cells.resolver_engine(), ResolverEngine::Reference);
+            let mut bit = CrossbarNetwork::new(parts, p, m, r, policy);
+            let mut cells = CellOracle::new(parts, p, m, r, policy);
             let mut rng_a = SimRng::new(97);
             let mut rng_b = SimRng::new(97);
             let mut state = 0xdead_beef_u64 ^ policy as u64;
@@ -836,6 +862,27 @@ mod tests {
                 }
             }
             assert_eq!(bit.take_counters(), cells.take_counters(), "{policy:?}");
+        }
+    }
+
+    /// The whole-DES check: both policies, healthy and under faults, must
+    /// yield a bit-identical run on the production network and the oracle.
+    #[test]
+    fn des_runs_match_cell_oracle() {
+        use rsin_core::equivalence::{faulted_fingerprint, healthy_fingerprint};
+        for policy in [CrossbarPolicy::FixedPriority, CrossbarPolicy::RandomToken] {
+            let net = || CrossbarNetwork::new(2, 4, 3, 2, policy);
+            let oracle = || CellOracle::new(2, 4, 3, 2, policy);
+            assert_eq!(
+                healthy_fingerprint(&mut net()),
+                healthy_fingerprint(&mut oracle()),
+                "{policy:?} healthy"
+            );
+            assert_eq!(
+                faulted_fingerprint(&mut net()),
+                faulted_fingerprint(&mut oracle()),
+                "{policy:?} faulted"
+            );
         }
     }
 
