@@ -27,7 +27,7 @@ use rsin_bench::figures::workload_at;
 use rsin_bench::microbench::measure_ns_floor;
 use rsin_bench::perfgate::{
     self, KernelCheck, LegStatus, ParallelLeg, ScalingPoint, ScalingStatus, SuiteTimings, Verdict,
-    REGRESSION_TOLERANCE, WARM_START_TOLERANCE,
+    REGRESSION_TOLERANCE,
 };
 use rsin_bench::provision_bench;
 use rsin_bench::suite::run_suite;
@@ -53,10 +53,8 @@ fn time_suite(q: &RunQuality) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// The stable rho grid for the analytic-solver kernels: every point of the
-/// figure grid at which the 2-processor/4-resource bus is stable, so the
-/// cold and warm kernels do identical *useful* work and differ only in
-/// iteration counts.
+/// The stable rho grid for the analytic-solver kernel: every point of the
+/// figure grid at which the 2-processor/4-resource bus is stable.
 fn sbus_kernel_grid() -> Vec<SharedBusParams> {
     let (mu_n, mu_s) = (1.0, 0.1);
     std::iter::once(0.05)
@@ -143,22 +141,6 @@ fn kernels() -> Vec<(&'static str, f64)> {
             black_box(acc)
         }),
     ));
-    out.push((
-        "sbus_rho_grid_warm_2x4",
-        measure_ns_floor(|| {
-            // Same grid, but each point seeds its neighbor's R iteration.
-            let mut acc = 0.0;
-            let mut seed = None;
-            for &p in &grid {
-                let chain = SharedBusChain::new(p).expect("grid is stable");
-                let (sol, next) = chain.solve_seeded(seed.as_ref()).expect("solves");
-                seed = Some(next);
-                acc += sol.normalized_delay;
-            }
-            black_box(acc)
-        }),
-    ));
-
     // Uncontended acquire → end_transmission → release cycles of the
     // runtime brokers: the single-thread fast path every loaded run pays on
     // top of the queueing the models predict. ns/iter here is the inverse
@@ -625,56 +607,6 @@ fn run_check(baseline: &str, rows: &mut [(&'static str, f64)]) -> Vec<String> {
     perfgate::regressed_names(&checks)
 }
 
-/// The warm-start gate: `sbus_rho_grid_warm_2x4` must not be slower than
-/// its cold twin beyond [`WARM_START_TOLERANCE`] — both kernels solve the
-/// identical grid, so "warm materially above cold" means the seeding path
-/// has regressed into a pessimization. A within-run comparison (no
-/// baseline involved), re-measured with the same floor-folding as the
-/// kernel gate before failing. Returns `true` when the regression
-/// persists.
-fn run_warm_start_check(rows: &mut [(&'static str, f64)]) -> bool {
-    let ns_of = |rows: &[(&'static str, f64)], name: &str| {
-        rows.iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0.0, |&(_, ns)| ns)
-    };
-    let (mut cold, mut warm) = (
-        ns_of(rows, "sbus_rho_grid_cold_2x4"),
-        ns_of(rows, "sbus_rho_grid_warm_2x4"),
-    );
-    for attempt in 1..=CHECK_RETRIES {
-        if !perfgate::warm_start_regressed(cold, warm) {
-            break;
-        }
-        eprintln!(
-            "perf check: warm rho-grid kernel above its cold twin ({:.2}x); re-measuring \
-             to rule out runner noise (attempt {attempt}/{CHECK_RETRIES}) ...",
-            warm / cold
-        );
-        for (row, again) in rows.iter_mut().zip(kernels()) {
-            debug_assert_eq!(row.0, again.0);
-            row.1 = row.1.min(again.1);
-        }
-        cold = ns_of(rows, "sbus_rho_grid_cold_2x4");
-        warm = ns_of(rows, "sbus_rho_grid_warm_2x4");
-    }
-    if perfgate::warm_start_regressed(cold, warm) {
-        eprintln!(
-            "perf check: WARM-START REGRESSION sbus_rho_grid_warm_2x4: cold {cold:.1} vs \
-             warm {warm:.1} ns/iter ({:.2}x, tolerance {WARM_START_TOLERANCE}x)",
-            warm / cold
-        );
-        true
-    } else {
-        eprintln!(
-            "perf check: ok warm rho-grid kernel: cold {cold:.1} vs warm {warm:.1} ns/iter \
-             ({:.2}x)",
-            warm / cold.max(1e-9)
-        );
-        false
-    }
-}
-
 /// Reports how the fresh scaling curve compares to the baseline, point by
 /// point. Wall-clock throughput is informational (the hard scaling gate is
 /// [`sharding_overhead_check`]); a point with no comparable baseline —
@@ -778,9 +710,8 @@ fn main() {
     } else {
         Vec::new()
     };
-    // Within-run gates: no baseline needed, so they run on every --check
+    // Within-run gate: no baseline needed, so it runs on every --check
     // even when BENCH_perf.json is absent.
-    let warm_regressed = check && run_warm_start_check(&mut kernel_rows);
     let overhead_failed = if check {
         eprintln!("perf check: gating single-shard wrapper overhead ...");
         sharding_overhead_check()
@@ -880,11 +811,6 @@ fn main() {
             "{} kernel(s) regressed beyond {REGRESSION_TOLERANCE}x: {}",
             regressed.len(),
             regressed.join(", ")
-        ));
-    }
-    if warm_regressed {
-        failures.push(format!(
-            "warm rho-grid kernel slower than its cold twin beyond {WARM_START_TOLERANCE}x"
         ));
     }
     if !overhead_failed.is_empty() {

@@ -24,22 +24,6 @@ pub const REGRESSION_TOLERANCE: f64 = 1.5;
 /// a host with one CPU.
 pub const SINGLE_CORE_REASON: &str = "single core";
 
-/// How much slower the warm-started `sbus_rho_grid_warm_2x4` kernel may be
-/// than its cold twin before `--check` fails. The two kernels do identical
-/// useful work over the same grid; warm-starting exists to *save*
-/// iterations, so warm materially above cold means the seeding path has
-/// regressed into a pessimization. 10% head-room absorbs measurement noise
-/// between two back-to-back floor measurements.
-pub const WARM_START_TOLERANCE: f64 = 1.10;
-
-/// Whether a warm-start timing regressed past its cold twin: `true` when
-/// `warm > cold ×` [`WARM_START_TOLERANCE`]. Non-positive cold timings
-/// (a parse failure upstream) never flag — the kernel gate owns those.
-#[must_use]
-pub fn warm_start_regressed(cold_ns: f64, warm_ns: f64) -> bool {
-    cold_ns > 0.0 && warm_ns > cold_ns * WARM_START_TOLERANCE
-}
-
 /// One kernel's comparison against the committed baseline.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KernelCheck {
@@ -496,14 +480,6 @@ mod tests {
         let parsed = parse_suite(&measured);
         assert_eq!(parsed.parallel_seconds, Some(2.0));
         assert_eq!(parsed.skipped_reason, None);
-    }
-
-    #[test]
-    fn warm_start_gate_flags_only_material_slowdowns() {
-        assert!(!warm_start_regressed(100.0, 100.0), "equal is fine");
-        assert!(!warm_start_regressed(100.0, 109.0), "inside the head-room");
-        assert!(warm_start_regressed(100.0, 111.0), "beyond the head-room");
-        assert!(!warm_start_regressed(0.0, 50.0), "bad cold never flags");
     }
 
     const SCALING_BASELINE: &str = r#"{

@@ -19,7 +19,9 @@
 //! the original arrival). A livelock watchdog returns
 //! [`SimError::Stalled`] when no allocation makes progress within a
 //! configurable event budget while work is pending — a plan that kills
-//! every resource produces a typed error, not a hang.
+//! every resource produces a typed error, not a hang. The watchdog runs on
+//! fault-free runs as well, so a network that loses capacity to a bug
+//! fails the run instead of spinning forever.
 
 use crate::network::{Grant, NetworkCounters, PendingSet, ResourceNetwork};
 use crate::workload::Workload;
@@ -94,7 +96,8 @@ impl Default for FaultOptions {
 pub enum SimError {
     /// No allocation made progress within the watchdog's event budget even
     /// though tasks were queued — the injected faults have livelocked the
-    /// system (e.g. every resource is down with no repair scheduled).
+    /// system (e.g. every resource is down with no repair scheduled), or a
+    /// broken network stopped advertising capacity it never returned.
     Stalled {
         /// Simulated time at which the watchdog fired.
         at: f64,
@@ -439,7 +442,7 @@ pub fn simulate(
         &FaultOptions::default(),
         rng,
     )
-    .expect("fault-free simulation cannot stall")
+    .expect("a fault-free run stalls only on a broken network")
 }
 
 /// [`simulate`] with arbitrary stage distributions (the exponential
@@ -462,7 +465,7 @@ pub fn simulate_general(
         &FaultOptions::default(),
         rng,
     )
-    .expect("fault-free simulation cannot stall")
+    .expect("a fault-free run stalls only on a broken network")
 }
 
 /// [`simulate`] under a [`FaultPlan`]: resource pools and structural
@@ -542,7 +545,6 @@ pub fn simulate_general_faulty(
     let mut net_rng = rng.derive(0x4e);
     let mut fault_rng = rng.derive(0x46);
     let mut timeline = faults.timeline(&mut fault_rng);
-    let faults_active = !faults.is_empty();
 
     let mut in_flight = InFlightSlab::default();
     let mut next_seq: u64 = 0;
@@ -690,9 +692,9 @@ pub fn simulate_general_faulty(
             granted_this_cycle.fill(false);
         }
 
-        // Livelock watchdog: only armed when faults are in play — a
-        // fault-free run always progresses eventually.
-        if faults_active && events_since_alloc > fopts.stall_event_budget {
+        // Livelock watchdog: a plan that kills every resource, or a network
+        // that hides capacity it never returns, must fail rather than hang.
+        if events_since_alloc > fopts.stall_event_budget {
             let queued: u64 = queues.iter().map(|q| q.len() as u64).sum();
             if queued > 0 {
                 return Err(SimError::Stalled {
@@ -1173,6 +1175,72 @@ mod tests {
         assert!(queued > 0);
         assert!(events_since_progress > 5_000);
         assert!(!err.to_string().is_empty());
+    }
+
+    /// Wraps a network and, after `grants_left` grants, permanently reports
+    /// no capacity — the shape of a resolver bug that never re-advertises a
+    /// freed resource.
+    #[derive(Debug)]
+    struct LosesCapacity<N> {
+        inner: N,
+        grants_left: usize,
+    }
+
+    impl<N: ResourceNetwork> ResourceNetwork for LosesCapacity<N> {
+        fn processors(&self) -> usize {
+            self.inner.processors()
+        }
+        fn total_resources(&self) -> usize {
+            self.inner.total_resources()
+        }
+        fn request_cycle(&mut self, pending: &[bool], rng: &mut SimRng) -> Vec<Grant> {
+            if self.grants_left == 0 {
+                return Vec::new();
+            }
+            let grants = self.inner.request_cycle(pending, rng);
+            self.grants_left = self.grants_left.saturating_sub(grants.len());
+            grants
+        }
+        fn end_transmission(&mut self, grant: Grant) {
+            self.inner.end_transmission(grant);
+        }
+        fn end_service(&mut self, grant: Grant) {
+            self.inner.end_service(grant);
+        }
+    }
+
+    #[test]
+    fn healthy_run_on_a_network_that_loses_capacity_stalls() {
+        let workload = Workload::new(0.2, 1.0, 1.0).expect("valid");
+        let mut rng = SimRng::new(11);
+        let mut net = LosesCapacity {
+            inner: TinyBus::new(4, 2),
+            grants_left: 50,
+        };
+        let opts = SimOptions {
+            warmup_tasks: 10,
+            measured_tasks: 1_000,
+        };
+        let fopts = FaultOptions {
+            stall_event_budget: 2_000,
+            ..FaultOptions::default()
+        };
+        let err = simulate_faulty(
+            &mut net,
+            &workload,
+            &opts,
+            &FaultPlan::new(),
+            &fopts,
+            &mut rng,
+        )
+        .expect_err("a network that never frees capacity must stall");
+        let SimError::Stalled {
+            queued,
+            events_since_progress,
+            ..
+        } = err;
+        assert!(queued > 0);
+        assert!(events_since_progress > 2_000);
     }
 
     #[test]

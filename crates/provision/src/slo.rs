@@ -5,9 +5,10 @@
 //! only where no chain covers the topology:
 //!
 //! * **SBUS** partitions are exact shared-bus chains
-//!   ([`rsin_queueing::SharedBusChain`]); solves go through the cached,
-//!   seed-threading entry point so a sweep reuses both retained solutions
-//!   and converged rate matrices.
+//!   ([`rsin_queueing::SharedBusChain`]), solved cold through
+//!   [`rsin_queueing::solve_shared_bus_cached`], so a point revisited by
+//!   this or a later search in the same process is answered verbatim from
+//!   the cache.
 //! * **XBAR** partitions with `k ≤ 3` output buses are exact small-`m`
 //!   chains ([`rsin_queueing::SmallCrossbarChain`]) with π-vector seed
 //!   threading.
@@ -29,8 +30,8 @@ use rsin_core::{
 };
 use rsin_omega::{Admission, OmegaNetwork};
 use rsin_queueing::{
-    solve_shared_bus_chained, traffic, SharedBusParams, SharedBusSeed, SmallCrossbarChain,
-    SmallCrossbarParams, SmallCrossbarSeed, SolveError,
+    solve_shared_bus_cached, traffic, SharedBusParams, SmallCrossbarChain, SmallCrossbarParams,
+    SmallCrossbarSeed, SolveError,
 };
 use rsin_sbus::{Arbitration, SharedBusNetwork};
 use rsin_xbar::{CrossbarNetwork, CrossbarPolicy};
@@ -225,14 +226,11 @@ pub struct EvalCounters {
 }
 
 /// The evaluator: dispatches candidates to the cheapest adequate model,
-/// threading warm-start seeds across solves.
+/// threading crossbar warm-start seeds across solves.
 #[derive(Debug)]
 pub struct Evaluator {
     profile: TrafficProfile,
     quality: EvalQuality,
-    /// Shared-bus seeds keyed by the per-bus resource count (`R` matrices
-    /// transfer across `p` and λ, never across `r`).
-    sbus_seeds: HashMap<u32, SharedBusSeed>,
     /// Crossbar seeds keyed by `(buses, resources_per_bus)` (π vectors
     /// transfer only within one per-level state-space shape).
     xbar_seeds: HashMap<(u32, u32), SmallCrossbarSeed>,
@@ -246,7 +244,6 @@ impl Evaluator {
         Evaluator {
             profile,
             quality,
-            sbus_seeds: HashMap::new(),
             xbar_seeds: HashMap::new(),
             counters: EvalCounters::default(),
         }
@@ -313,18 +310,12 @@ impl Evaluator {
             mu_s: self.profile.mu_s,
         };
         self.counters.analytic += 1;
-        let seed = self.sbus_seeds.get(&resources_per_bus);
-        match solve_shared_bus_chained(params, seed) {
-            Ok((sol, next_seed)) => {
-                if let Some(s) = next_seed {
-                    self.sbus_seeds.insert(resources_per_bus, s);
-                }
-                DelayOutcome::Value(DelayValue {
-                    normalized_delay: sol.normalized_delay,
-                    half_width: 0.0,
-                    method: Method::SbusChain,
-                })
-            }
+        match solve_shared_bus_cached(params) {
+            Ok(sol) => DelayOutcome::Value(DelayValue {
+                normalized_delay: sol.normalized_delay,
+                half_width: 0.0,
+                method: Method::SbusChain,
+            }),
             Err(SolveError::Unstable { .. }) => DelayOutcome::Saturated,
             // NoConvergence should not occur for validated stable points;
             // treat it as saturation rather than crashing a long search.

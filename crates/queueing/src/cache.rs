@@ -7,7 +7,9 @@
 //! (`f64` bit patterns, so keys never alias across distinct inputs) and
 //! returns the stored solution verbatim: a cache hit is bit-for-bit the
 //! value a fresh chain would produce, making the cache safe for artifact
-//! paths that print full-precision floats.
+//! paths that print full-precision floats. Every miss is a cold solve, so
+//! every miss is retained: a search that revisits a point (a second
+//! provisioning run in the same process, say) is answered from the cache.
 //!
 //! The cache is bounded: a thousands-of-configs provisioning sweep touches
 //! far more distinct points than any figure run, so retained entries are
@@ -16,7 +18,7 @@
 //! [`shared_bus_cache_stats`] so long sweeps can report their reuse rate.
 
 use crate::error::SolveError;
-use crate::sbus::{SharedBusChain, SharedBusParams, SharedBusSeed, SharedBusSolution};
+use crate::sbus::{SharedBusChain, SharedBusParams, SharedBusSolution};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -145,57 +147,6 @@ pub fn solve_shared_bus_cached(params: SharedBusParams) -> Result<SharedBusSolut
     result
 }
 
-/// [`solve_shared_bus_cached`] with warm-start seed threading for grid
-/// sweeps: a hit returns the retained solution (and no new seed — the
-/// caller keeps the one it has); a miss solves via
-/// [`SharedBusChain::solve_seeded`] and returns the refreshed seed.
-///
-/// The cache's bit-exactness invariant — a hit is exactly what a fresh
-/// [`SharedBusChain::solve`] would return — is preserved by construction:
-/// only *cold* solves (no usable seed, a path identical to `solve`) are
-/// inserted. Warm results agree with cold ones only to solver tolerance,
-/// so they are returned to the caller but never retained.
-///
-/// # Errors
-///
-/// Exactly the errors of [`SharedBusChain::new`] and
-/// [`SharedBusChain::solve_seeded`] for these parameters.
-pub fn solve_shared_bus_chained(
-    params: SharedBusParams,
-    seed: Option<&SharedBusSeed>,
-) -> Result<(SharedBusSolution, Option<SharedBusSeed>), SolveError> {
-    let k = key(&params);
-    {
-        let mut guard = cache().lock().unwrap_or_else(|p| p.into_inner());
-        guard.clock += 1;
-        let now = guard.clock;
-        if let Some(hit) = guard.map.get_mut(&k) {
-            hit.stamp = now;
-            let result = hit.result.clone();
-            guard.hits += 1;
-            return result.map(|sol| (sol, None));
-        }
-        guard.misses += 1;
-    }
-    let usable = seed.filter(|s| s.seed_resources() == params.resources);
-    let solved = SharedBusChain::new(params).and_then(|c| c.solve_seeded(usable));
-    if usable.is_none() {
-        // Cold path: identical to `solve`, so the solution is safe to retain.
-        let to_store = solved.clone().map(|(sol, _)| sol);
-        let mut guard = cache().lock().unwrap_or_else(|p| p.into_inner());
-        if guard.map.len() >= MAX_ENTRIES {
-            evict_lru(&mut guard);
-        }
-        guard.clock += 1;
-        let stamp = guard.clock;
-        guard.map.entry(k).or_insert_with(|| Entry {
-            stamp,
-            result: to_store,
-        });
-    }
-    solved.map(|(sol, next)| (sol, Some(next)))
-}
-
 /// A snapshot of the cache's hit/miss/eviction counters and current size.
 ///
 /// Counters are process-wide and monotone; to measure one sweep's reuse,
@@ -271,27 +222,6 @@ mod tests {
         assert!(after.hits > before.hits, "second lookup hits");
         assert!(after.entries >= 1);
         assert!(after.hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn chained_solves_cache_cold_results_only() {
-        // A cold chained solve populates the cache and returns a seed...
-        let p0 = params(0.018_131);
-        let (cold, seed) = solve_shared_bus_chained(p0, None).expect("ok");
-        let seed = seed.expect("cold solve yields a seed");
-        assert_eq!(cold, solve_shared_bus_cached(p0).expect("ok"), "retained");
-        // ...a hit returns the retained value and no refreshed seed...
-        let (hit, none) = solve_shared_bus_chained(p0, Some(&seed)).expect("ok");
-        assert_eq!(hit, cold);
-        assert!(none.is_none(), "hits keep the caller's seed");
-        // ...and a warm miss returns a result but never retains it: the
-        // later cache lookup must still produce the fresh cold value.
-        let p1 = params(0.018_132);
-        let (warm, _) = solve_shared_bus_chained(p1, Some(&seed)).expect("ok");
-        let fresh = SharedBusChain::new(p1).expect("valid").solve().expect("ok");
-        let cached = solve_shared_bus_cached(p1).expect("ok");
-        assert_eq!(cached, fresh, "cache still bit-exact after warm solve");
-        assert!((warm.mean_queue_delay - fresh.mean_queue_delay).abs() < 1e-6);
     }
 
     #[test]

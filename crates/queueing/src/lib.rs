@@ -53,14 +53,12 @@ mod sbus;
 pub mod traffic;
 mod xbar_chain;
 
-pub use cache::{
-    shared_bus_cache_stats, solve_shared_bus_cached, solve_shared_bus_chained, CacheStats,
-};
+pub use cache::{shared_bus_cache_stats, solve_shared_bus_cached, CacheStats};
 pub use error::SolveError;
 pub use markov::{Ctmc, Transition};
 pub use mm1::Mm1;
 pub use mmr::Mmr;
-pub use sbus::{SharedBusChain, SharedBusParams, SharedBusSeed, SharedBusSolution};
+pub use sbus::{SharedBusChain, SharedBusParams, SharedBusSolution};
 pub use xbar_chain::{
     SmallCrossbarChain, SmallCrossbarParams, SmallCrossbarSeed, SmallCrossbarSolution,
 };

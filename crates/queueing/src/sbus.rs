@@ -35,6 +35,12 @@
 //! * [`SharedBusChain::solve_truncated`] — builds the truncated chain
 //!   explicitly and solves all `(r+1)(q+1)` balance equations simultaneously
 //!   (the paper's cross-check, which agreed "within four digits").
+//!
+//! Every solve is cold and standalone: the `R` iteration always starts from
+//! zero and the stage recursion always starts at `q = 4`, so a solution
+//! depends only on its parameters. Repeated points are deduplicated by
+//! [`solve_shared_bus_cached`](crate::solve_shared_bus_cached), never by
+//! reusing a neighbour's state.
 
 use crate::error::SolveError;
 use crate::linalg::{solve_linear, Mat};
@@ -77,27 +83,6 @@ pub struct SharedBusSolution {
     pub stages: usize,
     /// Maximum balance-equation residual of the returned distribution.
     pub residual: f64,
-}
-
-/// A warm-start seed for [`SharedBusChain::solve_seeded`]: the converged
-/// rate matrix `R` of a previously solved chain, plus the resource count it
-/// was solved for (seeds never transfer across block dimensions).
-///
-/// Seeds are opaque by design — they accelerate the `R` iteration without
-/// changing what it converges to, so callers only thread them from one
-/// solve to the next.
-#[derive(Clone, Debug)]
-pub struct SharedBusSeed {
-    resources: u32,
-    r_mat: Mat,
-}
-
-impl SharedBusSeed {
-    /// The resource count this seed was solved for (the cache's chained
-    /// entry point mirrors `solve_seeded`'s transferability check).
-    pub(crate) fn seed_resources(&self) -> u32 {
-        self.resources
-    }
 }
 
 /// The shared-bus Markov chain model.
@@ -246,44 +231,10 @@ impl SharedBusChain {
         a2
     }
 
-    /// Iterates `R = −(A0 + R²·A2)·A1⁻¹` to convergence, from zero.
+    /// Iterates `R = −(A0 + R²·A2)·A1⁻¹` to convergence, from zero (the
+    /// iteration is monotone from below, so it settles on the minimal
+    /// nonnegative solution).
     fn rate_matrix(&self) -> Result<Mat, SolveError> {
-        self.rate_matrix_from(None).map(|(m, _)| m)
-    }
-
-    /// Whether a seed is close enough to this chain's fixed point for a
-    /// warm start to be worth attempting, measured by the defining
-    /// quadratic's residual at the seed relative to the chain's rate
-    /// scale. Neighboring grid points pass easily (their residual scales
-    /// with the parameter step); a seed grown on a chain with very
-    /// different rates is rejected here, before any `O(r⁶)` Newton work.
-    fn seed_is_near(&self, r_mat: &Mat) -> bool {
-        let n = self.params.resources as usize + 1;
-        if r_mat.n_rows != n || r_mat.n_cols != n {
-            return false;
-        }
-        let a0 = self.block_a0();
-        let a1 = self.block_a1();
-        let a2 = self.block_a2();
-        let f = a0.add(&r_mat.mul(&a1)).add(&r_mat.mul(r_mat).mul(&a2));
-        let f_max = f.a.iter().fold(0.0_f64, |m, &v| m.max(v.abs()));
-        let scale = (0..n).fold(0.0_f64, |m, i| m.max(a1[(i, i)].abs()));
-        f_max <= 1e-2 * scale
-    }
-
-    /// Iterates `R = −(A0 + R²·A2)·A1⁻¹` to convergence, starting from
-    /// `seed` when given (e.g. the converged `R` of a nearby parameter
-    /// point) and from zero otherwise. Returns the converged matrix
-    /// together with the iteration count (the observable the warm-start
-    /// regression test keys on).
-    ///
-    /// Convergence is only *guaranteed* from zero (the iteration is
-    /// monotone from below); from a foreign seed — a chain with the same
-    /// block dimension but different rates — the orbit can diverge or
-    /// wander without settling. The seeded path therefore runs on a short
-    /// budget with a blow-up guard, and callers treat its error as "retry
-    /// cold", never as "unsolvable".
-    fn rate_matrix_from(&self, seed: Option<&Mat>) -> Result<(Mat, usize), SolveError> {
         let a0 = self.block_a0();
         let a1 = self.block_a1();
         let a2 = self.block_a2();
@@ -292,16 +243,8 @@ impl SharedBusChain {
             residual: f64::INFINITY,
         })?;
         let n = a0.n_rows;
-        let seeded = matches!(seed, Some(s) if s.n_rows == n && s.n_cols == n);
-        let mut r_mat = if seeded {
-            seed.expect("checked above").clone()
-        } else {
-            Mat::zeros(n, n)
-        };
-        // A warm start that hasn't settled within the cold path's typical
-        // worst case isn't helping — cut it off and let the caller retry
-        // from zero rather than grinding the full budget.
-        let budget = if seeded { 50_000usize } else { 2_000_000 };
+        let mut r_mat = Mat::zeros(n, n);
+        let budget = 2_000_000usize;
         let mut last_diff = f64::INFINITY;
         for it in 0..budget {
             let rr = r_mat.mul(&r_mat);
@@ -316,10 +259,9 @@ impl SharedBusChain {
             let diff = next.max_abs_diff(&r_mat);
             r_mat = next;
             if diff < 1e-15 {
-                return Ok((r_mat, it + 1));
+                return Ok(r_mat);
             }
             if !diff.is_finite() || diff > 1e9 {
-                // Diverging orbit (possible only from a foreign seed).
                 return Err(SolveError::NoConvergence {
                     iterations: it + 1,
                     residual: diff,
@@ -333,128 +275,6 @@ impl SharedBusChain {
         })
     }
 
-    /// Newton's method on the defining quadratic `A0 + R·A1 + R²·A2 = 0`,
-    /// warm-started from `seed`. Each step solves the linearization
-    /// `Δ·(A1 + R·A2) + R·Δ·A2 = −F(R)` (a generalized Sylvester equation,
-    /// solved densely via the Kronecker form — the blocks are `(r+1)²`, so
-    /// the system stays tiny) and applies `R += Δ`.
-    ///
-    /// From a seed near the fixed point this converges quadratically —
-    /// single-digit step counts where the linear fixed-point iteration
-    /// needs hundreds near saturation — which is what makes warm solves
-    /// actually cheaper than cold ones. The functional iteration's head
-    /// start from the same seed is worth almost nothing: it only skips the
-    /// short initial transient, while the iteration count is dominated by
-    /// the asymptotic contraction rate `sp(R)`, which no starting point
-    /// improves.
-    ///
-    /// Newton does not inherit the functional iteration's guarantee of
-    /// landing on the *minimal* nonnegative solution, so the result is
-    /// accepted only if it is entrywise nonnegative (to fuzz) and a
-    /// Collatz–Wielandt power bound certifies `sp(R) < 1`; `None` sends
-    /// the caller down the plain seeded/cold path.
-    fn rate_matrix_newton(&self, seed: &Mat) -> Option<(Mat, usize)> {
-        let a0 = self.block_a0();
-        let a1 = self.block_a1();
-        let a2 = self.block_a2();
-        let n = a0.n_rows;
-        if seed.n_rows != n || seed.n_cols != n {
-            return None;
-        }
-        // The Kronecker system is n²×n², so one Newton step costs O(n⁶) —
-        // past a small block size a single step outweighs the entire
-        // functional iteration it is meant to shortcut. Decline and let
-        // the seeded functional path (O(n³) per iteration) take over.
-        if n > 20 {
-            return None;
-        }
-        let mut r_mat = seed.clone();
-        let mut steps = 0;
-        let converged = loop {
-            if steps == 32 {
-                break false;
-            }
-            steps += 1;
-            // F(R) = A0 + R·A1 + R²·A2.
-            let f = a0.add(&r_mat.mul(&a1)).add(&r_mat.mul(&r_mat).mul(&a2));
-            // Kronecker assembly, row-major vec: unknown (i,j) ↦ i·n + j.
-            // Δ·X contributes X[k][j] at (i·n+j, i·n+k); R·Δ·A2 contributes
-            // R[i][m]·A2[k][j] at (i·n+j, m·n+k).
-            let x = a1.add(&r_mat.mul(&a2));
-            let mut m = Mat::zeros(n * n, n * n);
-            let mut rhs = vec![0.0; n * n];
-            for i in 0..n {
-                for j in 0..n {
-                    let row = i * n + j;
-                    rhs[row] = -f[(i, j)];
-                    for k in 0..n {
-                        m[(row, i * n + k)] += x[(k, j)];
-                    }
-                    for mm in 0..n {
-                        let rim = r_mat[(i, mm)];
-                        if rim == 0.0 {
-                            continue;
-                        }
-                        for k in 0..n {
-                            m[(row, mm * n + k)] += rim * a2[(k, j)];
-                        }
-                    }
-                }
-            }
-            let delta = solve_linear(&m, &rhs)?;
-            let mut max_step = 0.0_f64;
-            for i in 0..n {
-                for j in 0..n {
-                    let d = delta[i * n + j];
-                    max_step = max_step.max(d.abs());
-                    r_mat[(i, j)] += d;
-                }
-            }
-            if !max_step.is_finite() {
-                return None;
-            }
-            // Same scale as the functional iteration's successive-diff stop.
-            if max_step < 1e-15 {
-                break true;
-            }
-        };
-        if !converged {
-            return None;
-        }
-        // Minimality guard: entrywise nonnegative (clamping solver fuzz)
-        // and spectrally stable.
-        for v in &mut r_mat.a {
-            if *v < 0.0 {
-                if *v < -1e-12 {
-                    return None;
-                }
-                *v = 0.0;
-            }
-        }
-        // Collatz–Wielandt: for positive x, max_i (R·x)_i / x_i ≥ sp(R),
-        // and the bound tightens under iteration — once it drops below 1,
-        // sp(R) < 1 is certified.
-        let mut x = vec![1.0; n];
-        for _ in 0..64 {
-            let y = r_mat.mat_vec(&x);
-            let bound = y
-                .iter()
-                .zip(&x)
-                .map(|(yi, xi)| yi / xi)
-                .fold(0.0_f64, f64::max);
-            if bound < 1.0 {
-                return Some((r_mat, steps));
-            }
-            let norm = y.iter().fold(0.0_f64, |a, &v| a.max(v));
-            if !(norm.is_finite() && norm > 0.0) {
-                return None;
-            }
-            // Keep x strictly positive so the quotient stays defined.
-            x = y.iter().map(|&v| (v / norm).max(1e-300)).collect();
-        }
-        None
-    }
-
     /// Exact matrix-geometric solution (the library's primary solver).
     ///
     /// # Errors
@@ -464,60 +284,6 @@ impl SharedBusChain {
     /// parameters in practice).
     pub fn solve(&self) -> Result<SharedBusSolution, SolveError> {
         let r_mat = self.rate_matrix()?;
-        self.solve_with_rate_matrix(&r_mat)
-    }
-
-    /// [`SharedBusChain::solve`] warm-started from the converged `R` matrix
-    /// of a previously solved chain — typically the neighboring point of a
-    /// rho-grid sweep. The seeded path runs Newton's method on the
-    /// quadratic ([`rate_matrix_newton`](Self::rate_matrix_newton)), which
-    /// converges quadratically from a nearby seed where the functional
-    /// iteration would grind through its full linear-rate schedule.
-    ///
-    /// Returns the solution together with a seed for the next solve. A seed
-    /// from a chain with a different resource count is ignored (the block
-    /// dimension differs), as is one whose residual under this chain's
-    /// defining quadratic is large — a far seed (grown on a chain with
-    /// very different rates) costs more than it saves, since Newton's
-    /// Kronecker step is `O(r⁶)` and the functional iteration is only
-    /// guaranteed convergent from zero. If Newton declines the point
-    /// (non-convergence or a non-minimal root) the solve falls back to the
-    /// seeded functional iteration, and failing that retries cold — a seed
-    /// can never make a solvable chain unsolvable.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::NoConvergence`] under the same conditions as
-    /// [`SharedBusChain::solve`].
-    pub fn solve_seeded(
-        &self,
-        seed: Option<&SharedBusSeed>,
-    ) -> Result<(SharedBusSolution, SharedBusSeed), SolveError> {
-        let usable =
-            seed.filter(|s| s.resources == self.params.resources && self.seed_is_near(&s.r_mat));
-        let r_mat = match usable {
-            Some(s) => match self.rate_matrix_newton(&s.r_mat) {
-                Some((m, _)) => m,
-                None => match self.rate_matrix_from(Some(&s.r_mat)) {
-                    Ok((m, _)) => m,
-                    Err(_) => self.rate_matrix()?,
-                },
-            },
-            None => self.rate_matrix()?,
-        };
-        let sol = self.solve_with_rate_matrix(&r_mat)?;
-        Ok((
-            sol,
-            SharedBusSeed {
-                resources: self.params.resources,
-                r_mat,
-            },
-        ))
-    }
-
-    /// The boundary/tail computation shared by [`SharedBusChain::solve`]
-    /// and [`SharedBusChain::solve_seeded`], given a converged `R`.
-    fn solve_with_rate_matrix(&self, r_mat: &Mat) -> Result<SharedBusSolution, SolveError> {
         let r = self.params.resources as usize;
         let lam = self.arrival_rate();
         let (mu_n, mu_s) = (self.params.mu_n, self.params.mu_s);
@@ -588,7 +354,7 @@ impl SharedBusChain {
                 m[(n0 + j, n0 + k)] = a1_ra2[(k, j)];
             }
         }
-        let i_minus_r = Mat::identity(n1).sub(r_mat);
+        let i_minus_r = Mat::identity(n1).sub(&r_mat);
         let sum_r = i_minus_r.inverse().ok_or(SolveError::NoConvergence {
             iterations: 0,
             residual: f64::INFINITY,
@@ -676,27 +442,8 @@ impl SharedBusChain {
     /// [`SolveError::NoConvergence`] if no `q` yields a solvable boundary
     /// system.
     pub fn solve_paper_iterative(&self) -> Result<SharedBusSolution, SolveError> {
-        self.solve_paper_iterative_from(None)
-    }
-
-    /// [`SharedBusChain::solve_paper_iterative`] with a starting hint for
-    /// the elementary-stage count `q` — typically `stages - 1` of a
-    /// neighboring grid point's solution, which skips the warm-up doublings
-    /// below the hint. The stopping rule is unchanged, so the hint only
-    /// shortens the search.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::NoConvergence`] if no `q` yields a solvable boundary
-    /// system.
-    pub fn solve_paper_iterative_from(
-        &self,
-        q_hint: Option<usize>,
-    ) -> Result<SharedBusSolution, SolveError> {
         let mut best: Option<SharedBusSolution> = None;
-        // Start one doubling below the hint so the convergence comparison
-        // still brackets it.
-        let mut q = q_hint.map_or(4, |h| (h / 2).next_power_of_two().clamp(4, 4096));
+        let mut q = 4;
         while q <= 4096 {
             if let Some(sol) = self.stage_recursion(q) {
                 if let Some(prev) = best {
@@ -1008,90 +755,6 @@ mod tests {
             mu_n,
             mu_s,
         }
-    }
-
-    /// The rho grid of the perf-report warm/cold kernels: every stable
-    /// point of the 2-processor/4-resource bus across the figure loads.
-    fn kernel_grid() -> Vec<SharedBusParams> {
-        let (mu_n, mu_s) = (1.0, 0.1);
-        std::iter::once(0.05)
-            .chain((1..=9).map(|i| f64::from(i) / 10.0))
-            .map(|rho| SharedBusParams {
-                processors: 2,
-                resources: 4,
-                lambda: crate::traffic::lambda_for_intensity(16, 32, rho, mu_n, mu_s),
-                mu_n,
-                mu_s,
-            })
-            .filter(|&p| SharedBusChain::new(p).is_ok())
-            .collect()
-    }
-
-    #[test]
-    fn seeded_newton_matches_cold_and_converges_in_single_digit_steps() {
-        let grid = kernel_grid();
-        assert!(grid.len() >= 8, "grid unexpectedly small");
-        let mut seed: Option<Mat> = None;
-        for (k, &p) in grid.iter().enumerate() {
-            let chain = SharedBusChain::new(p).expect("stable");
-            let (cold, cold_iters) = chain.rate_matrix_from(None).expect("cold converges");
-            if let Some(s) = &seed {
-                let (newton, steps) = chain
-                    .rate_matrix_newton(s)
-                    .expect("newton converges from a neighbor seed");
-                assert!(
-                    newton.max_abs_diff(&cold) < 1e-10,
-                    "point {k}: newton diverged from the minimal solution"
-                );
-                // Quadratic convergence is the entire point of the warm
-                // path: a neighbor seed must land in single digits where
-                // the functional iteration needs `cold_iters` (hundreds
-                // near saturation).
-                assert!(
-                    steps <= 9,
-                    "point {k}: newton took {steps} steps (cold takes {cold_iters})"
-                );
-            }
-            seed = Some(cold);
-        }
-    }
-
-    #[test]
-    fn seeded_solve_equals_cold_solve_across_the_grid() {
-        let mut seed = None;
-        for &p in &kernel_grid() {
-            let chain = SharedBusChain::new(p).expect("stable");
-            let cold = chain.solve().expect("cold solves");
-            let (warm, next) = chain.solve_seeded(seed.as_ref()).expect("warm solves");
-            seed = Some(next);
-            assert!(
-                (warm.mean_queue_delay - cold.mean_queue_delay).abs()
-                    / cold.mean_queue_delay.max(1e-12)
-                    < 1e-9,
-                "warm and cold disagree at lambda={}",
-                p.lambda
-            );
-            assert!(warm.residual < 1e-8, "warm residual too large");
-        }
-    }
-
-    #[test]
-    fn newton_rejects_a_wildly_wrong_seed_gracefully() {
-        let chain = SharedBusChain::new(params(2, 4, 0.1, 1.0, 0.1)).expect("stable");
-        // A seed far outside the contraction basin must either converge to
-        // the same minimal solution or be declined — never return garbage.
-        let mut bad = Mat::zeros(5, 5);
-        for v in &mut bad.a {
-            *v = 10.0;
-        }
-        let (cold, _) = chain.rate_matrix_from(None).expect("cold converges");
-        if let Some((m, _)) = chain.rate_matrix_newton(&bad) {
-            assert!(m.max_abs_diff(&cold) < 1e-10, "accepted a non-minimal root");
-        }
-        // And the public API is immune either way: a nonsense-dimension
-        // seed is filtered before Newton ever sees it.
-        let (sol, _) = chain.solve_seeded(None).expect("solves");
-        assert!(sol.mean_queue_delay > 0.0);
     }
 
     #[test]

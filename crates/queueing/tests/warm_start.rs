@@ -1,140 +1,19 @@
-//! Warm-started solves agree with cold solves across the figure grids.
+//! Crossbar π chaining agrees with cold solves, and the shared-bus cache
+//! is transparent.
 //!
-//! The warm-start machinery (R-matrix seeding in the shared-bus chain,
-//! π chaining in the small-crossbar chain, the q hint in the paper's
-//! stage recursion) only accelerates iteration toward a unique fixed
-//! point — these tests pin the contract: every warm result matches the
-//! cold result within 1e-9 relative error, over every rho-grid point of
-//! every figure configuration.
+//! π chaining in the small-crossbar chain only accelerates iteration
+//! toward a unique fixed point, so a warm result matches the cold result
+//! to tolerance and a seed from another state-space shape is ignored.
+//! The shared-bus chain has no warm path: every solve is cold, and a
+//! cache hit is bit for bit what a fresh chain returns.
 
 use rsin_queueing::{
     solve_shared_bus_cached, traffic, SharedBusChain, SharedBusParams, SmallCrossbarChain,
     SmallCrossbarParams,
 };
 
-/// The figure rho grid (see `rsin-bench::figures::rho_grid`).
-fn rho_grid() -> Vec<f64> {
-    std::iter::once(0.05)
-        .chain((1..=9).map(|i| f64::from(i) / 10.0))
-        .collect()
-}
-
-/// Every analytic shared-bus series drawn on Figs. 4, 5, 12, 13:
-/// `(procs_per_bus, resources_per_bus)`.
-const SBUS_FIGURE_CONFIGS: [(u32, u32); 6] = [(16, 32), (8, 16), (2, 4), (1, 2), (1, 3), (1, 4)];
-
-/// The figures' transmission-to-service ratios `µ_s/µ_n`.
-const RATIOS: [f64; 2] = [0.1, 1.0];
-
 fn rel_err(a: f64, b: f64) -> f64 {
     (a - b).abs() / b.abs().max(1e-300)
-}
-
-#[test]
-fn sbus_warm_grid_matches_cold_within_1e9() {
-    for ratio in RATIOS {
-        let (mu_n, mu_s) = (1.0, ratio);
-        for (procs, res) in SBUS_FIGURE_CONFIGS {
-            let mut seed = None;
-            for rho in rho_grid() {
-                let lambda = traffic::lambda_for_intensity(16, 32, rho, mu_n, mu_s);
-                let params = SharedBusParams {
-                    processors: procs,
-                    resources: res,
-                    lambda,
-                    mu_n,
-                    mu_s,
-                };
-                let Ok(chain) = SharedBusChain::new(params) else {
-                    break; // saturated: the figure curve ends here
-                };
-                let cold = chain.solve().expect("cold solve");
-                let (warm, next_seed) = chain.solve_seeded(seed.as_ref()).expect("warm solve");
-                seed = Some(next_seed);
-                for (w, c) in [
-                    (warm.normalized_delay, cold.normalized_delay),
-                    (warm.mean_queue_length, cold.mean_queue_length),
-                    (warm.bus_utilization, cold.bus_utilization),
-                    (warm.resource_utilization, cold.resource_utilization),
-                ] {
-                    assert!(
-                        rel_err(w, c) < 1e-9,
-                        "{procs}x{res} ratio {ratio} rho {rho}: warm {w} vs cold {c}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn sbus_unseeded_solve_seeded_equals_solve_exactly() {
-    // With no seed, solve_seeded runs the very same code path as solve();
-    // the results must agree bit for bit, not just to tolerance.
-    let chain = SharedBusChain::new(SharedBusParams {
-        processors: 2,
-        resources: 4,
-        lambda: 0.1,
-        mu_n: 1.0,
-        mu_s: 0.1,
-    })
-    .expect("stable");
-    let cold = chain.solve().expect("solves");
-    let (warm, _) = chain.solve_seeded(None).expect("solves");
-    assert_eq!(warm, cold);
-}
-
-#[test]
-fn sbus_wrong_dimension_seed_is_ignored() {
-    let small = SharedBusChain::new(SharedBusParams {
-        processors: 1,
-        resources: 2,
-        lambda: 0.1,
-        mu_n: 1.0,
-        mu_s: 0.1,
-    })
-    .expect("stable");
-    let (_, seed_r2) = small.solve_seeded(None).expect("solves");
-    let big = SharedBusChain::new(SharedBusParams {
-        processors: 1,
-        resources: 4,
-        lambda: 0.1,
-        mu_n: 1.0,
-        mu_s: 0.1,
-    })
-    .expect("stable");
-    let cold = big.solve().expect("solves");
-    let (warm, _) = big.solve_seeded(Some(&seed_r2)).expect("solves");
-    assert_eq!(warm, cold, "a mismatched seed must fall back to cold");
-}
-
-#[test]
-fn paper_iterative_hint_matches_unhinted_within_1e9() {
-    for ratio in RATIOS {
-        let (mu_n, mu_s) = (1.0, ratio);
-        let mut hint = None;
-        for rho in [0.05, 0.1, 0.2, 0.3] {
-            let lambda = traffic::lambda_for_intensity(16, 32, rho, mu_n, mu_s);
-            let Ok(chain) = SharedBusChain::new(SharedBusParams {
-                processors: 1,
-                resources: 2,
-                lambda,
-                mu_n,
-                mu_s,
-            }) else {
-                break;
-            };
-            let cold = chain.solve_paper_iterative().expect("cold");
-            let warm = chain.solve_paper_iterative_from(hint).expect("warm");
-            hint = Some(warm.stages - 1);
-            assert!(
-                rel_err(warm.mean_queue_delay, cold.mean_queue_delay) < 1e-9,
-                "ratio {ratio} rho {rho}: warm {} vs cold {}",
-                warm.mean_queue_delay,
-                cold.mean_queue_delay
-            );
-        }
-    }
 }
 
 #[test]
@@ -170,6 +49,40 @@ fn xbar_warm_grid_matches_cold_within_1e9() {
             }
         }
     }
+}
+
+#[test]
+fn xbar_warm_seed_transfers_only_at_equal_shape() {
+    // The crossbar seed is π over a shape-dependent state space: chaining
+    // across lambda at fixed shape must agree with cold; a shape change
+    // must fall back to cold exactly.
+    let at = |buses, r, lambda| SmallCrossbarParams {
+        processors: 64,
+        buses,
+        resources_per_bus: r,
+        lambda,
+        mu_n: 1.0,
+        mu_s: 0.1,
+    };
+    let chain_a = SmallCrossbarChain::new(at(2, 2, 0.003)).expect("stable");
+    let (_, seed_a) = chain_a.solve_seeded(None).expect("solves");
+    // Same shape, new load: warm agrees with cold to tolerance.
+    let chain_b = SmallCrossbarChain::new(at(2, 2, 0.004)).expect("stable");
+    let cold_b = chain_b.solve().expect("cold");
+    let (warm_b, _) = chain_b.solve_seeded(Some(&seed_a)).expect("warm");
+    // The truncation ladder stops when a doubling moves the delay by less
+    // than 1e-6 relative, and a warm start may settle one rung away from
+    // the cold solve — so agreement is pinned at that stopping tolerance,
+    // not at the CTMC solver's 1e-12 convergence noise.
+    assert!(rel_err(warm_b.normalized_delay, cold_b.normalized_delay) < 1e-6);
+    // Different shape — 3×1 has the same state-space dimensions as 2×2 but
+    // numbers entirely different states, so the seed must be ignored: the
+    // seeded run must match an unseeded `solve_seeded` bit for bit (the
+    // internal truncation-ladder warm-starting is identical either way).
+    let chain_c = SmallCrossbarChain::new(at(3, 1, 0.003)).expect("stable");
+    let (unseeded_c, _) = chain_c.solve_seeded(None).expect("unseeded");
+    let (warm_c, _) = chain_c.solve_seeded(Some(&seed_a)).expect("warm");
+    assert_eq!(warm_c, unseeded_c, "mismatched shape must ignore the seed");
 }
 
 #[test]
