@@ -1,7 +1,8 @@
 //! Runs the runtime-broker benchmark: model predictions (deterministic,
 //! resumable via `broker_manifest.json`) plus a measured sweep of the SBUS
 //! broker under real worker threads — or, with `--serve`/`--connect`, the
-//! networked front-end and its multi-connection wire harness.
+//! networked front-end and its multi-connection wire harness, whose
+//! deterministic plan is resumable via its own `net_manifest.json`.
 //!
 //! ```text
 //! cargo run --release -p rsin-bench --bin broker_bench -- \

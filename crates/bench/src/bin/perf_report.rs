@@ -24,9 +24,10 @@
 
 use rsin_bench::broker_bench::CHAOS_LEASE;
 use rsin_bench::figures::workload_at;
+use rsin_bench::json::{self, Value};
 use rsin_bench::microbench::measure_ns_floor;
 use rsin_bench::perfgate::{
-    self, KernelCheck, LegStatus, ParallelLeg, ScalingPoint, ScalingStatus, SuiteTimings, Verdict,
+    self, KernelCheck, LegStatus, ScalingPoint, ScalingStatus, SuiteTimings, Verdict,
     REGRESSION_TOLERANCE,
 };
 use rsin_bench::provision_bench;
@@ -562,8 +563,8 @@ fn print_checks(checks: &[KernelCheck]) {
 /// suite timing is too noisy for a hard gate, so the comparison is
 /// informational — but a leg that is `null` on either side (e.g. skipped
 /// with reason "single core") is *skipped*, never compared or failed.
-fn report_parallel_leg(baseline: &str, fresh: &SuiteTimings) {
-    match perfgate::parallel_leg_status(&perfgate::parse_suite(baseline), fresh) {
+fn report_parallel_leg(baseline: &Value, fresh: &SuiteTimings) {
+    match perfgate::parallel_leg_status(&perfgate::suite_timings(baseline), fresh) {
         LegStatus::Skipped { reason } => {
             eprintln!("perf check: parallel suite leg skipped ({reason}); not compared");
         }
@@ -585,7 +586,7 @@ const CHECK_RETRIES: usize = 3;
 /// Runs the regression check, re-measuring (and folding in the per-kernel
 /// minimum) while any kernel still exceeds tolerance. Mutates `rows` so the
 /// persisted JSON carries the best floor observed.
-fn run_check(baseline: &str, rows: &mut [(&'static str, f64)]) -> Vec<String> {
+fn run_check(baseline: &Value, rows: &mut [(&'static str, f64)]) -> Vec<String> {
     let mut regressed = perfgate::regressed_names(&perfgate::check_kernels(baseline, rows));
     for attempt in 1..=CHECK_RETRIES {
         if regressed.is_empty() {
@@ -612,8 +613,8 @@ fn run_check(baseline: &str, rows: &mut [(&'static str, f64)]) -> Vec<String> {
 /// [`sharding_overhead_check`]); a point with no comparable baseline —
 /// unknown shard count or a different host core count — is skipped with
 /// its reason, exactly like the single-core parallel-leg skip.
-fn report_scaling(baseline: &str, fresh: &[ScalingPoint]) {
-    let old = perfgate::parse_scaling(baseline);
+fn report_scaling(baseline: &Value, fresh: &[ScalingPoint]) {
+    let old = perfgate::scaling_curve(baseline);
     for point in fresh {
         match perfgate::scaling_point_status(&old, point) {
             ScalingStatus::Skipped { reason } => eprintln!(
@@ -633,6 +634,12 @@ fn report_scaling(baseline: &str, fresh: &[ScalingPoint]) {
             }
         }
     }
+}
+
+/// A `{ "name": value, ... }` object with every value at `decimals`
+/// digits after the point.
+fn table(rows: &[(&str, f64)], decimals: usize) -> Value {
+    Value::object(rows.iter().map(|&(k, v)| (k, Value::fixed(v, decimals))))
 }
 
 fn baseline_path() -> PathBuf {
@@ -655,28 +662,21 @@ fn main() {
     // A parallel-vs-sequential comparison on one core measures nothing but
     // scheduling overhead; record it as skipped rather than as a bogus
     // sub-1.0 "speedup".
-    let par_leg = if cores > 1 {
+    let (parallel_seconds, skipped_reason) = if cores > 1 {
         eprintln!("timing suite with --jobs {par_jobs} ...");
-        ParallelLeg::Measured(time_suite(&RunQuality {
+        let par_secs = time_suite(&RunQuality {
             jobs: par_jobs,
             ..base
-        }))
+        });
+        (Some(par_secs), None)
     } else {
         eprintln!("single-core host: skipping the parallel suite leg");
-        ParallelLeg::Skipped {
-            reason: perfgate::SINGLE_CORE_REASON.to_string(),
-        }
+        (None, Some(perfgate::SINGLE_CORE_REASON.to_string()))
     };
     let fresh_suite = SuiteTimings {
         sequential_seconds: Some(seq_secs),
-        parallel_seconds: match par_leg {
-            ParallelLeg::Measured(p) => Some(p),
-            ParallelLeg::Skipped { .. } => None,
-        },
-        skipped_reason: match &par_leg {
-            ParallelLeg::Skipped { reason } => Some(reason.clone()),
-            ParallelLeg::Measured(_) => None,
-        },
+        parallel_seconds,
+        skipped_reason,
     };
     eprintln!("measuring hot-path kernels ...");
     let mut kernel_rows = kernels();
@@ -693,7 +693,10 @@ fn main() {
 
     let path = baseline_path();
     let regressed = if check {
-        match std::fs::read_to_string(&path) {
+        let baseline = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| json::parse(&text));
+        match baseline {
             Ok(baseline) => {
                 report_parallel_leg(&baseline, &fresh_suite);
                 report_scaling(&baseline, &scaling_points);
@@ -719,80 +722,70 @@ fn main() {
         Vec::new()
     };
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"generated_by\": \"cargo run --release -p rsin-bench --bin perf_report\",\n");
-    json.push_str(&format!("  \"preset\": \"{preset}\",\n"));
-    json.push_str(&format!("  \"cpu_cores\": {cores},\n"));
-    json.push_str(&perfgate::suite_json(par_jobs, seq_secs, &par_leg));
-    json.push_str("  \"broker\": {\n");
-    json.push_str("    \"saturated_grants_per_sec\": {\n");
-    for (i, (name, rate)) in broker_rows.iter().enumerate() {
-        let comma = if i + 1 < broker_rows.len() { "," } else { "" };
-        json.push_str(&format!("      \"{name}\": {rate:.0}{comma}\n"));
-    }
-    json.push_str("    },\n");
-    json.push_str("    \"resilience_grants_per_sec\": {\n");
-    for (i, (name, healthy, degraded)) in resilience_rows.iter().enumerate() {
-        let comma = if i + 1 < resilience_rows.len() {
-            ","
-        } else {
-            ""
-        };
-        json.push_str(&format!(
-            "      \"{name}\": {{ \"healthy\": {healthy:.0}, \"degraded\": {degraded:.0} }}{comma}\n"
-        ));
-    }
-    json.push_str("    },\n");
-    json.push_str(&perfgate::scaling_json(&scaling_points));
-    json.push_str("    \"scaling_workers\": 8,\n");
-    json.push_str("    \"scaling_resources\": 4\n");
-    json.push_str("  },\n");
-    json.push_str("  \"netbroker\": {\n");
-    json.push_str("    \"clients\": 4,\n");
-    json.push_str("    \"tenants\": 3,\n");
-    json.push_str("    \"shards\": 2,\n");
-    json.push_str(&format!(
-        "    \"grant_latency_us\": {{ \"p50\": {net_p50:.0}, \"p99\": {net_p99:.0}, \
-         \"p999\": {net_p999:.0} }},\n"
-    ));
-    json.push_str(&format!("    \"saturated_grants_per_sec\": {net_gps:.0}\n"));
-    json.push_str("  },\n");
-    // Informational only (not gated): search wall time varies by host; the
-    // counters describe the optimizer's pruning and caching behavior on a
-    // fixed 16-processor shared-bus probe.
-    json.push_str("  \"provisioning\": {\n");
-    json.push_str("    \"probe\": \"p=16 sbus-only quick search\",\n");
-    json.push_str(&format!("    \"search_wall_seconds\": {prov_secs:.3},\n"));
-    json.push_str(&format!(
-        "    \"configs_enumerated\": {},\n",
-        prov_report.total_configs
-    ));
-    json.push_str(&format!(
-        "    \"configs_evaluated\": {},\n",
-        prov_report.evaluated
-    ));
-    json.push_str(&format!(
-        "    \"pruned_fraction\": {:.3},\n",
-        prov_report.pruned_fraction()
-    ));
     let (prov_hits, prov_misses) = (prov_report.cache_hits, prov_report.cache_misses);
     let prov_hit_rate = if prov_hits + prov_misses == 0 {
         0.0
     } else {
         prov_hits as f64 / (prov_hits + prov_misses) as f64
     };
-    json.push_str(&format!(
-        "    \"solver_cache_hit_rate\": {prov_hit_rate:.3}\n"
-    ));
-    json.push_str("  },\n");
-    json.push_str("  \"kernels_ns_per_iter\": {\n");
-    for (i, (name, ns)) in kernel_rows.iter().enumerate() {
-        let comma = if i + 1 < kernel_rows.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {ns:.1}{comma}\n"));
-    }
-    json.push_str("  }\n");
-    json.push_str("}\n");
+    let resilience = resilience_rows.iter().map(|&(name, healthy, degraded)| {
+        (
+            name,
+            table(&[("healthy", healthy), ("degraded", degraded)], 0),
+        )
+    });
+    let latency = [("p50", net_p50), ("p99", net_p99), ("p999", net_p999)];
+    let report = Value::object([
+        (
+            "generated_by",
+            Value::from("cargo run --release -p rsin-bench --bin perf_report"),
+        ),
+        ("preset", Value::from(preset)),
+        ("cpu_cores", Value::from(cores)),
+        ("suite", perfgate::suite_section(&fresh_suite, par_jobs)),
+        (
+            "broker",
+            Value::object([
+                ("saturated_grants_per_sec", table(&broker_rows, 0)),
+                ("resilience_grants_per_sec", Value::object(resilience)),
+                (
+                    "scaling_grants_per_sec",
+                    perfgate::scaling_section(&scaling_points),
+                ),
+                ("scaling_workers", Value::from(8u64)),
+                ("scaling_resources", Value::from(4u64)),
+            ]),
+        ),
+        (
+            "netbroker",
+            Value::object([
+                ("clients", Value::from(4u64)),
+                ("tenants", Value::from(3u64)),
+                ("shards", Value::from(2u64)),
+                ("grant_latency_us", table(&latency, 0)),
+                ("saturated_grants_per_sec", Value::fixed(net_gps, 0)),
+            ]),
+        ),
+        // Informational only (not gated): search wall time varies by host;
+        // the counters describe the optimizer's pruning and caching
+        // behavior on a fixed 16-processor shared-bus probe.
+        (
+            "provisioning",
+            Value::object([
+                ("probe", Value::from("p=16 sbus-only quick search")),
+                ("search_wall_seconds", Value::fixed(prov_secs, 3)),
+                ("configs_enumerated", Value::from(prov_report.total_configs)),
+                ("configs_evaluated", Value::from(prov_report.evaluated)),
+                (
+                    "pruned_fraction",
+                    Value::fixed(prov_report.pruned_fraction(), 3),
+                ),
+                ("solver_cache_hit_rate", Value::fixed(prov_hit_rate, 3)),
+            ]),
+        ),
+        ("kernels_ns_per_iter", table(&kernel_rows, 1)),
+    ]);
+    let json = report.to_pretty();
 
     print!("{json}");
     // Atomic + fatal: a missing or truncated BENCH_perf.json would silently

@@ -29,7 +29,7 @@
 //! a chaos run that violates exclusivity or leaks a resource fails the
 //! benchmark exactly like a healthy run with a violation.
 
-use crate::manifest::{fnv1a64, EntryStatus, Manifest, ManifestEntry};
+use crate::manifest::{Manifest, ManifestEntry};
 use crate::output;
 use crate::RunQuality;
 use rsin_broker::{
@@ -42,7 +42,6 @@ use rsin_des::{FaultPlan, FaultTarget, StochasticFault};
 use rsin_queueing::{SharedBusChain, SharedBusParams};
 use rsin_sbus::{Arbitration, SharedBusNetwork};
 use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Duration;
 use std::time::Instant;
 
@@ -674,60 +673,32 @@ pub fn run(
     resume: bool,
 ) -> Result<RunSummary, HarnessError> {
     let dir = output::output_dir();
-    let fp = cfg.fingerprint(quality);
     let manifest_path = dir.join(MANIFEST);
-    let mut manifest = Manifest::new(fp.clone());
+    let mut manifest = Manifest::open(&manifest_path, &cfg.fingerprint(quality), resume);
 
-    let resumed_text = if resume {
-        resumable_predictions(&manifest_path, &fp, &dir)
+    let resumed = manifest.reusable(&dir, PREDICTIONS, PREDICTIONS);
+    let resumed_predictions = resumed.is_some();
+    if let Some((text, _)) = resumed {
+        print!("{text}");
+        eprintln!("resume: {PREDICTIONS} digests match; skipped recompute");
     } else {
-        None
-    };
-    let resumed_predictions = resumed_text.is_some();
-    let pred_entry = match resumed_text {
-        Some((text, entry)) => {
-            print!("{text}");
-            eprintln!("resume: {PREDICTIONS} digests match; skipped recompute");
-            entry
-        }
-        None => {
-            let start = Instant::now();
-            let e = predictions_experiment(cfg, quality);
-            let text = output::render(&e);
-            let csv = e.to_csv();
-            print!("{text}");
-            output::persist_in(&dir, PREDICTIONS, &text, Some(&csv))?;
-            ManifestEntry {
-                name: PREDICTIONS.into(),
-                status: EntryStatus::Ok,
-                digest: Some(fnv1a64(text.as_bytes())),
-                csv_digest: Some(fnv1a64(csv.as_bytes())),
-                duration_ms: start.elapsed().as_millis().try_into().unwrap_or(u64::MAX),
-                attempts: 1,
-                stalled: false,
-                error: None,
-            }
-        }
-    };
-    manifest.entries.push(pred_entry);
-    manifest.save(&manifest_path)?;
+        let start = Instant::now();
+        let e = predictions_experiment(cfg, quality);
+        let text = output::render(&e);
+        let csv = e.to_csv();
+        print!("{text}");
+        output::persist_in(&dir, PREDICTIONS, &text, Some(&csv))?;
+        let entry = ManifestEntry::ok(PREDICTIONS, &text, Some(&csv), start.elapsed());
+        manifest.record(entry, &manifest_path)?;
+    }
 
     let start = Instant::now();
     let points = measure(cfg, quality);
     let text = measured_table(cfg, &points);
     print!("{text}");
     output::persist_in(&dir, MEASURED, &text, None)?;
-    manifest.entries.push(ManifestEntry {
-        name: MEASURED.into(),
-        status: EntryStatus::Ok,
-        digest: Some(fnv1a64(text.as_bytes())),
-        csv_digest: None,
-        duration_ms: start.elapsed().as_millis().try_into().unwrap_or(u64::MAX),
-        attempts: 1,
-        stalled: false,
-        error: None,
-    });
-    manifest.save(&manifest_path)?;
+    let entry = ManifestEntry::ok(MEASURED, &text, None, start.elapsed());
+    manifest.record(entry, &manifest_path)?;
 
     Ok(RunSummary {
         resumed_predictions,
@@ -738,42 +709,6 @@ pub fn run(
             .map(|c| c.leaked)
             .sum(),
     })
-}
-
-/// When resuming: the on-disk predictions text, provided the manifest's
-/// fingerprint matches and both artifact digests still match the bytes on
-/// disk. Any mismatch (or a missing manifest) silently recomputes.
-fn resumable_predictions(
-    manifest_path: &Path,
-    fingerprint: &str,
-    dir: &Path,
-) -> Option<(String, ManifestEntry)> {
-    let manifest = match Manifest::load(manifest_path) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("resume: cold start ({e})");
-            return None;
-        }
-    };
-    if manifest.quality != fingerprint {
-        eprintln!("resume: different sweep/quality fingerprint; recomputing");
-        return None;
-    }
-    let entry = manifest.entry(PREDICTIONS)?.clone();
-    if entry.status != EntryStatus::Ok {
-        return None;
-    }
-    let text = std::fs::read_to_string(dir.join(format!("{PREDICTIONS}.txt"))).ok()?;
-    if Some(fnv1a64(text.as_bytes())) != entry.digest {
-        eprintln!("resume: {PREDICTIONS}.txt digest stale; recomputing");
-        return None;
-    }
-    let csv = std::fs::read_to_string(dir.join(format!("{PREDICTIONS}.csv"))).ok()?;
-    if Some(fnv1a64(csv.as_bytes())) != entry.csv_digest {
-        eprintln!("resume: {PREDICTIONS}.csv digest stale; recomputing");
-        return None;
-    }
-    Some((text, entry))
 }
 
 #[cfg(test)]

@@ -25,14 +25,14 @@
 //!   injects failures into the harness itself so tests and CI can prove
 //!   the machinery above actually works.
 
-use crate::manifest::{fnv1a64, EntryStatus, Manifest, ManifestEntry};
+use crate::manifest::{fnv1a64, Manifest, ManifestEntry};
 use crate::output;
 use crate::quality::RunQuality;
 use crate::suite::{task_specs, SuiteOutput, TaskSpec};
 use rsin_core::{ConfigError, HarnessError};
 use rsin_des::{run_supervised, scope_map, RetryPolicy, RunFailure};
 use std::collections::HashSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -313,11 +313,19 @@ impl SuiteReport {
 #[must_use]
 pub fn run_resilient(config: &HarnessConfig) -> SuiteReport {
     let specs = task_specs();
-    let resumed = if config.resume {
-        load_resumable(config, &specs)
-    } else {
-        vec![None; specs.len()]
-    };
+    let prior = Manifest::open(
+        &config.out_dir.join("manifest.json"),
+        &config.quality.fingerprint(),
+        config.resume,
+    );
+    let resumed: Vec<Option<(String, ManifestEntry)>> = specs
+        .iter()
+        .map(|spec| {
+            prior
+                .reusable(&config.out_dir, spec.name, spec.name)
+                .map(|(text, entry)| (text, entry.clone()))
+        })
+        .collect();
 
     // Manifest entries by task index; resumed entries carry over verbatim.
     let entries: Mutex<Vec<Option<ManifestEntry>>> = Mutex::new(
@@ -345,8 +353,8 @@ pub fn run_resilient(config: &HarnessConfig) -> SuiteReport {
                     persist_error: None,
                 };
             }
-            let report = supervise_task(i, *spec, config, &started, &flagged);
-            checkpoint(config, &entries, i, entry_for(&report));
+            let (report, entry) = supervise_task(i, *spec, config, &started, &flagged);
+            checkpoint(config, &entries, i, entry);
             report
         });
         done.store(true, Ordering::SeqCst);
@@ -389,77 +397,15 @@ pub fn emit_stdout(report: &SuiteReport) -> usize {
     failures.len()
 }
 
-/// Validates the prior manifest against the artifacts on disk and returns,
-/// per task index, the reusable `(txt bytes, manifest entry)` pair — or
-/// `None` where the task must be recomputed.
-fn load_resumable(
-    config: &HarnessConfig,
-    specs: &[TaskSpec],
-) -> Vec<Option<(String, ManifestEntry)>> {
-    let path = config.out_dir.join("manifest.json");
-    let manifest = match Manifest::load(&path) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("resume: cold start ({e})");
-            return vec![None; specs.len()];
-        }
-    };
-    if manifest.quality != config.quality.fingerprint() {
-        eprintln!(
-            "resume: manifest was produced by a different quality preset \
-             ({} vs {}); recomputing everything",
-            manifest.quality,
-            config.quality.fingerprint()
-        );
-        return vec![None; specs.len()];
-    }
-    specs
-        .iter()
-        .map(|spec| {
-            let entry = manifest.entry(spec.name)?;
-            if entry.status != EntryStatus::Ok {
-                return None;
-            }
-            match validate_artifacts(&config.out_dir, entry) {
-                Ok(text) => Some((text, entry.clone())),
-                Err(why) => {
-                    eprintln!("resume: recomputing {} ({why})", spec.name);
-                    None
-                }
-            }
-        })
-        .collect()
-}
-
-/// Checks a task's on-disk artifacts against the digests its manifest entry
-/// recorded; returns the `.txt` bytes on success.
-fn validate_artifacts(dir: &Path, entry: &ManifestEntry) -> Result<String, String> {
-    let digest = entry.digest.ok_or("entry has no digest")?;
-    let txt_path = dir.join(format!("{}.txt", entry.name));
-    let text = std::fs::read_to_string(&txt_path)
-        .map_err(|e| format!("cannot read {}: {e}", txt_path.display()))?;
-    if fnv1a64(text.as_bytes()) != digest {
-        return Err(format!("{} does not match its digest", txt_path.display()));
-    }
-    if let Some(csv_digest) = entry.csv_digest {
-        let csv_path = dir.join(format!("{}.csv", entry.name));
-        let csv = std::fs::read(&csv_path)
-            .map_err(|e| format!("cannot read {}: {e}", csv_path.display()))?;
-        if fnv1a64(&csv) != csv_digest {
-            return Err(format!("{} does not match its digest", csv_path.display()));
-        }
-    }
-    Ok(text)
-}
-
-/// Runs one task under supervision and persists its artifacts.
+/// Runs one task under supervision, persists its artifacts, and returns
+/// its run record with the manifest entry to checkpoint.
 fn supervise_task(
     index: usize,
     spec: TaskSpec,
     config: &HarnessConfig,
     started: &Mutex<Vec<Option<Instant>>>,
     flagged: &[AtomicBool],
-) -> TaskReport {
+) -> (TaskReport, ManifestEntry) {
     let policy = RetryPolicy {
         max_retries: config.max_retries,
         backoff_base: config.backoff_base,
@@ -501,7 +447,7 @@ fn supervise_task(
     #[allow(clippy::cast_possible_truncation)]
     let duration_ms = sup.duration.as_millis() as u64;
 
-    match sup.result {
+    let (report, mut entry) = match sup.result {
         Ok(out) => {
             let text = out.rendered();
             let csv = match &out {
@@ -521,17 +467,22 @@ fn supervise_task(
             } else {
                 output::persist_in(&config.out_dir, name, &text, csv.as_deref()).err()
             };
-            if let Some(e) = &persist_error {
-                eprintln!("warning: task {name} computed but {e}");
-            }
-            TaskReport {
+            let entry = match &persist_error {
+                Some(e) => {
+                    eprintln!("warning: task {name} computed but {e}");
+                    ManifestEntry::failed(name, e.to_string(), sup.duration)
+                }
+                None => ManifestEntry::ok(name, &text, csv.as_deref(), sup.duration),
+            };
+            let report = TaskReport {
                 name,
                 outcome: TaskOutcome::Computed(out),
                 attempts: sup.attempts,
                 stalled,
                 duration_ms,
                 persist_error,
-            }
+            };
+            (report, entry)
         }
         Err(failure) => {
             let error = match failure {
@@ -548,50 +499,21 @@ fn supervise_task(
                 },
             };
             eprintln!("error: {error}; continuing with the rest of the suite");
-            TaskReport {
+            let entry = ManifestEntry::failed(name, error.to_string(), sup.duration);
+            let report = TaskReport {
                 name,
                 outcome: TaskOutcome::Failed(error),
                 attempts: sup.attempts,
                 stalled,
                 duration_ms,
                 persist_error: None,
-            }
-        }
-    }
-}
-
-/// Builds the manifest entry a task report checkpoints.
-fn entry_for(report: &TaskReport) -> ManifestEntry {
-    let (status, digest, csv_digest, error) = match &report.outcome {
-        TaskOutcome::Computed(out) if report.persist_error.is_none() => {
-            let text = out.rendered();
-            let csv = match out {
-                SuiteOutput::Figure(_, e) => Some(fnv1a64(e.to_csv().as_bytes())),
-                SuiteOutput::Text(..) => None,
             };
-            (EntryStatus::Ok, Some(fnv1a64(text.as_bytes())), csv, None)
+            (report, entry)
         }
-        TaskOutcome::Computed(_) => (
-            EntryStatus::Failed,
-            None,
-            None,
-            report.persist_error.as_ref().map(ToString::to_string),
-        ),
-        TaskOutcome::Resumed { text } => {
-            (EntryStatus::Ok, Some(fnv1a64(text.as_bytes())), None, None)
-        }
-        TaskOutcome::Failed(e) => (EntryStatus::Failed, None, None, Some(e.to_string())),
     };
-    ManifestEntry {
-        name: report.name.to_string(),
-        status,
-        digest,
-        csv_digest,
-        duration_ms: report.duration_ms,
-        attempts: report.attempts,
-        stalled: report.stalled,
-        error,
-    }
+    entry.attempts = sup.attempts;
+    entry.stalled = stalled;
+    (report, entry)
 }
 
 /// Records one finished task and atomically rewrites `manifest.json` so a

@@ -34,6 +34,7 @@
 pub mod broker_bench;
 pub mod figures;
 pub mod harness;
+pub mod json;
 pub mod manifest;
 pub mod microbench;
 pub mod netbench;

@@ -1,13 +1,16 @@
 //! The resume manifest: per-task status, artifact digests, durations, and
-//! retry counts, checkpointed atomically to `manifest.json` in the
-//! experiment output directory.
+//! retry counts, checkpointed atomically next to the artifacts it
+//! describes — and the one resume policy every resumable binary shares.
 //!
-//! The manifest is what makes a long suite run *resumable*: the harness
-//! rewrites it (atomically — see [`crate::output::atomic_write`]) after
-//! every task, so a run killed at any instant leaves a manifest describing
-//! exactly the artifacts that are complete on disk. `all --resume` then
-//! skips every task whose recorded digest still matches the bytes in its
-//! artifact files and recomputes the rest.
+//! The manifest is what makes a long run *resumable*: a binary rewrites it
+//! (atomically — see [`crate::output::atomic_write`]) after every task, so
+//! a run killed at any instant leaves a manifest describing exactly the
+//! artifacts that are complete on disk. `all`, `provision` and both
+//! `broker_bench` legs resume the same way: [`Manifest::open`] trusts a
+//! prior manifest only when it parses and carries this run's fingerprint,
+//! [`Manifest::reusable`] skips a task only when its entry is `Ok` and its
+//! files still hash to the recorded digests, and everything else is
+//! recomputed.
 //!
 //! Digests are 64-bit FNV-1a over the rendered artifact bytes — collisions
 //! are irrelevant here (the digest guards against *truncation and staleness*,
@@ -17,9 +20,11 @@
 //! `duration_ms` fields; in particular the digests are byte-identical for
 //! every worker count.
 
+use crate::json;
 use rsin_core::HarnessError;
 use std::fmt::Write as _;
 use std::path::Path;
+use std::time::Duration;
 
 /// Manifest schema version; bump on incompatible changes so an old manifest
 /// is recomputed rather than misread.
@@ -77,6 +82,36 @@ pub struct ManifestEntry {
     pub error: Option<String>,
 }
 
+impl ManifestEntry {
+    /// A first-attempt `Ok` entry for a task whose artifacts were persisted
+    /// as `text` (and `csv`, when it has one) after `elapsed` of compute.
+    #[must_use]
+    pub fn ok(name: &str, text: &str, csv: Option<&str>, elapsed: Duration) -> Self {
+        ManifestEntry {
+            name: name.to_string(),
+            status: EntryStatus::Ok,
+            digest: Some(fnv1a64(text.as_bytes())),
+            csv_digest: csv.map(|c| fnv1a64(c.as_bytes())),
+            duration_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
+            attempts: 1,
+            stalled: false,
+            error: None,
+        }
+    }
+
+    /// A first-attempt `Failed` entry carrying the terminal error.
+    #[must_use]
+    pub fn failed(name: &str, error: String, elapsed: Duration) -> Self {
+        ManifestEntry {
+            status: EntryStatus::Failed,
+            digest: None,
+            csv_digest: None,
+            error: Some(error),
+            ..ManifestEntry::ok(name, "", None, elapsed)
+        }
+    }
+}
+
 /// The manifest: a quality fingerprint plus one entry per finished task, in
 /// suite order.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -104,13 +139,62 @@ impl Manifest {
         self.entries.iter().find(|e| e.name == name)
     }
 
+    /// The checkpoint to extend for a run fingerprinted `fingerprint`. With
+    /// `resume`, the manifest at `path` is kept when it loads and carries
+    /// the same fingerprint; otherwise — and always without `resume` — the
+    /// run starts from an empty manifest, and a resume that starts cold
+    /// says why in one stderr line.
+    #[must_use]
+    pub fn open(path: &Path, fingerprint: &str, resume: bool) -> Self {
+        if resume {
+            match Manifest::load(path) {
+                Ok(m) if m.quality == fingerprint => return m,
+                Ok(m) => eprintln!(
+                    "resume: cold start (manifest fingerprint {:?} differs from this run's {:?})",
+                    m.quality, fingerprint
+                ),
+                Err(e) => eprintln!("resume: cold start ({e})"),
+            }
+        }
+        Manifest::new(fingerprint)
+    }
+
+    /// The `.txt` bytes of task `name` and its entry, when the entry is
+    /// `Ok` and `dir/<stem>.txt` — plus `dir/<stem>.csv` when a CSV digest
+    /// was recorded — still hash to the recorded digests. `None` means the
+    /// task must be recomputed; a checkpoint that disagrees with the files
+    /// on disk says why on stderr.
+    #[must_use]
+    pub fn reusable(&self, dir: &Path, name: &str, stem: &str) -> Option<(String, &ManifestEntry)> {
+        let entry = self.entry(name).filter(|e| e.status == EntryStatus::Ok)?;
+        match verified_text(dir, stem, entry) {
+            Ok(text) => Some((text, entry)),
+            Err(why) => {
+                eprintln!("resume: recomputing {name} ({why})");
+                None
+            }
+        }
+    }
+
+    /// Replaces the entry of the same name (the new one goes last) and
+    /// atomically rewrites the manifest at `path`.
+    ///
+    /// # Errors
+    ///
+    /// [`HarnessError::Io`] when the write or rename fails.
+    pub fn record(&mut self, entry: ManifestEntry, path: &Path) -> Result<(), HarnessError> {
+        self.entries.retain(|e| e.name != entry.name);
+        self.entries.push(entry);
+        self.save(path)
+    }
+
     /// Serializes the manifest as JSON (one task object per line).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
         let _ = writeln!(s, "  \"version\": {MANIFEST_VERSION},");
-        let _ = writeln!(s, "  \"quality\": {},", json_string(&self.quality));
+        let _ = writeln!(s, "  \"quality\": {},", json::quote(&self.quality));
         s.push_str("  \"tasks\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
             let comma = if i + 1 < self.entries.len() { "," } else { "" };
@@ -118,7 +202,7 @@ impl Manifest {
                 s,
                 "    {{\"name\": {}, \"status\": \"{}\", \"digest\": {}, \"csv_digest\": {}, \
                  \"duration_ms\": {}, \"attempts\": {}, \"stalled\": {}, \"error\": {}}}{comma}",
-                json_string(&e.name),
+                json::quote(&e.name),
                 e.status.as_str(),
                 json_digest(e.digest),
                 json_digest(e.csv_digest),
@@ -127,7 +211,7 @@ impl Manifest {
                 e.stalled,
                 e.error
                     .as_deref()
-                    .map_or_else(|| "null".to_string(), json_string),
+                    .map_or_else(|| "null".to_string(), json::quote),
             );
         }
         s.push_str("  ]\n}\n");
@@ -242,6 +326,26 @@ impl Manifest {
     }
 }
 
+/// Re-hashes `dir/<stem>.txt` (and `dir/<stem>.csv` when `entry` recorded
+/// a CSV digest) and returns the `.txt` text when every digest matches.
+fn verified_text(dir: &Path, stem: &str, entry: &ManifestEntry) -> Result<String, String> {
+    let read = |ext: &str, want: u64| {
+        let path = dir.join(format!("{stem}.{ext}"));
+        let bytes =
+            std::fs::read(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        if fnv1a64(&bytes) == want {
+            Ok(bytes)
+        } else {
+            Err(format!("{} does not match its digest", path.display()))
+        }
+    };
+    let text = read("txt", entry.digest.ok_or("entry has no digest")?)?;
+    if let Some(want) = entry.csv_digest {
+        read("csv", want)?;
+    }
+    String::from_utf8(text).map_err(|_| format!("{stem}.txt is not UTF-8"))
+}
+
 /// Renders a digest as `"fnv64:<16 hex digits>"`, or `null`.
 fn json_digest(d: Option<u64>) -> String {
     d.map_or_else(|| "null".to_string(), |v| format!("\"fnv64:{v:016x}\""))
@@ -259,295 +363,6 @@ fn parse_digest(v: &json::Value) -> Result<Option<u64>, String> {
                 .map_err(|_| format!("digest {s:?} is not hex"))
         }
         _ => Err("digest is neither null nor a string".to_string()),
-    }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A minimal recursive-descent JSON parser — just enough for the manifest
-/// (and deliberately dependency-free). Strings support the standard escape
-/// set including `\uXXXX`; numbers parse as `f64`.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// Any number.
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, in source order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// Object field lookup (first match).
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) =>
-                {
-                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                    Some(*n as u64)
-                }
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses one JSON document; trailing non-whitespace is an error.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!(
-                    "expected {:?} at byte {}, found {:?}",
-                    b as char,
-                    self.pos,
-                    self.peek().map(|c| c as char)
-                ))
-            }
-        }
-
-        fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(v)
-            } else {
-                Err(format!("bad literal at byte {}", self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.literal("true", Value::Bool(true)),
-                Some(b'f') => self.literal("false", Value::Bool(false)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                other => Err(format!(
-                    "unexpected {:?} at byte {}",
-                    other.map(|c| c as char),
-                    self.pos
-                )),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut kv = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Obj(kv));
-            }
-            loop {
-                self.skip_ws();
-                let k = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                let v = self.value()?;
-                kv.push((k, v));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(kv));
-                    }
-                    other => {
-                        return Err(format!(
-                            "expected ',' or '}}' at byte {}, found {:?}",
-                            self.pos,
-                            other.map(|c| c as char)
-                        ));
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    other => {
-                        return Err(format!(
-                            "expected ',' or ']' at byte {}, found {:?}",
-                            self.pos,
-                            other.map(|c| c as char)
-                        ));
-                    }
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        let esc = self.peek().ok_or("unterminated escape")?;
-                        self.pos += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .ok_or("truncated \\u escape")?;
-                                let hex =
-                                    std::str::from_utf8(hex).map_err(|_| "non-ASCII \\u escape")?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                                self.pos += 4;
-                                // Surrogate pairs are not needed for manifest
-                                // content; map lone surrogates to U+FFFD.
-                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            }
-                            other => {
-                                return Err(format!("unknown escape \\{}", other as char));
-                            }
-                        }
-                    }
-                    Some(_) => {
-                        // Copy one UTF-8 scalar (strings are valid UTF-8
-                        // because the input is a &str).
-                        let rest = &self.bytes[self.pos..];
-                        let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                        let c = s.chars().next().ok_or("empty scalar")?;
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            while matches!(
-                self.peek(),
-                Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-            ) {
-                self.pos += 1;
-            }
-            let text =
-                std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-            text.parse::<f64>()
-                .map(Value::Num)
-                .map_err(|_| format!("bad number {text:?} at byte {start}"))
-        }
     }
 }
 
@@ -628,6 +443,123 @@ mod tests {
         let path = dir.join("manifest.json");
         let m = sample();
         m.save(&path).expect("save");
+        assert_eq!(Manifest::load(&path).expect("load"), m);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn serialized_bytes_are_pinned() {
+        // A manifest written by an earlier build must still resume, so its
+        // exact bytes are part of the format.
+        let golden = concat!(
+            "{\n",
+            "  \"version\": 1,\n",
+            "  \"quality\": \"warmup=1000 measured=8000 reps=2 trials=2000 seed=1983\",\n",
+            "  \"tasks\": [\n",
+            "    {\"name\": \"fig04\", \"status\": \"ok\", \"digest\": \"fnv64:123456789abcdef0\", ",
+            "\"csv_digest\": \"fnv64:000000000000002a\", \"duration_ms\": 120, \"attempts\": 1, ",
+            "\"stalled\": false, \"error\": null},\n",
+            "    {\"name\": \"fig07\", \"status\": \"failed\", \"digest\": null, ",
+            "\"csv_digest\": null, \"duration_ms\": 2000, \"attempts\": 3, \"stalled\": true, ",
+            "\"error\": \"task fig07 panicked after 3 attempt(s): chaos\"}\n",
+            "  ]\n",
+            "}\n",
+        );
+        assert_eq!(sample().to_json(), golden);
+        assert_eq!(
+            Manifest::parse(golden, &PathBuf::from("m.json")).expect("parses"),
+            sample()
+        );
+    }
+
+    /// One resume decision per row: a valid checkpoint under artifact
+    /// `stem` is written, `damage` is applied to the `.txt`, `.csv` and
+    /// manifest paths, and the shared helper must reuse exactly the `.txt`
+    /// bytes or recompute.
+    #[test]
+    fn resume_reuses_only_digest_valid_checkpoints() {
+        const FP: &str = "quality fingerprint";
+        const TXT: &str = "report body\n";
+        const CSV: &str = "x,y\n1,2\n";
+        type Damage = fn(&Path, &Path, &Path);
+        fn put(path: &Path, text: &str) {
+            std::fs::write(path, text).expect("write");
+        }
+        fn rm(path: &Path) {
+            std::fs::remove_file(path).expect("rm");
+        }
+        fn rewrite(manifest: &Path, change: fn(&mut ManifestEntry, &mut String)) {
+            let mut m = Manifest::load(manifest).expect("load");
+            change(&mut m.entries[0], &mut m.quality);
+            m.save(manifest).expect("save");
+        }
+        let rows: [(&str, &str, Damage, bool); 10] = [
+            ("missing manifest", "fig04", |_, _, m| rm(m), false),
+            (
+                "corrupt manifest",
+                "fig04",
+                |_, _, m| put(m, "{ \"version\": "),
+                false,
+            ),
+            (
+                "fingerprint mismatch",
+                "fig04",
+                |_, _, m| rewrite(m, |_, q| *q = "other".into()),
+                false,
+            ),
+            (
+                "failed entry",
+                "fig04",
+                |_, _, m| rewrite(m, |e, _| e.status = EntryStatus::Failed),
+                false,
+            ),
+            (
+                "entry without a digest",
+                "fig04",
+                |_, _, m| rewrite(m, |e, _| e.digest = None),
+                false,
+            ),
+            ("tampered txt", "fig04", |t, _, _| put(t, "tampered"), false),
+            ("tampered csv", "fig04", |_, c, _| put(c, "tampered"), false),
+            ("recorded csv missing", "fig04", |_, c, _| rm(c), false),
+            ("all digests valid", "fig04", |_, _, _| {}, true),
+            ("provision-style stem", "provision_p8", |_, _, _| {}, true),
+        ];
+        for (i, (label, stem, damage, reused)) in rows.into_iter().enumerate() {
+            let dir = std::env::temp_dir().join(format!("rsin_resume_{}_{i}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            crate::output::persist_in(&dir, stem, TXT, Some(CSV)).expect("persist");
+            let name = stem.strip_prefix("provision_").unwrap_or(stem);
+            let path = dir.join("manifest.json");
+            let entry = ManifestEntry::ok(name, TXT, Some(CSV), Duration::from_millis(7));
+            Manifest::new(FP).record(entry, &path).expect("record");
+            let artifact = |ext: &str| dir.join(format!("{stem}.{ext}"));
+            damage(&artifact("txt"), &artifact("csv"), &path);
+
+            let m = Manifest::open(&path, FP, true);
+            let got = m.reusable(&dir, name, stem).map(|(text, _)| text);
+            assert_eq!(got.as_deref(), reused.then_some(TXT), "row: {label}");
+            if reused {
+                assert!(
+                    Manifest::open(&path, FP, false).entries.is_empty(),
+                    "row {label}: without --resume the checkpoint is ignored"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn record_replaces_an_entry_and_moves_it_last() {
+        let dir = std::env::temp_dir().join(format!("rsin_record_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("manifest.json");
+        let mut m = sample();
+        let fresh = ManifestEntry::ok("fig04", "new", None, Duration::ZERO);
+        m.record(fresh.clone(), &path).expect("record");
+        let names: Vec<&str> = m.entries.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["fig07", "fig04"]);
+        assert_eq!(m.entry("fig04"), Some(&fresh));
         assert_eq!(Manifest::load(&path).expect("load"), m);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -5,8 +5,11 @@
 //!
 //! - `net_plan` — the deterministic side: the sweep shape plus the seeded
 //!   connection-chaos schedule, byte-identical for a given flag set, so it
-//!   participates in the `broker_manifest.json` digest gate and `--resume`
-//!   skips it when its digest still matches the file on disk.
+//!   participates in the `net_manifest.json` digest gate and `--resume`
+//!   skips it when its digest still matches the file on disk. The net leg
+//!   keeps its own manifest: the in-process leg's `broker_manifest.json`
+//!   carries a different fingerprint, so sharing one file would let either
+//!   leg discard the other's checkpoint.
 //! - `net_measured` — the wire side (real TCP, wall clock): grant latency
 //!   quantiles, saturated grants/sec, the per-tenant-class breakdown, and
 //!   (in `self` mode) the server's own counters, ledger verdict, and leak
@@ -20,7 +23,7 @@
 //! half-open stalls; `trunc=`/`junk=` inject wire-level garbage.
 
 use crate::broker_bench::{BrokerBenchConfig, NetTarget, CHAOS_LEASE};
-use crate::manifest::{fnv1a64, EntryStatus, Manifest, ManifestEntry};
+use crate::manifest::{Manifest, ManifestEntry};
 use crate::output;
 use crate::RunQuality;
 use rsin_broker::net::{
@@ -30,12 +33,11 @@ use rsin_broker::net::{
 use rsin_broker::ShardedBroker;
 use rsin_core::HarnessError;
 use std::fmt::Write as _;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 const NET_PLAN: &str = "net_plan";
 const NET_MEASURED: &str = "net_measured";
-const MANIFEST: &str = "broker_manifest.json";
+const MANIFEST: &str = "net_manifest.json";
 
 /// Connection slots the server offers per configured client, so clients
 /// reconnecting after chaos (their dead predecessor not yet culled) are
@@ -75,7 +77,7 @@ pub fn net_load_config(cfg: &BrokerBenchConfig, quality: &RunQuality) -> NetLoad
 }
 
 /// Stable fingerprint of everything that determines the `net_plan`
-/// artifact; recorded in `broker_manifest.json` so `--resume` against a
+/// artifact; recorded in `net_manifest.json` so `--resume` against a
 /// different sweep recomputes instead of mixing configurations.
 #[must_use]
 pub fn net_fingerprint(cfg: &BrokerBenchConfig, quality: &RunQuality) -> String {
@@ -274,7 +276,7 @@ pub struct NetRunSummary {
 }
 
 /// Runs the networked benchmark end to end: the deterministic plan
-/// (resume-skippable, digest-recorded in `broker_manifest.json`) then the
+/// (resume-skippable, digest-recorded in `net_manifest.json`) then the
 /// measured wire sweep (always recomputed). Artifacts land under
 /// [`output::output_dir`].
 ///
@@ -293,42 +295,25 @@ pub fn run_net(
 ) -> Result<NetRunSummary, HarnessError> {
     let target = cfg.connect.expect("run_net requires --connect");
     let dir = output::output_dir();
-    let fp = net_fingerprint(cfg, quality);
     let manifest_path = dir.join(MANIFEST);
-    let mut manifest = Manifest::new(fp.clone());
+    let mut manifest = Manifest::open(&manifest_path, &net_fingerprint(cfg, quality), resume);
     let load = net_load_config(cfg, quality);
 
-    let resumed_text = if resume {
-        resumable_plan(&manifest_path, &fp, &dir)
+    let resumed = manifest.reusable(&dir, NET_PLAN, NET_PLAN);
+    let resumed_plan = resumed.is_some();
+    if let Some((text, _)) = resumed {
+        print!("{text}");
+        eprintln!("resume: {NET_PLAN} digests match; skipped recompute");
     } else {
-        None
-    };
-    let resumed_plan = resumed_text.is_some();
-    let plan_entry = match resumed_text {
-        Some((text, entry)) => {
-            print!("{text}");
-            eprintln!("resume: {NET_PLAN} digests match; skipped recompute");
-            entry
-        }
-        None => {
-            let start = Instant::now();
-            let text = plan_text(cfg, &load);
-            print!("{text}");
-            output::persist_in(&dir, NET_PLAN, &text, None)?;
-            ManifestEntry {
-                name: NET_PLAN.into(),
-                status: EntryStatus::Ok,
-                digest: Some(fnv1a64(text.as_bytes())),
-                csv_digest: None,
-                duration_ms: start.elapsed().as_millis().try_into().unwrap_or(u64::MAX),
-                attempts: 1,
-                stalled: false,
-                error: None,
-            }
-        }
-    };
-    manifest.entries.push(plan_entry);
-    manifest.save(&manifest_path)?;
+        let start = Instant::now();
+        let text = plan_text(cfg, &load);
+        print!("{text}");
+        output::persist_in(&dir, NET_PLAN, &text, None)?;
+        manifest.record(
+            ManifestEntry::ok(NET_PLAN, &text, None, start.elapsed()),
+            &manifest_path,
+        )?;
+    }
 
     let start = Instant::now();
     let (report, server, label) = match target {
@@ -345,17 +330,8 @@ pub fn run_net(
     let text = measured_table(cfg, &label, &report, server.as_ref());
     print!("{text}");
     output::persist_in(&dir, NET_MEASURED, &text, None)?;
-    manifest.entries.push(ManifestEntry {
-        name: NET_MEASURED.into(),
-        status: EntryStatus::Ok,
-        digest: Some(fnv1a64(text.as_bytes())),
-        csv_digest: None,
-        duration_ms: start.elapsed().as_millis().try_into().unwrap_or(u64::MAX),
-        attempts: 1,
-        stalled: false,
-        error: None,
-    });
-    manifest.save(&manifest_path)?;
+    let entry = ManifestEntry::ok(NET_MEASURED, &text, None, start.elapsed());
+    manifest.record(entry, &manifest_path)?;
 
     Ok(NetRunSummary {
         resumed_plan,
@@ -404,37 +380,6 @@ pub fn serve(cfg: &BrokerBenchConfig) -> Result<NetServerReport, HarnessError> {
     }
     eprintln!("broker_bench: stdin closed; shutting the server down");
     Ok(server.stop())
-}
-
-/// When resuming: the on-disk plan text, provided the manifest's
-/// fingerprint matches and the artifact digest still matches the bytes on
-/// disk. Any mismatch (or a missing manifest) silently recomputes.
-fn resumable_plan(
-    manifest_path: &Path,
-    fingerprint: &str,
-    dir: &Path,
-) -> Option<(String, ManifestEntry)> {
-    let manifest = match Manifest::load(manifest_path) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("resume: cold start ({e})");
-            return None;
-        }
-    };
-    if manifest.quality != fingerprint {
-        eprintln!("resume: different net sweep/quality fingerprint; recomputing");
-        return None;
-    }
-    let entry = manifest.entry(NET_PLAN)?.clone();
-    if entry.status != EntryStatus::Ok {
-        return None;
-    }
-    let text = std::fs::read_to_string(dir.join(format!("{NET_PLAN}.txt"))).ok()?;
-    if Some(fnv1a64(text.as_bytes())) != entry.digest {
-        eprintln!("resume: {NET_PLAN}.txt digest stale; recomputing");
-        return None;
-    }
-    Some((text, entry))
 }
 
 /// A throwaway loopback server address for tests.

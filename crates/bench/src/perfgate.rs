@@ -2,9 +2,11 @@
 //! library so the gate's edge cases are unit-testable without timing
 //! anything.
 //!
-//! `perf_report` persists `BENCH_perf.json` with a hand-rolled writer (one
-//! `"name": value` pair per line); this module is the matching hand-rolled
-//! reader plus the regression verdicts:
+//! `perf_report` writes `BENCH_perf.json` as one [`Value`] tree; this
+//! module builds the sections the gate reads back, reads the committed
+//! baseline through the same [`crate::json`] parser by key path — so any
+//! valid re-indentation of the file reads the same — and holds the
+//! regression verdicts:
 //!
 //! - kernels present in the fresh run but absent from the committed
 //!   baseline are **recorded, not failed** — adding a kernel must never
@@ -14,6 +16,8 @@
 //!   explicit `"skipped_reason"`, and a skipped leg on either side of the
 //!   comparison is skipped by the check rather than treated as a
 //!   regression ([`LegStatus::Skipped`]).
+
+use crate::json::Value;
 
 /// A kernel this much slower than the committed baseline fails `--check`.
 /// Wide enough to absorb shared-runner noise, tight enough to catch a real
@@ -58,38 +62,23 @@ pub enum Verdict {
     Recorded,
 }
 
-/// Extracts `(name, ns_per_iter)` rows from the `kernels_ns_per_iter`
-/// object of a previously written `BENCH_perf.json`. Hand-rolled to match
-/// the hand-rolled writer — one `"name": value` pair per line.
+/// The `(name, ns_per_iter)` rows of a report's `kernels_ns_per_iter`
+/// object, in file order. Entries that are not numbers are skipped.
 #[must_use]
-pub fn parse_baseline_kernels(json: &str) -> Vec<(String, f64)> {
-    let mut rows = Vec::new();
-    let mut in_kernels = false;
-    for line in json.lines() {
-        if line.contains("\"kernels_ns_per_iter\"") {
-            in_kernels = true;
-            continue;
-        }
-        if in_kernels {
-            let entry = line.trim().trim_end_matches(',');
-            if entry.starts_with('}') {
-                break;
-            }
-            if let Some((name, value)) = entry.split_once(':') {
-                if let Ok(ns) = value.trim().parse::<f64>() {
-                    rows.push((name.trim().trim_matches('"').to_string(), ns));
-                }
-            }
-        }
-    }
-    rows
+pub fn baseline_kernels(report: &Value) -> Vec<(String, f64)> {
+    let kernels = report.get("kernels_ns_per_iter").and_then(Value::as_object);
+    kernels
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|(name, ns)| Some((name.clone(), ns.as_f64()?)))
+        .collect()
 }
 
-/// Compares fresh kernel timings against the committed baseline JSON,
+/// Compares fresh kernel timings against the committed baseline report,
 /// returning one verdict per fresh kernel in input order.
 #[must_use]
-pub fn check_kernels(baseline_json: &str, fresh: &[(&str, f64)]) -> Vec<KernelCheck> {
-    let old = parse_baseline_kernels(baseline_json);
+pub fn check_kernels(baseline: &Value, fresh: &[(&str, f64)]) -> Vec<KernelCheck> {
+    let old = baseline_kernels(baseline);
     fresh
         .iter()
         .map(|&(name, fresh_ns)| {
@@ -136,77 +125,42 @@ pub struct SuiteTimings {
     pub skipped_reason: Option<String>,
 }
 
-/// Parses the `suite` object of a previously written `BENCH_perf.json`.
-/// Tolerates `null` legs and the optional `skipped_reason` field; unknown
-/// keys are ignored.
+/// Reads the `suite` object of a report. A `null` or missing leg is
+/// `None`; unknown keys are ignored.
 #[must_use]
-pub fn parse_suite(json: &str) -> SuiteTimings {
-    let mut out = SuiteTimings::default();
-    let mut in_suite = false;
-    for line in json.lines() {
-        if line.contains("\"suite\"") {
-            in_suite = true;
-            continue;
-        }
-        if in_suite {
-            let entry = line.trim().trim_end_matches(',');
-            if entry.starts_with('}') {
-                break;
-            }
-            let Some((key, value)) = entry.split_once(':') else {
-                continue;
-            };
-            let key = key.trim().trim_matches('"');
-            let value = value.trim();
-            match key {
-                "sequential_seconds" => out.sequential_seconds = value.parse().ok(),
-                "parallel_seconds" => out.parallel_seconds = value.parse().ok(),
-                "skipped_reason" if value != "null" => {
-                    out.skipped_reason = Some(value.trim_matches('"').to_string());
-                }
-                _ => {}
-            }
-        }
+pub fn suite_timings(report: &Value) -> SuiteTimings {
+    let field = |key: &str| report.at(&["suite", key]);
+    SuiteTimings {
+        sequential_seconds: field("sequential_seconds").and_then(Value::as_f64),
+        parallel_seconds: field("parallel_seconds").and_then(Value::as_f64),
+        skipped_reason: field("skipped_reason")
+            .and_then(Value::as_str)
+            .map(str::to_string),
     }
-    out
 }
 
-/// Renders the `"suite"` object for the report writer. A skipped parallel
-/// leg is written as `null` for both `parallel_seconds` and `speedup`,
-/// plus an explicit machine-readable reason, so downstream tooling can
-/// tell "skipped on purpose" from "field missing".
+/// The `suite` object for the report writer. A skipped parallel leg is
+/// written as `null` for both `parallel_seconds` and `speedup`, plus its
+/// `skipped_reason`, so downstream tooling can tell "skipped on purpose"
+/// from "field missing".
 #[must_use]
-pub fn suite_json(par_jobs: usize, seq_secs: f64, par: &ParallelLeg) -> String {
-    let mut s = String::new();
-    s.push_str("  \"suite\": {\n");
-    s.push_str("    \"sequential_jobs\": 1,\n");
-    s.push_str(&format!("    \"parallel_jobs\": {par_jobs},\n"));
-    s.push_str(&format!("    \"sequential_seconds\": {seq_secs:.3},\n"));
-    match *par {
-        ParallelLeg::Measured(p) => {
-            s.push_str(&format!("    \"parallel_seconds\": {p:.3},\n"));
-            s.push_str(&format!("    \"speedup\": {:.3}\n", seq_secs / p.max(1e-9)));
-        }
-        ParallelLeg::Skipped { ref reason } => {
-            s.push_str("    \"parallel_seconds\": null,\n");
-            s.push_str("    \"speedup\": null,\n");
-            s.push_str(&format!("    \"skipped_reason\": \"{reason}\"\n"));
-        }
+pub fn suite_section(suite: &SuiteTimings, parallel_jobs: usize) -> Value {
+    let seconds = |s: Option<f64>| s.map_or(Value::Null, |s| Value::fixed(s, 3));
+    let speedup = suite
+        .sequential_seconds
+        .zip(suite.parallel_seconds)
+        .map(|(seq, par)| seq / par.max(1e-9));
+    let mut fields = vec![
+        ("sequential_jobs", Value::from(1u64)),
+        ("parallel_jobs", Value::from(parallel_jobs)),
+        ("sequential_seconds", seconds(suite.sequential_seconds)),
+        ("parallel_seconds", seconds(suite.parallel_seconds)),
+        ("speedup", seconds(speedup)),
+    ];
+    if let Some(reason) = &suite.skipped_reason {
+        fields.push(("skipped_reason", Value::from(reason.as_str())));
     }
-    s.push_str("  },\n");
-    s
-}
-
-/// A parallel suite leg as measured (or not) by the current run.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ParallelLeg {
-    /// Wall seconds of the parallel run.
-    Measured(f64),
-    /// The leg was not run, with the reason to persist.
-    Skipped {
-        /// Why — e.g. [`SINGLE_CORE_REASON`].
-        reason: String,
-    },
+    Value::object(fields)
 }
 
 /// Whether the parallel suite leg participates in a baseline comparison.
@@ -261,86 +215,50 @@ pub struct ScalingPoint {
     pub rates: Vec<(String, f64)>,
 }
 
-/// Parses the `scaling_grants_per_sec` object of a previously written
-/// `BENCH_perf.json`. Hand-rolled to match [`scaling_json`]: one
-/// `"shards_N": { "cpu_cores": C, "<discipline>": rate, ... }` object per
-/// line. Unparseable lines are skipped; a missing section is an empty
-/// curve.
+/// Reads the `broker.scaling_grants_per_sec` object of a report: one
+/// `"shards_N": { "cpu_cores": C, "<discipline>": rate, ... }` point per
+/// key. A point with a malformed key or field is skipped; a missing
+/// section is an empty curve.
 #[must_use]
-pub fn parse_scaling(json: &str) -> Vec<ScalingPoint> {
-    let mut points = Vec::new();
-    let mut in_scaling = false;
-    for line in json.lines() {
-        if line.contains("\"scaling_grants_per_sec\"") {
-            in_scaling = true;
-            continue;
-        }
-        if in_scaling {
-            let entry = line.trim().trim_end_matches(',');
-            if entry.starts_with('}') {
-                break;
-            }
-            if let Some(point) = parse_scaling_point(entry) {
-                points.push(point);
-            }
-        }
-    }
-    points
+pub fn scaling_curve(report: &Value) -> Vec<ScalingPoint> {
+    let section = report.at(&["broker", "scaling_grants_per_sec"]);
+    let point = |key: &str, fields: &Value| {
+        let cpu_cores = usize::try_from(fields.get("cpu_cores")?.as_u64()?).ok()?;
+        let rates = fields
+            .as_object()?
+            .iter()
+            .filter(|(name, _)| name != "cpu_cores")
+            .map(|(name, rate)| Some((name.clone(), rate.as_f64()?)))
+            .collect::<Option<_>>()?;
+        Some(ScalingPoint {
+            shards: key.strip_prefix("shards_")?.parse().ok()?,
+            cpu_cores,
+            rates,
+        })
+    };
+    section
+        .and_then(Value::as_object)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|(key, fields)| point(key, fields))
+        .collect()
 }
 
-/// One `"shards_N": { ... }` line of the scaling section.
-fn parse_scaling_point(entry: &str) -> Option<ScalingPoint> {
-    let (name, body) = entry.split_once(':')?;
-    let shards = name
-        .trim()
-        .trim_matches('"')
-        .strip_prefix("shards_")?
-        .parse::<usize>()
-        .ok()?;
-    let body = body.trim().strip_prefix('{')?.trim_end_matches(',');
-    let body = body.trim().strip_suffix('}')?;
-    let mut cpu_cores = None;
-    let mut rates = Vec::new();
-    for pair in body.split(',') {
-        let (key, value) = pair.split_once(':')?;
-        let key = key.trim().trim_matches('"');
-        let value = value.trim().parse::<f64>().ok()?;
-        if key == "cpu_cores" {
-            cpu_cores = Some(value as usize);
-        } else {
-            rates.push((key.to_string(), value));
-        }
-    }
-    Some(ScalingPoint {
-        shards,
-        cpu_cores: cpu_cores?,
-        rates,
-    })
-}
-
-/// Renders the `"scaling_grants_per_sec"` object for the report writer —
-/// nested inside the `broker` section, one point per line so the
-/// line-based [`parse_scaling`] round-trips it.
+/// The `scaling_grants_per_sec` object for the report writer, rates in
+/// whole grants per second.
 #[must_use]
-pub fn scaling_json(points: &[ScalingPoint]) -> String {
-    let mut s = String::new();
-    s.push_str("    \"scaling_grants_per_sec\": {\n");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let mut fields = vec![format!("\"cpu_cores\": {}", p.cpu_cores)];
-        fields.extend(
-            p.rates
-                .iter()
-                .map(|(name, rate)| format!("\"{name}\": {rate:.0}")),
-        );
-        s.push_str(&format!(
-            "      \"shards_{}\": {{ {} }}{comma}\n",
-            p.shards,
-            fields.join(", ")
-        ));
-    }
-    s.push_str("    },\n");
-    s
+pub fn scaling_section(points: &[ScalingPoint]) -> Value {
+    Value::object(points.iter().map(|p| {
+        let rates = p
+            .rates
+            .iter()
+            .map(|(name, rate)| (name.clone(), Value::fixed(*rate, 0)));
+        let fields = std::iter::once(("cpu_cores".to_string(), Value::from(p.cpu_cores)));
+        (
+            format!("shards_{}", p.shards),
+            Value::object(fields.chain(rates)),
+        )
+    }))
 }
 
 /// Whether one fresh scaling point participates in a baseline comparison.
@@ -394,6 +312,46 @@ pub fn scaling_point_status(baseline: &[ScalingPoint], fresh: &ScalingPoint) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
+
+    fn doc(text: &str) -> Value {
+        json::parse(text).expect("valid JSON")
+    }
+
+    /// The committed baseline, exactly as `--check` reads it. These
+    /// assertions pin its recorded values: update them whenever
+    /// `BENCH_perf.json` is re-recorded.
+    const COMMITTED: &str = include_str!("../../../BENCH_perf.json");
+
+    fn sections(report: &Value) -> (Vec<(String, f64)>, SuiteTimings, Vec<ScalingPoint>) {
+        (
+            baseline_kernels(report),
+            suite_timings(report),
+            scaling_curve(report),
+        )
+    }
+
+    #[test]
+    fn reads_the_committed_baseline() {
+        let (kernels, suite, scaling) = sections(&doc(COMMITTED));
+        assert_eq!(kernels.len(), 12);
+        assert_eq!(suite.sequential_seconds, Some(2.357));
+        assert_eq!(suite.parallel_seconds, None);
+        assert_eq!(suite.skipped_reason.as_deref(), Some(SINGLE_CORE_REASON));
+        assert_eq!(scaling.len(), 3);
+        assert!(scaling.iter().all(|p| p.cpu_cores == 1));
+    }
+
+    #[test]
+    fn a_reindented_baseline_reads_identically() {
+        let one_line = COMMITTED
+            .lines()
+            .map(str::trim)
+            .collect::<Vec<_>>()
+            .join(" ");
+        assert!(!one_line.contains('\n'));
+        assert_eq!(sections(&doc(&one_line)), sections(&doc(COMMITTED)));
+    }
 
     const BASELINE: &str = r#"{
   "preset": "quick",
@@ -415,7 +373,7 @@ mod tests {
 
     #[test]
     fn parses_kernel_rows() {
-        let rows = parse_baseline_kernels(BASELINE);
+        let rows = baseline_kernels(&doc(BASELINE));
         assert_eq!(
             rows,
             vec![("alpha".to_string(), 100.0), ("beta".to_string(), 2000.5)]
@@ -424,7 +382,7 @@ mod tests {
 
     #[test]
     fn within_tolerance_is_ok_and_beyond_is_regressed() {
-        let checks = check_kernels(BASELINE, &[("alpha", 149.0), ("beta", 3001.0)]);
+        let checks = check_kernels(&doc(BASELINE), &[("alpha", 149.0), ("beta", 3001.0)]);
         assert!(matches!(checks[0].verdict, Verdict::Ok { .. }));
         assert!(matches!(
             checks[1].verdict,
@@ -435,7 +393,7 @@ mod tests {
 
     #[test]
     fn missing_baseline_kernel_is_recorded_not_failed() {
-        let checks = check_kernels(BASELINE, &[("brand_new_kernel", 42.0)]);
+        let checks = check_kernels(&doc(BASELINE), &[("brand_new_kernel", 42.0)]);
         assert_eq!(checks.len(), 1);
         assert_eq!(checks[0].verdict, Verdict::Recorded);
         assert!(
@@ -446,40 +404,48 @@ mod tests {
 
     #[test]
     fn zero_or_garbage_baseline_entries_are_recorded() {
-        let json = "\"kernels_ns_per_iter\": {\n  \"alpha\": 0.0,\n  \"beta\": oops\n}\n";
-        let checks = check_kernels(json, &[("alpha", 50.0), ("beta", 50.0)]);
+        let json = doc(r#"{"kernels_ns_per_iter": {"alpha": 0.0, "beta": "oops"}}"#);
+        let checks = check_kernels(&json, &[("alpha", 50.0), ("beta", 50.0)]);
         assert!(checks.iter().all(|c| c.verdict == Verdict::Recorded));
     }
 
     #[test]
     fn parses_suite_with_null_leg_and_reason() {
-        let suite = parse_suite(BASELINE);
+        let suite = suite_timings(&doc(BASELINE));
         assert_eq!(suite.sequential_seconds, Some(6.374));
         assert_eq!(suite.parallel_seconds, None);
         assert_eq!(suite.skipped_reason.as_deref(), Some(SINGLE_CORE_REASON));
     }
 
-    #[test]
-    fn suite_json_round_trips_both_legs() {
-        let skipped = suite_json(
-            4,
-            6.0,
-            &ParallelLeg::Skipped {
-                reason: SINGLE_CORE_REASON.to_string(),
-            },
-        );
-        assert!(skipped.contains("\"parallel_seconds\": null"));
-        assert!(skipped.contains("\"speedup\": null"));
-        let parsed = parse_suite(&skipped);
-        assert_eq!(parsed.parallel_seconds, None);
-        assert_eq!(parsed.skipped_reason.as_deref(), Some(SINGLE_CORE_REASON));
+    /// Renders a report and reads the text back.
+    fn reparse(report: &Value) -> (String, Value) {
+        let text = report.to_pretty();
+        let back = doc(&text);
+        (text, back)
+    }
 
-        let measured = suite_json(4, 6.0, &ParallelLeg::Measured(2.0));
-        assert!(measured.contains("\"speedup\": 3.000"));
-        assert!(!measured.contains("skipped_reason"));
-        let parsed = parse_suite(&measured);
-        assert_eq!(parsed.parallel_seconds, Some(2.0));
-        assert_eq!(parsed.skipped_reason, None);
+    #[test]
+    fn suite_section_round_trips_both_legs() {
+        let skipped = SuiteTimings {
+            sequential_seconds: Some(6.0),
+            parallel_seconds: None,
+            skipped_reason: Some(SINGLE_CORE_REASON.to_string()),
+        };
+        let (text, back) = reparse(&Value::object([("suite", suite_section(&skipped, 4))]));
+        assert!(text.contains("\"parallel_seconds\": null"));
+        assert!(text.contains("\"speedup\": null"));
+        assert_eq!(suite_timings(&back), skipped);
+
+        let measured = SuiteTimings {
+            sequential_seconds: Some(6.0),
+            parallel_seconds: Some(2.0),
+            skipped_reason: None,
+        };
+        let (text, back) = reparse(&Value::object([("suite", suite_section(&measured, 4))]));
+        assert!(text.contains("\"sequential_seconds\": 6.000"));
+        assert!(text.contains("\"speedup\": 3.000"));
+        assert!(!text.contains("skipped_reason"));
+        assert_eq!(suite_timings(&back), measured);
     }
 
     const SCALING_BASELINE: &str = r#"{
@@ -509,24 +475,30 @@ mod tests {
                 rates: vec![("sbus".into(), 120_000.0), ("omega".into(), 170_000.0)],
             },
         ];
-        let json = scaling_json(&points);
-        assert_eq!(parse_scaling(&json), points);
+        let section = Value::object([("scaling_grants_per_sec", scaling_section(&points))]);
+        let (text, back) = reparse(&Value::object([("broker", section)]));
+        assert!(text
+            .contains("\"shards_1\": { \"cpu_cores\": 1, \"sbus\": 100000, \"omega\": 150000 }"));
+        assert_eq!(scaling_curve(&back), points);
     }
 
     #[test]
     fn parses_scaling_points_and_ignores_the_kernel_section() {
-        let points = parse_scaling(SCALING_BASELINE);
+        let points = scaling_curve(&doc(SCALING_BASELINE));
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].shards, 1);
         assert_eq!(points[0].cpu_cores, 1);
         assert_eq!(points[0].rates.len(), 3);
         assert_eq!(points[1].shards, 2);
-        assert!(parse_scaling("{}\n").is_empty(), "missing section is empty");
+        assert!(
+            scaling_curve(&doc("{}")).is_empty(),
+            "missing section is empty"
+        );
     }
 
     #[test]
     fn scaling_points_compare_only_at_matching_shards_and_cores() {
-        let baseline = parse_scaling(SCALING_BASELINE);
+        let baseline = scaling_curve(&doc(SCALING_BASELINE));
         let fresh = ScalingPoint {
             shards: 1,
             cpu_cores: 1,

@@ -11,14 +11,14 @@
 //! uninterrupted run for any `--jobs` value (wall-clock timings live only
 //! in the stderr summary, never in artifacts).
 
-use crate::manifest::{fnv1a64, EntryStatus, Manifest, ManifestEntry};
+use crate::manifest::{Manifest, ManifestEntry};
 use crate::output;
 use rsin_core::{ConfigError, HarnessError};
 use rsin_provision::{
     search, CostModel, DelayOutcome, EvalQuality, Evaluator, Family, SearchReport, SearchSpec,
     TrafficProfile,
 };
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// The frontier CSV header — a stable schema CI asserts against.
@@ -420,20 +420,6 @@ fn leg_name(p: u32) -> String {
     format!("p{p}")
 }
 
-/// A leg checkpoint is valid when the entry is `Ok` and both artifact
-/// files exist with matching digests.
-fn leg_checkpoint_valid(dir: &Path, entry: &ManifestEntry) -> bool {
-    if entry.status != EntryStatus::Ok {
-        return false;
-    }
-    let check = |ext: &str, want: Option<u64>| -> bool {
-        let Some(want) = want else { return false };
-        std::fs::read(dir.join(format!("provision_{}.{ext}", entry.name)))
-            .is_ok_and(|bytes| fnv1a64(&bytes) == want)
-    };
-    check("txt", entry.digest) && check("csv", entry.csv_digest)
-}
-
 /// Runs the sweep: one search leg per `--p`, checkpointed after each.
 ///
 /// # Errors
@@ -450,56 +436,34 @@ pub fn run(cfg: &ProvisionConfig) -> Result<ProvisionSummary, HarnessError> {
         message: e.to_string(),
     })?;
     let manifest_path = dir.join(MANIFEST_NAME);
-    let fingerprint = cfg.fingerprint();
-    let mut manifest = if cfg.resume {
-        match Manifest::load(&manifest_path) {
-            Ok(m) if m.quality == fingerprint => m,
-            _ => Manifest::new(fingerprint.clone()),
-        }
-    } else {
-        Manifest::new(fingerprint.clone())
-    };
+    let mut manifest = Manifest::open(&manifest_path, &cfg.fingerprint(), cfg.resume);
     let mut legs = Vec::new();
     for &p in &cfg.processors {
         let name = leg_name(p);
-        if cfg.resume {
-            if let Some(entry) = manifest.entry(&name) {
-                if leg_checkpoint_valid(&dir, entry) {
-                    legs.push(LegSummary {
-                        name,
-                        resumed: true,
-                        winner: None,
-                        evaluated: 0,
-                        total_configs: 0,
-                        pruned: 0,
-                        cache_hits: 0,
-                        cache_misses: 0,
-                        confirmed: None,
-                        agrees: None,
-                    });
-                    continue;
-                }
-            }
+        let artifact = format!("provision_{name}");
+        if manifest.reusable(&dir, &name, &artifact).is_some() {
+            legs.push(LegSummary {
+                name,
+                resumed: true,
+                winner: None,
+                evaluated: 0,
+                total_configs: 0,
+                pruned: 0,
+                cache_hits: 0,
+                cache_misses: 0,
+                confirmed: None,
+                agrees: None,
+            });
+            continue;
         }
         let spec = cfg.spec_for(p).map_err(HarnessError::Config)?;
         let leg_start = Instant::now();
         let report = search(&spec).map_err(HarnessError::Config)?;
         let text = leg_text(cfg, p, &report);
         let csv = frontier_csv(&report);
-        let artifact = format!("provision_{name}");
         output::persist_in(&dir, &artifact, &text, Some(&csv))?;
-        manifest.entries.retain(|e| e.name != name);
-        manifest.entries.push(ManifestEntry {
-            name: name.clone(),
-            status: EntryStatus::Ok,
-            digest: Some(fnv1a64(text.as_bytes())),
-            csv_digest: Some(fnv1a64(csv.as_bytes())),
-            duration_ms: u64::try_from(leg_start.elapsed().as_millis()).unwrap_or(u64::MAX),
-            attempts: 1,
-            stalled: false,
-            error: None,
-        });
-        manifest.save(&manifest_path)?;
+        let entry = ManifestEntry::ok(&name, &text, Some(&csv), leg_start.elapsed());
+        manifest.record(entry, &manifest_path)?;
         legs.push(LegSummary {
             name,
             resumed: false,
@@ -557,6 +521,7 @@ pub fn winner_reproduces(cfg: &ProvisionConfig, p: u32, report: &SearchReport) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| (*s).to_string()).collect()
