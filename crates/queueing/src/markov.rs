@@ -6,9 +6,11 @@
 //! general machinery: a sparse generator built transition-by-transition, a
 //! Gauss–Seidel balance-equation solver for large chains, and a dense
 //! Gaussian-elimination solver used to validate the iterative one on small
-//! chains.
+//! chains. The Gauss–Seidel loop reads its generator through [`Rows`], so
+//! the crossbar chain's level-structured generator runs the same sweep.
 
 use crate::error::SolveError;
+use std::ops::Range;
 
 /// A transition of a CTMC: `from --rate--> to`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -62,24 +64,287 @@ struct Edge {
     rate: f64,
 }
 
-/// Incoming transitions in compressed rows: row `j` is
-/// `from[start[j]..start[j + 1]]` with matching `rate`s, in insertion order.
-struct Incoming {
-    start: Vec<usize>,
-    from: Vec<u32>,
-    rate: Vec<f64>,
+/// Incoming transitions in compressed rows: row `k` is
+/// `from[start[k]..start[k + 1]]` with matching `rate`s.
+#[derive(Debug)]
+pub(crate) struct Csr {
+    pub(crate) start: Vec<usize>,
+    pub(crate) from: Vec<u32>,
+    pub(crate) rate: Vec<f64>,
 }
 
-impl Incoming {
-    /// `Σ π_i q_ij` over the transitions into `j`, in insertion order.
-    fn inflow(&self, j: usize, pi: &[f64]) -> f64 {
-        let (lo, hi) = (self.start[j], self.start[j + 1]);
+impl Csr {
+    /// `(row, source, rate)` entries in compressed rows, by a stable counting
+    /// sort: each row keeps the order its entries arrive in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is out of range or a source does not fit `u32`.
+    pub(crate) fn by_row(
+        rows: usize,
+        entries: impl Iterator<Item = (usize, usize, f64)> + Clone,
+    ) -> Csr {
+        let mut start = vec![0usize; rows + 1];
+        for (row, _, _) in entries.clone() {
+            start[row + 1] += 1;
+        }
+        for k in 0..rows {
+            start[k + 1] += start[k];
+        }
+        let mut next = start[..rows].to_vec();
+        let mut from = vec![0u32; start[rows]];
+        let mut rate = vec![0.0_f64; start[rows]];
+        for (row, src, q) in entries {
+            let k = &mut next[row];
+            from[*k] = u32::try_from(src).expect("a stored source index fits u32");
+            rate[*k] = q;
+            *k += 1;
+        }
+        Csr { start, from, rate }
+    }
+
+    /// Rows `rows` whole, sources offset by `base`.
+    pub(crate) fn rows(&self, rows: Range<usize>, base: usize) -> Runs<'_> {
+        self.runs(
+            &self.start[rows.start..rows.end],
+            &self.start[rows.start + 1..=rows.end],
+            base,
+        )
+    }
+
+    /// Entries `lo[k]..hi[k]` as row `k`, sources offset by `base`.
+    pub(crate) fn runs<'a>(&'a self, lo: &'a [usize], hi: &'a [usize], base: usize) -> Runs<'a> {
+        assert_eq!(lo.len(), hi.len(), "every row needs both ends");
+        Runs {
+            lo,
+            hi,
+            base,
+            from: &self.from,
+            rate: &self.rate,
+        }
+    }
+}
+
+/// Rows of incoming transitions cut from a [`Csr`]: row `k` is entries
+/// `lo[k]..hi[k]`, with sources `base + from[i]`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Runs<'a> {
+    lo: &'a [usize],
+    hi: &'a [usize],
+    base: usize,
+    from: &'a [u32],
+    rate: &'a [f64],
+}
+
+impl<'a> Runs<'a> {
+    /// The terms `π_i q_ij` of row `k`, in stored order, with every source
+    /// moved `shift` states on.
+    fn terms<'p>(
+        self,
+        k: usize,
+        shift: usize,
+        pi: &'p [f64],
+    ) -> impl Iterator<Item = f64> + use<'a, 'p> {
+        let (lo, hi) = (self.lo[k], self.hi[k]);
+        let base = self.base + shift;
         self.from[lo..hi]
             .iter()
             .zip(&self.rate[lo..hi])
-            .map(|(&i, &q)| pi[i as usize] * q)
-            .sum()
+            .map(move |(&i, &q)| pi[base + i as usize] * q)
     }
+}
+
+/// Consecutive states whose balance rows share one layout, `repeat` times
+/// over: with `n = out_rate.len()`, state `first + c · n + k` of copy `c`
+/// has total outflow `out_rate[k]`, and its incoming transitions are row
+/// `k` of `head`, then row `k` of `tail`, every source moved `c · n` states
+/// on.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Block<'a> {
+    pub(crate) first: usize,
+    pub(crate) repeat: usize,
+    pub(crate) out_rate: &'a [f64],
+    pub(crate) head: Runs<'a>,
+    pub(crate) tail: Option<Runs<'a>>,
+}
+
+impl Block<'_> {
+    /// `Σ π_i q_ij` into row `k` of the copy moved `shift` states on, added
+    /// in row order from `-0.0`.
+    fn inflow(&self, k: usize, shift: usize, pi: &[f64]) -> f64 {
+        match self.tail {
+            None => self.head.terms(k, shift, pi).sum(),
+            Some(tail) => self
+                .head
+                .terms(k, shift, pi)
+                .chain(tail.terms(k, shift, pi))
+                .sum(),
+        }
+    }
+}
+
+/// A CTMC generator as the balance-equation solvers read it: blocks of
+/// rows covering every state once, in state order.
+pub(crate) trait Rows {
+    /// Number of states.
+    fn num_states(&self) -> usize;
+
+    /// Calls `visit` on every block, in increasing state order.
+    fn for_each_block(&self, visit: impl FnMut(Block<'_>));
+}
+
+/// The incoming rows of a flat generator: one block.
+struct Incoming<'a> {
+    csr: Csr,
+    out_rate: &'a [f64],
+}
+
+impl Rows for Incoming<'_> {
+    fn num_states(&self) -> usize {
+        self.out_rate.len()
+    }
+
+    fn for_each_block(&self, mut visit: impl FnMut(Block<'_>)) {
+        visit(Block {
+            first: 0,
+            repeat: 1,
+            out_rate: self.out_rate,
+            head: self.csr.rows(0..self.out_rate.len(), 0),
+            tail: None,
+        });
+    }
+}
+
+/// Damped Gauss–Seidel on the balance equations `π_j · out_j = Σ π_i q_ij`:
+/// the one sweep every iterative steady-state solve in this crate runs.
+///
+/// The sweep starts from `guess` when it has the right length, finite
+/// non-negative entries and positive mass (normalised to sum 1), and from
+/// the uniform distribution otherwise. It stops when one sweep moves no
+/// entry of π by `tol` or more, relative to Σπ.
+///
+/// # Errors
+///
+/// [`SolveError::NoConvergence`] when `max_sweeps` sweeps do not meet `tol`
+/// (with the final balance residual), or when π loses all its mass.
+pub(crate) fn gauss_seidel(
+    rows: &impl Rows,
+    guess: Option<&[f64]>,
+    tol: f64,
+    max_sweeps: usize,
+) -> Result<Vec<f64>, SolveError> {
+    let n = rows.num_states();
+    if n == 1 {
+        return Ok(vec![1.0]);
+    }
+    let mut pi = match guess {
+        Some(g)
+            if g.len() == n
+                && g.iter().all(|v| v.is_finite() && *v >= 0.0)
+                && g.iter().sum::<f64>() > 0.0 =>
+        {
+            let total: f64 = g.iter().sum();
+            g.iter().map(|v| v / total).collect()
+        }
+        _ => vec![1.0 / n as f64; n],
+    };
+    for sweep in 0..max_sweeps {
+        let mut max_delta = 0.0_f64;
+        // Σπ after the sweep, added in index order from `-0.0`: term for
+        // term the sum `pi.iter().sum()` would form.
+        let mut total = -0.0_f64;
+        rows.for_each_block(|block| match block.tail {
+            // The tail test is hoisted out of the row loop: the loop is
+            // latency-bound, and a branch per row slows it measurably.
+            None => relax(
+                &mut pi,
+                &block,
+                &mut max_delta,
+                &mut total,
+                |k, shift, pi| block.head.terms(k, shift, pi).sum(),
+            ),
+            Some(tail) => relax(
+                &mut pi,
+                &block,
+                &mut max_delta,
+                &mut total,
+                |k, shift, pi| {
+                    block
+                        .head
+                        .terms(k, shift, pi)
+                        .chain(tail.terms(k, shift, pi))
+                        .sum()
+                },
+            ),
+        });
+        if total <= 0.0 {
+            return Err(SolveError::NoConvergence {
+                iterations: sweep,
+                residual: f64::INFINITY,
+            });
+        }
+        for p in &mut pi {
+            *p /= total;
+        }
+        if max_delta / total < tol {
+            return Ok(pi);
+        }
+    }
+    Err(SolveError::NoConvergence {
+        iterations: max_sweeps,
+        residual: balance_residual(rows, &pi),
+    })
+}
+
+/// One Gauss–Seidel pass over the states of `block`, in order, with
+/// `inflow(k, shift, π)` the inflow into row `k` of the copy moved `shift`
+/// states on. Tracks the largest move of any entry in `max_delta` and adds
+/// each new entry to `total`.
+fn relax(
+    pi: &mut [f64],
+    block: &Block<'_>,
+    max_delta: &mut f64,
+    total: &mut f64,
+    inflow: impl Fn(usize, usize, &[f64]) -> f64,
+) {
+    // Damped Gauss–Seidel: the undamped sweep can oscillate on chains with
+    // strong same-level cycles (e.g. the shared-bus chain's
+    // N_{1,r-1} → N_{0,r} transitions); under-relaxation restores
+    // convergence at a modest cost.
+    let omega = 0.9;
+    let n = block.out_rate.len();
+    for shift in (0..block.repeat).map(|c| c * n) {
+        for (k, &out_rate) in block.out_rate.iter().enumerate() {
+            let j = block.first + shift + k;
+            if out_rate == 0.0 {
+                // A zero-outflow state cannot carry stationary mass in an
+                // irreducible chain; pinning it to zero avoids silently
+                // parking probability on disconnected artifacts.
+                *max_delta = max_delta.max(pi[j]);
+                pi[j] = 0.0;
+            } else {
+                let next = (1.0 - omega) * pi[j] + omega * inflow(k, shift, pi) / out_rate;
+                *max_delta = max_delta.max((next - pi[j]).abs());
+                pi[j] = next;
+            }
+            *total += pi[j];
+        }
+    }
+}
+
+/// Maximum absolute balance residual `|Σ π_i q_ij − π_j · out_j|` of `pi`.
+fn balance_residual(rows: &impl Rows, pi: &[f64]) -> f64 {
+    let mut worst = 0.0_f64;
+    rows.for_each_block(|block| {
+        let n = block.out_rate.len();
+        for shift in (0..block.repeat).map(|c| c * n) {
+            for (k, &out_rate) in block.out_rate.iter().enumerate() {
+                let j = block.first + shift + k;
+                worst = worst.max((block.inflow(k, shift, pi) - pi[j] * out_rate).abs());
+            }
+        }
+    });
+    worst
 }
 
 impl Ctmc {
@@ -143,24 +408,15 @@ impl Ctmc {
 
     /// The incoming rows, by a stable counting sort of the edge list on
     /// the destination state.
-    fn incoming(&self) -> Incoming {
-        let mut start = vec![0usize; self.n + 1];
-        for e in &self.edges {
-            start[e.to as usize + 1] += 1;
+    pub(crate) fn incoming(&self) -> impl Rows + '_ {
+        let entries = self
+            .edges
+            .iter()
+            .map(|e| (e.to as usize, e.from as usize, e.rate));
+        Incoming {
+            csr: Csr::by_row(self.n, entries),
+            out_rate: &self.out_rate,
         }
-        for j in 0..self.n {
-            start[j + 1] += start[j];
-        }
-        let mut next = start[..self.n].to_vec();
-        let mut from = vec![0u32; self.edges.len()];
-        let mut rate = vec![0.0_f64; self.edges.len()];
-        for e in &self.edges {
-            let k = &mut next[e.to as usize];
-            from[*k] = e.from;
-            rate[*k] = e.rate;
-            *k += 1;
-        }
-        Incoming { start, from, rate }
     }
 
     /// Solves for the stationary distribution with Gauss–Seidel on the
@@ -180,85 +436,7 @@ impl Ctmc {
     ///
     /// [`SolveError::NoConvergence`] when the residual stays above `tol`.
     pub fn solve_with(&self, tol: f64, max_sweeps: usize) -> Result<Vec<f64>, SolveError> {
-        self.solve_with_guess(None, tol, max_sweeps)
-    }
-
-    /// [`Ctmc::solve_with`] warm-started from an initial guess for π.
-    ///
-    /// A guess close to the stationary distribution (e.g. the solution of a
-    /// neighboring parameter point, or of a smaller truncation of the same
-    /// chain) cuts the sweep count substantially; the converged result
-    /// still satisfies the same tolerance as a cold solve. A guess with the
-    /// wrong length, non-finite entries, or no positive mass is ignored and
-    /// the solve falls back to the uniform start.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::NoConvergence`] when the residual stays above `tol`.
-    pub fn solve_with_guess(
-        &self,
-        guess: Option<&[f64]>,
-        tol: f64,
-        max_sweeps: usize,
-    ) -> Result<Vec<f64>, SolveError> {
-        let n = self.n;
-        if n == 1 {
-            return Ok(vec![1.0]);
-        }
-        let mut pi = match guess {
-            Some(g)
-                if g.len() == n
-                    && g.iter().all(|v| v.is_finite() && *v >= 0.0)
-                    && g.iter().sum::<f64>() > 0.0 =>
-            {
-                let total: f64 = g.iter().sum();
-                g.iter().map(|v| v / total).collect()
-            }
-            _ => vec![1.0 / n as f64; n],
-        };
-        let inc = self.incoming();
-        // Damped Gauss–Seidel: the undamped sweep can oscillate on chains
-        // with strong same-level cycles (e.g. the shared-bus chain's
-        // N_{1,r-1} → N_{0,r} transitions); under-relaxation restores
-        // convergence at a modest cost.
-        let omega = 0.9;
-        for sweep in 0..max_sweeps {
-            let mut max_delta = 0.0_f64;
-            // Σπ after the sweep, added in index order from `-0.0`: term for
-            // term the sum `pi.iter().sum()` would form.
-            let mut total = -0.0_f64;
-            for j in 0..n {
-                if self.out_rate[j] == 0.0 {
-                    // A zero-outflow state cannot carry stationary mass in an
-                    // irreducible chain; pinning it to zero avoids silently
-                    // parking probability on disconnected artifacts.
-                    max_delta = max_delta.max(pi[j]);
-                    pi[j] = 0.0;
-                } else {
-                    let inflow = inc.inflow(j, &pi);
-                    let next = (1.0 - omega) * pi[j] + omega * inflow / self.out_rate[j];
-                    max_delta = max_delta.max((next - pi[j]).abs());
-                    pi[j] = next;
-                }
-                total += pi[j];
-            }
-            if total <= 0.0 {
-                return Err(SolveError::NoConvergence {
-                    iterations: sweep,
-                    residual: f64::INFINITY,
-                });
-            }
-            for p in &mut pi {
-                *p /= total;
-            }
-            if max_delta / total < tol {
-                return Ok(pi);
-            }
-        }
-        Err(SolveError::NoConvergence {
-            iterations: max_sweeps,
-            residual: residual_of(&inc, &self.out_rate, &pi),
-        })
+        gauss_seidel(&self.incoming(), None, tol, max_sweeps)
     }
 
     /// Solves by dense Gaussian elimination on `πQ = 0` with the
@@ -285,7 +463,7 @@ impl Ctmc {
     #[must_use]
     pub fn balance_residual(&self, pi: &[f64]) -> f64 {
         assert_eq!(pi.len(), self.n, "distribution length mismatch");
-        residual_of(&self.incoming(), &self.out_rate, pi)
+        balance_residual(&self.incoming(), pi)
     }
 
     /// Expected value of `f` under a stationary distribution.
@@ -349,13 +527,6 @@ fn solve_dense_transposed(mut a: Vec<Vec<f64>>) -> Result<Vec<f64>, SolveError> 
         *v /= total;
     }
     Ok(x)
-}
-
-/// Maximum absolute balance residual of `pi` over the rows of `inc`.
-fn residual_of(inc: &Incoming, out_rate: &[f64], pi: &[f64]) -> f64 {
-    (0..out_rate.len())
-        .map(|j| (inc.inflow(j, pi) - pi[j] * out_rate[j]).abs())
-        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -526,7 +697,7 @@ mod tests {
                 _ => Some(vec![1.0; n + 1]),
             };
             let max_sweeps = g.usize_in(1, 3000);
-            let got = flat.solve_with_guess(guess.as_deref(), 1e-12, max_sweeps);
+            let got = gauss_seidel(&flat.incoming(), guess.as_deref(), 1e-12, max_sweeps);
             let want = nested.solve_with_guess(guess.as_deref(), 1e-12, max_sweeps);
             assert!(same_outcome(&got, &want), "{got:?} vs {want:?}");
 
