@@ -304,20 +304,27 @@ fn broker_scaling(cpu_cores: usize) -> Vec<ScalingPoint> {
             let disciplines: Vec<(&'static str, Box<dyn Broker>)> = vec![
                 (
                     "sbus",
-                    Box::new(ShardedBroker::sbus(WORKERS, RESOURCES, shards)),
-                ),
-                (
-                    "xbar_token",
-                    Box::new(ShardedBroker::xbar(
+                    Box::new(ShardedBroker::new(
                         WORKERS,
                         RESOURCES,
                         shards,
-                        XbarPolicy::TokenRotation,
+                        SbusBroker::new,
                     )),
                 ),
                 (
+                    "xbar_token",
+                    Box::new(ShardedBroker::new(WORKERS, RESOURCES, shards, |w, r| {
+                        XbarBroker::new(w, r, XbarPolicy::TokenRotation)
+                    })),
+                ),
+                (
                     "omega",
-                    Box::new(ShardedBroker::omega(WORKERS, RESOURCES, shards)),
+                    Box::new(ShardedBroker::new(
+                        WORKERS,
+                        RESOURCES,
+                        shards,
+                        OmegaBroker::new,
+                    )),
                 ),
             ];
             let rates = disciplines
@@ -366,17 +373,21 @@ fn sharding_overhead_check() -> Vec<String> {
         (
             "sbus",
             Box::new(|| Box::new(SbusBroker::new(4, 2))),
-            Box::new(|| Box::new(ShardedBroker::sbus(4, 2, 1))),
+            Box::new(|| Box::new(ShardedBroker::new(4, 2, 1, SbusBroker::new))),
         ),
         (
             "xbar_token",
             Box::new(|| Box::new(XbarBroker::new(4, 2, XbarPolicy::TokenRotation))),
-            Box::new(|| Box::new(ShardedBroker::xbar(4, 2, 1, XbarPolicy::TokenRotation))),
+            Box::new(|| {
+                Box::new(ShardedBroker::new(4, 2, 1, |w, r| {
+                    XbarBroker::new(w, r, XbarPolicy::TokenRotation)
+                }))
+            }),
         ),
         (
             "omega",
             Box::new(|| Box::new(OmegaBroker::new(4, 2))),
-            Box::new(|| Box::new(ShardedBroker::omega(4, 2, 1))),
+            Box::new(|| Box::new(ShardedBroker::new(4, 2, 1, OmegaBroker::new))),
         ),
     ];
     let rate = |make: &BrokerFactory| {
@@ -503,7 +514,9 @@ fn broker_resilience() -> Vec<(&'static str, f64, f64)> {
 /// broken wire protocol fails the report.
 fn netbroker_perf() -> (f64, f64, f64, f64) {
     const CLIENTS: usize = 4;
-    let broker = ShardedBroker::sbus_with_lease(2 * CLIENTS, 4, 2, CHAOS_LEASE);
+    let broker = ShardedBroker::new(2 * CLIENTS, 4, 2, |w, r| {
+        SbusBroker::with_lease(w, r, CHAOS_LEASE)
+    });
     let server = NetServer::bind(
         "127.0.0.1:0".parse().expect("loopback"),
         broker,

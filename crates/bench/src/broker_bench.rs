@@ -543,7 +543,7 @@ pub fn measure(cfg: &BrokerBenchConfig, quality: &RunQuality) -> Vec<MeasuredPoi
             let report = match (&opts, cfg.shards) {
                 (None, 1) => loadgen::run(&SbusBroker::new(cfg.threads, pool), &arrival, None),
                 (None, shards) => loadgen::run(
-                    &ShardedBroker::sbus(cfg.threads, pool, shards),
+                    &ShardedBroker::new(cfg.threads, pool, shards, SbusBroker::new),
                     &arrival,
                     None,
                 ),
@@ -553,7 +553,9 @@ pub fn measure(cfg: &BrokerBenchConfig, quality: &RunQuality) -> Vec<MeasuredPoi
                     Some(opts),
                 ),
                 (Some(opts), shards) => loadgen::run(
-                    &ShardedBroker::sbus_with_lease(cfg.threads, pool, shards, CHAOS_LEASE),
+                    &ShardedBroker::new(cfg.threads, pool, shards, |w, r| {
+                        SbusBroker::with_lease(w, r, CHAOS_LEASE)
+                    }),
                     &arrival,
                     Some(opts),
                 ),

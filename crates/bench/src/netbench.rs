@@ -30,7 +30,7 @@ use rsin_broker::net::{
     run_net_load, ConnChaos, NetChaosPlan, NetLoadConfig, NetLoadReport, NetServer,
     NetServerConfig, NetServerReport,
 };
-use rsin_broker::ShardedBroker;
+use rsin_broker::{SbusBroker, ShardedBroker};
 use rsin_core::HarnessError;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -243,11 +243,11 @@ pub fn measure_self(
     cfg: &BrokerBenchConfig,
     load: &NetLoadConfig,
 ) -> (NetLoadReport, NetServerReport) {
-    let broker = ShardedBroker::sbus_with_lease(
+    let broker = ShardedBroker::new(
         SLOT_HEADROOM * load.clients,
         cfg.total_resources(),
         cfg.shards,
-        CHAOS_LEASE,
+        |w, r| SbusBroker::with_lease(w, r, CHAOS_LEASE),
     );
     let server_cfg = NetServerConfig {
         tenants: cfg.tenants,
@@ -355,11 +355,11 @@ pub fn run_net(
 /// Panics if `cfg.serve` is `None` — the caller dispatches on it.
 pub fn serve(cfg: &BrokerBenchConfig) -> Result<NetServerReport, HarnessError> {
     let addr = cfg.serve.expect("serve requires --serve");
-    let broker = ShardedBroker::sbus_with_lease(
+    let broker = ShardedBroker::new(
         SLOT_HEADROOM * cfg.threads,
         cfg.total_resources(),
         cfg.shards,
-        CHAOS_LEASE,
+        |w, r| SbusBroker::with_lease(w, r, CHAOS_LEASE),
     );
     let server_cfg = NetServerConfig {
         tenants: cfg.tenants,

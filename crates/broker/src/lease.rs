@@ -46,6 +46,17 @@
 //! never reclaimed, preserving the pre-lease semantics (and cost) of the
 //! protocols on the fault-free path.
 //!
+//! ## One pool per broker
+//!
+//! The three distributed disciplines keep their resource words in one
+//! crate-private `LeasePool`: the words plus the broker's clock, with
+//! claim, the audited two-phase release, reclaim, fault and repair, the
+//! vacancy mask and the availability count written once. A discipline
+//! passes in only what its own protocol does when a slot vacates — the
+//! crossbar passes its token, the shared bus returns the slot's credit to
+//! its status word — and Omega sweeps a dead holder's route inside the
+//! reclaim audit hook, while the slot is still `RECLAIMING`.
+//!
 //! ## Memory ordering
 //!
 //! Ownership transitions are `AcqRel` CASes on the word, exactly like the
@@ -56,7 +67,7 @@
 //! a reclaim is attempted, never whether it is safe — safety is the
 //! generation CAS alone.
 
-use crate::WorkerId;
+use crate::{BrokerGrant, ReleaseOutcome, WorkerId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -235,12 +246,6 @@ impl LeaseWord {
         self.word.load(Ordering::Acquire)
     }
 
-    /// Current lease deadline in clock microseconds.
-    #[must_use]
-    pub fn deadline(&self) -> u64 {
-        self.deadline_us.load(Ordering::Acquire)
-    }
-
     /// Tries to claim a vacant slot for `who`, stamping `deadline_us`.
     /// Returns the generation the resulting grant must carry.
     pub fn try_claim(&self, who: WorkerId, deadline_us: u64) -> Option<u32> {
@@ -269,11 +274,6 @@ impl LeaseWord {
         } else {
             None
         }
-    }
-
-    /// Extends the holder's lease (a heartbeat). Harmless when stale.
-    pub fn renew(&self, deadline_us: u64) {
-        self.deadline_us.store(deadline_us, Ordering::Release);
     }
 
     /// First phase of a release: move `(generation, who)` to
@@ -410,6 +410,149 @@ impl LeaseWord {
     }
 }
 
+/// The per-resource lease words of one broker and the clock their
+/// deadlines run on (see the module docs). A discipline's
+/// `vacated(holder, outcome)` hook runs after the slot is vacant again, in
+/// release and reclaim alike.
+#[derive(Debug)]
+pub(crate) struct LeasePool {
+    slots: Vec<LeaseWord>,
+    clock: LeaseClock,
+}
+
+impl LeasePool {
+    /// `resources` vacant slots whose grants last `lease` (`None`: never
+    /// expire).
+    pub(crate) fn new(resources: usize, lease: Option<Duration>) -> Self {
+        LeasePool {
+            slots: (0..resources).map(|_| LeaseWord::new()).collect(),
+            clock: LeaseClock::new(lease),
+        }
+    }
+
+    /// Number of slots.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The clock grant deadlines run on.
+    pub(crate) fn clock(&self) -> &LeaseClock {
+        &self.clock
+    }
+
+    /// Owner field of slot `resource` (a worker or a sentinel).
+    pub(crate) fn owner(&self, resource: usize) -> u32 {
+        owner_of(self.slots[resource].load())
+    }
+
+    /// Whether slot `resource` is claimable right now.
+    pub(crate) fn is_vacant(&self, resource: usize) -> bool {
+        self.owner(resource) == NO_OWNER
+    }
+
+    /// The vacant slots as one bit per slot, for pools of at most 64
+    /// slots (`None` for wider pools, which scan slot by slot).
+    pub(crate) fn vacancy_mask(&self) -> Option<u64> {
+        (self.slots.len() <= 64).then(|| {
+            let mut vacant = 0u64;
+            for (i, slot) in self.slots.iter().enumerate() {
+                vacant |= u64::from(owner_of(slot.load()) == NO_OWNER) << i;
+            }
+            vacant
+        })
+    }
+
+    /// Number of claimable slots.
+    pub(crate) fn available(&self) -> usize {
+        self.slots
+            .iter()
+            .filter(|s| owner_of(s.load()) == NO_OWNER)
+            .count()
+    }
+
+    /// Tries to claim slot `resource` for `who` with a lease starting
+    /// now; returns the generation the grant carries.
+    pub(crate) fn try_claim(&self, resource: usize, who: WorkerId) -> Option<u32> {
+        self.slots[resource].try_claim(who, self.clock.deadline_from_now())
+    }
+
+    /// The audited two-phase release: `audit(resource, who)` runs while
+    /// the slot is `RECLAIMING`, then the slot vacates and `vacated` runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grant's generation is live but held by another
+    /// worker.
+    pub(crate) fn release(
+        &self,
+        who: WorkerId,
+        grant: BrokerGrant,
+        audit: &mut dyn FnMut(usize, WorkerId),
+        vacated: impl FnOnce(WorkerId, Vacated),
+    ) -> ReleaseOutcome {
+        let slot = &self.slots[grant.resource];
+        match slot.begin_unclaim(who, grant.generation) {
+            UnclaimStart::Begun => {
+                audit(grant.resource, who);
+                vacated(who, slot.finish_unclaim());
+                ReleaseOutcome::Released
+            }
+            UnclaimStart::Stale => ReleaseOutcome::Stale,
+            UnclaimStart::Foreign => panic!(
+                "release of resource {} by worker {who} who does not hold it",
+                grant.resource
+            ),
+        }
+    }
+
+    /// The instant [`crate::Broker::reclaim_expired`] evicts at: now on
+    /// the pool's clock, or `None` when leases never expire.
+    pub(crate) fn expiry_now(&self) -> Option<u64> {
+        self.clock.leases_expire().then(|| self.clock.now_us())
+    }
+
+    /// Evicts every holder whose lease deadline is at or before `now_us`
+    /// (`u64::MAX` evicts all): per slot, `audit(resource, holder)` runs
+    /// while the slot is `RECLAIMING`, then the slot vacates and `vacated`
+    /// runs. Returns the number evicted.
+    pub(crate) fn reclaim(
+        &self,
+        now_us: u64,
+        audit: &mut dyn FnMut(usize, WorkerId),
+        vacated: impl Fn(WorkerId, Vacated),
+    ) -> usize {
+        let mut reclaimed = 0;
+        for (i, slot) in self.slots.iter().enumerate() {
+            if let Some(dead) = slot.begin_reclaim(now_us) {
+                audit(i, dead);
+                vacated(dead, slot.finish_unclaim());
+                reclaimed += 1;
+            }
+        }
+        reclaimed
+    }
+
+    /// Applies a fault to slot `resource` (parked if the slot is held).
+    pub(crate) fn fault(&self, resource: usize) -> FaultOutcome {
+        self.slots[resource].set_faulted()
+    }
+
+    /// Repairs slot `resource`, or cancels its parked fault.
+    pub(crate) fn repair(&self, resource: usize) -> RepairOutcome {
+        self.slots[resource].clear_faulted()
+    }
+
+    /// [`LeasePool::fault`] (`down`) or [`LeasePool::repair`], for
+    /// disciplines with no credit to settle.
+    pub(crate) fn set_faulted(&self, resource: usize, down: bool) {
+        if down {
+            self.fault(resource);
+        } else {
+            self.repair(resource);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,10 +577,10 @@ mod tests {
     #[test]
     fn stale_and_foreign_unclaims_are_distinguished() {
         let w = LeaseWord::new();
-        let g = w.try_claim(1, NEVER).expect("vacant");
+        // Deadline 0: the lease is expired from the start.
+        let g = w.try_claim(1, 0).expect("vacant");
         assert_eq!(w.begin_unclaim(2, g), UnclaimStart::Foreign);
         // Reclaim (expired lease), then the holder's own release is stale.
-        w.renew(0);
         assert_eq!(w.begin_reclaim(1), Some(1));
         w.finish_unclaim();
         assert_eq!(w.begin_unclaim(1, g), UnclaimStart::Stale);
@@ -491,6 +634,39 @@ mod tests {
         assert_eq!(w.clear_faulted(), RepairOutcome::Unparked, "cancelled");
         assert_eq!(w.begin_unclaim(1, g), UnclaimStart::Begun);
         assert!(!w.finish_unclaim().to_faulted, "no fault left to apply");
+    }
+
+    #[test]
+    fn pool_audits_while_reclaiming_and_runs_the_hook_after_vacate() {
+        let pool = LeasePool::new(2, None);
+        assert_eq!(pool.expiry_now(), None, "leases never expire");
+        let generation = pool.try_claim(1, 7).expect("vacant");
+        let grant = BrokerGrant {
+            resource: 1,
+            generation,
+        };
+        let mut audited = Vec::new();
+        let mut audit = |r, w| audited.push((r, w, pool.owner(r)));
+        let hook =
+            |w, v: Vacated| assert_eq!((w, v.to_faulted, pool.owner(1)), (7, false, NO_OWNER));
+        assert_eq!(
+            pool.release(7, grant, &mut audit, hook),
+            ReleaseOutcome::Released
+        );
+        assert_eq!(
+            pool.release(7, grant, &mut audit, hook),
+            ReleaseOutcome::Stale
+        );
+        pool.try_claim(0, 3).expect("vacant");
+        assert_eq!(pool.fault(0), FaultOutcome::Parked);
+        let n = pool.reclaim(u64::MAX, &mut audit, |w, v| {
+            assert_eq!((w, v.to_faulted, pool.owner(0)), (3, true, FAULTED));
+        });
+        assert_eq!(n, 1);
+        assert_eq!(audited, vec![(1, 7, RECLAIMING), (0, 3, RECLAIMING)]);
+        assert_eq!(pool.available(), 1);
+        assert_eq!(pool.repair(0), RepairOutcome::Repaired);
+        assert_eq!(pool.vacancy_mask(), Some(0b11));
     }
 
     #[test]

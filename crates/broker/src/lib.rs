@@ -168,6 +168,63 @@ impl Waiter {
     }
 }
 
+/// What one arbitration round of a distributed discipline came to.
+///
+/// Every discipline makes its grant decision in one private `attempt` —
+/// a bus turn, a crossbar wave, an Omega route search — and both public
+/// paths are built on it: [`Broker::try_acquire`] is one attempt,
+/// [`Broker::acquire`] is [`retry`] around it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Attempt {
+    /// The round granted a resource.
+    Granted(BrokerGrant),
+    /// The round lost. `progressed` means it moved shared state on the way
+    /// (Omega gave a claimed resource back), which restarts the backoff at
+    /// its spin phase.
+    Retry { progressed: bool },
+    /// The run stopped while the round held a protocol turn (the SBUS bus
+    /// queue); the turn was passed on and the acquire aborts.
+    Stopped,
+}
+
+impl Attempt {
+    /// The grant, if the round made one: what a probe reports.
+    pub(crate) fn grant(self) -> Option<BrokerGrant> {
+        match self {
+            Attempt::Granted(grant) => Some(grant),
+            Attempt::Retry { .. } | Attempt::Stopped => None,
+        }
+    }
+}
+
+/// The blocking acquire of every distributed discipline: arbitration
+/// rounds `attempt(0)`, `attempt(1)`, … with one shared backoff between
+/// them — the paper's retry-on-status-change — until a round grants or
+/// `ctl` stops.
+pub(crate) fn retry(
+    ctl: &RunControl,
+    mut attempt: impl FnMut(usize) -> Attempt,
+) -> Option<BrokerGrant> {
+    let mut waiter = Waiter::new();
+    let mut round = 0usize;
+    loop {
+        if ctl.is_stopped() {
+            return None;
+        }
+        match attempt(round) {
+            Attempt::Granted(grant) => return Some(grant),
+            Attempt::Stopped => return None,
+            Attempt::Retry { progressed } => {
+                if progressed {
+                    waiter.reset();
+                }
+                waiter.wait();
+            }
+        }
+        round = round.wrapping_add(1);
+    }
+}
+
 /// How a release (or audited release) ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReleaseOutcome {
@@ -208,16 +265,25 @@ pub trait Broker: Sync {
     /// Blocks until a resource is granted to `who`, or until `ctl` stops
     /// (returning `None` — no statistics should be recorded for an aborted
     /// acquire).
+    ///
+    /// In the three distributed disciplines this is the round
+    /// [`Broker::try_acquire`] makes, repeated with one shared backoff
+    /// between rounds until one grants.
     fn acquire(&self, who: WorkerId, ctl: &RunControl) -> Option<BrokerGrant>;
 
     /// One bounded arbitration attempt: grants a resource to `who` if the
     /// discipline can do so now, or reports `None` when the pool looks
-    /// exhausted or the attempt loses its claim races. Unlike
-    /// [`Broker::acquire`] this never waits for capacity to free up — it
-    /// may still wait out bounded protocol turns (the SBUS bus queue), but
-    /// a probe of an exhausted pool returns promptly. This is the probe
-    /// primitive of [`ShardedBroker`]'s overflow-stealing path; callers
-    /// that get a grant owe the usual `end_transmission` + `release`.
+    /// exhausted or the attempt loses its claim races.
+    ///
+    /// In the three distributed disciplines a probe is exactly one round of
+    /// the blocking path — the round [`Broker::acquire`] makes first — so
+    /// whenever a single caller can be granted, both paths grant the same
+    /// resource. Unlike [`Broker::acquire`] this never waits for capacity
+    /// to free up — it may still wait out bounded protocol turns (the SBUS
+    /// bus queue), but a probe of an exhausted pool returns promptly. This
+    /// is the probe primitive of [`ShardedBroker`]'s overflow-stealing
+    /// path; callers that get a grant owe the usual `end_transmission` +
+    /// `release`.
     fn try_acquire(&self, who: WorkerId) -> Option<BrokerGrant>;
 
     /// Ends the transmission phase: releases whatever network capacity the

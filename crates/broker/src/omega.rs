@@ -7,43 +7,49 @@
 //! link. The runtime makes every link a claim word and builds a circuit
 //! the way the hardware's wave does — stage by stage in route order:
 //!
-//! 1. Claim a free resource (the destination port) by CAS on its leased
-//!    owner word; the destination-tag route from the worker's source port
-//!    is then fully determined, so the grant needs no extra bookkeeping.
+//! 1. Claim a free resource (the destination port) by CAS on its slot in
+//!    the broker's lease pool; the destination-tag route from the worker's
+//!    source port is then fully determined, so the grant needs no extra
+//!    bookkeeping.
 //! 2. Claim the route's links in stage order. A link that is already taken
 //!    means a blocking conflict with a live circuit: **roll back** every
-//!    link claimed so far *and* the resource, then wait and retry from
-//!    scratch.
+//!    link claimed so far *and* give the resource back (a pool release with
+//!    an empty audit), then try the next free resource.
 //!
-//! A worker therefore never waits while holding a partial path — the claim
-//! attempt either completes in a bounded number of CAS operations or
-//! releases everything before sleeping. Circular wait is impossible and
-//! the protocol cannot deadlock; the blocked worker's retry succeeds once
-//! the conflicting circuit's transmission ends (paths are freed by
-//! [`Broker::end_transmission`], matching the model where the circuit is
-//! held only for the transmission stage).
+//! One sweep of these steps over the destination ports is one attempt:
+//! [`Broker::try_acquire`] makes one from the worker's home origin, and
+//! [`Broker::acquire`] repeats it under the crate's shared backoff,
+//! rotating the origin per round. A worker therefore never waits while
+//! holding a partial path — each attempt either completes in a bounded
+//! number of CAS operations or releases everything before sleeping.
+//! Circular wait is impossible and the protocol cannot deadlock; the
+//! blocked worker's retry succeeds once the conflicting circuit's
+//! transmission ends (paths are freed by [`Broker::end_transmission`],
+//! matching the model where the circuit is held only for the transmission
+//! stage).
 //!
 //! ## Crash tolerance (route rollback by the supervisor)
 //!
 //! A holder that dies during its transmission leaves its whole circuit —
-//! one link per stage — claimed, and any circuit that shares a link with
-//! it blocks forever. Because routes are a pure function of
-//! `(worker, resource)`, the supervisor needs no record of the dead
-//! claimant's progress: when a resource lease expires it replays the
-//! route and rolls back **whatever prefix of it the dead worker actually
-//! held**, link by link in reverse stage order, with a `dead → VACANT`
-//! CAS per link. A link the worker never claimed (it died mid-claim, or
-//! had already finished its rollback or its transmission) fails the CAS
-//! and is skipped — so abandonment at *any* stage index, including stage
-//! zero and a completed circuit, reduces to the same tolerant sweep. The
-//! sweep runs while the resource's lease word is in its unclaimable
-//! `RECLAIMING` phase, so no new circuit to the same destination can be
-//! mid-construction while its links are being swept; circuits to *other*
-//! destinations never hold `dead`-valued links (a worker holds at most
-//! one grant), so the CAS can never free a live circuit's link. Rollback
-//! acquires nothing and retries nothing — it is a fixed reverse walk of
-//! at most `stages` CASes — so it cannot deadlock with claimants, which
-//! only ever *advance* in stage order and never wait while holding links.
+//! one link per stage — claimed, and any circuit that shares a link with it
+//! blocks forever. Because routes are a pure function of `(worker,
+//! resource)`, the supervisor needs no record of the dead claimant's
+//! progress: when a resource lease expires it replays the route and rolls
+//! back **whatever prefix of it the dead worker actually held** (inside the
+//! pool's reclaim audit hook), link by link in reverse stage order, with a
+//! `dead → VACANT` CAS per link. A link the worker never claimed (it died
+//! mid-claim, or had already finished its rollback or its transmission)
+//! fails the CAS and is skipped — so abandonment at *any* stage index,
+//! including stage zero and a completed circuit, reduces to the same
+//! tolerant sweep. The sweep runs while the resource's lease word is in its
+//! unclaimable `RECLAIMING` phase, so no new circuit to the same
+//! destination can be mid-construction while its links are being swept;
+//! circuits to *other* destinations never hold `dead`-valued links (a
+//! worker holds at most one grant), so the CAS can never free a live
+//! circuit's link. Rollback acquires nothing and retries nothing — it is a
+//! fixed reverse walk of at most `stages` CASes — so it cannot deadlock
+//! with claimants, which only ever *advance* in stage order and never wait
+//! while holding links.
 //!
 //! ## No fairness guarantee
 //!
@@ -59,8 +65,8 @@
 //! provide, and this crate implements that fix on the crossbar
 //! ([`crate::XbarPolicy::TokenRotation`]), not here.
 
-use crate::lease::{self, LeaseClock, LeaseWord, UnclaimStart, NO_OWNER};
-use crate::{Broker, BrokerGrant, ReleaseOutcome, RunControl, Waiter, WorkerId, VACANT};
+use crate::lease::LeasePool;
+use crate::{retry, Attempt, Broker, BrokerGrant, ReleaseOutcome, RunControl, WorkerId, VACANT};
 use rsin_topology::{Multistage, OmegaTopology};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -85,10 +91,9 @@ pub struct OmegaBroker {
     workers: usize,
     topo: OmegaTopology,
     /// Per-resource lease words.
-    owners: Vec<LeaseWord>,
+    pool: LeasePool,
     /// Per-link claim words, `links[stage * size + wire]`.
     links: Vec<AtomicU64>,
-    clock: LeaseClock,
 }
 
 impl OmegaBroker {
@@ -123,9 +128,8 @@ impl OmegaBroker {
         OmegaBroker {
             workers,
             topo,
-            owners: (0..resources).map(|_| LeaseWord::new()).collect(),
+            pool: LeasePool::new(resources, lease),
             links: (0..n_links).map(|_| AtomicU64::new(VACANT)).collect(),
-            clock: LeaseClock::new(lease),
         }
     }
 
@@ -176,19 +180,51 @@ impl OmegaBroker {
         }
     }
 
-    /// Reclaims every resource whose lease is expired at `now_us`,
-    /// sweeping the dead holder's route while the slot is unclaimable.
-    fn reclaim_at(&self, now_us: u64, audit: &mut dyn FnMut(usize, WorkerId)) -> usize {
-        let mut reclaimed = 0;
-        for (res, owner) in self.owners.iter().enumerate() {
-            if let Some(dead) = owner.begin_reclaim(now_us) {
-                self.free_path(dead, res);
-                audit(res, dead);
-                owner.finish_unclaim();
-                reclaimed += 1;
+    /// One claim-or-rollback sweep over the destination ports, from
+    /// origin `(who + round) % resources`: the origin rotates per worker
+    /// and per round so concurrent claimers fan out over the ports.
+    /// `progressed` reports that a resource was claimed and given back.
+    fn attempt(&self, who: WorkerId, round: usize) -> Attempt {
+        debug_assert!(who < self.workers, "worker id out of range");
+        let r = self.pool.len();
+        let start = (who + round) % r;
+        let mut progressed = false;
+        for step in 0..r {
+            let resource = (start + step) % r;
+            if !self.pool.is_vacant(resource) {
+                continue;
             }
+            let Some(generation) = self.pool.try_claim(resource, who) else {
+                continue;
+            };
+            let grant = BrokerGrant {
+                resource,
+                generation,
+            };
+            if self.try_claim_path(who, resource) {
+                return Attempt::Granted(grant);
+            }
+            // Blocked in the fabric: give the resource back before
+            // waiting so we never hold anything while blocked. There is no
+            // audit to run because the grant never happened. A stale
+            // give-back means the supervisor reclaimed us — only possible
+            // if the lease is shorter than one attempt — and swept our
+            // (empty) route; it is tolerated.
+            self.pool.release(who, grant, &mut |_, _| {}, |_, _| {});
+            progressed = true;
         }
-        reclaimed
+        Attempt::Retry { progressed }
+    }
+
+    /// Reclaims every resource whose lease is expired at `now_us`,
+    /// sweeping the dead holder's route in the audit hook, while the slot
+    /// is unclaimable.
+    fn reclaim_at(&self, now_us: u64, audit: &mut dyn FnMut(usize, WorkerId)) -> usize {
+        let mut sweep = |resource, dead| {
+            self.free_path(dead, resource);
+            audit(resource, dead);
+        };
+        self.pool.reclaim(now_us, &mut sweep, |_, _| {})
     }
 }
 
@@ -198,97 +234,16 @@ impl Broker for OmegaBroker {
     }
 
     fn resources(&self) -> usize {
-        self.owners.len()
+        self.pool.len()
     }
 
     fn acquire(&self, who: WorkerId, ctl: &RunControl) -> Option<BrokerGrant> {
-        debug_assert!(who < self.workers, "worker id out of range");
-        let r = self.owners.len();
-        let mut waiter = Waiter::new();
-        let mut attempt = 0usize;
-        loop {
-            if ctl.is_stopped() {
-                return None;
-            }
-            // Rotate the scan origin per worker and per attempt so
-            // concurrent claimers fan out over the destination ports.
-            let start = (who + attempt) % r;
-            attempt = attempt.wrapping_add(1);
-            let mut progressed = false;
-            for step in 0..r {
-                let res = (start + step) % r;
-                if lease::owner_of(self.owners[res].load()) != NO_OWNER {
-                    continue;
-                }
-                let Some(generation) =
-                    self.owners[res].try_claim(who, self.clock.deadline_from_now())
-                else {
-                    continue;
-                };
-                if self.try_claim_path(who, res) {
-                    return Some(BrokerGrant {
-                        resource: res,
-                        generation,
-                    });
-                }
-                // Blocked in the fabric: give the resource back before
-                // waiting so we never hold anything while blocked. The
-                // two-phase unclaim mirrors release; there is no audit to
-                // run because the grant never happened.
-                match self.owners[res].begin_unclaim(who, generation) {
-                    UnclaimStart::Begun => {
-                        self.owners[res].finish_unclaim();
-                    }
-                    // The supervisor can only have reclaimed us if the
-                    // lease is shorter than one claim attempt — tolerate
-                    // it; the reclaimer swept our (empty) route.
-                    UnclaimStart::Stale => {}
-                    UnclaimStart::Foreign => {
-                        unreachable!("owner word changed under the claimant")
-                    }
-                }
-                progressed = true;
-            }
-            if progressed {
-                waiter.reset();
-            }
-            waiter.wait();
-        }
+        retry(ctl, |round| self.attempt(who, round))
     }
 
     fn try_acquire(&self, who: WorkerId) -> Option<BrokerGrant> {
-        debug_assert!(who < self.workers, "worker id out of range");
-        // One claim-or-rollback sweep over the destination ports, from
-        // this worker's home origin. Claim-or-retry is already attempt-
-        // shaped — the probe is simply a single attempt with no backoff.
-        let r = self.owners.len();
-        let start = who % r;
-        for step in 0..r {
-            let res = (start + step) % r;
-            if lease::owner_of(self.owners[res].load()) != NO_OWNER {
-                continue;
-            }
-            let Some(generation) = self.owners[res].try_claim(who, self.clock.deadline_from_now())
-            else {
-                continue;
-            };
-            if self.try_claim_path(who, res) {
-                return Some(BrokerGrant {
-                    resource: res,
-                    generation,
-                });
-            }
-            match self.owners[res].begin_unclaim(who, generation) {
-                UnclaimStart::Begun => {
-                    self.owners[res].finish_unclaim();
-                }
-                UnclaimStart::Stale => {}
-                UnclaimStart::Foreign => {
-                    unreachable!("owner word changed under the claimant")
-                }
-            }
-        }
-        None
+        // Round 0: the sweep from this worker's home origin.
+        self.attempt(who, 0).grant()
     }
 
     fn end_transmission(&self, who: WorkerId, grant: BrokerGrant) {
@@ -303,26 +258,13 @@ impl Broker for OmegaBroker {
         grant: BrokerGrant,
         audit: &mut dyn FnMut(usize, WorkerId),
     ) -> ReleaseOutcome {
-        let owner = &self.owners[grant.resource];
-        match owner.begin_unclaim(who, grant.generation) {
-            UnclaimStart::Begun => {
-                audit(grant.resource, who);
-                owner.finish_unclaim();
-                ReleaseOutcome::Released
-            }
-            UnclaimStart::Stale => ReleaseOutcome::Stale,
-            UnclaimStart::Foreign => panic!(
-                "release of resource {} by worker {who} who does not hold it",
-                grant.resource
-            ),
-        }
+        self.pool.release(who, grant, audit, |_, _| {})
     }
 
     fn reclaim_expired(&self, audit: &mut dyn FnMut(usize, WorkerId)) -> usize {
-        if !self.clock.leases_expire() {
-            return 0;
-        }
-        self.reclaim_at(self.clock.now_us(), audit)
+        self.pool
+            .expiry_now()
+            .map_or(0, |now_us| self.reclaim_at(now_us, audit))
     }
 
     fn reclaim_all(&self, audit: &mut dyn FnMut(usize, WorkerId)) -> usize {
@@ -330,24 +272,18 @@ impl Broker for OmegaBroker {
     }
 
     fn set_resource_faulted(&self, resource: usize, down: bool) {
-        if down {
-            self.owners[resource].set_faulted();
-        } else {
-            self.owners[resource].clear_faulted();
-        }
+        self.pool.set_faulted(resource, down);
     }
 
     fn available_resources(&self) -> usize {
-        self.owners
-            .iter()
-            .filter(|o| lease::owner_of(o.load()) == NO_OWNER)
-            .count()
+        self.pool.available()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lease::NO_OWNER;
 
     fn held_links(b: &OmegaBroker) -> usize {
         b.links
@@ -364,13 +300,9 @@ mod tests {
         assert_eq!(held_links(&b), b.topo.stages() as usize, "one link/stage");
         b.end_transmission(3, g);
         assert_eq!(held_links(&b), 0, "circuit freed, resource kept");
-        assert_ne!(
-            lease::owner_of(b.owners[g.resource].load()),
-            NO_OWNER,
-            "resource still held"
-        );
+        assert_ne!(b.pool.owner(g.resource), NO_OWNER, "resource still held");
         b.release(3, g);
-        assert_eq!(lease::owner_of(b.owners[g.resource].load()), NO_OWNER);
+        assert_eq!(b.pool.owner(g.resource), NO_OWNER);
     }
 
     #[test]
@@ -416,9 +348,7 @@ mod tests {
         // first k links of its route, then died. k = 0 is death before any
         // link; k = stages is death mid-transmission with a full circuit.
         for k in 0..=stages {
-            b.owners[res]
-                .try_claim(who, b.clock.deadline_from_now())
-                .expect("resource free");
+            b.pool.try_claim(res, who).expect("resource free");
             let route = b.topo.route(who, res);
             for l in &route.links[..k] {
                 let claimed = b
@@ -436,7 +366,7 @@ mod tests {
             // The destination and the swept links are claimable again.
             assert!(b.try_claim_path(0, res), "stage {k}: route still wedged");
             b.free_path(0, res);
-            assert_eq!(lease::owner_of(b.owners[res].load()), NO_OWNER);
+            assert_eq!(b.pool.owner(res), NO_OWNER);
         }
     }
 

@@ -42,9 +42,14 @@
 //! should saturate). The cross-validation suite is what polices this
 //! equivalence.
 //!
-//! An acquire aborted by [`RunControl`] still advances `serving` once its
-//! turn comes, so a stopping run unwinds the whole ticket queue instead of
-//! wedging it.
+//! One snoop → ticket → confirm pass is one attempt, and both grant paths
+//! are built on it: [`Broker::try_acquire`] makes one attempt, and
+//! [`Broker::acquire`] repeats it under the crate's shared backoff. The
+//! attempt's own waits — for its bus turn, for the bus lease, for a slot
+//! its reservation guarantees — are bounded protocol turns and stay inside
+//! it. An acquire aborted by [`RunControl`] still advances `serving` once
+//! its turn comes, so a stopping run unwinds the whole ticket queue instead
+//! of wedging it.
 //!
 //! ## Crash tolerance (status-word repair)
 //!
@@ -52,8 +57,9 @@
 //! supervisor ([`Broker::reclaim_expired`]) repairs all three:
 //!
 //! 1. **A leaked resource slot**: the slot's lease expires, the supervisor
-//!    reclaims it, and — the status-word repair — returns its credit to
-//!    `free` (unless a parked fault consumed the slot). The generation CAS
+//!    reclaims it through the broker's lease pool, and — the status-word
+//!    repair, which is this discipline's vacate hook — returns its credit
+//!    to `free` (unless a parked fault consumed the slot). The generation CAS
 //!    makes the repair safe against the holder's own late release.
 //! 2. **A dead transmitter**: the bus lease expires; the supervisor
 //!    vacates it and advances `serving` past the dead holder's ticket.
@@ -71,8 +77,8 @@
 //!    and re-queues — the skip can cost it a retry, never a wedge or a
 //!    double grant.
 
-use crate::lease::{self, LeaseClock, LeaseWord, UnclaimStart, NO_OWNER};
-use crate::{Broker, BrokerGrant, ReleaseOutcome, RunControl, Waiter, WorkerId};
+use crate::lease::{self, LeasePool, LeaseWord, UnclaimStart, Vacated, NO_OWNER};
+use crate::{retry, Attempt, Broker, BrokerGrant, ReleaseOutcome, RunControl, Waiter, WorkerId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -111,14 +117,13 @@ pub struct SbusBroker {
     /// `bus_generation[w]`: the bus-lease generation of worker `w`'s
     /// current transmission (written and read only by `w` itself).
     bus_generation: Vec<AtomicU64>,
-    /// Per-resource lease words.
-    slots: Vec<LeaseWord>,
+    /// Per-resource lease words; the bus lease runs on the same clock.
+    pool: LeasePool,
     /// Stalled-queue watchdog state: last `(serving, next_ticket)` pair
     /// the supervisor observed, and when it first observed it.
     seen_serving: AtomicU64,
     seen_next: AtomicU64,
     seen_at_us: AtomicU64,
-    clock: LeaseClock,
 }
 
 impl SbusBroker {
@@ -153,11 +158,10 @@ impl SbusBroker {
             bus: LeaseWord::new(),
             tickets: (0..workers).map(|_| AtomicU64::new(TICKET_NONE)).collect(),
             bus_generation: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            slots: (0..resources).map(|_| LeaseWord::new()).collect(),
+            pool: LeasePool::new(resources, lease),
             seen_serving: AtomicU64::new(0),
             seen_next: AtomicU64::new(0),
             seen_at_us: AtomicU64::new(0),
-            clock: LeaseClock::new(lease),
         }
     }
 
@@ -189,41 +193,38 @@ impl SbusBroker {
     /// rotated index sweep. Returns `None` when every vacancy seen was
     /// claimed by a faster reserver — the caller backs off and rescans.
     fn claim_slot_from(&self, who: WorkerId, origin: usize) -> Option<BrokerGrant> {
-        let n = self.slots.len();
-        if n <= 64 {
-            let mut vacant = 0u64;
-            for (i, slot) in self.slots.iter().enumerate() {
-                vacant |= u64::from(lease::owner_of(slot.load()) == NO_OWNER) << i;
-            }
+        let claim = |resource| {
+            let generation = self.pool.try_claim(resource, who)?;
+            Some(BrokerGrant {
+                resource,
+                generation,
+            })
+        };
+        if let Some(mut vacant) = self.pool.vacancy_mask() {
             while vacant != 0 {
                 let i = rsin_bitslice::rotating_grant(&[vacant], origin)?;
-                if let Some(generation) =
-                    self.slots[i].try_claim(who, self.clock.deadline_from_now())
-                {
-                    return Some(BrokerGrant {
-                        resource: i,
-                        generation,
-                    });
+                if let Some(grant) = claim(i) {
+                    return Some(grant);
                 }
                 // Lost that CAS — the slot is taken; grant from the rest.
                 vacant &= !(1u64 << i);
             }
             None
         } else {
-            for k in 0..n {
-                let i = (origin + k) % n;
-                let slot = &self.slots[i];
-                if lease::owner_of(slot.load()) != NO_OWNER {
-                    continue;
-                }
-                if let Some(generation) = slot.try_claim(who, self.clock.deadline_from_now()) {
-                    return Some(BrokerGrant {
-                        resource: i,
-                        generation,
-                    });
-                }
-            }
-            None
+            let n = self.pool.len();
+            (0..n)
+                .map(|k| (origin + k) % n)
+                .filter(|&i| self.pool.is_vacant(i))
+                .find_map(claim)
+        }
+    }
+
+    /// The vacate hook of every slot release and reclaim: the status-word
+    /// repair. The vacated slot's credit returns to `free` unless a parked
+    /// fault consumed the slot.
+    fn return_credit(&self, vacated: Vacated) {
+        if !vacated.to_faulted {
+            self.free.fetch_add(1, Ordering::Release);
         }
     }
 
@@ -267,19 +268,9 @@ impl SbusBroker {
         skip_queued: bool,
         audit: &mut dyn FnMut(usize, WorkerId),
     ) -> usize {
-        let mut reclaimed = 0;
-        for (i, slot) in self.slots.iter().enumerate() {
-            if let Some(dead) = slot.begin_reclaim(now_us) {
-                audit(i, dead);
-                let vacated = slot.finish_unclaim();
-                if !vacated.to_faulted {
-                    // The status-word repair: the dead holder's credit
-                    // comes back (unless a parked fault consumed it).
-                    self.free.fetch_add(1, Ordering::Release);
-                }
-                reclaimed += 1;
-            }
-        }
+        let reclaimed = self
+            .pool
+            .reclaim(now_us, audit, |_, vacated| self.return_credit(vacated));
         if let Some(dead) = self.bus.begin_reclaim(now_us) {
             self.bus.finish_unclaim();
             let ticket = self.tickets[dead].load(Ordering::Acquire);
@@ -321,7 +312,7 @@ impl SbusBroker {
         let stalled_for = now_us.saturating_sub(self.seen_at_us.load(Ordering::Relaxed));
         if serving < next
             && lease::owner_of(self.bus.load()) == NO_OWNER
-            && stalled_for >= self.clock.lease_us()
+            && stalled_for >= self.pool.clock().lease_us()
             && self
                 .serving
                 .compare_exchange(serving, serving + 1, Ordering::AcqRel, Ordering::Relaxed)
@@ -331,126 +322,27 @@ impl SbusBroker {
             self.seen_at_us.store(now_us, Ordering::Relaxed);
         }
     }
-}
 
-impl Broker for SbusBroker {
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn resources(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn acquire(&self, who: WorkerId, ctl: &RunControl) -> Option<BrokerGrant> {
+    /// One bus turn for `who`: snoop the status word, queue for the bus,
+    /// and confirm a resource at bus-grant time. `ctl` is the blocking
+    /// caller's control (`None` for a probe, which cannot be stopped).
+    fn attempt(&self, who: WorkerId, ctl: Option<&RunControl>) -> Attempt {
         debug_assert!(who < self.workers, "worker id out of range");
-        let mut waiter = Waiter::new();
-        loop {
-            // Phase 1: snoop the broadcast status word; don't even request
-            // the bus while it reads zero (the paper's retry-on-status-
-            // change). Only the snoop is free-running — everything past it
-            // is one bounded bus turn.
-            if ctl.is_stopped() {
-                return None;
-            }
-            if self.free.load(Ordering::Acquire) == 0 {
-                waiter.wait();
-                continue;
-            }
-            // Phase 2: queue for the bus. Once the ticket is taken the
-            // turn must be waited out even on stop — tickets ahead of us
-            // are either transmissions (which end) or probes/aborters
-            // (which pass), so the wait is bounded and skipping our own
-            // pass would wedge everyone behind us. The only other exit is
-            // the supervisor skipping us as presumed dead, in which case
-            // we re-queue.
-            let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-            self.tickets[who].store(ticket, Ordering::Release);
-            let mut bus_wait = Waiter::new();
-            let reached_turn = loop {
-                let s = self.serving.load(Ordering::Acquire);
-                if s == ticket {
-                    break true;
-                }
-                if s > ticket {
-                    break false;
-                }
-                bus_wait.wait();
-            };
-            if !reached_turn {
-                self.tickets[who].store(TICKET_NONE, Ordering::Release);
-                waiter.wait();
-                continue;
-            }
-            if ctl.is_stopped() {
-                let _ = self.serving.compare_exchange(
-                    ticket,
-                    ticket + 1,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                );
-                self.tickets[who].store(TICKET_NONE, Ordering::Release);
-                return None;
-            }
-            // Our turn: claim the bus lease. The previous transmitter may
-            // still be mid-vacate (its lease word in the RECLAIMING
-            // phase) — retry with capped backoff; stand down if the
-            // supervisor skips us meanwhile.
-            let mut claim_wait = Waiter::new();
-            let bus_generation = loop {
-                if let Some(g) = self.bus.try_claim(who, self.clock.deadline_from_now()) {
-                    break Some(g);
-                }
-                if self.serving.load(Ordering::Acquire) != ticket {
-                    break None;
-                }
-                claim_wait.wait();
-            };
-            let Some(bus_generation) = bus_generation else {
-                self.tickets[who].store(TICKET_NONE, Ordering::Release);
-                waiter.wait();
-                continue;
-            };
-            self.bus_generation[who].store(u64::from(bus_generation), Ordering::Release);
-            // Phase 3: with the bus held, confirm the resource the status
-            // word advertised. Reserving at bus-grant time is what keeps
-            // the runtime equivalent to the model, where a processor is
-            // granted only when bus AND resource are free at the same
-            // instant; losing the race just passes the bus on and retries,
-            // so the bus itself never blocks on busy resources.
-            if !self.try_reserve() {
-                self.pass_bus(who);
-                waiter.wait();
-                continue;
-            }
-            // The reservation guarantees a vacant slot exists; contend for
-            // one. Each worker sweeps from its own home origin, spread
-            // evenly across the pool, so concurrent reservers fan out over
-            // distinct slots instead of piling onto slot 0 and fighting
-            // the same CAS. A failed sweep only ever means other reservers
-            // claimed every vacancy it saw — rescan.
-            let origin = who * self.slots.len() / self.workers;
-            let mut scan = Waiter::new();
-            loop {
-                if let Some(grant) = self.claim_slot_from(who, origin) {
-                    return Some(grant);
-                }
-                scan.wait();
-            }
-        }
-    }
-
-    fn try_acquire(&self, who: WorkerId) -> Option<BrokerGrant> {
-        debug_assert!(who < self.workers, "worker id out of range");
-        // Snoop: an exhausted pool is answered from the status word alone,
-        // without queueing for the bus — the cheap-probe property the
-        // sharded overflow path depends on.
+        const LOST: Attempt = Attempt::Retry { progressed: false };
+        // Phase 1: snoop the broadcast status word; don't even request the
+        // bus while it reads zero (the paper's retry-on-status-change). An
+        // exhausted pool is answered from the status word alone, without
+        // queueing for the bus — the cheap-probe property the sharded
+        // overflow path depends on.
         if self.free.load(Ordering::Acquire) == 0 {
-            return None;
+            return LOST;
         }
-        // One bus turn, same protocol as `acquire` phase 2: the turn wait
-        // is bounded (tickets ahead either transmit and end, or pass), so
-        // the probe never waits for *capacity*, only for its turn.
+        // Phase 2: queue for the bus. Once the ticket is taken the turn
+        // must be waited out even on stop — tickets ahead of us are either
+        // transmissions (which end) or probes/aborters (which pass), so the
+        // wait is bounded and skipping our own pass would wedge everyone
+        // behind us. The only other exit is the supervisor skipping us as
+        // presumed dead, in which case the attempt is lost.
         let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
         self.tickets[who].store(ticket, Ordering::Release);
         let mut bus_wait = Waiter::new();
@@ -466,11 +358,28 @@ impl Broker for SbusBroker {
         };
         if !reached_turn {
             self.tickets[who].store(TICKET_NONE, Ordering::Release);
-            return None;
+            return LOST;
         }
+        if ctl.is_some_and(RunControl::is_stopped) {
+            let _ = self.serving.compare_exchange(
+                ticket,
+                ticket + 1,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            );
+            self.tickets[who].store(TICKET_NONE, Ordering::Release);
+            return Attempt::Stopped;
+        }
+        // Our turn: claim the bus lease. The previous transmitter may
+        // still be mid-vacate (its lease word in the RECLAIMING phase) —
+        // retry with capped backoff; stand down if the supervisor skips us
+        // meanwhile.
         let mut claim_wait = Waiter::new();
         let bus_generation = loop {
-            if let Some(g) = self.bus.try_claim(who, self.clock.deadline_from_now()) {
+            if let Some(g) = self
+                .bus
+                .try_claim(who, self.pool.clock().deadline_from_now())
+            {
                 break Some(g);
             }
             if self.serving.load(Ordering::Acquire) != ticket {
@@ -480,26 +389,52 @@ impl Broker for SbusBroker {
         };
         let Some(bus_generation) = bus_generation else {
             self.tickets[who].store(TICKET_NONE, Ordering::Release);
-            return None;
+            return LOST;
         };
         self.bus_generation[who].store(u64::from(bus_generation), Ordering::Release);
-        // Confirm at bus-grant time; a lost reservation passes the bus on
-        // and the probe fails instead of retrying.
+        // Phase 3: with the bus held, confirm the resource the status word
+        // advertised. Reserving at bus-grant time is what keeps the runtime
+        // equivalent to the model, where a processor is granted only when
+        // bus AND resource are free at the same instant; losing the race
+        // just passes the bus on, so the bus itself never blocks on busy
+        // resources.
         if !self.try_reserve() {
             self.pass_bus(who);
-            return None;
+            return LOST;
         }
-        // The reservation guarantees a vacant slot; contend for one. On a
-        // grant the bus stays held through the transmission phase, exactly
-        // as in `acquire` — the caller owes `end_transmission`.
-        let origin = who * self.slots.len() / self.workers;
+        // The reservation guarantees a vacant slot exists; contend for one.
+        // Each worker sweeps from its own home origin, spread evenly across
+        // the pool, so concurrent reservers fan out over distinct slots
+        // instead of piling onto slot 0 and fighting the same CAS. A failed
+        // sweep only ever means other reservers claimed every vacancy it
+        // saw — rescan. On a grant the bus stays held through the
+        // transmission phase; the caller owes `end_transmission`.
+        let origin = who * self.pool.len() / self.workers;
         let mut scan = Waiter::new();
         loop {
             if let Some(grant) = self.claim_slot_from(who, origin) {
-                return Some(grant);
+                return Attempt::Granted(grant);
             }
             scan.wait();
         }
+    }
+}
+
+impl Broker for SbusBroker {
+    fn workers(&self) -> usize {
+        self.workers
+    }
+
+    fn resources(&self) -> usize {
+        self.pool.len()
+    }
+
+    fn acquire(&self, who: WorkerId, ctl: &RunControl) -> Option<BrokerGrant> {
+        retry(ctl, |_| self.attempt(who, Some(ctl)))
+    }
+
+    fn try_acquire(&self, who: WorkerId) -> Option<BrokerGrant> {
+        self.attempt(who, None).grant()
     }
 
     fn end_transmission(&self, who: WorkerId, _grant: BrokerGrant) {
@@ -513,29 +448,14 @@ impl Broker for SbusBroker {
         grant: BrokerGrant,
         audit: &mut dyn FnMut(usize, WorkerId),
     ) -> ReleaseOutcome {
-        let slot = &self.slots[grant.resource];
-        match slot.begin_unclaim(who, grant.generation) {
-            UnclaimStart::Begun => {
-                audit(grant.resource, who);
-                let vacated = slot.finish_unclaim();
-                if !vacated.to_faulted {
-                    self.free.fetch_add(1, Ordering::Release);
-                }
-                ReleaseOutcome::Released
-            }
-            UnclaimStart::Stale => ReleaseOutcome::Stale,
-            UnclaimStart::Foreign => panic!(
-                "release of resource {} by worker {who} who does not hold it",
-                grant.resource
-            ),
-        }
+        self.pool
+            .release(who, grant, audit, |_, vacated| self.return_credit(vacated))
     }
 
     fn reclaim_expired(&self, audit: &mut dyn FnMut(usize, WorkerId)) -> usize {
-        if !self.clock.leases_expire() {
-            return 0;
-        }
-        self.reclaim_at(self.clock.now_us(), true, audit)
+        self.pool
+            .expiry_now()
+            .map_or(0, |now_us| self.reclaim_at(now_us, true, audit))
     }
 
     fn reclaim_all(&self, audit: &mut dyn FnMut(usize, WorkerId)) -> usize {
@@ -544,9 +464,8 @@ impl Broker for SbusBroker {
     }
 
     fn set_resource_faulted(&self, resource: usize, down: bool) {
-        let slot = &self.slots[resource];
         if !down {
-            if slot.clear_faulted() == lease::RepairOutcome::Repaired {
+            if self.pool.repair(resource) == lease::RepairOutcome::Repaired {
                 // The repaired slot is grantable again: its credit returns
                 // to the status word.
                 self.free.fetch_add(1, Ordering::Release);
@@ -561,11 +480,11 @@ impl Broker for SbusBroker {
         // reservation is refunded.
         let mut waiter = Waiter::new();
         loop {
-            match lease::owner_of(slot.load()) {
+            match self.pool.owner(resource) {
                 lease::FAULTED => return,
                 NO_OWNER => {
                     if self.try_reserve() {
-                        match slot.set_faulted() {
+                        match self.pool.fault(resource) {
                             lease::FaultOutcome::WasVacant => return,
                             lease::FaultOutcome::Parked | lease::FaultOutcome::AlreadyFaulted => {
                                 self.free.fetch_add(1, Ordering::Release);
@@ -582,13 +501,13 @@ impl Broker for SbusBroker {
                     // Held or mid-reclaim: park the fault on the word; it
                     // applies (and consumes the holder's credit) when the
                     // slot vacates.
-                    if slot.set_faulted() != lease::FaultOutcome::WasVacant {
+                    if self.pool.fault(resource) != lease::FaultOutcome::WasVacant {
                         return;
                     }
                     // The slot vacated between the load and the fault —
                     // it went vacant→FAULTED without a reserved credit;
                     // undo and retry through the vacant path.
-                    slot.clear_faulted();
+                    self.pool.repair(resource);
                     waiter.wait();
                 }
             }
@@ -596,10 +515,7 @@ impl Broker for SbusBroker {
     }
 
     fn available_resources(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| lease::owner_of(s.load()) == NO_OWNER)
-            .count()
+        self.pool.available()
     }
 }
 

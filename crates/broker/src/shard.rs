@@ -100,12 +100,8 @@
 //! the shard layer adds no new happens-before obligations to the grant
 //! path itself.
 
-use crate::{
-    Broker, BrokerGrant, OmegaBroker, ReleaseOutcome, RunControl, SbusBroker, Waiter, WorkerId,
-    XbarBroker, XbarPolicy,
-};
+use crate::{Broker, BrokerGrant, ReleaseOutcome, RunControl, Waiter, WorkerId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// One shard: a full-discipline sub-arbiter over a contiguous slot range,
 /// plus its free-slot credit hint and the camp queue that makes waiting
@@ -135,9 +131,9 @@ struct Shard<B> {
 /// # Examples
 ///
 /// ```
-/// use rsin_broker::{Broker, RunControl, ShardedBroker};
+/// use rsin_broker::{Broker, RunControl, SbusBroker, ShardedBroker};
 ///
-/// let broker = ShardedBroker::sbus(4, 4, 2);
+/// let broker = ShardedBroker::new(4, 4, 2, SbusBroker::new);
 /// let ctl = RunControl::new();
 /// let grant = broker.acquire(1, &ctl).expect("uncontended");
 /// broker.end_transmission(1, grant);
@@ -387,76 +383,6 @@ impl<B: Broker> ShardedBroker<B> {
     }
 }
 
-impl ShardedBroker<SbusBroker> {
-    /// Sharded shared-bus broker: each shard is its own bus cluster (status
-    /// word, ticket queue, bus lease) over its slot range, with
-    /// non-expiring leases.
-    #[must_use]
-    pub fn sbus(workers: usize, resources: usize, shards: usize) -> Self {
-        Self::new(workers, resources, shards, SbusBroker::new)
-    }
-
-    /// Sharded shared-bus broker with expiring leases.
-    #[must_use]
-    pub fn sbus_with_lease(
-        workers: usize,
-        resources: usize,
-        shards: usize,
-        lease: Duration,
-    ) -> Self {
-        Self::new(workers, resources, shards, |w, r| {
-            SbusBroker::with_lease(w, r, lease)
-        })
-    }
-}
-
-impl ShardedBroker<XbarBroker> {
-    /// Sharded crossbar broker: each shard arbitrates its own column range
-    /// with its own request mask and token, with non-expiring leases.
-    #[must_use]
-    pub fn xbar(workers: usize, resources: usize, shards: usize, policy: XbarPolicy) -> Self {
-        Self::new(workers, resources, shards, |w, r| {
-            XbarBroker::new(w, r, policy)
-        })
-    }
-
-    /// Sharded crossbar broker with expiring leases.
-    #[must_use]
-    pub fn xbar_with_lease(
-        workers: usize,
-        resources: usize,
-        shards: usize,
-        policy: XbarPolicy,
-        lease: Duration,
-    ) -> Self {
-        Self::new(workers, resources, shards, |w, r| {
-            XbarBroker::with_lease(w, r, policy, lease)
-        })
-    }
-}
-
-impl ShardedBroker<OmegaBroker> {
-    /// Sharded Omega broker: each shard routes through its own fabric to
-    /// its destination-port range, with non-expiring leases.
-    #[must_use]
-    pub fn omega(workers: usize, resources: usize, shards: usize) -> Self {
-        Self::new(workers, resources, shards, OmegaBroker::new)
-    }
-
-    /// Sharded Omega broker with expiring leases.
-    #[must_use]
-    pub fn omega_with_lease(
-        workers: usize,
-        resources: usize,
-        shards: usize,
-        lease: Duration,
-    ) -> Self {
-        Self::new(workers, resources, shards, |w, r| {
-            OmegaBroker::with_lease(w, r, lease)
-        })
-    }
-}
-
 impl<B: Broker> Broker for ShardedBroker<B> {
     fn workers(&self) -> usize {
         self.workers
@@ -616,10 +542,14 @@ impl<B: Broker> Broker for ShardedBroker<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{OmegaBroker, SbusBroker, XbarBroker, XbarPolicy};
+    use std::time::Duration;
 
     #[test]
     fn partitions_slots_contiguously_with_near_equal_sizes() {
-        let b = ShardedBroker::xbar(4, 7, 3, XbarPolicy::TokenRotation);
+        let b = ShardedBroker::new(4, 7, 3, |w, r| {
+            XbarBroker::new(w, r, XbarPolicy::TokenRotation)
+        });
         assert_eq!(b.shard_count(), 3);
         assert_eq!(b.resources(), 7);
         assert_eq!(b.bases, vec![0, 3, 5, 7], "3 + 2 + 2 covering 7");
@@ -634,7 +564,9 @@ mod tests {
 
     #[test]
     fn home_grants_stay_on_the_home_shard() {
-        let b = ShardedBroker::xbar(4, 4, 2, XbarPolicy::TokenRotation);
+        let b = ShardedBroker::new(4, 4, 2, |w, r| {
+            XbarBroker::new(w, r, XbarPolicy::TokenRotation)
+        });
         let ctl = RunControl::new();
         let grants: Vec<_> = (0..4)
             .map(|w| b.acquire(w, &ctl).expect("capacity for all"))
@@ -663,7 +595,7 @@ mod tests {
     #[test]
     fn exhausted_home_shard_steals_from_a_sibling() {
         // Workers 0 and 2 both map to home shard 0, which holds one slot.
-        let b = ShardedBroker::sbus(4, 2, 2);
+        let b = ShardedBroker::new(4, 2, 2, SbusBroker::new);
         let ctl = RunControl::new();
         let g0 = b.acquire(0, &ctl).expect("home slot free");
         b.end_transmission(0, g0);
@@ -687,7 +619,9 @@ mod tests {
 
     #[test]
     fn saturation_blocks_and_stop_unblocks_without_leaking_credits() {
-        let b = ShardedBroker::xbar(4, 2, 2, XbarPolicy::TokenRotation);
+        let b = ShardedBroker::new(4, 2, 2, |w, r| {
+            XbarBroker::new(w, r, XbarPolicy::TokenRotation)
+        });
         let ctl = RunControl::new();
         let g0 = b.acquire(0, &ctl).expect("free");
         let g1 = b.acquire(1, &ctl).expect("free");
@@ -706,7 +640,7 @@ mod tests {
 
     #[test]
     fn release_and_audit_report_global_indices() {
-        let b = ShardedBroker::omega(4, 4, 2);
+        let b = ShardedBroker::new(4, 4, 2, OmegaBroker::new);
         let ctl = RunControl::new();
         // Worker 1's home is shard 1 (slots 2..4).
         let g = b.acquire(1, &ctl).expect("free");
@@ -720,7 +654,9 @@ mod tests {
 
     #[test]
     fn reclaim_translates_indices_and_refunds_credits() {
-        let b = ShardedBroker::sbus_with_lease(4, 4, 2, Duration::from_micros(1));
+        let b = ShardedBroker::new(4, 4, 2, |w, r| {
+            SbusBroker::with_lease(w, r, Duration::from_micros(1))
+        });
         let ctl = RunControl::new();
         let g = b.acquire(3, &ctl).expect("free");
         b.end_transmission(3, g);
@@ -742,7 +678,7 @@ mod tests {
 
     #[test]
     fn faults_route_to_the_owning_shard_and_gate_the_hint() {
-        let b = ShardedBroker::sbus(2, 4, 2);
+        let b = ShardedBroker::new(2, 4, 2, SbusBroker::new);
         b.set_resource_faulted(3, true);
         assert_eq!(b.available_resources(), 3);
         assert_eq!(b.shard_credits(1), 1, "fault consumed shard 1's credit");
@@ -754,7 +690,9 @@ mod tests {
 
     #[test]
     fn single_shard_degenerates_to_the_plain_discipline() {
-        let b = ShardedBroker::xbar(2, 2, 1, XbarPolicy::FixedPriority);
+        let b = ShardedBroker::new(2, 2, 1, |w, r| {
+            XbarBroker::new(w, r, XbarPolicy::FixedPriority)
+        });
         let ctl = RunControl::new();
         let g0 = b.acquire(0, &ctl).expect("free");
         let g1 = b.acquire(1, &ctl).expect("free");
@@ -768,6 +706,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "every shard needs at least one resource")]
     fn more_shards_than_resources_is_refused() {
-        let _ = ShardedBroker::sbus(2, 1, 2);
+        let _ = ShardedBroker::new(2, 1, 2, SbusBroker::new);
     }
 }

@@ -10,15 +10,18 @@
 //!   row request lines). A worker raises its bit before arbitrating and
 //!   lowers it after it wins or aborts — a panic-safe guard lowers it on
 //!   unwind, so a dying row cannot jam its request line high.
-//! - `owners[c]` is the [`LeaseWord`] of column `c`: a generation-tagged
-//!   claim with a lease deadline, reclaimable if the holder crashes.
-//! - Arbitration is by **rank**: a worker reads the request mask, computes
-//!   its rank among the requesters under the active [`XbarPolicy`], and
-//!   claims the rank-th free column by CAS. When the mask and the free set
-//!   are stable — which is exactly the saturated case where fairness
-//!   matters — ranks are distinct, so each requester targets a different
-//!   column and the wave settles without collisions; under churn a lost CAS
-//!   just re-runs the wave.
+//! - Column `c` is slot `c` of the broker's lease pool: a
+//!   generation-tagged claim with a lease deadline, reclaimable if the
+//!   holder crashes.
+//! - Arbitration is by **rank**: one attempt reads the request mask,
+//!   computes the worker's rank among the requesters under the active
+//!   [`XbarPolicy`], and claims the rank-th free column by CAS. When the
+//!   mask and the free set are stable — which is exactly the saturated case
+//!   where fairness matters — ranks are distinct, so each requester targets
+//!   a different column and the wave settles without collisions; under
+//!   churn a lost CAS just re-runs the wave. [`Broker::try_acquire`] is one
+//!   attempt; [`Broker::acquire`] raises the request line once and repeats
+//!   the attempt under the crate's shared backoff.
 //!
 //! [`XbarPolicy::FixedPriority`] ranks by row index (the paper's baseline
 //! wave, low index wins) and **starves** high rows under saturation.
@@ -35,22 +38,23 @@
 //! is that it is **live** — that a holder's death cannot stop it from ever
 //! passing again — and that it passes exactly once per grant even when a
 //! reclaim races the holder's own slow release. Both follow from the lease
-//! word: the token is passed only by whoever wins the `begin_unclaim` /
-//! `begin_reclaim` generation CAS on the column, and for any one grant
-//! generation exactly one of {the holder's release, the supervisor's
-//! reclaim} can win that CAS. A dead holder's pass is performed by the
-//! reclaimer in its stead (regenerating the token at the dead row's
-//! successor); a slow-but-alive holder whose lease was reclaimed gets
-//! [`ReleaseOutcome::Stale`] and does *not* pass — the reclaimer already
-//! did. `tests/chaos.rs` asserts the invariant by counting token
-//! generations against grant + reclaim totals.
+//! word: the token is passed only by the pool's vacate hook, which runs
+//! for whoever wins the `begin_unclaim` / `begin_reclaim` generation CAS on
+//! the column, and for any one grant generation exactly one of {the
+//! holder's release, the supervisor's reclaim} can win that CAS. A dead
+//! holder's pass is performed by the reclaimer in its stead (regenerating
+//! the token at the dead row's successor); a slow-but-alive holder whose
+//! lease was reclaimed gets [`ReleaseOutcome::Stale`] and does *not* pass —
+//! the reclaimer already did. `tests/chaos.rs` asserts the invariant: a
+//! chaos run ends in `reclaim_all`, so every grant has ended exactly once,
+//! and the token generation must equal the grant total.
 //!
 //! Crossbar columns are dedicated buses, so [`Broker::end_transmission`] is
 //! a no-op here: the column is the circuit *and* the resource claim, held
 //! from grant to release.
 
-use crate::lease::{self, LeaseClock, LeaseWord, UnclaimStart, NO_OWNER};
-use crate::{Broker, BrokerGrant, ReleaseOutcome, RunControl, Waiter, WorkerId};
+use crate::lease::LeasePool;
+use crate::{retry, Attempt, Broker, BrokerGrant, ReleaseOutcome, RunControl, WorkerId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -88,8 +92,7 @@ pub struct XbarBroker {
     /// `generation << 32 | position`.
     token: AtomicU64,
     /// Per-column lease words.
-    owners: Vec<LeaseWord>,
-    clock: LeaseClock,
+    pool: LeasePool,
 }
 
 /// Lowers the raised request line even if the owner unwinds.
@@ -146,8 +149,7 @@ impl XbarBroker {
             policy,
             requests: AtomicU64::new(0),
             token: AtomicU64::new(0),
-            owners: (0..resources).map(|_| LeaseWord::new()).collect(),
-            clock: LeaseClock::new(lease),
+            pool: LeasePool::new(resources, lease),
         }
     }
 
@@ -212,44 +214,43 @@ impl XbarBroker {
     /// column is picked by prefix select ([`rsin_bitslice::select_nth_set`]),
     /// the same parallel-prefix grant machinery the gate-level resolvers
     /// compile to; wider arrays fall back to the counting sweep.
-    fn claim_nth_free(&self, who: WorkerId, rank: u32) -> Option<(usize, u32)> {
-        if self.owners.len() <= 64 {
-            let mut free = 0u64;
-            for (c, owner) in self.owners.iter().enumerate() {
-                free |= u64::from(lease::owner_of(owner.load()) == NO_OWNER) << c;
-            }
-            let c = rsin_bitslice::select_nth_set(&[free], rank as usize)?;
-            let generation = self.owners[c].try_claim(who, self.clock.deadline_from_now())?;
-            Some((c, generation))
-        } else {
-            let mut free_seen = 0;
-            for (c, owner) in self.owners.iter().enumerate() {
-                if lease::owner_of(owner.load()) != NO_OWNER {
-                    continue;
-                }
-                if free_seen == rank {
-                    let generation = owner.try_claim(who, self.clock.deadline_from_now())?;
-                    return Some((c, generation));
-                }
-                free_seen += 1;
-            }
-            None
+    fn claim_nth_free(&self, who: WorkerId, rank: u32) -> Option<BrokerGrant> {
+        let resource = match self.pool.vacancy_mask() {
+            Some(free) => rsin_bitslice::select_nth_set(&[free], rank as usize)?,
+            None => (0..self.pool.len())
+                .filter(|&c| self.pool.is_vacant(c))
+                .nth(rank as usize)?,
+        };
+        let generation = self.pool.try_claim(resource, who)?;
+        Some(BrokerGrant {
+            resource,
+            generation,
+        })
+    }
+
+    /// Raises `who`'s request line; the returned guard lowers it on every
+    /// exit path, unwinding included. Release publishes the bit to
+    /// concurrent rank computations; AcqRel so the caller also sees the
+    /// current mask.
+    fn raise_request_line(&self, who: WorkerId) -> RequestLine<'_> {
+        debug_assert!(who < self.workers, "worker id out of range");
+        let bit = 1u64 << who;
+        let prior = self.requests.fetch_or(bit, Ordering::AcqRel);
+        debug_assert_eq!(prior & bit, 0, "worker already requesting");
+        RequestLine {
+            requests: &self.requests,
+            bit,
         }
     }
 
-    /// Reclaims every column whose lease is expired at `now_us`, passing
-    /// the token on each dead holder's behalf.
-    fn reclaim_at(&self, now_us: u64, audit: &mut dyn FnMut(usize, WorkerId)) -> usize {
-        let mut reclaimed = 0;
-        for (c, owner) in self.owners.iter().enumerate() {
-            if let Some(dead) = owner.begin_reclaim(now_us) {
-                audit(c, dead);
-                owner.finish_unclaim();
-                self.pass_token(dead);
-                reclaimed += 1;
-            }
+    /// One settling pass of the grant wave from `who`'s row: rank among
+    /// the current requesters, then claim the rank-th free column.
+    fn attempt(&self, who: WorkerId) -> Attempt {
+        let mask = self.requests.load(Ordering::Acquire);
+        match self.claim_nth_free(who, self.rank(who, mask)) {
+            Some(grant) => Attempt::Granted(grant),
+            None => Attempt::Retry { progressed: false },
         }
-        reclaimed
     }
 }
 
@@ -259,58 +260,18 @@ impl Broker for XbarBroker {
     }
 
     fn resources(&self) -> usize {
-        self.owners.len()
+        self.pool.len()
     }
 
     fn acquire(&self, who: WorkerId, ctl: &RunControl) -> Option<BrokerGrant> {
-        debug_assert!(who < self.workers, "worker id out of range");
-        let bit = 1u64 << who;
-        // Raise our request line (Release publishes it to concurrent
-        // rank computations; AcqRel so we also see the current mask). The
-        // guard lowers it on every exit path, unwinding included.
-        let prior = self.requests.fetch_or(bit, Ordering::AcqRel);
-        debug_assert_eq!(prior & bit, 0, "worker already requesting");
-        let _line = RequestLine {
-            requests: &self.requests,
-            bit,
-        };
-        let mut waiter = Waiter::new();
-        loop {
-            if ctl.is_stopped() {
-                return None;
-            }
-            // One settling pass of the grant wave, from this row's view.
-            let mask = self.requests.load(Ordering::Acquire);
-            let my_rank = self.rank(who, mask);
-            if let Some((resource, generation)) = self.claim_nth_free(who, my_rank) {
-                return Some(BrokerGrant {
-                    resource,
-                    generation,
-                });
-            }
-            waiter.wait();
-        }
+        // The line stays raised across every round until a grant or stop.
+        let _line = self.raise_request_line(who);
+        retry(ctl, |_| self.attempt(who))
     }
 
     fn try_acquire(&self, who: WorkerId) -> Option<BrokerGrant> {
-        debug_assert!(who < self.workers, "worker id out of range");
-        let bit = 1u64 << who;
-        let prior = self.requests.fetch_or(bit, Ordering::AcqRel);
-        debug_assert_eq!(prior & bit, 0, "worker already requesting");
-        let _line = RequestLine {
-            requests: &self.requests,
-            bit,
-        };
-        // Exactly one settling pass: rank among the current requesters,
-        // claim the rank-th free column or report the probe failed. The
-        // guard lowers the request line either way.
-        let mask = self.requests.load(Ordering::Acquire);
-        let my_rank = self.rank(who, mask);
-        self.claim_nth_free(who, my_rank)
-            .map(|(resource, generation)| BrokerGrant {
-                resource,
-                generation,
-            })
+        let _line = self.raise_request_line(who);
+        self.attempt(who).grant()
     }
 
     fn end_transmission(&self, _who: WorkerId, _grant: BrokerGrant) {
@@ -323,48 +284,30 @@ impl Broker for XbarBroker {
         grant: BrokerGrant,
         audit: &mut dyn FnMut(usize, WorkerId),
     ) -> ReleaseOutcome {
-        let owner = &self.owners[grant.resource];
-        match owner.begin_unclaim(who, grant.generation) {
-            UnclaimStart::Begun => {
-                audit(grant.resource, who);
-                owner.finish_unclaim();
-                self.pass_token(who);
-                ReleaseOutcome::Released
-            }
-            UnclaimStart::Stale => ReleaseOutcome::Stale,
-            UnclaimStart::Foreign => panic!(
-                "release of column {} by worker {who} who does not hold it",
-                grant.resource
-            ),
-        }
+        self.pool
+            .release(who, grant, audit, |holder, _| self.pass_token(holder))
     }
 
     fn reclaim_expired(&self, audit: &mut dyn FnMut(usize, WorkerId)) -> usize {
-        if !self.clock.leases_expire() {
-            return 0;
-        }
-        self.reclaim_at(self.clock.now_us(), audit)
+        self.pool.expiry_now().map_or(0, |now_us| {
+            self.pool
+                .reclaim(now_us, audit, |dead, _| self.pass_token(dead))
+        })
     }
 
     fn reclaim_all(&self, audit: &mut dyn FnMut(usize, WorkerId)) -> usize {
         // `u64::MAX` beats every real deadline (and even `NEVER`), so this
         // evicts unconditionally — shutdown only, after workers joined.
-        self.reclaim_at(u64::MAX, audit)
+        self.pool
+            .reclaim(u64::MAX, audit, |dead, _| self.pass_token(dead))
     }
 
     fn set_resource_faulted(&self, resource: usize, down: bool) {
-        if down {
-            self.owners[resource].set_faulted();
-        } else {
-            self.owners[resource].clear_faulted();
-        }
+        self.pool.set_faulted(resource, down);
     }
 
     fn available_resources(&self) -> usize {
-        self.owners
-            .iter()
-            .filter(|o| lease::owner_of(o.load()) == NO_OWNER)
-            .count()
+        self.pool.available()
     }
 }
 

@@ -138,6 +138,14 @@ fn token_rotation_has_exactly_one_live_token_after_chaos() {
     assert_eq!(report.violations, 0, "duplicated token double-grants");
     assert_eq!(chaos.crashed, plan.crashes());
     assert_eq!(chaos.available_at_end, 1);
+    // The run ends in `reclaim_all`, so every grant has ended exactly once
+    // — by its holder's release or by a reclaim — and each end passed the
+    // token exactly once.
+    assert_eq!(
+        u64::from(broker.token_generation()),
+        report.total_grants(),
+        "token passes must match grants one for one"
+    );
 
     // The liveness sweep, under a watchdog so a lost token fails loudly
     // instead of hanging the suite.
@@ -286,7 +294,8 @@ fn dead_thief_leaks_nothing_across_shards() {
     let _guard = serial();
     // 2 shards × 1 slot; workers 0/2 are home on shard 0, workers 1/3 on
     // shard 1.
-    let broker = rsin_broker::ShardedBroker::sbus_with_lease(4, 2, 2, LEASE);
+    let broker =
+        rsin_broker::ShardedBroker::new(4, 2, 2, |w, r| SbusBroker::with_lease(w, r, LEASE));
     let ctl = RunControl::new();
 
     // Exhaust the thief's home shard.
@@ -331,7 +340,8 @@ fn dead_thief_leaks_nothing_across_shards() {
 #[test]
 fn sharded_saturated_chaos_survives_a_mid_steal_kill() {
     let _guard = serial();
-    let broker = rsin_broker::ShardedBroker::sbus_with_lease(4, 2, 2, LEASE);
+    let broker =
+        rsin_broker::ShardedBroker::new(4, 2, 2, |w, r| SbusBroker::with_lease(w, r, LEASE));
     let plan = ChaosPlan::new().with(ClientEvent {
         at: 30.0, // milliseconds, on the saturated driver's wall clock
         worker: 2,

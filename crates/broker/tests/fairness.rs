@@ -148,7 +148,9 @@ fn simulated_crossbar_policies_split_on_starvation() {
 #[test]
 fn sharded_token_rotation_bounds_waits_across_shards() {
     let _guard = serial();
-    let broker = rsin_broker::ShardedBroker::xbar(WORKERS, 2, 2, XbarPolicy::TokenRotation);
+    let broker = rsin_broker::ShardedBroker::new(WORKERS, 2, 2, |w, r| {
+        XbarBroker::new(w, r, XbarPolicy::TokenRotation)
+    });
     let report = run(&broker, &SATURATED, None);
     assert_eq!(report.violations, 0, "stealing must never double-grant");
     assert!(

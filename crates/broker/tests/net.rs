@@ -13,7 +13,7 @@ use rsin_broker::net::{
     NetChaosFractions, NetChaosPlan, NetClient, NetError, NetLoadConfig, NetLoadReport, NetServer,
     NetServerConfig, ProtocolError, RejectReason,
 };
-use rsin_broker::{Ledger, ShardedBroker};
+use rsin_broker::{Ledger, SbusBroker, ShardedBroker};
 use rsin_des::RetryPolicy;
 use rsin_minicheck::check;
 use std::io::{Read, Write};
@@ -182,7 +182,9 @@ fn ledger_attribution_survives_reclaim_regrant() {
 /// One client, one grant: the minimal happy path over real loopback TCP.
 #[test]
 fn grants_and_releases_over_loopback() {
-    let broker = ShardedBroker::sbus_with_lease(4, 4, 2, Duration::from_millis(100));
+    let broker = ShardedBroker::new(4, 4, 2, |w, r| {
+        SbusBroker::with_lease(w, r, Duration::from_millis(100))
+    });
     let cfg = NetServerConfig {
         tenants: 2,
         ..NetServerConfig::default()
@@ -218,7 +220,9 @@ fn grants_and_releases_over_loopback() {
 /// late, not leaked.
 #[test]
 fn deadlines_shed_exhausted_pool_requests() {
-    let broker = ShardedBroker::sbus_with_lease(4, 1, 1, Duration::from_secs(2));
+    let broker = ShardedBroker::new(4, 1, 1, |w, r| {
+        SbusBroker::with_lease(w, r, Duration::from_secs(2))
+    });
     let server = NetServer::bind(loopback(), broker, NetServerConfig::default()).expect("bind");
     let addr = server.local_addr();
 
@@ -258,7 +262,9 @@ fn next_frame(stream: &mut TcpStream, dec: &mut Decoder) -> Frame {
 /// middle one has a deadline that passes while the pool is exhausted.
 #[test]
 fn deadline_sweep_sheds_only_the_expired_request_in_order() {
-    let broker = ShardedBroker::sbus_with_lease(4, 1, 1, Duration::from_secs(2));
+    let broker = ShardedBroker::new(4, 1, 1, |w, r| {
+        SbusBroker::with_lease(w, r, Duration::from_secs(2))
+    });
     let server = NetServer::bind(loopback(), broker, NetServerConfig::default()).expect("bind");
     let addr = server.local_addr();
 
@@ -332,7 +338,9 @@ fn deadline_sweep_sheds_only_the_expired_request_in_order() {
 /// breaches the configured bound, while class 0 stays admitted.
 #[test]
 fn admission_sheds_lowest_class_under_depth_overload() {
-    let broker = ShardedBroker::sbus_with_lease(6, 1, 1, Duration::from_secs(2));
+    let broker = ShardedBroker::new(6, 1, 1, |w, r| {
+        SbusBroker::with_lease(w, r, Duration::from_secs(2))
+    });
     let cfg = NetServerConfig {
         tenants: 2,
         max_pending: 1,
@@ -379,7 +387,9 @@ fn admission_sheds_lowest_class_under_depth_overload() {
 /// is dropped (its grant reclaimed), and other connections keep working.
 #[test]
 fn malformed_frames_drop_only_the_offender() {
-    let broker = ShardedBroker::sbus_with_lease(4, 2, 1, Duration::from_millis(80));
+    let broker = ShardedBroker::new(4, 2, 1, |w, r| {
+        SbusBroker::with_lease(w, r, Duration::from_millis(80))
+    });
     let server = NetServer::bind(loopback(), broker, NetServerConfig::default()).expect("bind");
     let addr = server.local_addr();
 
@@ -417,7 +427,9 @@ fn malformed_frames_drop_only_the_offender() {
 /// regrant to the successor connection with zero violations.
 #[test]
 fn reclaim_after_disconnect_never_double_grants() {
-    let broker = ShardedBroker::sbus_with_lease(4, 1, 1, Duration::from_millis(50));
+    let broker = ShardedBroker::new(4, 1, 1, |w, r| {
+        SbusBroker::with_lease(w, r, Duration::from_millis(50))
+    });
     let server = NetServer::bind(loopback(), broker, NetServerConfig::default()).expect("bind");
     let addr = server.local_addr();
 
@@ -467,7 +479,9 @@ fn reclaim_after_disconnect_never_double_grants() {
 fn saturated_chaos_with_reactor_restart_stays_clean() {
     let lease = Duration::from_millis(25);
     let clients = 8usize;
-    let broker = ShardedBroker::sbus_with_lease(2 * clients, 6, 2, lease);
+    let broker = ShardedBroker::new(2 * clients, 6, 2, |w, r| {
+        SbusBroker::with_lease(w, r, lease)
+    });
     let cfg = NetServerConfig {
         tenants: 3,
         lease,
@@ -591,7 +605,7 @@ fn saturated_chaos_with_reactor_restart_stays_clean() {
 #[test]
 fn half_open_stall_is_reclaimed_by_lease() {
     let lease = Duration::from_millis(30);
-    let broker = ShardedBroker::sbus_with_lease(4, 1, 1, lease);
+    let broker = ShardedBroker::new(4, 1, 1, |w, r| SbusBroker::with_lease(w, r, lease));
     let server = NetServer::bind(loopback(), broker, NetServerConfig::default()).expect("bind");
     let addr = server.local_addr();
 
@@ -633,7 +647,7 @@ fn each_chaos_shape_reclaims_cleanly() {
         ConnChaos::Junk,
     ] {
         let lease = Duration::from_millis(30);
-        let broker = ShardedBroker::sbus_with_lease(4, 2, 1, lease);
+        let broker = ShardedBroker::new(4, 2, 1, |w, r| SbusBroker::with_lease(w, r, lease));
         let server = NetServer::bind(loopback(), broker, NetServerConfig::default()).expect("bind");
         let addr = server.local_addr();
         let plan = NetChaosPlan::new().with(NetChaosEvent {
