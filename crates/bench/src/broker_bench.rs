@@ -12,8 +12,9 @@
 //!   model/measured ratio per ρ and the exclusivity-audit verdict.
 //!
 //! CLI: `--threads N`, `--duration-ms N`, `--rho a,b,c`, `--shards N`
-//! (both `--flag v` and `--flag=v` spellings), plus the shared `--jobs` /
-//! `--full` / `--resume` harness flags. Malformed values are typed
+//! (both `--flag v` and `--flag=v` spellings, read by [`crate::flags`]),
+//! plus the shared `--jobs` / `--full` / `--resume` harness flags.
+//! Malformed values and undeclared arguments are typed
 //! [`ConfigError::Parse`] errors, exactly like the suite's `--jobs`.
 //! `--shards N` partitions the pool into N per-shard SBUS arbiters behind
 //! a [`ShardedBroker`] ([`RESOURCES`] slots each); the model side solves
@@ -29,6 +30,7 @@
 //! a chaos run that violates exclusivity or leaks a resource fails the
 //! benchmark exactly like a healthy run with a violation.
 
+use crate::flags;
 use crate::manifest::{Manifest, ManifestEntry};
 use crate::output;
 use crate::RunQuality;
@@ -125,17 +127,37 @@ impl Default for BrokerBenchConfig {
     }
 }
 
+/// The valued flags `broker_bench` accepts: its own plus [`RunQuality`]'s
+/// `--jobs`.
+const VALUE_FLAGS: [&str; 10] = [
+    "--threads",
+    "--duration-ms",
+    "--rho",
+    "--shards",
+    "--chaos",
+    "--serve",
+    "--connect",
+    "--tenants",
+    "--deadline-ms",
+    "--jobs",
+];
+
+/// The bare switches `broker_bench` accepts: [`RunQuality`]'s `--full` and
+/// the harness's `--resume`.
+const SWITCHES: [&str; 2] = ["--full", "--resume"];
+
 impl BrokerBenchConfig {
-    /// Parses `--threads`, `--duration-ms`, `--rho` and `--chaos` from an
-    /// argument list; absent flags keep their defaults, and an absent
-    /// `--chaos` falls back to the `RSIN_BROKER_CHAOS` environment
-    /// variable.
+    /// Parses the process arguments (program name first): `--threads`,
+    /// `--duration-ms`, `--rho`, `--shards`, `--chaos` and the networked
+    /// flags; absent flags keep their defaults, and an absent `--chaos`
+    /// falls back to the `RSIN_BROKER_CHAOS` environment variable.
     ///
     /// # Errors
     ///
     /// [`ConfigError::Parse`] naming the offending flag (or environment
     /// variable) and the expected shape when a value is missing,
-    /// malformed, or out of range.
+    /// malformed, or out of range, or naming an argument that is neither
+    /// one of these flags nor `--jobs`, `--full` or `--resume`.
     pub fn try_from_args(args: &[String]) -> Result<Self, ConfigError> {
         let env = std::env::var("RSIN_BROKER_CHAOS").ok();
         BrokerBenchConfig::try_from_args_with_env(args, env.as_deref())
@@ -152,34 +174,41 @@ impl BrokerBenchConfig {
         args: &[String],
         chaos_env: Option<&str>,
     ) -> Result<Self, ConfigError> {
+        flags::reject_unknown(
+            args.get(1..).unwrap_or_default(),
+            &VALUE_FLAGS,
+            &SWITCHES,
+            "a broker_bench flag (--threads, --duration-ms, --rho, --shards, --chaos, \
+             --serve, --connect, --tenants, --deadline-ms, --jobs, --full, --resume)",
+        )?;
         let mut cfg = BrokerBenchConfig::default();
-        if let Some(v) = flag_value(args, "--threads")? {
+        if let Some(v) = flags::value(args, "--threads")? {
             cfg.threads = parse_threads(&v)?;
         }
-        if let Some(v) = flag_value(args, "--duration-ms")? {
+        if let Some(v) = flags::value(args, "--duration-ms")? {
             cfg.duration_ms = parse_duration_ms(&v)?;
         }
-        if let Some(v) = flag_value(args, "--rho")? {
+        if let Some(v) = flags::value(args, "--rho")? {
             cfg.rho = parse_rho(&v)?;
         }
-        if let Some(v) = flag_value(args, "--shards")? {
+        if let Some(v) = flags::value(args, "--shards")? {
             cfg.shards = parse_shards(&v)?;
         }
-        if let Some(v) = flag_value(args, "--chaos")? {
+        if let Some(v) = flags::value(args, "--chaos")? {
             cfg.chaos = Some(parse_chaos("--chaos", &v)?);
         } else if let Some(v) = chaos_env {
             cfg.chaos = Some(parse_chaos("RSIN_BROKER_CHAOS", v)?);
         }
-        if let Some(v) = flag_value(args, "--serve")? {
+        if let Some(v) = flags::value(args, "--serve")? {
             cfg.serve = Some(parse_serve(&v)?);
         }
-        if let Some(v) = flag_value(args, "--connect")? {
+        if let Some(v) = flags::value(args, "--connect")? {
             cfg.connect = Some(parse_connect(&v)?);
         }
-        if let Some(v) = flag_value(args, "--tenants")? {
+        if let Some(v) = flags::value(args, "--tenants")? {
             cfg.tenants = parse_tenants(&v)?;
         }
-        if let Some(v) = flag_value(args, "--deadline-ms")? {
+        if let Some(v) = flags::value(args, "--deadline-ms")? {
             cfg.deadline_ms = parse_deadline_ms_flag("--deadline-ms", &v)?;
         }
         if cfg.serve.is_some() && cfg.connect.is_some() {
@@ -266,29 +295,6 @@ pub fn saturation_capacity_for(resources: usize) -> f64 {
     })
     .expect("stable at vanishing load")
     .saturation_throughput()
-}
-
-/// Extracts `--flag v` / `--flag=v`; `Ok(None)` when absent, a typed error
-/// when the flag is present without a value.
-fn flag_value(args: &[String], flag: &'static str) -> Result<Option<String>, ConfigError> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return match it.next() {
-                Some(v) => Ok(Some(v.clone())),
-                None => Err(ConfigError::Parse {
-                    input: flag.into(),
-                    expected: "a value after the flag",
-                }),
-            };
-        }
-        if let Some(v) = a.strip_prefix(flag) {
-            if let Some(v) = v.strip_prefix('=') {
-                return Ok(Some(v.to_string()));
-            }
-        }
-    }
-    Ok(None)
 }
 
 fn parse_threads(v: &str) -> Result<usize, ConfigError> {
@@ -743,6 +749,31 @@ mod tests {
         assert_eq!(cfg.rho, vec![0.3, 0.7]);
         let eq = BrokerBenchConfig::try_from_args(&args(&["bin", "--threads=4"])).expect("eq");
         assert_eq!(eq.threads, 4);
+    }
+
+    #[test]
+    fn undeclared_flags_are_rejected_and_harness_flags_accepted() {
+        for bad in [
+            &["--bogusflag"][..],
+            &["--thread", "4"],
+            &["--full=1"],
+            &["4"],
+        ] {
+            let mut line = vec!["bin"];
+            line.extend_from_slice(bad);
+            let err = BrokerBenchConfig::try_from_args(&args(&line)).expect_err("undeclared");
+            assert!(matches!(err, ConfigError::Parse { .. }));
+            assert!(
+                err.to_string()
+                    .starts_with(&format!("cannot parse {:?}", bad[0])),
+                "error must name the argument: {err}"
+            );
+        }
+        let cfg = BrokerBenchConfig::try_from_args(&args(&[
+            "bin", "--jobs", "2", "--full", "--resume", "--jobs=3",
+        ]))
+        .expect("RunQuality's flags and --resume are accepted");
+        assert_eq!(cfg, BrokerBenchConfig::default());
     }
 
     #[test]

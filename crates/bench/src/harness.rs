@@ -130,13 +130,6 @@ impl ChaosPlan {
         self
     }
 
-    /// Builder: every artifact write fails.
-    #[must_use]
-    pub fn with_io_failures(mut self) -> Self {
-        self.fail_io = true;
-        self
-    }
-
     /// True when the plan injects anything at all.
     #[must_use]
     pub fn is_active(&self) -> bool {

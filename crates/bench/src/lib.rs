@@ -33,6 +33,7 @@
 
 pub mod broker_bench;
 pub mod figures;
+pub mod flags;
 pub mod harness;
 pub mod json;
 pub mod manifest;

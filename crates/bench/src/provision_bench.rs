@@ -11,6 +11,7 @@
 //! uninterrupted run for any `--jobs` value (wall-clock timings live only
 //! in the stderr summary, never in artifacts).
 
+use crate::flags;
 use crate::manifest::{Manifest, ManifestEntry};
 use crate::output;
 use rsin_core::{ConfigError, HarnessError};
@@ -109,58 +110,66 @@ impl ProvisionConfig {
     ///
     /// [`ConfigError::Parse`] naming the offending flag and value.
     pub fn try_from_args(args: &[String]) -> Result<Self, ConfigError> {
+        flags::reject_unknown(
+            args,
+            &[
+                "--p",
+                "--rho",
+                "--ratio",
+                "--target",
+                "--families",
+                "--max-r",
+                "--jobs",
+                "--out-dir",
+                "--cost-resource",
+                "--cost-switch-point",
+                "--cost-bus-tap",
+            ],
+            &[
+                "--no-confirm",
+                "--fault-recheck",
+                "--full",
+                "--quick",
+                "--resume",
+            ],
+            "a provision flag (--p, --rho, --ratio, --target, --families, --max-r, --jobs, \
+             --out-dir, --cost-*, --no-confirm, --fault-recheck, --full, --quick, --resume)",
+        )?;
         let mut cfg = ProvisionConfig::default();
-        let mut i = 0;
-        let value = |i: &mut usize, flag: &str| -> Result<String, ConfigError> {
-            *i += 1;
-            args.get(*i).cloned().ok_or_else(|| ConfigError::Parse {
-                input: flag.to_string(),
-                expected: "a value after the flag",
-            })
-        };
-        while i < args.len() {
-            let arg = args[i].clone();
-            match arg.as_str() {
-                "--p" => cfg.processors = parse_list("--p", &value(&mut i, "--p")?)?,
-                "--rho" => cfg.rho = parse_num("--rho", &value(&mut i, "--rho")?)?,
-                "--ratio" => cfg.ratio = parse_num("--ratio", &value(&mut i, "--ratio")?)?,
-                "--target" => cfg.target = parse_num("--target", &value(&mut i, "--target")?)?,
-                "--families" => {
-                    cfg.families = parse_list("--families", &value(&mut i, "--families")?)?;
-                }
-                "--max-r" => cfg.max_r = parse_num("--max-r", &value(&mut i, "--max-r")?)?,
-                "--jobs" => cfg.jobs = parse_num("--jobs", &value(&mut i, "--jobs")?)?,
-                "--out-dir" => cfg.out_dir = Some(PathBuf::from(value(&mut i, "--out-dir")?)),
-                "--cost-resource" => {
-                    cfg.cost.per_resource =
-                        parse_num("--cost-resource", &value(&mut i, "--cost-resource")?)?;
-                }
-                "--cost-switch-point" => {
-                    cfg.cost.per_switch_point = parse_num(
-                        "--cost-switch-point",
-                        &value(&mut i, "--cost-switch-point")?,
-                    )?;
-                }
-                "--cost-bus-tap" => {
-                    cfg.cost.per_bus_tap =
-                        parse_num("--cost-bus-tap", &value(&mut i, "--cost-bus-tap")?)?;
-                }
-                "--no-confirm" => cfg.confirm = false,
-                "--fault-recheck" => cfg.fault_recheck = true,
-                "--full" => cfg.full = true,
-                "--quick" => cfg.full = false,
-                "--resume" => cfg.resume = true,
-                other => {
-                    return Err(ConfigError::Parse {
-                        input: other.to_string(),
-                        expected: "a provision flag (--p, --rho, --ratio, --target, --families, \
-                                   --max-r, --jobs, --out-dir, --cost-*, --no-confirm, \
-                                   --fault-recheck, --full, --quick, --resume)",
-                    });
-                }
-            }
-            i += 1;
+        if let Some(v) = flags::value(args, "--p")? {
+            cfg.processors = parse_list("--p", &v)?;
         }
+        if let Some(v) = flags::value(args, "--families")? {
+            cfg.families = parse_list("--families", &v)?;
+        }
+        for (flag, slot) in [
+            ("--rho", &mut cfg.rho),
+            ("--ratio", &mut cfg.ratio),
+            ("--target", &mut cfg.target),
+            ("--cost-resource", &mut cfg.cost.per_resource),
+            ("--cost-switch-point", &mut cfg.cost.per_switch_point),
+            ("--cost-bus-tap", &mut cfg.cost.per_bus_tap),
+        ] {
+            if let Some(v) = flags::value(args, flag)? {
+                *slot = parse_num(flag, &v)?;
+            }
+        }
+        if let Some(v) = flags::value(args, "--max-r")? {
+            cfg.max_r = parse_num("--max-r", &v)?;
+        }
+        if let Some(v) = flags::value(args, "--jobs")? {
+            cfg.jobs = parse_num("--jobs", &v)?;
+        }
+        cfg.out_dir = flags::value(args, "--out-dir")?.map(PathBuf::from);
+        cfg.confirm = !flags::switch(args, "--no-confirm");
+        cfg.fault_recheck = flags::switch(args, "--fault-recheck");
+        // `--full` and `--quick` override each other; the last one wins.
+        cfg.full = args
+            .iter()
+            .rev()
+            .find(|a| *a == "--full" || *a == "--quick")
+            .is_some_and(|a| a == "--full");
+        cfg.resume = flags::switch(args, "--resume");
         if !cfg.cost.is_valid() {
             return Err(ConfigError::Parse {
                 input: "--cost-*".to_string(),
@@ -312,18 +321,6 @@ impl ProvisionSummary {
             0.0
         } else {
             (total - self.evaluated()) as f64 / total as f64
-        }
-    }
-
-    /// Cache hit rate across computed legs.
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> f64 {
-        let hits: u64 = self.legs.iter().map(|l| l.cache_hits).sum();
-        let misses: u64 = self.legs.iter().map(|l| l.cache_misses).sum();
-        if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
         }
     }
 }
@@ -567,10 +564,17 @@ mod tests {
         assert_eq!(cfg.families, vec![Family::Sbus, Family::Clustered]);
         assert!(!cfg.confirm);
         assert_eq!(cfg.cost.per_resource, 4.0);
+        let eq = ProvisionConfig::try_from_args(&args(&["--jobs=2", "--p=8", "--rho=0.25"]))
+            .expect("--flag=v spelling");
+        assert_eq!((eq.jobs, eq.processors, eq.rho), (2, vec![8], 0.25));
+        let last = ProvisionConfig::try_from_args(&args(&["--full", "--quick"])).expect("valid");
+        assert!(!last.full, "the last of --full/--quick wins");
         for bad in [
             &["--p", "zero"][..],
             &["--rho"][..],
             &["--bogus"][..],
+            &["--jobs=zero"][..],
+            &["--max-r", "8", "stray"][..],
             &["--families", "sbus,teleport"][..],
             &["--cost-resource", "-1"][..],
         ] {

@@ -1,5 +1,6 @@
 //! Run-quality presets shared by the experiment regenerators.
 
+use crate::flags;
 use rsin_core::{ConfigError, SimOptions};
 
 /// How much simulation effort to spend per point.
@@ -76,7 +77,7 @@ impl RunQuality {
     /// [`ConfigError::Parse`] when `--jobs` is present but its value is
     /// missing, not an integer, or zero.
     pub fn try_from_args(args: &[String]) -> Result<Self, ConfigError> {
-        let mut q = if args.iter().any(|a| a == "--full") {
+        let mut q = if flags::switch(args, "--full") {
             RunQuality::full()
         } else {
             RunQuality::quick()
@@ -121,31 +122,15 @@ impl RunQuality {
 /// Extracts `--jobs N` / `--jobs=N` from an argument list. `Ok(None)` when
 /// the flag is absent; a typed error when it is present but unusable.
 fn parse_jobs(args: &[String]) -> Result<Option<usize>, ConfigError> {
-    let parse = |v: &str| -> Result<Option<usize>, ConfigError> {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
+    flags::value(args, "--jobs")?
+        .map(|v| match v.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(n),
             _ => Err(ConfigError::Parse {
                 input: format!("--jobs {v}"),
                 expected: "a positive worker count, e.g. --jobs 4",
             }),
-        }
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            return match it.next() {
-                Some(v) => parse(v),
-                None => Err(ConfigError::Parse {
-                    input: "--jobs".into(),
-                    expected: "a worker count after --jobs, e.g. --jobs 4",
-                }),
-            };
-        }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return parse(v);
-        }
-    }
-    Ok(None)
+        })
+        .transpose()
 }
 
 #[cfg(test)]

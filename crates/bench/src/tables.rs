@@ -10,9 +10,7 @@ use rsin_core::advisor::{recommend, CostRegime};
 use rsin_core::{estimate_delay, SystemConfig};
 use rsin_des::SimRng;
 use rsin_omega::blocking::{run_blocking_experiment, BlockingExperiment, BlockingResult};
-use rsin_omega::{
-    Admission, OmegaNetwork, OmegaState, Placement, StatusFreshness, TypedOmegaNetwork, Wiring,
-};
+use rsin_omega::{Admission, OmegaNetwork, OmegaState, Placement, StatusFreshness, Wiring};
 use rsin_queueing::{solve_shared_bus_cached, SharedBusParams};
 use rsin_sbus::{Arbitration, SharedBusNetwork};
 use rsin_topology::{matching, OmegaTopology};
@@ -469,14 +467,14 @@ pub fn ablation_placement_text(quality: &RunQuality) -> String {
             (Placement::Blocked, "blocked"),
             (Placement::Interleaved, "interleaved"),
         ] {
-            let mut net = TypedOmegaNetwork::new(1, 16, 1, 2, placement, Admission::Simultaneous);
+            let mut net = OmegaNetwork::typed(1, 16, 1, 2, placement, Admission::Simultaneous);
             let mut rng = Rng::new(quality.seed);
             let report = simulate_typed(&mut net, &w, &opts, &mut rng);
             let _ = writeln!(
                 out,
                 "  {:<12} delay {:.4}  (type0 {:.4}, type1 {:.4})",
                 name,
-                report.normalized_delay(&w),
+                report.normalized_delay(w.base()),
                 report.per_type_delay[0].mean(),
                 report.per_type_delay[1].mean(),
             );

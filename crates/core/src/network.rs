@@ -32,12 +32,20 @@ pub struct Grant {
 /// zero. The simulator maintains both views incrementally, so a network
 /// with a packed fast path starts from `words` without re-packing while
 /// everything else reads `bools`.
+///
+/// It also carries the type number of each pending request — the paper's
+/// multiple-resource-type extension, where "the request and status
+/// signals have to be augmented by a type number" (Section VII).
 #[derive(Clone, Copy, Debug)]
 pub struct PendingSet<'a> {
     /// `bools[i]` is true when processor `i` has a task awaiting allocation.
     pub bools: &'a [bool],
     /// The same flags packed 64 per word, LSB-first; tail lanes zero.
     pub words: &'a [u64],
+    /// `types[i]` is the resource type processor `i`'s head-of-queue task
+    /// requests; meaningful only where `bools[i]` is set, and always 0
+    /// under a single-type workload.
+    pub types: &'a [usize],
 }
 
 /// Counters a network accumulates about its own scheduling work.
@@ -117,14 +125,18 @@ pub trait ResourceNetwork: std::fmt::Debug {
     }
 
     /// Runs one request cycle from a [`PendingSet`] carrying both views of
-    /// the pending processors.
+    /// the pending processors and their requested types.
     ///
-    /// Semantically identical to [`ResourceNetwork::request_cycle_into`] on
-    /// `pending.bools` — same grants, same order, same RNG consumption —
-    /// and that is exactly what the default implementation does. Networks
-    /// whose scheduling fabric is bit-sliced override it to feed
-    /// `pending.words` to the fabric directly, skipping the per-epoch
-    /// re-pack of the request vector.
+    /// For a single-type network it is semantically identical to
+    /// [`ResourceNetwork::request_cycle_into`] on `pending.bools` — same
+    /// grants, same order, same RNG consumption — and that is exactly what
+    /// the default implementation does. Networks whose scheduling fabric is
+    /// bit-sliced override it to feed `pending.words` to the fabric
+    /// directly, skipping the per-epoch re-pack of the request vector.
+    /// Networks hosting several resource types override it to route each
+    /// request by `pending.types`: a grant must land on a port whose
+    /// [`ResourceNetwork::port_type`] is the type requested, and
+    /// `request_cycle`/`request_cycle_into` treat every request as type 0.
     fn request_cycle_pending(
         &mut self,
         pending: PendingSet<'_>,
@@ -132,6 +144,19 @@ pub trait ResourceNetwork: std::fmt::Debug {
         out: &mut Vec<Grant>,
     ) {
         self.request_cycle_into(pending.bools, rng, out);
+    }
+
+    /// Number of resource types the network hosts (1 unless it implements
+    /// the multiple-resource-type extension).
+    fn resource_types(&self) -> usize {
+        1
+    }
+
+    /// The resource type hosted behind global output `port` (0 for a
+    /// single-type network).
+    fn port_type(&self, port: usize) -> usize {
+        let _ = port;
+        0
     }
 
     /// The task finished transmitting: release the circuit; the resource at

@@ -22,8 +22,18 @@
 //! every resource produces a typed error, not a hang. The watchdog runs on
 //! fault-free runs as well, so a network that loses capacity to a bug
 //! fails the run instead of spinning forever.
+//!
+//! # Resource types
+//!
+//! The same loop runs the paper's multiple-resource-type extension
+//! ([`crate::typed::simulate_typed`]): each task draws the type it
+//! requests from the workload's mix, the network sees each processor's
+//! head-of-queue type in its [`PendingSet`], every grant must land on a
+//! port of the requested type, and [`SimReport::per_type_delay`] splits
+//! the delay by type.
 
 use crate::network::{Grant, NetworkCounters, PendingSet, ResourceNetwork};
+use crate::typed::TypedWorkload;
 use crate::workload::Workload;
 use rsin_des::stats::{TimeWeighted, Welford};
 use rsin_des::{
@@ -131,6 +141,10 @@ impl std::error::Error for SimError {}
 pub struct SimReport {
     /// Queueing delay `d` (arrival → allocation) observations.
     pub queueing_delay: Welford,
+    /// The same observations split by requested resource type, one entry
+    /// per [`ResourceNetwork::resource_types`]; a single-type network's
+    /// one entry equals `queueing_delay`.
+    pub per_type_delay: Vec<Welford>,
     /// Response time (arrival → service completion) observations.
     pub response_time: Welford,
     /// Time-average number of queued tasks over the measurement window.
@@ -196,6 +210,7 @@ struct InFlight {
     grant: Grant,
     arrival: SimTime,
     retries: u32,
+    ty: usize,
     measured: bool,
     stage: Stage,
     handle: EventHandle,
@@ -284,6 +299,8 @@ impl InFlightSlab {
 struct QueuedTask {
     arrival: SimTime,
     retries: u32,
+    /// The resource type the task requests.
+    ty: usize,
 }
 
 /// Incrementally maintained request-readiness: `pending[i]` mirrors
@@ -303,6 +320,9 @@ struct ReadySet {
     /// the decision epoch can hand the network a [`PendingSet`] without a
     /// per-epoch re-pack.
     words: Vec<u64>,
+    /// Each processor's head-of-queue type, written whenever readiness is
+    /// re-evaluated with a nonempty queue.
+    types: Vec<usize>,
     count: usize,
     backoff_watch: Vec<usize>,
     in_backoff: Vec<bool>,
@@ -313,15 +333,20 @@ impl ReadySet {
         ReadySet {
             pending: vec![false; p],
             words: vec![0; p.div_ceil(64)],
+            types: vec![0; p],
             count: 0,
             backoff_watch: Vec::new(),
             in_backoff: vec![false; p],
         }
     }
 
-    /// Records processor `i`'s freshly evaluated readiness in both views.
+    /// Records processor `i`'s freshly evaluated readiness in both views,
+    /// and the type its `head` task requests.
     #[inline]
-    fn apply(&mut self, i: usize, ready: bool) {
+    fn apply(&mut self, i: usize, head: Option<&QueuedTask>, ready: bool) {
+        if let Some(task) = head {
+            self.types[i] = task.ty;
+        }
         if self.pending[i] != ready {
             self.pending[i] = ready;
             let lane = 1u64 << (i & 63);
@@ -345,7 +370,7 @@ impl ReadySet {
         backoff_until: &[SimTime],
     ) {
         let ready = !transmitting[i] && !queues[i].is_empty() && now >= backoff_until[i];
-        self.apply(i, ready);
+        self.apply(i, queues[i].front(), ready);
     }
 
     /// [`ReadySet::refresh`] right after `queues[i]` gained a task — the
@@ -355,9 +380,11 @@ impl ReadySet {
         i: usize,
         now: SimTime,
         transmitting: &[bool],
+        queues: &[VecDeque<QueuedTask>],
         backoff_until: &[SimTime],
     ) {
-        self.apply(i, !transmitting[i] && now >= backoff_until[i]);
+        let ready = !transmitting[i] && now >= backoff_until[i];
+        self.apply(i, queues[i].front(), ready);
     }
 
     /// [`ReadySet::refresh`] right after `transmitting[i]` was cleared —
@@ -369,7 +396,8 @@ impl ReadySet {
         queues: &[VecDeque<QueuedTask>],
         backoff_until: &[SimTime],
     ) {
-        self.apply(i, !queues[i].is_empty() && now >= backoff_until[i]);
+        let ready = !queues[i].is_empty() && now >= backoff_until[i];
+        self.apply(i, queues[i].front(), ready);
     }
 
     /// Drops a just-granted processor from the set. By the network contract
@@ -387,6 +415,7 @@ impl ReadySet {
         PendingSet {
             bools: &self.pending,
             words: &self.words,
+            types: &self.types,
         }
     }
 
@@ -490,21 +519,29 @@ pub fn simulate_faulty(
     fopts: &FaultOptions,
     rng: &mut SimRng,
 ) -> Result<SimReport, SimError> {
+    simulate_exponential(net, workload, None, opts, faults, fopts, rng)
+}
+
+/// [`simulate_faulty`] with, when `mix` is given, each task requesting a
+/// resource type drawn from it.
+pub(crate) fn simulate_exponential(
+    net: &mut dyn ResourceNetwork,
+    workload: &Workload,
+    mix: Option<&TypedWorkload>,
+    opts: &SimOptions,
+    faults: &FaultPlan,
+    fopts: &FaultOptions,
+    rng: &mut SimRng,
+) -> Result<SimReport, SimError> {
     let interarrival = Exponential::with_rate(workload.lambda());
     let transmission = Exponential::with_rate(workload.mu_n());
     let service = Exponential::with_rate(workload.mu_s());
-    simulate_general_faulty(
-        net,
-        &StageDistributions {
-            interarrival: &interarrival,
-            transmission: &transmission,
-            service: &service,
-        },
-        opts,
-        faults,
-        fopts,
-        rng,
-    )
+    let stages = StageDistributions {
+        interarrival: &interarrival,
+        transmission: &transmission,
+        service: &service,
+    };
+    run(net, &stages, mix, opts, faults, fopts, rng)
 }
 
 /// [`simulate_faulty`] with arbitrary stage distributions.
@@ -516,7 +553,6 @@ pub fn simulate_faulty(
 /// # Panics
 ///
 /// Same structural contract as [`simulate`].
-#[allow(clippy::too_many_lines)]
 pub fn simulate_general_faulty(
     net: &mut dyn ResourceNetwork,
     stages: &StageDistributions<'_>,
@@ -525,8 +561,25 @@ pub fn simulate_general_faulty(
     fopts: &FaultOptions,
     rng: &mut SimRng,
 ) -> Result<SimReport, SimError> {
+    run(net, stages, None, opts, faults, fopts, rng)
+}
+
+/// The one event loop behind every entry point. A `mix` of more than one
+/// type gives each arriving task a type drawn from it; otherwise every
+/// task requests type 0.
+#[allow(clippy::too_many_lines)]
+fn run(
+    net: &mut dyn ResourceNetwork,
+    stages: &StageDistributions<'_>,
+    mix: Option<&TypedWorkload>,
+    opts: &SimOptions,
+    faults: &FaultPlan,
+    fopts: &FaultOptions,
+    rng: &mut SimRng,
+) -> Result<SimReport, SimError> {
     let p = net.processors();
     assert!(p > 0, "network must have processors");
+    let mix = mix.filter(|w| w.types() > 1);
 
     let mut cal: Calendar<Event> = Calendar::new();
     let mut queues: Vec<VecDeque<QueuedTask>> = vec![VecDeque::new(); p];
@@ -536,6 +589,7 @@ pub fn simulate_general_faulty(
     let mut allocations: u64 = 0;
     let target = opts.warmup_tasks + opts.measured_tasks;
     let mut delays = Welford::new();
+    let mut per_type = vec![Welford::new(); net.resource_types()];
     let mut responses = Welford::new();
     let mut queue_len = TimeWeighted::new(SimTime::ZERO, 0.0);
     let mut measure_start: Option<SimTime> = None;
@@ -544,6 +598,7 @@ pub fn simulate_general_faulty(
     let mut svc_rng = rng.derive(0x53);
     let mut net_rng = rng.derive(0x4e);
     let mut fault_rng = rng.derive(0x46);
+    let mut type_rng = rng.derive(0x54);
     let mut timeline = faults.timeline(&mut fault_rng);
 
     let mut in_flight = InFlightSlab::default();
@@ -588,11 +643,12 @@ pub fn simulate_general_faulty(
                 queues[proc].push_back(QueuedTask {
                     arrival: now,
                     retries: 0,
+                    ty: mix.map_or(0, |w| w.draw_type(&mut type_rng)),
                 });
                 queue_len.add(now, 1.0);
                 let dt = stages.interarrival.draw(&mut arr_rng);
                 hole.refill(now + dt, Event::Arrival(proc));
-                ready.refresh_after_push(proc, now, &transmitting, &backoff_until);
+                ready.refresh_after_push(proc, now, &transmitting, &queues, &backoff_until);
             }
             Event::TxDone { task } => {
                 let fl = in_flight.get_mut(task).expect("TxDone for unknown task");
@@ -655,6 +711,11 @@ pub fn simulate_general_faulty(
                 let task = queues[grant.processor]
                     .pop_front()
                     .expect("pending implies nonempty queue");
+                assert_eq!(
+                    net.port_type(grant.port),
+                    task.ty,
+                    "network must serve the requested type"
+                );
                 queue_len.add(now, -1.0);
                 transmitting[grant.processor] = true;
 
@@ -671,6 +732,7 @@ pub fn simulate_general_faulty(
                         }
                     }
                     delays.push(now - task.arrival);
+                    per_type[task.ty].push(now - task.arrival);
                 }
                 let dt = stages.transmission.draw(&mut svc_rng);
                 let seq = next_seq;
@@ -681,6 +743,7 @@ pub fn simulate_general_faulty(
                     grant,
                     arrival: task.arrival,
                     retries: task.retries,
+                    ty: task.ty,
                     measured,
                     stage: Stage::Transmission,
                     handle,
@@ -710,6 +773,7 @@ pub fn simulate_general_faulty(
     let span = (end_time - start).max(f64::MIN_POSITIVE);
     Ok(SimReport {
         queueing_delay: delays,
+        per_type_delay: per_type,
         response_time: responses,
         mean_queue_length: queue_len.average(end_time),
         throughput: opts.measured_tasks as f64 / span,
@@ -762,6 +826,7 @@ fn apply_fault(
                 queues[fl.grant.processor].push_front(QueuedTask {
                     arrival: fl.arrival,
                     retries,
+                    ty: fl.ty,
                 });
                 queue_len.add(now, 1.0);
                 let exponent = (retries - 1).min(30);
@@ -1147,6 +1212,127 @@ mod tests {
         );
         // Delivered throughput cannot exceed allocation throughput.
         assert!(report.delivered_throughput <= report.throughput * 1.001);
+    }
+
+    /// One single-resource pool per type, port `t` hosting type `t`, with
+    /// no circuit contention. It remembers the type of every casualty and
+    /// checks that the processor's next request carries that type again.
+    #[derive(Debug)]
+    struct TypedPools {
+        p: usize,
+        busy: Vec<bool>,
+        up: Vec<bool>,
+        /// `(processor, port)` of every grant not yet through service.
+        held: Vec<(usize, usize)>,
+        requeued_type: Vec<Option<usize>>,
+        checked: u64,
+    }
+
+    impl ResourceNetwork for TypedPools {
+        fn processors(&self) -> usize {
+            self.p
+        }
+        fn total_resources(&self) -> usize {
+            self.busy.len()
+        }
+        fn resource_types(&self) -> usize {
+            self.busy.len()
+        }
+        fn port_type(&self, port: usize) -> usize {
+            port
+        }
+        fn request_cycle(&mut self, _pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
+            unreachable!("the simulator hands typed networks a PendingSet")
+        }
+        fn request_cycle_pending(
+            &mut self,
+            pending: PendingSet<'_>,
+            _rng: &mut SimRng,
+            out: &mut Vec<Grant>,
+        ) {
+            out.clear();
+            for i in (0..self.p).filter(|&i| pending.bools[i]) {
+                let t = pending.types[i];
+                if let Some(lost) = self.requeued_type[i].take() {
+                    assert_eq!(t, lost, "a casualty must re-request its own type");
+                    self.checked += 1;
+                }
+                if self.up[t] && !self.busy[t] {
+                    self.busy[t] = true;
+                    self.held.push((i, t));
+                    out.push(Grant {
+                        processor: i,
+                        port: t,
+                    });
+                }
+            }
+        }
+        fn end_transmission(&mut self, _grant: Grant) {}
+        fn end_service(&mut self, grant: Grant) {
+            let at = self
+                .held
+                .iter()
+                .position(|&h| h == (grant.processor, grant.port));
+            self.held.remove(at.expect("service ends on a held grant"));
+            self.busy[grant.port] = false;
+        }
+        fn fail_resource(&mut self, port: usize) -> bool {
+            if !std::mem::replace(&mut self.up[port], false) {
+                return false;
+            }
+            self.busy[port] = false;
+            for &(proc, _) in self.held.iter().filter(|h| h.1 == port) {
+                self.requeued_type[proc] = Some(port);
+            }
+            self.held.retain(|h| h.1 != port);
+            true
+        }
+        fn repair_resource(&mut self, port: usize) -> bool {
+            !std::mem::replace(&mut self.up[port], true)
+        }
+    }
+
+    #[test]
+    fn typed_casualties_are_requeued_with_their_type() {
+        use crate::typed::TypedWorkload;
+        use rsin_des::{FaultTarget, StochasticFault};
+        let base = Workload::new(0.05, 1.0, 0.5).expect("valid");
+        let mix = TypedWorkload::new(base, vec![0.5, 0.5]).expect("valid mix");
+        let mut net = TypedPools {
+            p: 4,
+            busy: vec![false; 2],
+            up: vec![true; 2],
+            held: Vec::new(),
+            requeued_type: vec![None; 4],
+            checked: 0,
+        };
+        let mut plan = FaultPlan::new();
+        for port in 0..2 {
+            plan = plan.stochastic(StochasticFault {
+                target: FaultTarget::Resource(port),
+                mtbf: 20.0,
+                mttr: 2.0,
+            });
+        }
+        let opts = SimOptions {
+            warmup_tasks: 200,
+            measured_tasks: 5_000,
+        };
+        let report = simulate_exponential(
+            &mut net,
+            &base,
+            Some(&mix),
+            &opts,
+            &plan,
+            &FaultOptions::default(),
+            &mut SimRng::new(23),
+        )
+        .expect("repairs keep the system live");
+        assert!(report.requeues > 0, "flapping pools must create casualties");
+        assert!(net.checked > 0, "some casualty must have re-requested");
+        let split: u64 = report.per_type_delay.iter().map(Welford::count).sum();
+        assert_eq!(split, report.queueing_delay.count());
+        assert!(report.per_type_delay.iter().all(|d| d.count() > 1_000));
     }
 
     #[test]

@@ -8,50 +8,18 @@
 //! information is kept per type. The open question the paper flags — "the
 //! problem on the number and placement of each type of resources in the
 //! network is still open" — is exactly what the placement ablation probes.
+//!
+//! The extension lives inside the one network contract and the one event
+//! loop: a [`ResourceNetwork`] reports how many types it hosts
+//! ([`ResourceNetwork::resource_types`]) and the type behind each port
+//! ([`ResourceNetwork::port_type`]), and reads each pending request's type
+//! from [`crate::PendingSet::types`]. This module adds the typed workload
+//! and [`simulate_typed`], the entry point that draws each task's type.
 
-use crate::network::NetworkCounters;
-use crate::sim::SimOptions;
+use crate::network::ResourceNetwork;
+use crate::sim::{simulate_exponential, FaultOptions, SimOptions, SimReport};
 use crate::workload::Workload;
-use rsin_des::stats::Welford;
-use rsin_des::{Calendar, SimRng, SimTime};
-use std::collections::VecDeque;
-
-/// A granted typed connection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct TypedGrant {
-    /// The processor whose head-of-queue task was granted.
-    pub processor: usize,
-    /// Global output-port index the circuit terminates at.
-    pub port: usize,
-    /// The resource type served.
-    pub resource_type: usize,
-}
-
-/// A resource-sharing network that understands typed requests.
-pub trait TypedResourceNetwork: std::fmt::Debug {
-    /// Number of processors.
-    fn processors(&self) -> usize;
-
-    /// Number of resource types.
-    fn resource_types(&self) -> usize;
-
-    /// One request cycle: `pending[i]` carries the type processor `i`'s
-    /// head-of-queue task requests, or `None` when processor `i` has
-    /// nothing waiting.
-    fn request_cycle(&mut self, pending: &[Option<usize>], rng: &mut SimRng) -> Vec<TypedGrant>;
-
-    /// Transmission finished: release the circuit; the resource begins
-    /// service.
-    fn end_transmission(&mut self, grant: TypedGrant);
-
-    /// Service finished: the resource frees and status propagates.
-    fn end_service(&mut self, grant: TypedGrant);
-
-    /// Drains accumulated counters.
-    fn take_counters(&mut self) -> NetworkCounters {
-        NetworkCounters::default()
-    }
-}
+use rsin_des::{FaultPlan, SimRng};
 
 /// Workload over typed tasks: arrivals are Poisson per processor; each task
 /// requests type `t` with probability `mix[t]`.
@@ -115,176 +83,94 @@ impl TypedWorkload {
     }
 }
 
-/// Output of a typed simulation run.
-#[derive(Clone, Debug)]
-pub struct TypedSimReport {
-    /// Queueing delay over all tasks.
-    pub queueing_delay: Welford,
-    /// Queueing delay per type.
-    pub per_type_delay: Vec<Welford>,
-    /// Network counters over the measurement window.
-    pub counters: NetworkCounters,
-}
-
-impl TypedSimReport {
-    /// Overall mean delay normalized by the mean service time.
-    #[must_use]
-    pub fn normalized_delay(&self, workload: &TypedWorkload) -> f64 {
-        self.queueing_delay.mean() * workload.base().mu_s()
-    }
-}
-
-#[derive(Debug)]
-enum Event {
-    Arrival(usize),
-    TxDone { grant: TypedGrant },
-    SvcDone { grant: TypedGrant },
-}
-
-/// Simulates a typed network under `workload` (typed analogue of
-/// [`crate::simulate`]).
+/// Simulates `net` under a typed `workload`: [`crate::simulate`] with each
+/// task requesting a resource type drawn from the workload's mix. The
+/// report's [`SimReport::per_type_delay`] splits the delay by type, and
+/// [`SimReport::normalized_delay`] takes `workload.base()`.
 ///
 /// # Panics
 ///
-/// Panics if the network misbehaves (grants a non-pending processor or a
-/// mismatched type).
+/// Panics if the workload has more types than `net` hosts, or on the
+/// structural violations [`crate::simulate`] checks — including a grant
+/// that lands on a port of another type than the one requested.
 pub fn simulate_typed(
-    net: &mut dyn TypedResourceNetwork,
+    net: &mut dyn ResourceNetwork,
     workload: &TypedWorkload,
     opts: &SimOptions,
     rng: &mut SimRng,
-) -> TypedSimReport {
-    let p = net.processors();
-    assert!(p > 0, "network must have processors");
-    let n_types = net.resource_types();
+) -> SimReport {
     assert!(
-        workload.types() <= n_types,
+        workload.types() <= net.resource_types(),
         "workload has more types than the network hosts"
     );
-
-    let mut cal: Calendar<Event> = Calendar::new();
-    // Each queue entry: (arrival time, requested type).
-    let mut queues: Vec<VecDeque<(SimTime, usize)>> = vec![VecDeque::new(); p];
-    let mut transmitting = vec![false; p];
-
-    let mut allocations: u64 = 0;
-    let target = opts.warmup_tasks + opts.measured_tasks;
-    let mut delays = Welford::new();
-    let mut per_type = vec![Welford::new(); n_types];
-
-    let mut arr_rng = rng.derive(0x41);
-    let mut svc_rng = rng.derive(0x53);
-    let mut net_rng = rng.derive(0x4e);
-    let mut type_rng = rng.derive(0x54);
-
-    for proc in 0..p {
-        let dt = arr_rng.exponential(workload.base().lambda());
-        cal.schedule(SimTime::ZERO + dt, Event::Arrival(proc));
-    }
-    let _ = net.take_counters();
-    let mut counters_dropped = false;
-
-    while allocations < target {
-        let (now, ev) = cal.pop().expect("arrivals keep the calendar nonempty");
-        match ev {
-            Event::Arrival(proc) => {
-                let t = workload.draw_type(&mut type_rng);
-                queues[proc].push_back((now, t));
-                let dt = arr_rng.exponential(workload.base().lambda());
-                cal.schedule(now + dt, Event::Arrival(proc));
-            }
-            Event::TxDone { grant } => {
-                net.end_transmission(grant);
-                transmitting[grant.processor] = false;
-                let dt = svc_rng.exponential(workload.base().mu_s());
-                cal.schedule(now + dt, Event::SvcDone { grant });
-            }
-            Event::SvcDone { grant } => {
-                net.end_service(grant);
-            }
-        }
-
-        let pending: Vec<Option<usize>> = (0..p)
-            .map(|i| {
-                if transmitting[i] {
-                    None
-                } else {
-                    queues[i].front().map(|&(_, t)| t)
-                }
-            })
-            .collect();
-        if pending.iter().any(Option::is_some) {
-            let grants = net.request_cycle(&pending, &mut net_rng);
-            for grant in grants {
-                let (arrival, t) = queues[grant.processor]
-                    .pop_front()
-                    .expect("granted processor had a queued task");
-                assert_eq!(
-                    t, grant.resource_type,
-                    "network must serve the requested type"
-                );
-                transmitting[grant.processor] = true;
-                allocations += 1;
-                if allocations > opts.warmup_tasks {
-                    if !counters_dropped {
-                        let _ = net.take_counters();
-                        counters_dropped = true;
-                    }
-                    delays.push(now - arrival);
-                    per_type[t].push(now - arrival);
-                }
-                let dt = svc_rng.exponential(workload.base().mu_n());
-                cal.schedule(now + dt, Event::TxDone { grant });
-            }
-        }
-    }
-
-    TypedSimReport {
-        queueing_delay: delays,
-        per_type_delay: per_type,
-        counters: net.take_counters(),
-    }
+    simulate_exponential(
+        net,
+        workload.base(),
+        Some(workload),
+        opts,
+        &FaultPlan::new(),
+        &FaultOptions::default(),
+        rng,
+    )
+    .expect("a fault-free run stalls only on a broken network")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::network::{Grant, PendingSet};
+    use rsin_des::stats::Welford;
+
     /// A trivially typed network: one private server pool per type with
     /// unlimited capacity — zero network delay, so queueing comes only from
-    /// the per-processor port.
+    /// the per-processor port. Port `t` hosts type `t`.
     #[derive(Debug)]
     struct TypedInstant {
         p: usize,
         types: usize,
     }
 
-    impl TypedResourceNetwork for TypedInstant {
+    impl ResourceNetwork for TypedInstant {
         fn processors(&self) -> usize {
             self.p
+        }
+        fn total_resources(&self) -> usize {
+            usize::MAX
         }
         fn resource_types(&self) -> usize {
             self.types
         }
-        fn request_cycle(
-            &mut self,
-            pending: &[Option<usize>],
-            _rng: &mut SimRng,
-        ) -> Vec<TypedGrant> {
-            pending
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &t)| {
-                    t.map(|t| TypedGrant {
-                        processor: i,
-                        port: t,
-                        resource_type: t,
-                    })
+        fn port_type(&self, port: usize) -> usize {
+            port
+        }
+        fn request_cycle(&mut self, pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
+            (0..pending.len())
+                .filter(|&i| pending[i])
+                .map(|i| Grant {
+                    processor: i,
+                    port: 0,
                 })
                 .collect()
         }
-        fn end_transmission(&mut self, _grant: TypedGrant) {}
-        fn end_service(&mut self, _grant: TypedGrant) {}
+        fn request_cycle_pending(
+            &mut self,
+            pending: PendingSet<'_>,
+            _rng: &mut SimRng,
+            out: &mut Vec<Grant>,
+        ) {
+            out.clear();
+            out.extend(
+                (0..pending.bools.len())
+                    .filter(|&i| pending.bools[i])
+                    .map(|i| Grant {
+                        processor: i,
+                        port: pending.types[i],
+                    }),
+            );
+        }
+        fn end_transmission(&mut self, _grant: Grant) {}
+        fn end_service(&mut self, _grant: Grant) {}
     }
 
     fn workload(mix: Vec<f64>) -> TypedWorkload {
@@ -327,7 +213,7 @@ mod tests {
         assert!(report.per_type_delay[1].count() > 3_000);
         // Instant network: the only queueing is the processor's own port
         // (M/M/1 with lambda = 0.2, mu_n = 1 → Wq = 0.25).
-        let d = report.normalized_delay(&w);
+        let d = report.normalized_delay(w.base());
         assert!((d - 0.25).abs() < 0.05, "delay {d}");
     }
 

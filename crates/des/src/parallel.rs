@@ -156,19 +156,6 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that runs the work inline exactly once: no retries, no
-    /// deadline — panics are still caught and reported.
-    #[must_use]
-    pub fn no_retry() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::ZERO,
-            jitter_seed: 0,
-            hard_deadline: None,
-        }
-    }
-
     /// The backoff before retry number `retry` (1-based): `base · 2^(retry-1)`
     /// capped at [`RetryPolicy::backoff_cap`], scaled by a deterministic
     /// jitter factor in `[0.5, 1.0]` drawn from the policy's jitter stream.

@@ -13,7 +13,8 @@
 //!   resolution protocol with circuit-held links and box-visit accounting
 //!   (Fig. 11's example reproduces, 3.5 boxes per request).
 //! - [`OmegaNetwork`]: the simulatable
-//!   [`ResourceNetwork`](rsin_core::ResourceNetwork).
+//!   [`ResourceNetwork`](rsin_core::ResourceNetwork), optionally hosting
+//!   several resource types laid out by a [`Placement`] (Section VII).
 //! - [`AddressMappedOmega`]: the conventional baseline with a centralized
 //!   random assigner.
 //! - [`CentralOmegaNetwork`] / [`SequentialScheduler`]: the
@@ -43,17 +44,15 @@ mod interchange;
 mod model;
 mod resolver;
 mod return_path;
-mod typed;
 
 pub use address_map::AddressMappedOmega;
 pub use central::{CentralOmegaNetwork, SequentialOutcome, SequentialScheduler};
 pub use interchange::{InterchangeBox, QueryOutcome, RejectOutcome};
-pub use model::{OmegaNetwork, WrongKindError};
+pub use model::{OmegaNetwork, Placement, WrongKindError};
 pub use resolver::{
     Admission, Circuit, MultistageState, OmegaState, Resolution, StatusFreshness, Wiring,
 };
 pub use return_path::OmegaReturnPath;
-pub use typed::{Placement, TypedOmegaNetwork};
 
 #[cfg(test)]
 mod integration_tests {

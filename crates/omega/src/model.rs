@@ -5,11 +5,44 @@
 //! the duration of the transmission; resources stay busy until service
 //! completes; rejected requests stay queued at their processors and re-enter
 //! at the next status change (the simulator's next decision epoch).
+//!
+//! The same network carries the paper's extension for "systems with
+//! single-resource requests and multiple types of resources"
+//! ([`OmegaNetwork::typed`]): the request signal carries a type number, each
+//! output port hosts resources of one type, and the interchange boxes keep
+//! one availability register per type per output port. The scheduling
+//! overhead grows to `O(t · log₂ N)` for `t` types — visible in the
+//! box-visit counters. The paper leaves "the number and placement of each
+//! type of resources in the network" open; [`Placement`] provides the two
+//! natural layouts so the question can be probed experimentally.
 
 use crate::resolver::{Admission, Circuit, MultistageState, Wiring};
-use rsin_core::{Grant, NetworkCounters, ResourceNetwork, SystemConfig};
+use rsin_core::{Grant, NetworkCounters, PendingSet, ResourceNetwork, SystemConfig};
 use rsin_des::SimRng;
 use std::collections::HashMap;
+
+/// How resource types are laid out across the output ports.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum Placement {
+    /// Contiguous blocks: ports `[0, N/t)` host type 0, the next block
+    /// type 1, and so on.
+    #[default]
+    Blocked,
+    /// Round-robin: port `p` hosts type `p mod t`.
+    Interleaved,
+}
+
+impl Placement {
+    /// The type hosted by `port` in a network of `size` ports and `types`
+    /// types.
+    #[must_use]
+    pub fn type_of(self, port: usize, size: usize, types: usize) -> usize {
+        match self {
+            Placement::Blocked => port / (size / types),
+            Placement::Interleaved => port % types,
+        }
+    }
+}
 
 /// A partitioned Omega RSIN.
 ///
@@ -29,13 +62,16 @@ use std::collections::HashMap;
 pub struct OmegaNetwork {
     size: usize,
     resources_per_port: u32,
+    /// Resource types hosted (1 unless built by [`OmegaNetwork::typed`]).
+    types: usize,
     admission: Admission,
     partitions: Vec<MultistageState>,
     /// Active circuits keyed by global processor index.
     circuits: HashMap<usize, Circuit>,
     counters: NetworkCounters,
-    /// Per-partition requester list, reused across request cycles.
-    requesters: Vec<usize>,
+    /// Per-partition `(processor, type)` request list, reused across
+    /// request cycles.
+    requests: Vec<(usize, usize)>,
 }
 
 /// Error building an [`OmegaNetwork`] from a config of the wrong kind.
@@ -126,12 +162,61 @@ impl OmegaNetwork {
         OmegaNetwork {
             size,
             resources_per_port,
+            types: 1,
             admission,
             partitions: parts,
             circuits: HashMap::new(),
             counters: NetworkCounters::default(),
-            requesters: Vec::new(),
+            requests: Vec::new(),
         }
+    }
+
+    /// Builds `partitions` independent `size × size` Omega networks hosting
+    /// `types` resource types with `resources_per_port` resources per port,
+    /// laid out across the ports by `placement`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rsin_core::ResourceNetwork;
+    /// use rsin_omega::{Admission, OmegaNetwork, Placement};
+    ///
+    /// // 8 ports, 2 resources each, split across 2 types.
+    /// let net = OmegaNetwork::typed(1, 8, 2, 2, Placement::Interleaved,
+    ///                               Admission::Simultaneous);
+    /// assert_eq!(net.processors(), 8);
+    /// assert_eq!(net.resource_types(), 2);
+    /// assert_eq!(net.port_type(5), 1);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partitions == 0`, `size` is not a power of two ≥ 2,
+    /// `resources_per_port == 0`, `types == 0`, or `types` does not divide
+    /// `size` (so every type gets equal capacity).
+    #[must_use]
+    pub fn typed(
+        partitions: usize,
+        size: usize,
+        resources_per_port: u32,
+        types: usize,
+        placement: Placement,
+        admission: Admission,
+    ) -> Self {
+        assert!(types > 0, "need at least one resource type");
+        assert!(
+            size.is_multiple_of(types),
+            "types must divide the port count for equal capacity"
+        );
+        let mut net = Self::new(partitions, size, resources_per_port, admission);
+        let port_types: Vec<usize> = (0..size)
+            .map(|p| placement.type_of(p, size, types))
+            .collect();
+        for part in &mut net.partitions {
+            part.set_port_types(&port_types);
+        }
+        net.types = types;
+        net
     }
 
     /// The interstage wiring of every partition.
@@ -162,6 +247,40 @@ impl OmegaNetwork {
     pub fn admission(&self) -> Admission {
         self.admission
     }
+
+    /// One request cycle over the pending processors, each requesting
+    /// `type_of(processor)`.
+    fn cycle(&mut self, pending: &[bool], type_of: impl Fn(usize) -> usize, out: &mut Vec<Grant>) {
+        assert_eq!(pending.len(), self.processors(), "pending vector size");
+        out.clear();
+        let mut requests = std::mem::take(&mut self.requests);
+        for (pi, part) in self.partitions.iter_mut().enumerate() {
+            let base = pi * self.size;
+            requests.clear();
+            requests.extend(
+                (0..self.size)
+                    .filter(|&l| pending[base + l] && !self.circuits.contains_key(&(base + l)))
+                    .map(|l| (l, type_of(base + l))),
+            );
+            if requests.is_empty() {
+                continue;
+            }
+            self.counters.attempts += requests.len() as u64;
+            let res = part.resolve_typed(&requests, self.admission);
+            self.counters.boxes_traversed += res.box_visits;
+            self.counters.rejections += (res.rejected.len() + res.not_submitted.len()) as u64;
+            for circuit in res.granted {
+                let proc = base + circuit.processor;
+                let port = base + circuit.port;
+                self.circuits.insert(proc, circuit);
+                out.push(Grant {
+                    processor: proc,
+                    port,
+                });
+            }
+        }
+        self.requests = requests;
+    }
 }
 
 impl ResourceNetwork for OmegaNetwork {
@@ -180,34 +299,24 @@ impl ResourceNetwork for OmegaNetwork {
     }
 
     fn request_cycle_into(&mut self, pending: &[bool], _rng: &mut SimRng, out: &mut Vec<Grant>) {
-        assert_eq!(pending.len(), self.processors(), "pending vector size");
-        out.clear();
-        let mut requesters = std::mem::take(&mut self.requesters);
-        for (pi, part) in self.partitions.iter_mut().enumerate() {
-            let base = pi * self.size;
-            requesters.clear();
-            requesters.extend(
-                (0..self.size)
-                    .filter(|&l| pending[base + l] && !self.circuits.contains_key(&(base + l))),
-            );
-            if requesters.is_empty() {
-                continue;
-            }
-            self.counters.attempts += requesters.len() as u64;
-            let res = part.resolve(&requesters, self.admission);
-            self.counters.boxes_traversed += res.box_visits;
-            self.counters.rejections += (res.rejected.len() + res.not_submitted.len()) as u64;
-            for circuit in res.granted {
-                let proc = base + circuit.processor;
-                let port = base + circuit.port;
-                self.circuits.insert(proc, circuit);
-                out.push(Grant {
-                    processor: proc,
-                    port,
-                });
-            }
-        }
-        self.requesters = requesters;
+        self.cycle(pending, |_| 0, out);
+    }
+
+    fn request_cycle_pending(
+        &mut self,
+        pending: PendingSet<'_>,
+        _rng: &mut SimRng,
+        out: &mut Vec<Grant>,
+    ) {
+        self.cycle(pending.bools, |i| pending.types[i], out);
+    }
+
+    fn resource_types(&self) -> usize {
+        self.types
+    }
+
+    fn port_type(&self, port: usize) -> usize {
+        self.partitions[port / self.size].port_type(port % self.size)
     }
 
     fn end_transmission(&mut self, grant: Grant) {
@@ -319,6 +428,8 @@ impl ResourceNetwork for OmegaNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsin_core::typed::{simulate_typed, TypedWorkload};
+    use rsin_core::{simulate, SimOptions, Workload};
 
     fn pending(n: usize, set: &[usize]) -> Vec<bool> {
         let mut v = vec![false; n];
@@ -462,6 +573,134 @@ mod tests {
             c.boxes_traversed >= 12,
             "each served request crosses ≥3 boxes"
         );
+    }
+
+    #[test]
+    fn placement_layouts() {
+        assert_eq!(Placement::Blocked.type_of(0, 8, 2), 0);
+        assert_eq!(Placement::Blocked.type_of(3, 8, 2), 0);
+        assert_eq!(Placement::Blocked.type_of(4, 8, 2), 1);
+        assert_eq!(Placement::Interleaved.type_of(4, 8, 2), 0);
+        assert_eq!(Placement::Interleaved.type_of(5, 8, 2), 1);
+    }
+
+    #[test]
+    fn typed_grants_match_requested_types() {
+        let mut net = OmegaNetwork::typed(1, 8, 1, 2, Placement::Blocked, Admission::Simultaneous);
+        let mut rng = SimRng::new(1);
+        let bools = pending(8, &[0, 3, 5]);
+        let mut types = vec![0; 8];
+        types[0] = 1;
+        types[3] = 0;
+        types[5] = 1;
+        let words = [0b10_1001];
+        let mut grants = Vec::new();
+        net.request_cycle_pending(
+            PendingSet {
+                bools: &bools,
+                words: &words,
+                types: &types,
+            },
+            &mut rng,
+            &mut grants,
+        );
+        assert_eq!(grants.len(), 3);
+        for g in &grants {
+            let expect = match g.processor {
+                3 => 0,
+                _ => 1,
+            };
+            assert_eq!(net.port_type(g.port), expect);
+            assert_eq!(
+                Placement::Blocked.type_of(g.port, 8, 2),
+                expect,
+                "port {} hosts the wrong type",
+                g.port
+            );
+        }
+        for g in grants {
+            net.end_transmission(g);
+            net.end_service(g);
+        }
+    }
+
+    #[test]
+    fn typed_simulation_end_to_end() {
+        let base = Workload::new(0.05, 10.0, 1.0).expect("valid");
+        let w = TypedWorkload::new(base, vec![0.5, 0.5]).expect("valid");
+        let mut net =
+            OmegaNetwork::typed(1, 16, 2, 2, Placement::Interleaved, Admission::Simultaneous);
+        let mut rng = SimRng::new(9);
+        let opts = SimOptions {
+            warmup_tasks: 1_000,
+            measured_tasks: 15_000,
+        };
+        let report = simulate_typed(&mut net, &w, &opts, &mut rng);
+        assert_eq!(report.queueing_delay.count(), 15_000);
+        assert!(report.per_type_delay[0].count() > 5_000);
+        assert!(report.per_type_delay[1].count() > 5_000);
+    }
+
+    #[test]
+    fn splitting_the_pool_into_types_increases_delay() {
+        // Same hardware, same load: one universal type pools 16 ports;
+        // two types give each task only 8 candidate ports. Less pooling,
+        // more delay.
+        let opts = SimOptions {
+            warmup_tasks: 2_000,
+            measured_tasks: 30_000,
+        };
+        let base = Workload::new(0.55, 10.0, 1.0).expect("valid");
+        let run = |types: usize, mix: Vec<f64>| {
+            let w = TypedWorkload::new(base, mix).expect("valid");
+            let mut net = OmegaNetwork::typed(
+                1,
+                16,
+                1,
+                types,
+                Placement::Interleaved,
+                Admission::Simultaneous,
+            );
+            let mut rng = SimRng::new(77);
+            simulate_typed(&mut net, &w, &opts, &mut rng).normalized_delay(w.base())
+        };
+        let pooled = run(1, vec![1.0]);
+        let split = run(2, vec![0.5, 0.5]);
+        assert!(
+            split > pooled,
+            "two types ({split}) must queue longer than one pooled type ({pooled})"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "divide")]
+    fn types_must_divide_ports() {
+        let _ = OmegaNetwork::typed(1, 8, 1, 3, Placement::Blocked, Admission::Simultaneous);
+    }
+
+    /// A one-type network under a one-type mix is the untyped network: the
+    /// typed entry point reports exactly what `simulate` does.
+    #[test]
+    fn one_type_typed_run_matches_the_plain_run() {
+        let base = Workload::new(0.4, 10.0, 1.0).expect("valid");
+        let w = TypedWorkload::new(base, vec![1.0]).expect("valid");
+        let opts = SimOptions {
+            warmup_tasks: 500,
+            measured_tasks: 5_000,
+        };
+        let typed = simulate_typed(
+            &mut OmegaNetwork::typed(2, 8, 2, 1, Placement::Blocked, Admission::Staggered),
+            &w,
+            &opts,
+            &mut SimRng::new(11),
+        );
+        let plain = simulate(
+            &mut OmegaNetwork::new(2, 8, 2, Admission::Staggered),
+            &base,
+            &opts,
+            &mut SimRng::new(11),
+        );
+        assert_eq!(format!("{typed:?}"), format!("{plain:?}"));
     }
 
     /// The whole-DES check: both wirings and both admissions, healthy and

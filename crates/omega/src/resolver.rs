@@ -265,7 +265,7 @@ struct ResolverScratch {
     /// Stage-wave lane buffers for the bit-sliced status phase.
     t_in: Vec<u64>,
     t_box: Vec<u64>,
-    /// Duplicate-requester check buffer for `resolve`/`resolve_typed`.
+    /// Duplicate-requester check buffer for `resolve_typed`.
     seen: Vec<bool>,
     /// Untyped→typed request adaptation buffer for `resolve`.
     typed: Vec<(usize, usize)>,
@@ -492,12 +492,6 @@ impl MultistageState {
         self.freshness = freshness;
     }
 
-    /// The status-freshness regime in force.
-    #[must_use]
-    pub fn status_freshness(&self) -> StatusFreshness {
-        self.freshness
-    }
-
     /// The interstage wiring.
     #[must_use]
     pub fn wiring(&self) -> Wiring {
@@ -705,40 +699,27 @@ impl MultistageState {
     }
 
     /// Runs one resolution epoch for `requesters` (distinct processor
-    /// indices). Granted circuits immediately occupy their links.
+    /// indices): [`MultistageState::resolve_typed`] with every request of
+    /// type 0. Granted circuits immediately occupy their links.
     ///
     /// # Panics
     ///
     /// Panics if a requester index is out of range or duplicated.
     pub fn resolve(&mut self, requesters: &[usize], admission: Admission) -> Resolution {
-        self.check_distinct(requesters.iter().copied());
         let mut typed = std::mem::take(&mut self.scratch.typed);
         typed.clear();
         typed.extend(requesters.iter().map(|&p| (p, 0)));
-        let res = match admission {
-            Admission::Simultaneous => self.resolve_batch(&typed),
-            Admission::Staggered => {
-                let mut total = Resolution::default();
-                for &req in &typed {
-                    let r = self.resolve_batch(&[req]);
-                    total.granted.extend(r.granted);
-                    total.rejected.extend(r.rejected);
-                    total.not_submitted.extend(r.not_submitted);
-                    total.box_visits += r.box_visits;
-                }
-                total
-            }
-        };
+        let res = self.resolve_typed(&typed, admission);
         self.scratch.typed = typed;
         res
     }
 
     /// Panics unless every requester index is in range and distinct.
-    fn check_distinct(&mut self, requesters: impl Iterator<Item = usize>) {
+    fn check_distinct(&mut self, requests: &[(usize, usize)]) {
         let seen = &mut self.scratch.seen;
         seen.clear();
         seen.resize(self.size, false);
-        for p in requesters {
+        for &(p, _) in requests {
             assert!(p < self.size, "processor {p} out of range");
             assert!(!seen[p], "processor {p} duplicated");
             seen[p] = true;
@@ -758,7 +739,7 @@ impl MultistageState {
         requests: &[(usize, usize)],
         admission: Admission,
     ) -> Resolution {
-        self.check_distinct(requests.iter().map(|&(p, _)| p));
+        self.check_distinct(requests);
         match admission {
             Admission::Simultaneous => self.resolve_batch(requests),
             Admission::Staggered => {

@@ -91,25 +91,148 @@ struct Circuit {
     uplink: Option<usize>,
 }
 
-/// Shared port-side state: busy counts, fault status, circuits.
+/// The state both composites share: link fabric, port pools, uplink
+/// slots, the circuit table, the rotating scan start and the counters.
+/// Each model adds only its own placement rule.
 #[derive(Clone, Debug)]
-struct PortPool {
+struct CircuitTable {
+    fabric: LinkFabric,
     resources_per_port: u32,
     busy: Vec<u32>,
     up: Vec<bool>,
+    /// One flag per core input slot; cluster `c` owns `[c*u, (c+1)*u)`.
+    /// Empty for the multi-lane model, which has no uplinks.
+    uplink_used: Vec<bool>,
+    circuits: HashMap<usize, Circuit>,
+    rotate: usize,
+    counters: NetworkCounters,
 }
 
-impl PortPool {
-    fn new(ports: usize, resources_per_port: u32) -> Self {
-        PortPool {
+impl CircuitTable {
+    fn new(fabric: LinkFabric, ports: usize, resources_per_port: u32, uplinks: usize) -> Self {
+        CircuitTable {
+            fabric,
             resources_per_port,
             busy: vec![0; ports],
             up: vec![true; ports],
+            uplink_used: vec![false; uplinks],
+            circuits: HashMap::new(),
+            rotate: 0,
+            counters: NetworkCounters::default(),
         }
     }
 
     fn has_free(&self, port: usize) -> bool {
         self.up[port] && self.busy[port] < self.resources_per_port
+    }
+
+    /// Scans the pending processors without a circuit from a rotating
+    /// start, offering each to `place`.
+    fn request_cycle(
+        &mut self,
+        pending: &[bool],
+        mut place: impl FnMut(&mut Self, usize) -> Option<Grant>,
+    ) -> Vec<Grant> {
+        let p = pending.len();
+        let mut grants = Vec::new();
+        self.rotate = self.rotate.wrapping_add(1);
+        for step in 0..p {
+            let proc = (self.rotate + step) % p;
+            if !pending[proc] || self.circuits.contains_key(&proc) {
+                continue;
+            }
+            self.counters.attempts += 1;
+            match place(self, proc) {
+                Some(g) => grants.push(g),
+                None => self.counters.rejections += 1,
+            }
+        }
+        grants
+    }
+
+    /// Establishes `processor`'s circuit over a free `route` to `port`.
+    fn connect(
+        &mut self,
+        processor: usize,
+        port: usize,
+        copy: usize,
+        route: Route,
+        uplink: Option<usize>,
+    ) -> Grant {
+        self.fabric.claim(copy, &route);
+        self.counters.boxes_traversed += route.links.len() as u64;
+        if let Some(u) = uplink {
+            self.uplink_used[u] = true;
+        }
+        self.busy[port] += 1;
+        self.circuits.insert(
+            processor,
+            Circuit {
+                port,
+                copy,
+                route: Some(route),
+                uplink,
+            },
+        );
+        Grant { processor, port }
+    }
+
+    /// Frees the links and uplink `c` still holds.
+    fn release_links(fabric: &mut LinkFabric, uplink_used: &mut [bool], c: &mut Circuit) {
+        if let Some(route) = c.route.take() {
+            fabric.release(c.copy, &route);
+        }
+        if let Some(uplink) = c.uplink.take() {
+            uplink_used[uplink] = false;
+        }
+    }
+
+    fn end_transmission(&mut self, grant: Grant) {
+        let c = self
+            .circuits
+            .get_mut(&grant.processor)
+            .expect("transmission ends on a held circuit");
+        Self::release_links(&mut self.fabric, &mut self.uplink_used, c);
+    }
+
+    fn end_service(&mut self, grant: Grant) {
+        let c = self
+            .circuits
+            .remove(&grant.processor)
+            .expect("service ends on a held circuit");
+        // A port failure zeroes its busy count and drops its circuits, so
+        // a straggling end_service for it must not underflow.
+        if self.busy[c.port] > 0 {
+            self.busy[c.port] -= 1;
+        }
+    }
+
+    fn fail_resource(&mut self, port: usize) -> bool {
+        if port >= self.up.len() || !self.up[port] {
+            return false;
+        }
+        self.up[port] = false;
+        self.busy[port] = 0;
+        self.counters.resource_failures += 1;
+        // Drop every circuit terminating at the port, releasing whatever
+        // it still holds; the simulator requeues the casualties.
+        let (fabric, uplink_used) = (&mut self.fabric, &mut self.uplink_used);
+        self.circuits.retain(|_, c| {
+            if c.port == port {
+                Self::release_links(fabric, uplink_used, c);
+            }
+            c.port != port
+        });
+        true
+    }
+
+    fn repair_resource(&mut self, port: usize) -> bool {
+        if port >= self.up.len() || self.up[port] {
+            return false;
+        }
+        self.up[port] = true;
+        self.counters.resource_repairs += 1;
+        true
     }
 }
 
@@ -117,14 +240,7 @@ impl PortPool {
 #[derive(Clone, Debug)]
 pub struct ClusteredXbarNet {
     spec: ClusteredXbar,
-    fabric: LinkFabric,
-    /// One flag per core input slot; cluster `c` owns
-    /// `[c*u, (c+1)*u)`.
-    uplink_used: Vec<bool>,
-    pool: PortPool,
-    circuits: HashMap<usize, Circuit>,
-    rotate: usize,
-    counters: NetworkCounters,
+    table: CircuitTable,
 }
 
 impl ClusteredXbarNet {
@@ -134,51 +250,33 @@ impl ClusteredXbarNet {
         let s = spec.core_size() as usize;
         ClusteredXbarNet {
             spec,
-            fabric: LinkFabric::new(1, s, 1),
-            uplink_used: vec![false; s],
-            pool: PortPool::new(s, spec.resources_per_port()),
-            circuits: HashMap::new(),
-            rotate: 0,
-            counters: NetworkCounters::default(),
+            table: CircuitTable::new(LinkFabric::new(1, s, 1), s, spec.resources_per_port(), s),
         }
     }
 
     /// Tries to place one processor's request; returns the grant on
     /// success.
-    fn try_place(&mut self, processor: usize) -> Option<Grant> {
-        let u = self.spec.uplinks() as usize;
-        let cluster = processor / self.spec.cluster_inputs() as usize;
-        let s = self.spec.core_size() as usize;
+    fn try_place(spec: ClusteredXbar, t: &mut CircuitTable, processor: usize) -> Option<Grant> {
+        let u = spec.uplinks() as usize;
+        let cluster = processor / spec.cluster_inputs() as usize;
+        let s = spec.core_size() as usize;
         let base = cluster * u;
         // The cluster crossbar is nonblocking: any free uplink slot serves.
-        let free_uplinks: Vec<usize> = (base..base + u).filter(|&i| !self.uplink_used[i]).collect();
+        let free_uplinks: Vec<usize> = (base..base + u).filter(|&i| !t.uplink_used[i]).collect();
         if free_uplinks.is_empty() {
             return None;
         }
         // Scan destinations from the rotating start; for each port with a
         // free resource, try every free uplink until a route fits.
         for step in 0..s {
-            let port = (self.rotate + step) % s;
-            if !self.pool.has_free(port) {
+            let port = (t.rotate + step) % s;
+            if !t.has_free(port) {
                 continue;
             }
             for &uplink in &free_uplinks {
-                let route = self.fabric.topo.route(uplink, port);
-                if self.fabric.route_free(0, &route) {
-                    self.fabric.claim(0, &route);
-                    self.counters.boxes_traversed += route.links.len() as u64;
-                    self.uplink_used[uplink] = true;
-                    self.pool.busy[port] += 1;
-                    self.circuits.insert(
-                        processor,
-                        Circuit {
-                            port,
-                            copy: 0,
-                            route: Some(route),
-                            uplink: Some(uplink),
-                        },
-                    );
-                    return Some(Grant { processor, port });
+                let route = t.fabric.topo.route(uplink, port);
+                if t.fabric.route_free(0, &route) {
+                    return Some(t.connect(processor, port, 0, route, Some(uplink)));
                 }
             }
         }
@@ -196,86 +294,29 @@ impl ResourceNetwork for ClusteredXbarNet {
     }
 
     fn request_cycle(&mut self, pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
-        let p = pending.len();
-        let mut grants = Vec::new();
-        self.rotate = self.rotate.wrapping_add(1);
-        for step in 0..p {
-            let proc = (self.rotate + step) % p;
-            if !pending[proc] || self.circuits.contains_key(&proc) {
-                continue;
-            }
-            self.counters.attempts += 1;
-            match self.try_place(proc) {
-                Some(g) => grants.push(g),
-                None => self.counters.rejections += 1,
-            }
-        }
-        grants
+        let spec = self.spec;
+        self.table
+            .request_cycle(pending, |t, proc| Self::try_place(spec, t, proc))
     }
 
     fn end_transmission(&mut self, grant: Grant) {
-        let c = self
-            .circuits
-            .get_mut(&grant.processor)
-            .expect("transmission ends on a held circuit");
-        if let Some(route) = c.route.take() {
-            self.fabric.release(c.copy, &route);
-        }
-        if let Some(uplink) = c.uplink.take() {
-            self.uplink_used[uplink] = false;
-        }
+        self.table.end_transmission(grant);
     }
 
     fn end_service(&mut self, grant: Grant) {
-        let c = self
-            .circuits
-            .remove(&grant.processor)
-            .expect("service ends on a held circuit");
-        // A port failure zeroes its busy count and drops its circuits, so
-        // a straggling end_service for it must not underflow.
-        if self.pool.busy[c.port] > 0 {
-            self.pool.busy[c.port] -= 1;
-        }
+        self.table.end_service(grant);
     }
 
     fn take_counters(&mut self) -> NetworkCounters {
-        std::mem::take(&mut self.counters)
+        std::mem::take(&mut self.table.counters)
     }
 
     fn fail_resource(&mut self, port: usize) -> bool {
-        if port >= self.pool.up.len() || !self.pool.up[port] {
-            return false;
-        }
-        self.pool.up[port] = false;
-        self.pool.busy[port] = 0;
-        self.counters.resource_failures += 1;
-        // Drop every circuit terminating at the port, releasing whatever
-        // it still holds; the simulator requeues the casualties.
-        let victims: Vec<usize> = self
-            .circuits
-            .iter()
-            .filter(|(_, c)| c.port == port)
-            .map(|(&p, _)| p)
-            .collect();
-        for v in victims {
-            let c = self.circuits.remove(&v).expect("listed above");
-            if let Some(route) = &c.route {
-                self.fabric.release(c.copy, route);
-            }
-            if let Some(uplink) = c.uplink {
-                self.uplink_used[uplink] = false;
-            }
-        }
-        true
+        self.table.fail_resource(port)
     }
 
     fn repair_resource(&mut self, port: usize) -> bool {
-        if port >= self.pool.up.len() || self.pool.up[port] {
-            return false;
-        }
-        self.pool.up[port] = true;
-        self.counters.resource_repairs += 1;
-        true
+        self.table.repair_resource(port)
     }
 
     fn label(&self) -> &'static str {
@@ -287,11 +328,7 @@ impl ResourceNetwork for ClusteredXbarNet {
 #[derive(Clone, Debug)]
 pub struct MultiLaneOmegaNet {
     spec: MultiLaneOmega,
-    fabric: LinkFabric,
-    pool: PortPool,
-    circuits: HashMap<usize, Circuit>,
-    rotate: usize,
-    counters: NetworkCounters,
+    table: CircuitTable,
 }
 
 impl MultiLaneOmegaNet {
@@ -305,41 +342,26 @@ impl MultiLaneOmegaNet {
         let size = spec.size() as usize;
         let copies = spec.networks() as usize;
         let lanes = u8::try_from(spec.lanes()).expect("lanes validated <= 8");
+        let fabric = LinkFabric::new(copies, size, lanes);
         MultiLaneOmegaNet {
             spec,
-            fabric: LinkFabric::new(copies, size, lanes),
-            pool: PortPool::new(copies * size, spec.resources_per_port()),
-            circuits: HashMap::new(),
-            rotate: 0,
-            counters: NetworkCounters::default(),
+            table: CircuitTable::new(fabric, copies * size, spec.resources_per_port(), 0),
         }
     }
 
-    fn try_place(&mut self, processor: usize) -> Option<Grant> {
-        let size = self.spec.size() as usize;
+    fn try_place(spec: MultiLaneOmega, t: &mut CircuitTable, processor: usize) -> Option<Grant> {
+        let size = spec.size() as usize;
         let copy = processor / size;
         let src = processor % size;
         for step in 0..size {
-            let local = (self.rotate + step) % size;
+            let local = (t.rotate + step) % size;
             let port = copy * size + local;
-            if !self.pool.has_free(port) {
+            if !t.has_free(port) {
                 continue;
             }
-            let route = self.fabric.topo.route(src, local);
-            if self.fabric.route_free(copy, &route) {
-                self.fabric.claim(copy, &route);
-                self.counters.boxes_traversed += route.links.len() as u64;
-                self.pool.busy[port] += 1;
-                self.circuits.insert(
-                    processor,
-                    Circuit {
-                        port,
-                        copy,
-                        route: Some(route),
-                        uplink: None,
-                    },
-                );
-                return Some(Grant { processor, port });
+            let route = t.fabric.topo.route(src, local);
+            if t.fabric.route_free(copy, &route) {
+                return Some(t.connect(processor, port, copy, route, None));
             }
         }
         None
@@ -356,76 +378,29 @@ impl ResourceNetwork for MultiLaneOmegaNet {
     }
 
     fn request_cycle(&mut self, pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
-        let p = pending.len();
-        let mut grants = Vec::new();
-        self.rotate = self.rotate.wrapping_add(1);
-        for step in 0..p {
-            let proc = (self.rotate + step) % p;
-            if !pending[proc] || self.circuits.contains_key(&proc) {
-                continue;
-            }
-            self.counters.attempts += 1;
-            match self.try_place(proc) {
-                Some(g) => grants.push(g),
-                None => self.counters.rejections += 1,
-            }
-        }
-        grants
+        let spec = self.spec;
+        self.table
+            .request_cycle(pending, |t, proc| Self::try_place(spec, t, proc))
     }
 
     fn end_transmission(&mut self, grant: Grant) {
-        let c = self
-            .circuits
-            .get_mut(&grant.processor)
-            .expect("transmission ends on a held circuit");
-        if let Some(route) = c.route.take() {
-            self.fabric.release(c.copy, &route);
-        }
+        self.table.end_transmission(grant);
     }
 
     fn end_service(&mut self, grant: Grant) {
-        let c = self
-            .circuits
-            .remove(&grant.processor)
-            .expect("service ends on a held circuit");
-        if self.pool.busy[c.port] > 0 {
-            self.pool.busy[c.port] -= 1;
-        }
+        self.table.end_service(grant);
     }
 
     fn take_counters(&mut self) -> NetworkCounters {
-        std::mem::take(&mut self.counters)
+        std::mem::take(&mut self.table.counters)
     }
 
     fn fail_resource(&mut self, port: usize) -> bool {
-        if port >= self.pool.up.len() || !self.pool.up[port] {
-            return false;
-        }
-        self.pool.up[port] = false;
-        self.pool.busy[port] = 0;
-        self.counters.resource_failures += 1;
-        let victims: Vec<usize> = self
-            .circuits
-            .iter()
-            .filter(|(_, c)| c.port == port)
-            .map(|(&p, _)| p)
-            .collect();
-        for v in victims {
-            let c = self.circuits.remove(&v).expect("listed above");
-            if let Some(route) = &c.route {
-                self.fabric.release(c.copy, route);
-            }
-        }
-        true
+        self.table.fail_resource(port)
     }
 
     fn repair_resource(&mut self, port: usize) -> bool {
-        if port >= self.pool.up.len() || self.pool.up[port] {
-            return false;
-        }
-        self.pool.up[port] = true;
-        self.counters.resource_repairs += 1;
-        true
+        self.table.repair_resource(port)
     }
 
     fn label(&self) -> &'static str {
@@ -498,13 +473,35 @@ mod tests {
         for g in &grants {
             net.end_service(*g);
         }
-        assert!(net.circuits.is_empty());
-        assert!(net.pool.busy.iter().all(|&b| b == 0));
+        assert!(net.table.circuits.is_empty());
+        assert!(net.table.busy.iter().all(|&b| b == 0));
         assert!(net
+            .table
             .fabric
             .load
             .iter()
             .all(|copy| copy.iter().all(|&l| l == 0)));
+    }
+
+    /// One seeded healthy and one seeded faulted run per composite, pinned
+    /// as the Debug text of every statistic the run's `SimReport` holds
+    /// ([`rsin_core::equivalence::fingerprint`]).
+    #[test]
+    fn seeded_reports_are_pinned() {
+        use rsin_core::equivalence::{faulted_fingerprint, healthy_fingerprint};
+        let clx = || ClusteredXbarNet::new(ClusteredXbar::new(2, 4, 2, 2).expect("valid"));
+        let mlo = || MultiLaneOmegaNet::new(MultiLaneOmega::new(2, 4, 2, 1).expect("valid"));
+        let text = |net: &mut dyn ResourceNetwork, faulted: bool| {
+            if faulted {
+                format!("{:?}", faulted_fingerprint(net))
+            } else {
+                format!("{:?}", healthy_fingerprint(net))
+            }
+        };
+        assert_eq!(text(&mut clx(), false), "[1500, 4634401378791787710, 4653752679827556944, 4616151475081053816, 4639227521119124998, 1492, 4634452062092434981, 4653695205765675475, 4616645077710535394, 4639227236894805133, 4653319579472356624, 4620186205138261114, 4641194583231404101, 2239, 740, 2998, 0, 0, 0, 0, 3935, 1592, 0, 2335, 8, 4620140870809136457]");
+        assert_eq!(text(&mut clx(), true), "Ok([800, 4630262021293722080, 4645053346391207980, 4603058714324124488, 4635122992139980379, 710, 4630417987845862942, 4644971613281625560, 4606931372987996120, 4635153286439662458, 4648325201379781044, 4620036374437648674, 4637290815470001665, 2338, 1539, 1598, 43, 44, 0, 0, 1839, 756, 86, 1075, 8, 4619096959386494338])");
+        assert_eq!(text(&mut mlo(), false), "[1500, 4634487058357082252, 4653645640095840928, 4616904771131698466, 4639069196183791579, 1492, 4634538587136211098, 4653586665999090170, 4618162342069936310, 4639090957075875724, 4653423353254089598, 4620141190994903911, 4641231800020013803, 1499, 0, 2998, 0, 0, 0, 0, 3970, 1592, 0, 2370, 8, 4620096096741210492]");
+        assert_eq!(text(&mut mlo(), true), "Ok([800, 4630298759529526968, 4645553816973136297, 4612705642499947234, 4635509076290739646, 749, 4630396719652211360, 4645332677087635164, 4615927809516046568, 4635539287998456292, 4648389111811422976, 4619662694871577840, 4637646399258564550, 1350, 551, 1598, 44, 44, 0, 0, 1930, 797, 46, 1126, 7, 4619154181748260732])");
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! - [`SharedBusNetwork`]: a simulatable
 //!   [`ResourceNetwork`](rsin_core::ResourceNetwork) of `i` independent
 //!   buses.
+//! - [`TypedSharedBus`]: the multiple-resource-type extension (Section VII)
+//!   as a plain [`ResourceNetwork`](rsin_core::ResourceNetwork) whose
+//!   ports are its (bus, type) pools.
 //! - [`Arbitration`] / [`Arbiter`]: fixed-priority (the paper's hardware),
 //!   random (POLYP-style token), and round-robin policies.
 //! - [`analytic::partition_delay`]: the exact per-partition Markov solution.

@@ -3,11 +3,14 @@
 //! The simplest instance of the paper's multiple-types extension
 //! (Section VII): the bus broadcasts one free-resource count *per type*,
 //! and the arbiter admits the highest-priority pending request whose type
-//! has a free resource.
+//! has a free resource. Each bus's pool of one type is one output port,
+//! `port = bus · types + type`, so the network is a plain
+//! [`ResourceNetwork`] that reads each request's type from
+//! [`PendingSet::types`]. It keeps its own per-type arbitration rather
+//! than a type branch in [`crate::SharedBusNetwork`]'s packed fast path.
 
 use crate::arbiter::{Arbiter, Arbitration};
-use rsin_core::typed::{TypedGrant, TypedResourceNetwork};
-use rsin_core::NetworkCounters;
+use rsin_core::{Grant, NetworkCounters, PendingSet, ResourceNetwork};
 use rsin_des::SimRng;
 
 #[derive(Clone, Debug)]
@@ -22,7 +25,7 @@ struct TypedBus {
 /// # Examples
 ///
 /// ```
-/// use rsin_core::typed::TypedResourceNetwork;
+/// use rsin_core::ResourceNetwork;
 /// use rsin_sbus::{Arbitration, TypedSharedBus};
 ///
 /// // 2 buses, 4 processors each; every bus hosts 3 type-0 and 1 type-1
@@ -30,6 +33,7 @@ struct TypedBus {
 /// let net = TypedSharedBus::new(2, 4, vec![3, 1], Arbitration::FixedPriority);
 /// assert_eq!(net.processors(), 8);
 /// assert_eq!(net.resource_types(), 2);
+/// assert_eq!(net.port_type(3), 1); // bus 1's type-1 pool
 /// ```
 #[derive(Debug)]
 pub struct TypedSharedBus {
@@ -82,24 +86,24 @@ impl TypedSharedBus {
     pub fn free_resources_on(&self, b: usize, ty: usize) -> u32 {
         self.resources_per_type[ty] - self.buses[b].busy_per_type[ty]
     }
-}
 
-impl TypedResourceNetwork for TypedSharedBus {
-    fn processors(&self) -> usize {
-        self.buses.len() * self.procs_per_bus
-    }
-
-    fn resource_types(&self) -> usize {
-        self.resources_per_type.len()
-    }
-
-    fn request_cycle(&mut self, pending: &[Option<usize>], rng: &mut SimRng) -> Vec<TypedGrant> {
+    /// One request cycle over the pending processors, each requesting
+    /// `type_of(processor)`.
+    fn cycle(
+        &mut self,
+        pending: &[bool],
+        type_of: impl Fn(usize) -> usize,
+        rng: &mut SimRng,
+        out: &mut Vec<Grant>,
+    ) {
         assert_eq!(pending.len(), self.processors(), "pending vector size");
-        let mut grants = Vec::new();
+        out.clear();
+        let types = self.resources_per_type.len();
         for (b, bus) in self.buses.iter_mut().enumerate() {
             let base = b * self.procs_per_bus;
             let waiting: Vec<(usize, usize)> = (0..self.procs_per_bus)
-                .filter_map(|l| pending[base + l].map(|t| (l, t)))
+                .filter(|&l| pending[base + l])
+                .map(|l| (l, type_of(base + l)))
                 .collect();
             if waiting.is_empty() {
                 continue;
@@ -130,29 +134,67 @@ impl TypedResourceNetwork for TypedSharedBus {
                 .map(|&(_, t)| t)
                 .expect("winner came from waiting");
             bus.transmitting = true;
-            grants.push(TypedGrant {
+            out.push(Grant {
                 processor: base + winner,
-                port: b,
-                resource_type: ty,
+                port: b * types + ty,
             });
         }
-        grants
     }
 
-    fn end_transmission(&mut self, grant: TypedGrant) {
-        let bus = &mut self.buses[grant.port];
+    /// The bus and the type behind `port`.
+    fn pool(&self, port: usize) -> (usize, usize) {
+        let types = self.resources_per_type.len();
+        (port / types, port % types)
+    }
+}
+
+impl ResourceNetwork for TypedSharedBus {
+    fn processors(&self) -> usize {
+        self.buses.len() * self.procs_per_bus
+    }
+
+    fn total_resources(&self) -> usize {
+        let per_bus: u32 = self.resources_per_type.iter().sum();
+        self.buses.len() * per_bus as usize
+    }
+
+    fn resource_types(&self) -> usize {
+        self.resources_per_type.len()
+    }
+
+    fn port_type(&self, port: usize) -> usize {
+        self.pool(port).1
+    }
+
+    fn request_cycle(&mut self, pending: &[bool], rng: &mut SimRng) -> Vec<Grant> {
+        let mut out = Vec::new();
+        self.cycle(pending, |_| 0, rng, &mut out);
+        out
+    }
+
+    fn request_cycle_pending(
+        &mut self,
+        pending: PendingSet<'_>,
+        rng: &mut SimRng,
+        out: &mut Vec<Grant>,
+    ) {
+        self.cycle(pending.bools, |i| pending.types[i], rng, out);
+    }
+
+    fn end_transmission(&mut self, grant: Grant) {
+        let (b, ty) = self.pool(grant.port);
+        let bus = &mut self.buses[b];
         debug_assert!(bus.transmitting);
         bus.transmitting = false;
-        bus.busy_per_type[grant.resource_type] += 1;
-        debug_assert!(
-            bus.busy_per_type[grant.resource_type] <= self.resources_per_type[grant.resource_type]
-        );
+        bus.busy_per_type[ty] += 1;
+        debug_assert!(bus.busy_per_type[ty] <= self.resources_per_type[ty]);
     }
 
-    fn end_service(&mut self, grant: TypedGrant) {
-        let bus = &mut self.buses[grant.port];
-        debug_assert!(bus.busy_per_type[grant.resource_type] > 0);
-        bus.busy_per_type[grant.resource_type] -= 1;
+    fn end_service(&mut self, grant: Grant) {
+        let (b, ty) = self.pool(grant.port);
+        let bus = &mut self.buses[b];
+        debug_assert!(bus.busy_per_type[ty] > 0);
+        bus.busy_per_type[ty] -= 1;
     }
 
     fn take_counters(&mut self) -> NetworkCounters {
@@ -166,12 +208,32 @@ mod tests {
     use rsin_core::typed::{simulate_typed, TypedWorkload};
     use rsin_core::{SimOptions, Workload};
 
-    fn pending(n: usize, set: &[(usize, usize)]) -> Vec<Option<usize>> {
-        let mut v = vec![None; n];
+    /// One request cycle in which processor `i` requests type `t` for each
+    /// `(i, t)` in `set`.
+    fn cycle(
+        net: &mut TypedSharedBus,
+        n: usize,
+        set: &[(usize, usize)],
+        rng: &mut SimRng,
+    ) -> Vec<Grant> {
+        let (mut bools, mut types) = (vec![false; n], vec![0; n]);
+        let mut words = vec![0u64; n.div_ceil(64)];
         for &(i, t) in set {
-            v[i] = Some(t);
+            bools[i] = true;
+            types[i] = t;
+            words[i / 64] |= 1 << (i % 64);
         }
-        v
+        let mut out = Vec::new();
+        net.request_cycle_pending(
+            PendingSet {
+                bools: &bools,
+                words: &words,
+                types: &types,
+            },
+            rng,
+            &mut out,
+        );
+        out
     }
 
     #[test]
@@ -179,16 +241,14 @@ mod tests {
         let mut net = TypedSharedBus::new(1, 3, vec![1, 1], Arbitration::FixedPriority);
         let mut rng = SimRng::new(1);
         // Type 0's only resource goes busy.
-        let g = net.request_cycle(&pending(3, &[(0, 0)]), &mut rng);
+        let g = cycle(&mut net, 3, &[(0, 0)], &mut rng);
         net.end_transmission(g[0]);
         assert_eq!(net.free_resources_on(0, 0), 0);
         // Another type-0 request stalls; a type-1 request flows.
-        assert!(net
-            .request_cycle(&pending(3, &[(1, 0)]), &mut rng)
-            .is_empty());
-        let g1 = net.request_cycle(&pending(3, &[(1, 1)]), &mut rng);
+        assert!(cycle(&mut net, 3, &[(1, 0)], &mut rng).is_empty());
+        let g1 = cycle(&mut net, 3, &[(1, 1)], &mut rng);
         assert_eq!(g1.len(), 1);
-        assert_eq!(g1[0].resource_type, 1);
+        assert_eq!(net.port_type(g1[0].port), 1);
     }
 
     #[test]
@@ -197,7 +257,7 @@ mod tests {
         // transmission at a time.
         let mut net = TypedSharedBus::new(1, 2, vec![2, 2], Arbitration::FixedPriority);
         let mut rng = SimRng::new(2);
-        let g = net.request_cycle(&pending(2, &[(0, 0), (1, 1)]), &mut rng);
+        let g = cycle(&mut net, 2, &[(0, 0), (1, 1)], &mut rng);
         assert_eq!(g.len(), 1, "one grant per bus per cycle");
     }
 

@@ -644,6 +644,7 @@ mod tests {
                         PendingSet {
                             bools: &req,
                             words: &pack(&req),
+                            types: &vec![0; p],
                         },
                         &mut rng_b,
                         &mut gb,

@@ -14,7 +14,7 @@
 use rsin::core::typed::{simulate_typed, TypedWorkload};
 use rsin::core::{SimOptions, Workload};
 use rsin::des::SimRng;
-use rsin::omega::{Admission, Placement, TypedOmegaNetwork};
+use rsin::omega::{Admission, OmegaNetwork, Placement};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = SimOptions {
@@ -30,10 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- pooling penalty --------------------------------------------------
     let pooled = {
         let w = TypedWorkload::new(base, vec![1.0])?;
-        let mut net =
-            TypedOmegaNetwork::new(1, 16, 1, 1, Placement::Blocked, Admission::Simultaneous);
+        let mut net = OmegaNetwork::typed(1, 16, 1, 1, Placement::Blocked, Admission::Simultaneous);
         let mut rng = SimRng::new(21);
-        simulate_typed(&mut net, &w, &opts, &mut rng).normalized_delay(&w)
+        simulate_typed(&mut net, &w, &opts, &mut rng).normalized_delay(&base)
     };
     println!("one universal pool (16 candidates/task) : delay {pooled:.4}");
 
@@ -45,12 +44,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "two typed pools, interleaved layout",
         ),
     ] {
-        let mut net = TypedOmegaNetwork::new(1, 16, 1, 2, placement, Admission::Simultaneous);
+        let mut net = OmegaNetwork::typed(1, 16, 1, 2, placement, Admission::Simultaneous);
         let mut rng = SimRng::new(21);
         let report = simulate_typed(&mut net, &w2, &opts, &mut rng);
         println!(
             "{name}: delay {:.4}  (FFT {:.4}, sort {:.4})",
-            report.normalized_delay(&w2),
+            report.normalized_delay(&base),
             report.per_type_delay[0].mean(),
             report.per_type_delay[1].mean(),
         );
@@ -59,8 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- asymmetric demand -------------------------------------------------
     println!("\nasymmetric demand (80% FFT / 20% sort), equal capacity:");
     let w_skew = TypedWorkload::new(base, vec![0.8, 0.2])?;
-    let mut net =
-        TypedOmegaNetwork::new(1, 16, 1, 2, Placement::Interleaved, Admission::Simultaneous);
+    let mut net = OmegaNetwork::typed(1, 16, 1, 2, Placement::Interleaved, Admission::Simultaneous);
     let mut rng = SimRng::new(22);
     let report = simulate_typed(&mut net, &w_skew, &opts, &mut rng);
     println!(
