@@ -1,8 +1,4 @@
 //! Ablation: bus arbitration policy (fixed-priority vs random vs RR).
 fn main() {
-    let q = rsin_bench::RunQuality::from_args();
-    rsin_bench::output::emit_text_or_exit(
-        "ablation_arbiter",
-        &rsin_bench::tables::ablation_arbiter_text(&q),
-    );
+    rsin_bench::suite::run_task("ablation_arbiter");
 }

@@ -1,8 +1,4 @@
 //! Ablation: availability-register freshness (continuous vs stale).
 fn main() {
-    let q = rsin_bench::RunQuality::from_args();
-    rsin_bench::output::emit_text_or_exit(
-        "ablation_freshness",
-        &rsin_bench::tables::ablation_freshness_text(&q),
-    );
+    rsin_bench::suite::run_task("ablation_freshness");
 }

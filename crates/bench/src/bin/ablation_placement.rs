@@ -1,8 +1,4 @@
 //! Ablation: typed-resource placement (blocked vs interleaved).
 fn main() {
-    let q = rsin_bench::RunQuality::from_args();
-    rsin_bench::output::emit_text_or_exit(
-        "ablation_placement",
-        &rsin_bench::tables::ablation_placement_text(&q),
-    );
+    rsin_bench::suite::run_task("ablation_placement");
 }

@@ -1,8 +1,4 @@
 //! Ablation: Omega admission discipline (simultaneous vs staggered).
 fn main() {
-    let q = rsin_bench::RunQuality::from_args();
-    rsin_bench::output::emit_text_or_exit(
-        "ablation_stagger",
-        &rsin_bench::tables::ablation_stagger_text(&q),
-    );
+    rsin_bench::suite::run_task("ablation_stagger");
 }

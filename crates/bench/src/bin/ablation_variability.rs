@@ -1,8 +1,4 @@
 //! Ablation: service-time distribution sensitivity.
 fn main() {
-    let q = rsin_bench::RunQuality::from_args();
-    rsin_bench::output::emit_text_or_exit(
-        "ablation_variability",
-        &rsin_bench::tables::ablation_variability_text(&q),
-    );
+    rsin_bench::suite::run_task("ablation_variability");
 }

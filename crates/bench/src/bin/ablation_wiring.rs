@@ -1,8 +1,4 @@
 //! Ablation: Omega vs indirect binary n-cube wiring.
 fn main() {
-    let q = rsin_bench::RunQuality::from_args();
-    rsin_bench::output::emit_text_or_exit(
-        "ablation_wiring",
-        &rsin_bench::tables::ablation_wiring_text(&q),
-    );
+    rsin_bench::suite::run_task("ablation_wiring");
 }

@@ -1,5 +1,4 @@
 //! Regenerates the Section V blocking-probability comparison.
 fn main() {
-    let q = rsin_bench::RunQuality::from_args();
-    rsin_bench::output::emit_text_or_exit("blocking", &rsin_bench::tables::blocking_text(&q));
+    rsin_bench::suite::run_task("blocking");
 }

@@ -1,12 +1,5 @@
 //! Regenerates Fig. 4: single-shared-bus delay, µ_s/µ_n = 0.1 (analytic
 //! curves plus a simulation overlay of the 16-partition system).
 fn main() {
-    let q = rsin_bench::RunQuality::from_args();
-    let mut e = rsin_bench::figures::fig_sbus(0.1, 4);
-    e.add(rsin_bench::figures::sbus_sim_series(
-        "16/16x1x1 SBUS/2",
-        0.1,
-        &q,
-    ));
-    rsin_bench::output::emit_or_exit("fig04", &e);
+    rsin_bench::suite::run_task("fig04");
 }

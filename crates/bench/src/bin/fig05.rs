@@ -1,12 +1,5 @@
 //! Regenerates Fig. 5: single-shared-bus delay, µ_s/µ_n = 1.0 (analytic
 //! curves plus a simulation overlay of the 16-partition system).
 fn main() {
-    let q = rsin_bench::RunQuality::from_args();
-    let mut e = rsin_bench::figures::fig_sbus(1.0, 5);
-    e.add(rsin_bench::figures::sbus_sim_series(
-        "16/16x1x1 SBUS/2",
-        1.0,
-        &q,
-    ));
-    rsin_bench::output::emit_or_exit("fig05", &e);
+    rsin_bench::suite::run_task("fig05");
 }

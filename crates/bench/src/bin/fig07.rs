@@ -1,7 +1,5 @@
 //! Regenerates Fig. 7: crossbar delay, µ_s/µ_n = 0.1 (pass --full for
 //! publication-quality simulation).
 fn main() {
-    let q = rsin_bench::RunQuality::from_args();
-    let e = rsin_bench::figures::fig_xbar(0.1, 7, &q);
-    rsin_bench::output::emit_or_exit("fig07", &e);
+    rsin_bench::suite::run_task("fig07");
 }

@@ -1,6 +1,4 @@
 //! Regenerates Fig. 8: crossbar delay, µ_s/µ_n = 1.0.
 fn main() {
-    let q = rsin_bench::RunQuality::from_args();
-    let e = rsin_bench::figures::fig_xbar(1.0, 8, &q);
-    rsin_bench::output::emit_or_exit("fig08", &e);
+    rsin_bench::suite::run_task("fig08");
 }

@@ -1,4 +1,4 @@
 //! Regenerates the Fig. 11 distributed-scheduling walkthrough.
 fn main() {
-    rsin_bench::output::emit_text_or_exit("fig11", &rsin_bench::tables::fig11_text());
+    rsin_bench::suite::run_task("fig11");
 }

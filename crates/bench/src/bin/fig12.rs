@@ -1,6 +1,4 @@
 //! Regenerates Fig. 12: Omega delay, µ_s/µ_n = 0.1.
 fn main() {
-    let q = rsin_bench::RunQuality::from_args();
-    let e = rsin_bench::figures::fig_omega(0.1, 12, &q);
-    rsin_bench::output::emit_or_exit("fig12", &e);
+    rsin_bench::suite::run_task("fig12");
 }

@@ -1,6 +1,4 @@
 //! Regenerates Fig. 13: Omega delay, µ_s/µ_n = 1.0.
 fn main() {
-    let q = rsin_bench::RunQuality::from_args();
-    let e = rsin_bench::figures::fig_omega(1.0, 13, &q);
-    rsin_bench::output::emit_or_exit("fig13", &e);
+    rsin_bench::suite::run_task("fig13");
 }

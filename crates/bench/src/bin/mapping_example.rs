@@ -1,7 +1,4 @@
 //! Regenerates the Section II Omega mapping example.
 fn main() {
-    rsin_bench::output::emit_text_or_exit(
-        "mapping_example",
-        &rsin_bench::tables::mapping_example_text(),
-    );
+    rsin_bench::suite::run_task("mapping_example");
 }

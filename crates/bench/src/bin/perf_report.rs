@@ -22,10 +22,13 @@
 //! persisted as `null` with a `"skipped_reason"`) is skipped by the check.
 //! The comparison logic lives in `rsin_bench::perfgate`.
 
-use rsin_bench::broker_bench::CHAOS_LEASE;
+use rsin_bench::broker_bench::{
+    saturated_grants_per_sec, BrokerBenchConfig, Discipline, Layout, DISCIPLINES,
+};
 use rsin_bench::figures::workload_at;
 use rsin_bench::json::{self, Value};
 use rsin_bench::microbench::measure_ns_floor;
+use rsin_bench::netbench;
 use rsin_bench::perfgate::{
     self, KernelCheck, LegStatus, ScalingPoint, ScalingStatus, SuiteTimings, Verdict,
     REGRESSION_TOLERANCE,
@@ -34,10 +37,10 @@ use rsin_bench::provision_bench;
 use rsin_bench::suite::run_suite;
 use rsin_bench::RunQuality;
 use rsin_bitslice::{or_pairs_compress, rotating_grant, set_bit, swap_or, tile_double};
-use rsin_broker::net::{run_net_load, NetLoadConfig, NetServer, NetServerConfig};
+use rsin_broker::net::NetLoadConfig;
 use rsin_broker::{
-    run, Arrival, Broker, ChaosOptions, ChaosPlan, ClientChaos, ClientEvent, OmegaBroker,
-    RunControl, SbusBroker, ShardedBroker, XbarBroker, XbarPolicy,
+    Broker, ChaosOptions, ChaosPlan, ClientChaos, ClientEvent, OmegaBroker, RunControl, SbusBroker,
+    XbarBroker, XbarPolicy,
 };
 use rsin_core::{simulate, SimOptions, SystemConfig};
 use rsin_des::{Calendar, SimRng, SimTime};
@@ -46,7 +49,7 @@ use rsin_queueing::{traffic, SharedBusChain, SharedBusParams};
 use rsin_xbar::{BitFabric, CrossbarFabric};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn time_suite(q: &RunQuality) -> f64 {
     let start = Instant::now();
@@ -251,6 +254,28 @@ fn kernels() -> Vec<(&'static str, f64)> {
     out
 }
 
+/// Window of every saturated broker sweep.
+const WINDOW: Duration = Duration::from_millis(120);
+
+/// Workers and resources of the flat, sharding-overhead and resilience
+/// sweeps.
+const FLAT: (usize, usize) = (4, 2);
+
+/// Workers and resources of the sharded scaling curve.
+const SCALING: (usize, usize) = (8, 4);
+
+/// Grants/sec of discipline `d` over `(workers, resources)` in `layout`,
+/// without a lease, each grant held `hold`, saturated for [`WINDOW`].
+fn rate(
+    d: &Discipline,
+    (workers, resources): (usize, usize),
+    layout: Layout,
+    hold: Duration,
+) -> f64 {
+    let broker = d.broker(workers, resources, layout, None);
+    saturated_grants_per_sec(d.name, broker.as_ref(), hold, WINDOW, None).0
+}
+
 /// Saturated multi-threaded grant throughput (grants per wall second) of
 /// each runtime broker discipline: 4 workers on 2 resources, zero hold
 /// time, a short fixed window. Contended-path counterpart of the
@@ -258,101 +283,44 @@ fn kernels() -> Vec<(&'static str, f64)> {
 /// of `BENCH_perf.json` for trend visibility (wall-clock thread scheduling
 /// makes it too noisy for a hard gate — the gate is the kernels).
 fn broker_saturated_throughput() -> Vec<(&'static str, f64)> {
-    let window = std::time::Duration::from_millis(120);
-    let secs = window.as_secs_f64();
-    let saturated = Arrival::Saturated {
-        hold: std::time::Duration::ZERO,
-        run_for: window,
-    };
-    let disciplines: Vec<(&'static str, Box<dyn Broker>)> = vec![
-        ("sbus", Box::new(SbusBroker::new(4, 2))),
-        (
-            "xbar_token",
-            Box::new(XbarBroker::new(4, 2, XbarPolicy::TokenRotation)),
-        ),
-        ("omega", Box::new(OmegaBroker::new(4, 2))),
-    ];
-    disciplines
-        .into_iter()
-        .map(|(name, broker)| {
-            let report = run(broker.as_ref(), &saturated, None);
-            assert_eq!(report.violations, 0, "{name}: exclusivity violated");
-            (name, report.total_grants() as f64 / secs)
-        })
+    DISCIPLINES
+        .iter()
+        .map(|d| (d.name, rate(d, FLAT, Layout::Plain, Duration::ZERO)))
         .collect()
 }
 
 /// The grants/sec-vs-shards scaling curve: each discipline rebuilt as a
-/// [`ShardedBroker`] over 8 workers and 4 resources at 1, 2, and 4 logical
-/// shards, saturated for the same window as the flat measurement. The
-/// point's `cpu_cores` stamp lets `--check` refuse to compare curves from
-/// different hosts. On a single-core runner the curve measures the
-/// sharding machinery's overhead and contention behavior, not real
-/// parallel speedup — that is exactly what the shards_1 gate consumes.
+/// [`ShardedBroker`](rsin_broker::ShardedBroker) over 8 workers and 4
+/// resources at 1, 2, and 4 logical shards, saturated for the same window
+/// as the flat measurement. The point's `cpu_cores` stamp lets `--check`
+/// refuse to compare curves from different hosts. On a single-core runner
+/// the curve measures the sharding machinery's overhead and contention
+/// behavior, not real parallel speedup — that is exactly what the
+/// shards_1 gate consumes.
 fn broker_scaling(cpu_cores: usize) -> Vec<ScalingPoint> {
-    let window = std::time::Duration::from_millis(120);
-    let secs = window.as_secs_f64();
-    let saturated = Arrival::Saturated {
-        hold: std::time::Duration::ZERO,
-        run_for: window,
-    };
-    const WORKERS: usize = 8;
-    const RESOURCES: usize = 4;
     [1usize, 2, 4]
         .into_iter()
-        .map(|shards| {
-            let disciplines: Vec<(&'static str, Box<dyn Broker>)> = vec![
-                (
-                    "sbus",
-                    Box::new(ShardedBroker::new(
-                        WORKERS,
-                        RESOURCES,
-                        shards,
-                        SbusBroker::new,
-                    )),
-                ),
-                (
-                    "xbar_token",
-                    Box::new(ShardedBroker::new(WORKERS, RESOURCES, shards, |w, r| {
-                        XbarBroker::new(w, r, XbarPolicy::TokenRotation)
-                    })),
-                ),
-                (
-                    "omega",
-                    Box::new(ShardedBroker::new(
-                        WORKERS,
-                        RESOURCES,
-                        shards,
-                        OmegaBroker::new,
-                    )),
-                ),
-            ];
-            let rates = disciplines
-                .into_iter()
-                .map(|(name, broker)| {
-                    let report = run(broker.as_ref(), &saturated, None);
-                    assert_eq!(
-                        report.violations, 0,
-                        "{name} at {shards} shard(s): exclusivity violated"
-                    );
-                    (name.to_string(), report.total_grants() as f64 / secs)
+        .map(|shards| ScalingPoint {
+            shards,
+            cpu_cores,
+            rates: DISCIPLINES
+                .iter()
+                .map(|d| {
+                    let r = rate(d, SCALING, Layout::Sharded(shards), Duration::ZERO);
+                    (d.name.to_string(), r)
                 })
-                .collect();
-            ScalingPoint {
-                shards,
-                cpu_cores,
-                rates,
-            }
+                .collect(),
         })
         .collect()
 }
 
-/// The sharding-overhead gate: a single-shard [`ShardedBroker`] must stay
-/// within [`REGRESSION_TOLERANCE`]× of the plain discipline it wraps, on
-/// the same topology the flat saturated measurement uses (4 workers, 2
-/// resources). Both sides are measured fresh in the same run so the
-/// comparison never crosses hosts or baselines. Returns the names of
-/// disciplines whose overhead persisted through the retries.
+/// The sharding-overhead gate: a single-shard
+/// [`ShardedBroker`](rsin_broker::ShardedBroker) must stay within
+/// [`REGRESSION_TOLERANCE`]× of the plain discipline it wraps, on the same
+/// topology the flat saturated measurement uses (4 workers, 2 resources).
+/// Both sides are measured fresh in the same run so the comparison never
+/// crosses hosts or baselines. Returns the names of disciplines whose
+/// overhead persisted through the retries.
 ///
 /// The comparison runs with a small but *nonzero* transmission hold. At
 /// zero hold a plain discipline's throughput is dominated by whichever
@@ -363,42 +331,13 @@ fn broker_scaling(cpu_cores: usize) -> Vec<ScalingPoint> {
 /// wrapper's actual per-grant overhead instead of the price of fairness
 /// under zero service time; the paper's transmissions always take time.
 fn sharding_overhead_check() -> Vec<String> {
-    let window = std::time::Duration::from_millis(120);
-    let saturated = Arrival::Saturated {
-        hold: std::time::Duration::from_micros(50),
-        run_for: window,
-    };
-    type Pair = (&'static str, BrokerFactory, BrokerFactory);
-    let disciplines: Vec<Pair> = vec![
-        (
-            "sbus",
-            Box::new(|| Box::new(SbusBroker::new(4, 2))),
-            Box::new(|| Box::new(ShardedBroker::new(4, 2, 1, SbusBroker::new))),
-        ),
-        (
-            "xbar_token",
-            Box::new(|| Box::new(XbarBroker::new(4, 2, XbarPolicy::TokenRotation))),
-            Box::new(|| {
-                Box::new(ShardedBroker::new(4, 2, 1, |w, r| {
-                    XbarBroker::new(w, r, XbarPolicy::TokenRotation)
-                }))
-            }),
-        ),
-        (
-            "omega",
-            Box::new(|| Box::new(OmegaBroker::new(4, 2))),
-            Box::new(|| Box::new(ShardedBroker::new(4, 2, 1, OmegaBroker::new))),
-        ),
-    ];
-    let rate = |make: &BrokerFactory| {
-        let broker = make();
-        let report = run(broker.as_ref(), &saturated, None);
-        assert_eq!(report.violations, 0, "exclusivity violated");
-        report.total_grants() as f64 / window.as_secs_f64()
-    };
+    let hold = Duration::from_micros(50);
     let mut failed = Vec::new();
-    for (name, plain, sharded) in disciplines {
-        let (mut plain_rate, mut sharded_rate) = (rate(&plain), rate(&sharded));
+    for d in &DISCIPLINES {
+        let name = d.name;
+        let plain = || rate(d, FLAT, Layout::Plain, hold);
+        let sharded = || rate(d, FLAT, Layout::Sharded(1), hold);
+        let (mut plain_rate, mut sharded_rate) = (plain(), sharded());
         let mut ratio = plain_rate / sharded_rate.max(1.0);
         for attempt in 1..=CHECK_RETRIES {
             if ratio <= REGRESSION_TOLERANCE {
@@ -410,8 +349,8 @@ fn sharding_overhead_check() -> Vec<String> {
             );
             // Throughput gate, so fold in the *maximum* of repeated runs —
             // the best a discipline achieved is its capability.
-            plain_rate = plain_rate.max(rate(&plain));
-            sharded_rate = sharded_rate.max(rate(&sharded));
+            plain_rate = plain_rate.max(plain());
+            sharded_rate = sharded_rate.max(sharded());
             ratio = plain_rate / sharded_rate.max(1.0);
         }
         if ratio > REGRESSION_TOLERANCE {
@@ -439,103 +378,67 @@ fn sharding_overhead_check() -> Vec<String> {
 /// visibility, not a hard gate — same rationale as the saturated rates);
 /// the run itself still hard-asserts zero violations, the kill firing,
 /// and post-fault liveness, so a wedged discipline fails the report.
-type BrokerFactory = Box<dyn Fn() -> Box<dyn Broker>>;
-
 fn broker_resilience() -> Vec<(&'static str, f64, f64)> {
-    let window = std::time::Duration::from_millis(120);
-    let saturated = Arrival::Saturated {
-        hold: std::time::Duration::ZERO,
-        run_for: window,
-    };
     // The lease must dominate the worst-case scheduler stall of a *live*
     // holder — on a loaded single-core runner a spinning holder can sit
     // off-CPU for several milliseconds, and evicting it would double-grant.
     // 20 ms still reclaims the killed worker's grant with two thirds of the
     // window left to measure post-fault throughput.
-    let lease = std::time::Duration::from_millis(20);
-    let secs = window.as_secs_f64();
-    let disciplines: Vec<(&'static str, BrokerFactory)> = vec![
-        (
-            "sbus",
-            Box::new(move || Box::new(SbusBroker::with_lease(4, 2, lease))),
-        ),
-        (
-            "xbar_token",
-            Box::new(move || {
-                Box::new(XbarBroker::with_lease(
-                    4,
-                    2,
-                    XbarPolicy::TokenRotation,
-                    lease,
-                ))
-            }),
-        ),
-        (
-            "omega",
-            Box::new(move || Box::new(OmegaBroker::with_lease(4, 2, lease))),
-        ),
-    ];
-    disciplines
-        .into_iter()
-        .map(|(name, make)| {
-            let healthy = {
-                let broker = make();
-                let report = run(broker.as_ref(), &saturated, None);
-                assert_eq!(report.violations, 0, "{name}: exclusivity violated");
-                report.total_grants() as f64 / secs
+    let lease = Duration::from_millis(20);
+    let (workers, resources) = FLAT;
+    DISCIPLINES
+        .iter()
+        .map(|d| {
+            let name = d.name;
+            let sweep = |chaos: Option<&ChaosOptions>| {
+                let broker = d.broker(workers, resources, Layout::Plain, Some(lease));
+                saturated_grants_per_sec(name, broker.as_ref(), Duration::ZERO, WINDOW, chaos)
             };
-            let degraded = {
-                let broker = make();
-                let plan = ChaosPlan::new().with(ClientEvent {
-                    at: 40.0, // milliseconds on the saturated driver's wall clock
-                    worker: 0,
-                    kind: ClientChaos::Crash,
-                });
-                let opts = ChaosOptions::new(plan, lease);
-                let report = run(broker.as_ref(), &saturated, Some(&opts));
-                let chaos = report.chaos.as_ref().expect("chaos accounting");
-                assert_eq!(report.violations, 0, "{name}: exclusivity violated");
-                assert_eq!(chaos.crashed, 1, "{name}: the kill must fire");
-                assert!(chaos.post_chaos_grants > 0, "{name}: wedged after the kill");
-                report.total_grants() as f64 / secs
-            };
+            let (healthy, _) = sweep(None);
+            let plan = ChaosPlan::new().with(ClientEvent {
+                at: 40.0, // milliseconds on the saturated driver's wall clock
+                worker: 0,
+                kind: ClientChaos::Crash,
+            });
+            let (degraded, chaos) = sweep(Some(&ChaosOptions::new(plan, lease)));
+            let chaos = chaos.expect("chaos accounting");
+            assert_eq!(chaos.crashed, 1, "{name}: the kill must fire");
+            assert!(chaos.post_chaos_grants > 0, "{name}: wedged after the kill");
             (name, healthy, degraded)
         })
         .collect()
 }
 
+/// Loopback clients, tenant classes and pool shards of the networked
+/// probe.
+const NET_CLIENTS: usize = 4;
+const NET_TENANTS: u8 = 3;
+const NET_SHARDS: usize = 2;
+
 /// Saturated loopback throughput and grant-latency quantiles of the
-/// networked front-end: an in-process [`NetServer`] over a 2-shard SBUS
-/// pool, driven closed-loop by 4 loopback TCP clients across 3 tenant
-/// classes. Recorded as the `netbroker` section of `BENCH_perf.json` for
-/// trend visibility — real sockets plus thread scheduling are too noisy
-/// for a hard gate (the gated kernels are untouched) — but the run still
+/// networked front-end: [`netbench::measure_self`]'s in-process
+/// [`NetServer`](rsin_broker::net::NetServer) over a 2-shard SBUS pool,
+/// driven closed-loop by 4 loopback TCP clients across 3 tenant classes.
+/// Recorded as the `netbroker` section of `BENCH_perf.json` for trend
+/// visibility — real sockets plus thread scheduling are too noisy for a
+/// hard gate (the gated kernels are untouched) — but the run still
 /// hard-asserts a clean exclusivity ledger and zero leaked slots, so a
 /// broken wire protocol fails the report.
 fn netbroker_perf() -> (f64, f64, f64, f64) {
-    const CLIENTS: usize = 4;
-    let broker = ShardedBroker::new(2 * CLIENTS, 4, 2, |w, r| {
-        SbusBroker::with_lease(w, r, CHAOS_LEASE)
-    });
-    let server = NetServer::bind(
-        "127.0.0.1:0".parse().expect("loopback"),
-        broker,
-        NetServerConfig {
-            tenants: 3,
-            lease: CHAOS_LEASE,
-            ..NetServerConfig::default()
-        },
-    )
-    .expect("bind loopback ephemeral port");
-    let cfg = NetLoadConfig {
-        clients: CLIENTS,
-        tenants: 3,
-        window: std::time::Duration::from_millis(150),
-        deadline: Some(std::time::Duration::from_millis(100)),
+    let cfg = BrokerBenchConfig {
+        threads: NET_CLIENTS,
+        shards: NET_SHARDS,
+        tenants: NET_TENANTS,
+        ..BrokerBenchConfig::default()
+    };
+    let load = NetLoadConfig {
+        clients: NET_CLIENTS,
+        tenants: NET_TENANTS,
+        window: Duration::from_millis(150),
+        deadline: Some(Duration::from_millis(100)),
         ..NetLoadConfig::default()
     };
-    let report = run_net_load(server.local_addr(), &cfg);
-    let sr = server.stop();
+    let (report, sr) = netbench::measure_self(&cfg, &load);
     assert_eq!(sr.violations, 0, "netbroker: exclusivity violated");
     assert_eq!(sr.leaked, 0, "netbroker: slots leaked through shutdown");
     assert!(
@@ -765,16 +668,16 @@ fn main() {
                     "scaling_grants_per_sec",
                     perfgate::scaling_section(&scaling_points),
                 ),
-                ("scaling_workers", Value::from(8u64)),
-                ("scaling_resources", Value::from(4u64)),
+                ("scaling_workers", Value::from(SCALING.0)),
+                ("scaling_resources", Value::from(SCALING.1)),
             ]),
         ),
         (
             "netbroker",
             Value::object([
-                ("clients", Value::from(4u64)),
-                ("tenants", Value::from(3u64)),
-                ("shards", Value::from(2u64)),
+                ("clients", Value::from(NET_CLIENTS)),
+                ("tenants", Value::from(u64::from(NET_TENANTS))),
+                ("shards", Value::from(NET_SHARDS)),
                 ("grant_latency_us", table(&latency, 0)),
                 ("saturated_grants_per_sec", Value::fixed(net_gps, 0)),
             ]),

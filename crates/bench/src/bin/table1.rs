@@ -1,4 +1,4 @@
 //! Regenerates Table I: the crossbar cell truth table.
 fn main() {
-    rsin_bench::output::emit_text_or_exit("table1", &rsin_bench::tables::table1_text());
+    rsin_bench::suite::run_task("table1");
 }

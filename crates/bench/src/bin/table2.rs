@@ -1,8 +1,4 @@
 //! Regenerates Table II plus the Section VI equal-cost comparison.
 fn main() {
-    let q = rsin_bench::RunQuality::from_args();
-    let mut text = rsin_bench::tables::table2_text();
-    text.push('\n');
-    text.push_str(&rsin_bench::tables::section6_text(&q));
-    rsin_bench::output::emit_text_or_exit("table2", &text);
+    rsin_bench::suite::run_task("table2");
 }

@@ -35,7 +35,8 @@ use crate::manifest::{Manifest, ManifestEntry};
 use crate::output;
 use crate::RunQuality;
 use rsin_broker::{
-    loadgen, Arrival, ChaosOptions, ChaosPlan, ChaosSpec, LoadConfig, SbusBroker, ShardedBroker,
+    loadgen, Arrival, Broker, ChaosOptions, ChaosPlan, ChaosSpec, ChaosSummary, LoadConfig,
+    OmegaBroker, SbusBroker, ShardedBroker, XbarBroker, XbarPolicy,
 };
 use rsin_core::experiment::{Experiment, Series};
 use rsin_core::{simulate, ConfigError, HarnessError, SimOptions, Workload};
@@ -297,6 +298,115 @@ pub fn saturation_capacity_for(resources: usize) -> f64 {
     .saturation_throughput()
 }
 
+/// How a discipline's resource pool is laid out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layout {
+    /// One arbiter over the whole pool.
+    Plain,
+    /// A [`ShardedBroker`] over this many per-shard arbiters. `Sharded(1)`
+    /// is the wrapper around a single arbiter, not the plain discipline.
+    Sharded(usize),
+}
+
+impl Layout {
+    fn boxed<B: Broker + 'static>(
+        self,
+        workers: usize,
+        resources: usize,
+        mut make: impl FnMut(usize, usize) -> B,
+    ) -> Box<dyn Broker> {
+        match self {
+            Layout::Plain => Box::new(make(workers, resources)),
+            Layout::Sharded(n) => Box::new(ShardedBroker::new(workers, resources, n, make)),
+        }
+    }
+}
+
+/// One runtime discipline: its report name and its broker factory.
+#[derive(Clone, Copy, Debug)]
+pub struct Discipline {
+    /// The name every broker section reports it under.
+    pub name: &'static str,
+    build: fn(usize, usize, Layout, Option<Duration>) -> Box<dyn Broker>,
+}
+
+impl Discipline {
+    /// A broker of this discipline over `workers` and `resources`, laid
+    /// out as `layout`, whose grants expire after `lease` when one is
+    /// given (never otherwise).
+    #[must_use]
+    pub fn broker(
+        &self,
+        workers: usize,
+        resources: usize,
+        layout: Layout,
+        lease: Option<Duration>,
+    ) -> Box<dyn Broker> {
+        (self.build)(workers, resources, layout, lease)
+    }
+}
+
+/// The three runtime disciplines in report order: the shared bus, the
+/// token-rotating crossbar, and the Omega network.
+pub const DISCIPLINES: [Discipline; 3] = [
+    Discipline {
+        name: "sbus",
+        build: |w, r, layout, lease| {
+            layout.boxed(w, r, move |w, r| match lease {
+                Some(l) => SbusBroker::with_lease(w, r, l),
+                None => SbusBroker::new(w, r),
+            })
+        },
+    },
+    Discipline {
+        name: "xbar_token",
+        build: |w, r, layout, lease| {
+            let policy = XbarPolicy::TokenRotation;
+            layout.boxed(w, r, move |w, r| match lease {
+                Some(l) => XbarBroker::with_lease(w, r, policy, l),
+                None => XbarBroker::new(w, r, policy),
+            })
+        },
+    },
+    Discipline {
+        name: "omega",
+        build: |w, r, layout, lease| {
+            layout.boxed(w, r, move |w, r| match lease {
+                Some(l) => OmegaBroker::with_lease(w, r, l),
+                None => OmegaBroker::new(w, r),
+            })
+        },
+    },
+];
+
+/// One saturated sweep: every worker of `broker` loops acquire → hold
+/// `hold` → release for `window`, under `chaos` when given. Returns the
+/// grants per second of the window, plus the chaos accounting of a chaos
+/// run.
+///
+/// # Panics
+///
+/// Panics, naming `label`, if the exclusivity ledger flags a violation.
+#[must_use]
+pub fn saturated_grants_per_sec(
+    label: &str,
+    broker: &dyn Broker,
+    hold: Duration,
+    window: Duration,
+    chaos: Option<&ChaosOptions>,
+) -> (f64, Option<ChaosSummary>) {
+    let arrival = Arrival::Saturated {
+        hold,
+        run_for: window,
+    };
+    let report = loadgen::run(broker, &arrival, chaos);
+    assert_eq!(report.violations, 0, "{label}: exclusivity violated");
+    (
+        report.total_grants() as f64 / window.as_secs_f64(),
+        report.chaos,
+    )
+}
+
 fn parse_threads(v: &str) -> Result<usize, ConfigError> {
     match v.parse::<usize>() {
         Ok(n) if (1..=64).contains(&n) => Ok(n),
@@ -518,10 +628,11 @@ fn chaos_options(spec: &ChaosSpec, workers: usize, lc: &LoadConfig) -> ChaosOpti
     opts
 }
 
-/// Runs the measured leg: the SBUS broker under `cfg.threads` real worker
-/// threads at each ρ, `cfg.duration_ms` of measured wall time per point.
-/// `--shards N` (N > 1) swaps in a [`ShardedBroker`] over N per-shard SBUS
-/// arbiters with the same total pool; the load generator's worker ids land
+/// Runs the measured leg: the SBUS broker (the first [`DISCIPLINES`]
+/// row) under `cfg.threads` real worker threads at each ρ,
+/// `cfg.duration_ms` of measured wall time per point. `--shards N`
+/// (N > 1) swaps in a [`ShardedBroker`] over N per-shard SBUS arbiters
+/// with the same total pool; the load generator's worker ids land
 /// round-robin across the shards (home shard = `who % N`), so every shard
 /// serves local requesters and overflow steals cross shards. With a chaos
 /// spec the broker carries a [`CHAOS_LEASE`] lease and the chaos driver
@@ -530,6 +641,11 @@ fn chaos_options(spec: &ChaosSpec, workers: usize, lc: &LoadConfig) -> ChaosOpti
 pub fn measure(cfg: &BrokerBenchConfig, quality: &RunQuality) -> Vec<MeasuredPoint> {
     let duration_units = (cfg.duration_ms as f64) * 1_000.0 / SCALE_US;
     let pool = cfg.total_resources();
+    let layout = match cfg.shards {
+        1 => Layout::Plain,
+        n => Layout::Sharded(n),
+    };
+    let lease = cfg.chaos.as_ref().map(|_| CHAOS_LEASE);
     cfg.rho
         .iter()
         .map(|&rho| {
@@ -545,27 +661,9 @@ pub fn measure(cfg: &BrokerBenchConfig, quality: &RunQuality) -> Vec<MeasuredPoi
                 .chaos
                 .as_ref()
                 .map(|spec| chaos_options(spec, cfg.threads, &lc));
+            let broker = DISCIPLINES[0].broker(cfg.threads, pool, layout, lease);
             let start = Instant::now();
-            let report = match (&opts, cfg.shards) {
-                (None, 1) => loadgen::run(&SbusBroker::new(cfg.threads, pool), &arrival, None),
-                (None, shards) => loadgen::run(
-                    &ShardedBroker::new(cfg.threads, pool, shards, SbusBroker::new),
-                    &arrival,
-                    None,
-                ),
-                (Some(opts), 1) => loadgen::run(
-                    &SbusBroker::with_lease(cfg.threads, pool, CHAOS_LEASE),
-                    &arrival,
-                    Some(opts),
-                ),
-                (Some(opts), shards) => loadgen::run(
-                    &ShardedBroker::new(cfg.threads, pool, shards, |w, r| {
-                        SbusBroker::with_lease(w, r, CHAOS_LEASE)
-                    }),
-                    &arrival,
-                    Some(opts),
-                ),
-            };
+            let report = loadgen::run(broker.as_ref(), &arrival, opts.as_ref());
             let wall = start.elapsed().as_secs_f64();
             let chaos = report.chaos.as_ref().map(|c| ChaosAccounting {
                 crashed: c.crashed,
@@ -1066,6 +1164,32 @@ mod tests {
         assert!(c.reclaimed >= 1, "the dead worker's lease must come back");
         assert_eq!(c.leaked, 0, "chaos shutdown must recover every resource");
         assert!(c.post_chaos_grants > 0, "the sweep must outlive the chaos");
+    }
+
+    #[test]
+    fn discipline_table_builds_every_layout_and_runs_clean() {
+        let names: Vec<&str> = DISCIPLINES.iter().map(|d| d.name).collect();
+        assert_eq!(names, ["sbus", "xbar_token", "omega"]);
+        let window = Duration::from_millis(20);
+        let layouts = [Layout::Plain, Layout::Sharded(1), Layout::Sharded(2)];
+        let leases = [None, Some(CHAOS_LEASE)];
+        for d in &DISCIPLINES {
+            for (layout, lease) in layouts.into_iter().flat_map(|l| leases.map(|e| (l, e))) {
+                let broker = d.broker(4, 2, layout, lease);
+                assert_eq!(broker.workers(), 4, "{} {layout:?}", d.name);
+                assert_eq!(broker.resources(), 2, "{} {layout:?}", d.name);
+                let (rate, chaos) =
+                    saturated_grants_per_sec(d.name, broker.as_ref(), Duration::ZERO, window, None);
+                assert!(rate > 0.0, "{} {layout:?} never granted", d.name);
+                assert!(chaos.is_none());
+                assert_eq!(
+                    broker.available_resources(),
+                    broker.resources(),
+                    "{} {layout:?} leaked a resource",
+                    d.name
+                );
+            }
+        }
     }
 
     #[test]

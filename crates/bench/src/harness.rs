@@ -443,10 +443,7 @@ fn supervise_task(
     let (report, mut entry) = match sup.result {
         Ok(out) => {
             let text = out.rendered();
-            let csv = match &out {
-                SuiteOutput::Figure(_, e) => Some(e.to_csv()),
-                SuiteOutput::Text(..) => None,
-            };
+            let csv = out.csv();
             let persist_error = if config.chaos.io_fails() {
                 Some(HarnessError::Io {
                     op: "write",

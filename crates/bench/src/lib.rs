@@ -20,6 +20,9 @@
 //! | `provision` | cost-aware provisioning search over the config space |
 //! | `all` | everything above in sequence |
 //!
+//! Every figure, table and ablation is composed once, in [`suite`]; its
+//! binary is a single [`suite::run_task`] call by artifact name.
+//!
 //! Micro-benchmarks (`cargo bench -p rsin-bench`, built on the in-tree
 //! [`microbench`] harness) measure the implementation itself: the Markov
 //! solvers, the gate-level crossbar wave, the Omega resolver, the DES

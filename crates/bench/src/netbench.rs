@@ -69,7 +69,6 @@ pub fn net_load_config(cfg: &BrokerBenchConfig, quality: &RunQuality) -> NetLoad
         window,
         deadline: Some(Duration::from_millis(cfg.deadline_ms)),
         hold: Duration::from_micros(200),
-        mean_think: None,
         seed: quality.seed,
         chaos,
         ..NetLoadConfig::default()
@@ -243,8 +242,22 @@ pub fn measure_self(
     cfg: &BrokerBenchConfig,
     load: &NetLoadConfig,
 ) -> (NetLoadReport, NetServerReport) {
+    let server = bind(cfg, load.clients, "127.0.0.1:0".parse().expect("loopback"))
+        .expect("bind loopback ephemeral port");
+    let report = run_net_load(server.local_addr(), load);
+    (report, server.stop())
+}
+
+/// Binds a networked front-end on `addr` over the benchmark's pool: the
+/// flags' sharded SBUS resources with [`CHAOS_LEASE`] leases, and
+/// [`SLOT_HEADROOM`]× `clients` worker slots.
+fn bind(
+    cfg: &BrokerBenchConfig,
+    clients: usize,
+    addr: std::net::SocketAddr,
+) -> std::io::Result<NetServer<ShardedBroker<SbusBroker>>> {
     let broker = ShardedBroker::new(
-        SLOT_HEADROOM * load.clients,
+        SLOT_HEADROOM * clients,
         cfg.total_resources(),
         cfg.shards,
         |w, r| SbusBroker::with_lease(w, r, CHAOS_LEASE),
@@ -254,10 +267,7 @@ pub fn measure_self(
         lease: CHAOS_LEASE,
         ..NetServerConfig::default()
     };
-    let server = NetServer::bind("127.0.0.1:0".parse().expect("loopback"), broker, server_cfg)
-        .expect("bind loopback ephemeral port");
-    let report = run_net_load(server.local_addr(), load);
-    (report, server.stop())
+    NetServer::bind(addr, broker, server_cfg)
 }
 
 /// Outcome of a [`run_net`] invocation.
@@ -355,18 +365,7 @@ pub fn run_net(
 /// Panics if `cfg.serve` is `None` — the caller dispatches on it.
 pub fn serve(cfg: &BrokerBenchConfig) -> Result<NetServerReport, HarnessError> {
     let addr = cfg.serve.expect("serve requires --serve");
-    let broker = ShardedBroker::new(
-        SLOT_HEADROOM * cfg.threads,
-        cfg.total_resources(),
-        cfg.shards,
-        |w, r| SbusBroker::with_lease(w, r, CHAOS_LEASE),
-    );
-    let server_cfg = NetServerConfig {
-        tenants: cfg.tenants,
-        lease: CHAOS_LEASE,
-        ..NetServerConfig::default()
-    };
-    let server = NetServer::bind(addr, broker, server_cfg).map_err(|e| HarnessError::Io {
+    let server = bind(cfg, cfg.threads, addr).map_err(|e| HarnessError::Io {
         op: "bind",
         path: addr.to_string(),
         message: e.to_string(),
@@ -415,7 +414,7 @@ mod tests {
             assert!(a.contains(kind), "plan must list the {kind} event:\n{a}");
         }
         // The schedule is seeded by the chaos spec (not the harness
-        // quality seed, which only drives think-time streams).
+        // quality seed, which only drives the junk-byte streams).
         let mut reseeded = cfg.clone();
         reseeded.chaos = Some(
             ChaosSpec::parse("kill=0.25,stall=0.25,trunc=0.25,junk=0.25,seed=10").expect("ok"),

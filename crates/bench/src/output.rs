@@ -1,5 +1,5 @@
-//! Output handling for the experiment binaries: print to stdout and persist
-//! text + CSV under the experiment output directory.
+//! Output handling for the experiment binaries: where artifacts go, how an
+//! experiment renders as text, and how text + CSV are persisted.
 //!
 //! All persistence is **crash-safe**: every file is written to a temporary
 //! sibling and atomically renamed into place, so a killed run never leaves a
@@ -33,7 +33,7 @@ pub fn output_dir() -> PathBuf {
 }
 
 /// The full text artifact of an experiment — the tables plus the ASCII
-/// chart, exactly as [`emit`] prints and persists it.
+/// chart, exactly as it is printed and persisted.
 #[must_use]
 pub fn render(experiment: &Experiment) -> String {
     let mut text = experiment.to_text();
@@ -68,24 +68,13 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), HarnessError> {
     Ok(())
 }
 
-/// Persists an artifact under [`output_dir`]: `<name>.txt` always, plus
+/// Persists an artifact under `dir`: `<name>.txt` always, plus
 /// `<name>.csv` when `csv` is given. Both writes are atomic.
 ///
 /// # Errors
 ///
 /// [`HarnessError::Io`] on the first failing operation; an artifact is only
 /// considered persisted when every one of its files landed.
-pub fn persist(name: &str, text: &str, csv: Option<&str>) -> Result<(), HarnessError> {
-    let dir = output_dir();
-    persist_in(&dir, name, text, csv)
-}
-
-/// [`persist`] into an explicit directory (used by the resilient harness,
-/// which pins the directory once per run).
-///
-/// # Errors
-///
-/// [`HarnessError::Io`] on the first failing operation.
 pub fn persist_in(
     dir: &Path,
     name: &str,
@@ -104,48 +93,6 @@ pub fn persist_in(
     Ok(())
 }
 
-/// Prints an experiment and writes `<name>.txt` / `<name>.csv` under
-/// [`output_dir`]. The stdout copy is always produced, even when
-/// persistence fails.
-///
-/// # Errors
-///
-/// [`HarnessError::Io`] when any artifact file cannot be written.
-pub fn emit(name: &str, experiment: &Experiment) -> Result<(), HarnessError> {
-    let text = render(experiment);
-    print!("{text}");
-    persist(name, &text, Some(&experiment.to_csv()))
-}
-
-/// Prints free-form text and persists it as `<name>.txt`.
-///
-/// # Errors
-///
-/// [`HarnessError::Io`] when the artifact file cannot be written.
-pub fn emit_text(name: &str, text: &str) -> Result<(), HarnessError> {
-    print!("{text}");
-    persist(name, text, None)
-}
-
-/// [`emit`] for single-artifact binaries: on persistence failure, reports
-/// the error on stderr and exits the process with code 1, so scripted runs
-/// can detect a missing artifact.
-pub fn emit_or_exit(name: &str, experiment: &Experiment) {
-    exit_on_error(emit(name, experiment));
-}
-
-/// [`emit_text`] with [`emit_or_exit`]'s exit-code contract.
-pub fn emit_text_or_exit(name: &str, text: &str) {
-    exit_on_error(emit_text(name, text));
-}
-
-fn exit_on_error(r: Result<(), HarnessError>) {
-    if let Err(e) = r {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,17 +106,18 @@ mod tests {
     }
 
     #[test]
-    fn emit_writes_files() {
+    fn persist_in_writes_text_and_csv() {
+        let dir = scratch_dir("persist");
         let mut e = Experiment::new("t", "x", "y");
         let mut s = Series::new("s");
         s.push(0.1, 1.0);
         e.add(s);
-        emit("unit_test_artifact", &e).expect("emit persists");
-        let dir = output_dir();
-        assert!(dir.join("unit_test_artifact.txt").exists());
-        assert!(dir.join("unit_test_artifact.csv").exists());
-        let _ = std::fs::remove_file(dir.join("unit_test_artifact.txt"));
-        let _ = std::fs::remove_file(dir.join("unit_test_artifact.csv"));
+        let text = render(&e);
+        persist_in(&dir, "artifact", &text, Some(&e.to_csv())).expect("persists");
+        let read = |f: &str| std::fs::read_to_string(dir.join(f)).expect("written");
+        assert_eq!(read("artifact.txt"), text);
+        assert_eq!(read("artifact.csv"), e.to_csv());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

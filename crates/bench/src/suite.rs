@@ -1,11 +1,13 @@
 //! The complete figure/table suite as a task list.
 //!
-//! `bin/all` and `bin/perf_report` both drive the suite through
-//! [`run_suite`]: the tasks are computed concurrently on `quality.jobs()`
-//! workers (each task is a pure function of the quality preset), and
-//! [`emit_all`] then emits the artifacts in the fixed task order — so
-//! stdout and the files under `target/experiments/` are byte-identical for
-//! every worker count, `--jobs 1` included.
+//! Each artifact is composed here and nowhere else. `bin/all` runs the
+//! whole list under the resilient [`crate::harness`], `bin/perf_report`
+//! times it through [`run_suite`], and each per-artifact binary (`fig04`,
+//! `table2`, ...) is one [`run_task`] call that looks its task up by
+//! artifact name. Tasks are pure functions of the quality preset, and
+//! artifacts are emitted in the fixed task order, so stdout and the files
+//! under `target/experiments/` are byte-identical for every worker count,
+//! `--jobs 1` included, and between `all` and the per-artifact binaries.
 
 use crate::figures;
 use crate::output;
@@ -37,6 +39,16 @@ impl SuiteOutput {
         match self {
             SuiteOutput::Figure(_, e) => output::render(e),
             SuiteOutput::Text(_, t) => t.clone(),
+        }
+    }
+
+    /// The CSV a figure persists beside its text; `None` for free-form
+    /// text.
+    #[must_use]
+    pub fn csv(&self) -> Option<String> {
+        match self {
+            SuiteOutput::Figure(_, e) => Some(e.to_csv()),
+            SuiteOutput::Text(..) => None,
         }
     }
 }
@@ -168,22 +180,44 @@ pub fn run_suite(quality: &RunQuality) -> Vec<SuiteOutput> {
     rsin_des::scope_map(&task_specs(), quality.jobs(), |_, t| (t.run)(quality))
 }
 
-/// Emits computed artifacts in order: stdout plus the files under
-/// [`output::output_dir`]. Every artifact is printed even when some fail to
-/// persist; the persistence failures are returned so callers can report
-/// them and exit nonzero.
-pub fn emit_all(outputs: &[SuiteOutput]) -> Vec<rsin_core::HarnessError> {
-    let mut failures = Vec::new();
+/// The suite task producing artifact `name`, if there is one.
+#[must_use]
+pub fn spec(name: &str) -> Option<TaskSpec> {
+    task_specs().into_iter().find(|s| s.name == name)
+}
+
+/// Prints artifacts in order and persists each under
+/// [`output::output_dir`] (`<name>.txt`, plus `<name>.csv` for a figure).
+/// Every artifact is printed even when some fail to persist; any failure
+/// is reported on stderr and the process then exits with code 1, so
+/// scripted runs can detect a missing artifact.
+pub fn emit_or_exit(outputs: &[SuiteOutput]) {
+    let dir = output::output_dir();
+    let mut failed = false;
     for o in outputs {
-        let r = match o {
-            SuiteOutput::Figure(name, e) => output::emit(name, e),
-            SuiteOutput::Text(name, t) => output::emit_text(name, t),
-        };
-        if let Err(e) = r {
-            failures.push(e);
+        let text = o.rendered();
+        print!("{text}");
+        if let Err(e) = output::persist_in(&dir, o.name(), &text, o.csv().as_deref()) {
+            eprintln!("error: {e}");
+            failed = true;
         }
     }
-    failures
+    if failed {
+        std::process::exit(1);
+    }
+}
+
+/// The whole `main` of a per-artifact binary: computes suite task `name`
+/// at the preset the process arguments select (`--full`, `--jobs`) and
+/// emits its artifact through [`emit_or_exit`].
+///
+/// # Panics
+///
+/// Panics if `name` is not a suite artifact.
+pub fn run_task(name: &str) {
+    let spec = spec(name).unwrap_or_else(|| panic!("{name} is not a suite artifact"));
+    let quality = RunQuality::from_args();
+    emit_or_exit(&[(spec.run)(&quality)]);
 }
 
 #[cfg(test)]
@@ -216,6 +250,25 @@ mod tests {
         for expected in ["fig04", "fig13", "table1", "table2", "blocking"] {
             assert!(names.contains(&expected), "missing {expected}");
         }
+    }
+
+    #[test]
+    fn every_artifact_is_found_by_name_and_has_a_one_call_binary() {
+        let specs = task_specs();
+        assert_eq!(specs.len(), 17);
+        for s in &specs {
+            let found = spec(s.name).unwrap_or_else(|| panic!("{} not found", s.name));
+            assert_eq!(found.name, s.name);
+            let path = format!("{}/src/bin/{}.rs", env!("CARGO_MANIFEST_DIR"), s.name);
+            let bin = std::fs::read_to_string(&path).expect("per-artifact binary exists");
+            assert!(
+                bin.contains(&format!("run_task(\"{}\")", s.name)),
+                "{path} must run its suite task by name"
+            );
+        }
+        assert!(spec("fig99").is_none());
+        assert!(spec("resilience").is_none());
+        assert!(spec("").is_none());
     }
 
     #[test]

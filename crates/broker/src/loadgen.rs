@@ -109,11 +109,12 @@ pub struct LoadConfig {
     pub drain: f64,
     /// Root seed; worker `w` draws from the derived stream `w`.
     pub seed: u64,
-    /// Bins of the per-worker delay histograms.
-    pub hist_bins: usize,
-    /// Upper edge of the delay histograms, in model units.
-    pub hist_upper: f64,
 }
+
+/// Bins of a Poisson run's per-worker delay histograms.
+const HIST_BINS: usize = 64;
+/// Upper edge of those histograms, in model units.
+const HIST_UPPER: f64 = 8.0;
 
 impl LoadConfig {
     /// A config with the workspace's defaults for everything but the
@@ -129,8 +130,6 @@ impl LoadConfig {
             duration: 200.0,
             drain: 30.0,
             seed: 1,
-            hist_bins: 64,
-            hist_upper: 8.0,
         }
     }
 
@@ -197,7 +196,7 @@ impl WorkerShard {
     fn new(arrival: &Arrival) -> Self {
         // A saturated run records no delays; its histogram stays empty.
         let (bins, upper) = match arrival {
-            Arrival::Poisson(cfg) => (cfg.hist_bins, cfg.hist_upper),
+            Arrival::Poisson(_) => (HIST_BINS, HIST_UPPER),
             Arrival::Saturated { .. } => (1, 1.0),
         };
         WorkerShard {

@@ -1,13 +1,12 @@
 //! Multi-connection load harness for the networked broker.
 //!
-//! Each client thread is an open-loop session generator: connect (with
-//! retry), then run sessions — optional exponential think, request with a
-//! deadline, hold, release — until the measurement window closes,
-//! executing any [`NetChaosPlan`] events scheduled for it along the way
-//! and *reconnecting through the retry policy* after every injected or
-//! genuine failure. With `mean_think = None` the harness degenerates to
-//! closed-loop saturation, which is how the grants/sec ceiling is
-//! measured.
+//! Each client thread is a closed-loop session generator: connect (with
+//! retry), then run sessions — request with a deadline, hold, release —
+//! back to back until the measurement window closes, executing any
+//! [`NetChaosPlan`] events scheduled for it along the way and
+//! *reconnecting through the retry policy* after every injected or
+//! genuine failure. Closed-loop saturation is how the grants/sec ceiling
+//! is measured.
 //!
 //! Every client records its own latency shard ([`ClientShard`]); the
 //! report merges them in client order, losslessly, the same discipline as
@@ -36,10 +35,7 @@ pub struct NetLoadConfig {
     pub deadline: Option<Duration>,
     /// How long a granted resource is held before release.
     pub hold: Duration,
-    /// Mean exponential think between sessions (`None` = closed-loop
-    /// saturation: next request immediately).
-    pub mean_think: Option<Duration>,
-    /// Seed of the per-client think/jitter streams.
+    /// Seed of the per-client junk-byte streams.
     pub seed: u64,
     /// Backoff discipline for reconnects and shed-retries.
     pub retry: RetryPolicy,
@@ -55,7 +51,6 @@ impl Default for NetLoadConfig {
             window: Duration::from_millis(250),
             deadline: Some(Duration::from_millis(100)),
             hold: Duration::ZERO,
-            mean_think: None,
             seed: 1,
             retry: RetryPolicy {
                 max_retries: 8,
@@ -312,13 +307,6 @@ fn client_main(addr: SocketAddr, cfg: &NetLoadConfig, client_idx: usize) -> Clie
                 }
             }
         };
-
-        // Open-loop think (capped so the window bounds the run).
-        if let Some(mean) = cfg.mean_think {
-            let u = (1.0 - rng.uniform()).max(f64::MIN_POSITIVE);
-            let think = mean.mul_f64(-u.ln());
-            std::thread::sleep(think.min(Duration::from_millis(5)));
-        }
 
         let sent = Instant::now();
         match client.acquire_retry(cfg.deadline, &cfg.retry) {

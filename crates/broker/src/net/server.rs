@@ -30,8 +30,8 @@
 //!   delivery write fails (or whose connection died in the same pass) is
 //!   released back to the pool immediately — undeliverable grants are
 //!   *released, not leaked*.
-//! - **Admission control**: when total queue depth or the recent-grant p99
-//!   estimate breaches the configured SLO, whole tenant classes are shed
+//! - **Admission control**: when total queue depth breaches
+//!   [`NetServerConfig::max_pending`], whole tenant classes are shed
 //!   lowest-first (class 0 is never shed). Overload of `k×` the threshold
 //!   sheds `k` classes, so pressure maps to a deterministic, explainable
 //!   policy rather than a cliff.
@@ -93,9 +93,6 @@ pub struct NetServerConfig {
     /// Total queued-request depth at which admission control starts
     /// shedding the lowest tenant class.
     pub max_pending: usize,
-    /// p99 grant-queue-wait SLO in µs (0 disables the latency trigger):
-    /// a recent-window p99 estimate above this sheds like depth overload.
-    pub slo_p99_us: u64,
     /// Lease duration backing half-open reclamation; the supervisor polls
     /// a few times per lease.
     pub lease: Duration,
@@ -108,7 +105,6 @@ impl Default for NetServerConfig {
             max_pipeline: 16,
             max_write_buf: 64 * 1024,
             max_pending: 1024,
-            slo_p99_us: 0,
             lease: Duration::from_millis(25),
         }
     }
@@ -422,11 +418,6 @@ fn reactor_main<B: Broker + Send + Sync + 'static>(s: &Shared<B>, my_gen: u64) {
     let mut waiter = Waiter::new();
     let mut rr_origin = 0usize; // rotating arbitration origin, for fairness
     let mut scratch = [0u8; 4096];
-    // Recent grant queue-waits (µs) for the admission p99 estimate.
-    let mut lat_ring: Vec<u64> = Vec::with_capacity(256);
-    let mut lat_pos = 0usize;
-    let mut grants_since_est = 0u64;
-    let mut p99_est_us = 0u64;
     let mut wf = Welford::new();
     let mut hist = latency_histogram();
 
@@ -466,10 +457,7 @@ fn reactor_main<B: Broker + Send + Sync + 'static>(s: &Shared<B>, my_gen: u64) {
 
         // Admission cutoff for this pass: tenant classes >= cutoff are shed.
         let depth: usize = conns.iter().map(|c| c.pending.len()).sum();
-        let mut over = depth as f64 / s.cfg.max_pending.max(1) as f64;
-        if s.cfg.slo_p99_us > 0 && p99_est_us > s.cfg.slo_p99_us {
-            over = over.max(p99_est_us as f64 / s.cfg.slo_p99_us as f64);
-        }
+        let over = depth as f64 / s.cfg.max_pending.max(1) as f64;
         let shed = if over >= 1.0 {
             (over as usize).min(usize::from(s.cfg.tenants) - 1)
         } else {
@@ -568,21 +556,6 @@ fn reactor_main<B: Broker + Send + Sync + 'static>(s: &Shared<B>, my_gen: u64) {
                 let waited = p.arrived.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
                 wf.push(waited as f64);
                 hist.record(waited as f64);
-                if lat_ring.len() < 256 {
-                    lat_ring.push(waited);
-                } else {
-                    lat_ring[lat_pos] = waited;
-                    lat_pos = (lat_pos + 1) % 256;
-                }
-                grants_since_est += 1;
-                if grants_since_est >= 64 {
-                    grants_since_est = 0;
-                    let mut sorted = lat_ring.clone();
-                    sorted.sort_unstable();
-                    let idx =
-                        ((sorted.len() as f64 * 0.99).ceil() as usize).clamp(1, sorted.len()) - 1;
-                    p99_est_us = sorted[idx];
-                }
                 bump(&s.counters.grants);
                 conn.held = Some((p.req_id, p.tenant, grant));
                 conn.push_frame(&Frame::Grant {

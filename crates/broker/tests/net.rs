@@ -510,7 +510,6 @@ fn saturated_chaos_with_reactor_restart_stays_clean() {
         window,
         deadline: Some(Duration::from_millis(60)),
         hold: Duration::from_micros(200),
-        mean_think: None,
         seed: 11,
         retry: quick_retry(),
         chaos,
@@ -661,7 +660,6 @@ fn each_chaos_shape_reclaims_cleanly() {
             window: Duration::from_millis(250),
             deadline: Some(Duration::from_millis(60)),
             hold: Duration::from_micros(100),
-            mean_think: None,
             seed: 5,
             retry: quick_retry(),
             chaos: plan,

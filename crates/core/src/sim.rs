@@ -85,21 +85,21 @@ pub struct FaultOptions {
     /// allocation while tasks are queued, before the run aborts with
     /// [`SimError::Stalled`].
     pub stall_event_budget: u64,
-    /// First post-casualty backoff interval, in model time units.
-    pub backoff_base: f64,
-    /// Upper bound on the (exponentially growing) backoff interval.
-    pub backoff_cap: f64,
 }
 
 impl Default for FaultOptions {
     fn default() -> Self {
         FaultOptions {
             stall_event_budget: 100_000,
-            backoff_base: 0.1,
-            backoff_cap: 10.0,
         }
     }
 }
+
+/// First post-casualty backoff interval of [`simulate_faulty`], in model
+/// time units.
+const BACKOFF_BASE: f64 = 0.1;
+/// Upper bound on the (exponentially growing) backoff interval.
+const BACKOFF_CAP: f64 = 10.0;
 
 /// A simulation run that could not complete.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -676,7 +676,6 @@ fn run(
                     net,
                     &fe,
                     now,
-                    fopts,
                     &mut cal,
                     &mut in_flight,
                     &mut queues,
@@ -797,7 +796,6 @@ fn apply_fault(
     net: &mut dyn ResourceNetwork,
     fe: &FaultEvent,
     now: SimTime,
-    fopts: &FaultOptions,
     cal: &mut Calendar<Event>,
     in_flight: &mut InFlightSlab,
     queues: &mut [VecDeque<QueuedTask>],
@@ -830,8 +828,7 @@ fn apply_fault(
                 });
                 queue_len.add(now, 1.0);
                 let exponent = (retries - 1).min(30);
-                let backoff =
-                    (fopts.backoff_base * f64::from(1u32 << exponent)).min(fopts.backoff_cap);
+                let backoff = (BACKOFF_BASE * f64::from(1u32 << exponent)).min(BACKOFF_CAP);
                 let until = now + backoff;
                 if until > backoff_until[fl.grant.processor] {
                     backoff_until[fl.grant.processor] = until;
@@ -1349,7 +1346,6 @@ mod tests {
         let plan = FaultPlan::new().fail_at(SimTime::new(5.0), FaultTarget::Resource(0));
         let fopts = FaultOptions {
             stall_event_budget: 5_000,
-            ..FaultOptions::default()
         };
         let err = simulate_faulty(&mut net, &workload, &opts, &plan, &fopts, &mut rng)
             .expect_err("no capacity and no repair must stall");
@@ -1409,7 +1405,6 @@ mod tests {
         };
         let fopts = FaultOptions {
             stall_event_budget: 2_000,
-            ..FaultOptions::default()
         };
         let err = simulate_faulty(
             &mut net,

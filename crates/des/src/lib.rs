@@ -83,6 +83,6 @@ pub use parallel::{
     default_jobs, panic_message, run_supervised, scope_map, scope_map_indexed, RetryPolicy,
     RunFailure, Supervised, JOBS_ENV,
 };
-pub use replicate::{replicate, replicate_par, replicate_parallel, Replicated};
+pub use replicate::{replicate, replicate_par, Replicated};
 pub use rng::SimRng;
 pub use time::SimTime;

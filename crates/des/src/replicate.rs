@@ -109,26 +109,6 @@ where
     }
 }
 
-/// [`replicate_par`] with the default worker count
-/// ([`default_jobs`](crate::default_jobs): `RSIN_JOBS` or the machine's
-/// available parallelism).
-///
-/// # Panics
-///
-/// Panics if `reps == 0` or `level` is outside `(0, 1)`.
-pub fn replicate_parallel<F>(base: &SimRng, reps: usize, level: f64, experiment: F) -> Replicated
-where
-    F: Fn(usize, SimRng) -> f64 + Sync,
-{
-    replicate_par(
-        base,
-        reps,
-        level,
-        crate::parallel::default_jobs(),
-        experiment,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,8 +137,6 @@ mod tests {
             let par = replicate_par(&base, 7, 0.9, jobs, f);
             assert_eq!(seq, par, "jobs = {jobs}");
         }
-        let par = replicate_parallel(&base, 7, 0.9, f);
-        assert_eq!(seq.estimates, par.estimates);
     }
 
     #[test]
