@@ -641,6 +641,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The analytic p = 8 SBUS search: its winner, evaluated afresh,
+    /// reproduces the recorded delay exactly.
+    #[test]
+    fn analytic_winner_reproduces() {
+        let cfg = ProvisionConfig {
+            processors: vec![8],
+            families: vec![Family::Sbus],
+            confirm: false,
+            jobs: 1,
+            ..ProvisionConfig::default()
+        };
+        let report = search(&cfg.spec_for(8).expect("valid spec")).expect("search runs");
+        let winner = report.winner.as_ref().expect("a feasible SBUS system");
+        assert_eq!(winner.topo.to_string(), "8/1x8x1 SBUS/6");
+        assert!(winner_reproduces(&cfg, 8, &report));
+    }
+
     #[test]
     fn perf_section_counts_a_real_search() {
         let (secs, report) = perf_section();

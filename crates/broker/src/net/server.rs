@@ -50,7 +50,7 @@
 //! reactor takes over the same listener, so the listen queue carries
 //! clients across the gap and their retry layer reconnects them.
 
-use super::proto::{encode, Decoder, Frame, ProtocolError, RejectReason};
+use super::proto::{encode, Decoder, Frame, RejectReason};
 use crate::loadgen::Ledger;
 use crate::{Broker, BrokerGrant, Waiter, WorkerId};
 use rsin_des::stats::{Histogram, Welford};
@@ -134,7 +134,7 @@ pub struct NetCounters {
     pub disconnects: u64,
     /// Connections dropped for exceeding the write-buffer bound.
     pub slow_disconnects: u64,
-    /// Connections dropped on a framing [`ProtocolError`].
+    /// Connections dropped on a framing [`ProtocolError`](super::proto::ProtocolError).
     pub protocol_errors: u64,
     /// Grants released by the reactor when their connection died.
     pub reclaimed_disconnect: u64,
@@ -730,8 +730,3 @@ fn handle_frame<B: Broker + Send + Sync + 'static>(
         }
     }
 }
-
-// `ProtocolError` is referenced in the docs above; keep the import honest
-// even though the reactor only matches on it generically.
-#[allow(unused)]
-fn _doc_uses(_: ProtocolError) {}

@@ -15,6 +15,9 @@
 //! - [`ResourceNetwork`] + [`Grant`]: the contract a network implements —
 //!   request cycles in, grants out, circuit release at end of transmission,
 //!   resource release at end of service.
+//! - [`PortPool`]: the busy count and up/down state of the resource pool
+//!   behind every output port, and the one owner of the resource-fault
+//!   contract.
 //! - [`simulate`] / [`SimOptions`] / [`SimReport`]: the task-lifecycle
 //!   discrete-event simulator measuring the paper's delay metric `d`.
 //! - [`simulate_faulty`] / [`FaultOptions`] / [`SimError`]: the same
@@ -48,6 +51,7 @@ pub mod equivalence;
 mod error;
 pub mod experiment;
 mod network;
+mod pool;
 pub mod roundtrip;
 mod runner;
 mod sim;
@@ -57,6 +61,7 @@ mod workload;
 pub use config::{NetworkKind, SystemConfig};
 pub use error::{ConfigError, HarnessError};
 pub use network::{Grant, NetworkCounters, PendingSet, ResourceNetwork};
+pub use pool::PortPool;
 pub use runner::{estimate_delay, estimate_delay_jobs, DelayEstimate};
 pub use sim::{
     simulate, simulate_faulty, simulate_general, simulate_general_faulty, FaultOptions, SimError,

@@ -11,7 +11,7 @@
 //! is why the paper measures ≈ 0.3 blocking for address mapping versus
 //! ≈ 0.15 for the RSIN on an 8×8 network.
 
-use rsin_core::{Grant, NetworkCounters, ResourceNetwork, SystemConfig};
+use rsin_core::{Grant, NetworkCounters, PortPool, ResourceNetwork, SystemConfig};
 use rsin_des::SimRng;
 use rsin_topology::{Multistage, OmegaTopology, Route};
 use std::collections::HashMap;
@@ -21,11 +21,11 @@ use std::collections::HashMap;
 #[derive(Debug)]
 pub struct AddressMappedOmega {
     topo: OmegaTopology,
-    resources_per_port: u32,
     partitions: usize,
     /// Links held by active circuits, per partition.
     link_busy: Vec<Vec<Vec<bool>>>,
-    busy_resources: Vec<Vec<u32>>,
+    /// Port `l` of partition `pi` is pool `pi·N + l`.
+    pool: PortPool,
     /// Active routes keyed by global processor index.
     routes: HashMap<usize, Route>,
     counters: NetworkCounters,
@@ -69,10 +69,9 @@ impl AddressMappedOmega {
         let stages = topo.stages() as usize;
         AddressMappedOmega {
             topo,
-            resources_per_port,
             partitions,
             link_busy: vec![vec![vec![false; size]; stages]; partitions],
-            busy_resources: vec![vec![0; size]; partitions],
+            pool: PortPool::new(partitions * size, resources_per_port),
             routes: HashMap::new(),
             counters: NetworkCounters::default(),
         }
@@ -102,7 +101,7 @@ impl ResourceNetwork for AddressMappedOmega {
     }
 
     fn total_resources(&self) -> usize {
-        self.partitions * self.size() * self.resources_per_port as usize
+        self.partitions * self.size() * self.pool.capacity(0) as usize
     }
 
     fn request_cycle(&mut self, pending: &[bool], rng: &mut SimRng) -> Vec<Grant> {
@@ -125,10 +124,7 @@ impl ResourceNetwork for AddressMappedOmega {
             let mut assigned_ports: Vec<u32> = vec![0; size];
             for &local in &requesters {
                 let free_ports: Vec<usize> = (0..size)
-                    .filter(|&port| {
-                        self.busy_resources[pi][port] + assigned_ports[port]
-                            < self.resources_per_port
-                    })
+                    .filter(|&port| assigned_ports[port] < self.pool.free(base + port))
                     .collect();
                 if free_ports.is_empty() {
                     self.counters.rejections += 1;
@@ -164,15 +160,11 @@ impl ResourceNetwork for AddressMappedOmega {
             .remove(&grant.processor)
             .expect("transmission ends only on an active route");
         self.set_route(pi, &route, false);
-        self.busy_resources[pi][grant.port % size] += 1;
-        debug_assert!(self.busy_resources[pi][grant.port % size] <= self.resources_per_port);
+        self.pool.occupy(grant.port);
     }
 
     fn end_service(&mut self, grant: Grant) {
-        let size = self.size();
-        let pi = grant.port / size;
-        debug_assert!(self.busy_resources[pi][grant.port % size] > 0);
-        self.busy_resources[pi][grant.port % size] -= 1;
+        self.pool.vacate(grant.port);
     }
 
     fn take_counters(&mut self) -> NetworkCounters {

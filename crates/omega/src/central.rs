@@ -14,7 +14,7 @@
 //! scanned in priority order, one routing trial per candidate — and counts
 //! both the trials and the gate-delay bill.
 
-use rsin_core::{Grant, NetworkCounters, ResourceNetwork};
+use rsin_core::{Grant, NetworkCounters, PortPool, ResourceNetwork};
 use rsin_des::SimRng;
 use rsin_topology::{Multistage, OmegaTopology, Route};
 use std::collections::HashMap;
@@ -157,10 +157,8 @@ impl SequentialScheduler {
 #[derive(Debug)]
 pub struct CentralOmegaNetwork {
     scheduler: SequentialScheduler,
-    resources_per_port: u32,
     scheduler_up: bool,
-    busy_resources: Vec<u32>,
-    port_down: Vec<bool>,
+    pool: PortPool,
     /// Routes held by in-flight transmissions, keyed by processor.
     transmitting: HashMap<usize, Route>,
     counters: NetworkCounters,
@@ -184,10 +182,8 @@ impl CentralOmegaNetwork {
         );
         Ok(CentralOmegaNetwork {
             scheduler: SequentialScheduler::new(size)?,
-            resources_per_port,
             scheduler_up: true,
-            busy_resources: vec![0; size],
-            port_down: vec![false; size],
+            pool: PortPool::new(size, resources_per_port),
             transmitting: HashMap::new(),
             counters: NetworkCounters::default(),
         })
@@ -210,7 +206,7 @@ impl ResourceNetwork for CentralOmegaNetwork {
     }
 
     fn total_resources(&self) -> usize {
-        self.size() * self.resources_per_port as usize
+        self.size() * self.pool.capacity(0) as usize
     }
 
     fn request_cycle(&mut self, pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
@@ -229,7 +225,7 @@ impl ResourceNetwork for CentralOmegaNetwork {
             return Vec::new();
         }
         let free: Vec<usize> = (0..self.size())
-            .filter(|&j| !self.port_down[j] && self.busy_resources[j] < self.resources_per_port)
+            .filter(|&j| self.pool.has_free(j))
             .collect();
         let held: Vec<Route> = {
             let mut procs: Vec<usize> = self.transmitting.keys().copied().collect();
@@ -257,40 +253,28 @@ impl ResourceNetwork for CentralOmegaNetwork {
             .remove(&grant.processor)
             .expect("transmission ends only on an active circuit");
         debug_assert_eq!(route.dest, grant.port);
-        self.busy_resources[grant.port] += 1;
-        debug_assert!(self.busy_resources[grant.port] <= self.resources_per_port);
+        self.pool.occupy(grant.port);
     }
 
     fn end_service(&mut self, grant: Grant) {
-        if self.port_down[grant.port] {
-            // The pool failed and was cleared while this task was in
-            // flight; nothing is held any more.
-            return;
-        }
-        debug_assert!(self.busy_resources[grant.port] > 0, "no busy resource");
-        self.busy_resources[grant.port] -= 1;
+        self.pool.vacate(grant.port);
     }
 
     fn fail_resource(&mut self, port: usize) -> bool {
-        if self.port_down.get(port).copied() != Some(false) {
+        if !self.pool.fail(port) {
             return false;
         }
-        self.port_down[port] = true;
-        self.busy_resources[port] = 0;
-        // Per the trait contract: tear down in-flight circuits terminating
-        // at the dead port; the simulator requeues the casualties.
+        // Tear down in-flight circuits terminating at the dead port; the
+        // simulator requeues the casualties.
         self.transmitting.retain(|_, route| route.dest != port);
         self.counters.resource_failures += 1;
         true
     }
 
     fn repair_resource(&mut self, port: usize) -> bool {
-        if self.port_down.get(port).copied() != Some(true) {
-            return false;
-        }
-        self.port_down[port] = false;
-        self.counters.resource_repairs += 1;
-        true
+        let accepted = self.pool.repair(port);
+        self.counters.resource_repairs += u64::from(accepted);
+        accepted
     }
 
     fn fail_element(&mut self, element: usize) -> bool {

@@ -332,52 +332,34 @@ impl ResourceNetwork for OmegaNetwork {
     }
 
     fn end_service(&mut self, grant: Grant) {
-        let pi = grant.port / self.size;
-        let lp = grant.port % self.size;
-        if self.partitions[pi].port_is_down(lp) {
-            // The pool failed and was cleared while this task was in
-            // flight; nothing is held any more.
-            return;
-        }
-        self.partitions[pi].release_resource(lp);
+        self.partitions[grant.port / self.size].release_resource(grant.port % self.size);
     }
 
     fn fail_resource(&mut self, port: usize) -> bool {
-        let pi = port / self.size;
-        let lp = port % self.size;
+        let (pi, lp, size) = (port / self.size, port % self.size, self.size);
         let Some(part) = self.partitions.get_mut(pi) else {
             return false;
         };
         if !part.fail_port(lp) {
             return false;
         }
-        // Per the trait contract: tear down every circuit terminating at
-        // the dead port (their links free up); the simulator requeues the
-        // casualty tasks. Sorted for deterministic iteration.
-        let mut casualties: Vec<usize> = self
-            .circuits
-            .iter()
-            .filter(|&(&proc, c)| proc / self.size == pi && c.port == lp)
-            .map(|(&proc, _)| proc)
-            .collect();
-        casualties.sort_unstable();
-        for proc in casualties {
-            let circuit = self.circuits.remove(&proc).expect("casualty present");
-            part.release_circuit(&circuit);
-        }
+        // Tear down every circuit terminating at the dead port (their links
+        // free up); the simulator requeues the casualty tasks.
+        self.circuits.retain(|&proc, c| {
+            let casualty = proc / size == pi && c.port == lp;
+            if casualty {
+                part.release_circuit(c);
+            }
+            !casualty
+        });
         self.counters.resource_failures += 1;
         true
     }
 
     fn repair_resource(&mut self, port: usize) -> bool {
-        let pi = port / self.size;
-        let Some(part) = self.partitions.get_mut(pi) else {
-            return false;
-        };
-        let accepted = part.repair_port(port % self.size);
-        if accepted {
-            self.counters.resource_repairs += 1;
-        }
+        let part = self.partitions.get_mut(port / self.size);
+        let accepted = part.is_some_and(|part| part.repair_port(port % self.size));
+        self.counters.resource_repairs += u64::from(accepted);
         accepted
     }
 

@@ -36,6 +36,7 @@
 use rsin_bitslice::{
     clear_bit, or_pairs_compress, set_bit, swap_or, tail_mask, tile_double, words_for,
 };
+use rsin_core::PortPool;
 use rsin_topology::{bit, shuffle, with_bit, Link};
 
 /// A granted circuit: the processor, the output port reached, and the links
@@ -162,7 +163,6 @@ impl Wiring {
 pub struct MultistageState {
     bits: u32,
     size: usize,
-    resources_per_port: u32,
     wiring: Wiring,
     freshness: StatusFreshness,
     /// Test oracle switch: run the status phase as the per-wire reference
@@ -174,17 +174,12 @@ pub struct MultistageState {
     /// Link occupancy packed as `bits` rows of `words_per_row` lanes: bit
     /// `(stage, wire)` is held by an established circuit.
     link_busy: Vec<u64>,
-    /// Busy resources per output port.
-    busy_resources: Vec<u32>,
+    /// The resource pool behind each output port. Its packed words are the
+    /// status phase's source row: bit `w` set when port `w` is online with
+    /// ≥ 1 free resource.
+    pool: PortPool,
     /// Resource type hosted by each output port (all 0 when untyped).
     port_types: Vec<usize>,
-    /// Output ports whose resource pool is offline (fault state).
-    port_down: Vec<bool>,
-    /// Packed status-phase source row: bit `w` set when port `w` is online
-    /// with ≥ 1 free resource. Maintained incrementally by every
-    /// occupy/release/fail/repair so the bit-sliced status phase starts from
-    /// a ready-made lane vector.
-    port_free: Vec<u64>,
     /// `box_down[stage * N/2 + box]`: failed interchange boxes. A failed box
     /// advertises no availability, so requests reroute around it; circuits
     /// already established through it complete normally (fail-open).
@@ -397,17 +392,14 @@ impl MultistageState {
         Ok(MultistageState {
             bits,
             size,
-            resources_per_port,
             wiring,
             freshness: StatusFreshness::Continuous,
             #[cfg(test)]
             reference_oracle: false,
             words_per_row,
             link_busy: vec![0; bits as usize * words_per_row],
-            busy_resources: vec![0; size],
+            pool: PortPool::new(size, resources_per_port),
             port_types: vec![0; size],
-            port_down: vec![false; size],
-            port_free: all_ports.clone(),
             box_down: vec![false; bits as usize * (size / 2)],
             box_dead_wires: vec![0; bits as usize * words_per_row],
             // All ports host type 0 until `set_port_types` says otherwise.
@@ -417,21 +409,11 @@ impl MultistageState {
     }
 
     /// Switches the status phase to the per-wire reference sweep, which
-    /// re-derives port availability from the scalar fields instead of the
-    /// packed `port_free` row.
+    /// re-derives port availability from the pool's scalar state instead
+    /// of its packed words.
     #[cfg(test)]
     pub(crate) fn use_reference_oracle(&mut self) {
         self.reference_oracle = true;
-    }
-
-    /// Refreshes `port`'s lane in the packed status-source row.
-    #[inline]
-    fn update_port_free(&mut self, port: usize) {
-        if !self.port_down[port] && self.busy_resources[port] < self.resources_per_port {
-            set_bit(&mut self.port_free, port);
-        } else {
-            clear_bit(&mut self.port_free, port);
-        }
     }
 
     /// Flattened index of `box_id` in stage `stage`.
@@ -536,7 +518,13 @@ impl MultistageState {
     /// Resources carried by each output port.
     #[must_use]
     pub fn resources_per_port(&self) -> u32 {
-        self.resources_per_port
+        self.pool.capacity(0)
+    }
+
+    /// The resource pools behind the output ports.
+    #[must_use]
+    pub fn pool(&self) -> &PortPool {
+        &self.pool
     }
 
     /// Marks one resource on `port` busy (e.g. to set up a scenario, or at
@@ -544,40 +532,19 @@ impl MultistageState {
     ///
     /// # Panics
     ///
-    /// Panics if the port is out of range or already fully busy.
+    /// Panics if the port is out of range, down, or already fully busy.
     pub fn occupy_resource(&mut self, port: usize) {
-        assert!(port < self.size, "port out of range");
-        assert!(
-            self.busy_resources[port] < self.resources_per_port,
-            "port {port} has no free resource to occupy"
-        );
-        self.busy_resources[port] += 1;
-        self.update_port_free(port);
+        self.pool.occupy(port);
     }
 
-    /// Frees one resource on `port` (end of service).
+    /// Frees one resource on `port` (end of service); a no-op while the
+    /// port's pool is down.
     ///
     /// # Panics
     ///
-    /// Panics if the port is out of range or has no busy resource.
+    /// Panics if the port is out of range, or up with no busy resource.
     pub fn release_resource(&mut self, port: usize) {
-        assert!(port < self.size, "port out of range");
-        assert!(
-            self.busy_resources[port] > 0,
-            "port {port} has no busy resource"
-        );
-        self.busy_resources[port] -= 1;
-        self.update_port_free(port);
-    }
-
-    /// Free resources currently on `port`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port is out of range.
-    #[must_use]
-    pub fn free_resources(&self, port: usize) -> u32 {
-        self.resources_per_port - self.busy_resources[port]
+        self.pool.vacate(port);
     }
 
     /// Releases the links of an established circuit (end of transmission).
@@ -608,44 +575,15 @@ impl MultistageState {
     /// Takes the resource pool on `port` offline and clears its busy count
     /// (callers release the casualties' circuits separately). Until
     /// repaired the port reports no availability. Returns `true` if the
-    /// pool was up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port is out of range.
+    /// port exists and its pool was up.
     pub fn fail_port(&mut self, port: usize) -> bool {
-        assert!(port < self.size, "port out of range");
-        if self.port_down[port] {
-            return false;
-        }
-        self.port_down[port] = true;
-        self.busy_resources[port] = 0;
-        self.update_port_free(port);
-        true
+        self.pool.fail(port)
     }
 
     /// Brings the pool on `port` back online at full capacity. Returns
-    /// `true` if the pool was down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port is out of range.
+    /// `true` if the port exists and its pool was down.
     pub fn repair_port(&mut self, port: usize) -> bool {
-        assert!(port < self.size, "port out of range");
-        let was = std::mem::replace(&mut self.port_down[port], false);
-        self.update_port_free(port);
-        was
-    }
-
-    /// Whether the resource pool on `port` is offline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port is out of range.
-    #[must_use]
-    pub fn port_is_down(&self, port: usize) -> bool {
-        assert!(port < self.size, "port out of range");
-        self.port_down[port]
+        self.pool.repair(port)
     }
 
     /// Number of interchange boxes per stage (`N/2`).
@@ -784,10 +722,7 @@ impl MultistageState {
         let n = self.bits as usize;
         down.reset(n + 1, self.size);
         for w in 0..self.size {
-            if !self.port_down[w]
-                && self.port_types[w] == ty
-                && self.busy_resources[w] < self.resources_per_port
-            {
+            if self.pool.has_free(w) && self.port_types[w] == ty {
                 down.set(n, w);
             }
         }
@@ -837,9 +772,9 @@ impl MultistageState {
         // Base row: online ports of the requested type with a free resource.
         // No port hosting `ty` (no mask) leaves the row all-zero.
         if let Some(mask) = self.type_mask(ty) {
-            let base = down.row_mut(n);
+            let (base, free) = (down.row_mut(n), self.pool.words());
             for w in 0..wpr {
-                base[w] = self.port_free[w] & mask[w];
+                base[w] = free[w] & mask[w];
             }
         }
         t_in.clear();
@@ -976,9 +911,7 @@ impl MultistageState {
                     // A real collision can slip past stale registers: the
                     // final hop double-checks the resource itself.
                     if k + 1 == n
-                        && (self.port_down[wire_out]
-                            || self.busy_resources[wire_out] >= self.resources_per_port
-                            || self.port_types[wire_out] != fl.ty)
+                        && (!self.pool.has_free(wire_out) || self.port_types[wire_out] != fl.ty)
                     {
                         continue;
                     }
@@ -1217,7 +1150,7 @@ mod tests {
         assert_eq!(res.granted.len(), 1);
         assert_eq!(res.granted[0].port, 0);
         assert!(net.repair_port(1));
-        assert!(!net.port_is_down(1));
+        assert!(net.pool().is_up(1));
         net.release_circuit(&res.granted[0].clone());
         net.occupy_resource(res.granted[0].port);
         let res2 = net.resolve(&[1], Admission::Simultaneous);
@@ -1292,7 +1225,7 @@ mod tests {
         net.occupy_resource(0);
         net.fail_port(0);
         net.repair_port(0);
-        assert_eq!(net.free_resources(0), 2, "full capacity after repair");
+        assert_eq!(net.pool().free(0), 2, "full capacity after repair");
     }
 
     // ---- cube wiring ------------------------------------------------------

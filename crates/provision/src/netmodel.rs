@@ -23,7 +23,7 @@
 //! replication seed.
 
 use crate::topo::{ClusteredXbar, MultiLaneOmega};
-use rsin_core::{Grant, NetworkCounters, ResourceNetwork};
+use rsin_core::{Grant, NetworkCounters, PortPool, ResourceNetwork};
 use rsin_des::SimRng;
 use rsin_topology::{Multistage, OmegaTopology, Route};
 use std::collections::HashMap;
@@ -97,9 +97,7 @@ struct Circuit {
 #[derive(Clone, Debug)]
 struct CircuitTable {
     fabric: LinkFabric,
-    resources_per_port: u32,
-    busy: Vec<u32>,
-    up: Vec<bool>,
+    pool: PortPool,
     /// One flag per core input slot; cluster `c` owns `[c*u, (c+1)*u)`.
     /// Empty for the multi-lane model, which has no uplinks.
     uplink_used: Vec<bool>,
@@ -112,18 +110,12 @@ impl CircuitTable {
     fn new(fabric: LinkFabric, ports: usize, resources_per_port: u32, uplinks: usize) -> Self {
         CircuitTable {
             fabric,
-            resources_per_port,
-            busy: vec![0; ports],
-            up: vec![true; ports],
+            pool: PortPool::new(ports, resources_per_port),
             uplink_used: vec![false; uplinks],
             circuits: HashMap::new(),
             rotate: 0,
             counters: NetworkCounters::default(),
         }
-    }
-
-    fn has_free(&self, port: usize) -> bool {
-        self.up[port] && self.busy[port] < self.resources_per_port
     }
 
     /// Scans the pending processors without a circuit from a rotating
@@ -164,7 +156,7 @@ impl CircuitTable {
         if let Some(u) = uplink {
             self.uplink_used[u] = true;
         }
-        self.busy[port] += 1;
+        self.pool.occupy(port);
         self.circuits.insert(
             processor,
             Circuit {
@@ -200,19 +192,13 @@ impl CircuitTable {
             .circuits
             .remove(&grant.processor)
             .expect("service ends on a held circuit");
-        // A port failure zeroes its busy count and drops its circuits, so
-        // a straggling end_service for it must not underflow.
-        if self.busy[c.port] > 0 {
-            self.busy[c.port] -= 1;
-        }
+        self.pool.vacate(c.port);
     }
 
     fn fail_resource(&mut self, port: usize) -> bool {
-        if port >= self.up.len() || !self.up[port] {
+        if !self.pool.fail(port) {
             return false;
         }
-        self.up[port] = false;
-        self.busy[port] = 0;
         self.counters.resource_failures += 1;
         // Drop every circuit terminating at the port, releasing whatever
         // it still holds; the simulator requeues the casualties.
@@ -227,12 +213,9 @@ impl CircuitTable {
     }
 
     fn repair_resource(&mut self, port: usize) -> bool {
-        if port >= self.up.len() || self.up[port] {
-            return false;
-        }
-        self.up[port] = true;
-        self.counters.resource_repairs += 1;
-        true
+        let accepted = self.pool.repair(port);
+        self.counters.resource_repairs += u64::from(accepted);
+        accepted
     }
 }
 
@@ -270,7 +253,7 @@ impl ClusteredXbarNet {
         // free resource, try every free uplink until a route fits.
         for step in 0..s {
             let port = (t.rotate + step) % s;
-            if !t.has_free(port) {
+            if !t.pool.has_free(port) {
                 continue;
             }
             for &uplink in &free_uplinks {
@@ -356,7 +339,7 @@ impl MultiLaneOmegaNet {
         for step in 0..size {
             let local = (t.rotate + step) % size;
             let port = copy * size + local;
-            if !t.has_free(port) {
+            if !t.pool.has_free(port) {
                 continue;
             }
             let route = t.fabric.topo.route(src, local);
@@ -474,7 +457,8 @@ mod tests {
             net.end_service(*g);
         }
         assert!(net.table.circuits.is_empty());
-        assert!(net.table.busy.iter().all(|&b| b == 0));
+        let pool = &net.table.pool;
+        assert!((0..pool.ports()).all(|port| pool.busy(port) == 0));
         assert!(net
             .table
             .fabric

@@ -9,19 +9,16 @@
 
 use crate::arbiter::{Arbiter, Arbitration};
 use rsin_bitslice::{count_ones, pack_bools};
-use rsin_core::{Grant, NetworkCounters, ResourceNetwork, SystemConfig};
+use rsin_core::{Grant, NetworkCounters, PortPool, ResourceNetwork, SystemConfig};
 use rsin_des::SimRng;
 
 /// State of one bus partition.
 #[derive(Clone, Debug)]
 struct Bus {
     transmitting: bool,
-    busy_resources: u32,
     arbiter: Arbiter,
     /// Bus/arbiter hardware is operational (element fault state).
     bus_up: bool,
-    /// The partition's resource pool is online (resource fault state).
-    pool_up: bool,
 }
 
 /// A partitioned single-shared-bus RSIN.
@@ -41,8 +38,9 @@ struct Bus {
 #[derive(Debug)]
 pub struct SharedBusNetwork {
     procs_per_bus: usize,
-    resources_per_bus: u32,
     buses: Vec<Bus>,
+    /// Bus `b`'s resources are pool `b`.
+    pool: PortPool,
     counters: NetworkCounters,
     /// Packed per-bus candidate mask, reused across cycles.
     scratch: Vec<u64>,
@@ -107,16 +105,14 @@ impl SharedBusNetwork {
         assert!(resources_per_bus > 0, "resources per bus must be positive");
         SharedBusNetwork {
             procs_per_bus,
-            resources_per_bus,
             buses: (0..buses)
                 .map(|_| Bus {
                     transmitting: false,
-                    busy_resources: 0,
                     arbiter: Arbiter::new(arbitration),
                     bus_up: true,
-                    pool_up: true,
                 })
                 .collect(),
+            pool: PortPool::new(buses, resources_per_bus),
             counters: NetworkCounters::default(),
             scratch: Vec::new(),
             #[cfg(test)]
@@ -137,7 +133,7 @@ impl SharedBusNetwork {
     /// Panics if `b` is out of range.
     #[must_use]
     pub fn free_resources_on(&self, b: usize) -> u32 {
-        self.resources_per_bus - self.buses[b].busy_resources
+        self.pool.free(b)
     }
 }
 
@@ -147,7 +143,7 @@ impl ResourceNetwork for SharedBusNetwork {
     }
 
     fn total_resources(&self) -> usize {
-        self.buses.len() * self.resources_per_bus as usize
+        self.buses.len() * self.pool.capacity(0) as usize
     }
 
     fn request_cycle(&mut self, pending: &[bool], rng: &mut SimRng) -> Vec<Grant> {
@@ -175,11 +171,7 @@ impl ResourceNetwork for SharedBusNetwork {
                 continue;
             }
             self.counters.attempts += count as u64;
-            if !bus.bus_up
-                || !bus.pool_up
-                || bus.transmitting
-                || bus.busy_resources >= self.resources_per_bus
-            {
+            if !bus.bus_up || bus.transmitting || !self.pool.has_free(b) {
                 self.counters.rejections += count as u64;
                 continue;
             }
@@ -201,47 +193,28 @@ impl ResourceNetwork for SharedBusNetwork {
         let bus = &mut self.buses[grant.port];
         debug_assert!(bus.transmitting, "no transmission in progress");
         bus.transmitting = false;
-        bus.busy_resources += 1;
-        debug_assert!(bus.busy_resources <= self.resources_per_bus);
+        self.pool.occupy(grant.port);
     }
 
     fn end_service(&mut self, grant: Grant) {
-        let bus = &mut self.buses[grant.port];
-        if !bus.pool_up {
-            // The pool failed and was cleared while this task was in
-            // flight; nothing is held any more.
-            return;
-        }
-        debug_assert!(bus.busy_resources > 0, "no busy resource to free");
-        bus.busy_resources -= 1;
+        self.pool.vacate(grant.port);
     }
 
     fn fail_resource(&mut self, port: usize) -> bool {
-        let Some(bus) = self.buses.get_mut(port) else {
-            return false;
-        };
-        if !bus.pool_up {
+        if !self.pool.fail(port) {
             return false;
         }
-        bus.pool_up = false;
-        // Per the trait contract: circuits and busy counts at this port
-        // are released internally; the simulator requeues the casualties.
-        bus.transmitting = false;
-        bus.busy_resources = 0;
+        // The transmission on the bus, if any, was bound for this pool;
+        // the simulator requeues it with the other casualties.
+        self.buses[port].transmitting = false;
         self.counters.resource_failures += 1;
         true
     }
 
     fn repair_resource(&mut self, port: usize) -> bool {
-        let Some(bus) = self.buses.get_mut(port) else {
-            return false;
-        };
-        if bus.pool_up {
-            return false;
-        }
-        bus.pool_up = true;
-        self.counters.resource_repairs += 1;
-        true
+        let accepted = self.pool.repair(port);
+        self.counters.resource_repairs += u64::from(accepted);
+        accepted
     }
 
     fn fail_element(&mut self, element: usize) -> bool {
@@ -304,11 +277,7 @@ impl SharedBusNetwork {
                 continue;
             }
             self.counters.attempts += candidates.len() as u64;
-            if !bus.bus_up
-                || !bus.pool_up
-                || bus.transmitting
-                || bus.busy_resources >= self.resources_per_bus
-            {
+            if !bus.bus_up || bus.transmitting || !self.pool.has_free(b) {
                 self.counters.rejections += candidates.len() as u64;
                 continue;
             }

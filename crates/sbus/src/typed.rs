@@ -10,13 +10,12 @@
 //! than a type branch in [`crate::SharedBusNetwork`]'s packed fast path.
 
 use crate::arbiter::{Arbiter, Arbitration};
-use rsin_core::{Grant, NetworkCounters, PendingSet, ResourceNetwork};
+use rsin_core::{Grant, NetworkCounters, PendingSet, PortPool, ResourceNetwork};
 use rsin_des::SimRng;
 
 #[derive(Clone, Debug)]
 struct TypedBus {
     transmitting: bool,
-    busy_per_type: Vec<u32>,
     arbiter: Arbiter,
 }
 
@@ -38,8 +37,10 @@ struct TypedBus {
 #[derive(Debug)]
 pub struct TypedSharedBus {
     procs_per_bus: usize,
-    resources_per_type: Vec<u32>,
+    types: usize,
     buses: Vec<TypedBus>,
+    /// One pool per output port, `bus · types + type`.
+    pool: PortPool,
     counters: NetworkCounters,
 }
 
@@ -65,14 +66,14 @@ impl TypedSharedBus {
         );
         TypedSharedBus {
             procs_per_bus,
+            types: resources_per_type.len(),
             buses: (0..buses)
                 .map(|_| TypedBus {
                     transmitting: false,
-                    busy_per_type: vec![0; resources_per_type.len()],
                     arbiter: Arbiter::new(arbitration),
                 })
                 .collect(),
-            resources_per_type,
+            pool: PortPool::with_capacities(resources_per_type.repeat(buses)),
             counters: NetworkCounters::default(),
         }
     }
@@ -84,7 +85,8 @@ impl TypedSharedBus {
     /// Panics on out-of-range indices.
     #[must_use]
     pub fn free_resources_on(&self, b: usize, ty: usize) -> u32 {
-        self.resources_per_type[ty] - self.buses[b].busy_per_type[ty]
+        assert!(ty < self.types, "type out of range");
+        self.pool.free(b * self.types + ty)
     }
 
     /// One request cycle over the pending processors, each requesting
@@ -98,7 +100,7 @@ impl TypedSharedBus {
     ) {
         assert_eq!(pending.len(), self.processors(), "pending vector size");
         out.clear();
-        let types = self.resources_per_type.len();
+        let types = self.types;
         for (b, bus) in self.buses.iter_mut().enumerate() {
             let base = b * self.procs_per_bus;
             let waiting: Vec<(usize, usize)> = (0..self.procs_per_bus)
@@ -116,7 +118,7 @@ impl TypedSharedBus {
             // Only requests whose type has a free resource wake up.
             let candidates: Vec<usize> = waiting
                 .iter()
-                .filter(|&&(_, t)| bus.busy_per_type[t] < self.resources_per_type[t])
+                .filter(|&&(_, t)| self.pool.has_free(b * types + t))
                 .map(|&(l, _)| l)
                 .collect();
             if candidates.is_empty() {
@@ -140,12 +142,6 @@ impl TypedSharedBus {
             });
         }
     }
-
-    /// The bus and the type behind `port`.
-    fn pool(&self, port: usize) -> (usize, usize) {
-        let types = self.resources_per_type.len();
-        (port / types, port % types)
-    }
 }
 
 impl ResourceNetwork for TypedSharedBus {
@@ -154,16 +150,17 @@ impl ResourceNetwork for TypedSharedBus {
     }
 
     fn total_resources(&self) -> usize {
-        let per_bus: u32 = self.resources_per_type.iter().sum();
-        self.buses.len() * per_bus as usize
+        (0..self.pool.ports())
+            .map(|port| self.pool.capacity(port) as usize)
+            .sum()
     }
 
     fn resource_types(&self) -> usize {
-        self.resources_per_type.len()
+        self.types
     }
 
     fn port_type(&self, port: usize) -> usize {
-        self.pool(port).1
+        port % self.types
     }
 
     fn request_cycle(&mut self, pending: &[bool], rng: &mut SimRng) -> Vec<Grant> {
@@ -182,19 +179,14 @@ impl ResourceNetwork for TypedSharedBus {
     }
 
     fn end_transmission(&mut self, grant: Grant) {
-        let (b, ty) = self.pool(grant.port);
-        let bus = &mut self.buses[b];
+        let bus = &mut self.buses[grant.port / self.types];
         debug_assert!(bus.transmitting);
         bus.transmitting = false;
-        bus.busy_per_type[ty] += 1;
-        debug_assert!(bus.busy_per_type[ty] <= self.resources_per_type[ty]);
+        self.pool.occupy(grant.port);
     }
 
     fn end_service(&mut self, grant: Grant) {
-        let (b, ty) = self.pool(grant.port);
-        let bus = &mut self.buses[b];
-        debug_assert!(bus.busy_per_type[ty] > 0);
-        bus.busy_per_type[ty] -= 1;
+        self.pool.vacate(grant.port);
     }
 
     fn take_counters(&mut self) -> NetworkCounters {

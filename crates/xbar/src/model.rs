@@ -7,7 +7,7 @@
 //! [`CrossbarFabric`](crate::CrossbarFabric) resolves each request cycle.
 
 use crate::bitslice::BitFabric;
-use rsin_core::{Grant, NetworkCounters, PendingSet, ResourceNetwork, SystemConfig};
+use rsin_core::{Grant, NetworkCounters, PendingSet, PortPool, ResourceNetwork, SystemConfig};
 use rsin_des::SimRng;
 
 /// How winners are chosen when several processors contend.
@@ -27,32 +27,14 @@ struct Partition {
     fabric: BitFabric,
     /// Which local processor holds each bus during transmission.
     held_by: Vec<Option<usize>>,
-    busy_resources: Vec<u32>,
-    /// Whether each output column's resource pool is online.
-    pool_up: Vec<bool>,
     /// Packed image of the availability predicate, maintained incrementally:
-    /// bit `j` set iff `pool_up[j] && held_by[j].is_none() &&
-    /// busy_resources[j] < r`. Lets the bit-sliced wave start from a
+    /// bit `j` set iff column `j`'s pool [`PortPool::has_free`] and
+    /// `held_by[j].is_none()`. Lets the bit-sliced wave start from a
     /// one-word copy instead of re-deriving and re-packing the predicate
     /// every cycle. The cell-by-cell test oracle deliberately re-derives it
-    /// from the scalar fields, so an incremental-update bug here shows up
+    /// from the scalar state, so an incremental-update bug here shows up
     /// as a divergence in the equivalence tests.
     avail: Vec<u64>,
-}
-
-impl Partition {
-    /// Re-evaluates the availability bit of column `j` after any of its
-    /// inputs changed.
-    fn refresh_avail(&mut self, j: usize, resources_per_bus: u32) {
-        if self.pool_up[j]
-            && self.held_by[j].is_none()
-            && self.busy_resources[j] < resources_per_bus
-        {
-            rsin_bitslice::set_bit(&mut self.avail, j);
-        } else {
-            rsin_bitslice::clear_bit(&mut self.avail, j);
-        }
-    }
 }
 
 /// A partitioned distributed-scheduling crossbar RSIN.
@@ -73,9 +55,10 @@ impl Partition {
 pub struct CrossbarNetwork {
     inputs: usize,
     outputs: usize,
-    resources_per_bus: u32,
     policy: CrossbarPolicy,
     partitions: Vec<Partition>,
+    /// Column `j` of partition `pi` is pool `pi·k + j`.
+    pool: PortPool,
     counters: NetworkCounters,
     scratch: CycleScratch,
 }
@@ -153,7 +136,6 @@ impl CrossbarNetwork {
         CrossbarNetwork {
             inputs,
             outputs,
-            resources_per_bus,
             policy,
             partitions: (0..partitions)
                 .map(|_| {
@@ -164,12 +146,11 @@ impl CrossbarNetwork {
                     Partition {
                         fabric: BitFabric::new(inputs, outputs),
                         held_by: vec![None; outputs],
-                        busy_resources: vec![0; outputs],
-                        pool_up: vec![true; outputs],
                         avail,
                     }
                 })
                 .collect(),
+            pool: PortPool::new(partitions * outputs, resources_per_bus),
             counters: NetworkCounters::default(),
             scratch: CycleScratch::default(),
         }
@@ -186,6 +167,18 @@ impl CrossbarNetwork {
     #[must_use]
     pub fn request_cycle_gate_delay(&self) -> u32 {
         self.partitions[0].fabric.request_cycle_gate_delay()
+    }
+
+    /// Re-evaluates the availability bit of global output `port` after its
+    /// pool or its bus changed.
+    fn refresh_avail(&mut self, port: usize) {
+        let part = &mut self.partitions[port / self.outputs];
+        let lj = port % self.outputs;
+        if self.pool.has_free(port) && part.held_by[lj].is_none() {
+            rsin_bitslice::set_bit(&mut part.avail, lj);
+        } else {
+            rsin_bitslice::clear_bit(&mut part.avail, lj);
+        }
     }
 
     /// One partition's request cycle. `pslice` and `req_words` are the
@@ -206,7 +199,7 @@ impl CrossbarNetwork {
         }
         self.counters.attempts += n_pending;
         let base = pi * self.inputs;
-        let resources_per_bus = self.resources_per_bus;
+        let pool = &self.pool;
         let CycleScratch {
             avail_words,
             procs,
@@ -218,8 +211,7 @@ impl CrossbarNetwork {
         let f = &mut part.fabric;
         match self.policy {
             CrossbarPolicy::FixedPriority => {
-                // The packed availability image is kept current by
-                // `refresh_avail`, so the wave starts from a word copy
+                // The packed availability image is kept current, so the wave starts from a word copy
                 // instead of a predicate sweep — and since a held bus is
                 // never advertised as available, the wave may skip idle
                 // latched rows.
@@ -254,9 +246,7 @@ impl CrossbarNetwork {
                 procs.extend((0..self.inputs).filter(|&l| pslice[l]));
                 buses.clear();
                 buses.extend((0..self.outputs).filter(|&j| {
-                    part.pool_up[j]
-                        && part.held_by[j].is_none()
-                        && part.busy_resources[j] < resources_per_bus
+                    pool.has_free(pi * self.outputs + j) && part.held_by[j].is_none()
                 }));
                 rng.shuffle(procs);
                 rng.shuffle(buses);
@@ -272,8 +262,9 @@ impl CrossbarNetwork {
         }
         self.counters.rejections += n_pending - local.len() as u64;
         for &(li, lj) in local.iter() {
+            // A held bus advertises nothing until its circuit breaks.
             part.held_by[lj] = Some(li);
-            part.refresh_avail(lj, resources_per_bus);
+            rsin_bitslice::clear_bit(&mut part.avail, lj);
             grants.push(Grant {
                 processor: base + li,
                 port: pi * self.outputs + lj,
@@ -288,7 +279,7 @@ impl ResourceNetwork for CrossbarNetwork {
     }
 
     fn total_resources(&self) -> usize {
-        self.partitions.len() * self.outputs * self.resources_per_bus as usize
+        self.partitions.len() * self.outputs * self.pool.capacity(0) as usize
     }
 
     fn request_cycle(&mut self, pending: &[bool], rng: &mut SimRng) -> Vec<Grant> {
@@ -344,61 +335,39 @@ impl ResourceNetwork for CrossbarNetwork {
             // Break the circuit in the fabric: the holder's reset wave.
             part.fabric.reset_row(holder);
         }
-        part.busy_resources[lj] += 1;
-        debug_assert!(part.busy_resources[lj] <= self.resources_per_bus);
-        part.refresh_avail(lj, self.resources_per_bus);
+        self.pool.occupy(grant.port);
+        self.refresh_avail(grant.port);
     }
 
     fn end_service(&mut self, grant: Grant) {
-        let pi = grant.port / self.outputs;
-        let lj = grant.port % self.outputs;
-        let part = &mut self.partitions[pi];
-        if !part.pool_up[lj] {
-            // The pool failed and was cleared while this task was in
-            // flight; nothing is held any more.
-            return;
-        }
-        debug_assert!(part.busy_resources[lj] > 0, "no busy resource to free");
-        part.busy_resources[lj] -= 1;
-        part.refresh_avail(lj, self.resources_per_bus);
+        self.pool.vacate(grant.port);
+        self.refresh_avail(grant.port);
     }
 
     fn fail_resource(&mut self, port: usize) -> bool {
-        let pi = port / self.outputs;
-        let lj = port % self.outputs;
-        let Some(part) = self.partitions.get_mut(pi) else {
-            return false;
-        };
-        if !part.pool_up[lj] {
+        if !self.pool.fail(port) {
             return false;
         }
-        part.pool_up[lj] = false;
-        // Per the trait contract: release every circuit and busy count at
-        // this port internally; the simulator requeues the casualties.
-        if let Some(holder) = part.held_by[lj].take() {
+        // Break the circuit holding the column's bus, if any; the
+        // simulator requeues it with the other casualties.
+        let part = &mut self.partitions[port / self.outputs];
+        if let Some(holder) = part.held_by[port % self.outputs].take() {
             if self.policy == CrossbarPolicy::FixedPriority {
                 part.fabric.reset_row(holder);
             }
         }
-        part.busy_resources[lj] = 0;
-        part.refresh_avail(lj, self.resources_per_bus);
+        self.refresh_avail(port);
         self.counters.resource_failures += 1;
         true
     }
 
     fn repair_resource(&mut self, port: usize) -> bool {
-        let pi = port / self.outputs;
-        let lj = port % self.outputs;
-        let Some(part) = self.partitions.get_mut(pi) else {
-            return false;
-        };
-        if part.pool_up[lj] {
-            return false;
+        let accepted = self.pool.repair(port);
+        if accepted {
+            self.refresh_avail(port);
+            self.counters.resource_repairs += 1;
         }
-        part.pool_up[lj] = true;
-        part.refresh_avail(lj, self.resources_per_bus);
-        self.counters.resource_repairs += 1;
-        true
+        accepted
     }
 
     fn fail_element(&mut self, element: usize) -> bool {
@@ -452,11 +421,12 @@ mod tests {
     use super::*;
     use crate::fabric::CrossbarFabric;
 
-    /// Test oracle: the production bookkeeping (held buses, busy counts,
-    /// pool state, counters) with every wave run cell by cell on Table-I
-    /// [`CrossbarFabric`]s and availability re-derived from `pool_up`,
-    /// `held_by` and `busy_resources` each cycle — never read from
-    /// `Partition::avail`, so a missed `refresh_avail` diverges.
+    /// Test oracle: the production bookkeeping (held buses, resource pools,
+    /// counters) with every wave run cell by cell on Table-I
+    /// [`CrossbarFabric`]s and availability re-derived from `held_by` and
+    /// the pool's scalar [`PortPool::has_free`] each cycle — never read
+    /// from `Partition::avail` or the pool's packed words, so a missed
+    /// incremental update diverges.
     #[derive(Debug)]
     struct CellOracle {
         net: CrossbarNetwork,
@@ -500,7 +470,7 @@ mod tests {
             assert_eq!(pending.len(), self.processors(), "pending vector size");
             let mut grants = Vec::new();
             let net = &mut self.net;
-            let (p, m, r) = (net.inputs, net.outputs, net.resources_per_bus);
+            let (p, m) = (net.inputs, net.outputs);
             for (pi, (part, cells)) in net.partitions.iter_mut().zip(&mut self.cells).enumerate() {
                 let requests = &pending[pi * p..(pi + 1) * p];
                 let n_pending = requests.iter().filter(|&&q| q).count();
@@ -509,9 +479,7 @@ mod tests {
                 }
                 net.counters.attempts += n_pending as u64;
                 let available: Vec<bool> = (0..m)
-                    .map(|j| {
-                        part.pool_up[j] && part.held_by[j].is_none() && part.busy_resources[j] < r
-                    })
+                    .map(|j| net.pool.has_free(pi * m + j) && part.held_by[j].is_none())
                     .collect();
                 let mut local = Vec::new();
                 match net.policy {

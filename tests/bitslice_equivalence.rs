@@ -8,11 +8,14 @@
 //! when both engines still shipped and produced identical values: the
 //! FNV-1a digest of every statistic each `SimReport` holds, bit for bit —
 //! for every discipline and policy, healthy and under fault injection.
+//! The centralized and address-mapped Omega baselines and the typed shared
+//! bus have no bit-sliced resolver, but keep their per-port resource pools
+//! in the same `rsin_core::PortPool`; their runs are pinned alongside.
 
 use rsin::core::equivalence::{digest, faulted_fingerprint, healthy_fingerprint};
 use rsin::core::ResourceNetwork;
-use rsin::omega::{Admission, OmegaNetwork, Wiring};
-use rsin::sbus::{Arbitration, SharedBusNetwork};
+use rsin::omega::{AddressMappedOmega, Admission, CentralOmegaNetwork, OmegaNetwork, Wiring};
+use rsin::sbus::{Arbitration, SharedBusNetwork, TypedSharedBus};
 use rsin::xbar::{CrossbarNetwork, CrossbarPolicy};
 
 /// Every network under test with its pinned healthy and faulted digests.
@@ -89,6 +92,37 @@ fn pinned_networks() -> Vec<(String, Box<dyn ResourceNetwork>, u64, u64)> {
             healthy,
             faulted,
         ));
+    }
+
+    // The networks with no bit-sliced resolver share the per-port resource
+    // pools with the ones above, so their runs are pinned too.
+    let others: [(&str, Box<dyn ResourceNetwork>, u64, u64); 3] = [
+        (
+            "c-omega",
+            Box::new(CentralOmegaNetwork::new(8, 2).expect("power of two")),
+            0xc01d_3bb4_b7b3_31b8,
+            0x9c46_f993_6f3a_443f,
+        ),
+        (
+            "omega-am",
+            Box::new(AddressMappedOmega::new(1, 8, 2)),
+            0x695f_ce63_e34d_975b,
+            0x61c6_6df1_463e_4d0e,
+        ),
+        (
+            "typed-sbus",
+            Box::new(TypedSharedBus::new(
+                2,
+                3,
+                vec![2, 1],
+                Arbitration::FixedPriority,
+            )),
+            0xb517_205f_2b3c_1dd5,
+            0x5019_006c_1bc1_bece,
+        ),
+    ];
+    for (label, net, healthy, faulted) in others {
+        nets.push((label.to_string(), net, healthy, faulted));
     }
 
     nets

@@ -9,9 +9,15 @@
 //!   earlier failure;
 //! * **capacity restoration** — failing and repairing every resource pool
 //!   and element leaves the network able to hold exactly as many
-//!   simultaneous allocations as a never-faulted twin.
+//!   simultaneous allocations as a never-faulted twin;
+//! * **the pool contract** — [`PortPool`], which every network keeps its
+//!   per-port resource state in, follows the fault contract after every
+//!   operation of a random sequence, and its packed status words always
+//!   equal the scalar predicate.
 
-use rsin::core::{simulate_faulty, FaultOptions, ResourceNetwork, SimError, SimOptions, Workload};
+use rsin::core::{
+    simulate_faulty, FaultOptions, PortPool, ResourceNetwork, SimError, SimOptions, Workload,
+};
 use rsin::des::{FaultPlan, FaultTarget, SimRng, StochasticFault};
 use rsin::omega::{Admission, CentralOmegaNetwork, OmegaNetwork};
 use rsin::sbus::{Arbitration, SharedBusNetwork};
@@ -243,6 +249,76 @@ fn scripted_total_outage_and_recovery_round_trips() {
                 "{}: task conservation through outage",
                 net.label()
             );
+        }
+    });
+}
+
+/// Every port's packed status bit equals the scalar predicate (up with a
+/// free resource), and the lanes past the last port stay zero.
+fn assert_words_match_scalars(pool: &PortPool) {
+    let words = pool.words();
+    assert_eq!(words.len(), pool.ports().div_ceil(64), "word count");
+    for lane in 0..words.len() * 64 {
+        let bit = words[lane / 64] >> (lane % 64) & 1 == 1;
+        let scalar =
+            lane < pool.ports() && pool.is_up(lane) && pool.busy(lane) < pool.capacity(lane);
+        assert_eq!(bit, scalar, "lane {lane}");
+        if lane < pool.ports() {
+            assert_eq!(pool.has_free(lane), scalar, "has_free({lane})");
+            assert_eq!(pool.free(lane) > 0, scalar, "free({lane})");
+        }
+    }
+}
+
+#[test]
+fn port_pool_keeps_the_fault_contract_under_random_operations() {
+    check(64, |g| {
+        let ports = g.usize_in(1, 130);
+        let capacity: Vec<u32> = (0..ports).map(|_| g.u32_in(1, 4)).collect();
+        let mut pool = PortPool::with_capacities(capacity.clone());
+        assert_words_match_scalars(&pool);
+        for _ in 0..400 {
+            // Ports past the end probe the range checks.
+            let port = g.usize_in(0, ports + 2);
+            let before = pool.clone();
+            match g.usize_in(0, 4) {
+                0 if port < ports && pool.has_free(port) => {
+                    pool.occupy(port);
+                    assert_eq!(pool.busy(port), before.busy(port) + 1);
+                }
+                1 if port < ports && !pool.is_up(port) => {
+                    pool.vacate(port);
+                    assert_eq!(pool, before, "vacate on a downed port is a no-op");
+                }
+                1 if port < ports && pool.busy(port) > 0 => {
+                    pool.vacate(port);
+                    assert_eq!(pool.busy(port), before.busy(port) - 1);
+                }
+                2 => {
+                    let accepted = pool.fail(port);
+                    assert_eq!(accepted, port < ports && before.is_up(port));
+                    if accepted {
+                        assert!(!pool.is_up(port));
+                        assert_eq!(pool.busy(port), 0, "fail zeroes busy");
+                        assert!(!pool.fail(port), "double fail is refused");
+                    } else {
+                        assert_eq!(pool, before, "a refused fail changes nothing");
+                    }
+                }
+                3 => {
+                    let accepted = pool.repair(port);
+                    assert_eq!(accepted, port < ports && !before.is_up(port));
+                    if accepted {
+                        assert!(pool.is_up(port));
+                        assert_eq!(pool.free(port), capacity[port], "full capacity");
+                        assert!(!pool.repair(port), "double repair is refused");
+                    } else {
+                        assert_eq!(pool, before, "a refused repair changes nothing");
+                    }
+                }
+                _ => {}
+            }
+            assert_words_match_scalars(&pool);
         }
     });
 }
