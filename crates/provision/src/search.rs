@@ -10,6 +10,9 @@
 //! config below the highest observed failure is *pruned* — inferred
 //! infeasible without a solve. The pruned set is reported (and sampled
 //! into [`SearchReport::pruned_examples`]) so its soundness is testable.
+//! The same monotonicity spares the shape's largest `r`, its most
+//! expensive chain: it is solved only when the first midpoint fails, since
+//! a passing midpoint already proves it feasible.
 //!
 //! The output is not just an argmin: every shape's cheapest feasible
 //! configuration becomes a candidate, and the driver reports the Pareto
@@ -205,7 +208,8 @@ pub struct SearchReport {
     /// Configurations inferred infeasible by monotonicity (never solved).
     pub pruned_infeasible: u64,
     /// Feasible-but-dominated configurations skipped above the descent's
-    /// stopping point.
+    /// stopping point, including each feasible shape's largest `r` when a
+    /// smaller `r` proved it feasible first.
     pub pruned_dominated: u64,
     /// A sample of the pruned-infeasible set, for soundness auditing.
     pub pruned_examples: Vec<CandidateTopology>,
@@ -391,11 +395,39 @@ struct Descent {
     inferred_dominated: u64,
 }
 
+/// The smallest `r` in `[1, r_cap]` that `feasible` accepts, or `None`.
+///
+/// `feasible` must be monotone in `r`, so the feasible region is an
+/// interval `[min_r, r_cap]` and a binary search locates its edge. `r_cap`
+/// is probed only when the answer depends on it: after the first midpoint
+/// fails, or when `r_cap == 1`. A passing midpoint already proves `r_cap`
+/// feasible. Every midpoint is the one a search that probes `r_cap` first
+/// would visit, in the same order.
+fn min_feasible_r(r_cap: u32, mut feasible: impl FnMut(u32) -> bool) -> Option<u32> {
+    let (mut lo, mut hi) = (1u32, r_cap);
+    let mut cap_feasible = false;
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if feasible(mid) {
+            hi = mid;
+        } else if cap_feasible || feasible(r_cap) {
+            lo = mid + 1;
+        } else {
+            return None;
+        }
+        cap_feasible = true;
+    }
+    (cap_feasible || feasible(r_cap)).then_some(lo)
+}
+
 /// Binary-searches the minimum feasible `r` of one shape.
 ///
 /// Feasibility is monotone in `r`; constructibility (checked dimension
 /// products) is anti-monotone, so the feasible region is an interval
-/// `[min_r, r_cap]` and `O(log r_max)` evaluations locate its edge.
+/// `[min_r, r_cap]` and `O(log r_max)` evaluations locate its edge
+/// ([`min_feasible_r`]). A shape the saturation guard rejects at `r_cap`
+/// is settled by that one check, with no solve. Otherwise `r_cap`, the
+/// shape's largest chain, is solved only if the first midpoint fails.
 fn descend_r(
     shape: &Shape,
     p: u32,
@@ -428,43 +460,35 @@ fn descend_r(
         results.push((r, out));
         ok
     };
-    // The shape is feasible at all iff it is feasible at r_cap.
-    if !eval_at(r_cap, ev) {
-        let inferred_fail = (1..r_cap).collect();
-        return Descent {
-            candidate: None,
-            evaluated: 1,
-            total: u64::from(r_cap),
-            inferred_fail,
-            inferred_dominated: 0,
-        };
-    }
-    let (mut lo, mut hi) = (1u32, r_cap);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if eval_at(mid, ev) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    let min_r = lo;
-    let delay = results
-        .iter()
-        .find_map(|(r, out)| match out {
-            DelayOutcome::Value(v) if *r == min_r => Some(*v),
-            _ => None,
-        })
-        .expect("the minimal feasible r was evaluated with a value");
-    let topo = shape.at_r(p, min_r).expect("constructible");
-    let inferred_fail: Vec<u32> = (1..min_r).filter(|r| !touched.contains(r)).collect();
-    let inferred_dominated = (min_r + 1..=r_cap).filter(|r| !touched.contains(r)).count() as u64;
-    Descent {
-        candidate: Some(Candidate {
+    let cap = shape.at_r(p, r_cap).expect("r_cap is constructible");
+    let min_r = if ev.stable_enough(&cap) {
+        min_feasible_r(r_cap, |r| eval_at(r, ev))
+    } else {
+        // Counted as a guarded evaluation, as every guard rejection is.
+        eval_at(r_cap, ev);
+        None
+    };
+    // Every r below the first feasible one fails; every r above it passes.
+    let edge = min_r.unwrap_or(r_cap + 1);
+    let inferred_fail: Vec<u32> = (1..edge).filter(|r| !touched.contains(r)).collect();
+    let inferred_dominated = (edge + 1..=r_cap).filter(|r| !touched.contains(r)).count() as u64;
+    let candidate = min_r.map(|min_r| {
+        let delay = results
+            .iter()
+            .find_map(|(r, out)| match out {
+                DelayOutcome::Value(v) if *r == min_r => Some(*v),
+                _ => None,
+            })
+            .expect("the minimal feasible r was evaluated with a value");
+        let topo = shape.at_r(p, min_r).expect("constructible");
+        Candidate {
             cost: cost_model.cost(&topo),
             topo,
             delay,
-        }),
+        }
+    });
+    Descent {
+        candidate,
         evaluated: touched.len() as u64,
         total: u64::from(r_cap),
         inferred_fail,
@@ -741,6 +765,114 @@ mod tests {
                 "pruned config {topo} actually meets the SLO"
             );
         }
+    }
+
+    /// The probe order `min_feasible_r` replaced: `r_cap` first, then the
+    /// binary search over `[1, r_cap]` with `r_cap` known feasible.
+    fn min_feasible_r_cap_first(r_cap: u32, mut feasible: impl FnMut(u32) -> bool) -> Option<u32> {
+        if !feasible(r_cap) {
+            return None;
+        }
+        let (mut lo, mut hi) = (1u32, r_cap);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if feasible(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Some(lo)
+    }
+
+    #[test]
+    fn r_axis_search_matches_the_cap_first_oracle_and_skips_a_proven_cap() {
+        for r_cap in 1..=64u32 {
+            let first_mid = 1 + (r_cap - 1) / 2;
+            // Feasible from threshold t on; t = r_cap + 1 is a hopeless shape.
+            for t in 1..=r_cap + 1 {
+                let mut probes = Vec::new();
+                let got = min_feasible_r(r_cap, |r| {
+                    probes.push(r);
+                    r >= t
+                });
+                let mut oracle_probes = Vec::new();
+                let want = min_feasible_r_cap_first(r_cap, |r| {
+                    oracle_probes.push(r);
+                    r >= t
+                });
+                let case = format!("r_cap {r_cap}, threshold {t}: {probes:?} vs {oracle_probes:?}");
+                assert_eq!(got, want, "{case}");
+                assert_eq!(got, (t <= r_cap).then_some(t), "{case}");
+                assert!(probes.iter().all(|r| (1..=r_cap).contains(r)), "{case}");
+                if let Some(pass) = probes.iter().position(|&r| r < r_cap && r >= t) {
+                    assert!(
+                        !probes[pass..].contains(&r_cap),
+                        "r_cap probed after a smaller r passed: {case}"
+                    );
+                }
+                // Every r below r_cap is visited in the oracle's order; a
+                // hopeless shape adds only the first midpoint.
+                let below =
+                    |v: &[u32]| v.iter().copied().filter(|&r| r < r_cap).collect::<Vec<_>>();
+                let mut want_below = below(&oracle_probes);
+                if r_cap > 1 && t > r_cap {
+                    want_below.push(first_mid);
+                }
+                assert_eq!(below(&probes), want_below, "{case}");
+                let set: BTreeSet<u32> = probes.iter().copied().collect();
+                assert_eq!(set.len(), probes.len(), "an r probed twice: {case}");
+                let mut want_set: BTreeSet<u32> = oracle_probes.iter().copied().collect();
+                if r_cap > 1 && t <= first_mid {
+                    want_set.remove(&r_cap);
+                } else if r_cap > 1 && t > r_cap {
+                    want_set.insert(first_mid);
+                }
+                assert_eq!(set, want_set, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn skipped_cap_solves_are_actually_feasible() {
+        // The descent no longer solves r_cap once a smaller r passes; it
+        // infers r_cap feasible by monotonicity. Audit that inference:
+        // every shape with a candidate meets the SLO at its r_cap.
+        let spec = sbus_spec(16, 0.3, 0.1, 1.0);
+        let profile = TrafficProfile::reference(16, 0.3, 0.1).expect("valid");
+        let mut search_ev = Evaluator::new(profile, spec.quality);
+        let (mut audited, mut skipped) = (0, 0);
+        for shape in shapes_for(Family::Sbus, 16) {
+            let d = descend_r(
+                &shape,
+                16,
+                spec.max_resources_per_port,
+                spec.target,
+                &spec.cost_model,
+                &mut search_ev,
+            );
+            let Some(c) = d.candidate else { continue };
+            // The axis holds r = 1..=r_cap.
+            let r_cap = u32::try_from(d.total).expect("r_cap fits u32");
+            let cap = shape.at_r(16, r_cap).expect("constructible");
+            let mut fresh = Evaluator::new(profile, EvalQuality::quick(1));
+            assert!(
+                fresh.evaluate(&cap).meets(spec.target),
+                "{cap} misses the SLO, yet {} was feasible",
+                c.topo
+            );
+            audited += 1;
+            // A minimum at or below the first midpoint means r_cap was
+            // never solved during the descent.
+            if c.topo.resources_per_port() <= 1 + (r_cap - 1) / 2 {
+                skipped += 1;
+            }
+        }
+        assert_eq!(
+            audited, 5,
+            "every p = 16 SBUS shape meets d·µs <= 1 somewhere"
+        );
+        assert!(skipped >= 1, "no shape skipped its r_cap solve");
     }
 
     #[test]

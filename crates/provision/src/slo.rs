@@ -294,7 +294,7 @@ impl Evaluator {
     /// the transmission and the service capacity. The bound is generous
     /// (real fabrics block below it), so passing the guard does not imply
     /// stability — failing it implies saturation.
-    fn stable_enough(&self, topo: &CandidateTopology) -> bool {
+    pub(crate) fn stable_enough(&self, topo: &CandidateTopology) -> bool {
         let offered = f64::from(topo.processors()) * self.profile.lambda;
         let transmission = f64::from(max_circuits(topo)) * self.profile.mu_n;
         let service = f64::from(topo.total_resources()) * self.profile.mu_s;
