@@ -23,6 +23,11 @@
 //! - [`simulate_faulty`] / [`FaultOptions`] / [`SimError`]: the same
 //!   lifecycle under a fault-injection plan, with casualty requeueing and
 //!   a livelock watchdog.
+//! - [`simulate_round_trip`] + [`ReturnNetwork`] / [`InstantReturn`]: the
+//!   result-return leg of Section II in the same loop — each result waits
+//!   for a circuit back to its processor — filling
+//!   [`SimReport::round_trip`] and [`SimReport::return_wait`] while every
+//!   forward statistic stays bit for bit what [`simulate`] reports.
 //! - [`estimate_delay`]: replicated runs with confidence intervals.
 //! - [`experiment`]: text/CSV rendering for the figure regenerators.
 //! - [`advisor`]: the Table-II network-selection decision rule.
@@ -52,7 +57,6 @@ mod error;
 pub mod experiment;
 mod network;
 mod pool;
-pub mod roundtrip;
 mod runner;
 mod sim;
 pub mod typed;
@@ -60,11 +64,13 @@ mod workload;
 
 pub use config::{NetworkKind, SystemConfig};
 pub use error::{ConfigError, HarnessError};
-pub use network::{Grant, NetworkCounters, PendingSet, ResourceNetwork};
+pub use network::{
+    Grant, InstantReturn, NetworkCounters, PendingSet, ResourceNetwork, ReturnNetwork,
+};
 pub use pool::PortPool;
 pub use runner::{estimate_delay, estimate_delay_jobs, DelayEstimate};
 pub use sim::{
-    simulate, simulate_faulty, simulate_general, simulate_general_faulty, FaultOptions, SimError,
-    SimOptions, SimReport, StageDistributions,
+    simulate, simulate_faulty, simulate_general, simulate_general_faulty, simulate_round_trip,
+    FaultOptions, SimError, SimOptions, SimReport, StageDistributions,
 };
 pub use workload::Workload;

@@ -11,6 +11,9 @@
 //!        → transmission (circuit held, Exp(µ_n)) → end_transmission
 //!        → service at resource (circuit released, Exp(µ_s)) → end_service
 //! ```
+//!
+//! A run may add the result-return leg after service: a
+//! [`ReturnNetwork`] carries each result back to its processor.
 
 use rsin_des::SimRng;
 
@@ -228,6 +231,35 @@ pub trait ResourceNetwork: std::fmt::Debug {
     fn label(&self) -> &'static str {
         "NET"
     }
+}
+
+/// The network that carries each result from its resource back to the
+/// processor that sent the task — Section II's "separate address-mapping
+/// network with parallel routing since the destination address is known".
+/// The destination is known, so nothing is scheduled: a result either gets
+/// its circuit or waits at its resource and tries again.
+pub trait ReturnNetwork: std::fmt::Debug {
+    /// Tries to open the circuit from `grant.port` back to
+    /// `grant.processor` for the result of the task `grant` carried.
+    /// Returns `false` when the path is blocked.
+    fn try_send(&mut self, grant: Grant) -> bool;
+
+    /// The result reached its processor: release the circuit a successful
+    /// [`ReturnNetwork::try_send`] of `grant` opened.
+    fn end_return(&mut self, grant: Grant);
+}
+
+/// A return network that never blocks — the paper's implicit assumption
+/// that the result leg is never the bottleneck.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct InstantReturn;
+
+impl ReturnNetwork for InstantReturn {
+    fn try_send(&mut self, _grant: Grant) -> bool {
+        true
+    }
+
+    fn end_return(&mut self, _grant: Grant) {}
 }
 
 #[cfg(test)]

@@ -31,8 +31,16 @@
 //! head-of-queue type in its [`PendingSet`], every grant must land on a
 //! port of the requested type, and [`SimReport::per_type_delay`] splits
 //! the delay by type.
+//!
+//! # Result-return leg
+//!
+//! [`simulate_round_trip`] runs Section II's return leg in the same loop:
+//! after service each result waits for a circuit of a [`ReturnNetwork`]
+//! back to its processor. Return times have their own random stream and a
+//! return completion runs no decision epoch, so every statistic
+//! [`simulate`] reports stays bit for bit the same.
 
-use crate::network::{Grant, NetworkCounters, PendingSet, ResourceNetwork};
+use crate::network::{Grant, NetworkCounters, PendingSet, ResourceNetwork, ReturnNetwork};
 use crate::typed::TypedWorkload;
 use crate::workload::Workload;
 use rsin_des::stats::{TimeWeighted, Welford};
@@ -111,7 +119,9 @@ pub enum SimError {
     Stalled {
         /// Simulated time at which the watchdog fired.
         at: f64,
-        /// Tasks queued at the processors when the watchdog fired.
+        /// Tasks queued at the processors when the watchdog fired — or, past
+        /// the forward target of a run with a return leg, results waiting
+        /// for a return circuit.
         queued: u64,
         /// Events processed since the last successful allocation.
         events_since_progress: u64,
@@ -171,6 +181,13 @@ pub struct SimReport {
     /// the allocations lost to casualties and still-in-flight work; the
     /// headline metric of the resilience experiment.
     pub delivered_throughput: f64,
+    /// Round-trip time (arrival → result back at the processor) of each
+    /// measured task; empty unless the run had a return leg
+    /// ([`simulate_round_trip`]).
+    pub round_trip: Welford,
+    /// Time each measured task's result waited at its resource for a
+    /// return circuit; empty unless the run had a return leg.
+    pub return_wait: Welford,
 }
 
 impl SimReport {
@@ -195,6 +212,7 @@ enum Event {
     SvcDone { task: u64 },
     Fault(FaultEvent),
     Resume(usize),
+    RetDone(TaskResult),
 }
 
 /// Which lifecycle stage an in-flight task is in.
@@ -291,6 +309,47 @@ impl InFlightSlab {
             .collect();
         hit.sort_unstable();
         hit.into_iter().map(|(_, id)| id).collect()
+    }
+}
+
+/// A serviced task's result on its way back to its processor.
+#[derive(Clone, Copy, Debug)]
+struct TaskResult {
+    grant: Grant,
+    arrival: SimTime,
+    /// When service ended and the result began waiting for a circuit.
+    ready_at: SimTime,
+    /// Whether the task is one of the run's measured allocations.
+    counted: bool,
+}
+
+/// The result-return leg of a run: the return network, the return time
+/// and its own random stream, the results waiting for a circuit (oldest
+/// first), and the two statistics the leg measures.
+struct ReturnLeg<'a> {
+    net: &'a mut dyn ReturnNetwork,
+    time: Exponential,
+    rng: SimRng,
+    waiting: Vec<TaskResult>,
+    round_trip: Welford,
+    return_wait: Welford,
+}
+
+impl ReturnLeg<'_> {
+    /// Opens a circuit for every waiting result the network carries now,
+    /// oldest first, and schedules its arrival.
+    fn send(&mut self, now: SimTime, cal: &mut Calendar<Event>) {
+        self.waiting.retain(|result| {
+            if !self.net.try_send(result.grant) {
+                return true;
+            }
+            if result.counted {
+                self.return_wait.push(now - result.ready_at);
+            }
+            let dt = self.time.draw(&mut self.rng);
+            cal.schedule(now + dt, Event::RetDone(*result));
+            false
+        });
     }
 }
 
@@ -519,15 +578,51 @@ pub fn simulate_faulty(
     fopts: &FaultOptions,
     rng: &mut SimRng,
 ) -> Result<SimReport, SimError> {
-    simulate_exponential(net, workload, None, opts, faults, fopts, rng)
+    simulate_exponential(net, workload, None, None, opts, faults, fopts, rng)
+}
+
+/// [`simulate`] plus the result-return leg: each result waits for a circuit
+/// of `ret` back to its processor and travels for an `Exp(mu_r)` time. The
+/// run goes on until every measured result is back, filling
+/// [`SimReport::round_trip`] and [`SimReport::return_wait`]; every other
+/// statistic is bit for bit [`simulate`]'s for the same network and seed.
+///
+/// # Panics
+///
+/// Panics if `mu_r` is not positive and finite, on [`simulate`]'s
+/// structural violations, and on a stall — such as a return network that
+/// never frees a circuit.
+pub fn simulate_round_trip(
+    net: &mut dyn ResourceNetwork,
+    ret: &mut dyn ReturnNetwork,
+    workload: &Workload,
+    mu_r: f64,
+    opts: &SimOptions,
+    rng: &mut SimRng,
+) -> SimReport {
+    assert!(mu_r.is_finite() && mu_r > 0.0, "mu_r must be positive");
+    simulate_exponential(
+        net,
+        workload,
+        None,
+        Some((ret, Exponential::with_rate(mu_r))),
+        opts,
+        &FaultPlan::new(),
+        &FaultOptions::default(),
+        rng,
+    )
+    .expect("a fault-free run stalls only on a broken network")
 }
 
 /// [`simulate_faulty`] with, when `mix` is given, each task requesting a
-/// resource type drawn from it.
+/// resource type drawn from it and, when `ret` is given, the result-return
+/// leg over that network and return time.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_exponential(
     net: &mut dyn ResourceNetwork,
     workload: &Workload,
     mix: Option<&TypedWorkload>,
+    ret: Option<(&mut dyn ReturnNetwork, Exponential)>,
     opts: &SimOptions,
     faults: &FaultPlan,
     fopts: &FaultOptions,
@@ -541,7 +636,7 @@ pub(crate) fn simulate_exponential(
         transmission: &transmission,
         service: &service,
     };
-    run(net, &stages, mix, opts, faults, fopts, rng)
+    run(net, &stages, mix, ret, opts, faults, fopts, rng)
 }
 
 /// [`simulate_faulty`] with arbitrary stage distributions.
@@ -561,17 +656,18 @@ pub fn simulate_general_faulty(
     fopts: &FaultOptions,
     rng: &mut SimRng,
 ) -> Result<SimReport, SimError> {
-    run(net, stages, None, opts, faults, fopts, rng)
+    run(net, stages, None, None, opts, faults, fopts, rng)
 }
 
 /// The one event loop behind every entry point. A `mix` of more than one
 /// type gives each arriving task a type drawn from it; otherwise every
-/// task requests type 0.
-#[allow(clippy::too_many_lines)]
+/// task requests type 0. A `ret` adds the result-return leg.
+#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn run(
     net: &mut dyn ResourceNetwork,
     stages: &StageDistributions<'_>,
     mix: Option<&TypedWorkload>,
+    ret: Option<(&mut dyn ReturnNetwork, Exponential)>,
     opts: &SimOptions,
     faults: &FaultPlan,
     fopts: &FaultOptions,
@@ -600,6 +696,15 @@ fn run(
     let mut fault_rng = rng.derive(0x46);
     let mut type_rng = rng.derive(0x54);
     let mut timeline = faults.timeline(&mut fault_rng);
+    let mut ret = ret.map(|(net, time)| ReturnLeg {
+        net,
+        time,
+        rng: rng.derive(0x52),
+        waiting: Vec::new(),
+        round_trip: Welford::new(),
+        return_wait: Welford::new(),
+    });
+    let mut forward: Option<SimReport> = None;
 
     let mut in_flight = InFlightSlab::default();
     let mut next_seq: u64 = 0;
@@ -627,7 +732,38 @@ fn run(
     let mut granted_this_cycle = vec![false; p];
     let mut grants: Vec<Grant> = Vec::new();
 
-    while allocations < target {
+    loop {
+        if allocations >= target {
+            // The forward leg is done; what the return leg still does
+            // cannot change its report.
+            if forward.is_none() {
+                let start = measure_start.unwrap_or(end_time);
+                let span = (end_time - start).max(f64::MIN_POSITIVE);
+                forward = Some(SimReport {
+                    queueing_delay: delays,
+                    per_type_delay: per_type.clone(),
+                    response_time: responses,
+                    mean_queue_length: queue_len.average(end_time),
+                    throughput: opts.measured_tasks as f64 / span,
+                    measured_time: span,
+                    counters: net.take_counters(),
+                    arrivals,
+                    completions,
+                    requeues,
+                    queued_at_end: queues.iter().map(|q| q.len() as u64).sum(),
+                    in_flight_at_end: in_flight.len() as u64,
+                    delivered_throughput: measured_completions as f64 / span,
+                    round_trip: Welford::new(),
+                    return_wait: Welford::new(),
+                });
+            }
+            if ret
+                .as_ref()
+                .is_none_or(|leg| leg.round_trip.count() >= opts.measured_tasks)
+            {
+                break;
+            }
+        }
         // `pop_open` + `refill`: the arms that schedule exactly one
         // successor event (the bulk of all events) drop it straight into
         // the root hole with one sift; the rest drop the guard, which
@@ -669,6 +805,15 @@ fn run(
                     measured_completions += 1;
                     responses.push(now - fl.arrival);
                 }
+                if let Some(leg) = &mut ret {
+                    leg.waiting.push(TaskResult {
+                        grant: fl.grant,
+                        arrival: fl.arrival,
+                        ready_at: now,
+                        counted: fl.measured && fl.seq < target,
+                    });
+                    leg.send(now, &mut cal);
+                }
             }
             Event::Fault(fe) => {
                 drop(hole);
@@ -694,11 +839,27 @@ fn run(
                 drop(hole);
                 debug_assert!(proc < p, "resume for unknown processor");
             }
+            // A return completion changes no forward state, so it runs no
+            // decision epoch; past the forward target it is progress.
+            Event::RetDone(result) => {
+                drop(hole);
+                let leg = ret.as_mut().expect("only a return leg schedules returns");
+                leg.net.end_return(result.grant);
+                if result.counted {
+                    leg.round_trip.push(now - result.arrival);
+                }
+                leg.send(now, &mut cal);
+                if allocations >= target {
+                    events_since_alloc = 0;
+                }
+                continue;
+            }
         }
 
-        // Decision epoch: let the network serve whoever is still waiting.
+        // Decision epoch: let the network serve whoever is still waiting,
+        // until the forward target is reached.
         ready.expire_backoffs(now, &transmitting, &queues, &backoff_until);
-        if ready.count > 0 {
+        if ready.count > 0 && allocations < target {
             net.request_cycle_pending(ready.as_pending(), &mut net_rng, &mut grants);
             for grant in grants.drain(..) {
                 assert!(
@@ -756,8 +917,13 @@ fn run(
 
         // Livelock watchdog: a plan that kills every resource, or a network
         // that hides capacity it never returns, must fail rather than hang.
+        // Past the forward target, the work that can stall is the results
+        // waiting for a return circuit.
         if events_since_alloc > fopts.stall_event_budget {
-            let queued: u64 = queues.iter().map(|q| q.len() as u64).sum();
+            let queued: u64 = match &ret {
+                Some(leg) if allocations >= target => leg.waiting.len() as u64,
+                _ => queues.iter().map(|q| q.len() as u64).sum(),
+            };
             if queued > 0 {
                 return Err(SimError::Stalled {
                     at: now.as_f64(),
@@ -768,23 +934,12 @@ fn run(
         }
     }
 
-    let start = measure_start.unwrap_or(end_time);
-    let span = (end_time - start).max(f64::MIN_POSITIVE);
-    Ok(SimReport {
-        queueing_delay: delays,
-        per_type_delay: per_type,
-        response_time: responses,
-        mean_queue_length: queue_len.average(end_time),
-        throughput: opts.measured_tasks as f64 / span,
-        measured_time: span,
-        counters: net.take_counters(),
-        arrivals,
-        completions,
-        requeues,
-        queued_at_end: queues.iter().map(|q| q.len() as u64).sum(),
-        in_flight_at_end: in_flight.len() as u64,
-        delivered_throughput: measured_completions as f64 / span,
-    })
+    let mut report = forward.expect("the loop ends only past the forward target");
+    if let Some(leg) = ret {
+        report.round_trip = leg.round_trip;
+        report.return_wait = leg.return_wait;
+    }
+    Ok(report)
 }
 
 /// Applies one fault event: flips network state and, for an accepted
@@ -1319,6 +1474,7 @@ mod tests {
             &mut net,
             &base,
             Some(&mix),
+            None,
             &opts,
             &plan,
             &FaultOptions::default(),
@@ -1551,6 +1707,184 @@ mod tests {
         assert_eq!(plain.mean_delay(), faulty.mean_delay());
         assert_eq!(plain.requeues, 0);
         assert_eq!(faulty.requeues, 0);
+    }
+
+    /// Unlimited forward network (per-processor port only).
+    #[derive(Debug)]
+    struct Wide {
+        p: usize,
+    }
+
+    impl ResourceNetwork for Wide {
+        fn processors(&self) -> usize {
+            self.p
+        }
+        fn total_resources(&self) -> usize {
+            usize::MAX
+        }
+        fn request_cycle(&mut self, pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
+            (0..self.p)
+                .filter(|&i| pending[i])
+                .map(|i| Grant {
+                    processor: i,
+                    port: i,
+                })
+                .collect()
+        }
+        fn end_transmission(&mut self, _grant: Grant) {}
+        fn end_service(&mut self, _grant: Grant) {}
+    }
+
+    /// A return network with a single shared channel.
+    #[derive(Debug, Default)]
+    struct OneChannel {
+        busy: bool,
+    }
+
+    impl ReturnNetwork for OneChannel {
+        fn try_send(&mut self, _grant: Grant) -> bool {
+            !std::mem::replace(&mut self.busy, true)
+        }
+        fn end_return(&mut self, _grant: Grant) {
+            assert!(
+                std::mem::take(&mut self.busy),
+                "return ends on a held channel"
+            );
+        }
+    }
+
+    #[test]
+    fn instant_return_adds_exactly_one_stage() {
+        use crate::InstantReturn;
+        let workload = Workload::new(0.2, 2.0, 1.0).expect("valid");
+        let opts = SimOptions {
+            warmup_tasks: 1_000,
+            measured_tasks: 20_000,
+        };
+        let report = simulate_round_trip(
+            &mut Wide { p: 4 },
+            &mut InstantReturn,
+            &workload,
+            4.0,
+            &opts,
+            &mut SimRng::new(5),
+        );
+        assert_eq!(report.round_trip.count(), 20_000);
+        // Round trip = d + 1/µn + 1/µs + 1/µr.
+        let expect = report.mean_delay() + 0.5 + 1.0 + 0.25;
+        let got = report.round_trip.mean();
+        assert!(
+            (got - expect).abs() / expect < 0.05,
+            "round trip {got} vs expected {expect}"
+        );
+        assert_eq!(report.return_wait.count(), 20_000);
+        assert_eq!(report.return_wait.max(), 0.0, "instant return never waits");
+    }
+
+    #[test]
+    fn contended_return_path_adds_waiting() {
+        use crate::equivalence::fingerprint;
+        let workload = Workload::new(0.3, 4.0, 2.0).expect("valid");
+        let opts = SimOptions {
+            warmup_tasks: 500,
+            measured_tasks: 8_000,
+        };
+        // Return channel at rate 2.0 shared by 4 processors offering 1.2
+        // results/time: utilization 0.6 — real queueing.
+        let report = simulate_round_trip(
+            &mut Wide { p: 4 },
+            &mut OneChannel::default(),
+            &workload,
+            2.0,
+            &opts,
+            &mut SimRng::new(7),
+        );
+        assert!(
+            report.return_wait.mean() > 0.1,
+            "shared return channel must queue, got {}",
+            report.return_wait.mean()
+        );
+        assert_eq!(report.round_trip.count(), 8_000);
+        // The paper's d — and every other forward statistic — is the
+        // plain run's, bit for bit.
+        let plain = simulate(&mut Wide { p: 4 }, &workload, &opts, &mut SimRng::new(7));
+        assert_eq!(fingerprint(&report), fingerprint(&plain));
+        assert_eq!(plain.round_trip.count(), 0, "no return leg, no round trips");
+        assert_eq!(plain.return_wait.count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mu_r must be positive")]
+    fn rejects_bad_return_rate() {
+        let workload = Workload::new(0.1, 1.0, 1.0).expect("valid");
+        let _ = simulate_round_trip(
+            &mut Wide { p: 1 },
+            &mut crate::InstantReturn,
+            &workload,
+            0.0,
+            &SimOptions::default(),
+            &mut SimRng::new(1),
+        );
+    }
+
+    /// A return network that never opens a circuit.
+    #[derive(Debug)]
+    struct Refuses;
+
+    impl ReturnNetwork for Refuses {
+        fn try_send(&mut self, _grant: Grant) -> bool {
+            false
+        }
+        fn end_return(&mut self, _grant: Grant) {
+            unreachable!("no circuit was ever opened")
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a fault-free run stalls only on a broken network")]
+    fn a_return_network_that_never_frees_a_circuit_stalls() {
+        let workload = Workload::new(0.2, 2.0, 1.0).expect("valid");
+        let opts = SimOptions {
+            warmup_tasks: 10,
+            measured_tasks: 200,
+        };
+        let _ = simulate_round_trip(
+            &mut Wide { p: 2 },
+            &mut Refuses,
+            &workload,
+            1.0,
+            &opts,
+            &mut SimRng::new(3),
+        );
+    }
+
+    #[test]
+    fn a_stalled_return_leg_reports_its_waiting_results() {
+        let workload = Workload::new(0.2, 2.0, 1.0).expect("valid");
+        let opts = SimOptions {
+            warmup_tasks: 10,
+            measured_tasks: 200,
+        };
+        let err = simulate_exponential(
+            &mut Wide { p: 2 },
+            &workload,
+            None,
+            Some((&mut Refuses, Exponential::with_rate(1.0))),
+            &opts,
+            &FaultPlan::new(),
+            &FaultOptions {
+                stall_event_budget: 1_000,
+            },
+            &mut SimRng::new(3),
+        )
+        .expect_err("no result ever returns");
+        let SimError::Stalled {
+            queued,
+            events_since_progress,
+            ..
+        } = err;
+        assert!(queued >= 210, "every result waits: {queued}");
+        assert!(events_since_progress > 1_000);
     }
 
     #[test]

@@ -107,6 +107,7 @@ pub fn simulate_typed(
         net,
         workload.base(),
         Some(workload),
+        None,
         opts,
         &FaultPlan::new(),
         &FaultOptions::default(),

@@ -13,8 +13,7 @@
 
 use rsin_core::{Grant, NetworkCounters, PortPool, ResourceNetwork, SystemConfig};
 use rsin_des::SimRng;
-use rsin_topology::{Multistage, OmegaTopology, Route};
-use std::collections::HashMap;
+use rsin_topology::{LinkFabric, Multistage, OmegaTopology};
 
 /// A partitioned address-mapped Omega network with a centralized random
 /// resource assigner.
@@ -22,12 +21,13 @@ use std::collections::HashMap;
 pub struct AddressMappedOmega {
     topo: OmegaTopology,
     partitions: usize,
-    /// Links held by active circuits, per partition.
-    link_busy: Vec<Vec<Vec<bool>>>,
+    /// Links held by transmitting circuits, one fabric copy per partition.
+    fabric: LinkFabric,
     /// Port `l` of partition `pi` is pool `pi·N + l`.
     pool: PortPool,
-    /// Active routes keyed by global processor index.
-    routes: HashMap<usize, Route>,
+    /// The partition-local port each processor's circuit holds while it
+    /// transmits.
+    held: Vec<Option<usize>>,
     counters: NetworkCounters,
 }
 
@@ -66,32 +66,18 @@ impl AddressMappedOmega {
             "resources per port must be positive"
         );
         let topo = OmegaTopology::new(size).unwrap_or_else(|e| panic!("invalid Omega size: {e}"));
-        let stages = topo.stages() as usize;
         AddressMappedOmega {
             topo,
             partitions,
-            link_busy: vec![vec![vec![false; size]; stages]; partitions],
+            fabric: LinkFabric::new(&topo, partitions, 1),
             pool: PortPool::new(partitions * size, resources_per_port),
-            routes: HashMap::new(),
+            held: vec![None; partitions * size],
             counters: NetworkCounters::default(),
         }
     }
 
     fn size(&self) -> usize {
         self.topo.size()
-    }
-
-    fn route_is_free(&self, pi: usize, route: &Route) -> bool {
-        route
-            .links
-            .iter()
-            .all(|l| !self.link_busy[pi][l.stage as usize][l.wire])
-    }
-
-    fn set_route(&mut self, pi: usize, route: &Route, busy: bool) {
-        for l in &route.links {
-            self.link_busy[pi][l.stage as usize][l.wire] = busy;
-        }
     }
 }
 
@@ -111,7 +97,7 @@ impl ResourceNetwork for AddressMappedOmega {
         for pi in 0..self.partitions {
             let base = pi * size;
             let mut requesters: Vec<usize> = (0..size)
-                .filter(|&l| pending[base + l] && !self.routes.contains_key(&(base + l)))
+                .filter(|&l| pending[base + l] && self.held[base + l].is_none())
                 .collect();
             if requesters.is_empty() {
                 continue;
@@ -132,11 +118,11 @@ impl ResourceNetwork for AddressMappedOmega {
                 }
                 let port = free_ports[rng.index(free_ports.len())];
                 let route = self.topo.route(local, port);
-                if self.route_is_free(pi, &route) {
-                    self.set_route(pi, &route, true);
+                if self.fabric.route_free(pi, &route) {
+                    self.fabric.claim(pi, &route);
                     assigned_ports[port] += 1;
                     self.counters.boxes_traversed += route.links.len() as u64;
-                    self.routes.insert(base + local, route);
+                    self.held[base + local] = Some(port);
                     grants.push(Grant {
                         processor: base + local,
                         port: base + port,
@@ -154,12 +140,11 @@ impl ResourceNetwork for AddressMappedOmega {
 
     fn end_transmission(&mut self, grant: Grant) {
         let size = self.size();
-        let pi = grant.processor / size;
-        let route = self
-            .routes
-            .remove(&grant.processor)
+        let port = self.held[grant.processor]
+            .take()
             .expect("transmission ends only on an active route");
-        self.set_route(pi, &route, false);
+        let route = self.topo.route(grant.processor % size, port);
+        self.fabric.release(grant.processor / size, &route);
         self.pool.occupy(grant.port);
     }
 

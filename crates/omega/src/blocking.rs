@@ -16,7 +16,7 @@
 
 use crate::resolver::{Admission, OmegaState};
 use rsin_des::SimRng;
-use rsin_topology::{Multistage, OmegaTopology, Route};
+use rsin_topology::{LinkFabric, Multistage, OmegaTopology};
 
 /// Parameters of the Monte Carlo blocking experiment.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -78,6 +78,7 @@ pub fn run_blocking_experiment(exp: &BlockingExperiment, rng: &mut SimRng) -> Bl
     );
     assert!((0.0..=1.0).contains(&exp.p_free), "p_free out of range");
     let topo = OmegaTopology::new(exp.size).unwrap_or_else(|e| panic!("invalid network size: {e}"));
+    let mut held = LinkFabric::new(&topo, 1, 1);
 
     let mut requests_total: u64 = 0;
     let mut rsin_blocked: u64 = 0;
@@ -114,12 +115,12 @@ pub fn run_blocking_experiment(exp: &BlockingExperiment, rng: &mut SimRng) -> Bl
         rng.shuffle(&mut order);
         let mut ports = free.clone();
         rng.shuffle(&mut ports);
-        let mut held: Vec<Route> = Vec::new();
+        held.clear();
         let mut granted: u64 = 0;
         for (proc, port) in order.iter().zip(&ports) {
             let route = topo.route(*proc, *port);
-            if held.iter().all(|h| !h.conflicts_with(&route)) {
-                held.push(route);
+            if held.route_free(0, &route) {
+                held.claim(0, &route);
                 granted += 1;
             }
         }

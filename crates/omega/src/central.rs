@@ -16,8 +16,7 @@
 
 use rsin_core::{Grant, NetworkCounters, PortPool, ResourceNetwork};
 use rsin_des::SimRng;
-use rsin_topology::{Multistage, OmegaTopology, Route};
-use std::collections::HashMap;
+use rsin_topology::{LinkFabric, Multistage, OmegaTopology};
 
 /// A sequential (centralized) scheduler over an `N × N` Omega network.
 #[derive(Clone, Debug)]
@@ -82,12 +81,13 @@ impl SequentialScheduler {
     /// Panics if any index is out of range for the network.
     #[must_use]
     pub fn serve(&self, requesters: &[usize], free: &[usize]) -> SequentialOutcome {
-        self.serve_with_held(requesters, free, &[])
+        self.serve_with_held(requesters, free, &mut LinkFabric::new(&self.topo, 1, 1))
     }
 
-    /// Like [`SequentialScheduler::serve`], but circuits in `held` are
-    /// already established (in-flight transmissions): a candidate route
-    /// conflicting with any of them costs a trial and is skipped.
+    /// Like [`SequentialScheduler::serve`], but the circuits `held` carries
+    /// are already established (in-flight transmissions): a candidate
+    /// route on any of their links costs a trial and is skipped. Every
+    /// granted circuit is claimed in `held`.
     ///
     /// # Panics
     ///
@@ -97,14 +97,13 @@ impl SequentialScheduler {
         &self,
         requesters: &[usize],
         free: &[usize],
-        pre_held: &[Route],
+        held: &mut LinkFabric,
     ) -> SequentialOutcome {
         let mut available: Vec<usize> = {
             let mut f = free.to_vec();
             f.sort_unstable();
             f
         };
-        let mut held: Vec<Route> = pre_held.to_vec();
         let mut granted = Vec::new();
         let mut trials: u64 = 0;
         for &p in requesters {
@@ -112,8 +111,8 @@ impl SequentialScheduler {
             for (slot, &port) in available.iter().enumerate() {
                 trials += 1;
                 let route = self.topo.route(p, port);
-                if held.iter().all(|h| !h.conflicts_with(&route)) {
-                    held.push(route);
+                if held.route_free(0, &route) {
+                    held.claim(0, &route);
                     granted.push((p, port));
                     taken = Some(slot);
                     break;
@@ -159,8 +158,10 @@ pub struct CentralOmegaNetwork {
     scheduler: SequentialScheduler,
     scheduler_up: bool,
     pool: PortPool,
-    /// Routes held by in-flight transmissions, keyed by processor.
-    transmitting: HashMap<usize, Route>,
+    /// Links held by in-flight transmissions.
+    fabric: LinkFabric,
+    /// The port each processor's circuit holds while it transmits.
+    transmitting: Vec<Option<usize>>,
     counters: NetworkCounters,
 }
 
@@ -180,11 +181,13 @@ impl CentralOmegaNetwork {
             resources_per_port > 0,
             "resources per port must be positive"
         );
+        let scheduler = SequentialScheduler::new(size)?;
         Ok(CentralOmegaNetwork {
-            scheduler: SequentialScheduler::new(size)?,
+            fabric: LinkFabric::new(&scheduler.topo, 1, 1),
+            scheduler,
             scheduler_up: true,
             pool: PortPool::new(size, resources_per_port),
-            transmitting: HashMap::new(),
+            transmitting: vec![None; size],
             counters: NetworkCounters::default(),
         })
     }
@@ -197,6 +200,17 @@ impl CentralOmegaNetwork {
 
     fn size(&self) -> usize {
         self.scheduler.topo.size()
+    }
+
+    /// Tears down `processor`'s circuit, returning its links to the fabric
+    /// and the port it ended at.
+    fn release(&mut self, processor: usize) -> usize {
+        let port = self.transmitting[processor]
+            .take()
+            .expect("transmission ends only on an active circuit");
+        let route = self.scheduler.topo.route(processor, port);
+        self.fabric.release(0, &route);
+        port
     }
 }
 
@@ -212,7 +226,7 @@ impl ResourceNetwork for CentralOmegaNetwork {
     fn request_cycle(&mut self, pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
         assert_eq!(pending.len(), self.processors(), "pending vector size");
         let requesters: Vec<usize> = (0..self.size())
-            .filter(|&p| pending[p] && !self.transmitting.contains_key(&p))
+            .filter(|&p| pending[p] && self.transmitting[p].is_none())
             .collect();
         if requesters.is_empty() {
             return Vec::new();
@@ -227,32 +241,22 @@ impl ResourceNetwork for CentralOmegaNetwork {
         let free: Vec<usize> = (0..self.size())
             .filter(|&j| self.pool.has_free(j))
             .collect();
-        let held: Vec<Route> = {
-            let mut procs: Vec<usize> = self.transmitting.keys().copied().collect();
-            procs.sort_unstable();
-            procs
-                .into_iter()
-                .map(|p| self.transmitting[&p].clone())
-                .collect()
-        };
-        let out = self.scheduler.serve_with_held(&requesters, &free, &held);
+        let out = self
+            .scheduler
+            .serve_with_held(&requesters, &free, &mut self.fabric);
         self.counters.rejections += requesters.len() as u64 - out.granted.len() as u64;
         out.granted
             .into_iter()
             .map(|(p, port)| {
-                self.transmitting
-                    .insert(p, self.scheduler.topo.route(p, port));
+                self.transmitting[p] = Some(port);
                 Grant { processor: p, port }
             })
             .collect()
     }
 
     fn end_transmission(&mut self, grant: Grant) {
-        let route = self
-            .transmitting
-            .remove(&grant.processor)
-            .expect("transmission ends only on an active circuit");
-        debug_assert_eq!(route.dest, grant.port);
+        let port = self.release(grant.processor);
+        debug_assert_eq!(port, grant.port);
         self.pool.occupy(grant.port);
     }
 
@@ -266,7 +270,11 @@ impl ResourceNetwork for CentralOmegaNetwork {
         }
         // Tear down in-flight circuits terminating at the dead port; the
         // simulator requeues the casualties.
-        self.transmitting.retain(|_, route| route.dest != port);
+        for processor in 0..self.size() {
+            if self.transmitting[processor] == Some(port) {
+                self.release(processor);
+            }
+        }
         self.counters.resource_failures += 1;
         true
     }
@@ -449,6 +457,38 @@ mod tests {
         assert!(net.repair_resource(g[0].port));
         assert!(!net.repair_resource(g[0].port), "already up");
         assert!(!net.fail_resource(99), "out of range rejected");
+    }
+
+    #[test]
+    fn resource_fault_teardown_returns_the_circuit_links() {
+        // 4×4 Omega: 0→0 and 2→1 share the stage-0 link on wire 0.
+        let topo = OmegaTopology::new(4).expect("4x4");
+        assert!(topo.route(0, 0).conflicts_with(&topo.route(2, 1)));
+        let mut net = CentralOmegaNetwork::new(4, 1).expect("4x4");
+        let mut rng = SimRng::new(1);
+        assert!(net.fail_resource(2) && net.fail_resource(3));
+        let g = net.request_cycle(&pending(4, &[0]), &mut rng);
+        assert_eq!(
+            g,
+            [Grant {
+                processor: 0,
+                port: 0
+            }]
+        );
+        // Killing port 0 mid-transmission tears the circuit down. Port 1
+        // is the only one left, and its one route from processor 2 runs
+        // over the torn-down circuit's link: a grant proves it came back.
+        assert!(net.fail_resource(0));
+        let g = net.request_cycle(&pending(4, &[2]), &mut rng);
+        assert_eq!(
+            g,
+            [Grant {
+                processor: 2,
+                port: 1
+            }]
+        );
+        net.end_transmission(g[0]);
+        assert!(net.fabric.is_idle());
     }
 
     #[test]

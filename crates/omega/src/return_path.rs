@@ -7,29 +7,27 @@
 //! scheduling intelligence needed (the destination is known) but with real
 //! link contention.
 
-use rsin_core::roundtrip::{ReturnNetwork, ReturnTicket};
-use rsin_topology::{Multistage, OmegaTopology, Route};
-use std::collections::HashMap;
+use rsin_core::{Grant, ReturnNetwork};
+use rsin_topology::{LinkFabric, Multistage, OmegaTopology, Route};
 
 /// An address-mapped Omega return fabric.
 ///
 /// # Examples
 ///
 /// ```
-/// use rsin_core::roundtrip::ReturnNetwork;
+/// use rsin_core::{Grant, ReturnNetwork};
 /// use rsin_omega::OmegaReturnPath;
 ///
 /// let mut ret = OmegaReturnPath::new(8)?;
-/// let t = ret.try_send(3, 5).expect("idle network routes anything");
-/// ret.end_return(t);
+/// let result = Grant { processor: 5, port: 3 };
+/// assert!(ret.try_send(result), "an idle network routes anything");
+/// ret.end_return(result);
 /// # Ok::<(), rsin_topology::TopologyError>(())
 /// ```
 #[derive(Debug)]
 pub struct OmegaReturnPath {
     topo: OmegaTopology,
-    link_busy: Vec<Vec<bool>>,
-    active: HashMap<u64, Route>,
-    next_ticket: u64,
+    fabric: LinkFabric,
 }
 
 impl OmegaReturnPath {
@@ -40,82 +38,81 @@ impl OmegaReturnPath {
     /// [`rsin_topology::TopologyError`] unless `size` is a power of two ≥ 2.
     pub fn new(size: usize) -> Result<Self, rsin_topology::TopologyError> {
         let topo = OmegaTopology::new(size)?;
-        let stages = topo.stages() as usize;
         Ok(OmegaReturnPath {
             topo,
-            link_busy: vec![vec![false; size]; stages],
-            active: HashMap::new(),
-            next_ticket: 0,
+            fabric: LinkFabric::new(&topo, 1, 1),
         })
     }
 
-    /// Number of circuits currently held.
-    #[must_use]
-    pub fn active_circuits(&self) -> usize {
-        self.active.len()
+    /// The return circuit of `grant`'s result: the fabric's inputs are the
+    /// resource ports, its outputs the processors. Panics when either is
+    /// out of range — a bigger forward network needs a bigger fabric.
+    fn route(&self, grant: Grant) -> Route {
+        self.topo.route(grant.port, grant.processor)
     }
 }
 
 impl ReturnNetwork for OmegaReturnPath {
-    fn try_send(&mut self, port: usize, processor: usize) -> Option<ReturnTicket> {
-        // The return fabric's inputs are the resource ports; its outputs are
-        // the processors.
-        let route = self
-            .topo
-            .route(port % self.topo.size(), processor % self.topo.size());
-        if route
-            .links
-            .iter()
-            .any(|l| self.link_busy[l.stage as usize][l.wire])
-        {
-            return None;
+    fn try_send(&mut self, grant: Grant) -> bool {
+        let route = self.route(grant);
+        let free = self.fabric.route_free(0, &route);
+        if free {
+            self.fabric.claim(0, &route);
         }
-        for l in &route.links {
-            self.link_busy[l.stage as usize][l.wire] = true;
-        }
-        self.next_ticket += 1;
-        self.active.insert(self.next_ticket, route);
-        Some(ReturnTicket(self.next_ticket))
+        free
     }
 
-    fn end_return(&mut self, ticket: ReturnTicket) {
-        let route = self
-            .active
-            .remove(&ticket.0)
-            .expect("ticket must identify an active return circuit");
-        for l in &route.links {
-            debug_assert!(self.link_busy[l.stage as usize][l.wire]);
-            self.link_busy[l.stage as usize][l.wire] = false;
-        }
+    fn end_return(&mut self, grant: Grant) {
+        let route = self.route(grant);
+        assert!(
+            self.fabric.holds(0, &route),
+            "end_return of {grant:?} without an active return circuit"
+        );
+        self.fabric.release(0, &route);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsin_core::roundtrip::{simulate_round_trip, InstantReturn};
-    use rsin_core::{SimOptions, SystemConfig, Workload};
+    use rsin_core::{
+        simulate, simulate_round_trip, InstantReturn, SimOptions, SystemConfig, Workload,
+    };
     use rsin_des::SimRng;
+
+    fn result(port: usize, processor: usize) -> Grant {
+        Grant { processor, port }
+    }
 
     #[test]
     fn idle_network_routes_everything() {
         let mut ret = OmegaReturnPath::new(8).expect("8x8");
-        let t1 = ret.try_send(0, 7).expect("free");
-        let t2 = ret.try_send(1, 3).expect("still free on distinct links");
-        assert_eq!(ret.active_circuits(), 2);
-        ret.end_return(t1);
-        ret.end_return(t2);
-        assert_eq!(ret.active_circuits(), 0);
+        let (a, b) = (result(0, 7), result(1, 3));
+        assert!(ret.try_send(a), "free");
+        assert!(ret.try_send(b), "still free on distinct links");
+        assert!(ret.fabric.holds(0, &ret.route(a)) && ret.fabric.holds(0, &ret.route(b)));
+        ret.end_return(a);
+        ret.end_return(b);
+        assert!(ret.fabric.is_idle());
     }
 
     #[test]
     fn conflicting_returns_block_until_released() {
         let mut ret = OmegaReturnPath::new(8).expect("8x8");
         // Same final wire: port X → processor 5 twice must conflict.
-        let t = ret.try_send(0, 5).expect("free");
-        assert!(ret.try_send(4, 5).is_none(), "same destination wire blocks");
-        ret.end_return(t);
-        assert!(ret.try_send(4, 5).is_some());
+        assert!(ret.try_send(result(0, 5)), "free");
+        assert!(!ret.try_send(result(4, 5)), "same destination wire blocks");
+        ret.end_return(result(0, 5));
+        assert!(ret.try_send(result(4, 5)));
+    }
+
+    #[test]
+    #[should_panic(expected = "port out of range")]
+    fn out_of_range_ports_are_not_aliased() {
+        // A 16-port forward network on an 8-port return fabric must not
+        // put port 8 on port 0's wire.
+        let mut ret = OmegaReturnPath::new(8).expect("8x8");
+        let _ = ret.try_send(result(8, 0));
     }
 
     #[test]
@@ -128,12 +125,18 @@ mod tests {
             warmup_tasks: 1_000,
             measured_tasks: 32_000,
         };
-        let mut fwd =
-            crate::OmegaNetwork::from_config(&cfg, crate::Admission::Simultaneous).expect("omega");
+        let fwd = || crate::OmegaNetwork::from_config(&cfg, crate::Admission::Simultaneous);
         let mut ret = OmegaReturnPath::new(8).expect("8x8");
-        let mut rng = SimRng::new(3);
-        let report = simulate_round_trip(&mut fwd, &mut ret, &w, w.mu_n(), &opts, &mut rng);
+        let report = simulate_round_trip(
+            &mut fwd().expect("omega"),
+            &mut ret,
+            &w,
+            w.mu_n(),
+            &opts,
+            &mut SimRng::new(3),
+        );
         assert_eq!(report.round_trip.count(), 32_000);
+        assert!(ret.fabric.is_idle(), "every return circuit was released");
         // Round trip ≥ transmission + service + return means.
         let floor = 1.0 / w.mu_n() + 1.0 / w.mu_s() + 1.0 / w.mu_n();
         assert!(report.round_trip.mean() > floor);
@@ -146,22 +149,27 @@ mod tests {
             report.return_wait.mean()
         );
 
-        // And d matches the plain (no-return) simulation within noise.
-        let mut fwd2 =
-            crate::OmegaNetwork::from_config(&cfg, crate::Admission::Simultaneous).expect("omega");
-        let mut rng = SimRng::new(3);
-        let plain =
-            simulate_round_trip(&mut fwd2, &mut InstantReturn, &w, w.mu_n(), &opts, &mut rng);
-        let a = report.queueing_delay.mean();
-        let b = plain.queueing_delay.mean();
-        assert!((a - b).abs() / b.max(1e-9) < 0.15, "d: {a} vs {b}");
+        // And d is the plain (no-return) simulation's, bit for bit, with
+        // either return network.
+        let plain = simulate(&mut fwd().expect("omega"), &w, &opts, &mut SimRng::new(3));
+        let ideal = simulate_round_trip(
+            &mut fwd().expect("omega"),
+            &mut InstantReturn,
+            &w,
+            w.mu_n(),
+            &opts,
+            &mut SimRng::new(3),
+        );
+        assert_eq!(report.queueing_delay, plain.queueing_delay);
+        assert_eq!(ideal.queueing_delay, plain.queueing_delay);
     }
 
     #[test]
     #[should_panic(expected = "active return circuit")]
     fn double_release_is_a_bug() {
         let mut ret = OmegaReturnPath::new(4).expect("4x4");
-        let t = ret.try_send(0, 0).expect("free");
+        let t = result(0, 0);
+        assert!(ret.try_send(t), "free");
         ret.end_return(t);
         ret.end_return(t);
     }

@@ -12,7 +12,7 @@
 //! - [`slo`]: the delay evaluator — analytic chains (warm-started and
 //!   cached) where they exist, parallel DES where they don't, with a
 //!   saturation guard in front of both.
-//! - [`search`]: guided coordinate descent per shape with monotone
+//! - [`search`](mod@search): guided coordinate descent per shape with monotone
 //!   pruning on the `r` axis, Pareto frontier output, DES confirmation of
 //!   the winner, and an optional degraded-mode recheck.
 //!

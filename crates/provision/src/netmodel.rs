@@ -25,58 +25,8 @@
 use crate::topo::{ClusteredXbar, MultiLaneOmega};
 use rsin_core::{Grant, NetworkCounters, PortPool, ResourceNetwork};
 use rsin_des::SimRng;
-use rsin_topology::{Multistage, OmegaTopology, Route};
+use rsin_topology::{LinkFabric, Multistage, OmegaTopology, Route};
 use std::collections::HashMap;
-
-/// Link-occupancy state of one (or several) Omega fabrics, with a lane
-/// capacity per link.
-#[derive(Clone, Debug)]
-struct LinkFabric {
-    topo: OmegaTopology,
-    size: usize,
-    lanes: u8,
-    /// Occupancy per copy, flattened `[stage][wire]`.
-    load: Vec<Vec<u8>>,
-}
-
-impl LinkFabric {
-    fn new(copies: usize, size: usize, lanes: u8) -> Self {
-        let topo = OmegaTopology::new(size).expect("validated power-of-two size");
-        let stages = topo.stages() as usize;
-        LinkFabric {
-            topo,
-            size,
-            lanes,
-            load: vec![vec![0u8; stages * size]; copies],
-        }
-    }
-
-    fn slot(&self, link: rsin_topology::Link) -> usize {
-        link.stage as usize * self.size + link.wire
-    }
-
-    fn route_free(&self, copy: usize, route: &Route) -> bool {
-        route
-            .links
-            .iter()
-            .all(|&l| self.load[copy][self.slot(l)] < self.lanes)
-    }
-
-    fn claim(&mut self, copy: usize, route: &Route) {
-        for &l in &route.links {
-            let s = self.slot(l);
-            self.load[copy][s] += 1;
-        }
-    }
-
-    fn release(&mut self, copy: usize, route: &Route) {
-        for &l in &route.links {
-            let s = self.slot(l);
-            debug_assert!(self.load[copy][s] > 0, "releasing a free link");
-            self.load[copy][s] -= 1;
-        }
-    }
-}
 
 /// One in-flight circuit: where it terminates and what it still holds.
 #[derive(Clone, Debug)]
@@ -91,11 +41,12 @@ struct Circuit {
     uplink: Option<usize>,
 }
 
-/// The state both composites share: link fabric, port pools, uplink
-/// slots, the circuit table, the rotating scan start and the counters.
-/// Each model adds only its own placement rule.
+/// The state both composites share: the core topology and its link
+/// fabric, port pools, uplink slots, the circuit table, the rotating scan
+/// start and the counters. Each model adds only its own placement rule.
 #[derive(Clone, Debug)]
 struct CircuitTable {
+    topo: OmegaTopology,
     fabric: LinkFabric,
     pool: PortPool,
     /// One flag per core input slot; cluster `c` owns `[c*u, (c+1)*u)`.
@@ -107,10 +58,14 @@ struct CircuitTable {
 }
 
 impl CircuitTable {
-    fn new(fabric: LinkFabric, ports: usize, resources_per_port: u32, uplinks: usize) -> Self {
+    /// A table over `copies` copies of a `size × size` Omega core with
+    /// `lanes` lanes per link.
+    fn new(copies: usize, size: usize, lanes: u8, resources_per_port: u32, uplinks: usize) -> Self {
+        let topo = OmegaTopology::new(size).expect("validated power-of-two size");
         CircuitTable {
-            fabric,
-            pool: PortPool::new(ports, resources_per_port),
+            topo,
+            fabric: LinkFabric::new(&topo, copies, lanes),
+            pool: PortPool::new(copies * size, resources_per_port),
             uplink_used: vec![false; uplinks],
             circuits: HashMap::new(),
             rotate: 0,
@@ -233,7 +188,7 @@ impl ClusteredXbarNet {
         let s = spec.core_size() as usize;
         ClusteredXbarNet {
             spec,
-            table: CircuitTable::new(LinkFabric::new(1, s, 1), s, spec.resources_per_port(), s),
+            table: CircuitTable::new(1, s, 1, spec.resources_per_port(), s),
         }
     }
 
@@ -257,7 +212,7 @@ impl ClusteredXbarNet {
                 continue;
             }
             for &uplink in &free_uplinks {
-                let route = t.fabric.topo.route(uplink, port);
+                let route = t.topo.route(uplink, port);
                 if t.fabric.route_free(0, &route) {
                     return Some(t.connect(processor, port, 0, route, Some(uplink)));
                 }
@@ -325,10 +280,9 @@ impl MultiLaneOmegaNet {
         let size = spec.size() as usize;
         let copies = spec.networks() as usize;
         let lanes = u8::try_from(spec.lanes()).expect("lanes validated <= 8");
-        let fabric = LinkFabric::new(copies, size, lanes);
         MultiLaneOmegaNet {
             spec,
-            table: CircuitTable::new(fabric, copies * size, spec.resources_per_port(), 0),
+            table: CircuitTable::new(copies, size, lanes, spec.resources_per_port(), 0),
         }
     }
 
@@ -342,7 +296,7 @@ impl MultiLaneOmegaNet {
             if !t.pool.has_free(port) {
                 continue;
             }
-            let route = t.fabric.topo.route(src, local);
+            let route = t.topo.route(src, local);
             if t.fabric.route_free(copy, &route) {
                 return Some(t.connect(processor, port, copy, route, None));
             }
@@ -459,12 +413,7 @@ mod tests {
         assert!(net.table.circuits.is_empty());
         let pool = &net.table.pool;
         assert!((0..pool.ports()).all(|port| pool.busy(port) == 0));
-        assert!(net
-            .table
-            .fabric
-            .load
-            .iter()
-            .all(|copy| copy.iter().all(|&l| l == 0)));
+        assert!(net.table.fabric.is_idle());
     }
 
     /// One seeded healthy and one seeded faulted run per composite, pinned

@@ -9,6 +9,9 @@
 //! - [`OmegaTopology`] and [`CubeTopology`]: `N×N` blocking networks of 2×2
 //!   interchange boxes with destination-tag routing ([`Multistage`]).
 //! - [`Route`] / [`Link`]: circuits as link sets, with conflict detection.
+//! - [`LinkFabric`]: the links held circuits occupy, per fabric copy and
+//!   with a lane capacity per link — the one link table every simulated
+//!   circuit-switched network keeps.
 //! - [`matching`]: centralized-scheduler baselines — exhaustive optimal
 //!   matching (the paper's `(x choose y)·y!` enumeration) and first-fit
 //!   greedy — plus verification of the paper's Section II blocking example.
@@ -38,5 +41,7 @@ pub mod matching;
 mod multistage;
 mod perm;
 
-pub use multistage::{CubeTopology, Link, Multistage, OmegaTopology, Route, TopologyError};
+pub use multistage::{
+    CubeTopology, Link, LinkFabric, Multistage, OmegaTopology, Route, TopologyError,
+};
 pub use perm::{bit, log2_exact, shuffle, unshuffle, with_bit};

@@ -44,6 +44,112 @@ impl Route {
     }
 }
 
+/// The links held circuits occupy, in one or more copies of an `N × N`
+/// multistage fabric, with a lane capacity per link: a link carries up to
+/// `lanes` circuits at once (one in the paper's networks, more in a
+/// multi-lane MIN). Only the per-link load is kept, so an owner releases a
+/// circuit by recomputing its [`Route`] from the endpoints it holds.
+///
+/// # Examples
+///
+/// ```
+/// use rsin_topology::{LinkFabric, Multistage, OmegaTopology};
+///
+/// let omega = OmegaTopology::new(8)?;
+/// let mut fabric = LinkFabric::new(&omega, 1, 1);
+/// let (a, b) = (omega.route(0, 0), omega.route(4, 2));
+/// fabric.claim(0, &a);
+/// assert!(!fabric.route_free(0, &b), "0→0 and 4→2 share a stage-0 link");
+/// fabric.release(0, &a);
+/// assert!(fabric.route_free(0, &b) && fabric.is_idle());
+/// # Ok::<(), rsin_topology::TopologyError>(())
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LinkFabric {
+    size: usize,
+    stages: usize,
+    lanes: u8,
+    /// Circuits per link, flattened `[copy][stage][wire]`.
+    load: Vec<u8>,
+}
+
+impl LinkFabric {
+    /// An idle fabric of `copies` copies of `net`, `lanes` circuits per
+    /// link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `copies` or `lanes` is zero.
+    #[must_use]
+    pub fn new(net: &dyn Multistage, copies: usize, lanes: u8) -> Self {
+        assert!(copies > 0 && lanes > 0, "need at least one copy and lane");
+        let (size, stages) = (net.size(), net.stages() as usize);
+        LinkFabric {
+            size,
+            stages,
+            lanes,
+            load: vec![0; copies * stages * size],
+        }
+    }
+
+    fn slot(&self, copy: usize, link: Link) -> usize {
+        debug_assert!(link.wire < self.size && (link.stage as usize) < self.stages);
+        (copy * self.stages + link.stage as usize) * self.size + link.wire
+    }
+
+    /// Whether every link of `route` in `copy` has a lane left.
+    #[must_use]
+    pub fn route_free(&self, copy: usize, route: &Route) -> bool {
+        route
+            .links
+            .iter()
+            .all(|&l| self.load[self.slot(copy, l)] < self.lanes)
+    }
+
+    /// Whether every link of `route` in `copy` carries at least one
+    /// circuit — true of any route claimed and not yet released.
+    #[must_use]
+    pub fn holds(&self, copy: usize, route: &Route) -> bool {
+        route
+            .links
+            .iter()
+            .all(|&l| self.load[self.slot(copy, l)] > 0)
+    }
+
+    /// Takes one lane of every link of `route` in `copy`.
+    pub fn claim(&mut self, copy: usize, route: &Route) {
+        debug_assert!(self.route_free(copy, route), "claiming a full link");
+        for &l in &route.links {
+            let s = self.slot(copy, l);
+            self.load[s] += 1;
+        }
+    }
+
+    /// Returns the lanes [`LinkFabric::claim`] took for `route`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a link of `route` carries no circuit.
+    pub fn release(&mut self, copy: usize, route: &Route) {
+        assert!(self.holds(copy, route), "releasing a free link");
+        for &l in &route.links {
+            let s = self.slot(copy, l);
+            self.load[s] -= 1;
+        }
+    }
+
+    /// Frees every link.
+    pub fn clear(&mut self) {
+        self.load.fill(0);
+    }
+
+    /// Whether no link carries a circuit.
+    #[must_use]
+    pub fn is_idle(&self) -> bool {
+        self.load.iter().all(|&l| l == 0)
+    }
+}
+
 /// A 2×2-box multistage topology with destination-tag routing.
 ///
 /// The trait is object-safe so simulators can hold `Box<dyn Multistage>`.
@@ -297,6 +403,66 @@ mod tests {
             cube.box_of(Link { stage: 1, wire: 4 }),
             cube.box_of(Link { stage: 1, wire: 5 })
         );
+    }
+
+    /// With one lane, the fabric answers exactly what the pairwise
+    /// conflict scan over the held routes answers, through any sequence of
+    /// claims and releases, in every copy and under both wirings.
+    #[test]
+    fn one_lane_route_free_matches_the_pairwise_conflict_scan() {
+        rsin_minicheck::check(200, |g| {
+            let size = 1 << g.usize_in(1, 6);
+            let net: Box<dyn Multistage> = if g.bool() {
+                Box::new(OmegaTopology::new(size).expect("power of two"))
+            } else {
+                Box::new(CubeTopology::new(size).expect("power of two"))
+            };
+            let copies = g.usize_in(1, 3);
+            let mut fabric = LinkFabric::new(net.as_ref(), copies, 1);
+            let mut held: Vec<Vec<Route>> = vec![Vec::new(); copies];
+            for _ in 0..64 {
+                let copy = g.usize_in(0, copies);
+                let route = net.route(g.usize_in(0, size), g.usize_in(0, size));
+                let free = held[copy].iter().all(|h| !h.conflicts_with(&route));
+                assert_eq!(fabric.route_free(copy, &route), free, "{route:?}");
+                if free && g.bool() {
+                    fabric.claim(copy, &route);
+                    held[copy].push(route);
+                } else if !held[copy].is_empty() && g.bool() {
+                    let at = g.usize_in(0, held[copy].len());
+                    let gone = held[copy].swap_remove(at);
+                    assert!(fabric.holds(copy, &gone));
+                    fabric.release(copy, &gone);
+                }
+            }
+            for (copy, routes) in held.iter().enumerate() {
+                for route in routes {
+                    fabric.release(copy, route);
+                }
+            }
+            assert!(fabric.is_idle());
+        });
+    }
+
+    #[test]
+    fn lanes_admit_that_many_circuits_per_link() {
+        let omega = OmegaTopology::new(4).expect("power of two");
+        let mut fabric = LinkFabric::new(&omega, 1, 2);
+        let route = omega.route(0, 0);
+        fabric.claim(0, &route);
+        assert!(fabric.route_free(0, &route), "a second lane is left");
+        fabric.claim(0, &route);
+        assert!(!fabric.route_free(0, &route));
+        fabric.clear();
+        assert!(fabric.is_idle() && !fabric.holds(0, &route));
+    }
+
+    #[test]
+    #[should_panic(expected = "releasing a free link")]
+    fn releasing_an_unheld_route_panics() {
+        let omega = OmegaTopology::new(4).expect("power of two");
+        let mut fabric = LinkFabric::new(&omega, 1, 1);
+        fabric.release(0, &omega.route(1, 2));
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! justification: how much of the round trip does the return network
 //! actually contribute, and when would it start to matter?
 //!
-//! Run with `cargo run --example round_trip`.
+//! Run with `cargo run --release --example round_trip`; its stdout is
+//! pinned in `round_trip.stdout` next to this file.
 
-use rsin::core::roundtrip::{simulate_round_trip, InstantReturn};
-use rsin::core::{SimOptions, SystemConfig, Workload};
+use rsin::core::{simulate_round_trip, InstantReturn, SimOptions, SystemConfig, Workload};
 use rsin::des::SimRng;
 use rsin::omega::{Admission, OmegaNetwork, OmegaReturnPath};
 
