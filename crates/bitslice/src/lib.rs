@@ -7,8 +7,9 @@
 //! building blocks that let the resolvers in `rsin-xbar` and `rsin-omega`
 //! evaluate 64 cells or switch boxes per instruction:
 //!
-//! - tail-masked bit vectors (`words_for`, `tail_mask`, `pack_bools`) so
-//!   networks whose width is not a multiple of 64 keep garbage lanes zeroed;
+//! - tail-masked bit vectors (`words_for`, `tail_mask`, `pack_bools`,
+//!   [`copy_lanes`]) so networks whose width is not a multiple of 64 keep
+//!   garbage lanes zeroed;
 //! - parallel-prefix (Kogge–Stone-style) arbitration chains
 //!   ([`prefix_or_up`], [`lowest_set`], [`rotating_grant`]) replacing
 //!   per-cell daisy-chain sweeps with log-depth carry lookahead;
@@ -67,6 +68,32 @@ pub fn pack_bools(bools: &[bool], words: &mut Vec<u64>) {
         }
         w
     }));
+}
+
+/// Copies lanes `start .. start + len` of `src` into lanes `0 .. len` of
+/// `dst`, which is resized to `words_for(len)` with a clean tail.
+///
+/// Slices a per-partition mask out of a whole-system vector when partition
+/// widths do not divide 64, so the slice may straddle words.
+///
+/// # Panics
+///
+/// Panics if `start + len` exceeds the lanes `src` holds.
+#[inline]
+pub fn copy_lanes(src: &[u64], start: usize, len: usize, dst: &mut Vec<u64>) {
+    assert!(start + len <= src.len() * WORD_BITS, "lanes out of range");
+    dst.clear();
+    let (first, shift) = (start / WORD_BITS, start % WORD_BITS);
+    dst.extend((0..words_for(len)).map(|i| {
+        let lo = src[first + i] >> shift;
+        match src.get(first + i + 1) {
+            Some(&hi) if shift != 0 => lo | hi << (WORD_BITS - shift),
+            _ => lo,
+        }
+    }));
+    if let Some(last) = dst.last_mut() {
+        *last &= tail_mask(len);
+    }
 }
 
 /// Reads lane `i` of a packed vector.
@@ -422,6 +449,29 @@ mod tests {
                     0,
                     "tail must be clean"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn copy_lanes_matches_scalar_scan() {
+        let mut rng = Lcg(0xc0b1);
+        for len in 1..=130usize {
+            for start in [0usize, 1, 31, 63, 64, 65, 100, 127, 190] {
+                let spare = rng.next() as usize % 70;
+                let src = random_vec(&mut rng, start + len + spare, 1, 2);
+                // Stale, dirty contents must not leak into the copy.
+                let mut dst = vec![u64::MAX; 4];
+                copy_lanes(&src, start, len, &mut dst);
+                assert_eq!(dst.len(), words_for(len), "len {len} start {start}");
+                for i in 0..len {
+                    assert_eq!(
+                        test_bit(&dst, i),
+                        test_bit(&src, start + i),
+                        "len {len} start {start} lane {i}"
+                    );
+                }
+                assert_eq!(dst[dst.len() - 1] & !tail_mask(len), 0, "tail clean");
             }
         }
     }

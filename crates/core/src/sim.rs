@@ -729,7 +729,6 @@ fn run(
 
     // Per-cycle scratch, allocated once and reused every decision epoch.
     let mut ready = ReadySet::new(p);
-    let mut granted_this_cycle = vec![false; p];
     let mut grants: Vec<Grant> = Vec::new();
 
     loop {
@@ -862,12 +861,13 @@ fn run(
         if ready.count > 0 && allocations < target {
             net.request_cycle_pending(ready.as_pending(), &mut net_rng, &mut grants);
             for grant in grants.drain(..) {
+                // Each grant leaves the pending set below, so a second
+                // grant of one processor in this cycle fails here too.
                 assert!(
-                    ready.pending[grant.processor] && !granted_this_cycle[grant.processor],
+                    ready.pending[grant.processor],
                     "network granted processor {} that was not pending (or twice)",
                     grant.processor
                 );
-                granted_this_cycle[grant.processor] = true;
                 let task = queues[grant.processor]
                     .pop_front()
                     .expect("pending implies nonempty queue");
@@ -912,7 +912,6 @@ fn run(
                 debug_assert_eq!(stored, id);
                 ready.clear_granted(grant.processor);
             }
-            granted_this_cycle.fill(false);
         }
 
         // Livelock watchdog: a plan that kills every resource, or a network
@@ -1324,6 +1323,40 @@ mod tests {
             simulate(&mut Rogue, &workload, &opts, &mut rng)
         });
         assert!(result.is_err(), "double-grant must panic");
+    }
+
+    #[test]
+    fn simulator_rejects_a_pending_processor_granted_twice_in_one_cycle() {
+        /// Grants the lowest pending processor twice, on two ports.
+        #[derive(Debug)]
+        struct Twice;
+        impl ResourceNetwork for Twice {
+            fn processors(&self) -> usize {
+                2
+            }
+            fn total_resources(&self) -> usize {
+                2
+            }
+            fn request_cycle(&mut self, pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
+                let Some(processor) = pending.iter().position(|&p| p) else {
+                    return Vec::new();
+                };
+                vec![Grant { processor, port: 0 }, Grant { processor, port: 1 }]
+            }
+            fn end_transmission(&mut self, _grant: Grant) {}
+            fn end_service(&mut self, _grant: Grant) {}
+        }
+        let workload = Workload::new(0.5, 1.0, 1.0).expect("valid");
+        let opts = SimOptions {
+            warmup_tasks: 0,
+            measured_tasks: 10,
+        };
+        let panic = std::panic::catch_unwind(move || {
+            simulate(&mut Twice, &workload, &opts, &mut SimRng::new(1))
+        })
+        .expect_err("granting one processor twice must panic");
+        let message = panic.downcast_ref::<String>().expect("formatted message");
+        assert!(message.contains("not pending (or twice)"), "{message}");
     }
 
     #[test]

@@ -6,10 +6,16 @@
 //! resource is allocated or a busy one completes, blocked requests wake and
 //! the arbiter admits exactly one of them (the rest re-queue), provided the
 //! bus itself is idle.
+//!
+//! A decision epoch can therefore grant only on a bus that is up, idle and
+//! has a free resource; every other pending request is simply rejected
+//! again. The arbitration walks just those buses — the packed idle-bus mask
+//! ANDed with the pool's free mask — and counts attempts and rejections by
+//! popcount over the packed pending set.
 
 use crate::arbiter::{Arbiter, Arbitration};
-use rsin_bitslice::{count_ones, pack_bools};
-use rsin_core::{Grant, NetworkCounters, PortPool, ResourceNetwork, SystemConfig};
+use rsin_bitslice::{clear_bit, copy_lanes, count_ones, set_bit, words_for, WORD_BITS};
+use rsin_core::{Grant, NetworkCounters, PendingSet, PortPool, ResourceNetwork, SystemConfig};
 use rsin_des::SimRng;
 
 /// State of one bus partition.
@@ -39,11 +45,17 @@ struct Bus {
 pub struct SharedBusNetwork {
     procs_per_bus: usize,
     buses: Vec<Bus>,
+    /// Bit `b` (64 buses per word, LSB-first, tail lanes zero) is set
+    /// exactly while bus `b` is up and not transmitting; every change to
+    /// either fact goes through [`SharedBusNetwork::refresh_idle`].
+    idle: Vec<u64>,
     /// Bus `b`'s resources are pool `b`.
     pool: PortPool,
     counters: NetworkCounters,
-    /// Packed per-bus candidate mask, reused across cycles.
-    scratch: Vec<u64>,
+    /// The pending set packed once, for the `&[bool]` entry points.
+    packed: Vec<u64>,
+    /// One bus's candidate lanes, reused across buses and cycles.
+    lanes: Vec<u64>,
     /// Test oracle switch: arbitrate from candidate lists instead.
     #[cfg(test)]
     list_oracle: bool,
@@ -103,6 +115,8 @@ impl SharedBusNetwork {
     ) -> Self {
         assert!(buses > 0 && procs_per_bus > 0, "counts must be positive");
         assert!(resources_per_bus > 0, "resources per bus must be positive");
+        let mut idle = vec![0; words_for(buses)];
+        (0..buses).for_each(|b| set_bit(&mut idle, b));
         SharedBusNetwork {
             procs_per_bus,
             buses: (0..buses)
@@ -112,9 +126,11 @@ impl SharedBusNetwork {
                     bus_up: true,
                 })
                 .collect(),
+            idle,
             pool: PortPool::new(buses, resources_per_bus),
             counters: NetworkCounters::default(),
-            scratch: Vec::new(),
+            packed: Vec::new(),
+            lanes: Vec::new(),
             #[cfg(test)]
             list_oracle: false,
         }
@@ -134,6 +150,54 @@ impl SharedBusNetwork {
     #[must_use]
     pub fn free_resources_on(&self, b: usize) -> u32 {
         self.pool.free(b)
+    }
+
+    /// Re-derives bus `b`'s idle bit from its up and transmitting state.
+    fn refresh_idle(&mut self, b: usize) {
+        let bus = &self.buses[b];
+        if bus.bus_up && !bus.transmitting {
+            set_bit(&mut self.idle, b);
+        } else {
+            clear_bit(&mut self.idle, b);
+        }
+    }
+
+    /// One request cycle over the packed pending set (tail lanes zero):
+    /// every pending processor attempts, and each bus that is idle with a
+    /// free resource grants one of its pending processors, in ascending
+    /// bus order. The rest are rejected.
+    fn arbitrate(&mut self, pending: &[u64], rng: &mut SimRng, out: &mut Vec<Grant>) {
+        // The buses tile the processors exactly, so the whole-vector
+        // popcount is the sum of every bus's requests.
+        let attempts = count_ones(pending) as u64;
+        let mut lanes = std::mem::take(&mut self.lanes);
+        for w in 0..self.idle.len() {
+            let mut ready = self.idle[w] & self.pool.words()[w];
+            while ready != 0 {
+                let b = w * WORD_BITS + ready.trailing_zeros() as usize;
+                ready &= ready - 1;
+                let base = b * self.procs_per_bus;
+                copy_lanes(pending, base, self.procs_per_bus, &mut lanes);
+                let count = count_ones(&lanes);
+                if count == 0 {
+                    continue;
+                }
+                let bus = &mut self.buses[b];
+                let winner = bus
+                    .arbiter
+                    .pick_packed(&lanes, count, rng)
+                    .expect("count > 0");
+                bus.transmitting = true;
+                self.refresh_idle(b);
+                out.push(Grant {
+                    processor: base + winner,
+                    port: b,
+                });
+            }
+        }
+        self.lanes = lanes;
+        self.counters.attempts += attempts;
+        self.counters.rejections += attempts - out.len() as u64;
     }
 }
 
@@ -160,39 +224,37 @@ impl ResourceNetwork for SharedBusNetwork {
             self.request_cycle_by_lists(pending, rng, out);
             return;
         }
-        // Candidates live in u64 lanes; arbitration is a parallel-prefix
-        // select instead of a candidate-list scan.
-        let mut mask = std::mem::take(&mut self.scratch);
-        for (b, bus) in self.buses.iter_mut().enumerate() {
-            let base = b * self.procs_per_bus;
-            pack_bools(&pending[base..base + self.procs_per_bus], &mut mask);
-            let count = count_ones(&mask);
-            if count == 0 {
-                continue;
-            }
-            self.counters.attempts += count as u64;
-            if !bus.bus_up || bus.transmitting || !self.pool.has_free(b) {
-                self.counters.rejections += count as u64;
-                continue;
-            }
-            let winner = bus
-                .arbiter
-                .pick_packed(&mask, count, rng)
-                .expect("count > 0");
-            self.counters.rejections += count as u64 - 1;
-            bus.transmitting = true;
-            out.push(Grant {
-                processor: base + winner,
-                port: b,
-            });
+        let mut packed = std::mem::take(&mut self.packed);
+        rsin_bitslice::pack_bools(pending, &mut packed);
+        self.arbitrate(&packed, rng, out);
+        self.packed = packed;
+    }
+
+    fn request_cycle_pending(
+        &mut self,
+        pending: PendingSet<'_>,
+        rng: &mut SimRng,
+        out: &mut Vec<Grant>,
+    ) {
+        #[cfg(test)]
+        if self.list_oracle {
+            self.request_cycle_into(pending.bools, rng, out);
+            return;
         }
-        self.scratch = mask;
+        assert_eq!(
+            pending.words.len(),
+            words_for(self.processors()),
+            "pending vector size"
+        );
+        out.clear();
+        self.arbitrate(pending.words, rng, out);
     }
 
     fn end_transmission(&mut self, grant: Grant) {
         let bus = &mut self.buses[grant.port];
         debug_assert!(bus.transmitting, "no transmission in progress");
         bus.transmitting = false;
+        self.refresh_idle(grant.port);
         self.pool.occupy(grant.port);
     }
 
@@ -207,6 +269,7 @@ impl ResourceNetwork for SharedBusNetwork {
         // The transmission on the bus, if any, was bound for this pool;
         // the simulator requeues it with the other casualties.
         self.buses[port].transmitting = false;
+        self.refresh_idle(port);
         self.counters.resource_failures += 1;
         true
     }
@@ -228,6 +291,7 @@ impl ResourceNetwork for SharedBusNetwork {
             return false;
         }
         bus.bus_up = false;
+        self.refresh_idle(element);
         self.counters.element_failures += 1;
         true
     }
@@ -240,6 +304,7 @@ impl ResourceNetwork for SharedBusNetwork {
             return false;
         }
         bus.bus_up = true;
+        self.refresh_idle(element);
         self.counters.element_repairs += 1;
         true
     }
@@ -258,6 +323,8 @@ impl ResourceNetwork for SharedBusNetwork {
 }
 
 /// Test oracle: the candidate-list arbitration the packed path replaces.
+/// It visits every bus and reads only `bus_up`, `transmitting` and the
+/// pool's scalar `has_free` — never the idle-bus mask.
 #[cfg(test)]
 impl SharedBusNetwork {
     /// The same network arbitrating through [`Arbiter::pick`] on explicit
@@ -391,80 +458,128 @@ mod tests {
         assert_eq!(net.total_resources(), 32);
     }
 
+    const POLICIES: [Arbitration; 3] = [
+        Arbitration::FixedPriority,
+        Arbitration::Random,
+        Arbitration::RoundRobin,
+    ];
+
+    /// The one value three networks agree on.
+    fn agreed<T: PartialEq + std::fmt::Debug>([a, b, c]: [T; 3]) -> T {
+        assert_eq!(a, c, "bools path vs oracle");
+        assert_eq!(b, c, "words path vs oracle");
+        a
+    }
+
     /// Packed arbitration must match the candidate-list oracle through the
-    /// whole network surface — grants, counters, and rng consumption —
-    /// under a chaotic mix of requests, completions, and faults.
+    /// whole network surface — grants, counters, and rng consumption — on
+    /// both entry points (`&[bool]`, and hand-packed words through
+    /// `request_cycle_pending`), under a chaotic mix of requests,
+    /// completions, and bus and pool outages that outlast a cycle. The
+    /// geometries (buses × processors per bus) give an idle-bus mask that
+    /// spans words (67 buses) and buses that straddle pending words.
     #[test]
     fn packed_arbitration_matches_list_oracle_through_the_network_surface() {
-        for policy in [
-            Arbitration::FixedPriority,
-            Arbitration::Random,
-            Arbitration::RoundRobin,
-        ] {
-            // 2 buses × 70 processors: multi-word candidate masks.
-            let mut fast = SharedBusNetwork::new(2, 70, 3, policy);
-            let mut slow = SharedBusNetwork::new(2, 70, 3, policy).list_oracle();
-            let mut rng_a = SimRng::new(97);
-            let mut rng_b = SimRng::new(97);
-            let mut lcg = 0xb0b0u64;
-            let mut step = move || {
-                lcg = lcg
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (lcg >> 33) as usize
-            };
-            let mut live: Vec<Grant> = Vec::new();
-            for _ in 0..400 {
-                match step() % 10 {
-                    0..=5 => {
-                        let mut pending = vec![false; 140];
-                        for p in &mut pending {
-                            *p = step() % 3 == 0;
+        for (buses, width) in [(2, 70), (67, 3), (3, 70), (5, 100)] {
+            for policy in POLICIES {
+                let p = buses * width;
+                let mut nets = [
+                    SharedBusNetwork::new(buses, width, 3, policy),
+                    SharedBusNetwork::new(buses, width, 3, policy),
+                    SharedBusNetwork::new(buses, width, 3, policy).list_oracle(),
+                ];
+                let mut rngs = [SimRng::new(97), SimRng::new(97), SimRng::new(97)];
+                let mut lcg = 0xb0b0u64 ^ p as u64;
+                let mut step = move || {
+                    lcg = lcg
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (lcg >> 33) as usize
+                };
+                let mut out: [Vec<Grant>; 3] = Default::default();
+                let (mut transmitting, mut serving) = (Vec::<Grant>::new(), Vec::<Grant>::new());
+                let types = vec![0; p];
+                for _ in 0..600 {
+                    match step() % 12 {
+                        0..=5 => {
+                            let mut pending: Vec<bool> = (0..p).map(|_| step() % 3 == 0).collect();
+                            // A processor holds at most one circuit.
+                            for g in &transmitting {
+                                pending[g.processor] = false;
+                            }
+                            let mut words = vec![0; words_for(p)];
+                            for i in (0..p).filter(|&i| pending[i]) {
+                                set_bit(&mut words, i);
+                            }
+                            let [a, b, c] = &mut nets;
+                            let [ra, rb, rc] = &mut rngs;
+                            let [oa, ob, oc] = &mut out;
+                            a.request_cycle_into(&pending, ra, oa);
+                            b.request_cycle_pending(
+                                PendingSet {
+                                    bools: &pending,
+                                    words: &words,
+                                    types: &types,
+                                },
+                                rb,
+                                ob,
+                            );
+                            c.request_cycle_into(&pending, rc, oc);
+                            transmitting.extend(agreed(out.clone()));
                         }
-                        let ga = fast.request_cycle(&pending, &mut rng_a);
-                        let gb = slow.request_cycle(&pending, &mut rng_b);
-                        assert_eq!(ga, gb, "{policy:?} grants diverged");
-                        live.extend(ga);
-                    }
-                    6 => {
-                        if !live.is_empty() {
-                            let g = live.swap_remove(step() % live.len());
-                            fast.end_transmission(g);
-                            slow.end_transmission(g);
-                            fast.end_service(g);
-                            slow.end_service(g);
+                        6 | 7 => {
+                            for g in std::mem::take(&mut transmitting) {
+                                if step() % 2 == 0 {
+                                    nets.iter_mut().for_each(|n| n.end_transmission(g));
+                                    serving.push(g);
+                                } else {
+                                    transmitting.push(g);
+                                }
+                            }
                         }
-                    }
-                    7 => {
-                        let b = step() % 2;
-                        assert_eq!(fast.fail_element(b), slow.fail_element(b));
-                        assert_eq!(fast.repair_element(b), slow.repair_element(b));
-                    }
-                    _ => {
-                        let b = step() % 2;
-                        let failed = fast.fail_resource(b);
-                        assert_eq!(failed, slow.fail_resource(b));
-                        if failed {
-                            live.retain(|g| g.port != b);
+                        8 => {
+                            for g in std::mem::take(&mut serving) {
+                                if step() % 2 == 0 {
+                                    nets.iter_mut().for_each(|n| n.end_service(g));
+                                } else {
+                                    serving.push(g);
+                                }
+                            }
                         }
-                        assert_eq!(fast.repair_resource(b), slow.repair_resource(b));
+                        9 => {
+                            let b = step() % buses;
+                            if step() % 2 == 0 {
+                                agreed(nets.each_mut().map(|n| n.fail_element(b)));
+                            } else {
+                                agreed(nets.each_mut().map(|n| n.repair_element(b)));
+                            }
+                        }
+                        _ => {
+                            let b = step() % buses;
+                            if step() % 2 == 1 {
+                                agreed(nets.each_mut().map(|n| n.repair_resource(b)));
+                            } else if agreed(nets.each_mut().map(|n| n.fail_resource(b))) {
+                                // The pool's circuits and busy resources
+                                // are gone with it.
+                                transmitting.retain(|g| g.port != b);
+                                serving.retain(|g| g.port != b);
+                            }
+                        }
                     }
                 }
+                agreed(nets.each_mut().map(|n| n.take_counters()));
+                agreed(rngs.each_mut().map(|r| r.next_u64()));
             }
-            assert_eq!(fast.take_counters(), slow.take_counters(), "{policy:?}");
         }
     }
 
     /// The whole-DES check: every arbitration, healthy and under faults,
-    /// must yield a bit-identical run on the packed path and the oracle.
+    /// must yield a bit-identical run on the packed path (which the
+    /// simulator feeds through `request_cycle_pending`) and the oracle.
     #[test]
     fn des_runs_match_list_oracle() {
         use rsin_core::equivalence::{faulted_fingerprint, healthy_fingerprint};
-        for arb in [
-            Arbitration::FixedPriority,
-            Arbitration::Random,
-            Arbitration::RoundRobin,
-        ] {
+        for arb in POLICIES {
             let net = || SharedBusNetwork::new(2, 3, 2, arb);
             assert_eq!(
                 healthy_fingerprint(&mut net()),
@@ -476,6 +591,82 @@ mod tests {
                 faulted_fingerprint(&mut net().list_oracle()),
                 "{arb:?} faulted"
             );
+        }
+    }
+
+    /// Healthy and faulted fingerprints of a run at 80 % of what each bus
+    /// carries (its bus or its pool, whichever is slower). In the faulted
+    /// run the first and last pools and the middle bus flap.
+    fn carried_load_fingerprints(
+        net: impl Fn() -> SharedBusNetwork,
+    ) -> (Vec<u64>, Result<Vec<u64>, String>) {
+        use rsin_core::equivalence::fingerprint;
+        use rsin_core::{simulate, simulate_faulty, FaultOptions, SimOptions, Workload};
+        use rsin_des::{FaultPlan, FaultTarget, StochasticFault};
+        let probe = net();
+        let (buses, width, r) = (probe.buses(), probe.procs_per_bus, probe.pool.capacity(0));
+        let lambda = 0.8 * f64::from(r).min(10.0) / width as f64;
+        let workload = Workload::new(lambda, 10.0, 1.0).expect("valid workload");
+        let opts = SimOptions {
+            warmup_tasks: 100,
+            measured_tasks: 1_500,
+        };
+        let healthy = fingerprint(&simulate(
+            &mut net(),
+            &workload,
+            &opts,
+            &mut SimRng::new(42),
+        ));
+        let plan = [
+            FaultTarget::Resource(0),
+            FaultTarget::Resource(buses - 1),
+            FaultTarget::Element(buses / 2),
+        ]
+        .into_iter()
+        .fold(FaultPlan::new(), |plan, target| {
+            plan.stochastic(StochasticFault {
+                target,
+                mtbf: 0.5,
+                mttr: 0.2,
+            })
+        });
+        let faulted = simulate_faulty(
+            &mut net(),
+            &workload,
+            &opts,
+            &plan,
+            &FaultOptions::default(),
+            &mut SimRng::new(7),
+        )
+        .map(|report| {
+            let c = report.counters;
+            assert!(
+                c.resource_failures > 0 && c.element_failures > 0,
+                "no fault fired"
+            );
+            fingerprint(&report)
+        })
+        .map_err(|e| e.to_string());
+        (healthy, faulted)
+    }
+
+    /// The whole-DES check on wide systems: an idle-bus mask that spans
+    /// words (67 buses), buses that straddle pending words (70 and 100
+    /// processors), and the 64×16 r12 system the p = 1024 provisioning
+    /// search confirms.
+    #[test]
+    fn wide_des_runs_match_list_oracle() {
+        for (buses, width, r) in [(67, 3, 2), (3, 70, 4), (5, 100, 8), (64, 16, 12)] {
+            for arb in POLICIES {
+                let net = || SharedBusNetwork::new(buses, width, r, arb);
+                let (healthy, faulted) = carried_load_fingerprints(net);
+                let (oracle_healthy, oracle_faulted) =
+                    carried_load_fingerprints(|| net().list_oracle());
+                let at = format!("{arb:?} {buses}x{width} r{r}");
+                assert_eq!(healthy, oracle_healthy, "{at} healthy");
+                assert!(faulted.is_ok(), "{at}: {faulted:?}");
+                assert_eq!(faulted, oracle_faulted, "{at} faulted");
+            }
         }
     }
 

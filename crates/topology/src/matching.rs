@@ -14,8 +14,11 @@
 //!   exponential: practical only when few processors request simultaneously.
 //! * [`greedy_allocation`] — first-fit heuristic, linear in requests ×
 //!   resources; what a simple hardware allocator would do.
+//!
+//! All three hold their circuits in a one-lane [`LinkFabric`], as the
+//! simulated networks do.
 
-use crate::multistage::{Multistage, Route};
+use crate::multistage::{LinkFabric, Multistage};
 
 /// The outcome of a matching attempt.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,15 +49,15 @@ impl Allocation {
 /// Panics if any port index is out of range for the network.
 #[must_use]
 pub fn mapping_is_conflict_free(net: &dyn Multistage, pairs: &[(usize, usize)]) -> bool {
-    let routes: Vec<Route> = pairs.iter().map(|&(s, d)| net.route(s, d)).collect();
-    for i in 0..routes.len() {
-        for j in (i + 1)..routes.len() {
-            if routes[i].conflicts_with(&routes[j]) {
-                return false;
-            }
+    let mut held = LinkFabric::new(net, 1, 1);
+    pairs.iter().all(|&(s, d)| {
+        let route = net.route(s, d);
+        let free = held.route_free(0, &route);
+        if free {
+            held.claim(0, &route);
         }
-    }
-    true
+        free
+    })
 }
 
 /// Exhaustive optimal matching: the maximum number of requesting processors
@@ -79,7 +82,7 @@ pub fn max_allocation(
         requesters: &'a [usize],
         free_ports: &'a [usize],
         used: Vec<bool>,
-        routes: Vec<Route>,
+        held: LinkFabric,
         pairs: Vec<(usize, usize)>,
         best: Vec<(usize, usize)>,
     }
@@ -101,15 +104,15 @@ pub fn max_allocation(
                     continue;
                 }
                 let route = self.net.route(src, self.free_ports[j]);
-                if self.routes.iter().any(|r| r.conflicts_with(&route)) {
+                if !self.held.route_free(0, &route) {
                     continue;
                 }
                 self.used[j] = true;
-                self.routes.push(route);
+                self.held.claim(0, &route);
                 self.pairs.push((src, self.free_ports[j]));
                 self.recurse(i + 1);
                 self.pairs.pop();
-                self.routes.pop();
+                self.held.release(0, &route);
                 self.used[j] = false;
             }
             // Also consider leaving this requester unserved.
@@ -122,7 +125,7 @@ pub fn max_allocation(
         requesters,
         free_ports,
         used: vec![false; free_ports.len()],
-        routes: Vec::new(),
+        held: LinkFabric::new(net, 1, 1),
         pairs: Vec::new(),
         best: Vec::new(),
     };
@@ -144,7 +147,7 @@ pub fn greedy_allocation(
     free_ports: &[usize],
 ) -> Allocation {
     let mut used = vec![false; free_ports.len()];
-    let mut routes: Vec<Route> = Vec::new();
+    let mut held = LinkFabric::new(net, 1, 1);
     let mut pairs = Vec::new();
     for &src in requesters {
         for (j, &port) in free_ports.iter().enumerate() {
@@ -152,11 +155,11 @@ pub fn greedy_allocation(
                 continue;
             }
             let route = net.route(src, port);
-            if routes.iter().any(|r| r.conflicts_with(&route)) {
+            if !held.route_free(0, &route) {
                 continue;
             }
             used[j] = true;
-            routes.push(route);
+            held.claim(0, &route);
             pairs.push((src, port));
             break;
         }
@@ -167,7 +170,62 @@ pub fn greedy_allocation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multistage::OmegaTopology;
+    use crate::multistage::{CubeTopology, OmegaTopology, Route};
+
+    /// Whether some two of `pairs`' routes share a link, by pairwise scan.
+    fn pairwise_conflict(net: &dyn Multistage, pairs: &[(usize, usize)]) -> bool {
+        let routes: Vec<Route> = pairs.iter().map(|&(s, d)| net.route(s, d)).collect();
+        (0..routes.len())
+            .any(|i| (i + 1..routes.len()).any(|j| routes[i].conflicts_with(&routes[j])))
+    }
+
+    /// The held-link fabric must decide exactly as the pairwise route scan:
+    /// for whole mappings, and for first-fit matching step by step.
+    #[test]
+    fn fabric_matches_the_pairwise_route_oracle() {
+        let mut seed = 0x3a7cu64;
+        let mut next = move |n: usize| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as usize % n
+        };
+        let nets: [Box<dyn Multistage>; 4] = [
+            Box::new(OmegaTopology::new(8).expect("8x8")),
+            Box::new(OmegaTopology::new(16).expect("16x16")),
+            Box::new(CubeTopology::new(8).expect("8x8")),
+            Box::new(CubeTopology::new(16).expect("16x16")),
+        ];
+        for net in &nets {
+            let n = net.size();
+            for _ in 0..300 {
+                let pairs: Vec<(usize, usize)> =
+                    (0..1 + next(5)).map(|_| (next(n), next(n))).collect();
+                assert_eq!(
+                    mapping_is_conflict_free(net.as_ref(), &pairs),
+                    !pairwise_conflict(net.as_ref(), &pairs),
+                    "{pairs:?}"
+                );
+                let requesters: Vec<usize> = (0..n).filter(|_| next(2) == 0).collect();
+                let free: Vec<usize> = (0..n).filter(|_| next(2) == 0).collect();
+                let mut want: Vec<(usize, usize)> = Vec::new();
+                for &src in &requesters {
+                    let taken = |port| want.iter().any(|&(_, d)| d == port);
+                    if let Some(&port) = free.iter().find(|&&port| {
+                        let mut with = want.clone();
+                        with.push((src, port));
+                        !taken(port) && !pairwise_conflict(net.as_ref(), &with)
+                    }) {
+                        want.push((src, port));
+                    }
+                }
+                assert_eq!(
+                    greedy_allocation(net.as_ref(), &requesters, &free).pairs,
+                    want
+                );
+            }
+        }
+    }
 
     /// The paper's Section II example: 8×8 Omega, processors 0,1,2
     /// requesting, resources 0,1,2 available.
