@@ -638,12 +638,6 @@ fn main() {
         Vec::new()
     };
 
-    let (prov_hits, prov_misses) = (prov_report.cache_hits, prov_report.cache_misses);
-    let prov_hit_rate = if prov_hits + prov_misses == 0 {
-        0.0
-    } else {
-        prov_hits as f64 / (prov_hits + prov_misses) as f64
-    };
     let resilience = resilience_rows.iter().map(|&(name, healthy, degraded)| {
         (
             name,
@@ -683,8 +677,8 @@ fn main() {
             ]),
         ),
         // Informational only (not gated): search wall time varies by host;
-        // the counters describe the optimizer's pruning and caching
-        // behavior on a fixed 16-processor shared-bus probe.
+        // the counters describe the optimizer's pruning on a fixed
+        // 16-processor shared-bus probe.
         (
             "provisioning",
             Value::object([
@@ -696,7 +690,6 @@ fn main() {
                     "pruned_fraction",
                     Value::fixed(prov_report.pruned_fraction(), 3),
                 ),
-                ("solver_cache_hit_rate", Value::fixed(prov_hit_rate, 3)),
             ]),
         ),
         ("kernels_ns_per_iter", table(&kernel_rows, 1)),

@@ -11,7 +11,7 @@ use crate::quality::RunQuality;
 use rsin_core::experiment::{Experiment, Series};
 use rsin_core::{estimate_delay_jobs, ResourceNetwork, SystemConfig, Workload};
 use rsin_omega::{Admission, OmegaNetwork};
-use rsin_queueing::{solve_shared_bus_cached, traffic, Mm1, SharedBusParams};
+use rsin_queueing::{traffic, Mm1, SharedBusChain, SharedBusParams};
 use rsin_sbus::Arbitration;
 use rsin_sbus::SharedBusNetwork;
 use rsin_xbar::{CrossbarNetwork, CrossbarPolicy};
@@ -54,21 +54,21 @@ pub fn workload_at(rho: f64, ratio: f64) -> Workload {
 /// `16/partitions` processors and `32/partitions` resources... generalized
 /// to explicit `procs_per_bus`/`resources_per_bus`.
 ///
-/// Solves through the process-wide solution cache: the same series shows up
-/// on several figures (e.g. the `SBUS/2` curve on Figs. 4 and 12), and a
-/// cache hit returns the stored solution verbatim, so the emitted artifacts
-/// stay byte-identical to uncached solves.
+/// Every point is a cold chain solve that depends only on its parameters,
+/// so a series shown on several figures (e.g. the `SBUS/2` curve on Figs. 4
+/// and 12) prints the same bytes on each.
 fn sbus_series(label: &str, procs_per_bus: u32, resources_per_bus: u32, ratio: f64) -> Series {
     let mut s = Series::new(label);
     for rho in rho_grid() {
         let w = workload_at(rho, ratio);
-        match solve_shared_bus_cached(SharedBusParams {
+        let params = SharedBusParams {
             processors: procs_per_bus,
             resources: resources_per_bus,
             lambda: w.lambda(),
             mu_n: w.mu_n(),
             mu_s: w.mu_s(),
-        }) {
+        };
+        match SharedBusChain::new(params).and_then(|c| c.solve()) {
             Ok(sol) => s.push(rho, sol.normalized_delay),
             Err(_) => break, // saturated: the curve ends here, like the figure
         }

@@ -272,10 +272,6 @@ pub struct LegSummary {
     pub total_configs: u64,
     /// Configurations pruned by monotone inference.
     pub pruned: u64,
-    /// Shared-bus cache hits during the leg.
-    pub cache_hits: u64,
-    /// Shared-bus cache misses during the leg.
-    pub cache_misses: u64,
     /// Whether the DES confirmation (if run) found the winner meeting its
     /// delay target. This is the pass/fail signal: the analytic search
     /// decomposes multi-bus systems into independent per-bus chains, which
@@ -392,10 +388,6 @@ pub fn leg_text(cfg: &ProvisionConfig, p: u32, report: &SearchReport) -> String 
         report.pruned_dominated,
         report.pruned_fraction()
     ));
-    // Cache hit/miss counts are deliberately absent here: the solve cache
-    // is process-global, so they depend on which legs ran in the same
-    // process — an artifact resumed after a crash must still be
-    // byte-identical to one from an uninterrupted run.
     t.push_str(&format!(
         "evaluator: {} analytic, {} DES, {} guard-rejected\n",
         report.eval.analytic, report.eval.des, report.eval.guarded,
@@ -446,8 +438,6 @@ pub fn run(cfg: &ProvisionConfig) -> Result<ProvisionSummary, HarnessError> {
                 evaluated: 0,
                 total_configs: 0,
                 pruned: 0,
-                cache_hits: 0,
-                cache_misses: 0,
                 confirmed: None,
                 agrees: None,
             });
@@ -468,8 +458,6 @@ pub fn run(cfg: &ProvisionConfig) -> Result<ProvisionSummary, HarnessError> {
             evaluated: report.evaluated,
             total_configs: report.total_configs,
             pruned: report.pruned_infeasible + report.pruned_dominated,
-            cache_hits: report.cache_hits,
-            cache_misses: report.cache_misses,
             confirmed: report.confirmation.map(|c| c.meets_target),
             agrees: report.confirmation.map(|c| c.agrees_with_search),
         });

@@ -11,7 +11,7 @@ use rsin_core::{estimate_delay, SystemConfig};
 use rsin_des::SimRng;
 use rsin_omega::blocking::{run_blocking_experiment, BlockingExperiment, BlockingResult};
 use rsin_omega::{Admission, OmegaNetwork, OmegaState, Placement, StatusFreshness, Wiring};
-use rsin_queueing::{solve_shared_bus_cached, SharedBusParams};
+use rsin_queueing::{SharedBusChain, SharedBusParams};
 use rsin_sbus::{Arbitration, SharedBusNetwork};
 use rsin_topology::{matching, OmegaTopology};
 use rsin_xbar::{Cell, CrossbarNetwork, CrossbarPolicy, Mode};
@@ -97,13 +97,14 @@ pub fn section6_comparison(ratio: f64, rho: f64, quality: &RunQuality) -> Vec<Co
     let opts = quality.sim_options();
     let mut rows = Vec::new();
 
-    let chain = solve_shared_bus_cached(SharedBusParams {
+    let chain = SharedBusChain::new(SharedBusParams {
         processors: 1,
         resources: 3,
         lambda: w.lambda(),
         mu_n: w.mu_n(),
         mu_s: w.mu_s(),
-    });
+    })
+    .and_then(|c| c.solve());
     if let Ok(sol) = chain {
         rows.push(ComparisonRow {
             config: "16/16x1x1 SBUS/3".into(),

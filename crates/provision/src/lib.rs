@@ -9,9 +9,9 @@
 //!   thousands of processors enumerate safely.
 //! - [`cost`]: Table-I switch-point/bus-tap hardware counts and a
 //!   user-overridable unit-price model.
-//! - [`slo`]: the delay evaluator — analytic chains (warm-started and
-//!   cached) where they exist, parallel DES where they don't, with a
-//!   saturation guard in front of both.
+//! - [`slo`]: the delay evaluator — analytic chains (cold shared-bus
+//!   solves, π-chained small crossbars) where they exist, parallel DES
+//!   where they don't, with a saturation guard in front of both.
 //! - [`search`](mod@search): guided coordinate descent per shape with monotone
 //!   pruning on the `r` axis, Pareto frontier output, DES confirmation of
 //!   the winner, and an optional degraded-mode recheck.

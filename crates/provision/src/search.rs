@@ -29,7 +29,6 @@ use crate::slo::{
 use crate::topo::{classic, CandidateTopology, ClusteredXbar, MultiLaneOmega};
 use rsin_core::{simulate_faulty, ConfigError, FaultOptions, NetworkKind};
 use rsin_des::{replicate_par, FaultPlan, FaultTarget, SimRng, SimTime};
-use rsin_queueing::shared_bus_cache_stats;
 use std::collections::BTreeSet;
 
 /// A topology family the search can explore.
@@ -215,10 +214,6 @@ pub struct SearchReport {
     pub pruned_examples: Vec<CandidateTopology>,
     /// Evaluator dispatch counters.
     pub eval: EvalCounters,
-    /// Shared-bus cache hits observed during this search.
-    pub cache_hits: u64,
-    /// Shared-bus cache misses observed during this search.
-    pub cache_misses: u64,
 }
 
 impl SearchReport {
@@ -608,7 +603,6 @@ pub fn search(spec: &SearchSpec) -> Result<SearchReport, ConfigError> {
             ),
         });
     }
-    let cache_before = shared_bus_cache_stats();
     let mut ev = Evaluator::new(profile, spec.quality);
     let mut candidates = Vec::new();
     let mut total_configs = 0u64;
@@ -661,7 +655,6 @@ pub fn search(spec: &SearchSpec) -> Result<SearchReport, ConfigError> {
         )),
         _ => None,
     };
-    let cache_after = shared_bus_cache_stats();
     Ok(SearchReport {
         processors: spec.processors,
         target: spec.target,
@@ -675,8 +668,6 @@ pub fn search(spec: &SearchSpec) -> Result<SearchReport, ConfigError> {
         pruned_dominated,
         pruned_examples,
         eval: ev.counters(),
-        cache_hits: cache_after.hits - cache_before.hits,
-        cache_misses: cache_after.misses - cache_before.misses,
     })
 }
 

@@ -5,10 +5,8 @@
 //! only where no chain covers the topology:
 //!
 //! * **SBUS** partitions are exact shared-bus chains
-//!   ([`rsin_queueing::SharedBusChain`]), solved cold through
-//!   [`rsin_queueing::solve_shared_bus_cached`], so a point revisited by
-//!   this or a later search in the same process is answered verbatim from
-//!   the cache.
+//!   ([`rsin_queueing::SharedBusChain`]), each solved cold, so a
+//!   solution depends only on its parameters.
 //! * **XBAR** partitions with `k ≤ 3` output buses are exact small-`m`
 //!   chains ([`rsin_queueing::SmallCrossbarChain`]) with π-vector seed
 //!   threading.
@@ -30,7 +28,7 @@ use rsin_core::{
 };
 use rsin_omega::{Admission, OmegaNetwork};
 use rsin_queueing::{
-    solve_shared_bus_cached, traffic, SharedBusParams, SmallCrossbarChain, SmallCrossbarParams,
+    traffic, SharedBusChain, SharedBusParams, SmallCrossbarChain, SmallCrossbarParams,
     SmallCrossbarSeed, SolveError,
 };
 use rsin_sbus::{Arbitration, SharedBusNetwork};
@@ -310,7 +308,7 @@ impl Evaluator {
             mu_s: self.profile.mu_s,
         };
         self.counters.analytic += 1;
-        match solve_shared_bus_cached(params) {
+        match SharedBusChain::new(params).and_then(|c| c.solve()) {
             Ok(sol) => DelayOutcome::Value(DelayValue {
                 normalized_delay: sol.normalized_delay,
                 half_width: 0.0,

@@ -1,15 +1,13 @@
-//! A repeated shared-bus search is answered from the solution cache.
+//! A repeated shared-bus search reproduces its frontier bit for bit.
 //!
-//! Every shared-bus chain solve is cold and retained, so a second,
-//! identical search in the same process solves nothing: it finds every
-//! point in the cache and reproduces the first frontier bit for bit. This
-//! file holds a single test so that no other search shares the
-//! process-wide cache counters while it runs.
+//! Every shared-bus chain solve is cold and depends only on its
+//! parameters, so a second, identical search in the same process gives
+//! the first frontier back exactly: the same topologies, costs and delays.
 
 use rsin_provision::{search, EvalQuality, Family, SearchSpec};
 
 #[test]
-fn repeated_p1024_sbus_search_hits_the_cache_every_time() {
+fn repeated_p1024_sbus_search_reproduces_the_frontier() {
     let mut spec = SearchSpec::new(1024, 0.3, 0.1, 1.0).expect("valid spec");
     spec.families = vec![Family::Sbus];
     spec.max_resources_per_port = 64;
@@ -30,7 +28,4 @@ fn repeated_p1024_sbus_search_hits_the_cache_every_time() {
             b.delay.normalized_delay.to_bits()
         );
     }
-    assert!(first.cache_misses > 0, "the first search solves cold");
-    assert_eq!(second.cache_misses, 0, "every point is retained");
-    assert_eq!(second.cache_hits, first.cache_hits + first.cache_misses);
 }

@@ -42,7 +42,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod approx;
-mod cache;
 mod error;
 mod linalg;
 mod markov;
@@ -53,7 +52,6 @@ mod sbus;
 pub mod traffic;
 mod xbar_chain;
 
-pub use cache::{shared_bus_cache_stats, solve_shared_bus_cached, CacheStats};
 pub use error::SolveError;
 pub use markov::{Ctmc, Transition};
 pub use mm1::Mm1;

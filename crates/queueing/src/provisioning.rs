@@ -10,10 +10,9 @@
 //! * the **fewest partitions** of a processor pool that meet the target with
 //!   a fixed total resource budget.
 
-use crate::cache::solve_shared_bus_cached;
 use crate::error::SolveError;
 use crate::mm1::Mm1;
-use crate::sbus::SharedBusParams;
+use crate::sbus::{SharedBusChain, SharedBusParams};
 
 /// Result of a sizing search.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -63,15 +62,14 @@ pub fn min_resources_for_delay(
         }
     }
     for r in 1..=max_r {
-        // The cached solve makes repeated searches over overlapping ranges
-        // (and the figure/table paths hitting the same points) free.
-        let sol = match solve_shared_bus_cached(SharedBusParams {
+        let params = SharedBusParams {
             processors,
             resources: r,
             lambda,
             mu_n,
             mu_s,
-        }) {
+        };
+        let sol = match SharedBusChain::new(params).and_then(|c| c.solve()) {
             Ok(sol) => sol,
             Err(SolveError::Unstable { .. }) => continue,
             Err(e) => return Err(e),
@@ -113,13 +111,14 @@ pub fn min_partitions_for_delay(
         if !processors.is_multiple_of(parts) || !total_resources.is_multiple_of(parts) {
             continue;
         }
-        let sol = match solve_shared_bus_cached(SharedBusParams {
+        let params = SharedBusParams {
             processors: processors / parts,
             resources: total_resources / parts,
             lambda,
             mu_n,
             mu_s,
-        }) {
+        };
+        let sol = match SharedBusChain::new(params).and_then(|c| c.solve()) {
             Ok(sol) => sol,
             Err(SolveError::Unstable { .. }) => continue,
             Err(e) => return Err(e),
@@ -139,7 +138,6 @@ pub fn min_partitions_for_delay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sbus::SharedBusChain;
 
     #[test]
     fn more_demanding_targets_need_more_resources() {

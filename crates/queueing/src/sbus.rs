@@ -38,9 +38,8 @@
 //!
 //! Every solve is cold and standalone: the `R` iteration always starts from
 //! zero and the stage recursion always starts at `q = 4`, so a solution
-//! depends only on its parameters. Repeated points are deduplicated by
-//! [`solve_shared_bus_cached`](crate::solve_shared_bus_cached), never by
-//! reusing a neighbour's state.
+//! depends only on its parameters. Nothing is retained between solves: a
+//! repeated point is solved again and gives the same bits.
 
 use crate::error::SolveError;
 use crate::linalg::{solve_linear, Mat};

@@ -1,16 +1,11 @@
-//! Crossbar π chaining agrees with cold solves, and the shared-bus cache
-//! is transparent.
+//! Crossbar π chaining agrees with cold solves.
 //!
 //! π chaining in the small-crossbar chain only accelerates iteration
 //! toward a unique fixed point, so a warm result matches the cold result
 //! to tolerance and a seed from another state-space shape is ignored.
-//! The shared-bus chain has no warm path: every solve is cold, and a
-//! cache hit is bit for bit what a fresh chain returns.
+//! The shared-bus chain has no warm path: every solve is cold.
 
-use rsin_queueing::{
-    solve_shared_bus_cached, traffic, SharedBusChain, SharedBusParams, SmallCrossbarChain,
-    SmallCrossbarParams,
-};
+use rsin_queueing::{SmallCrossbarChain, SmallCrossbarParams};
 
 fn rel_err(a: f64, b: f64) -> f64 {
     (a - b).abs() / b.abs().max(1e-300)
@@ -83,26 +78,4 @@ fn xbar_warm_seed_transfers_only_at_equal_shape() {
     let (unseeded_c, _) = chain_c.solve_seeded(None).expect("unseeded");
     let (warm_c, _) = chain_c.solve_seeded(Some(&seed_a)).expect("warm");
     assert_eq!(warm_c, unseeded_c, "mismatched shape must ignore the seed");
-}
-
-#[test]
-fn cache_returns_what_a_fresh_chain_returns() {
-    // Satellite contract: the solution cache is transparent — a hit is the
-    // exact value a fresh chain would produce.
-    for rho in [0.05, 0.3, 0.6] {
-        let lambda = traffic::lambda_for_intensity(16, 32, rho, 1.0, 0.1);
-        let params = SharedBusParams {
-            processors: 2,
-            resources: 4,
-            lambda,
-            mu_n: 1.0,
-            mu_s: 0.1,
-        };
-        let fresh = SharedBusChain::new(params)
-            .expect("stable")
-            .solve()
-            .expect("solves");
-        assert_eq!(solve_shared_bus_cached(params).expect("ok"), fresh);
-        assert_eq!(solve_shared_bus_cached(params).expect("ok"), fresh, "hit");
-    }
 }
