@@ -239,10 +239,18 @@ fn resume_ignores_a_manifest_from_a_different_quality_preset() {
 
 #[test]
 fn stalled_first_attempt_is_abandoned_and_the_retry_succeeds() {
+    // A first pass at the default deadlines computes the suite, and fig11's
+    // artifact is deleted, so the stalled pass resumes everything else and
+    // recomputes only fig11. fig11 is a pure text task that normally
+    // finishes in microseconds, so the short hard deadline only ever bites
+    // the injected stall, however busy the host.
     let dir = test_dir("stall_retry");
+    let first = rsin_bench::harness::run_resilient(&config_in(&dir, 4));
+    assert!(first.failure_lines().is_empty(), "first pass is clean");
+    std::fs::remove_file(dir.join("fig11.txt")).expect("fig11 artifact");
+
     let mut cfg = config_in(&dir, 4);
-    // fig11 is a pure text task that normally finishes in microseconds, so
-    // a short hard deadline only ever bites the injected stall.
+    cfg.resume = true;
     cfg.chaos = Arc::new(ChaosPlan::none().with_stall("fig11"));
     cfg.soft_deadline = Duration::from_millis(500);
     cfg.hard_deadline = Duration::from_secs(3);
@@ -250,6 +258,7 @@ fn stalled_first_attempt_is_abandoned_and_the_retry_succeeds() {
 
     let report = rsin_bench::harness::run_resilient(&cfg);
     assert!(report.failure_lines().is_empty(), "the retry recovers");
+    assert_eq!(report.resumed(), 16, "only fig11 recomputes");
     let fig11 = report
         .tasks
         .iter()

@@ -53,8 +53,11 @@ pub fn digest(words: &[u64]) -> u64 {
         })
 }
 
-/// Fingerprint of a healthy run: load 0.3 per processor, 100 warm-up and
-/// 1 500 measured tasks, seed 42.
+/// Fingerprint of a healthy run: λ = 0.3·p per processor on `p`
+/// processors ([`Workload`]'s λ is each processor's own arrival rate), 100
+/// warm-up and 1 500 measured tasks, seed 42. That saturates the small
+/// pinned networks; check a wide one at a carried load instead, as the
+/// shared-bus and crossbar wide DES tests do.
 ///
 /// # Panics
 ///
@@ -69,10 +72,11 @@ pub fn healthy_fingerprint(net: &mut dyn ResourceNetwork) -> Vec<u64> {
     fingerprint(&simulate(net, &workload, &opts, &mut SimRng::new(42)))
 }
 
-/// Outcome of a faulted run: load 0.25 per processor, 50 warm-up and 800
-/// measured tasks, seed 7, resource 0 failing stochastically (MTBF 2,
-/// MTTR 0.5) and, where the network has fault elements, the middle one too
-/// (MTBF 1.5, MTTR 0.8). A stalled run yields the error message.
+/// Outcome of a faulted run: λ = 0.25·p per processor (saturating, as in
+/// [`healthy_fingerprint`]), 50 warm-up and 800 measured tasks, seed 7,
+/// resource 0 failing stochastically (MTBF 2, MTTR 0.5) and, where the
+/// network has fault elements, the middle one too (MTBF 1.5, MTTR 0.8). A
+/// stalled run yields the error message.
 ///
 /// # Errors
 ///

@@ -1,10 +1,11 @@
 //! The `ResourceNetwork` abstraction: what every RSIN must implement.
 //!
 //! The simulator is network-agnostic. At every decision epoch it hands the
-//! network the set of processors whose head-of-queue task is awaiting a
-//! resource; the network — using whatever distributed scheduling discipline
-//! it implements — returns the set of granted connections. The simulator
-//! then drives each connection through the paper's task lifecycle:
+//! network one [`PendingSet`]: the processors whose head-of-queue task is
+//! awaiting a resource, and the type each requests. The network — using
+//! whatever distributed scheduling discipline it implements — returns the
+//! set of granted connections. The simulator then drives each connection
+//! through the paper's task lifecycle:
 //!
 //! ```text
 //! arrival → queue at processor → [request cycle(s)] → Grant
@@ -32,9 +33,9 @@ pub struct Grant {
 /// The simulator's pending set, carried in two consistent views: one flag
 /// per processor, and the same flags bit-packed 64 per `u64`, LSB-first
 /// (the `rsin-bitslice` lane layout). Lanes past the last processor are
-/// zero. The simulator maintains both views incrementally, so a network
-/// with a packed fast path starts from `words` without re-packing while
-/// everything else reads `bools`.
+/// zero. The simulator maintains both views incrementally; a network reads
+/// whichever suits its arbitration — the bit-sliced ones `words`, the
+/// list-based ones `bools` — and never re-packs.
 ///
 /// It also carries the type number of each pending request — the paper's
 /// multiple-resource-type extension, where "the request and status
@@ -92,9 +93,15 @@ impl NetworkCounters {
 ///   a time — assumption (f));
 /// * an output port carries `r` resources and accepts a new circuit only
 ///   while it has both a free bus/link *and* a free resource;
-/// * the circuit occupies network capacity from [`ResourceNetwork::request_cycle`]
-///   until [`ResourceNetwork::end_transmission`]; the resource stays busy
-///   until [`ResourceNetwork::end_service`].
+/// * the circuit occupies network capacity from the request cycle that
+///   grants it until [`ResourceNetwork::end_transmission`]; the resource
+///   stays busy until [`ResourceNetwork::end_service`].
+///
+/// A network implements one arbitration method,
+/// [`ResourceNetwork::request_cycle_pending`];
+/// [`ResourceNetwork::request_cycle_into`] and
+/// [`ResourceNetwork::request_cycle`] are adapters that pack a `&[bool]`
+/// request vector into a [`PendingSet`] and call it.
 pub trait ResourceNetwork: std::fmt::Debug {
     /// Number of processors (input ports across all partitions).
     fn processors(&self) -> usize;
@@ -102,51 +109,55 @@ pub trait ResourceNetwork: std::fmt::Debug {
     /// Total resources across all partitions.
     fn total_resources(&self) -> usize;
 
-    /// Runs one request cycle.
+    /// Runs one request cycle: the network sees every pending processor
+    /// and the type it requests, and appends the connections it grants to
+    /// `out`. This is the one arbitration entry a network implements; the
+    /// simulator calls it at every decision epoch.
     ///
-    /// `pending[i]` is true when processor `i` has a task awaiting
-    /// allocation. Returns the connections granted this cycle; processors
-    /// not granted remain queued and will be retried at the next epoch (the
-    /// paper's "blocked tasks are … retried as soon as the network indicates
-    /// that free resources are available").
+    /// The contract:
     ///
-    /// Implementations must never grant a processor that is not pending and
-    /// never grant the same processor twice in one cycle.
-    fn request_cycle(&mut self, pending: &[bool], rng: &mut SimRng) -> Vec<Grant>;
-
-    /// Runs one request cycle, writing the grants into a caller-owned buffer.
+    /// * the caller hands `out` empty (the simulator drains it every epoch,
+    ///   the `&[bool]` adapters clear it), and the network only appends;
+    /// * never grant a processor that is not pending, and never grant one
+    ///   twice in a cycle;
+    /// * land each grant on a port whose [`ResourceNetwork::port_type`] is
+    ///   the type the processor requested, `pending.types[processor]`.
     ///
-    /// Semantically identical to [`ResourceNetwork::request_cycle`] (same
-    /// grants, in the same order, with the same RNG consumption), but lets
-    /// the simulator's hot loop reuse one `Vec` across epochs instead of
-    /// allocating a fresh one per decision. The default implementation
-    /// delegates to `request_cycle`; the workspace networks override it to
-    /// write grants directly.
-    fn request_cycle_into(&mut self, pending: &[bool], rng: &mut SimRng, out: &mut Vec<Grant>) {
-        out.clear();
-        out.extend(self.request_cycle(pending, rng));
-    }
-
-    /// Runs one request cycle from a [`PendingSet`] carrying both views of
-    /// the pending processors and their requested types.
-    ///
-    /// For a single-type network it is semantically identical to
-    /// [`ResourceNetwork::request_cycle_into`] on `pending.bools` — same
-    /// grants, same order, same RNG consumption — and that is exactly what
-    /// the default implementation does. Networks whose scheduling fabric is
-    /// bit-sliced override it to feed `pending.words` to the fabric
-    /// directly, skipping the per-epoch re-pack of the request vector.
-    /// Networks hosting several resource types override it to route each
-    /// request by `pending.types`: a grant must land on a port whose
-    /// [`ResourceNetwork::port_type`] is the type requested, and
-    /// `request_cycle`/`request_cycle_into` treat every request as type 0.
+    /// Processors not granted remain queued and are retried at the next
+    /// epoch (the paper's "blocked tasks are … retried as soon as the
+    /// network indicates that free resources are available").
     fn request_cycle_pending(
         &mut self,
         pending: PendingSet<'_>,
         rng: &mut SimRng,
         out: &mut Vec<Grant>,
-    ) {
-        self.request_cycle_into(pending.bools, rng, out);
+    );
+
+    /// [`ResourceNetwork::request_cycle_pending`] from one flag per
+    /// processor, every request of type 0, into a caller-owned buffer whose
+    /// old contents are discarded. Packs the flags once per call, so it
+    /// suits tests and one-off cycles rather than a hot loop.
+    fn request_cycle_into(&mut self, pending: &[bool], rng: &mut SimRng, out: &mut Vec<Grant>) {
+        let mut words = Vec::new();
+        rsin_bitslice::pack_bools(pending, &mut words);
+        let types = vec![0; pending.len()];
+        out.clear();
+        self.request_cycle_pending(
+            PendingSet {
+                bools: pending,
+                words: &words,
+                types: &types,
+            },
+            rng,
+            out,
+        );
+    }
+
+    /// [`ResourceNetwork::request_cycle_into`] into a fresh `Vec`.
+    fn request_cycle(&mut self, pending: &[bool], rng: &mut SimRng) -> Vec<Grant> {
+        let mut out = Vec::new();
+        self.request_cycle_into(pending, rng, &mut out);
+        out
     }
 
     /// Number of resource types the network hosts (1 unless it implements
@@ -275,6 +286,79 @@ mod tests {
         };
         assert!((c.rejection_ratio() - 0.3).abs() < 1e-12);
         assert_eq!(NetworkCounters::default().rejection_ratio(), 0.0);
+    }
+
+    /// Grants every pending processor on port 0 and records what each
+    /// request cycle was handed.
+    #[derive(Debug, Default)]
+    struct Recording {
+        p: usize,
+        seen: Vec<(Vec<bool>, Vec<u64>, Vec<usize>)>,
+    }
+
+    impl ResourceNetwork for Recording {
+        fn processors(&self) -> usize {
+            self.p
+        }
+        fn total_resources(&self) -> usize {
+            self.p
+        }
+        fn request_cycle_pending(
+            &mut self,
+            pending: PendingSet<'_>,
+            _rng: &mut SimRng,
+            out: &mut Vec<Grant>,
+        ) {
+            self.seen.push((
+                pending.bools.to_vec(),
+                pending.words.to_vec(),
+                pending.types.to_vec(),
+            ));
+            out.extend(
+                (0..self.p)
+                    .filter(|&i| pending.bools[i])
+                    .map(|processor| Grant { processor, port: 0 }),
+            );
+        }
+        fn end_transmission(&mut self, _grant: Grant) {}
+        fn end_service(&mut self, _grant: Grant) {}
+    }
+
+    /// The `&[bool]` adapters hand the one entry the packed flags (tail
+    /// lanes zero), every request at type 0, and an `out` with no stale
+    /// grants in it.
+    #[test]
+    fn bool_adapters_pack_into_the_one_entry() {
+        let mut rng = SimRng::new(3);
+        for p in [1usize, 63, 64, 65, 130] {
+            let bools: Vec<bool> = (0..p).map(|i| i % 3 != 1).collect();
+            let mut words = vec![0u64; p.div_ceil(64)];
+            for i in (0..p).filter(|&i| bools[i]) {
+                words[i / 64] |= 1 << (i % 64);
+            }
+            let expected: Vec<Grant> = (0..p)
+                .filter(|&i| bools[i])
+                .map(|processor| Grant { processor, port: 0 })
+                .collect();
+            let mut net = Recording {
+                p,
+                ..Recording::default()
+            };
+            assert_eq!(net.request_cycle(&bools, &mut rng), expected, "p = {p}");
+            let stale = Grant {
+                processor: p,
+                port: 7,
+            };
+            let mut out = vec![stale];
+            net.request_cycle_into(&bools, &mut rng, &mut out);
+            assert_eq!(out, expected, "p = {p}: a stale grant came back");
+            assert_eq!(net.seen.len(), 2);
+            for (seen_bools, seen_words, seen_types) in &net.seen {
+                assert_eq!(seen_bools, &bools, "p = {p}");
+                assert_eq!(seen_words, &words, "p = {p}: packing or tail lanes");
+                assert_eq!(seen_types, &vec![0; p], "p = {p}");
+            }
+        }
     }
 
     #[test]

@@ -87,7 +87,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{Grant, NetworkCounters};
+    use crate::network::{Grant, NetworkCounters, PendingSet};
 
     /// Trivial infinite-capacity network: every pending processor is granted
     /// instantly, so the queueing delay is exactly zero.
@@ -103,16 +103,17 @@ mod tests {
         fn total_resources(&self) -> usize {
             usize::MAX
         }
-        fn request_cycle(&mut self, pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
-            pending
-                .iter()
-                .enumerate()
-                .filter(|&(_, &b)| b)
-                .map(|(i, _)| Grant {
-                    processor: i,
-                    port: 0,
-                })
-                .collect()
+        fn request_cycle_pending(
+            &mut self,
+            pending: PendingSet<'_>,
+            _rng: &mut SimRng,
+            out: &mut Vec<Grant>,
+        ) {
+            out.extend(
+                (0..self.p)
+                    .filter(|&i| pending.bools[i])
+                    .map(|processor| Grant { processor, port: 0 }),
+            );
         }
         fn end_transmission(&mut self, _grant: Grant) {}
         fn end_service(&mut self, _grant: Grant) {}

@@ -1045,23 +1045,22 @@ mod tests {
         fn total_resources(&self) -> usize {
             self.r as usize
         }
-        fn request_cycle(&mut self, pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
-            let n_pending = pending.iter().filter(|&&b| b).count() as u64;
+        fn request_cycle_pending(
+            &mut self,
+            pending: PendingSet<'_>,
+            _rng: &mut SimRng,
+            out: &mut Vec<Grant>,
+        ) {
+            let n_pending = pending.bools.iter().filter(|&&b| b).count() as u64;
             self.counters.attempts += n_pending;
             if !self.pool_up || self.bus_busy || self.busy_resources >= self.r {
                 self.counters.rejections += n_pending;
-                return Vec::new();
+                return;
             }
-            match pending.iter().position(|&b| b) {
-                Some(proc) => {
-                    self.bus_busy = true;
-                    self.counters.rejections += n_pending - 1;
-                    vec![Grant {
-                        processor: proc,
-                        port: 0,
-                    }]
-                }
-                None => Vec::new(),
+            if let Some(processor) = pending.bools.iter().position(|&b| b) {
+                self.bus_busy = true;
+                self.counters.rejections += n_pending - 1;
+                out.push(Grant { processor, port: 0 });
             }
         }
         fn end_transmission(&mut self, _grant: Grant) {
@@ -1211,16 +1210,17 @@ mod tests {
             fn total_resources(&self) -> usize {
                 usize::MAX
             }
-            fn request_cycle(&mut self, pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
-                pending
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &b)| b)
-                    .map(|(i, _)| Grant {
-                        processor: i,
-                        port: 0,
-                    })
-                    .collect()
+            fn request_cycle_pending(
+                &mut self,
+                pending: PendingSet<'_>,
+                _rng: &mut SimRng,
+                out: &mut Vec<Grant>,
+            ) {
+                out.extend(
+                    (0..pending.bools.len())
+                        .filter(|&i| pending.bools[i])
+                        .map(|processor| Grant { processor, port: 0 }),
+                );
             }
             fn end_transmission(&mut self, _grant: Grant) {}
             fn end_service(&mut self, _grant: Grant) {}
@@ -1297,18 +1297,14 @@ mod tests {
             fn total_resources(&self) -> usize {
                 2
             }
-            fn request_cycle(&mut self, _pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
+            fn request_cycle_pending(
+                &mut self,
+                _pending: PendingSet<'_>,
+                _rng: &mut SimRng,
+                out: &mut Vec<Grant>,
+            ) {
                 // Always grants processor 1, pending or not.
-                vec![
-                    Grant {
-                        processor: 1,
-                        port: 0,
-                    },
-                    Grant {
-                        processor: 1,
-                        port: 1,
-                    },
-                ]
+                out.extend((0..2).map(|port| Grant { processor: 1, port }));
             }
             fn end_transmission(&mut self, _grant: Grant) {}
             fn end_service(&mut self, _grant: Grant) {}
@@ -1337,11 +1333,15 @@ mod tests {
             fn total_resources(&self) -> usize {
                 2
             }
-            fn request_cycle(&mut self, pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
-                let Some(processor) = pending.iter().position(|&p| p) else {
-                    return Vec::new();
-                };
-                vec![Grant { processor, port: 0 }, Grant { processor, port: 1 }]
+            fn request_cycle_pending(
+                &mut self,
+                pending: PendingSet<'_>,
+                _rng: &mut SimRng,
+                out: &mut Vec<Grant>,
+            ) {
+                if let Some(processor) = pending.bools.iter().position(|&p| p) {
+                    out.extend((0..2).map(|port| Grant { processor, port }));
+                }
             }
             fn end_transmission(&mut self, _grant: Grant) {}
             fn end_service(&mut self, _grant: Grant) {}
@@ -1426,16 +1426,12 @@ mod tests {
         fn port_type(&self, port: usize) -> usize {
             port
         }
-        fn request_cycle(&mut self, _pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
-            unreachable!("the simulator hands typed networks a PendingSet")
-        }
         fn request_cycle_pending(
             &mut self,
             pending: PendingSet<'_>,
             _rng: &mut SimRng,
             out: &mut Vec<Grant>,
         ) {
-            out.clear();
             for i in (0..self.p).filter(|&i| pending.bools[i]) {
                 let t = pending.types[i];
                 if let Some(lost) = self.requeued_type[i].take() {
@@ -1564,13 +1560,16 @@ mod tests {
         fn total_resources(&self) -> usize {
             self.inner.total_resources()
         }
-        fn request_cycle(&mut self, pending: &[bool], rng: &mut SimRng) -> Vec<Grant> {
-            if self.grants_left == 0 {
-                return Vec::new();
+        fn request_cycle_pending(
+            &mut self,
+            pending: PendingSet<'_>,
+            rng: &mut SimRng,
+            out: &mut Vec<Grant>,
+        ) {
+            if self.grants_left > 0 {
+                self.inner.request_cycle_pending(pending, rng, out);
+                self.grants_left = self.grants_left.saturating_sub(out.len());
             }
-            let grants = self.inner.request_cycle(pending, rng);
-            self.grants_left = self.grants_left.saturating_sub(grants.len());
-            grants
         }
         fn end_transmission(&mut self, grant: Grant) {
             self.inner.end_transmission(grant);
@@ -1755,14 +1754,16 @@ mod tests {
         fn total_resources(&self) -> usize {
             usize::MAX
         }
-        fn request_cycle(&mut self, pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
-            (0..self.p)
-                .filter(|&i| pending[i])
-                .map(|i| Grant {
-                    processor: i,
-                    port: i,
-                })
-                .collect()
+        fn request_cycle_pending(
+            &mut self,
+            pending: PendingSet<'_>,
+            _rng: &mut SimRng,
+            out: &mut Vec<Grant>,
+        ) {
+            out.extend((0..self.p).filter(|&i| pending.bools[i]).map(|i| Grant {
+                processor: i,
+                port: i,
+            }));
         }
         fn end_transmission(&mut self, _grant: Grant) {}
         fn end_service(&mut self, _grant: Grant) {}

@@ -145,22 +145,12 @@ mod tests {
         fn port_type(&self, port: usize) -> usize {
             port
         }
-        fn request_cycle(&mut self, pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
-            (0..pending.len())
-                .filter(|&i| pending[i])
-                .map(|i| Grant {
-                    processor: i,
-                    port: 0,
-                })
-                .collect()
-        }
         fn request_cycle_pending(
             &mut self,
             pending: PendingSet<'_>,
             _rng: &mut SimRng,
             out: &mut Vec<Grant>,
         ) {
-            out.clear();
             out.extend(
                 (0..pending.bools.len())
                     .filter(|&i| pending.bools[i])

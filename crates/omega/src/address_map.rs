@@ -11,7 +11,7 @@
 //! is why the paper measures ≈ 0.3 blocking for address mapping versus
 //! ≈ 0.15 for the RSIN on an 8×8 network.
 
-use rsin_core::{Grant, NetworkCounters, PortPool, ResourceNetwork, SystemConfig};
+use rsin_core::{Grant, NetworkCounters, PendingSet, PortPool, ResourceNetwork, SystemConfig};
 use rsin_des::SimRng;
 use rsin_topology::{LinkFabric, Multistage, OmegaTopology};
 
@@ -90,10 +90,14 @@ impl ResourceNetwork for AddressMappedOmega {
         self.partitions * self.size() * self.pool.capacity(0) as usize
     }
 
-    fn request_cycle(&mut self, pending: &[bool], rng: &mut SimRng) -> Vec<Grant> {
+    fn request_cycle_pending(
+        &mut self,
+        PendingSet { bools: pending, .. }: PendingSet<'_>,
+        rng: &mut SimRng,
+        out: &mut Vec<Grant>,
+    ) {
         assert_eq!(pending.len(), self.processors(), "pending vector size");
         let size = self.size();
-        let mut grants = Vec::new();
         for pi in 0..self.partitions {
             let base = pi * size;
             let mut requesters: Vec<usize> = (0..size)
@@ -123,7 +127,7 @@ impl ResourceNetwork for AddressMappedOmega {
                     assigned_ports[port] += 1;
                     self.counters.boxes_traversed += route.links.len() as u64;
                     self.held[base + local] = Some(port);
-                    grants.push(Grant {
+                    out.push(Grant {
                         processor: base + local,
                         port: base + port,
                     });
@@ -135,7 +139,6 @@ impl ResourceNetwork for AddressMappedOmega {
                 }
             }
         }
-        grants
     }
 
     fn end_transmission(&mut self, grant: Grant) {

@@ -14,7 +14,7 @@
 //! scanned in priority order, one routing trial per candidate — and counts
 //! both the trials and the gate-delay bill.
 
-use rsin_core::{Grant, NetworkCounters, PortPool, ResourceNetwork};
+use rsin_core::{Grant, NetworkCounters, PendingSet, PortPool, ResourceNetwork};
 use rsin_des::SimRng;
 use rsin_topology::{LinkFabric, Multistage, OmegaTopology};
 
@@ -223,35 +223,37 @@ impl ResourceNetwork for CentralOmegaNetwork {
         self.size() * self.pool.capacity(0) as usize
     }
 
-    fn request_cycle(&mut self, pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
+    fn request_cycle_pending(
+        &mut self,
+        PendingSet { bools: pending, .. }: PendingSet<'_>,
+        _rng: &mut SimRng,
+        out: &mut Vec<Grant>,
+    ) {
         assert_eq!(pending.len(), self.processors(), "pending vector size");
         let requesters: Vec<usize> = (0..self.size())
             .filter(|&p| pending[p] && self.transmitting[p].is_none())
             .collect();
         if requesters.is_empty() {
-            return Vec::new();
+            return;
         }
         self.counters.attempts += requesters.len() as u64;
         if !self.scheduler_up {
             // Scheduler down: every request stalls at the scheduler's
             // doorstep. Nothing is allocated anywhere in the system.
             self.counters.rejections += requesters.len() as u64;
-            return Vec::new();
+            return;
         }
         let free: Vec<usize> = (0..self.size())
             .filter(|&j| self.pool.has_free(j))
             .collect();
-        let out = self
+        let served = self
             .scheduler
             .serve_with_held(&requesters, &free, &mut self.fabric);
-        self.counters.rejections += requesters.len() as u64 - out.granted.len() as u64;
-        out.granted
-            .into_iter()
-            .map(|(p, port)| {
-                self.transmitting[p] = Some(port);
-                Grant { processor: p, port }
-            })
-            .collect()
+        self.counters.rejections += requesters.len() as u64 - served.granted.len() as u64;
+        out.extend(served.granted.into_iter().map(|(p, port)| {
+            self.transmitting[p] = Some(port);
+            Grant { processor: p, port }
+        }));
     }
 
     fn end_transmission(&mut self, grant: Grant) {

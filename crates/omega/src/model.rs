@@ -247,20 +247,32 @@ impl OmegaNetwork {
     pub fn admission(&self) -> Admission {
         self.admission
     }
+}
 
-    /// One request cycle over the pending processors, each requesting
-    /// `type_of(processor)`.
-    fn cycle(&mut self, pending: &[bool], type_of: impl Fn(usize) -> usize, out: &mut Vec<Grant>) {
-        assert_eq!(pending.len(), self.processors(), "pending vector size");
-        out.clear();
+impl ResourceNetwork for OmegaNetwork {
+    fn processors(&self) -> usize {
+        self.partitions.len() * self.size
+    }
+
+    fn total_resources(&self) -> usize {
+        self.partitions.len() * self.size * self.resources_per_port as usize
+    }
+
+    fn request_cycle_pending(
+        &mut self,
+        PendingSet { bools, types, .. }: PendingSet<'_>,
+        _rng: &mut SimRng,
+        out: &mut Vec<Grant>,
+    ) {
+        assert_eq!(bools.len(), self.processors(), "pending vector size");
         let mut requests = std::mem::take(&mut self.requests);
         for (pi, part) in self.partitions.iter_mut().enumerate() {
             let base = pi * self.size;
             requests.clear();
             requests.extend(
                 (0..self.size)
-                    .filter(|&l| pending[base + l] && !self.circuits.contains_key(&(base + l)))
-                    .map(|l| (l, type_of(base + l))),
+                    .filter(|&l| bools[base + l] && !self.circuits.contains_key(&(base + l)))
+                    .map(|l| (l, types[base + l])),
             );
             if requests.is_empty() {
                 continue;
@@ -280,35 +292,6 @@ impl OmegaNetwork {
             }
         }
         self.requests = requests;
-    }
-}
-
-impl ResourceNetwork for OmegaNetwork {
-    fn processors(&self) -> usize {
-        self.partitions.len() * self.size
-    }
-
-    fn total_resources(&self) -> usize {
-        self.partitions.len() * self.size * self.resources_per_port as usize
-    }
-
-    fn request_cycle(&mut self, pending: &[bool], rng: &mut SimRng) -> Vec<Grant> {
-        let mut grants = Vec::new();
-        self.request_cycle_into(pending, rng, &mut grants);
-        grants
-    }
-
-    fn request_cycle_into(&mut self, pending: &[bool], _rng: &mut SimRng, out: &mut Vec<Grant>) {
-        self.cycle(pending, |_| 0, out);
-    }
-
-    fn request_cycle_pending(
-        &mut self,
-        pending: PendingSet<'_>,
-        _rng: &mut SimRng,
-        out: &mut Vec<Grant>,
-    ) {
-        self.cycle(pending.bools, |i| pending.types[i], out);
     }
 
     fn resource_types(&self) -> usize {

@@ -23,7 +23,7 @@
 //! replication seed.
 
 use crate::topo::{ClusteredXbar, MultiLaneOmega};
-use rsin_core::{Grant, NetworkCounters, PortPool, ResourceNetwork};
+use rsin_core::{Grant, NetworkCounters, PendingSet, PortPool, ResourceNetwork};
 use rsin_des::SimRng;
 use rsin_topology::{LinkFabric, Multistage, OmegaTopology, Route};
 use std::collections::HashMap;
@@ -74,14 +74,14 @@ impl CircuitTable {
     }
 
     /// Scans the pending processors without a circuit from a rotating
-    /// start, offering each to `place`.
+    /// start, offering each to `place` and appending its grants to `out`.
     fn request_cycle(
         &mut self,
         pending: &[bool],
+        out: &mut Vec<Grant>,
         mut place: impl FnMut(&mut Self, usize) -> Option<Grant>,
-    ) -> Vec<Grant> {
+    ) {
         let p = pending.len();
-        let mut grants = Vec::new();
         self.rotate = self.rotate.wrapping_add(1);
         for step in 0..p {
             let proc = (self.rotate + step) % p;
@@ -90,11 +90,10 @@ impl CircuitTable {
             }
             self.counters.attempts += 1;
             match place(self, proc) {
-                Some(g) => grants.push(g),
+                Some(g) => out.push(g),
                 None => self.counters.rejections += 1,
             }
         }
-        grants
     }
 
     /// Establishes `processor`'s circuit over a free `route` to `port`.
@@ -231,10 +230,15 @@ impl ResourceNetwork for ClusteredXbarNet {
         (self.spec.core_size() * self.spec.resources_per_port()) as usize
     }
 
-    fn request_cycle(&mut self, pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
+    fn request_cycle_pending(
+        &mut self,
+        pending: PendingSet<'_>,
+        _rng: &mut SimRng,
+        out: &mut Vec<Grant>,
+    ) {
         let spec = self.spec;
         self.table
-            .request_cycle(pending, |t, proc| Self::try_place(spec, t, proc))
+            .request_cycle(pending.bools, out, |t, proc| Self::try_place(spec, t, proc));
     }
 
     fn end_transmission(&mut self, grant: Grant) {
@@ -314,10 +318,15 @@ impl ResourceNetwork for MultiLaneOmegaNet {
         (self.spec.networks() * self.spec.size() * self.spec.resources_per_port()) as usize
     }
 
-    fn request_cycle(&mut self, pending: &[bool], _rng: &mut SimRng) -> Vec<Grant> {
+    fn request_cycle_pending(
+        &mut self,
+        pending: PendingSet<'_>,
+        _rng: &mut SimRng,
+        out: &mut Vec<Grant>,
+    ) {
         let spec = self.spec;
         self.table
-            .request_cycle(pending, |t, proc| Self::try_place(spec, t, proc))
+            .request_cycle(pending.bools, out, |t, proc| Self::try_place(spec, t, proc));
     }
 
     fn end_transmission(&mut self, grant: Grant) {

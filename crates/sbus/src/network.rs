@@ -52,8 +52,6 @@ pub struct SharedBusNetwork {
     /// Bus `b`'s resources are pool `b`.
     pool: PortPool,
     counters: NetworkCounters,
-    /// The pending set packed once, for the `&[bool]` entry points.
-    packed: Vec<u64>,
     /// One bus's candidate lanes, reused across buses and cycles.
     lanes: Vec<u64>,
     /// Test oracle switch: arbitrate from candidate lists instead.
@@ -129,7 +127,6 @@ impl SharedBusNetwork {
             idle,
             pool: PortPool::new(buses, resources_per_bus),
             counters: NetworkCounters::default(),
-            packed: Vec::new(),
             lanes: Vec::new(),
             #[cfg(test)]
             list_oracle: false,
@@ -161,12 +158,38 @@ impl SharedBusNetwork {
             clear_bit(&mut self.idle, b);
         }
     }
+}
+
+impl ResourceNetwork for SharedBusNetwork {
+    fn processors(&self) -> usize {
+        self.buses.len() * self.procs_per_bus
+    }
+
+    fn total_resources(&self) -> usize {
+        self.buses.len() * self.pool.capacity(0) as usize
+    }
 
     /// One request cycle over the packed pending set (tail lanes zero):
     /// every pending processor attempts, and each bus that is idle with a
     /// free resource grants one of its pending processors, in ascending
     /// bus order. The rest are rejected.
-    fn arbitrate(&mut self, pending: &[u64], rng: &mut SimRng, out: &mut Vec<Grant>) {
+    fn request_cycle_pending(
+        &mut self,
+        pending: PendingSet<'_>,
+        rng: &mut SimRng,
+        out: &mut Vec<Grant>,
+    ) {
+        assert_eq!(
+            pending.words.len(),
+            words_for(self.processors()),
+            "pending vector size"
+        );
+        #[cfg(test)]
+        if self.list_oracle {
+            self.request_cycle_by_lists(pending.bools, rng, out);
+            return;
+        }
+        let pending = pending.words;
         // The buses tile the processors exactly, so the whole-vector
         // popcount is the sum of every bus's requests.
         let attempts = count_ones(pending) as u64;
@@ -198,56 +221,6 @@ impl SharedBusNetwork {
         self.lanes = lanes;
         self.counters.attempts += attempts;
         self.counters.rejections += attempts - out.len() as u64;
-    }
-}
-
-impl ResourceNetwork for SharedBusNetwork {
-    fn processors(&self) -> usize {
-        self.buses.len() * self.procs_per_bus
-    }
-
-    fn total_resources(&self) -> usize {
-        self.buses.len() * self.pool.capacity(0) as usize
-    }
-
-    fn request_cycle(&mut self, pending: &[bool], rng: &mut SimRng) -> Vec<Grant> {
-        let mut grants = Vec::new();
-        self.request_cycle_into(pending, rng, &mut grants);
-        grants
-    }
-
-    fn request_cycle_into(&mut self, pending: &[bool], rng: &mut SimRng, out: &mut Vec<Grant>) {
-        assert_eq!(pending.len(), self.processors(), "pending vector size");
-        out.clear();
-        #[cfg(test)]
-        if self.list_oracle {
-            self.request_cycle_by_lists(pending, rng, out);
-            return;
-        }
-        let mut packed = std::mem::take(&mut self.packed);
-        rsin_bitslice::pack_bools(pending, &mut packed);
-        self.arbitrate(&packed, rng, out);
-        self.packed = packed;
-    }
-
-    fn request_cycle_pending(
-        &mut self,
-        pending: PendingSet<'_>,
-        rng: &mut SimRng,
-        out: &mut Vec<Grant>,
-    ) {
-        #[cfg(test)]
-        if self.list_oracle {
-            self.request_cycle_into(pending.bools, rng, out);
-            return;
-        }
-        assert_eq!(
-            pending.words.len(),
-            words_for(self.processors()),
-            "pending vector size"
-        );
-        out.clear();
-        self.arbitrate(pending.words, rng, out);
     }
 
     fn end_transmission(&mut self, grant: Grant) {
@@ -464,20 +437,18 @@ mod tests {
         Arbitration::RoundRobin,
     ];
 
-    /// The one value three networks agree on.
-    fn agreed<T: PartialEq + std::fmt::Debug>([a, b, c]: [T; 3]) -> T {
-        assert_eq!(a, c, "bools path vs oracle");
-        assert_eq!(b, c, "words path vs oracle");
-        a
+    /// The one value the packed network and the oracle agree on.
+    fn agreed<T: PartialEq + std::fmt::Debug>([packed, oracle]: [T; 2]) -> T {
+        assert_eq!(packed, oracle, "packed path vs oracle");
+        packed
     }
 
     /// Packed arbitration must match the candidate-list oracle through the
     /// whole network surface — grants, counters, and rng consumption — on
-    /// both entry points (`&[bool]`, and hand-packed words through
-    /// `request_cycle_pending`), under a chaotic mix of requests,
-    /// completions, and bus and pool outages that outlast a cycle. The
-    /// geometries (buses × processors per bus) give an idle-bus mask that
-    /// spans words (67 buses) and buses that straddle pending words.
+    /// hand-packed words, under a chaotic mix of requests, completions, and
+    /// bus and pool outages that outlast a cycle. The geometries (buses ×
+    /// processors per bus) give an idle-bus mask that spans words (67
+    /// buses) and buses that straddle pending words.
     #[test]
     fn packed_arbitration_matches_list_oracle_through_the_network_surface() {
         for (buses, width) in [(2, 70), (67, 3), (3, 70), (5, 100)] {
@@ -485,10 +456,9 @@ mod tests {
                 let p = buses * width;
                 let mut nets = [
                     SharedBusNetwork::new(buses, width, 3, policy),
-                    SharedBusNetwork::new(buses, width, 3, policy),
                     SharedBusNetwork::new(buses, width, 3, policy).list_oracle(),
                 ];
-                let mut rngs = [SimRng::new(97), SimRng::new(97), SimRng::new(97)];
+                let mut rngs = [SimRng::new(97), SimRng::new(97)];
                 let mut lcg = 0xb0b0u64 ^ p as u64;
                 let mut step = move || {
                     lcg = lcg
@@ -496,7 +466,7 @@ mod tests {
                         .wrapping_add(1442695040888963407);
                     (lcg >> 33) as usize
                 };
-                let mut out: [Vec<Grant>; 3] = Default::default();
+                let mut out: [Vec<Grant>; 2] = Default::default();
                 let (mut transmitting, mut serving) = (Vec::<Grant>::new(), Vec::<Grant>::new());
                 let types = vec![0; p];
                 for _ in 0..600 {
@@ -511,20 +481,15 @@ mod tests {
                             for i in (0..p).filter(|&i| pending[i]) {
                                 set_bit(&mut words, i);
                             }
-                            let [a, b, c] = &mut nets;
-                            let [ra, rb, rc] = &mut rngs;
-                            let [oa, ob, oc] = &mut out;
-                            a.request_cycle_into(&pending, ra, oa);
-                            b.request_cycle_pending(
-                                PendingSet {
-                                    bools: &pending,
-                                    words: &words,
-                                    types: &types,
-                                },
-                                rb,
-                                ob,
-                            );
-                            c.request_cycle_into(&pending, rc, oc);
+                            let set = PendingSet {
+                                bools: &pending,
+                                words: &words,
+                                types: &types,
+                            };
+                            for ((net, rng), out) in nets.iter_mut().zip(&mut rngs).zip(&mut out) {
+                                out.clear();
+                                net.request_cycle_pending(set, rng, out);
+                            }
                             transmitting.extend(agreed(out.clone()));
                         }
                         6 | 7 => {

@@ -88,60 +88,6 @@ impl TypedSharedBus {
         assert!(ty < self.types, "type out of range");
         self.pool.free(b * self.types + ty)
     }
-
-    /// One request cycle over the pending processors, each requesting
-    /// `type_of(processor)`.
-    fn cycle(
-        &mut self,
-        pending: &[bool],
-        type_of: impl Fn(usize) -> usize,
-        rng: &mut SimRng,
-        out: &mut Vec<Grant>,
-    ) {
-        assert_eq!(pending.len(), self.processors(), "pending vector size");
-        out.clear();
-        let types = self.types;
-        for (b, bus) in self.buses.iter_mut().enumerate() {
-            let base = b * self.procs_per_bus;
-            let waiting: Vec<(usize, usize)> = (0..self.procs_per_bus)
-                .filter(|&l| pending[base + l])
-                .map(|l| (l, type_of(base + l)))
-                .collect();
-            if waiting.is_empty() {
-                continue;
-            }
-            self.counters.attempts += waiting.len() as u64;
-            if bus.transmitting {
-                self.counters.rejections += waiting.len() as u64;
-                continue;
-            }
-            // Only requests whose type has a free resource wake up.
-            let candidates: Vec<usize> = waiting
-                .iter()
-                .filter(|&&(_, t)| self.pool.has_free(b * types + t))
-                .map(|&(l, _)| l)
-                .collect();
-            if candidates.is_empty() {
-                self.counters.rejections += waiting.len() as u64;
-                continue;
-            }
-            let winner = bus
-                .arbiter
-                .pick(&candidates, rng)
-                .expect("candidates nonempty");
-            self.counters.rejections += waiting.len() as u64 - 1;
-            let ty = waiting
-                .iter()
-                .find(|&&(l, _)| l == winner)
-                .map(|&(_, t)| t)
-                .expect("winner came from waiting");
-            bus.transmitting = true;
-            out.push(Grant {
-                processor: base + winner,
-                port: b * types + ty,
-            });
-        }
-    }
 }
 
 impl ResourceNetwork for TypedSharedBus {
@@ -163,19 +109,53 @@ impl ResourceNetwork for TypedSharedBus {
         port % self.types
     }
 
-    fn request_cycle(&mut self, pending: &[bool], rng: &mut SimRng) -> Vec<Grant> {
-        let mut out = Vec::new();
-        self.cycle(pending, |_| 0, rng, &mut out);
-        out
-    }
-
     fn request_cycle_pending(
         &mut self,
-        pending: PendingSet<'_>,
+        PendingSet { bools, types, .. }: PendingSet<'_>,
         rng: &mut SimRng,
         out: &mut Vec<Grant>,
     ) {
-        self.cycle(pending.bools, |i| pending.types[i], rng, out);
+        assert_eq!(bools.len(), self.processors(), "pending vector size");
+        for (b, bus) in self.buses.iter_mut().enumerate() {
+            let base = b * self.procs_per_bus;
+            let waiting: Vec<(usize, usize)> = (0..self.procs_per_bus)
+                .filter(|&l| bools[base + l])
+                .map(|l| (l, types[base + l]))
+                .collect();
+            if waiting.is_empty() {
+                continue;
+            }
+            self.counters.attempts += waiting.len() as u64;
+            if bus.transmitting {
+                self.counters.rejections += waiting.len() as u64;
+                continue;
+            }
+            // Only requests whose type has a free resource wake up.
+            let candidates: Vec<usize> = waiting
+                .iter()
+                .filter(|&&(_, t)| self.pool.has_free(b * self.types + t))
+                .map(|&(l, _)| l)
+                .collect();
+            if candidates.is_empty() {
+                self.counters.rejections += waiting.len() as u64;
+                continue;
+            }
+            let winner = bus
+                .arbiter
+                .pick(&candidates, rng)
+                .expect("candidates nonempty");
+            self.counters.rejections += waiting.len() as u64 - 1;
+            let ty = waiting
+                .iter()
+                .find(|&&(l, _)| l == winner)
+                .map(|&(_, t)| t)
+                .expect("winner came from waiting");
+            bus.transmitting = true;
+            out.push(Grant {
+                processor: base + winner,
+                port: b * self.types + ty,
+            });
+        }
     }
 
     fn end_transmission(&mut self, grant: Grant) {

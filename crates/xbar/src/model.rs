@@ -63,8 +63,8 @@ pub struct CrossbarNetwork {
     scratch: CycleScratch,
 }
 
-/// Reusable per-cycle buffers (the partition being swept), so request
-/// cycles in steady state allocate only the returned grant vector.
+/// Reusable per-cycle buffers (the partition being swept), so a request
+/// cycle in steady state allocates nothing.
 #[derive(Debug, Default)]
 struct CycleScratch {
     req_words: Vec<u64>,
@@ -181,14 +181,12 @@ impl CrossbarNetwork {
         }
     }
 
-    /// One partition's request cycle. `pslice` and `req_words` are the
-    /// partition's pending processors in unpacked and packed form — the
-    /// caller supplies both views of the *same* set. Appends grants in
-    /// global coordinates and updates the attempt/rejection counters.
+    /// One partition's request cycle over its pending processors, packed
+    /// from lane 0 with a clean tail. Appends grants in global coordinates
+    /// and updates the attempt/rejection counters.
     fn partition_cycle(
         &mut self,
         pi: usize,
-        pslice: &[bool],
         req_words: &[u64],
         rng: &mut SimRng,
         grants: &mut Vec<Grant>,
@@ -243,7 +241,7 @@ impl CrossbarNetwork {
                 // is rejected for this cycle. Candidate lists are built
                 // in ascending order from the scalar predicate.
                 procs.clear();
-                procs.extend((0..self.inputs).filter(|&l| pslice[l]));
+                procs.extend((0..self.inputs).filter(|&l| rsin_bitslice::test_bit(req_words, l)));
                 buses.clear();
                 buses.extend((0..self.outputs).filter(|&j| {
                     pool.has_free(pi * self.outputs + j) && part.held_by[j].is_none()
@@ -282,47 +280,26 @@ impl ResourceNetwork for CrossbarNetwork {
         self.partitions.len() * self.outputs * self.pool.capacity(0) as usize
     }
 
-    fn request_cycle(&mut self, pending: &[bool], rng: &mut SimRng) -> Vec<Grant> {
-        let mut grants = Vec::new();
-        self.request_cycle_into(pending, rng, &mut grants);
-        grants
-    }
-
-    fn request_cycle_into(&mut self, pending: &[bool], rng: &mut SimRng, grants: &mut Vec<Grant>) {
-        assert_eq!(pending.len(), self.processors(), "pending vector size");
-        grants.clear();
-        // The scratch word buffer is moved out for the sweep so each
-        // partition call can borrow the rest of `self` mutably.
-        let mut req_words = std::mem::take(&mut self.scratch.req_words);
-        for pi in 0..self.partitions.len() {
-            let base = pi * self.inputs;
-            let pslice = &pending[base..base + self.inputs];
-            rsin_bitslice::pack_bools(pslice, &mut req_words);
-            self.partition_cycle(pi, pslice, &req_words, rng, grants);
-        }
-        self.scratch.req_words = req_words;
-    }
-
     fn request_cycle_pending(
         &mut self,
         pending: PendingSet<'_>,
         rng: &mut SimRng,
         grants: &mut Vec<Grant>,
     ) {
-        if self.partitions.len() == 1 {
-            // Single-partition crossbar: the partition's bits are the global
-            // bits, so the simulator's packed words feed the wave directly —
-            // no per-epoch repack at all.
-            assert_eq!(
-                pending.bools.len(),
-                self.processors(),
-                "pending vector size"
-            );
-            grants.clear();
-            self.partition_cycle(0, pending.bools, pending.words, rng, grants);
-        } else {
-            self.request_cycle_into(pending.bools, rng, grants);
+        assert_eq!(
+            pending.words.len(),
+            rsin_bitslice::words_for(self.processors()),
+            "pending vector size"
+        );
+        // Each partition's lanes are sliced out of the simulator's packed
+        // words; the scratch buffer is moved out for the sweep so each
+        // partition call can borrow the rest of `self` mutably.
+        let mut req_words = std::mem::take(&mut self.scratch.req_words);
+        for pi in 0..self.partitions.len() {
+            rsin_bitslice::copy_lanes(pending.words, pi * self.inputs, self.inputs, &mut req_words);
+            self.partition_cycle(pi, &req_words, rng, grants);
         }
+        self.scratch.req_words = req_words;
     }
 
     fn end_transmission(&mut self, grant: Grant) {
@@ -421,6 +398,9 @@ mod tests {
     use super::*;
     use crate::fabric::CrossbarFabric;
 
+    const POLICIES: [CrossbarPolicy; 2] =
+        [CrossbarPolicy::FixedPriority, CrossbarPolicy::RandomToken];
+
     /// Test oracle: the production bookkeeping (held buses, resource pools,
     /// counters) with every wave run cell by cell on Table-I
     /// [`CrossbarFabric`]s and availability re-derived from `held_by` and
@@ -466,13 +446,21 @@ mod tests {
             self.net.total_resources()
         }
 
-        fn request_cycle(&mut self, pending: &[bool], rng: &mut SimRng) -> Vec<Grant> {
-            assert_eq!(pending.len(), self.processors(), "pending vector size");
-            let mut grants = Vec::new();
+        fn request_cycle_pending(
+            &mut self,
+            pending: PendingSet<'_>,
+            rng: &mut SimRng,
+            grants: &mut Vec<Grant>,
+        ) {
+            assert_eq!(
+                pending.bools.len(),
+                self.processors(),
+                "pending vector size"
+            );
             let net = &mut self.net;
             let (p, m) = (net.inputs, net.outputs);
             for (pi, (part, cells)) in net.partitions.iter_mut().zip(&mut self.cells).enumerate() {
-                let requests = &pending[pi * p..(pi + 1) * p];
+                let requests = &pending.bools[pi * p..(pi + 1) * p];
                 let n_pending = requests.iter().filter(|&&q| q).count();
                 if n_pending == 0 {
                     continue;
@@ -508,7 +496,6 @@ mod tests {
                     });
                 }
             }
-            grants
         }
 
         fn end_transmission(&mut self, grant: Grant) {
@@ -571,71 +558,6 @@ mod tests {
             v[i] = true;
         }
         v
-    }
-
-    fn pack(bools: &[bool]) -> Vec<u64> {
-        let mut words = vec![0u64; bools.len().div_ceil(64)];
-        for (i, &b) in bools.iter().enumerate() {
-            if b {
-                words[i >> 6] |= 1 << (i & 63);
-            }
-        }
-        words
-    }
-
-    /// The packed entry point must be indistinguishable from the unpacked
-    /// one: same grants in the same order, same counters, same RNG
-    /// consumption — across policies and across the single-partition fast
-    /// path vs the multi-partition fallback.
-    #[test]
-    fn packed_pending_entry_matches_unpacked() {
-        for policy in [CrossbarPolicy::FixedPriority, CrossbarPolicy::RandomToken] {
-            for parts in [1usize, 2] {
-                let p = parts * 8;
-                let mut by_bools = CrossbarNetwork::new(parts, 8, 4, 2, policy);
-                let mut by_words = CrossbarNetwork::new(parts, 8, 4, 2, policy);
-                let mut rng_a = SimRng::new(0xfeed);
-                let mut rng_b = SimRng::new(0xfeed);
-                let mut pick = SimRng::new(7);
-                let mut ga = Vec::new();
-                let mut gb = Vec::new();
-                let mut held: Vec<Grant> = Vec::new();
-                for round in 0..200 {
-                    let mut req: Vec<bool> = (0..p).map(|_| pick.chance(0.4)).collect();
-                    // A processor holds at most one circuit (assumption (f)):
-                    // never re-request one whose grant is still outstanding.
-                    for g in &held {
-                        req[g.processor] = false;
-                    }
-                    by_bools.request_cycle_into(&req, &mut rng_a, &mut ga);
-                    by_words.request_cycle_pending(
-                        PendingSet {
-                            bools: &req,
-                            words: &pack(&req),
-                            types: &vec![0; p],
-                        },
-                        &mut rng_b,
-                        &mut gb,
-                    );
-                    assert_eq!(ga, gb, "round {round} grants diverged");
-                    held.extend(ga.iter().copied());
-                    // Retire a few circuits so availability keeps churning.
-                    while held.len() > 3 {
-                        let g = held.remove(0);
-                        by_bools.end_transmission(g);
-                        by_words.end_transmission(g);
-                        by_bools.end_service(g);
-                        by_words.end_service(g);
-                    }
-                }
-                assert_eq!(by_bools.take_counters(), by_words.take_counters());
-                assert_eq!(
-                    rng_a.next_u64(),
-                    rng_b.next_u64(),
-                    "RNG consumption diverged"
-                );
-            }
-        }
     }
 
     #[test]
@@ -739,7 +661,7 @@ mod tests {
 
     #[test]
     fn failed_cell_masks_crosspoint_under_both_policies() {
-        for policy in [CrossbarPolicy::FixedPriority, CrossbarPolicy::RandomToken] {
+        for policy in POLICIES {
             let mut net = CrossbarNetwork::new(1, 2, 1, 1, policy);
             let mut rng = SimRng::new(3);
             // Element 0 = cell (0, 0): processor 0 can no longer reach the
@@ -768,69 +690,72 @@ mod tests {
     /// Production network vs the cell oracle, driven through the full
     /// `ResourceNetwork` surface with identical RNG streams: grants,
     /// counters, and fault bookkeeping must match exactly under both
-    /// policies, including degraded cell masks and pool failures.
+    /// policies, including degraded cell masks and pool failures, with one
+    /// partition and with several.
     #[test]
     fn network_matches_cell_oracle_through_the_network_surface() {
-        for policy in [CrossbarPolicy::FixedPriority, CrossbarPolicy::RandomToken] {
-            let (parts, p, m, r) = (2usize, 3usize, 5usize, 2u32);
-            let procs = parts * p;
-            let mut bit = CrossbarNetwork::new(parts, p, m, r, policy);
-            let mut cells = CellOracle::new(parts, p, m, r, policy);
-            let mut rng_a = SimRng::new(97);
-            let mut rng_b = SimRng::new(97);
-            let mut state = 0xdead_beef_u64 ^ policy as u64;
-            let mut next = move || {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 33) as u32
-            };
-            let mut live: Vec<Grant> = Vec::new();
-            for _ in 0..1_500 {
-                match next() % 8 {
-                    0..=3 => {
-                        let mut busy = vec![false; procs];
-                        for g in &live {
-                            busy[g.processor] = true;
+        for (parts, p, m, r) in [(2usize, 3usize, 5usize, 2u32), (1, 8, 4, 2), (2, 8, 4, 2)] {
+            for policy in POLICIES {
+                let at = format!("{policy:?} {parts}x{p}x{m} r{r}");
+                let procs = parts * p;
+                let mut bit = CrossbarNetwork::new(parts, p, m, r, policy);
+                let mut cells = CellOracle::new(parts, p, m, r, policy);
+                let mut rng_a = SimRng::new(97);
+                let mut rng_b = SimRng::new(97);
+                let mut state = 0xdead_beef_u64 ^ policy as u64;
+                let mut next = move || {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (state >> 33) as u32
+                };
+                let mut live: Vec<Grant> = Vec::new();
+                for _ in 0..1_500 {
+                    match next() % 8 {
+                        0..=3 => {
+                            let mut busy = vec![false; procs];
+                            for g in &live {
+                                busy[g.processor] = true;
+                            }
+                            let pending: Vec<bool> =
+                                (0..procs).map(|i| !busy[i] && next() % 2 == 0).collect();
+                            let ga = bit.request_cycle(&pending, &mut rng_a);
+                            let gb = cells.request_cycle(&pending, &mut rng_b);
+                            assert_eq!(ga, gb, "{at}");
+                            live.extend(ga);
                         }
-                        let pending: Vec<bool> =
-                            (0..procs).map(|i| !busy[i] && next() % 2 == 0).collect();
-                        let ga = bit.request_cycle(&pending, &mut rng_a);
-                        let gb = cells.request_cycle(&pending, &mut rng_b);
-                        assert_eq!(ga, gb, "{policy:?}");
-                        live.extend(ga);
-                    }
-                    4 => {
-                        if !live.is_empty() {
-                            let g = live.swap_remove(next() as usize % live.len());
-                            bit.end_transmission(g);
-                            cells.end_transmission(g);
-                            bit.end_service(g);
-                            cells.end_service(g);
+                        4 => {
+                            if !live.is_empty() {
+                                let g = live.swap_remove(next() as usize % live.len());
+                                bit.end_transmission(g);
+                                cells.end_transmission(g);
+                                bit.end_service(g);
+                                cells.end_service(g);
+                            }
                         }
-                    }
-                    5 => {
-                        let e = next() as usize % bit.fault_elements();
-                        assert_eq!(bit.fail_element(e), cells.fail_element(e));
-                    }
-                    6 => {
-                        let e = next() as usize % bit.fault_elements();
-                        assert_eq!(bit.repair_element(e), cells.repair_element(e));
-                    }
-                    _ => {
-                        let port = next() as usize % (parts * m);
-                        if next() % 2 == 0 {
-                            assert_eq!(bit.fail_resource(port), cells.fail_resource(port));
-                            // The pool clears its held circuit internally;
-                            // drop the casualty from our live list too.
-                            live.retain(|g| g.port != port);
-                        } else {
-                            assert_eq!(bit.repair_resource(port), cells.repair_resource(port));
+                        5 => {
+                            let e = next() as usize % bit.fault_elements();
+                            assert_eq!(bit.fail_element(e), cells.fail_element(e));
+                        }
+                        6 => {
+                            let e = next() as usize % bit.fault_elements();
+                            assert_eq!(bit.repair_element(e), cells.repair_element(e));
+                        }
+                        _ => {
+                            let port = next() as usize % (parts * m);
+                            if next() % 2 == 0 {
+                                assert_eq!(bit.fail_resource(port), cells.fail_resource(port));
+                                // The pool clears its held circuit internally;
+                                // drop the casualty from our live list too.
+                                live.retain(|g| g.port != port);
+                            } else {
+                                assert_eq!(bit.repair_resource(port), cells.repair_resource(port));
+                            }
                         }
                     }
                 }
+                assert_eq!(bit.take_counters(), cells.take_counters(), "{at}");
             }
-            assert_eq!(bit.take_counters(), cells.take_counters(), "{policy:?}");
         }
     }
 
@@ -839,7 +764,7 @@ mod tests {
     #[test]
     fn des_runs_match_cell_oracle() {
         use rsin_core::equivalence::{faulted_fingerprint, healthy_fingerprint};
-        for policy in [CrossbarPolicy::FixedPriority, CrossbarPolicy::RandomToken] {
+        for policy in POLICIES {
             let net = || CrossbarNetwork::new(2, 4, 3, 2, policy);
             let oracle = || CellOracle::new(2, 4, 3, 2, policy);
             assert_eq!(
@@ -852,6 +777,81 @@ mod tests {
                 faulted_fingerprint(&mut oracle()),
                 "{policy:?} faulted"
             );
+        }
+    }
+
+    /// Healthy and faulted fingerprints of a run at 80 % of what each
+    /// partition carries: `m` buses, each at the slower of its transmission
+    /// rate and its pool. In the faulted run the first and last pools and
+    /// the middle cell flap.
+    fn carried_load_fingerprints<N: ResourceNetwork>(
+        net: impl Fn() -> N,
+        (parts, p, m, r): (usize, usize, usize, u32),
+    ) -> (Vec<u64>, Result<Vec<u64>, String>) {
+        use rsin_core::equivalence::fingerprint;
+        use rsin_core::{simulate, simulate_faulty, FaultOptions, SimOptions, Workload};
+        use rsin_des::{FaultPlan, FaultTarget, StochasticFault};
+        let lambda = 0.8 * m as f64 * f64::from(r).min(10.0) / p as f64;
+        let workload = Workload::new(lambda, 10.0, 1.0).expect("valid workload");
+        let opts = SimOptions {
+            warmup_tasks: 100,
+            measured_tasks: 1_500,
+        };
+        let healthy = fingerprint(&simulate(
+            &mut net(),
+            &workload,
+            &opts,
+            &mut SimRng::new(42),
+        ));
+        let plan = [
+            FaultTarget::Resource(0),
+            FaultTarget::Resource(parts * m - 1),
+            FaultTarget::Element(parts * p * m / 2),
+        ]
+        .into_iter()
+        .fold(FaultPlan::new(), |plan, target| {
+            plan.stochastic(StochasticFault {
+                target,
+                mtbf: 0.5,
+                mttr: 0.2,
+            })
+        });
+        let faulted = simulate_faulty(
+            &mut net(),
+            &workload,
+            &opts,
+            &plan,
+            &FaultOptions::default(),
+            &mut SimRng::new(7),
+        )
+        .map(|report| {
+            let c = report.counters;
+            assert!(
+                c.resource_failures > 0 && c.element_failures > 0,
+                "no fault fired"
+            );
+            fingerprint(&report)
+        })
+        .map_err(|e| e.to_string());
+        (healthy, faulted)
+    }
+
+    /// The whole-DES check on partitions whose lanes straddle pending
+    /// words (67, 70 and 100 inputs), where each partition's requests are
+    /// sliced out of the simulator's packed words at an unaligned offset.
+    #[test]
+    fn straddling_partitions_match_cell_oracle() {
+        for geometry @ (parts, p, m, r) in [(3, 67, 2, 2), (2, 70, 3, 2), (5, 100, 4, 2)] {
+            for policy in POLICIES {
+                let net = || CrossbarNetwork::new(parts, p, m, r, policy);
+                let oracle = || CellOracle::new(parts, p, m, r, policy);
+                let (healthy, faulted) = carried_load_fingerprints(net, geometry);
+                let (oracle_healthy, oracle_faulted) = carried_load_fingerprints(oracle, geometry);
+                let at = format!("{policy:?} {parts}x{p}x{m} r{r}");
+                assert_eq!(healthy, oracle_healthy, "{at} healthy");
+                assert!(faulted.is_ok(), "{at}: {faulted:?}");
+                assert_eq!(faulted, oracle_faulted, "{at} faulted");
+            }
         }
     }
 
