@@ -2,7 +2,7 @@
 //!
 //! The workspace builds without network access, so the benches use this
 //! `std::time::Instant`-based runner instead of an external harness. Each
-//! `[[bench]]` target is a plain `fn main()` that calls [`bench`] (or
+//! `[[bench]]` target is a plain `fn main()` that calls [`bench()`] (or
 //! [`bench_with_setup`] when each iteration needs fresh state) and prints
 //! one line per benchmark:
 //!
@@ -33,7 +33,7 @@ pub fn bench<T, F: FnMut() -> T>(name: &str, f: F) {
     report(name, measure_ns(f) / 1e9);
 }
 
-/// Measures `f` like [`bench`] but returns the median per-iteration time in
+/// Measures `f` like [`bench()`] but returns the median per-iteration time in
 /// nanoseconds instead of printing it.
 pub fn measure_ns<T, F: FnMut() -> T>(f: F) -> f64 {
     measure_ns_with(Statistic::Median, f)
@@ -59,7 +59,7 @@ fn measure_ns_with<T, F: FnMut() -> T>(stat: Statistic, mut f: F) -> f64 {
     }) * 1e9
 }
 
-/// Like [`bench`], but re-creates the input with `setup` outside the
+/// Like [`bench()`], but re-creates the input with `setup` outside the
 /// timed region of every iteration (the analogue of batched iteration).
 pub fn bench_with_setup<S, T, Setup, F>(name: &str, mut setup: Setup, mut f: F)
 where

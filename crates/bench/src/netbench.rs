@@ -234,7 +234,7 @@ pub fn measured_table(
 
 /// Drives the load against an in-process loopback server and returns both
 /// sides of the story. The server's pool matches the benchmark flags; its
-/// connection capacity carries [`SLOT_HEADROOM`]× the client count so
+/// connection capacity carries `SLOT_HEADROOM`× the client count so
 /// post-chaos reconnects are not refused while the dead predecessor
 /// awaits culling.
 #[must_use]

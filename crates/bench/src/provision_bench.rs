@@ -1,7 +1,7 @@
 //! The provisioning sweep behind the `provision` binary: one search leg
 //! per processor count, with digest-validated resumable checkpoints.
 //!
-//! Each leg runs [`rsin_provision::search`] at one `p` and persists two
+//! Each leg runs [`rsin_provision::search()`] at one `p` and persists two
 //! deterministic artifacts — `provision_p<p>.txt` (the report) and
 //! `provision_p<p>.csv` (the Pareto frontier, stable schema
 //! [`FRONTIER_SCHEMA`]) — atomically, then checkpoints

@@ -2,8 +2,8 @@
 //! panics, stalls, and slow-release stragglers, plus resource fault
 //! schedules reused straight from `rsin_des` fault machinery.
 //!
-//! A [`ChaosPlan`] is the runtime twin of the DES's
-//! [`FaultPlan`](rsin_des::FaultPlan): inert, seed-deterministic
+//! A [`ChaosPlan`] is the runtime twin of the DES's [`FaultPlan`]:
+//! inert, seed-deterministic
 //! data describing *which client threads misbehave and when*, in model
 //! time. The load driver ([`run`](crate::loadgen::run)) executes it — a
 //! `Crash` makes the victim thread leak its grant (the guard is

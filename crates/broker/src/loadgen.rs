@@ -51,7 +51,7 @@
 //!
 //! Model time maps to wall time through [`LoadConfig::scale_us`]
 //! (microseconds per model unit). All timed waits finish with a short spin
-//! ([`sleep_until`]) so scheduling overshoot stays in the microseconds;
+//! (`sleep_until`) so scheduling overshoot stays in the microseconds;
 //! the residual measurement floor — a blocked acquire re-polls at worst
 //! every [`Waiter::MAX_SLEEP`](crate::Waiter::MAX_SLEEP) — is budgeted
 //! explicitly by the cross-validation tolerances (DESIGN.md §8).

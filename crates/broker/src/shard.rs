@@ -117,8 +117,8 @@ struct Shard<B> {
     camp_serving: AtomicU64,
 }
 
-/// A broker sharded into per-core arbiters with overflow stealing. See the
-/// [module docs](self) for the protocol.
+/// A broker sharded into per-core arbiters with overflow stealing. The
+/// protocol is documented on the private `shard` module.
 ///
 /// The sub-arbiters are built by a factory over the **full worker set**
 /// (worker ids are global, so any worker may arbitrate on any shard when

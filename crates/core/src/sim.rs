@@ -432,33 +432,6 @@ impl ReadySet {
         self.apply(i, queues[i].front(), ready);
     }
 
-    /// [`ReadySet::refresh`] right after `queues[i]` gained a task — the
-    /// queue is nonempty by construction, so that term is skipped.
-    fn refresh_after_push(
-        &mut self,
-        i: usize,
-        now: SimTime,
-        transmitting: &[bool],
-        queues: &[VecDeque<QueuedTask>],
-        backoff_until: &[SimTime],
-    ) {
-        let ready = !transmitting[i] && now >= backoff_until[i];
-        self.apply(i, queues[i].front(), ready);
-    }
-
-    /// [`ReadySet::refresh`] right after `transmitting[i]` was cleared —
-    /// that term is true by construction and is skipped.
-    fn refresh_after_txdone(
-        &mut self,
-        i: usize,
-        now: SimTime,
-        queues: &[VecDeque<QueuedTask>],
-        backoff_until: &[SimTime],
-    ) {
-        let ready = !queues[i].is_empty() && now >= backoff_until[i];
-        self.apply(i, queues[i].front(), ready);
-    }
-
     /// Drops a just-granted processor from the set. By the network contract
     /// it was pending, and the caller has marked it transmitting, so its
     /// readiness is unconditionally false — no predicate re-evaluation.
@@ -783,7 +756,7 @@ fn run(
                 queue_len.add(now, 1.0);
                 let dt = stages.interarrival.draw(&mut arr_rng);
                 hole.refill(now + dt, Event::Arrival(proc));
-                ready.refresh_after_push(proc, now, &transmitting, &queues, &backoff_until);
+                ready.refresh(proc, now, &transmitting, &queues, &backoff_until);
             }
             Event::TxDone { task } => {
                 let fl = in_flight.get_mut(task).expect("TxDone for unknown task");
@@ -793,7 +766,7 @@ fn run(
                 let dt = stages.service.draw(&mut svc_rng);
                 fl.stage = Stage::Service;
                 fl.handle = hole.refill(now + dt, Event::SvcDone { task });
-                ready.refresh_after_txdone(proc, now, &queues, &backoff_until);
+                ready.refresh(proc, now, &transmitting, &queues, &backoff_until);
             }
             Event::SvcDone { task } => {
                 drop(hole);

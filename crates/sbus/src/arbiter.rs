@@ -45,33 +45,13 @@ impl Arbiter {
         self.policy
     }
 
-    /// Picks one winner among `candidates` (local processor indices on this
-    /// bus, ascending). Returns `None` when empty.
-    pub fn pick(&mut self, candidates: &[usize], rng: &mut SimRng) -> Option<usize> {
-        if candidates.is_empty() {
-            return None;
-        }
-        let winner = match self.policy {
-            Arbitration::FixedPriority => candidates[0],
-            Arbitration::Random => candidates[rng.index(candidates.len())],
-            Arbitration::RoundRobin => {
-                let start = self.last_winner.map_or(0, |w| w + 1);
-                *candidates
-                    .iter()
-                    .find(|&&c| c >= start)
-                    .unwrap_or(&candidates[0])
-            }
-        };
-        self.last_winner = Some(winner);
-        Some(winner)
-    }
-
-    /// Packed-lane counterpart of [`Arbiter::pick`]: candidates arrive as a
-    /// bit mask with `count` set lanes. All three policies reduce to
+    /// Picks one winner among the candidates, which arrive as a bit mask of
+    /// local processor indices on this bus with `count` set lanes. Returns
+    /// `None` when `count` is 0. All three policies reduce to
     /// parallel-prefix selects on the packed words (lowest-set isolation,
     /// token-rotated lowest-set, n-th-set), and the random policy draws from
-    /// the rng exactly once with the same bound as the list form — so both
-    /// paths always elect the same winner.
+    /// the rng exactly once, bounded by `count` — so a test-only list
+    /// arbiter over the same candidates always elects the same winner.
     pub fn pick_packed(
         &mut self,
         candidates: &[u64],
@@ -89,6 +69,32 @@ impl Arbiter {
             Arbitration::RoundRobin => {
                 let start = self.last_winner.map_or(0, |w| w + 1);
                 rotating_grant(candidates, start).expect("count > 0")
+            }
+        };
+        self.last_winner = Some(winner);
+        Some(winner)
+    }
+}
+
+/// The candidate-list arbiter, kept as the test oracle for
+/// [`Arbiter::pick_packed`].
+#[cfg(test)]
+impl Arbiter {
+    /// Picks one winner among `candidates` (local processor indices on this
+    /// bus, ascending). Returns `None` when empty.
+    pub(crate) fn pick(&mut self, candidates: &[usize], rng: &mut SimRng) -> Option<usize> {
+        if candidates.is_empty() {
+            return None;
+        }
+        let winner = match self.policy {
+            Arbitration::FixedPriority => candidates[0],
+            Arbitration::Random => candidates[rng.index(candidates.len())],
+            Arbitration::RoundRobin => {
+                let start = self.last_winner.map_or(0, |w| w + 1);
+                *candidates
+                    .iter()
+                    .find(|&&c| c >= start)
+                    .unwrap_or(&candidates[0])
             }
         };
         self.last_winner = Some(winner);

@@ -6,10 +6,13 @@
 //! has a free resource. Each bus's pool of one type is one output port,
 //! `port = bus · types + type`, so the network is a plain
 //! [`ResourceNetwork`] that reads each request's type from
-//! [`PendingSet::types`]. It keeps its own per-type arbitration rather
-//! than a type branch in [`crate::SharedBusNetwork`]'s packed fast path.
+//! [`PendingSet::types`]. Like [`crate::SharedBusNetwork`] it slices each
+//! bus's request lanes out of the packed pending words and picks with
+//! [`Arbiter::pick_packed`]; it keeps its own per-type candidate filter
+//! rather than a type branch in the untyped bus.
 
 use crate::arbiter::{Arbiter, Arbitration};
+use rsin_bitslice::{clear_bit, copy_lanes, count_ones, test_bit, words_for};
 use rsin_core::{Grant, NetworkCounters, PendingSet, PortPool, ResourceNetwork};
 use rsin_des::SimRng;
 
@@ -42,6 +45,8 @@ pub struct TypedSharedBus {
     /// One pool per output port, `bus · types + type`.
     pool: PortPool,
     counters: NetworkCounters,
+    /// One bus's request lanes, reused across cycles.
+    lanes: Vec<u64>,
 }
 
 impl TypedSharedBus {
@@ -75,6 +80,7 @@ impl TypedSharedBus {
                 .collect(),
             pool: PortPool::with_capacities(resources_per_type.repeat(buses)),
             counters: NetworkCounters::default(),
+            lanes: Vec::new(),
         }
     }
 
@@ -111,51 +117,43 @@ impl ResourceNetwork for TypedSharedBus {
 
     fn request_cycle_pending(
         &mut self,
-        PendingSet { bools, types, .. }: PendingSet<'_>,
+        PendingSet { words, types, .. }: PendingSet<'_>,
         rng: &mut SimRng,
         out: &mut Vec<Grant>,
     ) {
-        assert_eq!(bools.len(), self.processors(), "pending vector size");
+        assert_eq!(
+            words.len(),
+            words_for(self.processors()),
+            "pending vector size"
+        );
+        let mut lanes = std::mem::take(&mut self.lanes);
         for (b, bus) in self.buses.iter_mut().enumerate() {
-            let base = b * self.procs_per_bus;
-            let waiting: Vec<(usize, usize)> = (0..self.procs_per_bus)
-                .filter(|&l| bools[base + l])
-                .map(|l| (l, types[base + l]))
-                .collect();
-            if waiting.is_empty() {
-                continue;
-            }
-            self.counters.attempts += waiting.len() as u64;
             if bus.transmitting {
-                self.counters.rejections += waiting.len() as u64;
                 continue;
             }
+            let base = b * self.procs_per_bus;
+            copy_lanes(words, base, self.procs_per_bus, &mut lanes);
             // Only requests whose type has a free resource wake up.
-            let candidates: Vec<usize> = waiting
-                .iter()
-                .filter(|&&(_, t)| self.pool.has_free(b * self.types + t))
-                .map(|&(l, _)| l)
-                .collect();
-            if candidates.is_empty() {
-                self.counters.rejections += waiting.len() as u64;
-                continue;
+            for l in 0..self.procs_per_bus {
+                if test_bit(&lanes, l) && !self.pool.has_free(b * self.types + types[base + l]) {
+                    clear_bit(&mut lanes, l);
+                }
             }
-            let winner = bus
-                .arbiter
-                .pick(&candidates, rng)
-                .expect("candidates nonempty");
-            self.counters.rejections += waiting.len() as u64 - 1;
-            let ty = waiting
-                .iter()
-                .find(|&&(l, _)| l == winner)
-                .map(|&(_, t)| t)
-                .expect("winner came from waiting");
-            bus.transmitting = true;
-            out.push(Grant {
-                processor: base + winner,
-                port: b * self.types + ty,
-            });
+            let count = count_ones(&lanes);
+            if let Some(winner) = bus.arbiter.pick_packed(&lanes, count, rng) {
+                bus.transmitting = true;
+                out.push(Grant {
+                    processor: base + winner,
+                    port: b * self.types + types[base + winner],
+                });
+            }
         }
+        self.lanes = lanes;
+        // The buses tile the processors exactly, so the whole-vector
+        // popcount is the sum of every bus's requests.
+        let attempts = count_ones(words) as u64;
+        self.counters.attempts += attempts;
+        self.counters.rejections += attempts - out.len() as u64;
     }
 
     fn end_transmission(&mut self, grant: Grant) {

@@ -2,28 +2,30 @@
 //! evaluated as branchless `u64` lane operations.
 //!
 //! [`CrossbarFabric`](crate::CrossbarFabric) sweeps the request wave cell by
-//! cell. But the Table-I transition function admits a closed form over an
-//! entire row at once. For a requesting row with latch lanes `L`, failed
-//! lanes `F`, and incoming availability lanes `A`:
+//! cell. Under the **held-column contract** the Table-I transition function
+//! admits a closed form over an entire row at once. The contract is the one
+//! a Section IV resource controller keeps: it drives `Y_{0,j} = 1` only
+//! while bus `j` is idle, so no column latched by an earlier cycle is ever
+//! advertised as available. For a requesting row with failed lanes `F` and
+//! incoming availability lanes `A`:
 //!
-//! * *transparent* cells (`F & !L`) forward both signals unchanged, so the
-//!   cells that can stop the wave are `A & (!F | L)` — the **candidate**
-//!   lanes;
-//! * the wave latches (or is absorbed by an existing latch) at the *lowest*
-//!   candidate lane — a parallel-prefix select, [`lowest_set`], replacing the
-//!   O(m) daisy chain;
-//! * after the wave, every latched cell has driven `Y' = Y & !latch`: the
-//!   row's entire effect on the availability wave is `A &= !L` (candidate
-//!   analysis shows latched lanes before the absorption point carry `A = 0`
-//!   already, so the blanket mask is exact);
-//! * an idle row only performs that same masking, and an idle row with no
-//!   latches is a no-op — so the cycle iterates exactly the lanes of
-//!   `requests | rows_with_latches`.
+//! * *transparent* (failed) cells forward both signals unchanged, so the
+//!   cells that can stop the wave are `A & !F` — the **candidate** lanes (a
+//!   latched cell would stop it too, but the contract keeps latched lanes
+//!   out of `A`);
+//! * the wave latches at the *lowest* candidate lane — a parallel-prefix
+//!   select, [`lowest_set`], replacing the O(m) daisy chain — and the new
+//!   latch drives `Y' = 0`, clearing exactly that one lane of `A`;
+//! * every other row forwards `A` unchanged (an idle row's latches sit on
+//!   lanes the contract already holds at zero), so the cycle visits only
+//!   the requesting rows.
 //!
-//! The evaluator is fault-aware by construction: a degraded mask simply sets
-//! lanes in `F`, which removes them from the candidate set without branching.
-//! Tail lanes (columns `m..64*ceil(m/64)`) are kept zero in every vector —
-//! the lane-layout invariant of `rsin-bitslice`.
+//! Debug builds check the contract at the start of every wave; release
+//! builds pay nothing for it. The evaluator is fault-aware by construction:
+//! a degraded mask simply sets lanes in `F`, which removes them from the
+//! candidate set without branching. Tail lanes (columns
+//! `m..64*ceil(m/64)`) are kept zero in every vector — the lane-layout
+//! invariant of `rsin-bitslice`.
 
 use crate::cell::{REQUEST_GATE_DELAY, RESET_GATE_DELAY};
 use rsin_bitslice::{
@@ -32,10 +34,12 @@ use rsin_bitslice::{
 
 /// A gate-level `p × m` crossbar with rows packed into `u64` lanes.
 ///
-/// Drop-in equivalent of [`CrossbarFabric`](crate::CrossbarFabric): same
-/// constructor, same cycle API, same grants in the same order, bit-for-bit —
-/// property tests fuzz the two against each other, including stuck-open
-/// faults and widths that are not multiples of 64.
+/// Equivalent to [`CrossbarFabric`](crate::CrossbarFabric) under the
+/// held-column contract (no column latched by an earlier cycle is offered
+/// as available): same constructor, same cycle API, same grants in the
+/// same order, bit-for-bit — property tests fuzz the two against each
+/// other, including stuck-open faults and widths that are not multiples of
+/// 64. Debug builds panic when a cycle breaks the contract.
 ///
 /// # Examples
 ///
@@ -58,9 +62,6 @@ pub struct BitFabric {
     latch: Vec<u64>,
     /// Stuck-open cells, same layout.
     failed: Vec<u64>,
-    /// Bit `i` set when row `i` holds at least one latch — the packed
-    /// equivalent of the naive fabric's row census.
-    rows_with_latch: Vec<u64>,
     /// Reusable buffers so steady-state cycles allocate nothing.
     scratch_avail: Vec<u64>,
     scratch_req: Vec<u64>,
@@ -84,7 +85,6 @@ impl BitFabric {
             tail: tail_mask(m),
             latch: vec![0; p * wpr],
             failed: vec![0; p * wpr],
-            rows_with_latch: vec![0; words_for(p)],
             scratch_avail: Vec::new(),
             scratch_req: Vec::new(),
         }
@@ -155,7 +155,8 @@ impl BitFabric {
     ///
     /// # Panics
     ///
-    /// Panics if the slice lengths don't match the fabric dimensions.
+    /// Panics if the slice lengths don't match the fabric dimensions, or
+    /// (debug builds) if `available` offers a column some row holds.
     pub fn request_cycle(&mut self, requests: &[bool], available: &[bool]) -> Vec<(usize, usize)> {
         let mut grants = Vec::new();
         self.request_cycle_into(requests, available, &mut grants);
@@ -163,11 +164,14 @@ impl BitFabric {
     }
 
     /// [`BitFabric::request_cycle`] writing the grants into a caller-provided
-    /// buffer (cleared first).
+    /// buffer (cleared first): packs both vectors and runs
+    /// [`BitFabric::request_cycle_packed`], so the held-column contract
+    /// applies.
     ///
     /// # Panics
     ///
-    /// Panics if the slice lengths don't match the fabric dimensions.
+    /// Panics if the slice lengths don't match the fabric dimensions, or
+    /// (debug builds) if `available` offers a column some row holds.
     pub fn request_cycle_into(
         &mut self,
         requests: &[bool],
@@ -187,13 +191,18 @@ impl BitFabric {
 
     /// The packed request wave: `req` holds `p` request lanes, `avail` holds
     /// `m` availability lanes and is updated in place to the wave's output
-    /// (`Y_{p,j}`). Grants are appended in row-major order, matching the
-    /// naive sweep exactly.
+    /// (`Y_{p,j}`). Grants are written (cleared first) in row-major order,
+    /// matching the naive sweep exactly.
+    ///
+    /// Held-column contract: no column latched by an earlier cycle may be
+    /// set in `avail`. Each requesting row, in ascending order, then
+    /// latches the lowest healthy lane still available and clears that one
+    /// lane from `avail`.
     ///
     /// # Panics
     ///
-    /// Panics if the word counts don't match the fabric dimensions, or if
-    /// tail lanes are set (debug builds).
+    /// Panics if the word counts don't match the fabric dimensions, or
+    /// (debug builds) if tail lanes are set or the contract is broken.
     pub fn request_cycle_packed(
         &mut self,
         req: &[u64],
@@ -207,169 +216,35 @@ impl BitFabric {
             0,
             "tail lanes must be zero"
         );
-        grants.clear();
-        let wpr = self.wpr;
-        for (rw, &req_word) in req.iter().enumerate() {
-            // Rows that are neither requesting nor holding a latch cannot
-            // affect the wave; skip them wholesale.
-            let mut active = req_word | self.rows_with_latch[rw];
-            while active != 0 {
-                let bit = lowest_set(active);
-                active &= !bit;
-                let i = rw * WORD_BITS + bit.trailing_zeros() as usize;
-                let base = i * wpr;
-                if req_word & bit != 0 {
-                    // Parallel-prefix grant: the wave stops at the lowest
-                    // candidate lane (availability on a non-transparent cell).
-                    for (w, &a) in avail.iter().enumerate() {
-                        let latch_w = self.latch[base + w];
-                        let cand = a & (!self.failed[base + w] | latch_w);
-                        if cand != 0 {
-                            let lane = lowest_set(cand);
-                            if latch_w & lane == 0 {
-                                self.latch[base + w] |= lane;
-                                self.rows_with_latch[rw] |= bit;
-                                grants.push((i, w * WORD_BITS + lane.trailing_zeros() as usize));
-                            }
-                            break;
-                        }
-                    }
-                }
-                // Every latched cell drives Y' = Y & !latch; lanes the wave
-                // was absorbed on are latched too, so one mask covers all.
-                for (w, a) in avail.iter_mut().enumerate() {
-                    *a &= !self.latch[base + w];
-                }
-            }
-        }
-    }
-
-    /// [`BitFabric::request_cycle_packed`] specialized to callers that
-    /// guarantee every column latched by a *previous* cycle is already
-    /// unavailable in `avail` — exactly the resource-network invariant,
-    /// where a latched column is a held bus and the availability predicate
-    /// masks it out. Under that precondition a latched, non-requesting row
-    /// can never change a grant (its mask only clears bits that are
-    /// already zero), so the wave walks requesting rows only. Grants are
-    /// identical to [`BitFabric::request_cycle_packed`]; the final state of
-    /// `avail` may differ on the columns such skipped rows would have
-    /// masked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the word counts don't match the fabric dimensions, or
-    /// (debug builds) if tail lanes are set or the held-column precondition
-    /// is violated.
-    pub fn request_cycle_packed_assuming_held(
-        &mut self,
-        req: &[u64],
-        avail: &mut [u64],
-        grants: &mut Vec<(usize, usize)>,
-    ) {
-        assert_eq!(req.len(), words_for(self.p), "request word count");
-        assert_eq!(avail.len(), self.wpr, "availability word count");
-        debug_assert_eq!(
-            avail[self.wpr - 1] & !self.tail,
-            0,
-            "tail lanes must be zero"
-        );
         #[cfg(debug_assertions)]
-        for (rw, &latched) in self.rows_with_latch.iter().enumerate() {
-            let mut rows = latched;
-            while rows != 0 {
-                let bit = lowest_set(rows);
-                rows &= !bit;
-                let base = (rw * WORD_BITS + bit.trailing_zeros() as usize) * self.wpr;
-                for (w, a) in avail.iter().enumerate() {
-                    debug_assert_eq!(
-                        a & self.latch[base + w],
-                        0,
-                        "caller advertised a latched (held) column as available"
-                    );
-                }
+        for row in self.latch.chunks_exact(self.wpr) {
+            for (a, latch) in avail.iter().zip(row) {
+                debug_assert_eq!(
+                    a & latch,
+                    0,
+                    "caller advertised a latched (held) column as available"
+                );
             }
         }
         grants.clear();
-        let wpr = self.wpr;
         for (rw, &req_word) in req.iter().enumerate() {
             let mut active = req_word;
             while active != 0 {
-                let bit = lowest_set(active);
-                active &= !bit;
-                let i = rw * WORD_BITS + bit.trailing_zeros() as usize;
-                let base = i * wpr;
-                for (w, &a) in avail.iter().enumerate() {
-                    let latch_w = self.latch[base + w];
-                    let cand = a & (!self.failed[base + w] | latch_w);
+                let i = rw * WORD_BITS + active.trailing_zeros() as usize;
+                active &= active - 1;
+                let base = i * self.wpr;
+                for (w, a) in avail.iter_mut().enumerate() {
+                    let cand = *a & !self.failed[base + w];
                     if cand != 0 {
                         let lane = lowest_set(cand);
-                        if latch_w & lane == 0 {
-                            self.latch[base + w] |= lane;
-                            self.rows_with_latch[rw] |= bit;
-                            grants.push((i, w * WORD_BITS + lane.trailing_zeros() as usize));
-                        }
+                        self.latch[base + w] |= lane;
+                        *a &= !lane;
+                        grants.push((i, w * WORD_BITS + lane.trailing_zeros() as usize));
                         break;
                     }
                 }
-                for (w, a) in avail.iter_mut().enumerate() {
-                    *a &= !self.latch[base + w];
-                }
             }
         }
-    }
-
-    /// [`BitFabric::request_cycle_packed_assuming_held`] specialized to a
-    /// cycle with exactly one requesting row — the dominant shape of an
-    /// uncontended simulation, where each decision epoch serves the single
-    /// processor whose arrival triggered it. With no later row to observe
-    /// the availability wave, `avail` is read without being consumed, so
-    /// the caller skips both the working copy and the post-grant masking
-    /// pass. Returns the granted column, if any; latch state advances
-    /// exactly as the general wave would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` or the word count is out of range, or (debug builds)
-    /// if tail lanes are set or the held-column precondition is violated.
-    pub fn request_single_assuming_held(&mut self, i: usize, avail: &[u64]) -> Option<usize> {
-        assert!(i < self.p, "row out of range");
-        assert_eq!(avail.len(), self.wpr, "availability word count");
-        debug_assert_eq!(
-            avail[self.wpr - 1] & !self.tail,
-            0,
-            "tail lanes must be zero"
-        );
-        #[cfg(debug_assertions)]
-        for (rw, &latched) in self.rows_with_latch.iter().enumerate() {
-            let mut rows = latched;
-            while rows != 0 {
-                let bit = lowest_set(rows);
-                rows &= !bit;
-                let base = (rw * WORD_BITS + bit.trailing_zeros() as usize) * self.wpr;
-                for (w, a) in avail.iter().enumerate() {
-                    debug_assert_eq!(
-                        a & self.latch[base + w],
-                        0,
-                        "caller advertised a latched (held) column as available"
-                    );
-                }
-            }
-        }
-        let base = i * self.wpr;
-        for (w, &a) in avail.iter().enumerate() {
-            let latch_w = self.latch[base + w];
-            let cand = a & (!self.failed[base + w] | latch_w);
-            if cand != 0 {
-                let lane = lowest_set(cand);
-                if latch_w & lane == 0 {
-                    self.latch[base + w] |= lane;
-                    set_bit(&mut self.rows_with_latch, i);
-                    return Some(w * WORD_BITS + lane.trailing_zeros() as usize);
-                }
-                return None;
-            }
-        }
-        None
     }
 
     /// Runs one reset cycle: every processor `i` with `resets[i]` set
@@ -397,7 +272,6 @@ impl BitFabric {
     pub fn reset_row(&mut self, i: usize) {
         assert!(i < self.p, "row out of range");
         self.latch[i * self.wpr..(i + 1) * self.wpr].fill(0);
-        clear_bit(&mut self.rows_with_latch, i);
     }
 
     /// Worst-case request-cycle length in gate delays: `4(p + m)` — the
@@ -424,11 +298,20 @@ mod tests {
         let mut f = BitFabric::new(2, 1);
         assert_eq!(f.request_cycle(&[true, true], &[true]), vec![(0, 0)]);
         assert!(f.is_connected(0, 0));
-        // Held bus blocks a re-broadcast availability.
-        assert!(f.request_cycle(&[false, true], &[true]).is_empty());
         f.reset_row(0);
         assert!(!f.is_connected(0, 0));
         assert_eq!(f.request_cycle(&[false, true], &[true]), vec![(1, 0)]);
+    }
+
+    /// Offering a column that an earlier cycle latched breaks the
+    /// held-column contract; debug builds catch it before the wave runs.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "latched (held) column")]
+    fn advertising_a_held_column_panics_in_debug_builds() {
+        let mut f = BitFabric::new(2, 1);
+        assert_eq!(f.request_cycle(&[true, false], &[true]), vec![(0, 0)]);
+        f.request_cycle(&[false, true], &[true]);
     }
 
     #[test]
@@ -451,6 +334,8 @@ mod tests {
     /// Bit-for-bit fuzz against the cell-by-cell reference fabric: random
     /// interleavings of request cycles, row resets, cell failures and
     /// repairs, across widths spanning word boundaries and lane tails.
+    /// Availability is drawn only on columns no row of the reference holds,
+    /// the held-column contract of [`BitFabric::request_cycle_packed`].
     #[test]
     fn bitslice_matches_cell_sweep_exactly() {
         for &(p, m) in &[
@@ -476,7 +361,9 @@ mod tests {
                 match next() % 4 {
                     0 | 1 => {
                         let requests: Vec<bool> = (0..p).map(|_| next() % 2 == 0).collect();
-                        let available: Vec<bool> = (0..m).map(|_| next() % 3 != 0).collect();
+                        let available: Vec<bool> = (0..m)
+                            .map(|j| next() % 3 != 0 && !(0..p).any(|i| cells.is_connected(i, j)))
+                            .collect();
                         bits.request_cycle_into(&requests, &available, &mut g_bits);
                         cells.request_cycle_into(&requests, &available, &mut g_cells);
                         assert_eq!(g_bits, g_cells, "{p}x{m} round {round}");

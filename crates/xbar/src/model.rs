@@ -29,9 +29,10 @@ struct Partition {
     held_by: Vec<Option<usize>>,
     /// Packed image of the availability predicate, maintained incrementally:
     /// bit `j` set iff column `j`'s pool [`PortPool::has_free`] and
-    /// `held_by[j].is_none()`. Lets the bit-sliced wave start from a
-    /// one-word copy instead of re-deriving and re-packing the predicate
-    /// every cycle. The cell-by-cell test oracle deliberately re-derives it
+    /// `held_by[j].is_none()`. The bit-sliced wave runs on it in place (a
+    /// held bus is never set, the wave's held-column contract) and the
+    /// token policy reads its free buses from it, so no cycle re-derives
+    /// the predicate. The cell-by-cell test oracle deliberately re-derives it
     /// from the scalar state, so an incremental-update bug here shows up
     /// as a divergence in the equivalence tests.
     avail: Vec<u64>,
@@ -68,7 +69,6 @@ pub struct CrossbarNetwork {
 #[derive(Debug, Default)]
 struct CycleScratch {
     req_words: Vec<u64>,
-    avail_words: Vec<u64>,
     procs: Vec<usize>,
     buses: Vec<usize>,
     local: Vec<(usize, usize)>,
@@ -197,72 +197,47 @@ impl CrossbarNetwork {
         }
         self.counters.attempts += n_pending;
         let base = pi * self.inputs;
-        let pool = &self.pool;
         let CycleScratch {
-            avail_words,
             procs,
             buses,
             local,
             ..
         } = &mut self.scratch;
         let part = &mut self.partitions[pi];
-        let f = &mut part.fabric;
         match self.policy {
             CrossbarPolicy::FixedPriority => {
-                // The packed availability image is kept current, so the wave starts from a word copy
-                // instead of a predicate sweep — and since a held bus is
-                // never advertised as available, the wave may skip idle
-                // latched rows.
-                if n_pending == 1 {
-                    // Lone requester: no later row observes the
-                    // availability wave, so `avail` is read in place — no
-                    // copy, no masking pass.
-                    let (rw, word) = req_words
-                        .iter()
-                        .enumerate()
-                        .find(|&(_, &w)| w != 0)
-                        .expect("n_pending > 0");
-                    let li = rw * 64 + word.trailing_zeros() as usize;
-                    local.clear();
-                    local.extend(
-                        f.request_single_assuming_held(li, &part.avail)
-                            .map(|lj| (li, lj)),
-                    );
-                } else {
-                    avail_words.clear();
-                    avail_words.extend_from_slice(&part.avail);
-                    f.request_cycle_packed_assuming_held(req_words, avail_words, local);
-                }
+                // A held bus is never advertised, so the wave runs in place
+                // on the availability image and clears exactly the lanes it
+                // grants.
+                part.fabric
+                    .request_cycle_packed(req_words, &mut part.avail, local);
             }
             CrossbarPolicy::RandomToken => {
                 // Token scheme: each free bus captures a random pending
                 // processor; equivalently match shuffled lists. A pair
                 // that lands on a failed crosspoint cannot connect and
                 // is rejected for this cycle. Candidate lists are built
-                // in ascending order from the scalar predicate.
+                // in ascending order from the packed lanes.
                 procs.clear();
                 procs.extend((0..self.inputs).filter(|&l| rsin_bitslice::test_bit(req_words, l)));
                 buses.clear();
-                buses.extend((0..self.outputs).filter(|&j| {
-                    pool.has_free(pi * self.outputs + j) && part.held_by[j].is_none()
-                }));
+                buses
+                    .extend((0..self.outputs).filter(|&j| rsin_bitslice::test_bit(&part.avail, j)));
                 rng.shuffle(procs);
                 rng.shuffle(buses);
                 local.clear();
-                local.extend(
-                    procs
-                        .iter()
-                        .zip(buses.iter())
-                        .map(|(&li, &lj)| (li, lj))
-                        .filter(|&(li, lj)| !f.is_failed(li, lj)),
-                );
+                for (&li, &lj) in procs.iter().zip(buses.iter()) {
+                    if !part.fabric.is_failed(li, lj) {
+                        rsin_bitslice::clear_bit(&mut part.avail, lj);
+                        local.push((li, lj));
+                    }
+                }
             }
         }
         self.counters.rejections += n_pending - local.len() as u64;
         for &(li, lj) in local.iter() {
             // A held bus advertises nothing until its circuit breaks.
             part.held_by[lj] = Some(li);
-            rsin_bitslice::clear_bit(&mut part.avail, lj);
             grants.push(Grant {
                 processor: base + li,
                 port: pi * self.outputs + lj,
@@ -308,10 +283,9 @@ impl ResourceNetwork for CrossbarNetwork {
         let part = &mut self.partitions[pi];
         let holder = part.held_by[lj].take().expect("bus was held");
         debug_assert_eq!(holder + pi * self.inputs, grant.processor);
-        if self.policy == CrossbarPolicy::FixedPriority {
-            // Break the circuit in the fabric: the holder's reset wave.
-            part.fabric.reset_row(holder);
-        }
+        // Break the circuit in the fabric: the holder's reset wave (a no-op
+        // under the token policy, whose rows never latch).
+        part.fabric.reset_row(holder);
         self.pool.occupy(grant.port);
         self.refresh_avail(grant.port);
     }
@@ -329,9 +303,7 @@ impl ResourceNetwork for CrossbarNetwork {
         // simulator requeues it with the other casualties.
         let part = &mut self.partitions[port / self.outputs];
         if let Some(holder) = part.held_by[port % self.outputs].take() {
-            if self.policy == CrossbarPolicy::FixedPriority {
-                part.fabric.reset_row(holder);
-            }
+            part.fabric.reset_row(holder);
         }
         self.refresh_avail(port);
         self.counters.resource_failures += 1;

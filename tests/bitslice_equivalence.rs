@@ -96,7 +96,7 @@ fn pinned_networks() -> Vec<(String, Box<dyn ResourceNetwork>, u64, u64)> {
 
     // The networks with no bit-sliced resolver share the per-port resource
     // pools with the ones above, so their runs are pinned too.
-    let others: [(&str, Box<dyn ResourceNetwork>, u64, u64); 3] = [
+    let others: [(&str, Box<dyn ResourceNetwork>, u64, u64); 2] = [
         (
             "c-omega",
             Box::new(CentralOmegaNetwork::new(8, 2).expect("power of two")),
@@ -109,20 +109,34 @@ fn pinned_networks() -> Vec<(String, Box<dyn ResourceNetwork>, u64, u64)> {
             0x695f_ce63_e34d_975b,
             0x61c6_6df1_463e_4d0e,
         ),
-        (
-            "typed-sbus",
-            Box::new(TypedSharedBus::new(
-                2,
-                3,
-                vec![2, 1],
-                Arbitration::FixedPriority,
-            )),
-            0xb517_205f_2b3c_1dd5,
-            0x5019_006c_1bc1_bece,
-        ),
     ];
     for (label, net, healthy, faulted) in others {
         nets.push((label.to_string(), net, healthy, faulted));
+    }
+    for (arb, healthy, faulted) in [
+        (
+            Arbitration::FixedPriority,
+            0xb517_205f_2b3c_1dd5,
+            0x5019_006c_1bc1_bece,
+        ),
+        (
+            Arbitration::Random,
+            0x7c53_c191_10ca_c4cc,
+            0x9b28_420d_db6a_0295,
+        ),
+        (
+            Arbitration::RoundRobin,
+            0x928c_4c66_9d96_8e10,
+            0xc687_1c60_36ff_6a96,
+        ),
+    ] {
+        let net = TypedSharedBus::new(2, 3, vec![2, 1], arb);
+        nets.push((
+            format!("typed-sbus/{arb:?}"),
+            Box::new(net),
+            healthy,
+            faulted,
+        ));
     }
 
     nets
