@@ -12,7 +12,9 @@
 //!   garbage lanes zeroed;
 //! - parallel-prefix (Kogge–Stone-style) arbitration chains
 //!   ([`prefix_or_up`], [`lowest_set`], [`rotating_grant`]) replacing
-//!   per-cell daisy-chain sweeps with log-depth carry lookahead;
+//!   per-cell daisy-chain sweeps with log-depth carry lookahead, and the
+//!   rank-form round-robin arbiter ([`rotating_rank`], [`select_nth_set`],
+//!   [`wake_targets`]) the runtime crossbar broker grants and wakes by;
 //! - wiring-permutation shuffles ([`or_pairs_compress`], [`tile_double`],
 //!   [`swap_or`]) that evaluate a whole Omega/Cube stage of 2x2 boxes as a
 //!   handful of mask-and-shift operations.
@@ -245,6 +247,28 @@ pub fn select_nth_set(words: &[u64], mut n: usize) -> Option<usize> {
         n -= pop;
     }
     None
+}
+
+/// The lanes of `parked` that the next grant wave reaches: of the set lanes
+/// of `requests`, the first `free` in the circular priority order that
+/// starts at lane `origin` — exactly the lanes whose [`rotating_rank`] is
+/// below `free` — restricted to `parked`. Lanes at or above `n` must be
+/// zero in `requests`.
+///
+/// A round-robin arbiter forwards its grant straight to the next requester
+/// in rotation order; this is that forwarding as a mask: one rotate to move
+/// the origin to lane 0, a prefix select cutting after the `free`-th
+/// requester, and the inverse rotate. Origin 0 is fixed (low index wins)
+/// priority.
+#[inline]
+pub fn wake_targets(requests: u64, parked: u64, n: usize, origin: usize, free: usize) -> u64 {
+    let origin = origin % n;
+    let rot = rotate_lanes_right(requests, n, origin);
+    let granted = match select_nth_set(&[rot], free) {
+        Some(cut) => rot & ((1u64 << cut) - 1),
+        None => rot,
+    };
+    rotate_lanes_right(granted, n, n - origin) & parked
 }
 
 const EVEN_1: u64 = 0x5555_5555_5555_5555;
@@ -521,6 +545,47 @@ mod tests {
                 let candidates: Vec<usize> = (0..n).filter(|&i| test_bit(&v, i)).collect();
                 for k in 0..candidates.len() + 2 {
                     assert_eq!(select_nth_set(&v, k), candidates.get(k).copied());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wake_targets_match_per_row_ranks() {
+        // Every requests and parked mask of 1–6 rows, every origin, 0–3
+        // free columns, under both crossbar policies: a parked requester is
+        // woken iff fewer than `free` requesters outrank it.
+        for n in 1..=6usize {
+            let fixed_rank = |mask: u64, who: usize| (mask & ((1u64 << who) - 1)).count_ones();
+            let token_rank = |mask: u64, origin: usize, who: usize| {
+                let pos = (who + n - origin) % n;
+                (0..n)
+                    .filter(|&j| mask & (1u64 << j) != 0 && (j + n - origin) % n < pos)
+                    .count() as u32
+            };
+            for requests in 0..1u64 << n {
+                for parked in 0..1u64 << n {
+                    for free in 0..=3usize {
+                        let naive = |rank: &dyn Fn(usize) -> u32| {
+                            (0..n)
+                                .filter(|&j| requests & parked & (1u64 << j) != 0)
+                                .filter(|&j| (rank(j) as usize) < free)
+                                .fold(0u64, |m, j| m | 1u64 << j)
+                        };
+                        assert_eq!(
+                            wake_targets(requests, parked, n, 0, free),
+                            naive(&|j| fixed_rank(requests, j)),
+                            "fixed: n {n} requests {requests:#b} parked {parked:#b} free {free}"
+                        );
+                        for origin in 0..n {
+                            assert_eq!(
+                                wake_targets(requests, parked, n, origin, free),
+                                naive(&|j| token_rank(requests, origin, j)),
+                                "token: n {n} requests {requests:#b} parked {parked:#b} \
+                                 origin {origin} free {free}"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -65,7 +65,14 @@
 //! holding the resource is visible to the next. Deadline stores are
 //! `Release`/`Acquire` around the word CAS; they influence only *when*
 //! a reclaim is attempted, never whether it is safe — safety is the
-//! generation CAS alone.
+//! generation CAS alone. The two transitions that make a slot claimable
+//! — the vacate of [`LeaseWord::finish_unclaim`] and the repair of
+//! [`LeaseWord::clear_faulted`] — are `SeqCst`, so a `SeqCst` load a
+//! vacate hook makes afterwards cannot be ordered before them: the
+//! crossbar's wake reads its parked mask that way (Dekker's handshake
+//! against a waiter's fence, see the `xbar` module). On x86-64 and
+//! AArch64 an `AcqRel` read-modify-write already compiles to the same
+//! instruction, so this costs nothing.
 
 use crate::{BrokerGrant, ReleaseOutcome, WorkerId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -347,7 +354,7 @@ impl LeaseWord {
             let next = pack(generation_of(cur).wrapping_add(1), 0, owner);
             match self
                 .word
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
+                .compare_exchange_weak(cur, next, Ordering::SeqCst, Ordering::Acquire)
             {
                 Ok(_) => return Vacated { to_faulted },
                 Err(now) => cur = now,
@@ -401,7 +408,7 @@ impl LeaseWord {
             };
             match self
                 .word
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
+                .compare_exchange_weak(cur, next, Ordering::SeqCst, Ordering::Acquire)
             {
                 Ok(_) => return outcome,
                 Err(now) => cur = now,

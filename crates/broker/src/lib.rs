@@ -38,16 +38,22 @@
 //! `SharedBusChain` / `Mmr` analytic predictions and with the workspace's
 //! DES — see `tests/cross_validation.rs` and DESIGN.md §8.
 //!
-//! ## Waiting discipline (no lost wakeups by construction)
+//! ## Waiting discipline (bounded park, targeted crossbar wake)
 //!
 //! Blocked acquirers never rely on a wakeup being delivered: every wait is
 //! a poll loop ([`Waiter`]) that re-reads the shared state itself —
-//! briefly spinning, then yielding, then sleeping in short bounded
-//! intervals. A state change can therefore never be missed (there is no
-//! wakeup to lose); the cost is at most one poll interval of added
-//! latency, which the cross-validation budgets for. This also keeps the
-//! broker honest on a single-core host, where hard spinning would starve
-//! the very holder being waited on.
+//! briefly spinning, then yielding, then parking in short bounded
+//! intervals. A state change can therefore never be missed (a lost wakeup
+//! costs at most one poll interval, which the cross-validation budgets
+//! for). An unpark only ends a poll interval early: the crossbar's
+//! releaser wakes the parked rows its next grant wave would grant, as a
+//! round-robin arbiter forwards its grant to the next requester in
+//! rotation order, so a token handed to a parked row does not idle its
+//! column for a whole interval. The shared bus and Omega ring no one:
+//! there the releaser takes the status word back within nanoseconds, and a
+//! woken waiter would mostly lose that race. Polling also keeps the broker
+//! honest on a single-core host, where hard spinning would starve the very
+//! holder being waited on.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -129,20 +135,27 @@ impl RunControl {
     }
 }
 
-/// Escalating poll-wait: spin briefly, yield a few times, then sleep in
+/// Escalating poll-wait: spin briefly, yield a few times, then park in
 /// short bounded intervals.
 ///
-/// The sleep interval is capped at [`Waiter::MAX_SLEEP`], so a waiter
+/// The park interval is capped at [`Waiter::MAX_SLEEP`], so a waiter
 /// re-examines the world at least every 200 µs — that bound is what makes
-/// "no lost wakeups" structural rather than hoped-for.
+/// "no lost wakeups" structural rather than hoped-for. An unpark of the
+/// waiting thread ends the current interval early; nothing depends on it.
 #[derive(Debug, Default)]
 pub struct Waiter {
     rounds: u32,
 }
 
 impl Waiter {
-    /// Longest a waiter ever sleeps between polls.
+    /// Longest a waiter ever parks between polls.
     pub const MAX_SLEEP: Duration = Duration::from_micros(200);
+
+    /// Waits that spin before the first yield.
+    const SPINS: u32 = 16;
+
+    /// Waits that spin or yield before the first park.
+    const YIELDS: u32 = 32;
 
     /// A fresh waiter (starts in the spin phase).
     #[must_use]
@@ -150,15 +163,17 @@ impl Waiter {
         Waiter::default()
     }
 
-    /// One wait step; escalates from spinning through yielding to sleeping.
+    /// One wait step; escalates from spinning through yielding to parking.
     pub fn wait(&mut self) {
         self.rounds = self.rounds.saturating_add(1);
-        if self.rounds <= 16 {
+        if self.rounds <= Self::SPINS {
             std::hint::spin_loop();
-        } else if self.rounds <= 32 {
+        } else if self.rounds <= Self::YIELDS {
             std::thread::yield_now();
         } else {
-            std::thread::sleep(Self::MAX_SLEEP.min(Duration::from_micros(50) * self.rounds / 32));
+            std::thread::park_timeout(
+                Self::MAX_SLEEP.min(Duration::from_micros(50) * self.rounds / Self::YIELDS),
+            );
         }
     }
 
@@ -167,6 +182,11 @@ impl Waiter {
         self.rounds = 0;
     }
 }
+
+/// The first [`retry`] round whose failure parks, for a discipline that
+/// never reports progress: rounds `0 ..= Waiter::YIELDS - 1` spin or
+/// yield after failing, every later round parks.
+pub(crate) const PARK_ROUND: usize = Waiter::YIELDS as usize;
 
 /// What one arbitration round of a distributed discipline came to.
 ///
@@ -200,7 +220,9 @@ impl Attempt {
 /// The blocking acquire of every distributed discipline: arbitration
 /// rounds `attempt(0)`, `attempt(1)`, … with one shared backoff between
 /// them — the paper's retry-on-status-change — until a round grants or
-/// `ctl` stops.
+/// `ctl` stops. A discipline that wakes its waiters publishes them from
+/// round [`PARK_ROUND`], before that round's attempt, so a release that
+/// misses the registration is seen by the attempt instead.
 pub(crate) fn retry(
     ctl: &RunControl,
     mut attempt: impl FnMut(usize) -> Attempt,

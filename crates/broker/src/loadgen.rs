@@ -52,9 +52,11 @@
 //! Model time maps to wall time through [`LoadConfig::scale_us`]
 //! (microseconds per model unit). All timed waits finish with a short spin
 //! (`sleep_until`) so scheduling overshoot stays in the microseconds;
-//! the residual measurement floor — a blocked acquire re-polls at worst
-//! every [`Waiter::MAX_SLEEP`](crate::Waiter::MAX_SLEEP) — is budgeted
-//! explicitly by the cross-validation tolerances (DESIGN.md §8).
+//! the residual measurement floor — a blocked acquire parks for at most
+//! [`Waiter::MAX_SLEEP`](crate::Waiter::MAX_SLEEP) between polls, and only
+//! a crossbar release wakes it sooner (bounded park, targeted crossbar
+//! wake) — is budgeted explicitly by the cross-validation tolerances
+//! (DESIGN.md §8), which keep the full poll interval as the worst case.
 
 use crate::chaos::{ChaosOptions, ChaosPlan};
 use crate::{Broker, BrokerGrant, RunControl, WorkerId, VACANT};

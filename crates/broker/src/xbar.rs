@@ -49,13 +49,38 @@
 //! chaos run ends in `reclaim_all`, so every grant has ended exactly once,
 //! and the token generation must equal the grant total.
 //!
+//! ## Waking the next wave
+//!
+//! A blocked row polls through the crate's shared backoff, whose last tier
+//! parks for up to [`Waiter::MAX_SLEEP`](crate::Waiter::MAX_SLEEP). Under
+//! [`XbarPolicy::TokenRotation`] the releaser ranks behind the token's new
+//! holder, so a column handed to a parked row would idle until that row's
+//! next poll. Instead, a row entering the park tier stores its thread
+//! handle and raises its bit in a `parked` mask, and every event that
+//! frees a column — release, reclaim, repair — unparks the parked rows the
+//! next wave grants: the first `free` requesters in rank order from the
+//! priority origin ([`rsin_bitslice::wake_targets`]). The handshake is
+//! Dekker's: the row raises its bit, issues a `SeqCst` fence, and makes
+//! one more attempt before it parks; the releaser vacates with a `SeqCst`
+//! CAS and only then reads the mask with a `SeqCst` load (ordered like a
+//! fence would order them, without the fence instruction on the
+//! uncontended release path). Whichever side comes first in the `SeqCst`
+//! order, either the attempt sees the vacant column or the releaser sees
+//! the bit, and an unpark that lands before the park is kept as the
+//! thread's token. The poll interval stays the liveness bound; the wake
+//! only ends it early.
+//!
 //! Crossbar columns are dedicated buses, so [`Broker::end_transmission`] is
 //! a no-op here: the column is the circuit *and* the resource claim, held
 //! from grant to release.
 
-use crate::lease::LeasePool;
-use crate::{retry, Attempt, Broker, BrokerGrant, ReleaseOutcome, RunControl, WorkerId};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::lease::{LeasePool, RepairOutcome};
+use crate::{
+    retry, Attempt, Broker, BrokerGrant, ReleaseOutcome, RunControl, WorkerId, PARK_ROUND,
+};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::thread::Thread;
 use std::time::Duration;
 
 /// Arbitration policy of the request-cycle wave.
@@ -93,17 +118,25 @@ pub struct XbarBroker {
     token: AtomicU64,
     /// Per-column lease words.
     pool: LeasePool,
+    /// Rows in the park tier of their blocking acquire (bit per worker).
+    parked: AtomicU64,
+    /// Per row, the thread that last entered the park tier as that row.
+    /// Worker ids outlive threads (a broker may serve successive thread
+    /// generations), so the handle is stored again at every registration.
+    sleepers: Vec<Mutex<Option<Thread>>>,
 }
 
-/// Lowers the raised request line even if the owner unwinds.
-struct RequestLine<'a> {
-    requests: &'a AtomicU64,
+/// A row's raised bit in one of the row masks (`requests`, `parked`),
+/// lowered on every exit path, unwinding included, so a dying row cannot
+/// jam its line high.
+struct RowLine<'a> {
+    mask: &'a AtomicU64,
     bit: u64,
 }
 
-impl Drop for RequestLine<'_> {
+impl Drop for RowLine<'_> {
     fn drop(&mut self) {
-        self.requests.fetch_and(!self.bit, Ordering::AcqRel);
+        self.mask.fetch_and(!self.bit, Ordering::AcqRel);
     }
 }
 
@@ -150,6 +183,8 @@ impl XbarBroker {
             requests: AtomicU64::new(0),
             token: AtomicU64::new(0),
             pool: LeasePool::new(resources, lease),
+            parked: AtomicU64::new(0),
+            sleepers: (0..workers).map(|_| Mutex::new(None)).collect(),
         }
     }
 
@@ -172,8 +207,15 @@ impl XbarBroker {
         (self.token.load(Ordering::Acquire) >> 32) as u32
     }
 
-    /// Passes the token to the successor of `from` (the row whose grant
-    /// just ended — by its own release or by reclaim on its behalf).
+    /// The pool's vacate hook: passes the token on from the row whose
+    /// grant just ended (by its own release or by reclaim on its behalf),
+    /// then wakes the rows the next wave grants.
+    fn vacated(&self, holder: WorkerId) {
+        self.pass_token(holder);
+        self.wake_next_wave();
+    }
+
+    /// Passes the token to the successor of `from`.
     fn pass_token(&self, from: WorkerId) {
         if self.policy != XbarPolicy::TokenRotation {
             return;
@@ -185,6 +227,46 @@ impl XbarBroker {
                 let generation = (t >> 32).wrapping_add(1);
                 Some((generation << 32) | next)
             });
+    }
+
+    /// Unparks the parked rows the next grant wave reaches (module docs,
+    /// "Waking the next wave"). Called after a column was freed by a
+    /// `SeqCst` vacate or repair, which the `SeqCst` mask read cannot pass.
+    fn wake_next_wave(&self) {
+        let parked = self.parked.load(Ordering::SeqCst);
+        if parked == 0 {
+            return;
+        }
+        let origin = match self.policy {
+            XbarPolicy::FixedPriority => 0,
+            XbarPolicy::TokenRotation => self.token_position(),
+        };
+        let mut targets = rsin_bitslice::wake_targets(
+            self.requests.load(Ordering::Acquire),
+            parked,
+            self.workers,
+            origin,
+            self.pool.available(),
+        );
+        while targets != 0 {
+            let row = targets.trailing_zeros() as usize;
+            targets &= targets - 1;
+            if let Some(thread) = &*self.sleeper(row) {
+                thread.unpark();
+            }
+        }
+    }
+
+    fn sleeper(&self, row: WorkerId) -> MutexGuard<'_, Option<Thread>> {
+        self.sleepers[row]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The thread a wake of `row` would unpark.
+    #[cfg(test)]
+    fn sleeper_id(&self, row: WorkerId) -> Option<std::thread::ThreadId> {
+        self.sleeper(row).as_ref().map(Thread::id)
     }
 
     /// Rank of `who` among the requesters in `mask` under the active
@@ -232,14 +314,28 @@ impl XbarBroker {
     /// exit path, unwinding included. Release publishes the bit to
     /// concurrent rank computations; AcqRel so the caller also sees the
     /// current mask.
-    fn raise_request_line(&self, who: WorkerId) -> RequestLine<'_> {
+    fn raise_request_line(&self, who: WorkerId) -> RowLine<'_> {
         debug_assert!(who < self.workers, "worker id out of range");
         let bit = 1u64 << who;
         let prior = self.requests.fetch_or(bit, Ordering::AcqRel);
         debug_assert_eq!(prior & bit, 0, "worker already requesting");
-        RequestLine {
-            requests: &self.requests,
+        RowLine {
+            mask: &self.requests,
             bit,
+        }
+    }
+
+    /// Publishes `who` as parked, by the calling thread, until the returned
+    /// guard drops. The handle is stored before the bit is raised (a waker
+    /// that sees the bit finds this thread), and the fence orders the bit
+    /// before the caller's next attempt reads the columns.
+    fn register_parked(&self, who: WorkerId) -> RowLine<'_> {
+        *self.sleeper(who) = Some(std::thread::current());
+        self.parked.fetch_or(1u64 << who, Ordering::AcqRel);
+        fence(Ordering::SeqCst);
+        RowLine {
+            mask: &self.parked,
+            bit: 1u64 << who,
         }
     }
 
@@ -264,9 +360,16 @@ impl Broker for XbarBroker {
     }
 
     fn acquire(&self, who: WorkerId, ctl: &RunControl) -> Option<BrokerGrant> {
-        // The line stays raised across every round until a grant or stop.
+        // The line stays raised across every round until a grant or stop;
+        // from the first round whose failure parks, so does the parked bit.
         let _line = self.raise_request_line(who);
-        retry(ctl, |_| self.attempt(who))
+        let mut _parked = None;
+        retry(ctl, |round| {
+            if round == PARK_ROUND {
+                _parked = Some(self.register_parked(who));
+            }
+            self.attempt(who)
+        })
     }
 
     fn try_acquire(&self, who: WorkerId) -> Option<BrokerGrant> {
@@ -285,13 +388,13 @@ impl Broker for XbarBroker {
         audit: &mut dyn FnMut(usize, WorkerId),
     ) -> ReleaseOutcome {
         self.pool
-            .release(who, grant, audit, |holder, _| self.pass_token(holder))
+            .release(who, grant, audit, |holder, _| self.vacated(holder))
     }
 
     fn reclaim_expired(&self, audit: &mut dyn FnMut(usize, WorkerId)) -> usize {
         self.pool.expiry_now().map_or(0, |now_us| {
             self.pool
-                .reclaim(now_us, audit, |dead, _| self.pass_token(dead))
+                .reclaim(now_us, audit, |dead, _| self.vacated(dead))
         })
     }
 
@@ -299,11 +402,15 @@ impl Broker for XbarBroker {
         // `u64::MAX` beats every real deadline (and even `NEVER`), so this
         // evicts unconditionally — shutdown only, after workers joined.
         self.pool
-            .reclaim(u64::MAX, audit, |dead, _| self.pass_token(dead))
+            .reclaim(u64::MAX, audit, |dead, _| self.vacated(dead))
     }
 
     fn set_resource_faulted(&self, resource: usize, down: bool) {
-        self.pool.set_faulted(resource, down);
+        if down {
+            self.pool.fault(resource);
+        } else if self.pool.repair(resource) == RepairOutcome::Repaired {
+            self.wake_next_wave();
+        }
     }
 
     fn available_resources(&self) -> usize {
@@ -451,5 +558,143 @@ mod tests {
         let g1 = b.try_acquire(1).expect("freed column grantable");
         b.release(1, g1);
         assert_eq!(b.token_generation(), 2, "probes pass the token like grants");
+    }
+
+    #[test]
+    fn every_registration_stores_the_current_thread() {
+        // One broker serves successive generations of threads acting as
+        // the same row (as a benchmark reusing a broker across rounds
+        // does): the wake must reach the live generation, not the first.
+        let b = XbarBroker::new(2, 1, XbarPolicy::TokenRotation);
+        let ctl = RunControl::new();
+        let mut generations = Vec::new();
+        for _ in 0..2 {
+            let g0 = b.acquire(0, &ctl).expect("free");
+            std::thread::scope(|s| {
+                let row1 = s.spawn(|| b.acquire(1, &ctl));
+                // Row 1 registers after `PARK_ROUND` failed rounds; the
+                // deadline only keeps a broken registration from hanging.
+                let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                while b.parked.load(Ordering::Acquire) & 0b10 == 0
+                    && std::time::Instant::now() < deadline
+                {
+                    std::thread::yield_now();
+                }
+                let (live, stored) = (row1.thread().id(), b.sleeper_id(1));
+                // Free row 1 before asserting, so a failure cannot leave
+                // the scope waiting on a blocked thread.
+                b.release(0, g0);
+                let g1 = row1.join().expect("no panic").expect("granted");
+                b.release(1, g1);
+                assert_eq!(stored, Some(live), "wake targets this generation");
+                generations.push(live);
+            });
+            assert_eq!(b.parked.load(Ordering::Relaxed), 0, "parked bit lowered");
+        }
+        assert_ne!(generations[0], generations[1]);
+    }
+
+    /// One step of the park handshake between a blocked row and the
+    /// releaser of the column it waits for.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// Waiter: store the handle and raise the parked bit (then fence).
+        Publish,
+        /// Waiter: one arbitration attempt; takes the column if vacant.
+        Attempt,
+        /// Waiter: park, or consume a pending unpark token.
+        Park,
+        /// Releaser: vacate the column (a `SeqCst` CAS).
+        Vacate,
+        /// Releaser: read the parked mask (a `SeqCst` load).
+        ReadMask,
+        /// Releaser: unpark the waiter if its bit was read set.
+        Unpark,
+    }
+
+    #[derive(Clone, Copy, Debug, Default)]
+    struct Model {
+        vacant: bool,
+        parked_bit: bool,
+        token: bool,
+        seen: bool,
+        granted: bool,
+        asleep: bool,
+    }
+
+    impl Model {
+        fn step(&mut self, step: Step) {
+            match step {
+                Step::Publish => self.parked_bit = true,
+                Step::Attempt if self.vacant => {
+                    (self.vacant, self.granted, self.parked_bit) = (false, true, false);
+                }
+                Step::Attempt => {}
+                Step::Park => self.asleep = !std::mem::take(&mut self.token),
+                Step::Vacate => self.vacant = true,
+                Step::ReadMask => self.seen = self.parked_bit,
+                Step::Unpark if self.seen => {
+                    if self.asleep {
+                        self.asleep = false;
+                    } else {
+                        self.token = true;
+                    }
+                }
+                Step::Unpark => {}
+            }
+        }
+    }
+
+    /// Runs every interleaving of the two programs from a held column and
+    /// returns the first that ends with the waiter parked on a vacant
+    /// column and no unpark token pending (a wake lost until the poll).
+    fn lost_wake(waiter: &[Step], releaser: &[Step]) -> Option<Vec<Step>> {
+        fn explore(
+            m: Model,
+            waiter: &[Step],
+            releaser: &[Step],
+            trace: &mut Vec<Step>,
+        ) -> Option<Vec<Step>> {
+            // A granted waiter leaves the handshake.
+            let waiter = if m.granted { &[][..] } else { waiter };
+            if waiter.is_empty() && releaser.is_empty() {
+                return (m.asleep && m.vacant && !m.token).then(|| trace.clone());
+            }
+            for (take_waiter, program) in [(true, waiter), (false, releaser)] {
+                let Some((&step, rest)) = program.split_first() else {
+                    continue;
+                };
+                let mut next = m;
+                next.step(step);
+                trace.push(step);
+                let found = if take_waiter {
+                    explore(next, rest, releaser, trace)
+                } else {
+                    explore(next, waiter, rest, trace)
+                };
+                trace.pop();
+                if found.is_some() {
+                    return found;
+                }
+            }
+            None
+        }
+        explore(Model::default(), waiter, releaser, &mut Vec::new())
+    }
+
+    #[test]
+    fn park_handshake_loses_no_wake_in_any_interleaving() {
+        use Step::*;
+        let waiter = [Publish, Attempt, Park];
+        let releaser = [Vacate, ReadMask, Unpark];
+        assert_eq!(
+            lost_wake(&waiter, &releaser).map(|t| format!("{t:?}")),
+            None
+        );
+        // The model catches both ways to break the handshake.
+        let skip_reattempt = lost_wake(&[Publish, Park], &releaser);
+        assert!(skip_reattempt.is_some(), "no re-attempt after registering");
+        let mask_first = lost_wake(&waiter, &[ReadMask, Vacate, Unpark]);
+        assert!(mask_first.is_some(), "mask read before the vacate");
     }
 }

@@ -12,8 +12,10 @@
 //! bus have no bit-sliced resolver, but keep their per-port resource pools
 //! in the same `rsin_core::PortPool`; their runs are pinned alongside.
 
-use rsin::core::equivalence::{digest, faulted_fingerprint, healthy_fingerprint};
-use rsin::core::ResourceNetwork;
+use rsin::core::equivalence::{digest, faulted_fingerprint, fingerprint, healthy_fingerprint};
+use rsin::core::typed::{simulate_typed, TypedWorkload};
+use rsin::core::{ResourceNetwork, SimOptions, Workload};
+use rsin::des::SimRng;
 use rsin::omega::{AddressMappedOmega, Admission, CentralOmegaNetwork, OmegaNetwork, Wiring};
 use rsin::sbus::{Arbitration, SharedBusNetwork, TypedSharedBus};
 use rsin::xbar::{CrossbarNetwork, CrossbarPolicy};
@@ -164,6 +166,41 @@ fn engines_produce_identical_reports_under_fault_injection() {
             digest(&words),
             pinned,
             "{label}: faulted run diverged from the pinned report {words:?}"
+        );
+    }
+}
+
+/// The typed-SBUS pins above run untyped workloads, so every task asks for
+/// type 0. This pins a two-type run of the same bus (half the tasks ask
+/// for the single type-1 resource of each bus) under every arbitration, so
+/// the per-type candidate filter is checked on a type other than 0: the
+/// report's words plus each type's delay count and mean, healthy load and
+/// options as in `healthy_fingerprint`.
+#[test]
+fn typed_sbus_grants_both_types_as_pinned() {
+    for (arb, pinned) in [
+        (Arbitration::FixedPriority, 0x2142_f51e_10b3_6c2e),
+        (Arbitration::Random, 0x7fc8_0c6b_411a_a670),
+        (Arbitration::RoundRobin, 0x0720_c067_77fd_803f),
+    ] {
+        let mut net = TypedSharedBus::new(2, 3, vec![2, 1], arb);
+        let base = Workload::new(0.3 * net.processors() as f64, 10.0, 1.0).expect("valid workload");
+        let workload = TypedWorkload::new(base, vec![0.5, 0.5]).expect("valid mix");
+        let opts = SimOptions {
+            warmup_tasks: 100,
+            measured_tasks: 1_500,
+        };
+        let report = simulate_typed(&mut net, &workload, &opts, &mut SimRng::new(42));
+        let type1 = report.per_type_delay[1].count();
+        assert!(type1 > 0, "{arb:?}: no type-1 request was granted");
+        let mut words = fingerprint(&report);
+        for d in &report.per_type_delay {
+            words.extend([d.count(), d.mean().to_bits()]);
+        }
+        assert_eq!(
+            digest(&words),
+            pinned,
+            "{arb:?}: two-type run diverged from the pinned report {words:?} ({type1} type-1 grants)"
         );
     }
 }
