@@ -10,9 +10,17 @@
 //! config below the highest observed failure is *pruned* — inferred
 //! infeasible without a solve. The pruned set is reported (and sampled
 //! into [`SearchReport::pruned_examples`]) so its soundness is testable.
-//! The same monotonicity spares the shape's largest `r`, its most
-//! expensive chain: it is solved only when the first midpoint fails, since
-//! a passing midpoint already proves it feasible.
+//!
+//! The descent first scans for the shape's floor: the smallest `r` the
+//! saturation guard admits, found with no solve. Every `r` below it is
+//! pruned, and the floor is evaluated first; a shape that meets the target
+//! there is settled by that one evaluation. Only otherwise does the binary
+//! search run, over the midpoints it would visit without the floor:
+//! crossbar chains are warm-started from seeds keyed by bus count and `r`,
+//! so which keys the search solves decides their bits. The same
+//! monotonicity spares the shape's largest `r`, its most expensive chain:
+//! it is solved only when the first midpoint fails, since a passing
+//! midpoint already proves it feasible.
 //!
 //! The output is not just an argmin: every shape's cheapest feasible
 //! configuration becomes a candidate, and the driver reports the Pareto
@@ -204,7 +212,8 @@ pub struct SearchReport {
     pub total_configs: u64,
     /// Configurations actually evaluated.
     pub evaluated: u64,
-    /// Configurations inferred infeasible by monotonicity (never solved).
+    /// Configurations inferred infeasible by monotonicity, including every
+    /// `r` below a shape's saturation-guard floor (never solved).
     pub pruned_infeasible: u64,
     /// Feasible-but-dominated configurations skipped above the descent's
     /// stopping point, including each feasible shape's largest `r` when a
@@ -390,15 +399,22 @@ struct Descent {
     inferred_dominated: u64,
 }
 
-/// The smallest `r` in `[1, r_cap]` that `feasible` accepts, or `None`.
+/// The smallest `r` in `[r_lo, r_cap]` that `feasible` accepts, or `None`,
+/// given that every `r < r_lo` is infeasible.
 ///
 /// `feasible` must be monotone in `r`, so the feasible region is an
-/// interval `[min_r, r_cap]` and a binary search locates its edge. `r_cap`
-/// is probed only when the answer depends on it: after the first midpoint
-/// fails, or when `r_cap == 1`. A passing midpoint already proves `r_cap`
-/// feasible. Every midpoint is the one a search that probes `r_cap` first
-/// would visit, in the same order.
-fn min_feasible_r(r_cap: u32, mut feasible: impl FnMut(u32) -> bool) -> Option<u32> {
+/// interval `[min_r, r_cap]`. The floor `r_lo` is probed first and, if it
+/// passes, is the exact answer. Otherwise a binary search over `[1, r_cap]`
+/// locates the edge, answering every `r ≤ r_lo` infeasible without a probe,
+/// so its probes above the floor are those of a search that ignores the
+/// floor, in the same order. `r_cap` is probed only when the answer
+/// depends on it: after the first midpoint fails. A passing midpoint
+/// already proves `r_cap` feasible.
+fn min_feasible_r(r_lo: u32, r_cap: u32, mut feasible: impl FnMut(u32) -> bool) -> Option<u32> {
+    if feasible(r_lo) {
+        return Some(r_lo);
+    }
+    let mut feasible = |r: u32| r > r_lo && feasible(r);
     let (mut lo, mut hi) = (1u32, r_cap);
     let mut cap_feasible = false;
     while lo < hi {
@@ -415,14 +431,17 @@ fn min_feasible_r(r_cap: u32, mut feasible: impl FnMut(u32) -> bool) -> Option<u
     (cap_feasible || feasible(r_cap)).then_some(lo)
 }
 
-/// Binary-searches the minimum feasible `r` of one shape.
+/// Searches the minimum feasible `r` of one shape.
 ///
 /// Feasibility is monotone in `r`; constructibility (checked dimension
 /// products) is anti-monotone, so the feasible region is an interval
-/// `[min_r, r_cap]` and `O(log r_max)` evaluations locate its edge
-/// ([`min_feasible_r`]). A shape the saturation guard rejects at `r_cap`
-/// is settled by that one check, with no solve. Otherwise `r_cap`, the
-/// shape's largest chain, is solved only if the first midpoint fails.
+/// `[min_r, r_cap]`. The saturation guard admits an interval too, from
+/// the floor `r_lo` up, and a scan of it finds `r_lo` with no solve.
+/// [`min_feasible_r`] then settles a shape that meets the target at its
+/// floor with that one evaluation, and otherwise binary-searches with
+/// `O(log r_max)` evaluations; `r_cap`, the shape's largest chain, is
+/// solved only if the first midpoint fails. A shape the guard rejects at
+/// `r_cap` has no floor and is settled by that one check.
 fn descend_r(
     shape: &Shape,
     p: u32,
@@ -455,13 +474,19 @@ fn descend_r(
         results.push((r, out));
         ok
     };
-    let cap = shape.at_r(p, r_cap).expect("r_cap is constructible");
-    let min_r = if ev.stable_enough(&cap) {
-        min_feasible_r(r_cap, |r| eval_at(r, ev))
-    } else {
-        // Counted as a guarded evaluation, as every guard rejection is.
-        eval_at(r_cap, ev);
-        None
+    // Service capacity grows with r and circuit capacity does not depend
+    // on it, so the guard fails every r below its floor.
+    let r_lo = (1..=r_cap).find(|&r| {
+        let topo = shape.at_r(p, r).expect("r <= r_cap is constructible");
+        ev.stable_enough(&topo)
+    });
+    let min_r = match r_lo {
+        Some(r_lo) => min_feasible_r(r_lo, r_cap, |r| eval_at(r, ev)),
+        None => {
+            // Counted as a guarded evaluation, as every guard rejection is.
+            eval_at(r_cap, ev);
+            None
+        }
     };
     // Every r below the first feasible one fails; every r above it passes.
     let edge = min_r.unwrap_or(r_cap + 1);
@@ -758,68 +783,68 @@ mod tests {
         }
     }
 
-    /// The probe order `min_feasible_r` replaced: `r_cap` first, then the
-    /// binary search over `[1, r_cap]` with `r_cap` known feasible.
-    fn min_feasible_r_cap_first(r_cap: u32, mut feasible: impl FnMut(u32) -> bool) -> Option<u32> {
-        if !feasible(r_cap) {
-            return None;
-        }
+    /// The probe order `min_feasible_r` replaced: a binary search over
+    /// `[1, r_cap]` that probes `r_cap` after the first failing midpoint and
+    /// knows nothing of the guard's floor.
+    fn min_feasible_r_without_floor(
+        r_cap: u32,
+        mut feasible: impl FnMut(u32) -> bool,
+    ) -> Option<u32> {
         let (mut lo, mut hi) = (1u32, r_cap);
+        let mut cap_feasible = false;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             if feasible(mid) {
                 hi = mid;
-            } else {
+            } else if cap_feasible || feasible(r_cap) {
                 lo = mid + 1;
+            } else {
+                return None;
             }
+            cap_feasible = true;
         }
-        Some(lo)
+        (cap_feasible || feasible(r_cap)).then_some(lo)
     }
 
     #[test]
-    fn r_axis_search_matches_the_cap_first_oracle_and_skips_a_proven_cap() {
+    fn r_axis_search_settles_at_the_floor_and_keeps_the_old_midpoints() {
         for r_cap in 1..=64u32 {
-            let first_mid = 1 + (r_cap - 1) / 2;
-            // Feasible from threshold t on; t = r_cap + 1 is a hopeless shape.
-            for t in 1..=r_cap + 1 {
-                let mut probes = Vec::new();
-                let got = min_feasible_r(r_cap, |r| {
-                    probes.push(r);
-                    r >= t
-                });
-                let mut oracle_probes = Vec::new();
-                let want = min_feasible_r_cap_first(r_cap, |r| {
-                    oracle_probes.push(r);
-                    r >= t
-                });
-                let case = format!("r_cap {r_cap}, threshold {t}: {probes:?} vs {oracle_probes:?}");
-                assert_eq!(got, want, "{case}");
-                assert_eq!(got, (t <= r_cap).then_some(t), "{case}");
-                assert!(probes.iter().all(|r| (1..=r_cap).contains(r)), "{case}");
-                if let Some(pass) = probes.iter().position(|&r| r < r_cap && r >= t) {
-                    assert!(
-                        !probes[pass..].contains(&r_cap),
-                        "r_cap probed after a smaller r passed: {case}"
+            for r_lo in 1..=r_cap {
+                // Feasible from threshold t on, and never below the floor;
+                // t = r_cap + 1 is a hopeless shape.
+                for t in 1..=r_cap + 1 {
+                    let feasible = |r: u32| r >= t.max(r_lo);
+                    let mut probes = Vec::new();
+                    let got = min_feasible_r(r_lo, r_cap, |r| {
+                        probes.push(r);
+                        feasible(r)
+                    });
+                    let mut oracle_probes = Vec::new();
+                    let want = min_feasible_r_without_floor(r_cap, |r| {
+                        oracle_probes.push(r);
+                        feasible(r)
+                    });
+                    let case = format!(
+                        "r_cap {r_cap}, r_lo {r_lo}, threshold {t}: \
+                         {probes:?} vs {oracle_probes:?}"
                     );
+                    assert_eq!(got, want, "{case}");
+                    let edge = t.max(r_lo);
+                    assert_eq!(got, (edge <= r_cap).then_some(edge), "{case}");
+                    let mut want_probes = vec![r_lo];
+                    if t > r_lo {
+                        want_probes.extend(oracle_probes.iter().filter(|&&r| r > r_lo));
+                    }
+                    assert_eq!(probes, want_probes, "{case}");
+                    if let Some(pass) = probes.iter().position(|&r| r < r_cap && r >= edge) {
+                        assert!(
+                            !probes[pass..].contains(&r_cap),
+                            "r_cap probed after a smaller r passed: {case}"
+                        );
+                    }
+                    let set: BTreeSet<u32> = probes.iter().copied().collect();
+                    assert_eq!(set.len(), probes.len(), "an r probed twice: {case}");
                 }
-                // Every r below r_cap is visited in the oracle's order; a
-                // hopeless shape adds only the first midpoint.
-                let below =
-                    |v: &[u32]| v.iter().copied().filter(|&r| r < r_cap).collect::<Vec<_>>();
-                let mut want_below = below(&oracle_probes);
-                if r_cap > 1 && t > r_cap {
-                    want_below.push(first_mid);
-                }
-                assert_eq!(below(&probes), want_below, "{case}");
-                let set: BTreeSet<u32> = probes.iter().copied().collect();
-                assert_eq!(set.len(), probes.len(), "an r probed twice: {case}");
-                let mut want_set: BTreeSet<u32> = oracle_probes.iter().copied().collect();
-                if r_cap > 1 && t <= first_mid {
-                    want_set.remove(&r_cap);
-                } else if r_cap > 1 && t > r_cap {
-                    want_set.insert(first_mid);
-                }
-                assert_eq!(set, want_set, "{case}");
             }
         }
     }

@@ -54,9 +54,9 @@ fn p8_frontier_chains_are_bit_pinned() {
     }
 }
 
-/// The search's next 2-bus r2 solve, 2×2 r2, warm-started from the 4×2 r2
-/// seed (8×2 r2 saturates under this profile, so 4×2 r2 is the first
-/// solve of that shape).
+/// A seeded solve: 2×2 r2 warm-started from the π seed that the 4×2 r2
+/// frontier chain leaves. It pins the warm-started truncation ladder,
+/// whose Gauss–Seidel stopping points differ from a cold solve's.
 #[test]
 fn seeded_2x2r2_after_4x2r2_is_bit_pinned() {
     let (_, seed) = xbar(4, 2, 2).solve_seeded(None).expect("solves");
