@@ -15,9 +15,8 @@
 //! saturation guard admits, found with no solve. Every `r` below it is
 //! pruned, and the floor is evaluated first; a shape that meets the target
 //! there is settled by that one evaluation. Only otherwise does the binary
-//! search run, over the midpoints it would visit without the floor:
-//! crossbar chains are warm-started from seeds keyed by bus count and `r`,
-//! so which keys the search solves decides their bits. The same
+//! search run, over the midpoints it would visit without the floor, which
+//! make fewer evaluations than a search over the range above it. The same
 //! monotonicity spares the shape's largest `r`, its most expensive chain:
 //! it is solved only when the first midpoint fails, since a passing
 //! midpoint already proves it feasible.

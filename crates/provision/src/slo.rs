@@ -5,11 +5,13 @@
 //! only where no chain covers the topology:
 //!
 //! * **SBUS** partitions are exact shared-bus chains
-//!   ([`rsin_queueing::SharedBusChain`]), each solved cold, so a
-//!   solution depends only on its parameters.
+//!   ([`rsin_queueing::SharedBusChain`]).
 //! * **XBAR** partitions with `k ≤ 3` output buses are exact small-`m`
-//!   chains ([`rsin_queueing::SmallCrossbarChain`]) with π-vector seed
-//!   threading.
+//!   chains ([`rsin_queueing::SmallCrossbarChain`]).
+//!
+//! Each chain is solved on its own and nothing is retained between
+//! evaluations, so an analytic answer depends only on the profile and the
+//! candidate, not on what the search evaluated before it.
 //! * Everything else — Omega/Cube fabrics, wide crossbars, and the
 //!   composite topologies — runs the parallel DES
 //!   ([`rsin_core::estimate_delay_jobs`]).
@@ -28,12 +30,10 @@ use rsin_core::{
 };
 use rsin_omega::{Admission, OmegaNetwork};
 use rsin_queueing::{
-    traffic, SharedBusChain, SharedBusParams, SmallCrossbarChain, SmallCrossbarParams,
-    SmallCrossbarSeed, SolveError,
+    traffic, SharedBusChain, SharedBusParams, SmallCrossbarChain, SmallCrossbarParams, SolveError,
 };
 use rsin_sbus::{Arbitration, SharedBusNetwork};
 use rsin_xbar::{CrossbarNetwork, CrossbarPolicy};
-use std::collections::HashMap;
 
 /// Replication seed shared by every DES evaluation (the paper's year, as
 /// elsewhere in the workspace).
@@ -223,15 +223,12 @@ pub struct EvalCounters {
     pub guarded: u64,
 }
 
-/// The evaluator: dispatches candidates to the cheapest adequate model,
-/// threading crossbar warm-start seeds across solves.
+/// The evaluator: dispatches candidates to the cheapest adequate model and
+/// counts the dispatches.
 #[derive(Debug)]
 pub struct Evaluator {
     profile: TrafficProfile,
     quality: EvalQuality,
-    /// Crossbar seeds keyed by `(buses, resources_per_bus)` (π vectors
-    /// transfer only within one per-level state-space shape).
-    xbar_seeds: HashMap<(u32, u32), SmallCrossbarSeed>,
     counters: EvalCounters,
 }
 
@@ -242,7 +239,6 @@ impl Evaluator {
         Evaluator {
             profile,
             quality,
-            xbar_seeds: HashMap::new(),
             counters: EvalCounters::default(),
         }
     }
@@ -308,17 +304,8 @@ impl Evaluator {
             mu_s: self.profile.mu_s,
         };
         self.counters.analytic += 1;
-        match SharedBusChain::new(params).and_then(|c| c.solve()) {
-            Ok(sol) => DelayOutcome::Value(DelayValue {
-                normalized_delay: sol.normalized_delay,
-                half_width: 0.0,
-                method: Method::SbusChain,
-            }),
-            Err(SolveError::Unstable { .. }) => DelayOutcome::Saturated,
-            // NoConvergence should not occur for validated stable points;
-            // treat it as saturation rather than crashing a long search.
-            Err(_) => DelayOutcome::Saturated,
-        }
+        let result = SharedBusChain::new(params).and_then(|c| c.solve());
+        chain_outcome(result.map(|sol| sol.normalized_delay), Method::SbusChain)
     }
 
     fn eval_xbar_chain(&mut self, procs: u32, buses: u32, resources_per_bus: u32) -> DelayOutcome {
@@ -331,24 +318,8 @@ impl Evaluator {
             mu_s: self.profile.mu_s,
         };
         self.counters.analytic += 1;
-        let chain = match SmallCrossbarChain::new(params) {
-            Ok(c) => c,
-            Err(SolveError::Unstable { .. }) => return DelayOutcome::Saturated,
-            Err(_) => return DelayOutcome::Saturated,
-        };
-        let key = (buses, resources_per_bus);
-        let seed = self.xbar_seeds.get(&key);
-        match chain.solve_seeded(seed) {
-            Ok((sol, next_seed)) => {
-                self.xbar_seeds.insert(key, next_seed);
-                DelayOutcome::Value(DelayValue {
-                    normalized_delay: sol.normalized_delay,
-                    half_width: 0.0,
-                    method: Method::XbarChain,
-                })
-            }
-            Err(_) => DelayOutcome::Saturated,
-        }
+        let result = SmallCrossbarChain::new(params).and_then(|c| c.solve());
+        chain_outcome(result.map(|sol| sol.normalized_delay), Method::XbarChain)
     }
 
     fn eval_des(&mut self, topo: &CandidateTopology) -> DelayOutcome {
@@ -369,6 +340,25 @@ impl Evaluator {
             half_width: est.half_width,
             method: Method::Des,
         })
+    }
+}
+
+/// The outcome of one analytic chain solve: its normalized delay, or
+/// saturation when the chain reports no steady state.
+fn chain_outcome(result: Result<f64, SolveError>, method: Method) -> DelayOutcome {
+    match result {
+        Ok(normalized_delay) => DelayOutcome::Value(DelayValue {
+            normalized_delay,
+            half_width: 0.0,
+            method,
+        }),
+        Err(SolveError::Unstable { .. }) => DelayOutcome::Saturated,
+        // A chain that passed the saturation guard can still end without a
+        // steady state: `NoConvergence` does occur for validated points (the
+        // 16x3 r3 crossbar chain of the p16 sbus,xbar search hits the
+        // Gauss–Seidel sweep cap after about 40 s; ROADMAP item 3). It is
+        // filed as saturation rather than crashing a long search.
+        Err(_) => DelayOutcome::Saturated,
     }
 }
 
@@ -468,6 +458,27 @@ mod tests {
         assert_eq!(ev.evaluate(&tiny), DelayOutcome::Saturated);
         assert_eq!(ev.counters().guarded, 1);
         assert!(!DelayOutcome::Saturated.meets(f64::INFINITY));
+    }
+
+    #[test]
+    fn evaluation_order_cannot_change_an_answer() {
+        // The 2x2 r2 chain of `8/4x2x2 XBAR/2`, solved in a fresh evaluator
+        // and after the 4x2 r2 chain of `8/2x4x2 XBAR/2`: the same bits.
+        let delay_bits = |ev: &mut Evaluator, networks: u32, inputs: u32| {
+            let cfg = classic(8, networks, NetworkKind::Crossbar, inputs, 2, 2).expect("valid");
+            match ev.evaluate(&cfg) {
+                DelayOutcome::Value(v) => v.normalized_delay.to_bits(),
+                DelayOutcome::Saturated => panic!("{networks}x{inputs}x2 r2 must be stable"),
+            }
+        };
+        let fresh = delay_bits(&mut quick_eval(8, 0.3, 0.1), 4, 2);
+        let mut after = quick_eval(8, 0.3, 0.1);
+        delay_bits(&mut after, 2, 4);
+        let second = delay_bits(&mut after, 4, 2);
+        assert_eq!(
+            fresh, second,
+            "2x2 r2 fresh {fresh:#018x} vs after 4x2 r2 {second:#018x}"
+        );
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! - [`SharedBusChain`]: the paper's exact model of a single shared bus
 //!   (Section III, Fig. 3) with the stage-recursion solver of eq. (2) and a
 //!   truncated full-balance reference solver.
+//! - [`SmallCrossbarChain`]: the exact multiple-bus chain for very small `m`
+//!   (Section IV), solved over a ladder of queue-level truncations, each
+//!   started from the previous one's π.
 //! - [`approx`]: the light-/heavy-load crossbar approximations of
 //!   Section IV.
 //! - [`traffic`]: the reference traffic-intensity convention the figures
@@ -57,6 +60,4 @@ pub use markov::{Ctmc, Transition};
 pub use mm1::Mm1;
 pub use mmr::Mmr;
 pub use sbus::{SharedBusChain, SharedBusParams, SharedBusSolution};
-pub use xbar_chain::{
-    SmallCrossbarChain, SmallCrossbarParams, SmallCrossbarSeed, SmallCrossbarSolution,
-};
+pub use xbar_chain::{SmallCrossbarChain, SmallCrossbarParams, SmallCrossbarSolution};

@@ -76,19 +76,6 @@ pub struct SmallCrossbarSolution {
     pub levels: usize,
 }
 
-/// A warm-start seed for [`SmallCrossbarChain::solve_seeded`]: the
-/// stationary distribution of a previously solved truncation, plus the
-/// state-space shape it was solved on (seeds never transfer across chains
-/// with a different per-level structure).
-#[derive(Clone, Debug)]
-pub struct SmallCrossbarSeed {
-    buses: u32,
-    resources_per_bus: u32,
-    l0_count: usize,
-    per_level: usize,
-    pi: Vec<f64>,
-}
-
 /// The exact chain for `m ∈ {1, 2, 3}` buses.
 #[derive(Clone, Copy, Debug)]
 pub struct SmallCrossbarChain {
@@ -152,43 +139,43 @@ impl SmallCrossbarChain {
     }
 
     /// Solves the truncated chain, growing the queue cap until the delay
-    /// stabilizes. Every truncation is solved cold; this is the library's
-    /// reference path (see [`SmallCrossbarChain::solve_seeded`] for the
-    /// warm-started one).
+    /// stabilizes: 24, 48, … up to 1536 queue levels, until a doubling
+    /// moves the delay by less than `1e-6` relative (or `1e-10` absolute).
+    /// Each truncation's Gauss–Seidel solve starts from the previous
+    /// truncation's π — a smaller truncation's states are exactly a prefix
+    /// of a larger one's numbering — and the first from uniform, so the
+    /// answer depends only on the parameters.
     ///
     /// # Errors
     ///
     /// Propagates solver errors; [`SolveError::NoConvergence`] if the delay
     /// never stabilizes within the level budget.
     pub fn solve(&self) -> Result<SmallCrossbarSolution, SolveError> {
-        self.ladder(None, false).map(|(sol, _)| sol)
+        let gen = LevelGenerator::new(self);
+        let mut levels = 24usize;
+        let mut last: Option<(SmallCrossbarSolution, Vec<f64>)> = None;
+        while levels <= 1536 {
+            let prev = last.as_ref().map(|(_, pi)| pi.as_slice());
+            let (sol, pi) = self.solve_rung(&gen, levels, prev, MAX_SWEEPS)?;
+            if let Some((prev, _)) = &last {
+                let diff = (sol.mean_queue_delay - prev.mean_queue_delay).abs();
+                // Stabilized when the doubling changes d by less than either
+                // a relative 1e-6 or the iterative solver's own absolute
+                // noise floor.
+                if diff < 1e-6 * sol.mean_queue_delay.max(1e-300) || diff < 1e-10 {
+                    return Ok(sol);
+                }
+            }
+            last = Some((sol, pi));
+            levels *= 2;
+        }
+        Err(SolveError::NoConvergence {
+            iterations: 1536,
+            residual: f64::NAN,
+        })
     }
 
-    /// [`SmallCrossbarChain::solve`] warm-started: each truncation's
-    /// Gauss–Seidel solve is seeded with the previous (smaller) truncation's
-    /// π — a smaller truncation's states are exactly a prefix of a larger
-    /// one's numbering — and the first truncation with `seed` when given
-    /// (e.g. the solution of a neighboring rho-grid point). The growth
-    /// ladder and stopping rule match [`SmallCrossbarChain::solve`], but a
-    /// warm start changes where each truncation's Gauss–Seidel stops, so the
-    /// ladder may settle one rung away from the cold solve: the two agree to
-    /// the ladder's own `1e-6` relative stopping tolerance, not to the CTMC
-    /// solver's `1e-12`.
-    ///
-    /// Returns the solution together with a seed for the next solve. A seed
-    /// from a chain of a different shape is ignored.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SmallCrossbarChain::solve`].
-    pub fn solve_seeded(
-        &self,
-        seed: Option<&SmallCrossbarSeed>,
-    ) -> Result<(SmallCrossbarSolution, SmallCrossbarSeed), SolveError> {
-        self.ladder(seed, true)
-    }
-
-    /// Solves with a fixed queue cap.
+    /// Solves with a fixed queue cap, from the uniform distribution.
     ///
     /// # Errors
     ///
@@ -204,87 +191,28 @@ impl SmallCrossbarChain {
             .map(|(sol, _)| sol)
     }
 
-    /// The truncation ladder: 24, 48, … up to 1536 queue levels, until a
-    /// doubling moves the delay by less than `1e-6` relative (or `1e-10`
-    /// absolute). Each rung starts cold, or — when `chain_pi` — from the
-    /// previous rung's π and the first rung from `seed`.
-    fn ladder(
-        &self,
-        seed: Option<&SmallCrossbarSeed>,
-        chain_pi: bool,
-    ) -> Result<(SmallCrossbarSolution, SmallCrossbarSeed), SolveError> {
-        let gen = LevelGenerator::new(self);
-        let mut levels = 24usize;
-        let mut last: Option<(SmallCrossbarSolution, SmallCrossbarSeed)> = None;
-        while levels <= 1536 {
-            let rung_seed = if chain_pi {
-                last.as_ref().map(|(_, s)| s).or(seed)
-            } else {
-                None
-            };
-            let (sol, new_seed) = self.solve_rung(&gen, levels, rung_seed, MAX_SWEEPS)?;
-            if let Some((prev, _)) = &last {
-                let diff = (sol.mean_queue_delay - prev.mean_queue_delay).abs();
-                // Stabilized when the doubling changes d by less than either
-                // a relative 1e-6 or the iterative solver's own absolute
-                // noise floor.
-                if diff < 1e-6 * sol.mean_queue_delay.max(1e-300) || diff < 1e-10 {
-                    return Ok((sol, new_seed));
-                }
-            }
-            last = Some((sol, new_seed));
-            levels *= 2;
-        }
-        Err(SolveError::NoConvergence {
-            iterations: 1536,
-            residual: f64::NAN,
-        })
-    }
-
     /// Solves the truncation at `levels` queue levels over `gen`, starting
-    /// from `seed` when it has this chain's shape.
+    /// from `prev`, the π of a smaller truncation of this chain, when given.
+    /// Returns the solution and its π.
     fn solve_rung(
         &self,
         gen: &LevelGenerator,
         levels: usize,
-        seed: Option<&SmallCrossbarSeed>,
+        prev: Option<&[f64]>,
         max_sweeps: usize,
-    ) -> Result<(SmallCrossbarSolution, SmallCrossbarSeed), SolveError> {
+    ) -> Result<(SmallCrossbarSolution, Vec<f64>), SolveError> {
         assert!(levels > 0, "a truncation needs at least one queue level");
-        let (l0_count, per_level) = (gen.l0_count(), gen.per_level());
         let rows = Truncation { gen, levels };
-        let n_states = rows.num_states();
-        // A seed from a smaller truncation of the same chain maps onto the
-        // prefix of this one's state numbering (level-0 subs first, then the
-        // queued subs per level); the missing tail levels start at zero. The
-        // shape is checked alongside the counts: distinct `m × r` shapes
-        // (e.g. 2×2 and 3×1) can coincide in state-space dimensions while
-        // numbering entirely different states.
-        let guess: Option<Vec<f64>> = seed
-            .filter(|s| {
-                s.buses == self.params.buses
-                    && s.resources_per_bus == self.params.resources_per_bus
-                    && s.l0_count == l0_count
-                    && s.per_level == per_level
-            })
-            .map(|s| {
-                let mut g = vec![0.0_f64; n_states];
-                let shared = s.pi.len().min(n_states);
-                g[..shared].copy_from_slice(&s.pi[..shared]);
-                g
-            });
+        // `prev` is the prefix of this truncation's state numbering (level-0
+        // subs first, then the queued subs per level); the missing tail
+        // levels start at zero.
+        let guess = prev.map(|prev| {
+            let mut g = vec![0.0_f64; rows.num_states()];
+            g[..prev.len()].copy_from_slice(prev);
+            g
+        });
         let pi = gauss_seidel(&rows, guess.as_deref(), 1e-12, max_sweeps)?;
-        let sol = self.solution(gen, &pi, levels);
-        Ok((
-            sol,
-            SmallCrossbarSeed {
-                buses: self.params.buses,
-                resources_per_bus: self.params.resources_per_bus,
-                l0_count,
-                per_level,
-                pi,
-            },
-        ))
+        Ok((self.solution(gen, &pi, levels), pi))
     }
 
     /// The metrics of a stationary distribution over `levels` queue levels,
@@ -841,30 +769,20 @@ mod tests {
         flat
     }
 
-    /// One truncation solved on the flat generator, seeded as
-    /// [`SmallCrossbarChain::solve_rung`] seeds.
+    /// One truncation solved on the flat generator, started as
+    /// [`SmallCrossbarChain::solve_rung`] starts it.
     fn flat_rung(
         chain: &SmallCrossbarChain,
         levels: usize,
-        seed: Option<&SmallCrossbarSeed>,
+        prev: Option<&[f64]>,
         max_sweeps: usize,
-    ) -> Result<(SmallCrossbarSolution, SmallCrossbarSeed), SolveError> {
+    ) -> Result<(SmallCrossbarSolution, Vec<f64>), SolveError> {
         let flat = flat_chain(chain, levels);
-        let (l0_count, per_level) = (flat.l0_count, flat.per_level);
-        let n_states = flat.ctmc.num_states();
-        let guess: Option<Vec<f64>> = seed
-            .filter(|s| {
-                s.buses == chain.params.buses
-                    && s.resources_per_bus == chain.params.resources_per_bus
-                    && s.l0_count == l0_count
-                    && s.per_level == per_level
-            })
-            .map(|s| {
-                let mut g = vec![0.0_f64; n_states];
-                let shared = s.pi.len().min(n_states);
-                g[..shared].copy_from_slice(&s.pi[..shared]);
-                g
-            });
+        let guess = prev.map(|prev| {
+            let mut g = vec![0.0_f64; flat.ctmc.num_states()];
+            g[..prev.len()].copy_from_slice(prev);
+            g
+        });
         let pi = gauss_seidel(&flat.ctmc.incoming(), guess.as_deref(), 1e-12, max_sweeps)?;
         let mut mean_queue = 0.0;
         let mut buses_busy = 0.0;
@@ -894,58 +812,23 @@ mod tests {
             resource_utilization: res_busy / (m * r) as f64,
             levels,
         };
-        Ok((
-            sol,
-            SmallCrossbarSeed {
-                buses: chain.params.buses,
-                resources_per_bus: chain.params.resources_per_bus,
-                l0_count,
-                per_level,
-                pi,
-            },
-        ))
+        Ok((sol, pi))
     }
 
-    /// The cold ladder as it stood beside the flat generator.
+    /// The π-chained ladder as it stood beside the flat generator.
     fn flat_solve(chain: &SmallCrossbarChain) -> Result<SmallCrossbarSolution, SolveError> {
         let mut levels = 24usize;
-        let mut last: Option<SmallCrossbarSolution> = None;
+        let mut last: Option<(SmallCrossbarSolution, Vec<f64>)> = None;
         while levels <= 1536 {
-            let (sol, _) = flat_rung(chain, levels, None, MAX_SWEEPS)?;
-            if let Some(prev) = last {
+            let prev = last.as_ref().map(|(_, pi)| pi.as_slice());
+            let (sol, pi) = flat_rung(chain, levels, prev, MAX_SWEEPS)?;
+            if let Some((prev, _)) = &last {
                 let diff = (sol.mean_queue_delay - prev.mean_queue_delay).abs();
                 if diff < 1e-6 * sol.mean_queue_delay.max(1e-300) || diff < 1e-10 {
                     return Ok(sol);
                 }
             }
-            last = Some(sol);
-            levels *= 2;
-        }
-        Err(SolveError::NoConvergence {
-            iterations: 1536,
-            residual: f64::NAN,
-        })
-    }
-
-    /// The π-chained ladder as it stood beside the flat generator.
-    fn flat_solve_seeded(
-        chain: &SmallCrossbarChain,
-        seed: Option<&SmallCrossbarSeed>,
-    ) -> Result<(SmallCrossbarSolution, SmallCrossbarSeed), SolveError> {
-        let mut levels = 24usize;
-        let mut last: Option<(SmallCrossbarSolution, SmallCrossbarSeed)> = None;
-        while levels <= 1536 {
-            let (sol, new_seed) = {
-                let prev_seed = last.as_ref().map(|(_, s)| s).or(seed);
-                flat_rung(chain, levels, prev_seed, MAX_SWEEPS)?
-            };
-            if let Some((prev, _)) = &last {
-                let diff = (sol.mean_queue_delay - prev.mean_queue_delay).abs();
-                if diff < 1e-6 * sol.mean_queue_delay.max(1e-300) || diff < 1e-10 {
-                    return Ok((sol, new_seed));
-                }
-            }
-            last = Some((sol, new_seed));
+            last = Some((sol, pi));
             levels *= 2;
         }
         Err(SolveError::NoConvergence {
@@ -965,17 +848,9 @@ mod tests {
         ]
     }
 
-    fn solution_and_seed_bits(
-        (sol, seed): &(SmallCrossbarSolution, SmallCrossbarSeed),
-    ) -> Vec<u64> {
+    fn solution_and_pi_bits((sol, pi): &(SmallCrossbarSolution, Vec<f64>)) -> Vec<u64> {
         let mut bits = solution_bits(sol);
-        bits.extend([
-            u64::from(seed.buses),
-            u64::from(seed.resources_per_bus),
-            seed.l0_count as u64,
-            seed.per_level as u64,
-        ]);
-        bits.extend(seed.pi.iter().map(|p| p.to_bits()));
+        bits.extend(pi.iter().map(|p| p.to_bits()));
         bits
     }
 
@@ -1025,30 +900,23 @@ mod tests {
         SmallCrossbarChain::new(params).expect("stable by construction")
     }
 
-    /// A seed of this chain's shape, of another shape, or none.
-    fn random_seed(g: &mut Gen, m: u32, r: u32) -> Option<SmallCrossbarSeed> {
-        let (m, r) = match g.usize_in(0, 3) {
-            0 => return None,
-            1 => (m, r),
-            _ => (g.u32_in(1, 4), g.u32_in(1, 5)),
-        };
-        let donor = random_chain(g, m, r);
-        let levels = g.usize_in(1, 60);
-        flat_rung(&donor, levels, None, MAX_SWEEPS)
-            .ok()
-            .map(|(_, s)| s)
-    }
-
     #[test]
     fn level_rows_match_flat_oracle_bit_for_bit() {
         check(24, |g| {
             let (m, r) = (g.u32_in(1, 4), g.u32_in(1, 5));
             let chain = random_chain(g, m, r);
-            let seed = random_seed(g, m, r);
             let gen = LevelGenerator::new(&chain);
 
-            // One truncation, often with a sweep cap too small to converge.
+            // One truncation, often with a sweep cap too small to converge,
+            // started from uniform or from a smaller truncation's π.
             let levels = g.usize_in(1, 40);
+            let prev = if g.bool() {
+                flat_rung(&chain, g.usize_in(1, levels + 1), None, MAX_SWEEPS)
+                    .ok()
+                    .map(|(_, pi)| pi)
+            } else {
+                None
+            };
             let cap = if g.bool() {
                 g.usize_in(1, 60)
             } else {
@@ -1056,15 +924,9 @@ mod tests {
             };
             assert_same(
                 "rung",
-                &chain.solve_rung(&gen, levels, seed.as_ref(), cap),
-                &flat_rung(&chain, levels, seed.as_ref(), cap),
-                solution_and_seed_bits,
-            );
-            assert_same(
-                "solve_seeded",
-                &chain.solve_seeded(seed.as_ref()),
-                &flat_solve_seeded(&chain, seed.as_ref()),
-                solution_and_seed_bits,
+                &chain.solve_rung(&gen, levels, prev.as_deref(), cap),
+                &flat_rung(&chain, levels, prev.as_deref(), cap),
+                solution_and_pi_bits,
             );
             assert_same("solve", &chain.solve(), &flat_solve(&chain), solution_bits);
         });
@@ -1122,8 +984,7 @@ mod tests {
                 mu_s,
             })
             .expect("stable");
-            let cold = xc.solve().expect("solves");
-            let (seeded, _) = xc.solve_seeded(None).expect("solves");
+            let sol = xc.solve().expect("solves");
             let sb = SharedBusChain::new(SharedBusParams {
                 processors: p,
                 resources: r,
@@ -1134,17 +995,14 @@ mod tests {
             .expect("stable")
             .solve()
             .expect("solves");
-            for (how, sol) in [("cold", cold), ("seeded", seeded)] {
-                let rel = (sol.mean_queue_delay - sb.mean_queue_delay).abs()
-                    / sb.mean_queue_delay.max(1e-12);
-                assert!(
-                    rel < bound,
-                    "m=1 crossbar {} ({how}) vs shared bus {} at p = {p}, r = {r}: \
-                     relative error {rel:e}",
-                    sol.mean_queue_delay,
-                    sb.mean_queue_delay
-                );
-            }
+            let rel =
+                (sol.mean_queue_delay - sb.mean_queue_delay).abs() / sb.mean_queue_delay.max(1e-12);
+            assert!(
+                rel < bound,
+                "m=1 crossbar {} vs shared bus {} at p = {p}, r = {r}: relative error {rel:e}",
+                sol.mean_queue_delay,
+                sb.mean_queue_delay
+            );
         }
     }
 

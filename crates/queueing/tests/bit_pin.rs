@@ -39,8 +39,8 @@ fn assert_bits(what: &str, got: f64, want: u64) {
     );
 }
 
-/// The four `xbar-chain` rows of the p8 frontier, each solved cold as the
-/// search solves them.
+/// The four `xbar-chain` rows of the p8 frontier, each solved on its own
+/// as the search solves them.
 #[test]
 fn p8_frontier_chains_are_bit_pinned() {
     for (p, m, r, want) in [
@@ -49,27 +49,16 @@ fn p8_frontier_chains_are_bit_pinned() {
         (8, 3, 2, 0x3fd0_cb19_82a6_15cb),
         (4, 2, 2, 0x3fc1_3047_5485_23e7),
     ] {
-        let (sol, _) = xbar(p, m, r).solve_seeded(None).expect("solves");
+        let sol = xbar(p, m, r).solve().expect("solves");
         assert_bits(&format!("{p}x{m} r{r}"), sol.normalized_delay, want);
     }
-}
-
-/// A seeded solve: 2×2 r2 warm-started from the π seed that the 4×2 r2
-/// frontier chain leaves. It pins the warm-started truncation ladder,
-/// whose Gauss–Seidel stopping points differ from a cold solve's.
-#[test]
-fn seeded_2x2r2_after_4x2r2_is_bit_pinned() {
-    let (_, seed) = xbar(4, 2, 2).solve_seeded(None).expect("solves");
-    let (sol, _) = xbar(2, 2, 2).solve_seeded(Some(&seed)).expect("solves");
-    assert_eq!(sol.levels, 48);
-    assert_bits("2x2 r2 seeded", sol.normalized_delay, 0x3f86_e7e6_26ad_0ce1);
 }
 
 /// A three-bus chain with a wide per-bus pool: 729 queued sub-states per
 /// level.
 #[test]
 fn m3_r8_chain_is_bit_pinned() {
-    let (sol, _) = xbar(8, 3, 8).solve_seeded(None).expect("solves");
+    let sol = xbar(8, 3, 8).solve().expect("solves");
     assert_eq!(sol.levels, 48);
     assert_bits("8x3 r8", sol.normalized_delay, 0x3f35_2ed4_c5dc_a404);
 }
