@@ -19,12 +19,12 @@
 //!     [--chaos kill=0.25,stall=0.125,trunc=0.125,junk=0.125,seed=7]
 //! ```
 //!
-//! `--chaos` (or the `RSIN_BROKER_CHAOS` environment variable) runs the
-//! measured sweep under the chaos-hardened driver: seeded client crashes
-//! and stalls, optional stochastic resource outages, leases reclaimed by
-//! the supervisor. In the networked mode `kill=`/`stall=` become
-//! connection resets and half-open stalls, and `trunc=`/`junk=` add
-//! wire-level truncated frames and byte garbage (those two are net-only).
+//! `--chaos` runs the measured sweep under the chaos-hardened driver:
+//! seeded client crashes and stalls, optional stochastic resource
+//! outages, leases reclaimed by the supervisor. In the networked mode
+//! `kill=`/`stall=` become connection resets and half-open stalls, and
+//! `trunc=`/`junk=` add wire-level truncated frames and byte garbage
+//! (those two are net-only).
 //!
 //! Exit codes: 0 on success, 1 when an artifact cannot be persisted, the
 //! exclusivity audit flags a violation, a chaos run leaks a resource, or a

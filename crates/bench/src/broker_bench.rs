@@ -21,11 +21,10 @@
 //! the chain at the same total pool, so the model/measured ratio stays
 //! meaningful at every shard count.
 //!
-//! `--chaos <spec>` (or the `RSIN_BROKER_CHAOS` environment variable; the
-//! flag wins when both are present) switches the measured leg to the
-//! chaos-hardened driver: the spec's seeded fractions of worker threads
-//! crash or stall mid-protocol, optional `mtbf=`/`mttr=` add a stochastic
-//! outage of resource 0, and the table gains a fault-accounting section.
+//! `--chaos <spec>` switches the measured leg to the chaos-hardened
+//! driver: the spec's seeded fractions of worker threads crash or stall
+//! mid-protocol, optional `mtbf=`/`mttr=` add a stochastic outage of
+//! resource 0, and the table gains a fault-accounting section.
 //! The exclusivity audit and the leak inventory still gate the exit code —
 //! a chaos run that violates exclusivity or leaks a resource fails the
 //! benchmark exactly like a healthy run with a violation.
@@ -93,9 +92,9 @@ pub struct BrokerBenchConfig {
     /// each shard holds [`RESOURCES`] slots, so the total pool scales with
     /// the shard count. `1` runs the plain single-arbiter broker.
     pub shards: usize,
-    /// Chaos schedule for the measured leg (`--chaos` /
-    /// `RSIN_BROKER_CHAOS`); `None` runs the healthy driver. The
-    /// `trunc=`/`junk=` wire faults require the networked mode.
+    /// Chaos schedule for the measured leg (`--chaos`); `None` runs the
+    /// healthy driver. The `trunc=`/`junk=` wire faults require the
+    /// networked mode.
     pub chaos: Option<ChaosSpec>,
     /// `--serve ADDR`: run a networked broker front-end on `ADDR` instead
     /// of the benchmark, until stdin closes.
@@ -150,31 +149,15 @@ const SWITCHES: [&str; 2] = ["--full", "--resume"];
 impl BrokerBenchConfig {
     /// Parses the process arguments (program name first): `--threads`,
     /// `--duration-ms`, `--rho`, `--shards`, `--chaos` and the networked
-    /// flags; absent flags keep their defaults, and an absent `--chaos`
-    /// falls back to the `RSIN_BROKER_CHAOS` environment variable.
+    /// flags; absent flags keep their defaults.
     ///
     /// # Errors
     ///
-    /// [`ConfigError::Parse`] naming the offending flag (or environment
-    /// variable) and the expected shape when a value is missing,
-    /// malformed, or out of range, or naming an argument that is neither
-    /// one of these flags nor `--jobs`, `--full` or `--resume`.
+    /// [`ConfigError::Parse`] naming the offending flag and the expected
+    /// shape when a value is missing, malformed, or out of range, or
+    /// naming an argument that is neither one of these flags nor `--jobs`,
+    /// `--full` or `--resume`.
     pub fn try_from_args(args: &[String]) -> Result<Self, ConfigError> {
-        let env = std::env::var("RSIN_BROKER_CHAOS").ok();
-        BrokerBenchConfig::try_from_args_with_env(args, env.as_deref())
-    }
-
-    /// [`BrokerBenchConfig::try_from_args`] with the `RSIN_BROKER_CHAOS`
-    /// value injected explicitly (tests use this; process env reads race
-    /// across parallel test threads).
-    ///
-    /// # Errors
-    ///
-    /// As [`BrokerBenchConfig::try_from_args`].
-    pub fn try_from_args_with_env(
-        args: &[String],
-        chaos_env: Option<&str>,
-    ) -> Result<Self, ConfigError> {
         flags::reject_unknown(
             args.get(1..).unwrap_or_default(),
             &VALUE_FLAGS,
@@ -196,9 +179,7 @@ impl BrokerBenchConfig {
             cfg.shards = parse_shards(&v)?;
         }
         if let Some(v) = flags::value(args, "--chaos")? {
-            cfg.chaos = Some(parse_chaos("--chaos", &v)?);
-        } else if let Some(v) = chaos_env {
-            cfg.chaos = Some(parse_chaos("RSIN_BROKER_CHAOS", v)?);
+            cfg.chaos = Some(parse_chaos(&v)?);
         }
         if let Some(v) = flags::value(args, "--serve")? {
             cfg.serve = Some(parse_serve(&v)?);
@@ -477,11 +458,11 @@ fn parse_deadline_ms_flag(flag: &str, v: &str) -> Result<u64, ConfigError> {
     }
 }
 
-fn parse_chaos(origin: &str, v: &str) -> Result<ChaosSpec, ConfigError> {
+fn parse_chaos(v: &str) -> Result<ChaosSpec, ConfigError> {
     ChaosSpec::parse(v).map_err(|detail| {
         eprintln!("note: {detail}");
         ConfigError::Parse {
-            input: format!("{origin} {v}"),
+            input: format!("--chaos {v}"),
             expected: "key=value pairs kill=<frac>, stall=<frac>, seed=<u64>, \
                        optional mtbf=/mttr= (e.g. kill=0.25,stall=0.125,seed=7)",
         }
@@ -1057,10 +1038,11 @@ mod tests {
 
     #[test]
     fn wire_chaos_requires_the_networked_mode() {
-        let err = BrokerBenchConfig::try_from_args_with_env(
-            &args(&["bin", "--chaos", "kill=0.25,trunc=0.25,seed=3"]),
-            None,
-        )
+        let err = BrokerBenchConfig::try_from_args(&args(&[
+            "bin",
+            "--chaos",
+            "kill=0.25,trunc=0.25,seed=3",
+        ]))
         .expect_err("trunc without --connect must be rejected");
         assert!(matches!(err, ConfigError::Parse { .. }));
         assert!(
@@ -1068,16 +1050,13 @@ mod tests {
             "error must name the wire fault: {err}"
         );
 
-        let ok = BrokerBenchConfig::try_from_args_with_env(
-            &args(&[
-                "bin",
-                "--connect",
-                "self",
-                "--chaos",
-                "kill=0.25,trunc=0.125,junk=0.125,seed=3",
-            ]),
-            None,
-        )
+        let ok = BrokerBenchConfig::try_from_args(&args(&[
+            "bin",
+            "--connect",
+            "self",
+            "--chaos",
+            "kill=0.25,trunc=0.125,junk=0.125,seed=3",
+        ]))
         .expect("wire chaos is valid in net mode");
         let spec = ok.chaos.expect("chaos set");
         assert_eq!(spec.trunc, 0.125);
@@ -1085,59 +1064,38 @@ mod tests {
     }
 
     #[test]
-    fn chaos_flag_parses_and_env_is_the_fallback() {
-        let cfg = BrokerBenchConfig::try_from_args_with_env(
-            &args(&["bin", "--chaos", "kill=0.25,stall=0.125,seed=7"]),
-            None,
-        )
+    fn chaos_flag_parses_and_its_absence_is_healthy() {
+        let cfg = BrokerBenchConfig::try_from_args(&args(&[
+            "bin",
+            "--chaos",
+            "kill=0.25,stall=0.125,seed=7",
+        ]))
         .expect("valid spec");
         let spec = cfg.chaos.expect("chaos set");
         assert_eq!(spec.kill, 0.25);
         assert_eq!(spec.stall, 0.125);
         assert_eq!(spec.seed, 7);
 
-        let env = BrokerBenchConfig::try_from_args_with_env(
-            &args(&["bin"]),
-            Some("kill=0.5,mtbf=40,mttr=8"),
-        )
-        .expect("valid env spec");
-        let spec = env.chaos.expect("env chaos set");
-        assert_eq!(spec.kill, 0.5);
-        assert_eq!(spec.mtbf, Some(40.0));
+        let joined =
+            BrokerBenchConfig::try_from_args(&args(&["bin", "--chaos=kill=0.1"])).expect("valid");
+        assert_eq!(joined.chaos.expect("set").kill, 0.1);
 
-        // The flag wins over the environment.
-        let both = BrokerBenchConfig::try_from_args_with_env(
-            &args(&["bin", "--chaos=kill=0.1"]),
-            Some("kill=0.9"),
-        )
-        .expect("valid");
-        assert_eq!(both.chaos.expect("set").kill, 0.1);
-
-        // No flag, no env: the healthy driver.
-        let healthy =
-            BrokerBenchConfig::try_from_args_with_env(&args(&["bin"]), None).expect("valid");
+        // No flag: the healthy driver.
+        let healthy = BrokerBenchConfig::try_from_args(&args(&["bin"])).expect("valid");
         assert!(healthy.chaos.is_none());
     }
 
     #[test]
     fn malformed_chaos_is_a_typed_actionable_error() {
         for bad in ["", "kill=2", "bogus=1", "mtbf=40", "kill=0.6,stall=0.6"] {
-            let err =
-                BrokerBenchConfig::try_from_args_with_env(&args(&["bin", "--chaos", bad]), None)
-                    .expect_err(&format!("must reject {bad:?}"));
+            let err = BrokerBenchConfig::try_from_args(&args(&["bin", "--chaos", bad]))
+                .expect_err(&format!("must reject {bad:?}"));
             assert!(matches!(err, ConfigError::Parse { .. }));
             assert!(
                 err.to_string().contains("--chaos"),
                 "error must name the flag: {err}"
             );
         }
-        let err = BrokerBenchConfig::try_from_args_with_env(&args(&["bin"]), Some("kill=2"))
-            .expect_err("env spec must be validated too");
-        assert!(matches!(err, ConfigError::Parse { .. }));
-        assert!(
-            err.to_string().contains("RSIN_BROKER_CHAOS"),
-            "error must name the environment variable: {err}"
-        );
         let err = BrokerBenchConfig::try_from_args(&args(&["bin", "--chaos"]))
             .expect_err("missing value");
         assert!(err.to_string().contains("--chaos"));

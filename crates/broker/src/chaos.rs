@@ -24,8 +24,8 @@
 //! that instead).
 //!
 //! `ChaosSpec` is the flat, parseable form used by `broker_bench`'s
-//! `--chaos` flag and the `RSIN_BROKER_CHAOS` environment variable,
-//! following the workspace's `RSIN_CHAOS` convention.
+//! `--chaos` flag, in the comma-separated form of the suite harness's
+//! `RSIN_CHAOS` spec.
 
 use crate::WorkerId;
 use rsin_des::{FaultPlan, SimRng};
@@ -216,8 +216,7 @@ impl ChaosOptions {
     }
 }
 
-/// Flat, parseable chaos description for `broker_bench --chaos` and the
-/// `RSIN_BROKER_CHAOS` environment variable.
+/// Flat, parseable chaos description for `broker_bench --chaos`.
 ///
 /// Format: comma-separated `key=value` pairs — `kill=<frac>`,
 /// `stall=<frac>`, `seed=<u64>`, and optionally `mtbf=<f64>`/`mttr=<f64>`

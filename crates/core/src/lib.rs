@@ -70,7 +70,7 @@ pub use network::{
 pub use pool::PortPool;
 pub use runner::{estimate_delay, estimate_delay_jobs, DelayEstimate};
 pub use sim::{
-    simulate, simulate_faulty, simulate_general, simulate_general_faulty, simulate_round_trip,
-    FaultOptions, SimError, SimOptions, SimReport, StageDistributions,
+    simulate, simulate_faulty, simulate_general, simulate_round_trip, FaultOptions, SimError,
+    SimOptions, SimReport, StageDistributions,
 };
 pub use workload::Workload;

@@ -38,7 +38,7 @@ use rsin_bitslice::{clear_bit, set_bit, tail_mask, words_for};
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PortPool {
-    capacity: Vec<u32>,
+    capacity: u32,
     busy: Vec<u32>,
     up: Vec<bool>,
     free_words: Vec<u64>,
@@ -52,29 +52,15 @@ impl PortPool {
     /// Panics if `capacity` is zero.
     #[must_use]
     pub fn new(ports: usize, capacity: u32) -> Self {
-        Self::with_capacities(vec![capacity; ports])
-    }
-
-    /// One pool per entry of `capacity`, all up and idle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any capacity is zero.
-    #[must_use]
-    pub fn with_capacities(capacity: Vec<u32>) -> Self {
-        assert!(
-            capacity.iter().all(|&c| c > 0),
-            "pool capacity must be positive"
-        );
-        let ports = capacity.len();
+        assert!(capacity > 0, "pool capacity must be positive");
         let mut free_words = vec![u64::MAX; words_for(ports)];
         if let Some(last) = free_words.last_mut() {
             *last &= tail_mask(ports);
         }
         PortPool {
+            capacity,
             busy: vec![0; ports],
             up: vec![true; ports],
-            capacity,
             free_words,
         }
     }
@@ -82,13 +68,13 @@ impl PortPool {
     /// Number of ports.
     #[must_use]
     pub fn ports(&self) -> usize {
-        self.capacity.len()
+        self.busy.len()
     }
 
-    /// Resources behind `port` when it is up.
+    /// Resources behind each port when it is up.
     #[must_use]
-    pub fn capacity(&self, port: usize) -> u32 {
-        self.capacity[port]
+    pub fn capacity(&self) -> u32 {
+        self.capacity
     }
 
     /// Resources of `port` currently busy (0 while the pool is down).
@@ -107,7 +93,7 @@ impl PortPool {
     #[must_use]
     pub fn free(&self, port: usize) -> u32 {
         if self.up[port] {
-            self.capacity[port] - self.busy[port]
+            self.capacity - self.busy[port]
         } else {
             0
         }
@@ -117,7 +103,7 @@ impl PortPool {
     /// evaluated from the scalar state.
     #[must_use]
     pub fn has_free(&self, port: usize) -> bool {
-        self.up[port] && self.busy[port] < self.capacity[port]
+        self.up[port] && self.busy[port] < self.capacity
     }
 
     /// The status signal of every port, packed 64 per word.

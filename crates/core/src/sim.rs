@@ -8,10 +8,10 @@
 //!
 //! # Fault injection
 //!
-//! [`simulate_faulty`] (and [`simulate_general_faulty`]) run the same
-//! lifecycle while applying a [`FaultPlan`]: resource pools and structural
-//! elements fail and are repaired mid-run. A task whose resource dies
-//! mid-transmission or mid-service is a *casualty*: its lifecycle events
+//! [`simulate_faulty`] runs the same lifecycle while applying a
+//! [`FaultPlan`]: resource pools and structural elements fail and are
+//! repaired mid-run. A task whose resource dies mid-transmission or
+//! mid-service is a *casualty*: its lifecycle events
 //! are cancelled and it is requeued at the head of its processor's queue,
 //! with the processor backing off for a capped exponential interval before
 //! re-requesting. Each re-allocation of a requeued task counts as a fresh
@@ -518,9 +518,11 @@ pub fn simulate_general(
     opts: &SimOptions,
     rng: &mut SimRng,
 ) -> SimReport {
-    simulate_general_faulty(
+    run(
         net,
         stages,
+        None,
+        None,
         opts,
         &FaultPlan::new(),
         &FaultOptions::default(),
@@ -610,26 +612,6 @@ pub(crate) fn simulate_exponential(
         service: &service,
     };
     run(net, &stages, mix, ret, opts, faults, fopts, rng)
-}
-
-/// [`simulate_faulty`] with arbitrary stage distributions.
-///
-/// # Errors
-///
-/// [`SimError::Stalled`] when the livelock watchdog fires.
-///
-/// # Panics
-///
-/// Same structural contract as [`simulate`].
-pub fn simulate_general_faulty(
-    net: &mut dyn ResourceNetwork,
-    stages: &StageDistributions<'_>,
-    opts: &SimOptions,
-    faults: &FaultPlan,
-    fopts: &FaultOptions,
-    rng: &mut SimRng,
-) -> Result<SimReport, SimError> {
-    run(net, stages, None, None, opts, faults, fopts, rng)
 }
 
 /// The one event loop behind every entry point. A `mix` of more than one

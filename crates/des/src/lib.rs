@@ -16,7 +16,7 @@
 //! - [`FaultPlan`] / [`FaultTimeline`]: scripted and stochastic
 //!   fail/repair schedules for fault-injection studies.
 //! - [`stats`]: Welford accumulators, time-weighted averages, histograms,
-//!   and batch-means / replication confidence intervals.
+//!   and replication confidence intervals.
 //! - [`replicate`] / [`replicate_par`]: independent-replication runners
 //!   (sequential and scoped-thread parallel, bitwise-identical results).
 //! - [`scope_map`] / [`default_jobs`]: the deterministic parallel-map

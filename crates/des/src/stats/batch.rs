@@ -1,9 +1,9 @@
-//! Batch-means confidence intervals for steady-state simulation output.
+//! Confidence intervals for steady-state simulation output.
 //!
 //! A single long run produces autocorrelated observations, so the naive
-//! standard error is biased low. The batch-means method groups consecutive
-//! observations into `k` batches, treats batch averages as approximately
-//! independent, and builds a Student-t interval on them.
+//! standard error is biased low. Independent replications are not: each
+//! run's mean is one independent observation, and a Student-t interval
+//! over those means is honest.
 
 use super::quantile::t_quantile;
 use super::welford::Welford;
@@ -61,94 +61,6 @@ impl std::fmt::Display for ConfidenceInterval {
     }
 }
 
-/// Batch-means estimator over a stream of observations.
-///
-/// Observations are appended one at a time; batches are closed every
-/// `batch_size` observations.
-///
-/// # Examples
-///
-/// ```
-/// use rsin_des::stats::BatchMeans;
-///
-/// let mut bm = BatchMeans::new(100);
-/// for i in 0..10_000 {
-///     bm.push((i % 7) as f64);
-/// }
-/// let ci = bm.interval(0.95).expect("enough batches");
-/// assert!(ci.contains(3.0)); // mean of 0..7 is 3
-/// ```
-#[derive(Clone, Debug)]
-pub struct BatchMeans {
-    batch_size: u64,
-    current_sum: f64,
-    current_n: u64,
-    batches: Welford,
-}
-
-impl BatchMeans {
-    /// Creates an estimator that closes a batch every `batch_size` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0`.
-    #[must_use]
-    pub fn new(batch_size: u64) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        BatchMeans {
-            batch_size,
-            current_sum: 0.0,
-            current_n: 0,
-            batches: Welford::new(),
-        }
-    }
-
-    /// Appends one observation.
-    pub fn push(&mut self, x: f64) {
-        self.current_sum += x;
-        self.current_n += 1;
-        if self.current_n == self.batch_size {
-            self.batches.push(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_n = 0;
-        }
-    }
-
-    /// Number of completed batches.
-    #[must_use]
-    pub fn num_batches(&self) -> u64 {
-        self.batches.count()
-    }
-
-    /// Grand mean over completed batches (zero if none completed yet).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.batches.mean()
-    }
-
-    /// Student-t confidence interval at `level` over batch means.
-    ///
-    /// Returns `None` with fewer than two completed batches.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < level < 1`.
-    #[must_use]
-    pub fn interval(&self, level: f64) -> Option<ConfidenceInterval> {
-        assert!(level > 0.0 && level < 1.0, "level must be in (0,1)");
-        let k = self.batches.count();
-        if k < 2 {
-            return None;
-        }
-        let t = t_quantile(k - 1, 0.5 + level / 2.0);
-        Some(ConfidenceInterval {
-            mean: self.batches.mean(),
-            half_width: t * self.batches.std_error(),
-            level,
-        })
-    }
-}
-
 /// Builds a confidence interval from independent replication means.
 ///
 /// Returns `None` with fewer than two replications.
@@ -177,52 +89,6 @@ pub fn replication_interval(means: &[f64], level: f64) -> Option<ConfidenceInter
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SimRng;
-
-    #[test]
-    fn interval_needs_two_batches() {
-        let mut bm = BatchMeans::new(10);
-        for _ in 0..15 {
-            bm.push(1.0);
-        }
-        assert_eq!(bm.num_batches(), 1);
-        assert!(bm.interval(0.95).is_none());
-    }
-
-    #[test]
-    fn iid_coverage_is_reasonable() {
-        // 95% CI should cover the true mean in most of 100 experiments.
-        let mut covered = 0;
-        for seed in 0..100 {
-            let mut rng = SimRng::new(seed);
-            let mut bm = BatchMeans::new(50);
-            for _ in 0..2_000 {
-                bm.push(rng.exponential(1.0));
-            }
-            let ci = bm.interval(0.95).expect("40 batches");
-            if ci.contains(1.0) {
-                covered += 1;
-            }
-        }
-        assert!(covered >= 85, "coverage too low: {covered}/100");
-    }
-
-    #[test]
-    fn interval_shrinks_with_more_data() {
-        let mut rng = SimRng::new(1);
-        let mut small = BatchMeans::new(20);
-        let mut large = BatchMeans::new(20);
-        for i in 0..10_000 {
-            let x = rng.exponential(1.0);
-            if i < 500 {
-                small.push(x);
-            }
-            large.push(x);
-        }
-        let hw_small = small.interval(0.9).expect("batches").half_width;
-        let hw_large = large.interval(0.9).expect("batches").half_width;
-        assert!(hw_large < hw_small);
-    }
 
     #[test]
     fn replication_interval_matches_hand_computation() {

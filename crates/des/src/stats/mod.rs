@@ -4,8 +4,9 @@
 //! - [`TimeWeighted`]: time-averages of piecewise-constant signals
 //!   (queue lengths, busy counts).
 //! - [`Histogram`]: delay distributions and quantiles.
-//! - [`BatchMeans`] / [`replication_interval`]: confidence intervals that
-//!   respect autocorrelation in steady-state output.
+//! - [`replication_interval`]: Student-t confidence intervals over
+//!   independent replication means, which respect autocorrelation in
+//!   steady-state output.
 //! - [`normal_quantile`] / [`t_quantile`]: the quantile functions backing
 //!   the intervals.
 
@@ -15,7 +16,7 @@ mod quantile;
 mod timeavg;
 mod welford;
 
-pub use batch::{replication_interval, BatchMeans, ConfidenceInterval};
+pub use batch::{replication_interval, ConfidenceInterval};
 pub use histogram::Histogram;
 pub use quantile::{erfc, normal_quantile, t_quantile};
 pub use timeavg::TimeWeighted;

@@ -1,6 +1,6 @@
 //! Property-based tests of the simulation kernel.
 
-use rsin_des::stats::{BatchMeans, Histogram, TimeWeighted, Welford};
+use rsin_des::stats::{Histogram, TimeWeighted, Welford};
 use rsin_des::{Calendar, SimRng, SimTime};
 use rsin_minicheck::check;
 
@@ -191,24 +191,6 @@ fn histogram_mass_balance() {
         let binned: u64 = (0..h.num_bins()).map(|i| h.bin_count(i)).sum();
         assert_eq!(binned + h.overflow(), xs.len() as u64);
         assert_eq!(h.count(), xs.len() as u64);
-    });
-}
-
-/// Batch-means grand mean equals the plain mean over complete batches.
-#[test]
-fn batch_means_grand_mean() {
-    check(256, |g| {
-        let xs = g.vec_f64(-1e3, 1e3, 10, 300);
-        let batch = 10u64;
-        let mut bm = BatchMeans::new(batch);
-        for &x in &xs {
-            bm.push(x);
-        }
-        let complete = (xs.len() as u64 / batch * batch) as usize;
-        if complete > 0 {
-            let mean = xs[..complete].iter().sum::<f64>() / complete as f64;
-            assert!((bm.mean() - mean).abs() < 1e-9 * (1.0 + mean.abs()));
-        }
     });
 }
 

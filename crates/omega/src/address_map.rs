@@ -87,7 +87,7 @@ impl ResourceNetwork for AddressMappedOmega {
     }
 
     fn total_resources(&self) -> usize {
-        self.partitions * self.size() * self.pool.capacity(0) as usize
+        self.partitions * self.size() * self.pool.capacity() as usize
     }
 
     fn request_cycle_pending(

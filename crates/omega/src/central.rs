@@ -220,7 +220,7 @@ impl ResourceNetwork for CentralOmegaNetwork {
     }
 
     fn total_resources(&self) -> usize {
-        self.size() * self.pool.capacity(0) as usize
+        self.size() * self.pool.capacity() as usize
     }
 
     fn request_cycle_pending(

@@ -11,7 +11,8 @@
 //!
 //! - [`OmegaState`] / [`Admission`] / [`Circuit`]: the distributed
 //!   resolution protocol with circuit-held links and box-visit accounting
-//!   (Fig. 11's example reproduces, 3.5 boxes per request).
+//!   (Fig. 11's example reproduces with 3.0 boxes per request against the
+//!   paper's 3.5: straight-first tie-breaking avoids its one reroute).
 //! - [`OmegaNetwork`]: the simulatable
 //!   [`ResourceNetwork`](rsin_core::ResourceNetwork), optionally hosting
 //!   several resource types laid out by a [`Placement`] (Section VII).
@@ -40,14 +41,12 @@
 mod address_map;
 pub mod blocking;
 mod central;
-mod interchange;
 mod model;
 mod resolver;
 mod return_path;
 
 pub use address_map::AddressMappedOmega;
 pub use central::{CentralOmegaNetwork, SequentialOutcome, SequentialScheduler};
-pub use interchange::{InterchangeBox, QueryOutcome, RejectOutcome};
 pub use model::{OmegaNetwork, Placement, WrongKindError};
 pub use resolver::{
     Admission, Circuit, MultistageState, OmegaState, Resolution, StatusFreshness, Wiring,

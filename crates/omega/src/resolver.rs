@@ -61,7 +61,8 @@ pub struct Resolution {
     /// Processors that did not submit because no resource was reachable.
     pub not_submitted: Vec<usize>,
     /// Interchange-box visits accumulated by all requests (the paper's
-    /// "boxes passed through" measure; Fig. 11 averages 3.5).
+    /// "boxes passed through" measure; Fig. 11's example averages 3.0 here
+    /// against the paper's 3.5, see EXPERIMENTS.md).
     pub box_visits: u64,
 }
 
@@ -518,7 +519,7 @@ impl MultistageState {
     /// Resources carried by each output port.
     #[must_use]
     pub fn resources_per_port(&self) -> u32 {
-        self.pool.capacity(0)
+        self.pool.capacity()
     }
 
     /// The resource pools behind the output ports.
@@ -1012,15 +1013,15 @@ mod tests {
 
     #[test]
     fn fig11_average_boxes_traversed() {
-        // The paper reports 3.5 boxes per request on average: three direct
-        // routes (3 boxes each) plus one reject-and-reroute (5 visits).
+        // The paper reports 3.5 boxes per request: three direct routes
+        // (3 boxes each) plus one reject at B(1,1) and a reroute (5 visits).
+        // Straight-first tie-breaking finds a conflict-free routing at once,
+        // so every request crosses exactly its 3 stages: 3.0 per request, a
+        // recorded deviation (EXPERIMENTS.md, Fig. 11 walkthrough).
         let mut net = fig11_network();
         let res = net.resolve(&[0, 3, 4, 5], Admission::Simultaneous);
-        let avg = res.box_visits as f64 / 4.0;
-        assert!(
-            (3.0..=4.0).contains(&avg),
-            "average box visits {avg} should be near the paper's 3.5"
-        );
+        assert!(res.rejected.is_empty(), "rejected: {:?}", res.rejected);
+        assert_eq!(res.box_visits, 12, "4 requests x 3 stages, no reroute");
     }
 
     #[test]

@@ -66,9 +66,6 @@ impl Family {
         Family::MultiLane,
     ];
 
-    /// The families whose evaluation never needs the simulator.
-    pub const ANALYTIC: [Family; 2] = [Family::Sbus, Family::Xbar];
-
     /// Short token (CLI value and report label).
     #[must_use]
     pub fn token(&self) -> &'static str {

@@ -11,9 +11,6 @@
 //! - [`SharedBusNetwork`]: a simulatable
 //!   [`ResourceNetwork`](rsin_core::ResourceNetwork) of `i` independent
 //!   buses.
-//! - [`TypedSharedBus`]: the multiple-resource-type extension (Section VII)
-//!   as a plain [`ResourceNetwork`](rsin_core::ResourceNetwork) whose
-//!   ports are its (bus, type) pools.
 //! - [`Arbitration`] / [`Arbiter`]: fixed-priority (the paper's hardware),
 //!   random (POLYP-style token), and round-robin policies.
 //! - [`analytic::partition_delay`]: the exact per-partition Markov solution.
@@ -43,11 +40,9 @@
 pub mod analytic;
 mod arbiter;
 mod network;
-mod typed;
 
 pub use arbiter::{Arbiter, Arbitration};
 pub use network::{SharedBusNetwork, WrongKindError};
-pub use typed::TypedSharedBus;
 
 #[cfg(test)]
 mod integration_tests {

@@ -166,7 +166,7 @@ impl ResourceNetwork for SharedBusNetwork {
     }
 
     fn total_resources(&self) -> usize {
-        self.buses.len() * self.pool.capacity(0) as usize
+        self.buses.len() * self.pool.capacity() as usize
     }
 
     /// One request cycle over the packed pending set (tail lanes zero):
@@ -569,7 +569,7 @@ mod tests {
         use rsin_core::{simulate, simulate_faulty, FaultOptions, SimOptions, Workload};
         use rsin_des::{FaultPlan, FaultTarget, StochasticFault};
         let probe = net();
-        let (buses, width, r) = (probe.buses(), probe.procs_per_bus, probe.pool.capacity(0));
+        let (buses, width, r) = (probe.buses(), probe.procs_per_bus, probe.pool.capacity());
         let lambda = 0.8 * f64::from(r).min(10.0) / width as f64;
         let workload = Workload::new(lambda, 10.0, 1.0).expect("valid workload");
         let opts = SimOptions {

@@ -252,7 +252,7 @@ impl ResourceNetwork for CrossbarNetwork {
     }
 
     fn total_resources(&self) -> usize {
-        self.partitions.len() * self.outputs * self.pool.capacity(0) as usize
+        self.partitions.len() * self.outputs * self.pool.capacity() as usize
     }
 
     fn request_cycle_pending(

@@ -8,16 +8,19 @@
 //! when both engines still shipped and produced identical values: the
 //! FNV-1a digest of every statistic each `SimReport` holds, bit for bit —
 //! for every discipline and policy, healthy and under fault injection.
-//! The centralized and address-mapped Omega baselines and the typed shared
-//! bus have no bit-sliced resolver, but keep their per-port resource pools
-//! in the same `rsin_core::PortPool`; their runs are pinned alongside.
+//! The centralized and address-mapped Omega baselines have no bit-sliced
+//! resolver, but keep their per-port resource pools in the same
+//! `rsin_core::PortPool`; their runs are pinned alongside, as is a
+//! two-type run of the Omega boxes (Section VII's multiple resource types).
 
 use rsin::core::equivalence::{digest, faulted_fingerprint, fingerprint, healthy_fingerprint};
 use rsin::core::typed::{simulate_typed, TypedWorkload};
 use rsin::core::{ResourceNetwork, SimOptions, Workload};
 use rsin::des::SimRng;
-use rsin::omega::{AddressMappedOmega, Admission, CentralOmegaNetwork, OmegaNetwork, Wiring};
-use rsin::sbus::{Arbitration, SharedBusNetwork, TypedSharedBus};
+use rsin::omega::{
+    AddressMappedOmega, Admission, CentralOmegaNetwork, OmegaNetwork, Placement, Wiring,
+};
+use rsin::sbus::{Arbitration, SharedBusNetwork};
 use rsin::xbar::{CrossbarNetwork, CrossbarPolicy};
 
 /// Every network under test with its pinned healthy and faulted digests.
@@ -115,32 +118,6 @@ fn pinned_networks() -> Vec<(String, Box<dyn ResourceNetwork>, u64, u64)> {
     for (label, net, healthy, faulted) in others {
         nets.push((label.to_string(), net, healthy, faulted));
     }
-    for (arb, healthy, faulted) in [
-        (
-            Arbitration::FixedPriority,
-            0xb517_205f_2b3c_1dd5,
-            0x5019_006c_1bc1_bece,
-        ),
-        (
-            Arbitration::Random,
-            0x7c53_c191_10ca_c4cc,
-            0x9b28_420d_db6a_0295,
-        ),
-        (
-            Arbitration::RoundRobin,
-            0x928c_4c66_9d96_8e10,
-            0xc687_1c60_36ff_6a96,
-        ),
-    ] {
-        let net = TypedSharedBus::new(2, 3, vec![2, 1], arb);
-        nets.push((
-            format!("typed-sbus/{arb:?}"),
-            Box::new(net),
-            healthy,
-            faulted,
-        ));
-    }
-
     nets
 }
 
@@ -170,37 +147,30 @@ fn engines_produce_identical_reports_under_fault_injection() {
     }
 }
 
-/// The typed-SBUS pins above run untyped workloads, so every task asks for
-/// type 0. This pins a two-type run of the same bus (half the tasks ask
-/// for the single type-1 resource of each bus) under every arbitration, so
-/// the per-type candidate filter is checked on a type other than 0: the
-/// report's words plus each type's delay count and mean, healthy load and
-/// options as in `healthy_fingerprint`.
+/// A two-type run of the Omega boxes (Section VII's multiple resource
+/// types): 8 ports of 2 resources, types interleaved across the ports, half
+/// the tasks asking for each type. It pins `simulate_typed`'s type draws and
+/// the per-type routing filter: the report's words plus each type's delay
+/// count and mean, healthy load and options as in `healthy_fingerprint`.
 #[test]
-fn typed_sbus_grants_both_types_as_pinned() {
-    for (arb, pinned) in [
-        (Arbitration::FixedPriority, 0x2142_f51e_10b3_6c2e),
-        (Arbitration::Random, 0x7fc8_0c6b_411a_a670),
-        (Arbitration::RoundRobin, 0x0720_c067_77fd_803f),
-    ] {
-        let mut net = TypedSharedBus::new(2, 3, vec![2, 1], arb);
-        let base = Workload::new(0.3 * net.processors() as f64, 10.0, 1.0).expect("valid workload");
-        let workload = TypedWorkload::new(base, vec![0.5, 0.5]).expect("valid mix");
-        let opts = SimOptions {
-            warmup_tasks: 100,
-            measured_tasks: 1_500,
-        };
-        let report = simulate_typed(&mut net, &workload, &opts, &mut SimRng::new(42));
-        let type1 = report.per_type_delay[1].count();
-        assert!(type1 > 0, "{arb:?}: no type-1 request was granted");
-        let mut words = fingerprint(&report);
-        for d in &report.per_type_delay {
-            words.extend([d.count(), d.mean().to_bits()]);
-        }
-        assert_eq!(
-            digest(&words),
-            pinned,
-            "{arb:?}: two-type run diverged from the pinned report {words:?} ({type1} type-1 grants)"
-        );
+fn typed_omega_grants_both_types_as_pinned() {
+    let mut net = OmegaNetwork::typed(1, 8, 2, 2, Placement::Interleaved, Admission::Simultaneous);
+    let base = Workload::new(0.3 * net.processors() as f64, 10.0, 1.0).expect("valid workload");
+    let workload = TypedWorkload::new(base, vec![0.5, 0.5]).expect("valid mix");
+    let opts = SimOptions {
+        warmup_tasks: 100,
+        measured_tasks: 1_500,
+    };
+    let report = simulate_typed(&mut net, &workload, &opts, &mut SimRng::new(42));
+    let type1 = report.per_type_delay[1].count();
+    assert!(type1 > 0, "no type-1 request was granted");
+    let mut words = fingerprint(&report);
+    for d in &report.per_type_delay {
+        words.extend([d.count(), d.mean().to_bits()]);
     }
+    assert_eq!(
+        digest(&words),
+        0x2951_dc5d_a19e_5eea,
+        "two-type run diverged from the pinned report {words:?} ({type1} type-1 grants)"
+    );
 }

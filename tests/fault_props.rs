@@ -260,8 +260,7 @@ fn assert_words_match_scalars(pool: &PortPool) {
     assert_eq!(words.len(), pool.ports().div_ceil(64), "word count");
     for lane in 0..words.len() * 64 {
         let bit = words[lane / 64] >> (lane % 64) & 1 == 1;
-        let scalar =
-            lane < pool.ports() && pool.is_up(lane) && pool.busy(lane) < pool.capacity(lane);
+        let scalar = lane < pool.ports() && pool.is_up(lane) && pool.busy(lane) < pool.capacity();
         assert_eq!(bit, scalar, "lane {lane}");
         if lane < pool.ports() {
             assert_eq!(pool.has_free(lane), scalar, "has_free({lane})");
@@ -274,8 +273,8 @@ fn assert_words_match_scalars(pool: &PortPool) {
 fn port_pool_keeps_the_fault_contract_under_random_operations() {
     check(64, |g| {
         let ports = g.usize_in(1, 130);
-        let capacity: Vec<u32> = (0..ports).map(|_| g.u32_in(1, 4)).collect();
-        let mut pool = PortPool::with_capacities(capacity.clone());
+        let capacity = g.u32_in(1, 4);
+        let mut pool = PortPool::new(ports, capacity);
         assert_words_match_scalars(&pool);
         for _ in 0..400 {
             // Ports past the end probe the range checks.
@@ -310,7 +309,7 @@ fn port_pool_keeps_the_fault_contract_under_random_operations() {
                     assert_eq!(accepted, port < ports && !before.is_up(port));
                     if accepted {
                         assert!(pool.is_up(port));
-                        assert_eq!(pool.free(port), capacity[port], "full capacity");
+                        assert_eq!(pool.free(port), capacity, "full capacity");
                         assert!(!pool.repair(port), "double repair is refused");
                     } else {
                         assert_eq!(pool, before, "a refused repair changes nothing");
