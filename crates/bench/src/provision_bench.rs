@@ -484,8 +484,9 @@ pub fn perf_section() -> (f64, SearchReport) {
 }
 
 /// Self-check used by tests and the smoke job: evaluating the winner
-/// fresh reproduces the recorded delay exactly (analytic) or within CI
-/// tolerance (DES).
+/// fresh against the configured target reproduces the recorded delay
+/// exactly (analytic) or within CI tolerance (DES). A winner that now
+/// misses the target, or saturates, does not reproduce.
 #[must_use]
 pub fn winner_reproduces(cfg: &ProvisionConfig, p: u32, report: &SearchReport) -> bool {
     let Some(w) = &report.winner else { return true };
@@ -494,18 +495,20 @@ pub fn winner_reproduces(cfg: &ProvisionConfig, p: u32, report: &SearchReport) -
     };
     let (quality, _) = cfg.quality();
     let mut ev = Evaluator::new(profile, quality);
-    match ev.evaluate(&w.topo) {
+    match ev.evaluate(&w.topo, cfg.target) {
         DelayOutcome::Value(v) => {
             let tol = v.half_width + w.delay.half_width + 1e-9 * w.delay.normalized_delay.abs();
             (v.normalized_delay - w.delay.normalized_delay).abs() <= tol.max(1e-12)
         }
-        DelayOutcome::Saturated => false,
+        DelayOutcome::Saturated | DelayOutcome::Exceeds { .. } => false,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsin_core::NetworkKind;
+    use rsin_provision::{classic, Candidate, EvalCounters};
     use std::path::Path;
 
     fn args(list: &[&str]) -> Vec<String> {
@@ -644,6 +647,48 @@ mod tests {
         let winner = report.winner.as_ref().expect("a feasible SBUS system");
         assert_eq!(winner.topo.to_string(), "8/1x8x1 SBUS/6");
         assert!(winner_reproduces(&cfg, 8, &report));
+    }
+
+    /// A crossbar winner reproduces under the target it was found at, and
+    /// not under one its chain proves missed.
+    #[test]
+    fn winner_missing_the_target_does_not_reproduce() {
+        let mut cfg = ProvisionConfig {
+            jobs: 1,
+            ..ProvisionConfig::default()
+        };
+        let topo = classic(8, 1, NetworkKind::Crossbar, 8, 1, 6).expect("valid");
+        let profile = TrafficProfile::reference(8, cfg.rho, cfg.ratio).expect("valid");
+        let mut ev = Evaluator::new(profile, cfg.quality().0);
+        let DelayOutcome::Value(delay) = ev.evaluate(&topo, cfg.target) else {
+            panic!("{topo} meets the default target");
+        };
+        let winner = Candidate {
+            topo,
+            cost: 56.0,
+            delay,
+        };
+        let report = SearchReport {
+            processors: 8,
+            target: cfg.target,
+            frontier: vec![winner],
+            winner: Some(winner),
+            confirmation: None,
+            degraded: None,
+            total_configs: 1,
+            evaluated: 1,
+            pruned_infeasible: 0,
+            pruned_dominated: 0,
+            pruned_examples: Vec::new(),
+            eval: EvalCounters::default(),
+        };
+        assert!(winner_reproduces(&cfg, 8, &report));
+        cfg.target = delay.normalized_delay / 2.0;
+        assert!(matches!(
+            ev.evaluate(&topo, cfg.target),
+            DelayOutcome::Exceeds { .. }
+        ));
+        assert!(!winner_reproduces(&cfg, 8, &report));
     }
 
     #[test]

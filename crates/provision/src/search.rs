@@ -437,7 +437,9 @@ fn min_feasible_r(r_lo: u32, r_cap: u32, mut feasible: impl FnMut(u32) -> bool) 
 /// floor with that one evaluation, and otherwise binary-searches with
 /// `O(log r_max)` evaluations; `r_cap`, the shape's largest chain, is
 /// solved only if the first midpoint fails. A shape the guard rejects at
-/// `r_cap` has no floor and is settled by that one check.
+/// `r_cap` has no floor and is settled by that one check. Each evaluation
+/// only decides feasibility, so it gets `target`, and a crossbar chain
+/// stops as soon as it proves a miss.
 fn descend_r(
     shape: &Shape,
     p: u32,
@@ -464,7 +466,7 @@ fn descend_r(
     let mut results: Vec<(u32, DelayOutcome)> = Vec::new();
     let mut eval_at = |r: u32, ev: &mut Evaluator| -> bool {
         let topo = shape.at_r(p, r).expect("r <= r_cap is constructible");
-        let out = ev.evaluate(&topo);
+        let out = ev.evaluate(&topo, target);
         touched.insert(r);
         let ok = out.meets(target);
         results.push((r, out));
@@ -552,7 +554,7 @@ fn confirm_winner(
                     <= slack,
             }
         }
-        DelayOutcome::Saturated => Confirmation {
+        DelayOutcome::Saturated | DelayOutcome::Exceeds { .. } => Confirmation {
             normalized_delay: f64::INFINITY,
             half_width: 0.0,
             meets_target: false,
@@ -723,7 +725,7 @@ mod tests {
         let profile = TrafficProfile::reference(16, 0.3, 0.1).expect("valid");
         let mut ev = Evaluator::new(profile, EvalQuality::quick(1));
         let reference = classic(16, 16, NetworkKind::SharedBus, 1, 1, 2).expect("valid");
-        let DelayOutcome::Value(ref_delay) = ev.evaluate(&reference) else {
+        let DelayOutcome::Value(ref_delay) = ev.evaluate(&reference, f64::INFINITY) else {
             panic!("reference config must be stable at rho=0.3");
         };
         let target = ref_delay.normalized_delay * 1.05;
@@ -759,7 +761,7 @@ mod tests {
         let profile = TrafficProfile::reference(16, 0.3, 0.1).expect("valid");
         let mut ev = Evaluator::new(profile, EvalQuality::quick(1));
         let reference = classic(16, 16, NetworkKind::SharedBus, 1, 1, 4).expect("valid");
-        let DelayOutcome::Value(ref_delay) = ev.evaluate(&reference) else {
+        let DelayOutcome::Value(ref_delay) = ev.evaluate(&reference, f64::INFINITY) else {
             panic!("reference config must be stable");
         };
         // A tight target forces failures low on each r axis.
@@ -773,7 +775,7 @@ mod tests {
         let mut audit = Evaluator::new(profile, EvalQuality::quick(1));
         for topo in &report.pruned_examples {
             assert!(
-                !audit.evaluate(topo).meets(target),
+                !audit.evaluate(topo, f64::INFINITY).meets(target),
                 "pruned config {topo} actually meets the SLO"
             );
         }
@@ -869,7 +871,7 @@ mod tests {
             let cap = shape.at_r(16, r_cap).expect("constructible");
             let mut fresh = Evaluator::new(profile, EvalQuality::quick(1));
             assert!(
-                fresh.evaluate(&cap).meets(spec.target),
+                fresh.evaluate(&cap, f64::INFINITY).meets(spec.target),
                 "{cap} misses the SLO, yet {} was feasible",
                 c.topo
             );

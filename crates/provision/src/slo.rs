@@ -8,13 +8,17 @@
 //!   ([`rsin_queueing::SharedBusChain`]).
 //! * **XBAR** partitions with `k ≤ 3` output buses are exact small-`m`
 //!   chains ([`rsin_queueing::SmallCrossbarChain`]).
-//!
-//! Each chain is solved on its own and nothing is retained between
-//! evaluations, so an analytic answer depends only on the profile and the
-//! candidate, not on what the search evaluated before it.
 //! * Everything else — Omega/Cube fabrics, wide crossbars, and the
 //!   composite topologies — runs the parallel DES
 //!   ([`rsin_core::estimate_delay_jobs`]).
+//!
+//! Each chain is solved on its own and nothing is retained between
+//! evaluations, so an analytic answer depends only on the profile, the
+//! candidate and the delay target, not on what the search evaluated
+//! before it. The target only lets a crossbar chain's truncation ladder
+//! stop early, at the first rung that proves the candidate misses it
+//! ([`DelayOutcome::Exceeds`]); a candidate that meets the target gets
+//! the full ladder's delay, bit for bit.
 //!
 //! The traffic profile is **absolute** (λ, µ_n, µ_s fixed for the whole
 //! search). This is what makes the search's monotone pruning sound: under
@@ -30,7 +34,8 @@ use rsin_core::{
 };
 use rsin_omega::{Admission, OmegaNetwork};
 use rsin_queueing::{
-    traffic, SharedBusChain, SharedBusParams, SmallCrossbarChain, SmallCrossbarParams, SolveError,
+    traffic, Ladder, SharedBusChain, SharedBusParams, SmallCrossbarChain, SmallCrossbarParams,
+    SolveError,
 };
 use rsin_sbus::{Arbitration, SharedBusNetwork};
 use rsin_xbar::{CrossbarNetwork, CrossbarPolicy};
@@ -199,6 +204,13 @@ pub enum DelayOutcome {
     /// The offered load meets or exceeds the candidate's capacity (no
     /// steady state; the delay target is unreachable).
     Saturated,
+    /// An analytic chain proved the delay above the evaluation's target
+    /// before converging: `lower_bound` is a lower bound on the
+    /// normalized delay, not the delay.
+    Exceeds {
+        /// The normalized delay of the truncation that stopped the solve.
+        lower_bound: f64,
+    },
 }
 
 impl DelayOutcome {
@@ -207,7 +219,7 @@ impl DelayOutcome {
     pub fn meets(&self, target: f64) -> bool {
         match self {
             DelayOutcome::Value(v) => v.normalized_delay <= target,
-            DelayOutcome::Saturated => false,
+            DelayOutcome::Saturated | DelayOutcome::Exceeds { .. } => false,
         }
     }
 }
@@ -255,8 +267,13 @@ impl Evaluator {
         self.counters
     }
 
-    /// Evaluates one candidate's normalized delay under the profile.
-    pub fn evaluate(&mut self, topo: &CandidateTopology) -> DelayOutcome {
+    /// Evaluates one candidate's normalized delay under the profile,
+    /// against the normalized-delay `target` the caller tests it with
+    /// ([`DelayOutcome::meets`]). A crossbar chain may stop as soon as it
+    /// proves the delay above `target` and answer
+    /// [`DelayOutcome::Exceeds`]; pass `f64::INFINITY` for the delay of
+    /// every stable candidate.
+    pub fn evaluate(&mut self, topo: &CandidateTopology, target: f64) -> DelayOutcome {
         if !self.stable_enough(topo) {
             self.counters.guarded += 1;
             return DelayOutcome::Saturated;
@@ -268,7 +285,7 @@ impl Evaluator {
             CandidateTopology::Classic(c)
                 if c.kind() == NetworkKind::Crossbar && c.outputs() <= 3 =>
             {
-                self.eval_xbar_chain(c.inputs(), c.outputs(), c.resources_per_port())
+                self.eval_xbar_chain(c.inputs(), c.outputs(), c.resources_per_port(), target)
             }
             _ => self.eval_des(topo),
         }
@@ -308,7 +325,13 @@ impl Evaluator {
         chain_outcome(result.map(|sol| sol.normalized_delay), Method::SbusChain)
     }
 
-    fn eval_xbar_chain(&mut self, procs: u32, buses: u32, resources_per_bus: u32) -> DelayOutcome {
+    fn eval_xbar_chain(
+        &mut self,
+        procs: u32,
+        buses: u32,
+        resources_per_bus: u32,
+        target: f64,
+    ) -> DelayOutcome {
         let params = SmallCrossbarParams {
             processors: procs,
             buses,
@@ -318,8 +341,15 @@ impl Evaluator {
             mu_s: self.profile.mu_s,
         };
         self.counters.analytic += 1;
-        let result = SmallCrossbarChain::new(params).and_then(|c| c.solve());
-        chain_outcome(result.map(|sol| sol.normalized_delay), Method::XbarChain)
+        match SmallCrossbarChain::new(params).and_then(|c| c.solve_bounded(target)) {
+            Ok(Ladder::Converged(sol)) => {
+                chain_outcome(Ok(sol.normalized_delay), Method::XbarChain)
+            }
+            Ok(Ladder::Exceeds(rung)) => DelayOutcome::Exceeds {
+                lower_bound: rung.normalized_delay,
+            },
+            Err(e) => chain_outcome(Err(e), Method::XbarChain),
+        }
     }
 
     fn eval_des(&mut self, topo: &CandidateTopology) -> DelayOutcome {
@@ -354,9 +384,8 @@ fn chain_outcome(result: Result<f64, SolveError>, method: Method) -> DelayOutcom
         }),
         Err(SolveError::Unstable { .. }) => DelayOutcome::Saturated,
         // A chain that passed the saturation guard can still end without a
-        // steady state: `NoConvergence` does occur for validated points (the
-        // 16x3 r3 crossbar chain of the p16 sbus,xbar search hits the
-        // Gauss–Seidel sweep cap after about 40 s; ROADMAP item 3). It is
+        // steady state: a near-saturated crossbar chain whose rungs all stay
+        // under the target can exhaust its ladder (ROADMAP item 3). That is
         // filed as saturation rather than crashing a long search.
         Err(_) => DelayOutcome::Saturated,
     }
@@ -418,14 +447,14 @@ mod tests {
         let sbus = classic(16, 16, NetworkKind::SharedBus, 1, 1, 2).expect("valid");
         let xbar = classic(16, 8, NetworkKind::Crossbar, 2, 2, 2).expect("valid");
         assert!(matches!(
-            ev.evaluate(&sbus),
+            ev.evaluate(&sbus, f64::INFINITY),
             DelayOutcome::Value(DelayValue {
                 method: Method::SbusChain,
                 ..
             })
         ));
         assert!(matches!(
-            ev.evaluate(&xbar),
+            ev.evaluate(&xbar, f64::INFINITY),
             DelayOutcome::Value(DelayValue {
                 method: Method::XbarChain,
                 ..
@@ -439,12 +468,12 @@ mod tests {
     fn des_fallback_covers_omega_and_composites() {
         let mut ev = quick_eval(16, 0.2, 0.1);
         let omega = classic(16, 1, NetworkKind::Omega, 16, 16, 2).expect("valid");
-        match ev.evaluate(&omega) {
+        match ev.evaluate(&omega, f64::INFINITY) {
             DelayOutcome::Value(v) => {
                 assert_eq!(v.method, Method::Des);
                 assert!(v.normalized_delay >= 0.0);
             }
-            DelayOutcome::Saturated => panic!("moderate load must be stable"),
+            other => panic!("moderate load must be stable, got {other:?}"),
         }
         assert_eq!(ev.counters().des, 1);
     }
@@ -455,9 +484,40 @@ mod tests {
         // One bus, one resource for 16 processors at rho=0.3 of a 32-pool:
         // hopeless, and the guard must say so without a solve.
         let tiny = classic(16, 1, NetworkKind::SharedBus, 16, 1, 1).expect("valid");
-        assert_eq!(ev.evaluate(&tiny), DelayOutcome::Saturated);
+        assert_eq!(ev.evaluate(&tiny, f64::INFINITY), DelayOutcome::Saturated);
         assert_eq!(ev.counters().guarded, 1);
         assert!(!DelayOutcome::Saturated.meets(f64::INFINITY));
+    }
+
+    #[test]
+    fn missed_target_stops_the_crossbar_ladder_at_its_first_rung() {
+        // `16/1x16x3 XBAR/3` under the p16 reference profile offers 0.995
+        // of the chain's saturation throughput, and its full ladder ends in
+        // `NoConvergence`. Its first, 24-level rung already reads above the
+        // target 1.0, so the evaluation stops there with that rung's bits.
+        let mut ev = quick_eval(16, 0.3, 0.1);
+        let profile = ev.profile();
+        let first_rung = SmallCrossbarChain::new(SmallCrossbarParams {
+            processors: 16,
+            buses: 3,
+            resources_per_bus: 3,
+            lambda: profile.lambda,
+            mu_n: profile.mu_n,
+            mu_s: profile.mu_s,
+        })
+        .and_then(|c| c.solve_truncated(24))
+        .expect("the first rung solves");
+        assert!(first_rung.normalized_delay > 1.0);
+        let cfg = classic(16, 1, NetworkKind::Crossbar, 16, 3, 3).expect("valid");
+        let out = ev.evaluate(&cfg, 1.0);
+        assert_eq!(
+            out,
+            DelayOutcome::Exceeds {
+                lower_bound: first_rung.normalized_delay
+            }
+        );
+        assert!(!out.meets(1.0));
+        assert_eq!(ev.counters().analytic, 1);
     }
 
     #[test]
@@ -466,9 +526,9 @@ mod tests {
         // and after the 4x2 r2 chain of `8/2x4x2 XBAR/2`: the same bits.
         let delay_bits = |ev: &mut Evaluator, networks: u32, inputs: u32| {
             let cfg = classic(8, networks, NetworkKind::Crossbar, inputs, 2, 2).expect("valid");
-            match ev.evaluate(&cfg) {
+            match ev.evaluate(&cfg, f64::INFINITY) {
                 DelayOutcome::Value(v) => v.normalized_delay.to_bits(),
-                DelayOutcome::Saturated => panic!("{networks}x{inputs}x2 r2 must be stable"),
+                other => panic!("{networks}x{inputs}x2 r2 must be stable, got {other:?}"),
             }
         };
         let fresh = delay_bits(&mut quick_eval(8, 0.3, 0.1), 4, 2);
@@ -489,7 +549,7 @@ mod tests {
         let mut last = f64::INFINITY;
         for r in [2u32, 4, 8] {
             let cfg = classic(16, 16, NetworkKind::SharedBus, 1, 1, r).expect("valid");
-            match ev.evaluate(&cfg) {
+            match ev.evaluate(&cfg, f64::INFINITY) {
                 DelayOutcome::Value(v) => {
                     assert!(
                         v.normalized_delay <= last + 1e-12,
@@ -498,7 +558,7 @@ mod tests {
                     );
                     last = v.normalized_delay;
                 }
-                DelayOutcome::Saturated => panic!("reference load must be feasible at r={r}"),
+                other => panic!("reference load must be feasible at r={r}, got {other:?}"),
             }
         }
     }

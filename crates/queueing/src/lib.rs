@@ -12,7 +12,8 @@
 //!   truncated full-balance reference solver.
 //! - [`SmallCrossbarChain`]: the exact multiple-bus chain for very small `m`
 //!   (Section IV), solved over a ladder of queue-level truncations, each
-//!   started from the previous one's π.
+//!   started from the previous one's π. The ladder can stop at the first
+//!   rung that proves a delay target missed.
 //! - [`approx`]: the light-/heavy-load crossbar approximations of
 //!   Section IV.
 //! - [`traffic`]: the reference traffic-intensity convention the figures
@@ -60,4 +61,4 @@ pub use markov::{Ctmc, Transition};
 pub use mm1::Mm1;
 pub use mmr::Mmr;
 pub use sbus::{SharedBusChain, SharedBusParams, SharedBusSolution};
-pub use xbar_chain::{SmallCrossbarChain, SmallCrossbarParams, SmallCrossbarSolution};
+pub use xbar_chain::{Ladder, SmallCrossbarChain, SmallCrossbarParams, SmallCrossbarSolution};

@@ -76,6 +76,18 @@ pub struct SmallCrossbarSolution {
     pub levels: usize,
 }
 
+/// How a target-bounded ladder ([`SmallCrossbarChain::solve_bounded`])
+/// ended.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Ladder {
+    /// The delay stabilized without exceeding the target's bound: the
+    /// solution [`SmallCrossbarChain::solve`] returns.
+    Converged(SmallCrossbarSolution),
+    /// This rung's normalized delay exceeds the target's bound. It is a
+    /// lower bound on the converged delay, not the delay.
+    Exceeds(SmallCrossbarSolution),
+}
+
 /// The exact chain for `m ∈ {1, 2, 3}` buses.
 #[derive(Clone, Copy, Debug)]
 pub struct SmallCrossbarChain {
@@ -146,24 +158,54 @@ impl SmallCrossbarChain {
     /// of a larger one's numbering — and the first from uniform, so the
     /// answer depends only on the parameters.
     ///
+    /// This is [`SmallCrossbarChain::solve_bounded`] with no target: the
+    /// whole ladder runs.
+    ///
     /// # Errors
     ///
     /// Propagates solver errors; [`SolveError::NoConvergence`] if the delay
     /// never stabilizes within the level budget.
     pub fn solve(&self) -> Result<SmallCrossbarSolution, SolveError> {
+        match self.solve_bounded(f64::INFINITY)? {
+            Ladder::Converged(sol) => Ok(sol),
+            Ladder::Exceeds(_) => unreachable!("no rung exceeds an infinite target"),
+        }
+    }
+
+    /// Runs [`SmallCrossbarChain::solve`]'s ladder, but stops at the first
+    /// rung whose normalized delay `d · µ_s` exceeds `target` by more than
+    /// the ladder's `1e-6` relative stabilization tolerance.
+    ///
+    /// A truncation drops the arrivals that find its queue full, so each
+    /// rung's delay is a lower bound on the next one's and on the converged
+    /// delay. A rung above `target · (1 + 1e-6)` therefore proves that the
+    /// full ladder would end above `target` too, or end without a steady
+    /// state: both miss the target. The margin absorbs the Gauss–Seidel
+    /// noise between rungs. Up to the stopping rung, the rungs are the
+    /// full ladder's, bit for bit; a ladder that converges first returns
+    /// [`SmallCrossbarChain::solve`]'s solution.
+    ///
+    /// # Errors
+    ///
+    /// As [`SmallCrossbarChain::solve`], for the rungs it reaches.
+    pub fn solve_bounded(&self, target: f64) -> Result<Ladder, SolveError> {
         let gen = LevelGenerator::new(self);
+        let bound = target * (1.0 + LADDER_TOL);
         let mut levels = 24usize;
         let mut last: Option<(SmallCrossbarSolution, Vec<f64>)> = None;
         while levels <= 1536 {
             let prev = last.as_ref().map(|(_, pi)| pi.as_slice());
             let (sol, pi) = self.solve_rung(&gen, levels, prev, MAX_SWEEPS)?;
+            if sol.normalized_delay > bound {
+                return Ok(Ladder::Exceeds(sol));
+            }
             if let Some((prev, _)) = &last {
                 let diff = (sol.mean_queue_delay - prev.mean_queue_delay).abs();
                 // Stabilized when the doubling changes d by less than either
                 // a relative 1e-6 or the iterative solver's own absolute
                 // noise floor.
-                if diff < 1e-6 * sol.mean_queue_delay.max(1e-300) || diff < 1e-10 {
-                    return Ok(sol);
+                if diff < LADDER_TOL * sol.mean_queue_delay.max(1e-300) || diff < 1e-10 {
+                    return Ok(Ladder::Converged(sol));
                 }
             }
             last = Some((sol, pi));
@@ -253,6 +295,11 @@ impl SmallCrossbarChain {
 
 /// Gauss–Seidel sweep cap of every truncation.
 const MAX_SWEEPS: usize = 100_000;
+
+/// Relative tolerance of the ladder: a doubling that moves the delay by
+/// less has stabilized, and a rung's delay must exceed a target by more to
+/// stop the ladder.
+const LADDER_TOL: f64 = 1e-6;
 
 /// A move out of a sub-state: `step` queue levels up (`1`), down (`-1`) or
 /// along (`0`), to sub-state `to`.
@@ -929,6 +976,94 @@ mod tests {
                 solution_and_pi_bits,
             );
             assert_same("solve", &chain.solve(), &flat_solve(&chain), solution_bits);
+        });
+    }
+
+    /// A chain of the early-stop grid: `p, m ∈ {1, 2, 3}`, `r ∈ {1, 2}`,
+    /// and the offered load at one of `loads` times the saturation
+    /// throughput, under the provisioning profile's µ_n = 1, µ_s = 0.1.
+    /// (Wider pools stay out for the debug-build budget: a 0.9-load
+    /// ladder runs to 384 levels.)
+    fn ladder_chain(g: &mut Gen, loads: &[f64]) -> SmallCrossbarChain {
+        let load = loads[g.usize_in(0, loads.len())];
+        let mut params = SmallCrossbarParams {
+            processors: g.u32_in(1, 4),
+            buses: g.u32_in(1, 4),
+            resources_per_bus: g.u32_in(1, 3),
+            lambda: 1.0,
+            mu_n: 1.0,
+            mu_s: 0.1,
+        };
+        let cap = SmallCrossbarChain { params }.saturation_throughput();
+        params.lambda = load * cap / f64::from(params.processors);
+        SmallCrossbarChain::new(params).expect("below saturation")
+    }
+
+    /// The early stop's premise: along the π-chained ladder, no rung's
+    /// delay falls below the previous rung's by more than solver noise.
+    #[test]
+    fn ladder_rung_delays_never_fall() {
+        check(12, |g| {
+            let chain = ladder_chain(g, &[0.3, 0.7, 0.9]);
+            let gen = LevelGenerator::new(&chain);
+            let mut last: Option<(SmallCrossbarSolution, Vec<f64>)> = None;
+            for levels in [24, 48, 96] {
+                let prev = last.as_ref().map(|(_, pi)| pi.as_slice());
+                let (sol, pi) = chain
+                    .solve_rung(&gen, levels, prev, MAX_SWEEPS)
+                    .expect("rung solves");
+                if let Some((prev, _)) = &last {
+                    assert!(
+                        sol.mean_queue_delay >= prev.mean_queue_delay * (1.0 - 1e-9),
+                        "{:?}: delay fell from {} at {} levels to {} at {levels}",
+                        chain.params,
+                        prev.mean_queue_delay,
+                        prev.levels,
+                        sol.mean_queue_delay
+                    );
+                }
+                last = Some((sol, pi));
+            }
+        });
+    }
+
+    /// Against targets on both sides of the converged delay, the bounded
+    /// ladder misses exactly when the full ladder does; a stop reports a
+    /// rung above the target and below the converged delay, and a ladder
+    /// that converges returns the full ladder's bits.
+    #[test]
+    fn bounded_ladder_verdict_matches_full_ladder() {
+        // A 0.9-load chain would run four 384-level ladders here; the rung
+        // test above covers that load.
+        check(16, |g| {
+            let chain = ladder_chain(g, &[0.3, 0.7]);
+            let full = chain.solve().expect("the grid converges");
+            let d = full.normalized_delay;
+            for factor in [0.5, 0.999, 1.001, 2.0] {
+                let target = d * factor;
+                let meets = match chain.solve_bounded(target).expect("bounded ladder solves") {
+                    Ladder::Converged(sol) => {
+                        assert_eq!(solution_bits(&sol), solution_bits(&full));
+                        sol.normalized_delay <= target
+                    }
+                    Ladder::Exceeds(rung) => {
+                        assert!(rung.normalized_delay > target);
+                        assert!(
+                            rung.normalized_delay <= d * (1.0 + 1e-9),
+                            "{:?}: rung {} above the converged {d}",
+                            chain.params,
+                            rung.normalized_delay
+                        );
+                        false
+                    }
+                };
+                assert_eq!(
+                    meets,
+                    d <= target,
+                    "{:?} at target {factor} x {d}",
+                    chain.params
+                );
+            }
         });
     }
 
