@@ -1,17 +1,16 @@
 //! Runs every figure/table regenerator under the resilient harness:
 //! artifacts are computed on `--jobs` workers (default: all cores, or
-//! `RSIN_JOBS`) with panic isolation, watchdog deadlines, and bounded
-//! deterministic retries, then emitted in the fixed suite order — so
-//! stdout and the artifact files are byte-identical for every worker
-//! count.
+//! `RSIN_JOBS`), each task once with panic isolation, then emitted in the
+//! fixed suite order — so stdout and the artifact files are byte-identical
+//! for every worker count.
 //!
 //! Each artifact is persisted atomically the moment its task finishes and
 //! `manifest.json` is checkpointed after every task, so a killed run can
 //! be restarted with `--resume` to recompute only what is missing or
 //! stale (the final artifacts are byte-identical to an uninterrupted
-//! run). `RSIN_CHAOS=panic:<task>,stall:<task>,io` injects failures into
-//! the harness for self-testing; any terminal failure makes the process
-//! exit nonzero with a one-line summary of what failed.
+//! run). `RSIN_CHAOS=panic:<task>,io` injects failures into the harness
+//! for self-testing; any failure makes the process exit nonzero with a
+//! one-line summary of what failed.
 use rsin_bench::harness::{self, HarnessConfig};
 
 fn main() {

@@ -1,6 +1,6 @@
-//! The resume manifest: per-task status, artifact digests, durations, and
-//! retry counts, checkpointed atomically next to the artifacts it
-//! describes — and the one resume policy every resumable binary shares.
+//! The resume manifest: per-task status, artifact digests and durations,
+//! checkpointed atomically next to the artifacts it describes — and the
+//! one resume policy every resumable binary shares.
 //!
 //! The manifest is what makes a long run *resumable*: a binary rewrites it
 //! (atomically — see [`crate::output::atomic_write`]) after every task, so
@@ -27,8 +27,9 @@ use std::path::Path;
 use std::time::Duration;
 
 /// Manifest schema version; bump on incompatible changes so an old manifest
-/// is recomputed rather than misread.
-pub const MANIFEST_VERSION: u64 = 1;
+/// is recomputed rather than misread. Version 2 dropped the per-task
+/// `attempts` and `stalled` fields of version 1.
+pub const MANIFEST_VERSION: u64 = 2;
 
 /// 64-bit FNV-1a over `bytes`.
 #[must_use]
@@ -46,8 +47,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub enum EntryStatus {
     /// The task computed and all its artifacts were persisted.
     Ok,
-    /// The task panicked/stalled terminally, or its artifacts could not be
-    /// written. Resume recomputes it.
+    /// The task panicked, or its artifacts could not be written. Resume
+    /// recomputes it.
     Failed,
 }
 
@@ -71,19 +72,14 @@ pub struct ManifestEntry {
     pub digest: Option<u64>,
     /// FNV-1a digest of `<name>.csv`, for figure tasks.
     pub csv_digest: Option<u64>,
-    /// Wall-clock compute time, including retries and backoff.
+    /// Wall-clock compute time.
     pub duration_ms: u64,
-    /// Attempts made (1 = first try succeeded).
-    pub attempts: u32,
-    /// Whether the watchdog flagged the task past its soft deadline or an
-    /// attempt was abandoned at the hard deadline.
-    pub stalled: bool,
-    /// The terminal error, for failed entries.
+    /// The error, for failed entries.
     pub error: Option<String>,
 }
 
 impl ManifestEntry {
-    /// A first-attempt `Ok` entry for a task whose artifacts were persisted
+    /// An `Ok` entry for a task whose artifacts were persisted
     /// as `text` (and `csv`, when it has one) after `elapsed` of compute.
     #[must_use]
     pub fn ok(name: &str, text: &str, csv: Option<&str>, elapsed: Duration) -> Self {
@@ -93,13 +89,11 @@ impl ManifestEntry {
             digest: Some(fnv1a64(text.as_bytes())),
             csv_digest: csv.map(|c| fnv1a64(c.as_bytes())),
             duration_ms: u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX),
-            attempts: 1,
-            stalled: false,
             error: None,
         }
     }
 
-    /// A first-attempt `Failed` entry carrying the terminal error.
+    /// A `Failed` entry carrying the task's error.
     #[must_use]
     pub fn failed(name: &str, error: String, elapsed: Duration) -> Self {
         ManifestEntry {
@@ -201,14 +195,12 @@ impl Manifest {
             let _ = writeln!(
                 s,
                 "    {{\"name\": {}, \"status\": \"{}\", \"digest\": {}, \"csv_digest\": {}, \
-                 \"duration_ms\": {}, \"attempts\": {}, \"stalled\": {}, \"error\": {}}}{comma}",
+                 \"duration_ms\": {}, \"error\": {}}}{comma}",
                 json::quote(&e.name),
                 e.status.as_str(),
                 json_digest(e.digest),
                 json_digest(e.csv_digest),
                 e.duration_ms,
-                e.attempts,
-                e.stalled,
                 e.error
                     .as_deref()
                     .map_or_else(|| "null".to_string(), json::quote),
@@ -273,15 +265,6 @@ impl Manifest {
             let duration_ms = field("duration_ms")?
                 .as_u64()
                 .ok_or_else(|| corrupt(format!("task {name}: bad duration_ms")))?;
-            let attempts = u32::try_from(
-                field("attempts")?
-                    .as_u64()
-                    .ok_or_else(|| corrupt(format!("task {name}: bad attempts")))?,
-            )
-            .map_err(|_| corrupt(format!("task {name}: attempts out of range")))?;
-            let stalled = field("stalled")?
-                .as_bool()
-                .ok_or_else(|| corrupt(format!("task {name}: bad stalled")))?;
             let error = match field("error")? {
                 json::Value::Null => None,
                 json::Value::Str(s) => Some(s.clone()),
@@ -293,8 +276,6 @@ impl Manifest {
                 digest,
                 csv_digest,
                 duration_ms,
-                attempts,
-                stalled,
                 error,
             });
         }
@@ -381,8 +362,6 @@ mod tests {
                     digest: Some(0x1234_5678_9abc_def0),
                     csv_digest: Some(42),
                     duration_ms: 120,
-                    attempts: 1,
-                    stalled: false,
                     error: None,
                 },
                 ManifestEntry {
@@ -391,9 +370,7 @@ mod tests {
                     digest: None,
                     csv_digest: None,
                     duration_ms: 2_000,
-                    attempts: 3,
-                    stalled: true,
-                    error: Some("task fig07 panicked after 3 attempt(s): chaos".into()),
+                    error: Some("task fig07 panicked: chaos".into()),
                 },
             ],
         }
@@ -413,7 +390,7 @@ mod tests {
         let json = m.to_json();
         let back = Manifest::parse(&json, &PathBuf::from("m.json")).expect("parses");
         assert_eq!(back, m);
-        assert_eq!(back.entry("fig07").expect("entry").attempts, 3);
+        assert_eq!(back.entry("fig07").expect("entry").duration_ms, 2_000);
         assert!(back.entry("nope").is_none());
     }
 
@@ -425,8 +402,9 @@ mod tests {
             "{",
             "not json at all",
             "{\"version\": 99, \"quality\": \"q\", \"tasks\": []}",
-            "{\"version\": 1, \"tasks\": []}",
-            "{\"version\": 1, \"quality\": \"q\", \"tasks\": [{\"name\": \"x\"}]}",
+            "{\"version\": 1, \"quality\": \"q\", \"tasks\": []}",
+            "{\"version\": 2, \"tasks\": []}",
+            "{\"version\": 2, \"quality\": \"q\", \"tasks\": [{\"name\": \"x\"}]}",
         ] {
             let err = Manifest::parse(bad, &p).expect_err("must reject");
             assert!(
@@ -449,19 +427,18 @@ mod tests {
 
     #[test]
     fn serialized_bytes_are_pinned() {
-        // A manifest written by an earlier build must still resume, so its
-        // exact bytes are part of the format.
+        // A manifest written by an earlier build of this schema version must
+        // still resume, so its exact bytes are part of the format.
         let golden = concat!(
             "{\n",
-            "  \"version\": 1,\n",
+            "  \"version\": 2,\n",
             "  \"quality\": \"warmup=1000 measured=8000 reps=2 trials=2000 seed=1983\",\n",
             "  \"tasks\": [\n",
             "    {\"name\": \"fig04\", \"status\": \"ok\", \"digest\": \"fnv64:123456789abcdef0\", ",
-            "\"csv_digest\": \"fnv64:000000000000002a\", \"duration_ms\": 120, \"attempts\": 1, ",
-            "\"stalled\": false, \"error\": null},\n",
+            "\"csv_digest\": \"fnv64:000000000000002a\", \"duration_ms\": 120, \"error\": null},\n",
             "    {\"name\": \"fig07\", \"status\": \"failed\", \"digest\": null, ",
-            "\"csv_digest\": null, \"duration_ms\": 2000, \"attempts\": 3, \"stalled\": true, ",
-            "\"error\": \"task fig07 panicked after 3 attempt(s): chaos\"}\n",
+            "\"csv_digest\": null, \"duration_ms\": 2000, ",
+            "\"error\": \"task fig07 panicked: chaos\"}\n",
             "  ]\n",
             "}\n",
         );
@@ -493,12 +470,28 @@ mod tests {
             change(&mut m.entries[0], &mut m.quality);
             m.save(manifest).expect("save");
         }
-        let rows: [(&str, &str, Damage, bool); 10] = [
+        /// Rewrites the manifest as a version-1 build wrote it: the same
+        /// entries plus per-task `attempts` and `stalled` fields.
+        fn downgrade_to_v1(manifest: &Path) {
+            let v2 = std::fs::read_to_string(manifest).expect("read");
+            let v1 = v2.replace("\"version\": 2,", "\"version\": 1,").replace(
+                "\"error\":",
+                "\"attempts\": 1, \"stalled\": false, \"error\":",
+            );
+            put(manifest, &v1);
+        }
+        let rows: [(&str, &str, Damage, bool); 11] = [
             ("missing manifest", "fig04", |_, _, m| rm(m), false),
             (
                 "corrupt manifest",
                 "fig04",
                 |_, _, m| put(m, "{ \"version\": "),
+                false,
+            ),
+            (
+                "version-1 manifest",
+                "fig04",
+                |_, _, m| downgrade_to_v1(m),
                 false,
             ),
             (

@@ -58,8 +58,9 @@ pub type Task = fn(&RunQuality) -> SuiteOutput;
 
 /// A named suite task. The name is the artifact name the task will produce
 /// (`spec.run(q).name() == spec.name`), known *before* the task runs — the
-/// resilient harness keys resume manifests, chaos injection, and retry RNG
-/// streams off it.
+/// resilient harness keys resume manifests and chaos injection off it.
+/// `run` is a pure function of the preset, so the harness runs it once: a
+/// rerun would fail the same way.
 #[derive(Clone, Copy, Debug)]
 pub struct TaskSpec {
     /// The artifact name (`fig04`, `table2`, ...).

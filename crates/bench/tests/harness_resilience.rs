@@ -1,5 +1,5 @@
-//! End-to-end tests of the resilient suite harness: panic isolation,
-//! watchdog abandonment + retry, and crash-safe `--resume` semantics.
+//! End-to-end tests of the resilient suite harness: panic isolation and
+//! crash-safe `--resume` semantics.
 //!
 //! Every test drives [`rsin_bench::harness::run_resilient`] directly with
 //! an explicit output directory and an explicit [`ChaosPlan`] — no
@@ -9,8 +9,6 @@ use rsin_bench::harness::{ChaosPlan, HarnessConfig, TaskOutcome};
 use rsin_bench::manifest::{EntryStatus, Manifest};
 use rsin_bench::RunQuality;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::Duration;
 
 /// A preset small enough that the whole 17-task suite runs in seconds.
 fn tiny(jobs: usize) -> RunQuality {
@@ -63,8 +61,7 @@ fn artifact_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
 fn chaos_panic_isolates_one_task_and_the_rest_complete() {
     let dir = test_dir("panic_isolation");
     let mut cfg = config_in(&dir, 3);
-    cfg.chaos = Arc::new(ChaosPlan::none().with_panic("fig07"));
-    cfg.backoff_base = Duration::from_millis(5);
+    cfg.chaos = ChaosPlan::none().with_panic("fig07");
 
     let report = rsin_bench::harness::run_resilient(&cfg);
 
@@ -75,7 +72,6 @@ fn chaos_panic_isolates_one_task_and_the_rest_complete() {
                 matches!(t.outcome, TaskOutcome::Failed(_)),
                 "fig07 must fail terminally"
             );
-            assert_eq!(t.attempts, 3, "1 attempt + max_retries retries");
         } else {
             assert!(
                 matches!(t.outcome, TaskOutcome::Computed(_)),
@@ -131,8 +127,7 @@ fn resume_after_partial_run_matches_a_cold_run_byte_for_byte() {
     // pass checkpoints a partial suite...
     let dir = test_dir("resume_partial");
     let mut cfg = config_in(&dir, 3);
-    cfg.chaos = Arc::new(ChaosPlan::none().with_panic("fig04").with_panic("table2"));
-    cfg.backoff_base = Duration::from_millis(5);
+    cfg.chaos = ChaosPlan::none().with_panic("fig04").with_panic("table2");
     let partial = rsin_bench::harness::run_resilient(&cfg);
     assert_eq!(partial.failure_lines().len(), 2);
 
@@ -233,46 +228,6 @@ fn resume_ignores_a_manifest_from_a_different_quality_preset() {
         0,
         "a different seed invalidates every checkpoint"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn stalled_first_attempt_is_abandoned_and_the_retry_succeeds() {
-    // A first pass at the default deadlines computes the suite, and fig11's
-    // artifact is deleted, so the stalled pass resumes everything else and
-    // recomputes only fig11. fig11 is a pure text task that normally
-    // finishes in microseconds, so the short hard deadline only ever bites
-    // the injected stall, however busy the host.
-    let dir = test_dir("stall_retry");
-    let first = rsin_bench::harness::run_resilient(&config_in(&dir, 4));
-    assert!(first.failure_lines().is_empty(), "first pass is clean");
-    std::fs::remove_file(dir.join("fig11.txt")).expect("fig11 artifact");
-
-    let mut cfg = config_in(&dir, 4);
-    cfg.resume = true;
-    cfg.chaos = Arc::new(ChaosPlan::none().with_stall("fig11"));
-    cfg.soft_deadline = Duration::from_millis(500);
-    cfg.hard_deadline = Duration::from_secs(3);
-    cfg.backoff_base = Duration::from_millis(5);
-
-    let report = rsin_bench::harness::run_resilient(&cfg);
-    assert!(report.failure_lines().is_empty(), "the retry recovers");
-    assert_eq!(report.resumed(), 16, "only fig11 recomputes");
-    let fig11 = report
-        .tasks
-        .iter()
-        .find(|t| t.name == "fig11")
-        .expect("fig11 report");
-    assert!(matches!(fig11.outcome, TaskOutcome::Computed(_)));
-    assert_eq!(fig11.attempts, 2, "abandoned first attempt + clean retry");
-    assert!(fig11.stalled, "the stall is recorded");
-
-    let manifest = Manifest::load(&dir.join("manifest.json")).expect("manifest written");
-    let entry = manifest.entry("fig11").expect("fig11 entry");
-    assert_eq!(entry.status, EntryStatus::Ok);
-    assert_eq!(entry.attempts, 2);
-    assert!(entry.stalled);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,8 +1,6 @@
 //! Blocking client for the networked broker: one outstanding request at a
-//! time, typed errors, and retry built on the workspace's
-//! [`RetryPolicy`] so reconnects and shed-retries share the supervised
-//! runner's capped-jittered backoff discipline instead of inventing a new
-//! one.
+//! time, typed errors, and reconnects and shed-retries that back off by
+//! the workspace's capped-jittered [`RetryPolicy`].
 //!
 //! The client also exposes the raw-byte hooks the network chaos harness
 //! uses to misbehave on purpose ([`NetClient::inject_raw`],

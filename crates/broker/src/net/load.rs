@@ -57,7 +57,6 @@ impl Default for NetLoadConfig {
                 backoff_base: Duration::from_micros(200),
                 backoff_cap: Duration::from_millis(20),
                 jitter_seed: 0x4E45,
-                hard_deadline: None,
             },
             chaos: NetChaosPlan::new(),
         }

@@ -30,7 +30,6 @@ fn quick_retry() -> RetryPolicy {
         backoff_base: Duration::from_micros(200),
         backoff_cap: Duration::from_millis(10),
         jitter_seed: 0x4E45,
-        hard_deadline: None,
     }
 }
 

@@ -51,23 +51,12 @@ pub enum HarnessError {
         /// The underlying error, rendered.
         message: String,
     },
-    /// A suite task panicked on every allowed attempt.
+    /// A suite task panicked.
     TaskPanicked {
         /// The task's artifact name (`fig07`, `table2`, …).
         task: String,
-        /// The final panic payload, rendered.
+        /// The panic payload, rendered.
         message: String,
-        /// Attempts made before giving up.
-        attempts: u32,
-    },
-    /// A suite task exceeded its hard deadline on every allowed attempt.
-    TaskStalled {
-        /// The task's artifact name.
-        task: String,
-        /// The per-attempt deadline that was exceeded, in milliseconds.
-        deadline_ms: u64,
-        /// Attempts made before giving up.
-        attempts: u32,
     },
     /// A resume manifest could not be understood.
     ManifestCorrupt {
@@ -94,22 +83,9 @@ impl fmt::Display for HarnessError {
             HarnessError::Io { op, path, message } => {
                 write!(f, "cannot {op} {path}: {message}")
             }
-            HarnessError::TaskPanicked {
-                task,
-                message,
-                attempts,
-            } => write!(
-                f,
-                "task {task} panicked after {attempts} attempt(s): {message}"
-            ),
-            HarnessError::TaskStalled {
-                task,
-                deadline_ms,
-                attempts,
-            } => write!(
-                f,
-                "task {task} stalled past its {deadline_ms}ms deadline on all {attempts} attempt(s)"
-            ),
+            HarnessError::TaskPanicked { task, message } => {
+                write!(f, "task {task} panicked: {message}")
+            }
             HarnessError::ManifestCorrupt { path, what } => write!(
                 f,
                 "resume manifest {path} is unusable ({what}); rerun without --resume to rebuild it"
@@ -143,11 +119,10 @@ mod tests {
         let e = HarnessError::TaskPanicked {
             task: "fig07".into(),
             message: "chaos: injected panic".into(),
-            attempts: 3,
         };
         let text = e.to_string();
         assert!(
-            text.contains("fig07") && text.contains("3 attempt"),
+            text.contains("fig07") && text.contains("chaos: injected panic"),
             "{text}"
         );
         let e = HarnessError::Io {
@@ -161,12 +136,6 @@ mod tests {
             what: "not JSON".into(),
         };
         assert!(e.to_string().contains("--resume"));
-        let e = HarnessError::TaskStalled {
-            task: "fig12".into(),
-            deadline_ms: 500,
-            attempts: 2,
-        };
-        assert!(e.to_string().contains("500ms"));
         let e = HarnessError::from(ConfigError::Invalid {
             what: "2p overflows".into(),
         });

@@ -80,8 +80,7 @@ pub use calendar::{Calendar, EventHandle, OpenRoot};
 pub use dist::{Deterministic, Draw, Erlang, Exponential, HyperExponential};
 pub use fault::{FaultAction, FaultEvent, FaultPlan, FaultTarget, FaultTimeline, StochasticFault};
 pub use parallel::{
-    default_jobs, panic_message, run_supervised, scope_map, scope_map_indexed, RetryPolicy,
-    RunFailure, Supervised, JOBS_ENV,
+    default_jobs, panic_message, scope_map, scope_map_indexed, RetryPolicy, JOBS_ENV,
 };
 pub use replicate::{replicate, replicate_par, Replicated};
 pub use rng::SimRng;

@@ -20,10 +20,8 @@
 //! its sequential counterpart.
 
 use crate::rng::SimRng;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Environment variable overriding the default worker count.
 pub const JOBS_ENV: &str = "RSIN_JOBS";
@@ -105,54 +103,21 @@ where
     scope_map(&indices, jobs, |_, &i| f(i))
 }
 
-/// Why one supervised attempt did not produce a result.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RunFailure {
-    /// The attempt panicked; the payload is rendered as text.
-    Panicked {
-        /// The panic payload, stringified (`"<opaque panic payload>"` when
-        /// the payload is neither `&str` nor `String`).
-        message: String,
-    },
-    /// The attempt ran past its hard deadline and was abandoned.
-    TimedOut {
-        /// The deadline the attempt exceeded.
-        deadline: Duration,
-    },
-}
-
-impl std::fmt::Display for RunFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunFailure::Panicked { message } => write!(f, "panicked: {message}"),
-            RunFailure::TimedOut { deadline } => {
-                write!(f, "timed out after {:.1}s", deadline.as_secs_f64())
-            }
-        }
-    }
-}
-
-/// Retry discipline for [`run_supervised`]: how many times to re-run a
-/// failing unit of work, how long to back off between attempts, and the
-/// hard deadline after which a running attempt is abandoned.
+/// Capped exponential backoff with deterministic jitter: the networked
+/// broker client's reconnect and shed-retry discipline (how many times to
+/// retry and how long to wait before each retry).
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
-    /// Re-runs after the first attempt (0 = fail on the first failure).
+    /// Retries after the first attempt (0 = fail on the first failure).
     pub max_retries: u32,
     /// Backoff before the first retry; doubles per retry up to
     /// [`RetryPolicy::backoff_cap`].
     pub backoff_base: Duration,
     /// Upper bound on the (exponentially growing) backoff interval.
     pub backoff_cap: Duration,
-    /// Seed of the deterministic backoff jitter stream. Derive it from a
-    /// stable identity (e.g. a hash of the task name) so reruns replay the
-    /// same backoff schedule.
+    /// Seed of the deterministic backoff jitter stream, so a rerun with
+    /// the same seed replays the same backoff schedule.
     pub jitter_seed: u64,
-    /// Hard per-attempt deadline. `Some(d)` runs each attempt on its own
-    /// thread and abandons it (the thread is left to finish in the
-    /// background) once `d` elapses; `None` runs attempts inline on the
-    /// calling thread and never times out.
-    pub hard_deadline: Option<Duration>,
 }
 
 impl RetryPolicy {
@@ -160,10 +125,6 @@ impl RetryPolicy {
     /// capped at [`RetryPolicy::backoff_cap`], scaled by a deterministic
     /// jitter factor in `[0.5, 1.0]` drawn from the policy's jitter stream.
     /// Pure in `(self, retry)`, so replays reproduce the schedule exactly.
-    ///
-    /// Public so other retry loops (the networked broker client's
-    /// reconnect/shed-retry path) reuse the same capped-jittered discipline
-    /// instead of growing a second one.
     #[must_use]
     pub fn delay_before(&self, retry: u32) -> Duration {
         let exp = self
@@ -179,30 +140,6 @@ impl RetryPolicy {
     }
 }
 
-/// The outcome of a [`run_supervised`] call.
-#[derive(Debug)]
-pub struct Supervised<R> {
-    /// The computed value, or the failure of the final attempt.
-    pub result: Result<R, RunFailure>,
-    /// Failures of the attempts before the final one (empty when the first
-    /// attempt succeeded).
-    pub earlier_failures: Vec<RunFailure>,
-    /// Attempts made (1 when the first attempt succeeded).
-    pub attempts: u32,
-    /// Wall-clock time across all attempts, including backoff sleeps.
-    pub duration: Duration,
-}
-
-impl<R> Supervised<R> {
-    /// All failures in attempt order, including the terminal one when the
-    /// work never succeeded.
-    pub fn failures(&self) -> impl Iterator<Item = &RunFailure> {
-        self.earlier_failures
-            .iter()
-            .chain(self.result.as_ref().err())
-    }
-}
-
 /// Renders a panic payload as text, the way the default panic hook would.
 #[must_use]
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -215,81 +152,10 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The backoff before retry number `retry` (1-based). See
-/// [`RetryPolicy::delay_before`].
-#[must_use]
-fn backoff_delay(policy: &RetryPolicy, retry: u32) -> Duration {
-    policy.delay_before(retry)
-}
-
-/// Runs `f` under supervision: panics are caught per attempt, attempts that
-/// outlive the policy's hard deadline are abandoned, and failed attempts are
-/// retried with capped exponential backoff (deterministic jitter from the
-/// policy's seed).
-///
-/// With a hard deadline, each attempt runs on its own (non-scoped) thread
-/// and its result is collected over a channel; an abandoned attempt keeps
-/// running in the background until it finishes on its own — acceptable for
-/// the pure compute tasks this workspace supervises, whose results are
-/// simply discarded. Without a deadline, attempts run inline on the calling
-/// thread.
-///
-/// `f` must be `Clone` because every attempt consumes one instance.
-pub fn run_supervised<R, F>(f: F, policy: &RetryPolicy) -> Supervised<R>
-where
-    R: Send + 'static,
-    F: Fn() -> R + Clone + Send + 'static,
-{
-    let start = Instant::now();
-    let mut failures: Vec<RunFailure> = Vec::new();
-    for attempt in 0..=policy.max_retries {
-        if attempt > 0 {
-            std::thread::sleep(backoff_delay(policy, attempt));
-        }
-        let outcome = match policy.hard_deadline {
-            None => catch_unwind(AssertUnwindSafe(f.clone())).map_err(|p| RunFailure::Panicked {
-                message: panic_message(p.as_ref()),
-            }),
-            Some(deadline) => {
-                let (tx, rx) = mpsc::channel();
-                let g = f.clone();
-                std::thread::spawn(move || {
-                    let r = catch_unwind(AssertUnwindSafe(g));
-                    let _ = tx.send(r);
-                });
-                match rx.recv_timeout(deadline) {
-                    Ok(Ok(r)) => Ok(r),
-                    Ok(Err(p)) => Err(RunFailure::Panicked {
-                        message: panic_message(p.as_ref()),
-                    }),
-                    Err(_) => Err(RunFailure::TimedOut { deadline }),
-                }
-            }
-        };
-        match outcome {
-            Ok(r) => {
-                return Supervised {
-                    result: Ok(r),
-                    earlier_failures: failures,
-                    attempts: attempt + 1,
-                    duration: start.elapsed(),
-                }
-            }
-            Err(fail) => failures.push(fail),
-        }
-    }
-    let last = failures.pop().expect("at least one attempt ran");
-    Supervised {
-        result: Err(last),
-        earlier_failures: failures,
-        attempts: policy.max_retries + 1,
-        duration: start.elapsed(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::catch_unwind;
 
     #[test]
     fn maps_in_input_order() {
@@ -337,88 +203,19 @@ mod tests {
         assert!(default_jobs() >= 1);
     }
 
-    fn test_policy(retries: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_retries: retries,
+    #[test]
+    fn backoff_is_deterministic_capped_and_growing() {
+        let p = RetryPolicy {
+            max_retries: 8,
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(4),
             jitter_seed: 7,
-            hard_deadline: None,
-        }
-    }
-
-    #[test]
-    fn supervised_success_first_try() {
-        let s = run_supervised(|| 41 + 1, &test_policy(2));
-        assert_eq!(s.result, Ok(42));
-        assert_eq!(s.attempts, 1);
-        assert!(s.earlier_failures.is_empty());
-    }
-
-    #[test]
-    fn supervised_panic_then_success_is_retried() {
-        let tries = std::sync::Arc::new(AtomicUsize::new(0));
-        let t = tries.clone();
-        let s = run_supervised(
-            move || {
-                assert!(t.fetch_add(1, Ordering::SeqCst) > 0, "first attempt dies");
-                "ok"
-            },
-            &test_policy(2),
-        );
-        assert_eq!(s.result, Ok("ok"));
-        assert_eq!(s.attempts, 2);
-        assert_eq!(s.earlier_failures.len(), 1);
-        assert!(matches!(
-            &s.earlier_failures[0],
-            RunFailure::Panicked { message } if message.contains("first attempt dies")
-        ));
-    }
-
-    #[test]
-    fn supervised_exhausts_retries_on_persistent_panic() {
-        let s: Supervised<()> = run_supervised(|| panic!("always"), &test_policy(2));
-        assert_eq!(s.attempts, 3);
-        assert_eq!(s.failures().count(), 3);
-        assert!(matches!(
-            s.result,
-            Err(RunFailure::Panicked { ref message }) if message == "always"
-        ));
-    }
-
-    #[test]
-    fn supervised_stall_is_abandoned_and_retried() {
-        let tries = std::sync::Arc::new(AtomicUsize::new(0));
-        let t = tries.clone();
-        let policy = RetryPolicy {
-            hard_deadline: Some(Duration::from_millis(40)),
-            ..test_policy(1)
         };
-        let s = run_supervised(
-            move || {
-                if t.fetch_add(1, Ordering::SeqCst) == 0 {
-                    std::thread::sleep(Duration::from_millis(400));
-                }
-                7u32
-            },
-            &policy,
-        );
-        assert_eq!(s.result, Ok(7));
-        assert_eq!(s.attempts, 2);
-        assert!(matches!(
-            s.earlier_failures[0],
-            RunFailure::TimedOut { deadline } if deadline == Duration::from_millis(40)
-        ));
-    }
-
-    #[test]
-    fn backoff_is_deterministic_capped_and_growing() {
-        let p = test_policy(8);
-        let d1 = backoff_delay(&p, 1);
-        let d2 = backoff_delay(&p, 2);
-        assert_eq!(d1, backoff_delay(&p, 1), "same (policy, retry) same delay");
+        let d1 = p.delay_before(1);
+        let d2 = p.delay_before(2);
+        assert_eq!(d1, p.delay_before(1), "same (policy, retry) same delay");
         assert!(d1 >= Duration::from_micros(500), "jitter floor is 0.5x");
-        assert!(backoff_delay(&p, 30) <= Duration::from_millis(4), "capped");
+        assert!(p.delay_before(30) <= Duration::from_millis(4), "capped");
         assert!(d2 <= Duration::from_millis(4));
     }
 

@@ -10,6 +10,7 @@
 //! the crossbar chain's level-structured generator runs the same sweep.
 
 use crate::error::SolveError;
+use crate::linalg::{solve_linear, Mat};
 use std::ops::Range;
 
 /// A transition of a CTMC: `from --rate--> to`.
@@ -450,12 +451,12 @@ impl Ctmc {
     /// [`SolveError::NoConvergence`] if the system is singular beyond the
     /// normalization deficiency (reducible chain).
     pub fn solve_dense(&self) -> Result<Vec<f64>, SolveError> {
-        let mut q_t = vec![vec![0.0_f64; self.n]; self.n];
+        let mut q_t = Mat::zeros(self.n, self.n);
         for t in self.transitions() {
-            q_t[t.to][t.from] += t.rate;
-            q_t[t.from][t.from] -= t.rate;
+            q_t[(t.to, t.from)] += t.rate;
+            q_t[(t.from, t.from)] -= t.rate;
         }
-        solve_dense_transposed(q_t)
+        dense_stationary(q_t)
     }
 
     /// Maximum absolute balance-equation residual of a candidate
@@ -474,48 +475,18 @@ impl Ctmc {
     }
 }
 
-/// Solves `πQ = 0` by dense Gaussian elimination, given `Qᵀ`: the last row
-/// is replaced by the normalization constraint, solving `A x = e_last`.
-fn solve_dense_transposed(mut a: Vec<Vec<f64>>) -> Result<Vec<f64>, SolveError> {
-    let n = a.len();
-    a[n - 1].fill(1.0);
-    let mut b = vec![0.0_f64; n];
-    b[n - 1] = 1.0;
-
-    // Gaussian elimination with partial pivoting.
-    for col in 0..n {
-        let pivot = (col..n)
-            .max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))
-            .expect("nonempty range");
-        if a[pivot][col].abs() < 1e-300 {
-            return Err(SolveError::NoConvergence {
-                iterations: 0,
-                residual: f64::INFINITY,
-            });
-        }
-        a.swap(col, pivot);
-        b.swap(col, pivot);
-        for row in (col + 1)..n {
-            let factor = a[row][col] / a[col][col];
-            if factor == 0.0 {
-                continue;
-            }
-            let (upper, lower) = a.split_at_mut(row);
-            let pivot_row = &upper[col];
-            for (v, p) in lower[0][col..].iter_mut().zip(&pivot_row[col..]) {
-                *v -= factor * p;
-            }
-            b[row] -= factor * b[col];
-        }
-    }
-    let mut x = vec![0.0_f64; n];
-    for row in (0..n).rev() {
-        let mut acc = b[row];
-        for k in (row + 1)..n {
-            acc -= a[row][k] * x[k];
-        }
-        x[row] = acc / a[row][row];
-    }
+/// Solves `πQ = 0` given `Qᵀ`: the last row is replaced by the
+/// normalization constraint, `A x = e_last` is solved by [`solve_linear`],
+/// and rounding noise below zero is clamped before renormalizing.
+fn dense_stationary(mut q_t: Mat) -> Result<Vec<f64>, SolveError> {
+    let n = q_t.n_rows;
+    q_t.a[(n - 1) * n..].fill(1.0);
+    let mut e_last = vec![0.0_f64; n];
+    e_last[n - 1] = 1.0;
+    let mut x = solve_linear(&q_t, &e_last).ok_or(SolveError::NoConvergence {
+        iterations: 0,
+        residual: f64::INFINITY,
+    })?;
     // Numerical noise can make tiny entries slightly negative.
     for v in &mut x {
         if *v < 0.0 && *v > -1e-9 {
@@ -623,13 +594,13 @@ mod tests {
         }
 
         /// `Qᵀ` assembled source state by source state.
-        fn dense_transposed(&self) -> Vec<Vec<f64>> {
+        fn dense_transposed(&self) -> Mat {
             let n = self.out.len();
-            let mut a = vec![vec![0.0_f64; n]; n];
+            let mut a = Mat::zeros(n, n);
             for (from, outs) in self.out.iter().enumerate() {
                 for &(to, rate) in outs {
-                    a[to][from] += rate;
-                    a[from][from] -= rate;
+                    a[(to, from)] += rate;
+                    a[(from, from)] -= rate;
                 }
             }
             a
@@ -708,7 +679,7 @@ mod tests {
             );
 
             let got = flat.solve_dense();
-            let want = solve_dense_transposed(nested.dense_transposed());
+            let want = dense_stationary(nested.dense_transposed());
             assert!(same_outcome(&got, &want), "{got:?} vs {want:?}");
         });
     }
