@@ -1,8 +1,11 @@
 //! The tracked performance baseline: times the figure/table suite
 //! sequentially (`--jobs 1`) and in parallel, measures the hot-path
-//! kernels (including the runtime brokers' uncontended grant cycles) and
-//! the brokers' saturated multi-threaded throughput, and writes
-//! `BENCH_perf.json` at the repository root.
+//! kernels (including the runtime brokers' uncontended grant cycles), the
+//! brokers' degraded-mode throughput and their grants/sec-vs-shards
+//! scaling curve, and writes `BENCH_perf.json` at the repository root.
+//! Saturated broker, wire and provisioning-search throughput are measured
+//! by the `perfbench` benchmark (`broker_contended`, `wire_grants`,
+//! `provision_search`), with medians over repeated runs.
 //!
 //! `--quick` (the default preset) keeps the run in CI territory; `--full`
 //! times the publication preset; `--jobs N` pins the parallel worker count
@@ -17,27 +20,23 @@
 //! catches hot-path regressions. Apparent regressions are re-measured up
 //! to [`CHECK_RETRIES`] times (keeping each kernel's floor) before the
 //! gate fails, so a burst of runner contention doesn't flag a phantom
-//! slowdown. Kernels new to this build are recorded, not failed; a suite
+//! slowdown. Kernels new to this build are recorded, not failed; a
+//! baseline kernel this build no longer measures fails the gate; a suite
 //! leg that either run skipped (the parallel leg on a single-core host,
 //! persisted as `null` with a `"skipped_reason"`) is skipped by the check.
 //! The comparison logic lives in `rsin_bench::perfgate`.
 
-use rsin_bench::broker_bench::{
-    saturated_grants_per_sec, BrokerBenchConfig, Discipline, Layout, DISCIPLINES,
-};
+use rsin_bench::broker_bench::{saturated_grants_per_sec, Discipline, Layout, DISCIPLINES};
 use rsin_bench::figures::workload_at;
 use rsin_bench::json::{self, Value};
 use rsin_bench::microbench::measure_ns_floor;
-use rsin_bench::netbench;
 use rsin_bench::perfgate::{
     self, KernelCheck, LegStatus, ScalingPoint, ScalingStatus, SuiteTimings, Verdict,
     REGRESSION_TOLERANCE,
 };
-use rsin_bench::provision_bench;
 use rsin_bench::suite::run_suite;
 use rsin_bench::RunQuality;
 use rsin_bitslice::{or_pairs_compress, rotating_grant, set_bit, swap_or, tile_double};
-use rsin_broker::net::NetLoadConfig;
 use rsin_broker::{
     Broker, ChaosOptions, ChaosPlan, ClientChaos, ClientEvent, OmegaBroker, RunControl, SbusBroker,
     XbarBroker, XbarPolicy,
@@ -257,8 +256,7 @@ fn kernels() -> Vec<(&'static str, f64)> {
 /// Window of every saturated broker sweep.
 const WINDOW: Duration = Duration::from_millis(120);
 
-/// Workers and resources of the flat, sharding-overhead and resilience
-/// sweeps.
+/// Workers and resources of the sharding-overhead and resilience sweeps.
 const FLAT: (usize, usize) = (4, 2);
 
 /// Workers and resources of the sharded scaling curve.
@@ -276,24 +274,11 @@ fn rate(
     saturated_grants_per_sec(d.name, broker.as_ref(), hold, WINDOW, None).0
 }
 
-/// Saturated multi-threaded grant throughput (grants per wall second) of
-/// each runtime broker discipline: 4 workers on 2 resources, zero hold
-/// time, a short fixed window. Contended-path counterpart of the
-/// `broker_*_uncontended_cycle` kernels; recorded in the `broker` section
-/// of `BENCH_perf.json` for trend visibility (wall-clock thread scheduling
-/// makes it too noisy for a hard gate — the gate is the kernels).
-fn broker_saturated_throughput() -> Vec<(&'static str, f64)> {
-    DISCIPLINES
-        .iter()
-        .map(|d| (d.name, rate(d, FLAT, Layout::Plain, Duration::ZERO)))
-        .collect()
-}
-
 /// The grants/sec-vs-shards scaling curve: each discipline rebuilt as a
 /// [`ShardedBroker`](rsin_broker::ShardedBroker) over 8 workers and 4
-/// resources at 1, 2, and 4 logical shards, saturated for the same window
-/// as the flat measurement. The point's `cpu_cores` stamp lets `--check`
-/// refuse to compare curves from different hosts. On a single-core runner
+/// resources at 1, 2, and 4 logical shards, each saturated for [`WINDOW`].
+/// The point's `cpu_cores` stamp lets `--check` refuse to compare curves
+/// from different hosts. On a single-core runner
 /// the curve measures the sharding machinery's overhead and contention
 /// behavior, not real parallel speedup — that is exactly what the
 /// shards_1 gate consumes.
@@ -316,10 +301,10 @@ fn broker_scaling(cpu_cores: usize) -> Vec<ScalingPoint> {
 
 /// The sharding-overhead gate: a single-shard
 /// [`ShardedBroker`](rsin_broker::ShardedBroker) must stay within
-/// [`REGRESSION_TOLERANCE`]× of the plain discipline it wraps, on the same
-/// topology the flat saturated measurement uses (4 workers, 2 resources).
-/// Both sides are measured fresh in the same run so the comparison never
-/// crosses hosts or baselines. Returns the names of disciplines whose
+/// [`REGRESSION_TOLERANCE`]× of the plain discipline it wraps, on the
+/// [`FLAT`] topology (4 workers, 2 resources). Both sides are measured
+/// fresh in the same run so the comparison never crosses hosts or
+/// baselines. Returns the names of disciplines whose
 /// overhead persisted through the retries.
 ///
 /// The comparison runs with a small but *nonzero* transmission hold. At
@@ -370,14 +355,15 @@ fn sharding_overhead_check() -> Vec<String> {
     failed
 }
 
-/// Degraded-mode counterpart of [`broker_saturated_throughput`]: each
-/// discipline rebuilt with a lease and measured twice over the same
-/// window — healthy, then with worker 0 killed mid-protocol at the 40 ms
-/// mark and its leaked lease reclaimed by the supervisor. Recorded as the
-/// `resilience_grants_per_sec` object of the `broker` section (trend
-/// visibility, not a hard gate — same rationale as the saturated rates);
-/// the run itself still hard-asserts zero violations, the kill firing,
-/// and post-fault liveness, so a wedged discipline fails the report.
+/// Degraded-mode broker throughput: each discipline rebuilt with a lease
+/// over [`FLAT`] and saturated twice for [`WINDOW`] — healthy, then with
+/// worker 0 killed mid-protocol at the 40 ms mark and its leaked lease
+/// reclaimed by the supervisor. Recorded as the
+/// `resilience_grants_per_sec` object of the `broker` section for trend
+/// visibility (wall-clock thread scheduling makes it too noisy for a hard
+/// gate — the gate is the kernels); the run itself still hard-asserts zero
+/// violations, the kill firing, and post-fault liveness, so a wedged
+/// discipline fails the report.
 fn broker_resilience() -> Vec<(&'static str, f64, f64)> {
     // The lease must dominate the worst-case scheduler stall of a *live*
     // holder — on a loaded single-core runner a spinning holder can sit
@@ -409,67 +395,35 @@ fn broker_resilience() -> Vec<(&'static str, f64, f64)> {
         .collect()
 }
 
-/// Loopback clients, tenant classes and pool shards of the networked
-/// probe.
-const NET_CLIENTS: usize = 4;
-const NET_TENANTS: u8 = 3;
-const NET_SHARDS: usize = 2;
-
-/// Saturated loopback throughput and grant-latency quantiles of the
-/// networked front-end: [`netbench::measure_self`]'s in-process
-/// [`NetServer`](rsin_broker::net::NetServer) over a 2-shard SBUS pool,
-/// driven closed-loop by 4 loopback TCP clients across 3 tenant classes.
-/// Recorded as the `netbroker` section of `BENCH_perf.json` for trend
-/// visibility — real sockets plus thread scheduling are too noisy for a
-/// hard gate (the gated kernels are untouched) — but the run still
-/// hard-asserts a clean exclusivity ledger and zero leaked slots, so a
-/// broken wire protocol fails the report.
-fn netbroker_perf() -> (f64, f64, f64, f64) {
-    let cfg = BrokerBenchConfig {
-        threads: NET_CLIENTS,
-        shards: NET_SHARDS,
-        tenants: NET_TENANTS,
-        ..BrokerBenchConfig::default()
-    };
-    let load = NetLoadConfig {
-        clients: NET_CLIENTS,
-        tenants: NET_TENANTS,
-        window: Duration::from_millis(150),
-        deadline: Some(Duration::from_millis(100)),
-        ..NetLoadConfig::default()
-    };
-    let (report, sr) = netbench::measure_self(&cfg, &load);
-    assert_eq!(sr.violations, 0, "netbroker: exclusivity violated");
-    assert_eq!(sr.leaked, 0, "netbroker: slots leaked through shutdown");
-    assert!(
-        report.grants > 0,
-        "netbroker: the loopback sweep never granted"
-    );
-    (
-        report.latency_quantile_us(0.50),
-        report.latency_quantile_us(0.99),
-        report.latency_quantile_us(0.999),
-        report.grants_per_sec,
-    )
-}
-
 /// Prints one line per kernel verdict. New kernels are explicitly called
 /// out as recorded rather than failed, so a CI log never reads an added
 /// kernel as a problem.
 fn print_checks(checks: &[KernelCheck]) {
     for c in checks {
-        let (name, new_ns) = (&c.name, c.fresh_ns);
+        let name = &c.name;
         match c.verdict {
-            Verdict::Regressed { baseline_ns, ratio } => eprintln!(
-                "perf check: REGRESSION {name}: {baseline_ns:.1} -> {new_ns:.1} ns/iter \
-                 ({ratio:.2}x, tolerance {REGRESSION_TOLERANCE}x)"
+            Verdict::Regressed {
+                baseline_ns,
+                fresh_ns,
+            } => eprintln!(
+                "perf check: REGRESSION {name}: {baseline_ns:.1} -> {fresh_ns:.1} ns/iter \
+                 ({:.2}x, tolerance {REGRESSION_TOLERANCE}x)",
+                fresh_ns / baseline_ns
             ),
-            Verdict::Ok { baseline_ns, ratio } => eprintln!(
-                "perf check: ok {name}: {baseline_ns:.1} -> {new_ns:.1} ns/iter ({ratio:.2}x)"
+            Verdict::Ok {
+                baseline_ns,
+                fresh_ns,
+            } => eprintln!(
+                "perf check: ok {name}: {baseline_ns:.1} -> {fresh_ns:.1} ns/iter ({:.2}x)",
+                fresh_ns / baseline_ns
             ),
-            Verdict::Recorded => eprintln!(
-                "perf check: new kernel {name}: {new_ns:.1} ns/iter — \
+            Verdict::Recorded { fresh_ns } => eprintln!(
+                "perf check: new kernel {name}: {fresh_ns:.1} ns/iter — \
                  recorded, not failed (no baseline entry)"
+            ),
+            Verdict::Missing { baseline_ns } => eprintln!(
+                "perf check: MISSING {name}: {baseline_ns:.1} ns/iter in the baseline, \
+                 not measured by this build"
             ),
         }
     }
@@ -501,27 +455,30 @@ const CHECK_RETRIES: usize = 3;
 
 /// Runs the regression check, re-measuring (and folding in the per-kernel
 /// minimum) while any kernel still exceeds tolerance. Mutates `rows` so the
-/// persisted JSON carries the best floor observed.
+/// persisted JSON carries the best floor observed. Returns the names of the
+/// kernels that fail: regressed, or missing from this build.
 fn run_check(baseline: &Value, rows: &mut [(&'static str, f64)]) -> Vec<String> {
-    let mut regressed = perfgate::regressed_names(&perfgate::check_kernels(baseline, rows));
+    let mut checks = perfgate::check_kernels(baseline, rows);
     for attempt in 1..=CHECK_RETRIES {
-        if regressed.is_empty() {
+        let regressed = checks
+            .iter()
+            .filter(|c| matches!(c.verdict, Verdict::Regressed { .. }))
+            .count();
+        if regressed == 0 {
             break;
         }
         eprintln!(
-            "perf check: {} kernel(s) above tolerance; re-measuring to rule out \
-             runner noise (attempt {attempt}/{CHECK_RETRIES}) ...",
-            regressed.len()
+            "perf check: {regressed} kernel(s) above tolerance; re-measuring to rule out \
+             runner noise (attempt {attempt}/{CHECK_RETRIES}) ..."
         );
         for (row, again) in rows.iter_mut().zip(kernels()) {
             debug_assert_eq!(row.0, again.0);
             row.1 = row.1.min(again.1);
         }
-        regressed = perfgate::regressed_names(&perfgate::check_kernels(baseline, rows));
+        checks = perfgate::check_kernels(baseline, rows);
     }
-    let checks = perfgate::check_kernels(baseline, rows);
     print_checks(&checks);
-    perfgate::regressed_names(&checks)
+    perfgate::failed_names(&checks)
 }
 
 /// Reports how the fresh scaling curve compares to the baseline, point by
@@ -596,19 +553,13 @@ fn main() {
     };
     eprintln!("measuring hot-path kernels ...");
     let mut kernel_rows = kernels();
-    eprintln!("measuring saturated broker throughput ...");
-    let broker_rows = broker_saturated_throughput();
     eprintln!("measuring degraded-mode broker throughput ...");
     let resilience_rows = broker_resilience();
     eprintln!("measuring sharded broker scaling curve ...");
     let scaling_points = broker_scaling(cores);
-    eprintln!("measuring networked front-end loopback throughput ...");
-    let (net_p50, net_p99, net_p999, net_gps) = netbroker_perf();
-    eprintln!("running the provisioning-search probe ...");
-    let (prov_secs, prov_report) = provision_bench::perf_section();
 
     let path = baseline_path();
-    let regressed = if check {
+    let failed_kernels = if check {
         let baseline = std::fs::read_to_string(&path)
             .map_err(|e| e.to_string())
             .and_then(|text| json::parse(&text));
@@ -644,7 +595,6 @@ fn main() {
             table(&[("healthy", healthy), ("degraded", degraded)], 0),
         )
     });
-    let latency = [("p50", net_p50), ("p99", net_p99), ("p999", net_p999)];
     let report = Value::object([
         (
             "generated_by",
@@ -656,7 +606,6 @@ fn main() {
         (
             "broker",
             Value::object([
-                ("saturated_grants_per_sec", table(&broker_rows, 0)),
                 ("resilience_grants_per_sec", Value::object(resilience)),
                 (
                     "scaling_grants_per_sec",
@@ -664,32 +613,6 @@ fn main() {
                 ),
                 ("scaling_workers", Value::from(SCALING.0)),
                 ("scaling_resources", Value::from(SCALING.1)),
-            ]),
-        ),
-        (
-            "netbroker",
-            Value::object([
-                ("clients", Value::from(NET_CLIENTS)),
-                ("tenants", Value::from(u64::from(NET_TENANTS))),
-                ("shards", Value::from(NET_SHARDS)),
-                ("grant_latency_us", table(&latency, 0)),
-                ("saturated_grants_per_sec", Value::fixed(net_gps, 0)),
-            ]),
-        ),
-        // Informational only (not gated): search wall time varies by host;
-        // the counters describe the optimizer's pruning on a fixed
-        // 16-processor shared-bus probe.
-        (
-            "provisioning",
-            Value::object([
-                ("probe", Value::from("p=16 sbus-only quick search")),
-                ("search_wall_seconds", Value::fixed(prov_secs, 3)),
-                ("configs_enumerated", Value::from(prov_report.total_configs)),
-                ("configs_evaluated", Value::from(prov_report.evaluated)),
-                (
-                    "pruned_fraction",
-                    Value::fixed(prov_report.pruned_fraction(), 3),
-                ),
             ]),
         ),
         ("kernels_ns_per_iter", table(&kernel_rows, 1)),
@@ -708,11 +631,11 @@ fn main() {
     }
 
     let mut failures = Vec::new();
-    if !regressed.is_empty() {
+    if !failed_kernels.is_empty() {
         failures.push(format!(
-            "{} kernel(s) regressed beyond {REGRESSION_TOLERANCE}x: {}",
-            regressed.len(),
-            regressed.join(", ")
+            "{} kernel(s) regressed beyond {REGRESSION_TOLERANCE}x or missing: {}",
+            failed_kernels.len(),
+            failed_kernels.join(", ")
         ));
     }
     if !overhead_failed.is_empty() {

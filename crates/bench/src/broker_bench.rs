@@ -39,7 +39,7 @@ use rsin_broker::{
 };
 use rsin_core::experiment::{Experiment, Series};
 use rsin_core::{simulate, ConfigError, HarnessError, SimOptions, Workload};
-use rsin_des::{replicate, scope_map_indexed, SimRng};
+use rsin_des::{replicate_par, scope_map_indexed, SimRng};
 use rsin_des::{FaultPlan, FaultTarget, StochasticFault};
 use rsin_queueing::{SharedBusChain, SharedBusParams};
 use rsin_sbus::{Arbitration, SharedBusNetwork};
@@ -515,10 +515,11 @@ pub fn predictions_experiment(cfg: &BrokerBenchConfig, quality: &RunQuality) -> 
         .expect("solves")
         .mean_queue_delay;
         let workload = Workload::new(lambda, MU_N, MU_S).expect("valid workload");
-        let des = replicate(
+        let des = replicate_par(
             &SimRng::new(quality.seed ^ (0xB0_5E_u64 + i as u64)),
             reps,
             0.95,
+            1,
             |_, mut rng| {
                 let mut net = SharedBusNetwork::new(1, p, r as u32, Arbitration::RoundRobin);
                 simulate(&mut net, &workload, &opts, &mut rng).mean_delay()

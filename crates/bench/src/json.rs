@@ -64,15 +64,6 @@ impl Value {
         }
     }
 
-    /// The boolean, if this is one.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The number, if this is one.
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {

@@ -23,10 +23,10 @@
 //! Every figure, table and ablation is composed once, in [`suite`]; its
 //! binary is a single [`suite::run_task`] call by artifact name.
 //!
-//! Micro-benchmarks (`cargo bench -p rsin-bench`, built on the in-tree
-//! [`microbench`] harness) measure the implementation itself: the Markov
-//! solvers, the gate-level crossbar wave, the Omega resolver, the DES
-//! kernel, and an end-to-end simulation.
+//! The `perf_report` binary measures the implementation itself: it times
+//! the suite and twelve hot-path kernels on the in-tree [`microbench`]
+//! timer and gates the kernels against `BENCH_perf.json` (the comparison
+//! lives in [`perfgate`]).
 //!
 //! The `resilience` binary runs the fault-injection experiment: delivered
 //! throughput and normalized delay versus the number of failed network

@@ -11,6 +11,9 @@
 //! - kernels present in the fresh run but absent from the committed
 //!   baseline are **recorded, not failed** — adding a kernel must never
 //!   turn the gate red ([`Verdict::Recorded`]);
+//! - kernels in the committed baseline that the fresh run no longer
+//!   measures **fail** — a kernel must not drop out of the gate without a
+//!   word ([`Verdict::Missing`]);
 //! - the parallel suite leg is `null` on a single-core host (a 1-worker
 //!   "parallel" run measures scheduling overhead, not speedup), carries an
 //!   explicit `"skipped_reason"`, and a skipped leg on either side of the
@@ -33,33 +36,41 @@ pub const SINGLE_CORE_REASON: &str = "single core";
 pub struct KernelCheck {
     /// Kernel name as written to `kernels_ns_per_iter`.
     pub name: String,
-    /// Freshly measured floor, ns/iter.
-    pub fresh_ns: f64,
     /// How the kernel fared against the baseline.
     pub verdict: Verdict,
 }
 
-/// The outcome of comparing one kernel to the baseline.
+/// The outcome of comparing one kernel to the baseline. Timings are
+/// floors in ns/iter.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Verdict {
     /// Within [`REGRESSION_TOLERANCE`] of the baseline.
     Ok {
-        /// Baseline floor, ns/iter.
+        /// Baseline floor.
         baseline_ns: f64,
-        /// `fresh / baseline`.
-        ratio: f64,
+        /// Freshly measured floor.
+        fresh_ns: f64,
     },
     /// More than [`REGRESSION_TOLERANCE`]× slower than the baseline.
     Regressed {
-        /// Baseline floor, ns/iter.
+        /// Baseline floor.
         baseline_ns: f64,
-        /// `fresh / baseline`.
-        ratio: f64,
+        /// Freshly measured floor.
+        fresh_ns: f64,
     },
     /// Present in the fresh run but absent from the baseline (or the
     /// baseline entry is unusable): the fresh timing becomes the new
     /// baseline entry — recorded, not failed.
-    Recorded,
+    Recorded {
+        /// Freshly measured floor.
+        fresh_ns: f64,
+    },
+    /// In the baseline but not measured by the fresh run: failed, like a
+    /// regression.
+    Missing {
+        /// Baseline floor.
+        baseline_ns: f64,
+    },
 }
 
 /// The `(name, ns_per_iter)` rows of a report's `kernels_ns_per_iter`
@@ -75,39 +86,53 @@ pub fn baseline_kernels(report: &Value) -> Vec<(String, f64)> {
 }
 
 /// Compares fresh kernel timings against the committed baseline report,
-/// returning one verdict per fresh kernel in input order.
+/// returning one verdict per fresh kernel in input order, then one
+/// [`Verdict::Missing`] per baseline kernel the fresh run lacks, in file
+/// order.
 #[must_use]
 pub fn check_kernels(baseline: &Value, fresh: &[(&str, f64)]) -> Vec<KernelCheck> {
     let old = baseline_kernels(baseline);
-    fresh
-        .iter()
-        .map(|&(name, fresh_ns)| {
-            let verdict = match old.iter().find(|(n, _)| n == name) {
-                Some(&(_, baseline_ns)) if baseline_ns > 0.0 => {
-                    let ratio = fresh_ns / baseline_ns;
-                    if ratio > REGRESSION_TOLERANCE {
-                        Verdict::Regressed { baseline_ns, ratio }
-                    } else {
-                        Verdict::Ok { baseline_ns, ratio }
+    let measured = fresh.iter().map(|&(name, fresh_ns)| {
+        let verdict = match old.iter().find(|(n, _)| n == name) {
+            Some(&(_, baseline_ns)) if baseline_ns > 0.0 => {
+                if fresh_ns / baseline_ns > REGRESSION_TOLERANCE {
+                    Verdict::Regressed {
+                        baseline_ns,
+                        fresh_ns,
+                    }
+                } else {
+                    Verdict::Ok {
+                        baseline_ns,
+                        fresh_ns,
                     }
                 }
-                _ => Verdict::Recorded,
-            };
-            KernelCheck {
-                name: name.to_string(),
-                fresh_ns,
-                verdict,
             }
-        })
+            _ => Verdict::Recorded { fresh_ns },
+        };
+        (name.to_string(), verdict)
+    });
+    let missing = old
+        .iter()
+        .filter(|(name, _)| !fresh.iter().any(|&(n, _)| n == name))
+        .map(|(name, ns)| (name.clone(), Verdict::Missing { baseline_ns: *ns }));
+    measured
+        .chain(missing)
+        .map(|(name, verdict)| KernelCheck { name, verdict })
         .collect()
 }
 
-/// Names of the kernels whose verdict is [`Verdict::Regressed`].
+/// Names of the kernels that fail the gate: [`Verdict::Regressed`] and
+/// [`Verdict::Missing`].
 #[must_use]
-pub fn regressed_names(checks: &[KernelCheck]) -> Vec<String> {
+pub fn failed_names(checks: &[KernelCheck]) -> Vec<String> {
     checks
         .iter()
-        .filter(|c| matches!(c.verdict, Verdict::Regressed { .. }))
+        .filter(|c| {
+            matches!(
+                c.verdict,
+                Verdict::Regressed { .. } | Verdict::Missing { .. }
+            )
+        })
         .map(|c| c.name.clone())
         .collect()
 }
@@ -388,17 +413,43 @@ mod tests {
             checks[1].verdict,
             Verdict::Regressed { baseline_ns, .. } if baseline_ns == 2000.5
         ));
-        assert_eq!(regressed_names(&checks), vec!["beta".to_string()]);
+        assert_eq!(failed_names(&checks), vec!["beta".to_string()]);
     }
 
     #[test]
     fn missing_baseline_kernel_is_recorded_not_failed() {
-        let checks = check_kernels(&doc(BASELINE), &[("brand_new_kernel", 42.0)]);
-        assert_eq!(checks.len(), 1);
-        assert_eq!(checks[0].verdict, Verdict::Recorded);
+        let checks = check_kernels(
+            &doc(BASELINE),
+            &[
+                ("alpha", 100.0),
+                ("beta", 2000.0),
+                ("brand_new_kernel", 42.0),
+            ],
+        );
+        assert_eq!(checks.len(), 3);
+        assert_eq!(checks[2].verdict, Verdict::Recorded { fresh_ns: 42.0 });
         assert!(
-            regressed_names(&checks).is_empty(),
+            failed_names(&checks).is_empty(),
             "a new kernel must never fail the gate"
+        );
+    }
+
+    #[test]
+    fn kernel_missing_from_the_fresh_run_fails() {
+        let checks = check_kernels(&doc(BASELINE), &[("alpha", 100.0)]);
+        assert_eq!(
+            checks[1],
+            KernelCheck {
+                name: "beta".to_string(),
+                verdict: Verdict::Missing {
+                    baseline_ns: 2000.5
+                },
+            }
+        );
+        assert_eq!(
+            failed_names(&checks),
+            vec!["beta".to_string()],
+            "a kernel that drops out of the run must fail the gate"
         );
     }
 
@@ -406,7 +457,9 @@ mod tests {
     fn zero_or_garbage_baseline_entries_are_recorded() {
         let json = doc(r#"{"kernels_ns_per_iter": {"alpha": 0.0, "beta": "oops"}}"#);
         let checks = check_kernels(&json, &[("alpha", 50.0), ("beta", 50.0)]);
-        assert!(checks.iter().all(|c| c.verdict == Verdict::Recorded));
+        assert!(checks
+            .iter()
+            .all(|c| c.verdict == Verdict::Recorded { fresh_ns: 50.0 }));
     }
 
     #[test]

@@ -469,20 +469,6 @@ pub fn run(cfg: &ProvisionConfig) -> Result<ProvisionSummary, HarnessError> {
     })
 }
 
-/// The `provisioning` section of `BENCH_perf.json`: a tiny bounded
-/// analytic search whose counters describe the optimizer's behavior.
-/// Informational — wall time varies by host; the counters do not.
-#[must_use]
-pub fn perf_section() -> (f64, SearchReport) {
-    let mut spec = SearchSpec::new(16, 0.3, 0.1, 1.0).expect("static spec is valid");
-    spec.families = vec![Family::Sbus];
-    spec.max_resources_per_port = 32;
-    spec.confirm = None;
-    let start = Instant::now();
-    let report = search(&spec).expect("static spec searches");
-    (start.elapsed().as_secs_f64(), report)
-}
-
 /// Self-check used by tests and the smoke job: evaluating the winner
 /// fresh against the configured target reproduces the recorded delay
 /// exactly (analytic) or within CI tolerance (DES). A winner that now
@@ -689,14 +675,5 @@ mod tests {
             DelayOutcome::Exceeds { .. }
         ));
         assert!(!winner_reproduces(&cfg, 8, &report));
-    }
-
-    #[test]
-    fn perf_section_counts_a_real_search() {
-        let (secs, report) = perf_section();
-        assert!(secs >= 0.0);
-        assert!(report.evaluated > 0);
-        assert!(report.winner.is_some());
-        assert_eq!(report.eval.des, 0, "the perf probe must stay analytic");
     }
 }

@@ -22,7 +22,7 @@
 
 use rsin_broker::{run, Arrival, LoadConfig, SbusBroker};
 use rsin_core::{simulate, SimOptions, Workload};
-use rsin_des::{replicate, SimRng};
+use rsin_des::{replicate_par, SimRng};
 use rsin_queueing::{Mmr, SharedBusChain, SharedBusParams};
 use rsin_sbus::{Arbitration, SharedBusNetwork};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -64,7 +64,7 @@ fn sbus_broker_matches_des_and_chain_across_rho() {
     // (integrated autocorrelation ~ tens of tasks near saturation), so a
     // single run's iid standard error understates the true sampling error
     // badly. Independent replications restore an honest spread — the same
-    // reason `replicate` exists on the DES side.
+    // reason `replicate_par` exists on the DES side.
     for (rho, warmup, duration, reps) in [
         (0.2, 40.0, 1500.0, 1u64),
         (0.5, 100.0, 1200.0, 1),
@@ -83,7 +83,7 @@ fn sbus_broker_matches_des_and_chain_across_rho() {
             warmup_tasks: 2_000,
             measured_tasks: 15_000,
         };
-        let des = replicate(&SimRng::new(0xC0FE), 5, 0.95, |_, mut rng| {
+        let des = replicate_par(&SimRng::new(0xC0FE), 5, 0.95, 1, |_, mut rng| {
             let mut net = SharedBusNetwork::new(1, P, R as u32, Arbitration::RoundRobin);
             simulate(&mut net, &workload, &opts, &mut rng).mean_delay()
         });

@@ -43,7 +43,8 @@ use rsin_broker::{
 };
 use rsin_core::{simulate_faulty, FaultOptions, SimOptions, Workload};
 use rsin_des::{
-    replicate, FaultAction, FaultEvent, FaultPlan, FaultTarget, SimRng, SimTime, StochasticFault,
+    replicate_par, FaultAction, FaultEvent, FaultPlan, FaultTarget, SimRng, SimTime,
+    StochasticFault,
 };
 use rsin_omega::{Admission, OmegaNetwork};
 use rsin_queueing::{SharedBusChain, SharedBusParams};
@@ -274,7 +275,7 @@ fn sbus_degraded_agrees_with_faulty_des() {
         measured_tasks: tasks as u64,
     };
     let fopts = FaultOptions::default();
-    let des = replicate(&SimRng::new(0xD15B), 5, 0.95, |_, mut rng| {
+    let des = replicate_par(&SimRng::new(0xD15B), 5, 0.95, 1, |_, mut rng| {
         let mut net = SharedBusNetwork::new(1, p, r as u32, Arbitration::RoundRobin);
         simulate_faulty(&mut net, &workload, &opts, &plan, &fopts, &mut rng)
             .expect("faulty run completes")
@@ -353,7 +354,7 @@ fn xbar_degraded_agrees_with_faulty_des() {
         measured_tasks: tasks as u64,
     };
     let fopts = FaultOptions::default();
-    let des = replicate(&SimRng::new(0xD15C), 5, 0.95, |_, mut rng| {
+    let des = replicate_par(&SimRng::new(0xD15C), 5, 0.95, 1, |_, mut rng| {
         let mut net = CrossbarNetwork::new(1, p, columns, 1, CrossbarPolicy::FixedPriority);
         simulate_faulty(&mut net, &workload, &opts, &plan, &fopts, &mut rng)
             .expect("faulty run completes")
@@ -426,7 +427,7 @@ fn omega_degraded_agrees_with_faulty_des() {
         measured_tasks: tasks as u64,
     };
     let fopts = FaultOptions::default();
-    let des = replicate(&SimRng::new(0xD15D), 5, 0.95, |_, mut rng| {
+    let des = replicate_par(&SimRng::new(0xD15D), 5, 0.95, 1, |_, mut rng| {
         let mut net = OmegaNetwork::new(1, size, 1, Admission::Staggered);
         simulate_faulty(&mut net, &workload, &opts, &plan, &fopts, &mut rng)
             .expect("faulty run completes")

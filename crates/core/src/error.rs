@@ -86,10 +86,9 @@ impl fmt::Display for HarnessError {
             HarnessError::TaskPanicked { task, message } => {
                 write!(f, "task {task} panicked: {message}")
             }
-            HarnessError::ManifestCorrupt { path, what } => write!(
-                f,
-                "resume manifest {path} is unusable ({what}); rerun without --resume to rebuild it"
-            ),
+            HarnessError::ManifestCorrupt { path, what } => {
+                write!(f, "resume manifest {path} is unusable ({what})")
+            }
             HarnessError::Config(e) => write!(f, "{e}"),
         }
     }
@@ -135,7 +134,15 @@ mod tests {
             path: "m.json".into(),
             what: "not JSON".into(),
         };
-        assert!(e.to_string().contains("--resume"));
+        let text = e.to_string();
+        assert!(
+            text.contains("m.json") && text.contains("not JSON"),
+            "{text}"
+        );
+        assert!(
+            !text.contains("rerun without"),
+            "a cold-started resume is already rebuilding: {text}"
+        );
         let e = HarnessError::from(ConfigError::Invalid {
             what: "2p overflows".into(),
         });

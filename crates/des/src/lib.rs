@@ -17,8 +17,8 @@
 //!   fail/repair schedules for fault-injection studies.
 //! - [`stats`]: Welford accumulators, time-weighted averages, histograms,
 //!   and replication confidence intervals.
-//! - [`replicate`] / [`replicate_par`]: independent-replication runners
-//!   (sequential and scoped-thread parallel, bitwise-identical results).
+//! - [`replicate_par`]: the independent-replication runner (inline at
+//!   `jobs = 1`, scoped threads above; bitwise-identical results).
 //! - [`scope_map`] / [`default_jobs`]: the deterministic parallel-map
 //!   primitive the whole workspace's `--jobs` support is built on.
 //!
@@ -82,6 +82,6 @@ pub use fault::{FaultAction, FaultEvent, FaultPlan, FaultTarget, FaultTimeline, 
 pub use parallel::{
     default_jobs, panic_message, scope_map, scope_map_indexed, RetryPolicy, JOBS_ENV,
 };
-pub use replicate::{replicate, replicate_par, Replicated};
+pub use replicate::{replicate_par, Replicated};
 pub use rng::SimRng;
 pub use time::SimTime;

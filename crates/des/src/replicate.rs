@@ -9,8 +9,8 @@
 //! independent stream `base.derive(i)` and nothing else, so [`replicate_par`]
 //! distributes them over scoped threads ([`scope_map`](crate::scope_map))
 //! and collects the estimates by index — the [`Replicated`] output is
-//! **bitwise identical** to the sequential [`replicate`] for any worker
-//! count.
+//! **bitwise identical** for any worker count, `jobs = 1` (sequential,
+//! inline) included.
 
 use crate::parallel::scope_map_indexed;
 use crate::rng::SimRng;
@@ -28,9 +28,9 @@ pub struct Replicated {
 impl Replicated {
     /// Grand mean over replications, or `None` when there are none.
     ///
-    /// Both runners assert `reps > 0`, so a `Replicated` they produce always
-    /// has a mean; this accessor exists for callers constructing the struct
-    /// by hand.
+    /// [`replicate_par`] asserts `reps > 0`, so a `Replicated` it produces
+    /// always has a mean; this accessor exists for callers constructing the
+    /// struct by hand.
     #[must_use]
     pub fn try_mean(&self) -> Option<f64> {
         if self.estimates.is_empty() {
@@ -44,51 +44,26 @@ impl Replicated {
     ///
     /// # Panics
     ///
-    /// Panics if there are no replications. [`replicate`] and
-    /// [`replicate_par`] both assert `reps > 0` up front (identically, so
-    /// the sequential and parallel paths cannot diverge in panic behavior);
-    /// use [`Replicated::try_mean`] for hand-built values.
+    /// Panics if there are no replications. [`replicate_par`] asserts
+    /// `reps > 0` up front, for every worker count; use
+    /// [`Replicated::try_mean`] for hand-built values.
     #[must_use]
     pub fn mean(&self) -> f64 {
         self.try_mean().expect("no replications")
     }
 }
 
-/// Runs `reps` independent replications of `experiment` sequentially.
+/// Runs `reps` independent replications of `experiment` on up to `jobs`
+/// scoped threads.
 ///
 /// Each replication receives its index and an independent RNG derived from
-/// `base`. The closure returns a point estimate (e.g. a mean delay).
+/// `base` (`base.derive(i)`); the closure returns a point estimate (e.g. a
+/// mean delay). The result is bitwise equal for any `jobs`; `jobs <= 1`
+/// runs inline with no thread machinery.
 ///
 /// # Panics
 ///
 /// Panics if `reps == 0` or `level` is outside `(0, 1)`.
-pub fn replicate<F>(base: &SimRng, reps: usize, level: f64, mut experiment: F) -> Replicated
-where
-    F: FnMut(usize, SimRng) -> f64,
-{
-    assert!(reps > 0, "need at least one replication");
-    assert!(level > 0.0 && level < 1.0, "level must be in (0,1)");
-    let estimates: Vec<f64> = (0..reps)
-        .map(|i| experiment(i, base.derive(i as u64)))
-        .collect();
-    let interval = replication_interval(&estimates, level);
-    Replicated {
-        estimates,
-        interval,
-    }
-}
-
-/// Runs `reps` independent replications of `experiment` on up to `jobs`
-/// scoped threads.
-///
-/// Semantically identical to [`replicate`] — including the seed for each
-/// replication index — so the result is bitwise equal to the sequential
-/// runner for any `jobs`. `jobs <= 1` runs inline with no thread machinery.
-///
-/// # Panics
-///
-/// Panics if `reps == 0` or `level` is outside `(0, 1)` (the same asserts,
-/// in the same order, as [`replicate`]).
 pub fn replicate_par<F>(
     base: &SimRng,
     reps: usize,
@@ -116,7 +91,7 @@ mod tests {
     #[test]
     fn replications_use_distinct_seeds() {
         let base = SimRng::new(1);
-        let out = replicate(&base, 4, 0.95, |_, mut rng| rng.uniform());
+        let out = replicate_par(&base, 4, 0.95, 1, |_, mut rng| rng.uniform());
         let mut sorted = out.estimates.clone();
         sorted.sort_by(f64::total_cmp);
         sorted.dedup();
@@ -132,26 +107,24 @@ mod tests {
     fn sequential_and_parallel_agree_exactly() {
         let base = SimRng::new(42);
         let f = |i: usize, mut rng: SimRng| rng.uniform() + i as f64;
-        let seq = replicate(&base, 7, 0.9, f);
-        for jobs in [1, 2, 4, 16] {
-            let par = replicate_par(&base, 7, 0.9, jobs, f);
-            assert_eq!(seq, par, "jobs = {jobs}");
-        }
+        let seq = replicate_par(&base, 7, 0.9, 1, f);
+        let par = replicate_par(&base, 7, 0.9, 4, f);
+        assert_eq!(seq, par, "jobs = 1 and jobs = 4 must be bit-equal");
     }
 
     #[test]
     fn interval_present_with_two_or_more_reps() {
         let base = SimRng::new(9);
-        let one = replicate(&base, 1, 0.95, |_, mut rng| rng.uniform());
+        let one = replicate_par(&base, 1, 0.95, 1, |_, mut rng| rng.uniform());
         assert!(one.interval.is_none());
-        let two = replicate(&base, 2, 0.95, |_, mut rng| rng.uniform());
+        let two = replicate_par(&base, 2, 0.95, 1, |_, mut rng| rng.uniform());
         assert!(two.interval.is_some());
     }
 
     #[test]
     fn mean_is_average_of_estimates() {
         let base = SimRng::new(3);
-        let out = replicate(&base, 3, 0.95, |i, _| i as f64);
+        let out = replicate_par(&base, 3, 0.95, 1, |i, _| i as f64);
         assert!((out.mean() - 1.0).abs() < 1e-12);
         assert_eq!(out.try_mean(), Some(out.mean()));
     }
@@ -169,8 +142,9 @@ mod tests {
 
     #[test]
     fn zero_reps_panics_identically_in_both_runners() {
+        // The inline (`jobs = 1`) and threaded paths.
         let base = SimRng::new(1);
-        let seq = std::panic::catch_unwind(|| replicate(&base, 0, 0.95, |_, _| 0.0));
+        let seq = std::panic::catch_unwind(|| replicate_par(&base, 0, 0.95, 1, |_, _| 0.0));
         let par = std::panic::catch_unwind(|| replicate_par(&base, 0, 0.95, 4, |_, _| 0.0));
         let msg = |e: Box<dyn std::any::Any + Send>| {
             e.downcast_ref::<&str>()
@@ -188,7 +162,7 @@ mod tests {
     #[test]
     fn estimator_converges_to_truth() {
         let base = SimRng::new(7);
-        let out = replicate(&base, 10, 0.95, |_, mut rng| {
+        let out = replicate_par(&base, 10, 0.95, 1, |_, mut rng| {
             (0..20_000).map(|_| rng.exponential(2.0)).sum::<f64>() / 20_000.0
         });
         let ci = out.interval.expect("10 reps");
