@@ -1,8 +1,8 @@
 //! Runs every figure/table regenerator under the resilient harness:
-//! artifacts are computed on `--jobs` workers (default: all cores, or
-//! `RSIN_JOBS`), each task once with panic isolation, then emitted in the
-//! fixed suite order — so stdout and the artifact files are byte-identical
-//! for every worker count.
+//! artifacts are computed on `--jobs` workers (default: all cores), each
+//! task once with panic isolation, then emitted in the fixed suite order —
+//! so stdout and the artifact files are byte-identical for every worker
+//! count.
 //!
 //! Each artifact is persisted atomically the moment its task finishes and
 //! `manifest.json` is checkpointed after every task, so a killed run can

@@ -1,14 +1,14 @@
-//! Runs the runtime-broker benchmark: model predictions (deterministic,
-//! resumable via `broker_manifest.json`) plus a measured sweep of the SBUS
-//! broker under real worker threads — or, with `--serve`/`--connect`, the
-//! networked front-end and its multi-connection wire harness, whose
-//! deterministic plan is resumable via its own `net_manifest.json`.
+//! Runs the runtime-broker benchmark: model predictions (deterministic)
+//! plus a measured sweep of the SBUS broker under real worker threads —
+//! or, with `--serve`/`--connect`, the networked front-end and its
+//! multi-connection wire harness, which writes a deterministic plan
+//! before its measured sweep.
 //!
 //! ```text
 //! cargo run --release -p rsin-bench --bin broker_bench -- \
 //!     --threads 6 --duration-ms 400 --rho 0.2,0.5,0.8 \
 //!     [--chaos kill=0.25,stall=0.125,seed=7[,mtbf=40,mttr=8]] \
-//!     [--jobs N] [--resume]
+//!     [--jobs N]
 //!
 //! # networked front-end: serve on a port (until stdin closes) ...
 //! cargo run --release -p rsin-bench --bin broker_bench -- \
@@ -38,7 +38,6 @@ use rsin_bench::RunQuality;
 fn main() {
     let quality = RunQuality::from_args();
     let cfg = BrokerBenchConfig::from_args();
-    let resume = std::env::args().any(|a| a == "--resume");
 
     if cfg.serve.is_some() {
         match netbench::serve(&cfg) {
@@ -65,7 +64,7 @@ fn main() {
     }
 
     if cfg.connect.is_some() {
-        match netbench::run_net(&cfg, &quality, resume) {
+        match netbench::run_net(&cfg, &quality) {
             Ok(summary) => {
                 if summary.violations > 0 {
                     eprintln!(
@@ -86,15 +85,7 @@ fn main() {
                     eprintln!("broker_bench: FAILED — the networked sweep never granted");
                     std::process::exit(1);
                 }
-                eprintln!(
-                    "broker_bench: net ok ({} grants; plan {})",
-                    summary.grants,
-                    if summary.resumed_plan {
-                        "resumed"
-                    } else {
-                        "computed"
-                    }
-                );
+                eprintln!("broker_bench: net ok ({} grants)", summary.grants);
             }
             Err(e) => {
                 eprintln!("broker_bench: FAILED — {e}");
@@ -104,7 +95,7 @@ fn main() {
         return;
     }
 
-    match broker_bench::run(&cfg, &quality, resume) {
+    match broker_bench::run(&cfg, &quality) {
         Ok(summary) => {
             if summary.violations > 0 {
                 eprintln!(
@@ -121,14 +112,7 @@ fn main() {
                 );
                 std::process::exit(1);
             }
-            eprintln!(
-                "broker_bench: ok (predictions {})",
-                if summary.resumed_predictions {
-                    "resumed"
-                } else {
-                    "computed"
-                }
-            );
+            eprintln!("broker_bench: ok");
         }
         Err(e) => {
             eprintln!("broker_bench: FAILED — {e}");

@@ -9,9 +9,9 @@
 //!
 //! `--quick` (the default preset) keeps the run in CI territory; `--full`
 //! times the publication preset; `--jobs N` pins the parallel worker count
-//! (default: all cores, or `RSIN_JOBS`). On a single-core host the parallel
-//! leg is skipped and reported as `null` — a 1-worker "parallel" run only
-//! measures scheduling overhead, not speedup. Timings vary run to run —
+//! (default: all cores). On a single-core host the parallel leg is skipped
+//! and reported as `null` — a 1-worker "parallel" run only measures
+//! scheduling overhead, not speedup. Timings vary run to run —
 //! the simulation *results* never do.
 //!
 //! `--check` compares the freshly measured kernels against the committed

@@ -7,23 +7,24 @@
 //!     --p 16,64,1024 --rho 0.3 --ratio 0.1 --target 1.0 \
 //!     [--families sbus,xbar,omega,cube,clx,mlomega] [--max-r 64] \
 //!     [--cost-resource 8] [--cost-switch-point 1] [--cost-bus-tap 1] \
-//!     [--no-confirm] [--fault-recheck] [--full] [--jobs N] \
-//!     [--out-dir DIR] [--resume]
+//!     [--no-confirm] [--fault-recheck] [--full] [--jobs N] [--resume]
 //! ```
 //!
-//! Artifacts land in `--out-dir` (default `RSIN_OUTPUT_DIR` or
-//! `target/experiments`): `provision_p<p>.txt` (the report),
-//! `provision_p<p>.csv` (the frontier), and `provision_manifest.json`
-//! (the checkpoint `--resume` validates by digest before skipping a leg).
+//! Artifacts land in `RSIN_OUTPUT_DIR` (default `target/experiments`):
+//! `provision_p<p>.txt` (the report), `provision_p<p>.csv` (the frontier),
+//! and `provision_manifest.json` (the checkpoint `--resume` validates by
+//! digest before skipping a leg).
 //!
 //! Exit codes: 0 on success, 1 when a leg fails or an artifact cannot be
 //! persisted, 2 on a malformed flag.
 
+use rsin_bench::output;
 use rsin_bench::provision_bench::{self, ProvisionConfig};
 
 fn main() {
     let cfg = ProvisionConfig::from_args();
-    match provision_bench::run(&cfg) {
+    let dir = output::output_dir();
+    match provision_bench::run(&cfg, &dir) {
         Ok(summary) => {
             for leg in &summary.legs {
                 if leg.resumed {
@@ -58,7 +59,7 @@ fn main() {
                 summary.legs.len(),
                 summary.resumed(),
                 summary.wall_seconds,
-                summary.out_dir.display()
+                dir.display()
             );
         }
         Err(e) => {

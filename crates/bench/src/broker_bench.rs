@@ -4,16 +4,16 @@
 //!
 //! - `broker_predictions` — the model side (exact [`SharedBusChain`] curve
 //!   plus a DES replication interval per ρ). Fully deterministic:
-//!   byte-identical for every `--jobs` value, so it participates in the
-//!   `broker_manifest.json` digest gate and `--resume` skips it when its
-//!   digests still match the files on disk.
+//!   byte-identical for every `--jobs` value.
 //! - `broker_measured` — the runtime side (real threads, wall clock). Timing
 //!   data by nature, so it is always recomputed; its table carries the
 //!   model/measured ratio per ρ and the exclusivity-audit verdict.
 //!
 //! CLI: `--threads N`, `--duration-ms N`, `--rho a,b,c`, `--shards N`
 //! (both `--flag v` and `--flag=v` spellings, read by [`crate::flags`]),
-//! plus the shared `--jobs` / `--full` / `--resume` harness flags.
+//! plus [`RunQuality`]'s `--jobs` / `--full`. Both legs rerun on every
+//! invocation: the predictions take tens of milliseconds at CI's flags,
+//! so a checkpoint would save nothing the measured leg does not dwarf.
 //! Malformed values and undeclared arguments are typed
 //! [`ConfigError::Parse`] errors, exactly like the suite's `--jobs`.
 //! `--shards N` partitions the pool into N per-shard SBUS arbiters behind
@@ -30,7 +30,6 @@
 //! benchmark exactly like a healthy run with a violation.
 
 use crate::flags;
-use crate::manifest::{Manifest, ManifestEntry};
 use crate::output;
 use crate::RunQuality;
 use rsin_broker::{
@@ -142,9 +141,8 @@ const VALUE_FLAGS: [&str; 10] = [
     "--jobs",
 ];
 
-/// The bare switches `broker_bench` accepts: [`RunQuality`]'s `--full` and
-/// the harness's `--resume`.
-const SWITCHES: [&str; 2] = ["--full", "--resume"];
+/// The bare switch `broker_bench` accepts: [`RunQuality`]'s `--full`.
+const SWITCHES: [&str; 1] = ["--full"];
 
 impl BrokerBenchConfig {
     /// Parses the process arguments (program name first): `--threads`,
@@ -155,44 +153,84 @@ impl BrokerBenchConfig {
     ///
     /// [`ConfigError::Parse`] naming the offending flag and the expected
     /// shape when a value is missing, malformed, or out of range, or
-    /// naming an argument that is neither one of these flags nor `--jobs`,
-    /// `--full` or `--resume`.
+    /// naming an argument that is neither one of these flags nor `--jobs`
+    /// or `--full`.
     pub fn try_from_args(args: &[String]) -> Result<Self, ConfigError> {
         flags::reject_unknown(
             args.get(1..).unwrap_or_default(),
             &VALUE_FLAGS,
             &SWITCHES,
             "a broker_bench flag (--threads, --duration-ms, --rho, --shards, --chaos, \
-             --serve, --connect, --tenants, --deadline-ms, --jobs, --full, --resume)",
+             --serve, --connect, --tenants, --deadline-ms, --jobs, --full)",
         )?;
-        let mut cfg = BrokerBenchConfig::default();
-        if let Some(v) = flags::value(args, "--threads")? {
-            cfg.threads = parse_threads(&v)?;
-        }
-        if let Some(v) = flags::value(args, "--duration-ms")? {
-            cfg.duration_ms = parse_duration_ms(&v)?;
-        }
-        if let Some(v) = flags::value(args, "--rho")? {
-            cfg.rho = parse_rho(&v)?;
-        }
-        if let Some(v) = flags::value(args, "--shards")? {
-            cfg.shards = parse_shards(&v)?;
-        }
-        if let Some(v) = flags::value(args, "--chaos")? {
-            cfg.chaos = Some(parse_chaos(&v)?);
-        }
-        if let Some(v) = flags::value(args, "--serve")? {
-            cfg.serve = Some(parse_serve(&v)?);
-        }
-        if let Some(v) = flags::value(args, "--connect")? {
-            cfg.connect = Some(parse_connect(&v)?);
-        }
-        if let Some(v) = flags::value(args, "--tenants")? {
-            cfg.tenants = parse_tenants(&v)?;
-        }
-        if let Some(v) = flags::value(args, "--deadline-ms")? {
-            cfg.deadline_ms = parse_deadline_ms_flag("--deadline-ms", &v)?;
-        }
+        let d = BrokerBenchConfig::default();
+        let cfg = BrokerBenchConfig {
+            threads: flags::parsed(
+                args,
+                "--threads",
+                "a worker-thread count between 1 and 64, e.g. --threads 6",
+                |v| v.parse().ok().filter(|n| (1..=64).contains(n)),
+            )?
+            .unwrap_or(d.threads),
+            duration_ms: flags::parsed(
+                args,
+                "--duration-ms",
+                "a positive measured duration in milliseconds, e.g. --duration-ms 400",
+                |v| v.parse().ok().filter(|&n| n >= 1),
+            )?
+            .unwrap_or(d.duration_ms),
+            rho: flags::parsed_list(
+                args,
+                "--rho",
+                "a comma-separated list of loads in (0, 1), e.g. --rho 0.2,0.5,0.8",
+                |v| v.parse().ok().filter(|r| *r > 0.0 && *r < 1.0),
+            )?
+            .unwrap_or(d.rho),
+            shards: flags::parsed(
+                args,
+                "--shards",
+                "a logical shard count between 1 and 8, e.g. --shards 2",
+                |v| v.parse().ok().filter(|n| (1..=8).contains(n)),
+            )?
+            .unwrap_or(d.shards),
+            chaos: flags::parsed(
+                args,
+                "--chaos",
+                "key=value pairs kill=<frac>, stall=<frac>, seed=<u64>, \
+                 optional mtbf=/mttr= (e.g. kill=0.25,stall=0.125,seed=7)",
+                |v| ChaosSpec::parse(v).map_err(|e| eprintln!("note: {e}")).ok(),
+            )?,
+            serve: flags::parsed(
+                args,
+                "--serve",
+                "a bind address like 127.0.0.1:7070 (port 0 picks one), e.g. --serve 127.0.0.1:0",
+                |v| v.parse().ok(),
+            )?,
+            connect: flags::parsed(
+                args,
+                "--connect",
+                "a server address like 127.0.0.1:7070, or `self` for an in-process \
+                 loopback server, e.g. --connect self",
+                |v| match v {
+                    "self" => Some(NetTarget::SelfServe),
+                    _ => v.parse().ok().map(NetTarget::Addr),
+                },
+            )?,
+            tenants: flags::parsed(
+                args,
+                "--tenants",
+                "a tenant-class count between 1 and 8, e.g. --tenants 3",
+                |v| v.parse().ok().filter(|n| (1..=8).contains(n)),
+            )?
+            .unwrap_or(d.tenants),
+            deadline_ms: flags::parsed(
+                args,
+                "--deadline-ms",
+                "a positive per-request deadline in milliseconds, e.g. --deadline-ms 100",
+                |v| v.parse().ok().filter(|&n| n >= 1),
+            )?
+            .unwrap_or(d.deadline_ms),
+        };
         if cfg.serve.is_some() && cfg.connect.is_some() {
             return Err(ConfigError::Parse {
                 input: "--serve --connect".into(),
@@ -225,22 +263,6 @@ impl BrokerBenchConfig {
         }
     }
 
-    /// Stable fingerprint of everything that determines the *predictions*
-    /// artifact; recorded in `broker_manifest.json` so `--resume` against a
-    /// different sweep recomputes instead of mixing configurations.
-    #[must_use]
-    pub fn fingerprint(&self, quality: &RunQuality) -> String {
-        let rho: Vec<String> = self.rho.iter().map(|r| format!("{r}")).collect();
-        format!(
-            "broker threads={} rho={} shards={} r={} mu_n={MU_N} mu_s={MU_S} | {}",
-            self.threads,
-            rho.join(","),
-            self.shards,
-            self.total_resources(),
-            quality.fingerprint()
-        )
-    }
-
     /// Size of the whole benchmarked pool: [`RESOURCES`] slots per logical
     /// shard. The model side uses the same total, so the model/measured
     /// ratio stays apples-to-apples at every shard count.
@@ -255,12 +277,6 @@ impl BrokerBenchConfig {
     pub fn lambda_at(&self, rho: f64) -> f64 {
         rho * saturation_capacity_for(self.total_resources()) / self.threads as f64
     }
-}
-
-/// Saturation throughput of the default (unsharded) bus–resource pipeline.
-#[must_use]
-pub fn saturation_capacity() -> f64 {
-    saturation_capacity_for(RESOURCES)
 }
 
 /// Saturation throughput of a bus–resource pipeline with `resources`
@@ -386,105 +402,6 @@ pub fn saturated_grants_per_sec(
         report.total_grants() as f64 / window.as_secs_f64(),
         report.chaos,
     )
-}
-
-fn parse_threads(v: &str) -> Result<usize, ConfigError> {
-    match v.parse::<usize>() {
-        Ok(n) if (1..=64).contains(&n) => Ok(n),
-        _ => Err(ConfigError::Parse {
-            input: format!("--threads {v}"),
-            expected: "a worker-thread count between 1 and 64, e.g. --threads 6",
-        }),
-    }
-}
-
-fn parse_shards(v: &str) -> Result<usize, ConfigError> {
-    match v.parse::<usize>() {
-        Ok(n) if (1..=8).contains(&n) => Ok(n),
-        _ => Err(ConfigError::Parse {
-            input: format!("--shards {v}"),
-            expected: "a logical shard count between 1 and 8, e.g. --shards 2",
-        }),
-    }
-}
-
-fn parse_duration_ms(v: &str) -> Result<u64, ConfigError> {
-    match v.parse::<u64>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(ConfigError::Parse {
-            input: format!("--duration-ms {v}"),
-            expected: "a positive measured duration in milliseconds, e.g. --duration-ms 400",
-        }),
-    }
-}
-
-fn parse_serve(v: &str) -> Result<std::net::SocketAddr, ConfigError> {
-    v.parse().map_err(|_| ConfigError::Parse {
-        input: format!("--serve {v}"),
-        expected: "a bind address like 127.0.0.1:7070 (port 0 picks one), e.g. --serve 127.0.0.1:0",
-    })
-}
-
-fn parse_connect(v: &str) -> Result<NetTarget, ConfigError> {
-    if v == "self" {
-        return Ok(NetTarget::SelfServe);
-    }
-    v.parse()
-        .map(NetTarget::Addr)
-        .map_err(|_| ConfigError::Parse {
-            input: format!("--connect {v}"),
-            expected: "a server address like 127.0.0.1:7070, or `self` for an in-process \
-                       loopback server, e.g. --connect self",
-        })
-}
-
-fn parse_tenants(v: &str) -> Result<u8, ConfigError> {
-    match v.parse::<u8>() {
-        Ok(n) if (1..=8).contains(&n) => Ok(n),
-        _ => Err(ConfigError::Parse {
-            input: format!("--tenants {v}"),
-            expected: "a tenant-class count between 1 and 8, e.g. --tenants 3",
-        }),
-    }
-}
-
-fn parse_deadline_ms_flag(flag: &str, v: &str) -> Result<u64, ConfigError> {
-    match v.parse::<u64>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(ConfigError::Parse {
-            input: format!("{flag} {v}"),
-            expected: "a positive per-request deadline in milliseconds, e.g. --deadline-ms 100",
-        }),
-    }
-}
-
-fn parse_chaos(v: &str) -> Result<ChaosSpec, ConfigError> {
-    ChaosSpec::parse(v).map_err(|detail| {
-        eprintln!("note: {detail}");
-        ConfigError::Parse {
-            input: format!("--chaos {v}"),
-            expected: "key=value pairs kill=<frac>, stall=<frac>, seed=<u64>, \
-                       optional mtbf=/mttr= (e.g. kill=0.25,stall=0.125,seed=7)",
-        }
-    })
-}
-
-fn parse_rho(v: &str) -> Result<Vec<f64>, ConfigError> {
-    let bad = || ConfigError::Parse {
-        input: format!("--rho {v}"),
-        expected: "a comma-separated list of loads in (0, 1), e.g. --rho 0.2,0.5,0.8",
-    };
-    let mut out = Vec::new();
-    for part in v.split(',') {
-        match part.trim().parse::<f64>() {
-            Ok(r) if r > 0.0 && r < 1.0 => out.push(r),
-            _ => return Err(bad()),
-        }
-    }
-    if out.is_empty() {
-        return Err(bad());
-    }
-    Ok(out)
 }
 
 /// The deterministic model-side artifact: chain curve + DES replication
@@ -733,8 +650,6 @@ pub fn measured_table(cfg: &BrokerBenchConfig, points: &[MeasuredPoint]) -> Stri
 /// Outcome of a [`run`] invocation.
 #[derive(Debug)]
 pub struct RunSummary {
-    /// Whether the predictions artifact was resumed from disk.
-    pub resumed_predictions: bool,
     /// Total exclusivity violations across the measured sweep (must be 0).
     pub violations: u64,
     /// Total resources/grants leaked through shutdown across chaos-mode
@@ -744,52 +659,27 @@ pub struct RunSummary {
 
 const PREDICTIONS: &str = "broker_predictions";
 const MEASURED: &str = "broker_measured";
-const MANIFEST: &str = "broker_manifest.json";
 
-/// Runs the benchmark end to end: predictions (resume-skippable, atomic,
-/// digest-recorded in `broker_manifest.json`) then the measured sweep
-/// (always recomputed — it is timing data). Artifacts land under
-/// [`output::output_dir`] and the manifest is checkpointed after each leg.
+/// Runs the benchmark end to end: the predictions, then the measured
+/// sweep. Each leg's artifacts land atomically under
+/// [`output::output_dir`].
 ///
 /// # Errors
 ///
-/// [`HarnessError::Io`] when an artifact or the manifest cannot be
-/// persisted.
-pub fn run(
-    cfg: &BrokerBenchConfig,
-    quality: &RunQuality,
-    resume: bool,
-) -> Result<RunSummary, HarnessError> {
+/// [`HarnessError::Io`] when an artifact cannot be persisted.
+pub fn run(cfg: &BrokerBenchConfig, quality: &RunQuality) -> Result<RunSummary, HarnessError> {
     let dir = output::output_dir();
-    let manifest_path = dir.join(MANIFEST);
-    let mut manifest = Manifest::open(&manifest_path, &cfg.fingerprint(quality), resume);
+    let e = predictions_experiment(cfg, quality);
+    let text = output::render(&e);
+    print!("{text}");
+    output::persist_in(&dir, PREDICTIONS, &text, Some(&e.to_csv()))?;
 
-    let resumed = manifest.reusable(&dir, PREDICTIONS, PREDICTIONS);
-    let resumed_predictions = resumed.is_some();
-    if let Some((text, _)) = resumed {
-        print!("{text}");
-        eprintln!("resume: {PREDICTIONS} digests match; skipped recompute");
-    } else {
-        let start = Instant::now();
-        let e = predictions_experiment(cfg, quality);
-        let text = output::render(&e);
-        let csv = e.to_csv();
-        print!("{text}");
-        output::persist_in(&dir, PREDICTIONS, &text, Some(&csv))?;
-        let entry = ManifestEntry::ok(PREDICTIONS, &text, Some(&csv), start.elapsed());
-        manifest.record(entry, &manifest_path)?;
-    }
-
-    let start = Instant::now();
     let points = measure(cfg, quality);
     let text = measured_table(cfg, &points);
     print!("{text}");
     output::persist_in(&dir, MEASURED, &text, None)?;
-    let entry = ManifestEntry::ok(MEASURED, &text, None, start.elapsed());
-    manifest.record(entry, &manifest_path)?;
 
     Ok(RunSummary {
-        resumed_predictions,
         violations: points.iter().map(|p| p.violations).sum(),
         leaked: points
             .iter()
@@ -838,6 +728,7 @@ mod tests {
             &["--thread", "4"],
             &["--full=1"],
             &["4"],
+            &["--resume"],
         ] {
             let mut line = vec!["bin"];
             line.extend_from_slice(bad);
@@ -849,10 +740,9 @@ mod tests {
                 "error must name the argument: {err}"
             );
         }
-        let cfg = BrokerBenchConfig::try_from_args(&args(&[
-            "bin", "--jobs", "2", "--full", "--resume", "--jobs=3",
-        ]))
-        .expect("RunQuality's flags and --resume are accepted");
+        let cfg =
+            BrokerBenchConfig::try_from_args(&args(&["bin", "--jobs", "2", "--full", "--jobs=3"]))
+                .expect("RunQuality's flags are accepted");
         assert_eq!(cfg, BrokerBenchConfig::default());
     }
 
@@ -1154,7 +1044,7 @@ mod tests {
     #[test]
     fn lambda_tracks_rho_through_the_pipeline_capacity() {
         let cfg = BrokerBenchConfig::default();
-        let cap = saturation_capacity();
+        let cap = saturation_capacity_for(RESOURCES);
         assert!(cap > 0.0 && cap < MU_N, "capacity below the bare bus rate");
         let lam = cfg.lambda_at(0.5);
         assert!((lam * cfg.threads as f64 - 0.5 * cap).abs() < 1e-12);
@@ -1180,20 +1070,5 @@ mod tests {
             "worker count must not change results"
         );
         assert_eq!(output::render(&a), output::render(&b));
-    }
-
-    #[test]
-    fn fingerprint_tracks_sweep_and_quality() {
-        let cfg = BrokerBenchConfig::default();
-        let q = RunQuality::quick();
-        let base = cfg.fingerprint(&q);
-        let other = BrokerBenchConfig {
-            threads: 5,
-            ..cfg.clone()
-        };
-        assert_ne!(base, other.fingerprint(&q));
-        assert_ne!(base, cfg.fingerprint(&RunQuality { seed: 7, ..q }));
-        // jobs never changes artifacts, so it must not change the print.
-        assert_eq!(base, cfg.fingerprint(&RunQuality { jobs: 9, ..q }));
     }
 }

@@ -5,12 +5,8 @@
 use rsin_core::ConfigError;
 
 /// Extracts `--flag v` / `--flag=v`; `Ok(None)` when absent, a typed error
-/// when the flag is present without a value.
-///
-/// # Errors
-///
-/// [`ConfigError::Parse`] naming `flag` when no value follows it.
-pub fn value(args: &[String], flag: &'static str) -> Result<Option<String>, ConfigError> {
+/// naming `flag` when the flag is present without a value.
+fn value(args: &[String], flag: &'static str) -> Result<Option<String>, ConfigError> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == flag {
@@ -27,6 +23,48 @@ pub fn value(args: &[String], flag: &'static str) -> Result<Option<String>, Conf
         }
     }
     Ok(None)
+}
+
+/// Parses `flag`'s value with `parse`, which returns `None` for a value
+/// out of range or of the wrong shape; `Ok(None)` when the flag is absent.
+///
+/// # Errors
+///
+/// [`ConfigError::Parse`] naming `flag` when no value follows it, and
+/// with input `"<flag> <value>"` and `expected` when `parse` rejects the
+/// value.
+pub fn parsed<T>(
+    args: &[String],
+    flag: &'static str,
+    expected: &'static str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, ConfigError> {
+    value(args, flag)?
+        .map(|v| {
+            parse(&v).ok_or_else(|| ConfigError::Parse {
+                input: format!("{flag} {v}"),
+                expected,
+            })
+        })
+        .transpose()
+}
+
+/// [`parsed`] for a comma-separated list: every item, trimmed, must pass
+/// `parse`, so an empty item (and an empty list) is rejected whenever
+/// `parse("")` is.
+///
+/// # Errors
+///
+/// As [`parsed`], with the whole list as the value.
+pub fn parsed_list<T>(
+    args: &[String],
+    flag: &'static str,
+    expected: &'static str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<Vec<T>>, ConfigError> {
+    parsed(args, flag, expected, |v| {
+        v.split(',').map(|item| parse(item.trim())).collect()
+    })
 }
 
 /// Whether the bare switch `flag` is present.
@@ -84,6 +122,34 @@ mod tests {
         assert!(!switch(&a, "--resume"));
         let err = value(&args(&["--jobs"]), "--jobs").expect_err("missing value");
         assert!(err.to_string().contains("--jobs"));
+    }
+
+    #[test]
+    fn parsed_values_and_lists_name_the_flag_and_value() {
+        let positive = |v: &str| v.parse::<u32>().ok().filter(|&n| n >= 1);
+        let a = args(&["--jobs=4", "--p", "8, 16"]);
+        assert_eq!(parsed(&a, "--jobs", "x", positive), Ok(Some(4)));
+        assert_eq!(parsed_list(&a, "--p", "x", positive), Ok(Some(vec![8, 16])));
+        assert_eq!(parsed(&a, "--rho", "x", positive), Ok(None));
+        for (line, input) in [
+            (&["--jobs", "0"][..], "--jobs 0"),
+            (&["--jobs=zero"], "--jobs zero"),
+            (&["--jobs", ""], "--jobs "),
+        ] {
+            let err = parsed(&args(line), "--jobs", "x", positive).expect_err("rejected");
+            assert_eq!(
+                err.to_string(),
+                format!("cannot parse {input:?}: expected x")
+            );
+        }
+        for bad in ["", "8,", "8,,16", "8,zero"] {
+            let err =
+                parsed_list(&args(&["--p", bad]), "--p", "x", positive).expect_err("rejected");
+            assert_eq!(
+                err.to_string(),
+                format!("cannot parse \"--p {bad}\": expected x")
+            );
+        }
     }
 
     #[test]

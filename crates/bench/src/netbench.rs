@@ -4,12 +4,7 @@
 //! artifacts under the experiment output directory:
 //!
 //! - `net_plan` — the deterministic side: the sweep shape plus the seeded
-//!   connection-chaos schedule, byte-identical for a given flag set, so it
-//!   participates in the `net_manifest.json` digest gate and `--resume`
-//!   skips it when its digest still matches the file on disk. The net leg
-//!   keeps its own manifest: the in-process leg's `broker_manifest.json`
-//!   carries a different fingerprint, so sharing one file would let either
-//!   leg discard the other's checkpoint.
+//!   connection-chaos schedule, byte-identical for a given flag set.
 //! - `net_measured` — the wire side (real TCP, wall clock): grant latency
 //!   quantiles, saturated grants/sec, the per-tenant-class breakdown, and
 //!   (in `self` mode) the server's own counters, ledger verdict, and leak
@@ -23,7 +18,6 @@
 //! half-open stalls; `trunc=`/`junk=` inject wire-level garbage.
 
 use crate::broker_bench::{BrokerBenchConfig, NetTarget, CHAOS_LEASE};
-use crate::manifest::{Manifest, ManifestEntry};
 use crate::output;
 use crate::RunQuality;
 use rsin_broker::net::{
@@ -33,11 +27,10 @@ use rsin_broker::net::{
 use rsin_broker::{SbusBroker, ShardedBroker};
 use rsin_core::HarnessError;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const NET_PLAN: &str = "net_plan";
 const NET_MEASURED: &str = "net_measured";
-const MANIFEST: &str = "net_manifest.json";
 
 /// Connection slots the server offers per configured client, so clients
 /// reconnecting after chaos (their dead predecessor not yet culled) are
@@ -73,31 +66,6 @@ pub fn net_load_config(cfg: &BrokerBenchConfig, quality: &RunQuality) -> NetLoad
         chaos,
         ..NetLoadConfig::default()
     }
-}
-
-/// Stable fingerprint of everything that determines the `net_plan`
-/// artifact; recorded in `net_manifest.json` so `--resume` against a
-/// different sweep recomputes instead of mixing configurations.
-#[must_use]
-pub fn net_fingerprint(cfg: &BrokerBenchConfig, quality: &RunQuality) -> String {
-    let chaos = match &cfg.chaos {
-        Some(s) => format!(
-            "kill={},stall={},trunc={},junk={},seed={}",
-            s.kill, s.stall, s.trunc, s.junk, s.seed
-        ),
-        None => "none".into(),
-    };
-    format!(
-        "net clients={} tenants={} deadline_ms={} window_ms={} shards={} r={} chaos={} | {}",
-        cfg.threads,
-        cfg.tenants,
-        cfg.deadline_ms,
-        cfg.duration_ms,
-        cfg.shards,
-        cfg.total_resources(),
-        chaos,
-        quality.fingerprint()
-    )
 }
 
 /// Renders the deterministic plan artifact: the sweep shape and the full
@@ -273,8 +241,6 @@ fn bind(
 /// Outcome of a [`run_net`] invocation.
 #[derive(Debug)]
 pub struct NetRunSummary {
-    /// Whether the plan artifact was resumed from disk.
-    pub resumed_plan: bool,
     /// Server-side exclusivity violations (0 in external mode, which
     /// cannot observe them).
     pub violations: u64,
@@ -285,15 +251,12 @@ pub struct NetRunSummary {
     pub grants: u64,
 }
 
-/// Runs the networked benchmark end to end: the deterministic plan
-/// (resume-skippable, digest-recorded in `net_manifest.json`) then the
-/// measured wire sweep (always recomputed). Artifacts land under
-/// [`output::output_dir`].
+/// Runs the networked benchmark end to end: the deterministic plan, then
+/// the measured wire sweep. Artifacts land under [`output::output_dir`].
 ///
 /// # Errors
 ///
-/// [`HarnessError::Io`] when an artifact or the manifest cannot be
-/// persisted.
+/// [`HarnessError::Io`] when an artifact cannot be persisted.
 ///
 /// # Panics
 ///
@@ -301,31 +264,14 @@ pub struct NetRunSummary {
 pub fn run_net(
     cfg: &BrokerBenchConfig,
     quality: &RunQuality,
-    resume: bool,
 ) -> Result<NetRunSummary, HarnessError> {
     let target = cfg.connect.expect("run_net requires --connect");
     let dir = output::output_dir();
-    let manifest_path = dir.join(MANIFEST);
-    let mut manifest = Manifest::open(&manifest_path, &net_fingerprint(cfg, quality), resume);
     let load = net_load_config(cfg, quality);
+    let text = plan_text(cfg, &load);
+    print!("{text}");
+    output::persist_in(&dir, NET_PLAN, &text, None)?;
 
-    let resumed = manifest.reusable(&dir, NET_PLAN, NET_PLAN);
-    let resumed_plan = resumed.is_some();
-    if let Some((text, _)) = resumed {
-        print!("{text}");
-        eprintln!("resume: {NET_PLAN} digests match; skipped recompute");
-    } else {
-        let start = Instant::now();
-        let text = plan_text(cfg, &load);
-        print!("{text}");
-        output::persist_in(&dir, NET_PLAN, &text, None)?;
-        manifest.record(
-            ManifestEntry::ok(NET_PLAN, &text, None, start.elapsed()),
-            &manifest_path,
-        )?;
-    }
-
-    let start = Instant::now();
     let (report, server, label) = match target {
         NetTarget::SelfServe => {
             let (report, server) = measure_self(cfg, &load);
@@ -340,11 +286,8 @@ pub fn run_net(
     let text = measured_table(cfg, &label, &report, server.as_ref());
     print!("{text}");
     output::persist_in(&dir, NET_MEASURED, &text, None)?;
-    let entry = ManifestEntry::ok(NET_MEASURED, &text, None, start.elapsed());
-    manifest.record(entry, &manifest_path)?;
 
     Ok(NetRunSummary {
-        resumed_plan,
         violations: server.as_ref().map_or(0, |r| r.violations),
         leaked: server.as_ref().map_or(0, |r| r.leaked as u64),
         grants: report.grants,
@@ -421,20 +364,6 @@ mod tests {
         );
         let other = plan_text(&reseeded, &net_load_config(&reseeded, &q));
         assert_ne!(a, other, "the chaos seed must reshuffle the schedule");
-    }
-
-    #[test]
-    fn net_fingerprint_tracks_the_wire_config() {
-        let cfg = test_cfg();
-        let q = RunQuality::quick();
-        let base = net_fingerprint(&cfg, &q);
-        let mut other = cfg.clone();
-        other.tenants = 5;
-        assert_ne!(base, net_fingerprint(&other, &q));
-        let mut other = cfg.clone();
-        other.deadline_ms = 200;
-        assert_ne!(base, net_fingerprint(&other, &q));
-        assert_ne!(base, net_fingerprint(&cfg, &RunQuality { seed: 7, ..q }));
     }
 
     #[test]

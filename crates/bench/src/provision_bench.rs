@@ -14,12 +14,13 @@
 use crate::flags;
 use crate::manifest::{Manifest, ManifestEntry};
 use crate::output;
+use crate::RunQuality;
 use rsin_core::{ConfigError, HarnessError};
 use rsin_provision::{
     search, CostModel, DelayOutcome, EvalQuality, Evaluator, Family, SearchReport, SearchSpec,
     TrafficProfile,
 };
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::Instant;
 
 /// The frontier CSV header — a stable schema CI asserts against.
@@ -53,8 +54,6 @@ pub struct ProvisionConfig {
     pub jobs: usize,
     /// Skip digest-valid legs from a previous run.
     pub resume: bool,
-    /// Output directory override.
-    pub out_dir: Option<PathBuf>,
     /// Unit prices.
     pub cost: CostModel,
 }
@@ -73,34 +72,9 @@ impl Default for ProvisionConfig {
             full: false,
             jobs: 0,
             resume: false,
-            out_dir: None,
             cost: CostModel::default(),
         }
     }
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, ConfigError> {
-    v.parse().map_err(|_| ConfigError::Parse {
-        input: format!("{flag} {v}"),
-        expected: "a number",
-    })
-}
-
-fn parse_list<T: std::str::FromStr>(flag: &str, v: &str) -> Result<Vec<T>, ConfigError> {
-    let mut out = Vec::new();
-    for part in v.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-        out.push(part.parse().map_err(|_| ConfigError::Parse {
-            input: format!("{flag} {v}"),
-            expected: "a comma-separated list",
-        })?);
-    }
-    if out.is_empty() {
-        return Err(ConfigError::Parse {
-            input: format!("{flag} {v}"),
-            expected: "a non-empty comma-separated list",
-        });
-    }
-    Ok(out)
 }
 
 impl ProvisionConfig {
@@ -120,27 +94,21 @@ impl ProvisionConfig {
                 "--families",
                 "--max-r",
                 "--jobs",
-                "--out-dir",
                 "--cost-resource",
                 "--cost-switch-point",
                 "--cost-bus-tap",
             ],
-            &[
-                "--no-confirm",
-                "--fault-recheck",
-                "--full",
-                "--quick",
-                "--resume",
-            ],
+            &["--no-confirm", "--fault-recheck", "--full", "--resume"],
             "a provision flag (--p, --rho, --ratio, --target, --families, --max-r, --jobs, \
-             --out-dir, --cost-*, --no-confirm, --fault-recheck, --full, --quick, --resume)",
+             --cost-*, --no-confirm, --fault-recheck, --full, --resume)",
         )?;
         let mut cfg = ProvisionConfig::default();
-        if let Some(v) = flags::value(args, "--p")? {
-            cfg.processors = parse_list("--p", &v)?;
+        let list = "a non-empty comma-separated list";
+        if let Some(p) = flags::parsed_list(args, "--p", list, |v| v.parse().ok())? {
+            cfg.processors = p;
         }
-        if let Some(v) = flags::value(args, "--families")? {
-            cfg.families = parse_list("--families", &v)?;
+        if let Some(f) = flags::parsed_list(args, "--families", list, |v| v.parse().ok())? {
+            cfg.families = f;
         }
         for (flag, slot) in [
             ("--rho", &mut cfg.rho),
@@ -150,25 +118,18 @@ impl ProvisionConfig {
             ("--cost-switch-point", &mut cfg.cost.per_switch_point),
             ("--cost-bus-tap", &mut cfg.cost.per_bus_tap),
         ] {
-            if let Some(v) = flags::value(args, flag)? {
-                *slot = parse_num(flag, &v)?;
+            if let Some(v) = flags::parsed(args, flag, "a number", |v| v.parse().ok())? {
+                *slot = v;
             }
         }
-        if let Some(v) = flags::value(args, "--max-r")? {
-            cfg.max_r = parse_num("--max-r", &v)?;
+        if let Some(r) = flags::parsed(args, "--max-r", "a number", |v| v.parse().ok())? {
+            cfg.max_r = r;
         }
-        if let Some(v) = flags::value(args, "--jobs")? {
-            cfg.jobs = parse_num("--jobs", &v)?;
-        }
-        cfg.out_dir = flags::value(args, "--out-dir")?.map(PathBuf::from);
+        let quality = RunQuality::try_from_args(args)?;
+        cfg.full = quality.fingerprint() == RunQuality::full().fingerprint();
+        cfg.jobs = quality.jobs;
         cfg.confirm = !flags::switch(args, "--no-confirm");
         cfg.fault_recheck = flags::switch(args, "--fault-recheck");
-        // `--full` and `--quick` override each other; the last one wins.
-        cfg.full = args
-            .iter()
-            .rev()
-            .find(|a| *a == "--full" || *a == "--quick")
-            .is_some_and(|a| a == "--full");
         cfg.resume = flags::switch(args, "--resume");
         if !cfg.cost.is_valid() {
             return Err(ConfigError::Parse {
@@ -194,9 +155,9 @@ impl ProvisionConfig {
     }
 
     /// Identity of this sweep for manifest validation: a resumed run with
-    /// any different search-relevant knob recomputes everything. `--jobs`,
-    /// `--resume`, and `--out-dir` are deliberately excluded — they never
-    /// change results.
+    /// any different search-relevant knob recomputes everything. `--jobs`
+    /// and `--resume` are deliberately excluded — they never change
+    /// results.
     #[must_use]
     pub fn fingerprint(&self) -> String {
         let families: Vec<&str> = self.families.iter().map(Family::token).collect();
@@ -289,8 +250,6 @@ pub struct LegSummary {
 pub struct ProvisionSummary {
     /// Per-leg outcomes, in `--p` order.
     pub legs: Vec<LegSummary>,
-    /// Output directory used.
-    pub out_dir: PathBuf,
     /// Wall-clock seconds for the whole sweep (informational only; never
     /// part of any artifact).
     pub wall_seconds: f64,
@@ -409,17 +368,17 @@ fn leg_name(p: u32) -> String {
     format!("p{p}")
 }
 
-/// Runs the sweep: one search leg per `--p`, checkpointed after each.
+/// Runs the sweep into `dir`: one search leg per `--p`, checkpointed
+/// after each.
 ///
 /// # Errors
 ///
-/// [`HarnessError::Io`] when an artifact or the manifest cannot be
-/// persisted, and [`HarnessError::Config`] when a leg's spec is invalid
+/// [`HarnessError::Io`] when `dir`, an artifact or the manifest cannot be
+/// written, and [`HarnessError::Config`] when a leg's spec is invalid
 /// (e.g. `2p` overflows).
-pub fn run(cfg: &ProvisionConfig) -> Result<ProvisionSummary, HarnessError> {
+pub fn run(cfg: &ProvisionConfig, dir: &Path) -> Result<ProvisionSummary, HarnessError> {
     let start = Instant::now();
-    let dir = cfg.out_dir.clone().unwrap_or_else(output::output_dir);
-    std::fs::create_dir_all(&dir).map_err(|e| HarnessError::Io {
+    std::fs::create_dir_all(dir).map_err(|e| HarnessError::Io {
         op: "create dir",
         path: dir.display().to_string(),
         message: e.to_string(),
@@ -430,7 +389,7 @@ pub fn run(cfg: &ProvisionConfig) -> Result<ProvisionSummary, HarnessError> {
     for &p in &cfg.processors {
         let name = leg_name(p);
         let artifact = format!("provision_{name}");
-        if manifest.reusable(&dir, &name, &artifact).is_some() {
+        if manifest.reusable(dir, &name, &artifact).is_some() {
             legs.push(LegSummary {
                 name,
                 resumed: true,
@@ -448,7 +407,7 @@ pub fn run(cfg: &ProvisionConfig) -> Result<ProvisionSummary, HarnessError> {
         let report = search(&spec).map_err(HarnessError::Config)?;
         let text = leg_text(cfg, p, &report);
         let csv = frontier_csv(&report);
-        output::persist_in(&dir, &artifact, &text, Some(&csv))?;
+        output::persist_in(dir, &artifact, &text, Some(&csv))?;
         let entry = ManifestEntry::ok(&name, &text, Some(&csv), leg_start.elapsed());
         manifest.record(entry, &manifest_path)?;
         legs.push(LegSummary {
@@ -464,7 +423,6 @@ pub fn run(cfg: &ProvisionConfig) -> Result<ProvisionSummary, HarnessError> {
     }
     Ok(ProvisionSummary {
         legs,
-        out_dir: dir,
         wall_seconds: start.elapsed().as_secs_f64(),
     })
 }
@@ -495,13 +453,13 @@ mod tests {
     use super::*;
     use rsin_core::NetworkKind;
     use rsin_provision::{classic, Candidate, EvalCounters};
-    use std::path::Path;
+    use std::path::PathBuf;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| (*s).to_string()).collect()
     }
 
-    fn tiny_cfg(dir: &Path) -> ProvisionConfig {
+    fn tiny_cfg() -> ProvisionConfig {
         ProvisionConfig {
             processors: vec![8, 16],
             target: 2.0,
@@ -509,7 +467,6 @@ mod tests {
             max_r: 8,
             confirm: false,
             jobs: 1,
-            out_dir: Some(dir.to_path_buf()),
             ..ProvisionConfig::default()
         }
     }
@@ -544,13 +501,14 @@ mod tests {
         let eq = ProvisionConfig::try_from_args(&args(&["--jobs=2", "--p=8", "--rho=0.25"]))
             .expect("--flag=v spelling");
         assert_eq!((eq.jobs, eq.processors, eq.rho), (2, vec![8], 0.25));
-        let last = ProvisionConfig::try_from_args(&args(&["--full", "--quick"])).expect("valid");
-        assert!(!last.full, "the last of --full/--quick wins");
+        let full = ProvisionConfig::try_from_args(&args(&["--full"])).expect("valid");
+        assert!(full.full && !eq.full, "--full selects the full preset");
         for bad in [
             &["--p", "zero"][..],
             &["--rho"][..],
             &["--bogus"][..],
             &["--jobs=zero"][..],
+            &["--jobs", "0"][..],
             &["--max-r", "8", "stray"][..],
             &["--families", "sbus,teleport"][..],
             &["--cost-resource", "-1"][..],
@@ -577,8 +535,8 @@ mod tests {
     #[test]
     fn sweep_persists_resumes_and_reproduces() {
         let dir = temp_dir("sweep");
-        let cfg = tiny_cfg(&dir);
-        let s1 = run(&cfg).expect("sweep runs");
+        let cfg = tiny_cfg();
+        let s1 = run(&cfg, &dir).expect("sweep runs");
         assert_eq!(s1.resumed(), 0);
         assert!(s1.evaluated() > 0);
         let txt = std::fs::read_to_string(dir.join("provision_p16.txt")).expect("artifact");
@@ -588,7 +546,7 @@ mod tests {
         // Resume skips both legs and leaves artifacts byte-identical.
         let mut cfg2 = cfg.clone();
         cfg2.resume = true;
-        let s2 = run(&cfg2).expect("resume runs");
+        let s2 = run(&cfg2, &dir).expect("resume runs");
         assert_eq!(s2.resumed(), 2);
         assert_eq!(
             std::fs::read_to_string(dir.join("provision_p16.txt")).expect("artifact"),
@@ -597,7 +555,7 @@ mod tests {
         // A different fingerprint invalidates the checkpoint.
         let mut cfg3 = cfg2.clone();
         cfg3.target *= 2.0;
-        let s3 = run(&cfg3).expect("recompute runs");
+        let s3 = run(&cfg3, &dir).expect("recompute runs");
         assert_eq!(s3.resumed(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -605,12 +563,12 @@ mod tests {
     #[test]
     fn corrupted_artifact_is_recomputed_on_resume() {
         let dir = temp_dir("corrupt");
-        let cfg = tiny_cfg(&dir);
-        run(&cfg).expect("sweep runs");
+        let cfg = tiny_cfg();
+        run(&cfg, &dir).expect("sweep runs");
         std::fs::write(dir.join("provision_p8.txt"), b"tampered").expect("tamper");
         let mut cfg2 = cfg.clone();
         cfg2.resume = true;
-        let s = run(&cfg2).expect("resume runs");
+        let s = run(&cfg2, &dir).expect("resume runs");
         let p8 = s.legs.iter().find(|l| l.name == "p8").expect("leg");
         assert!(!p8.resumed, "digest mismatch must force recompute");
         let p16 = s.legs.iter().find(|l| l.name == "p16").expect("leg");

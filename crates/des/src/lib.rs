@@ -79,9 +79,7 @@ mod time;
 pub use calendar::{Calendar, EventHandle, OpenRoot};
 pub use dist::{Deterministic, Draw, Erlang, Exponential, HyperExponential};
 pub use fault::{FaultAction, FaultEvent, FaultPlan, FaultTarget, FaultTimeline, StochasticFault};
-pub use parallel::{
-    default_jobs, panic_message, scope_map, scope_map_indexed, RetryPolicy, JOBS_ENV,
-};
+pub use parallel::{default_jobs, panic_message, scope_map, scope_map_indexed, RetryPolicy};
 pub use replicate::{replicate_par, Replicated};
 pub use rng::SimRng;
 pub use time::SimTime;

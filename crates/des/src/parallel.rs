@@ -23,21 +23,10 @@ use crate::rng::SimRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-/// Environment variable overriding the default worker count.
-pub const JOBS_ENV: &str = "RSIN_JOBS";
-
-/// The default number of worker threads: the `RSIN_JOBS` environment
-/// variable when set to a positive integer, otherwise
+/// The default number of worker threads:
 /// [`std::thread::available_parallelism`] (1 when unknown).
 #[must_use]
 pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var(JOBS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
